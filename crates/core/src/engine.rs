@@ -268,7 +268,18 @@ fn worker_loop(shared: Arc<Shared>, wid: usize) {
         ws.counters.add(Counter::Steals, ws.queue.steals);
         ws.counters.add(Counter::StealFails, ws.queue.steal_fails);
         ws.counters.add(Counter::Batches, ws.queue.batches);
-        *shared.worker_stats[wid].lock() = ws;
+        // Merge, never assign: a worker preempted between reading epoch E
+        // and joining it can run E+1's tasks inside this pass and then an
+        // empty E+1 pass before the control thread harvests — assigning
+        // would zero the counts it had just stored.
+        {
+            let mut slot = shared.worker_stats[wid].lock();
+            slot.queue.merge(&ws.queue);
+            slot.tasks = slot.tasks.saturating_add(ws.tasks);
+            slot.mem_spins = slot.mem_spins.saturating_add(ws.mem_spins);
+            slot.scanned = slot.scanned.saturating_add(ws.scanned);
+            slot.counters.merge(&ws.counters);
+        }
         if shared.workers_active.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = shared.done.lock();
             shared.done_cv.notify_all();

@@ -321,51 +321,9 @@ impl<N: ReteView> SerialEngine<N> {
     /// Inject pre-registered wme changes (used by the Soar layer, which
     /// manages the store itself).
     pub fn run_cycle(&mut self, changes: Vec<(WmeId, i32)>, phase: Phase) -> CycleOutcome {
-        let mut queue: VecDeque<(Activation, Option<u32>)> = VecDeque::new();
-        let mut tasks: Vec<TaskRecord> = Vec::new();
-        let mut cs_fold = CsFold::default();
-        let mut next_task: u32 = 0;
-
-        for (id, delta) in changes {
-            let tid = next_task;
-            next_task += 1;
-            let mut emitted = 0u32;
-            let t0 = self.capture.then(std::time::Instant::now);
-            let (alpha, _) =
-                process_wme_change(&self.net, &self.state.store, id, delta, 0, &mut |a| {
-                    queue.push_back((a, Some(tid)));
-                    emitted += 1;
-                });
-            if self.capture {
-                tasks.push(TaskRecord {
-                    id: tid,
-                    parent: None,
-                    node: 0,
-                    kind: TaskKind::Alpha,
-                    side: None,
-                    delta,
-                    scanned: alpha.tests_run,
-                    hash_rejects: 0,
-                    skipped: 0,
-                    probes: alpha.probes,
-                    emitted,
-                    line: None,
-                    acquires: 0,
-                    wall_ns: wall_ns_since(t0),
-                });
-            }
-        }
-        let executed = self.drain(queue, 0, &mut tasks, &mut cs_fold, &mut next_task);
-        let outcome = CycleOutcome {
-            cs: cs_fold.into_delta(&self.net, &self.state.store),
-            tasks: next_task as u64,
-        };
-        let _ = executed;
-        self.total_tasks += outcome.tasks;
+        let (tasks, cs_fold) = self.run_phase(Vec::new(), changes, 0, phase);
+        let outcome = CycleOutcome { cs: cs_fold.into_delta(&self.net, &self.state.store), tasks };
         self.cycle_count += 1;
-        if self.capture {
-            self.trace.cycles.push(CycleTrace { cycle: self.cycle_count - 1, phase, tasks });
-        }
         #[cfg(debug_assertions)]
         self.state.mem.assert_quiescent();
         // Incremental quiescent housekeeping: only the lines this cycle
@@ -381,12 +339,10 @@ impl<N: ReteView> SerialEngine<N> {
         tasks: &mut Vec<TaskRecord>,
         cs_fold: &mut CsFold,
         next_task: &mut u32,
-    ) -> u64 {
-        let mut executed = 0u64;
+    ) {
         while let Some((act, parent)) = queue.pop_front() {
             let tid = *next_task;
             *next_task += 1;
-            executed += 1;
             let mut pending: Vec<Activation> = Vec::new();
             let t0 = self.capture.then(std::time::Instant::now);
             let stats = process_beta_scratch(
@@ -437,7 +393,73 @@ impl<N: ReteView> SerialEngine<N> {
                 });
             }
         }
-        executed
+    }
+
+    /// One phase of match work, run to quiescence and recorded as one cycle
+    /// of the trace: the boundary `seeds`, then every wme change through the
+    /// alpha network, then whatever those activate — all filtered to nodes
+    /// `>= min_node`. A match cycle has no seeds and filters nothing; the
+    /// §5.2 state update (chunk addition, reorganization) seeds the last
+    /// shared nodes and re-runs all of WM against the new nodes only.
+    /// Returns the task count and the folded conflict-set changes.
+    fn run_phase(
+        &mut self,
+        seeds: Vec<Activation>,
+        changes: Vec<(WmeId, i32)>,
+        min_node: NodeId,
+        phase: Phase,
+    ) -> (u64, CsFold) {
+        let mut queue: VecDeque<(Activation, Option<u32>)> =
+            seeds.into_iter().map(|a| (a, None)).collect();
+        let mut tasks: Vec<TaskRecord> = Vec::new();
+        let mut cs_fold = CsFold::default();
+        let mut next_task: u32 = 0;
+
+        for (id, delta) in changes {
+            let tid = next_task;
+            next_task += 1;
+            let mut emitted = 0u32;
+            let t0 = self.capture.then(std::time::Instant::now);
+            let (alpha, _) =
+                process_wme_change(&self.net, &self.state.store, id, delta, min_node, &mut |a| {
+                    queue.push_back((a, Some(tid)));
+                    emitted += 1;
+                });
+            if self.capture {
+                tasks.push(TaskRecord {
+                    id: tid,
+                    parent: None,
+                    node: 0,
+                    kind: TaskKind::Alpha,
+                    side: None,
+                    delta,
+                    scanned: alpha.tests_run,
+                    hash_rejects: 0,
+                    skipped: 0,
+                    probes: alpha.probes,
+                    emitted,
+                    line: None,
+                    acquires: 0,
+                    wall_ns: wall_ns_since(t0),
+                });
+            }
+        }
+        self.drain(queue, min_node, &mut tasks, &mut cs_fold, &mut next_task);
+        self.total_tasks += next_task as u64;
+        if self.capture {
+            self.trace.cycles.push(CycleTrace { cycle: self.cycle_count, phase, tasks });
+        }
+        (next_task as u64, cs_fold)
+    }
+
+    /// The §5.2 state update for the nodes `>= first_new`, shared by chunk
+    /// addition and reorganization.
+    fn run_update(&mut self, first_new: NodeId) -> (u64, CsFold) {
+        // Boundary seeds (the specially-executed last shared nodes), then an
+        // alpha re-run of all of WM.
+        let seeds = seed_update(&self.net, &self.state.mem, first_new);
+        let live = self.state.store.iter_alive().map(|(id, _)| (id, 1)).collect();
+        self.run_phase(seeds, live, first_new, Phase::Update)
     }
 
     /// Build the [`Instantiation`] for a P-node token.
@@ -479,53 +501,7 @@ impl<N: ReteBuild> SerialEngine<N> {
         org: NetworkOrg,
     ) -> Result<AddOutcome, BuildError> {
         let add = self.net.add_production(prod, org)?;
-        let first_new = add.first_new;
-        let mut queue: VecDeque<(Activation, Option<u32>)> = VecDeque::new();
-        let mut tasks: Vec<TaskRecord> = Vec::new();
-        let mut cs_fold = CsFold::default();
-        let mut next_task: u32 = 0;
-
-        // Boundary seeds (the specially-executed last shared nodes).
-        for a in seed_update(&self.net, &self.state.mem, first_new) {
-            queue.push_back((a, None));
-        }
-        // Alpha re-run of all of WM, filtered to the new nodes.
-        let live: Vec<WmeId> = self.state.store.iter_alive().map(|(id, _)| id).collect();
-        for id in live {
-            let tid = next_task;
-            next_task += 1;
-            let mut emitted = 0u32;
-            let t0 = self.capture.then(std::time::Instant::now);
-            let (alpha, _) =
-                process_wme_change(&self.net, &self.state.store, id, 1, first_new, &mut |a| {
-                    queue.push_back((a, Some(tid)));
-                    emitted += 1;
-                });
-            if self.capture {
-                tasks.push(TaskRecord {
-                    id: tid,
-                    parent: None,
-                    node: 0,
-                    kind: TaskKind::Alpha,
-                    side: None,
-                    delta: 1,
-                    scanned: alpha.tests_run,
-                    hash_rejects: 0,
-                    skipped: 0,
-                    probes: alpha.probes,
-                    emitted,
-                    line: None,
-                    acquires: 0,
-                    wall_ns: wall_ns_since(t0),
-                });
-            }
-        }
-        self.drain(queue, first_new, &mut tasks, &mut cs_fold, &mut next_task);
-        let update_tasks = next_task as u64;
-        self.total_tasks += update_tasks;
-        if self.capture {
-            self.trace.cycles.push(CycleTrace { cycle: self.cycle_count, phase: Phase::Update, tasks });
-        }
+        let (update_tasks, cs_fold) = self.run_update(add.first_new);
         #[cfg(debug_assertions)]
         self.state.mem.assert_quiescent();
         self.state.mem.end_cycle();
@@ -566,50 +542,8 @@ impl<N: ReteBuild> SerialEngine<N> {
         let rb = self.net.reorg_build(prod_idx, org)?;
         let first_new = rb.first_new;
         let p_node = rb.p_node;
-        let mut queue: VecDeque<(Activation, Option<u32>)> = VecDeque::new();
-        let mut tasks: Vec<TaskRecord> = Vec::new();
-        let mut cs_fold = CsFold::default();
-        let mut next_task: u32 = 0;
-
-        for a in seed_update(&self.net, &self.state.mem, first_new) {
-            queue.push_back((a, None));
-        }
-        let live: Vec<WmeId> = self.state.store.iter_alive().map(|(id, _)| id).collect();
-        for id in live {
-            let tid = next_task;
-            next_task += 1;
-            let mut emitted = 0u32;
-            let t0 = self.capture.then(std::time::Instant::now);
-            let (alpha, _) =
-                process_wme_change(&self.net, &self.state.store, id, 1, first_new, &mut |a| {
-                    queue.push_back((a, Some(tid)));
-                    emitted += 1;
-                });
-            if self.capture {
-                tasks.push(TaskRecord {
-                    id: tid,
-                    parent: None,
-                    node: 0,
-                    kind: TaskKind::Alpha,
-                    side: None,
-                    delta: 1,
-                    scanned: alpha.tests_run,
-                    hash_rejects: 0,
-                    skipped: 0,
-                    probes: alpha.probes,
-                    emitted,
-                    line: None,
-                    acquires: 0,
-                    wall_ns: wall_ns_since(t0),
-                });
-            }
-        }
-        self.drain(queue, first_new, &mut tasks, &mut cs_fold, &mut next_task);
-        let update_tasks = next_task as u64;
-        self.total_tasks += update_tasks;
-        if self.capture {
-            self.trace.cycles.push(CycleTrace { cycle: self.cycle_count, phase: Phase::Update, tasks });
-        }
+        // The folded changes are only read by the debug check below.
+        let (update_tasks, _cs_fold) = self.run_update(first_new);
         // Swap the production over to the new chain, then drop the retired
         // nodes' stored tokens. Order matters: the commit unplugs (or masks)
         // the old chain, so state reads above must already be done.
@@ -620,7 +554,7 @@ impl<N: ReteBuild> SerialEngine<N> {
         // tokens through the *new* pos_slots, hence only valid post-commit.)
         #[cfg(debug_assertions)]
         {
-            let delta = cs_fold.into_delta(&self.net, &self.state.store);
+            let delta = _cs_fold.into_delta(&self.net, &self.state.store);
             assert!(delta.removed.is_empty(), "reorg update removed {:?}", delta.removed);
             let mut added = delta.added;
             added.sort_by(|a, b| a.wmes.cmp(&b.wmes));

@@ -14,8 +14,21 @@
 //! and a constant per-dispatch overhead standing in for the scheduler's
 //! queue traffic. Relative throughput across worker counts — the quantity
 //! the `serve_throughput` figures report — is insensitive to both.
+//!
+//! There is **one** event loop (the private `run`); the four public
+//! entry points are configurations of it, like the paper's single- and
+//! multi-queue matchers are settings of one PSM-E (a batch is every
+//! arrival at t=0 into an unbounded table):
+//!
+//! | entry point                | shards | dispatch bus | tier | arrivals |
+//! |----------------------------|--------|--------------|------|----------|
+//! | [`simulate_serve`]         | 1      | not modeled  | —    | batch    |
+//! | [`simulate_serve_tiered`]  | 1      | not modeled  | yes  | batch    |
+//! | [`simulate_serve_sharded`] | N      | serialized   | —    | batch    |
+//! | [`simulate_serve_open`]    | N      | serialized   | —    | open     |
 
 use psme_obs::{TraceKind, TraceLog, TraceRing};
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Model configuration.
@@ -48,105 +61,256 @@ pub struct DesResult {
     pub trace: TraceLog,
 }
 
-/// Simulate serving `sessions` (one inner `Vec<f64>` of per-cycle service
-/// seconds each) on `cfg.workers` workers. All sessions arrive at t=0.
-pub fn simulate_serve(sessions: &[Vec<f64>], cfg: &DesConfig) -> DesResult {
+/// What tells the four serving models apart. Private: every public entry
+/// point sets every field, so no caller can ask for a fifth combination.
+struct Model<'a> {
+    /// Worker pools; session `s` homes on pool `s % shards`.
+    shards: usize,
+    /// A pool whose ready list is empty may take another pool's slice.
+    steal: bool,
+    /// A dispatch holds its home shard's bus for the overhead window, so
+    /// dispatches of one shard serialize. Off, the overhead is paid on the
+    /// worker alone and dispatches overlap freely.
+    bus: bool,
+    /// Bounded residency with a resume cost on re-entry.
+    tier: Option<&'a DesTierConfig>,
+    /// Open arrivals (one time per session) and their admission bounds;
+    /// `None` is the batch.
+    open: Option<(&'a [f64], &'a DesOpenConfig)>,
+}
+
+/// Everything one run of the event loop produces; each public result is a
+/// selection of these fields.
+#[derive(Default)]
+struct Run {
+    makespan: f64,
+    /// Retired sessions per second of makespan.
+    sessions_per_sec: f64,
+    /// Retire time per session, input order (0 for a shed session).
+    completions: Vec<f64>,
+    /// Retire − arrival per retired session, input order.
+    sojourn: Vec<f64>,
+    cycle_latency: Vec<f64>,
+    resume_latency: Vec<f64>,
+    cross_shard_steals: u64,
+    hibernations: u64,
+    resumes: u64,
+    shed: usize,
+    trace: TraceLog,
+}
+
+/// The event loop. Each step takes the globally earliest of (a) the next
+/// arrival and (b) the earliest possible dispatch: for each home shard's
+/// earliest-ready session (FIFO by ready time, index tie-break), its own
+/// pool's earliest-free worker and — when stealing is on — that of every
+/// pool whose own ready list is empty. Ties prefer the home pool, then
+/// (home, thief) order, so the schedule is a pure function of the inputs.
+fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
     let n = sessions.len();
-    let workers = cfg.workers.max(1);
+    let mut out = Run::default();
+    if n == 0 {
+        return out;
+    }
+    let wps = cfg.workers.max(1);
+    let nshards = m.shards.max(1);
+    let workers = nshards * wps;
     let slice = cfg.slice.max(1);
-    let mut completions = vec![0.0f64; n];
-    let mut cycle_latency: Vec<f64> = Vec::new();
-    // Ring capacity that can never drop: at most 3 events per dispatch,
-    // worst case all on one worker, plus the control ring's 2 per session.
+    // Ring capacity that can never drop: at most 5 events per dispatch,
+    // worst case all on one worker; at most 4 per session on control.
     let dispatches: usize = sessions.iter().map(|c| c.len().div_ceil(slice).max(1)).sum();
-    let ring_cap = 3 * dispatches + 2 * n + 1;
+    let ring_cap = 5 * dispatches + 4 * n + 1;
     let origin = Instant::now();
     let mut rings: Vec<TraceRing> =
         (0..workers).map(|w| TraceRing::new(w as u32, ring_cap, origin)).collect();
     let mut ctl = TraceRing::new(workers as u32, ring_cap, origin);
     let ns = |t: f64| (t * 1e9).round() as u64;
-    if n == 0 {
-        return DesResult {
-            makespan: 0.0,
-            sessions_per_sec: 0.0,
-            completions,
-            cycle_latency,
-            trace: TraceLog::default(),
-        };
+    let emit = |r: &mut TraceRing, t: f64, kind: TraceKind, s: usize, lo: usize, hi: usize, arg| {
+        r.emit_at(ns(t), kind, s as u32, lo as u64, hi as u64, arg)
+    };
+
+    // Arrival times (jittered: the wire reorders closely spaced arrivals)
+    // and the per-shard slices of the table and admission-queue bounds.
+    let mut arrived = vec![0.0f64; n];
+    let (mut cap_s, mut depth_s) = (usize::MAX, 0);
+    if let Some((arrivals, open)) = m.open {
+        let mut rng = open.seed;
+        for (eff, &a) in arrived.iter_mut().zip(arrivals) {
+            *eff = a + open.jitter * u01(&mut rng);
+        }
+        cap_s = open.table_capacity.max(1).div_ceil(nshards);
+        depth_s = open.admission_depth.div_ceil(nshards);
     }
-    for s in 0..n {
-        ctl.emit_at(0, TraceKind::Admitted, s as u32, 0, 0, 0);
-        ctl.emit_at(0, TraceKind::Enqueued, s as u32, 0, 0, 0);
-    }
-    // Ready list: (ready_time, session, next_cycle), kept sorted by
-    // (ready_time, session) — a priority queue small enough for Vec ops.
-    let mut ready: Vec<(f64, usize, usize)> = (0..n).map(|s| (0.0, s, 0)).collect();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| (arrived[a], a).partial_cmp(&(arrived[b], b)).expect("finite times"));
+    // A session takes a table seat: straight onto its home ready list. The
+    // tiered model admits on first dispatch instead (a seat is residency).
+    let seat = |ctl: &mut TraceRing, pool: &mut Vec<(f64, usize, usize)>, t: f64, s: usize| {
+        if m.tier.is_none() {
+            emit(ctl, t, TraceKind::Admitted, s, 0, 0, 0);
+        }
+        pool.push((t, s, 0));
+        emit(ctl, t, TraceKind::Enqueued, s, 0, 0, 0);
+    };
+
+    // Per-shard ready lists: (ready_time, session, next_cycle).
+    let mut ready: Vec<Vec<(f64, usize, usize)>> = vec![Vec::new(); nshards];
+    let mut waiting: Vec<VecDeque<usize>> = vec![VecDeque::new(); nshards];
+    let mut live = vec![0usize; nshards];
     let mut worker_free = vec![0.0f64; workers];
-    while !ready.is_empty() {
-        // Earliest-ready session (FIFO by ready time, index tie-break) to
-        // the earliest-free worker.
-        let ri = ready
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
+    // When each shard's dispatch bus frees up (stays 0 when not modeled).
+    let mut bus_free = vec![0.0f64; nshards];
+    // Residency: (session, last-dispatch virtual time).
+    let mut hot: Vec<(usize, f64)> = Vec::new();
+    let mut done: Vec<Option<f64>> = vec![None; n];
+    let mut next_arrival = 0usize;
+    let mut left = n;
+    while left > 0 {
+        // (bus_start, stolen, home, thief, ready index, worker); the first
+        // four order the candidates, (home, thief) fixes the last two.
+        let mut best: Option<(f64, bool, usize, usize, usize, usize)> = None;
+        for h in 0..nshards {
+            let Some((ci, &(ready_t, ..))) = ready[h].iter().enumerate().min_by(|a, b| {
                 (a.1 .0, a.1 .1).partial_cmp(&(b.1 .0, b.1 .1)).expect("finite times")
-            })
-            .map(|(i, _)| i)
-            .expect("nonempty");
-        let (ready_t, s, first_cycle) = ready.swap_remove(ri);
-        let wi = worker_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .map(|(i, _)| i)
-            .expect("workers >= 1");
-        let start = worker_free[wi].max(ready_t) + cfg.dispatch_overhead;
+            }) else {
+                continue;
+            };
+            for (t, pool) in ready.iter().enumerate() {
+                if t != h && !(m.steal && pool.is_empty()) {
+                    continue;
+                }
+                let wi = (t * wps..(t + 1) * wps)
+                    .min_by(|a, b| {
+                        worker_free[*a].partial_cmp(&worker_free[*b]).expect("finite times")
+                    })
+                    .expect("wps >= 1");
+                let key = (worker_free[wi].max(ready_t).max(bus_free[h]), t != h, h, t, ci, wi);
+                if best.is_none_or(|b| key < b) {
+                    best = Some(key);
+                }
+            }
+        }
+        // Arrivals at or before the candidate dispatch go first: an
+        // arrival can only make an earlier dispatch possible.
+        if next_arrival < n && best.is_none_or(|b| arrived[order[next_arrival]] <= b.0) {
+            let s = order[next_arrival];
+            next_arrival += 1;
+            let (t, h) = (arrived[s], s % nshards);
+            if m.open.is_some() {
+                emit(&mut ctl, t, TraceKind::NetRequest, s, 0, 0, 0);
+            }
+            if live[h] < cap_s {
+                live[h] += 1;
+                seat(&mut ctl, &mut ready[h], t, s);
+            } else {
+                // Full table: wait; a backlog past the depth sheds the oldest.
+                waiting[h].push_back(s);
+                if waiting[h].len() > depth_s {
+                    let v = waiting[h].pop_front().expect("nonempty");
+                    out.shed += 1;
+                    left -= 1;
+                    emit(&mut ctl, t, TraceKind::Shed, v, 0, 0, 0);
+                    emit(&mut ctl, t, TraceKind::NetShed, v, 0, 0, 0);
+                }
+            }
+            continue;
+        }
+        let (bus_start, stolen, h, _, ci, wi) = best.expect("left > 0 implies work or arrivals");
+        let (ready_t, s, first) = ready[h].swap_remove(ci);
+        let ring = &mut rings[wi];
+        let mut start = bus_start + cfg.dispatch_overhead;
+        if m.bus {
+            bus_free[h] = start;
+        }
+        if stolen {
+            out.cross_shard_steals += 1;
+            emit(ring, start, TraceKind::CrossShardSteal, s, 0, 0, h as u64);
+        }
+        if let Some(tier) = m.tier {
+            if let Some(entry) = hot.iter_mut().find(|(r, _)| *r == s) {
+                entry.1 = start;
+            } else {
+                // Take a seat, evicting the least-recently-dispatched
+                // resident (virtual-time LRU, index tie-break) if full.
+                if hot.len() >= tier.hot_capacity.max(1) {
+                    let vi = (0..hot.len())
+                        .min_by(|&a, &b| {
+                            (hot[a].1, hot[a].0).partial_cmp(&(hot[b].1, hot[b].0)).expect("finite")
+                        })
+                        .expect("hot nonempty");
+                    let (victim, _) = hot.swap_remove(vi);
+                    out.hibernations += 1;
+                    emit(ring, start, TraceKind::Hibernated, victim, 0, 0, 0);
+                }
+                hot.push((s, start));
+                if first > 0 {
+                    // Re-entry replays the journal of the cycles already run.
+                    let cost = tier.resume_base + tier.resume_per_cycle * first as f64;
+                    out.resumes += 1;
+                    out.resume_latency.push(cost);
+                    emit(ring, start, TraceKind::Resumed, s, first, first, ns(cost));
+                    start += cost;
+                } else {
+                    emit(ring, start, TraceKind::Admitted, s, 0, 0, 0);
+                }
+            }
+        }
         let wait = start - ready_t;
         let cycles = &sessions[s];
-        let last = (first_cycle + slice).min(cycles.len());
+        let last = (first + slice).min(cycles.len());
         let mut t = start;
-        for &c in &cycles[first_cycle..last] {
+        for &c in &cycles[first..last] {
             t += c;
-            cycle_latency.push(wait + c);
+            out.cycle_latency.push(wait + c);
         }
         worker_free[wi] = t;
-        rings[wi].emit_at(
-            ns(start),
-            TraceKind::SliceStart,
-            s as u32,
-            first_cycle as u64,
-            first_cycle as u64,
-            ns(wait),
-        );
-        rings[wi].emit_at(
-            ns(t),
-            TraceKind::SliceEnd,
-            s as u32,
-            first_cycle as u64,
-            last as u64,
-            ns(t - start),
-        );
+        emit(ring, start, TraceKind::SliceStart, s, first, first, ns(wait));
+        emit(ring, t, TraceKind::SliceEnd, s, first, last, ns(t - start));
         if last < cycles.len() {
-            ready.push((t, s, last));
-            rings[wi].emit_at(ns(t), TraceKind::Reenqueued, s as u32, 0, 0, 0);
+            // Affinity: re-enqueue on the home shard even after a steal.
+            ready[h].push((t, s, last));
+            emit(ring, t, TraceKind::Reenqueued, s, 0, 0, 0);
         } else {
-            completions[s] = t;
-            rings[wi].emit_at(ns(t), TraceKind::Retired, s as u32, 0, last as u64, 0);
+            done[s] = Some(t);
+            left -= 1;
+            hot.retain(|(r, _)| *r != s);
+            emit(ring, t, TraceKind::Retired, s, 0, last, 0);
+            // The retired session's seat goes to the oldest waiting one.
+            match waiting[h].pop_front() {
+                Some(v) => seat(&mut ctl, &mut ready[h], t, v),
+                None => live[h] -= 1,
+            }
         }
     }
-    let mut trace = TraceLog::default();
-    trace.absorb(&mut ctl);
+    out.trace.absorb(&mut ctl);
     for ring in &mut rings {
-        trace.absorb(ring);
+        out.trace.absorb(ring);
     }
-    trace.seal();
-    let makespan = completions.iter().cloned().fold(0.0, f64::max);
+    if nshards > 1 {
+        for w in 0..workers {
+            out.trace.set_shard(w as u32, (w / wps) as u32);
+        }
+    }
+    out.trace.seal();
+    out.makespan = done.iter().flatten().cloned().fold(0.0, f64::max);
+    if out.makespan > 0.0 {
+        out.sessions_per_sec = (n - out.shed) as f64 / out.makespan;
+    }
+    out.sojourn = (0..n).filter_map(|s| done[s].map(|t| t - arrived[s])).collect();
+    out.completions = done.into_iter().map(|t| t.unwrap_or(0.0)).collect();
+    out
+}
+
+/// Simulate serving `sessions` (one inner `Vec<f64>` of per-cycle service
+/// seconds each) on `cfg.workers` workers. All sessions arrive at t=0.
+pub fn simulate_serve(sessions: &[Vec<f64>], cfg: &DesConfig) -> DesResult {
+    let m = Model { shards: 1, steal: false, bus: false, tier: None, open: None };
+    let r = run(sessions, cfg, &m);
     DesResult {
-        makespan,
-        sessions_per_sec: if makespan > 0.0 { n as f64 / makespan } else { 0.0 },
-        completions,
-        cycle_latency,
-        trace,
+        makespan: r.makespan,
+        sessions_per_sec: r.sessions_per_sec,
+        completions: r.completions,
+        cycle_latency: r.cycle_latency,
+        trace: r.trace,
     }
 }
 
@@ -196,141 +360,15 @@ pub fn simulate_serve_sharded(
     cfg: &DesConfig,
     shard: &DesShardConfig,
 ) -> DesShardedResult {
-    let n = sessions.len();
-    let wps = cfg.workers.max(1);
-    let nshards = shard.shards.max(1);
-    let workers = nshards * wps;
-    let slice = cfg.slice.max(1);
-    let mut completions = vec![0.0f64; n];
-    let mut cycle_latency: Vec<f64> = Vec::new();
-    let mut cross_shard_steals = 0u64;
-    let dispatches: usize = sessions.iter().map(|c| c.len().div_ceil(slice).max(1)).sum();
-    // Up to 3 slice events + 1 steal marker per dispatch.
-    let ring_cap = 4 * dispatches + 2 * n + 1;
-    let origin = Instant::now();
-    let mut rings: Vec<TraceRing> =
-        (0..workers).map(|w| TraceRing::new(w as u32, ring_cap, origin)).collect();
-    let mut ctl = TraceRing::new(workers as u32, ring_cap, origin);
-    let ns = |t: f64| (t * 1e9).round() as u64;
-    if n == 0 {
-        return DesShardedResult {
-            makespan: 0.0,
-            sessions_per_sec: 0.0,
-            completions,
-            cycle_latency,
-            cross_shard_steals,
-            trace: TraceLog::default(),
-        };
-    }
-    for s in 0..n {
-        ctl.emit_at(0, TraceKind::Admitted, s as u32, 0, 0, 0);
-        ctl.emit_at(0, TraceKind::Enqueued, s as u32, 0, 0, 0);
-    }
-    // Per-shard ready lists: (ready_time, session, next_cycle).
-    let mut ready: Vec<Vec<(f64, usize, usize)>> = vec![Vec::new(); nshards];
-    for s in 0..n {
-        ready[s % nshards].push((0.0, s, 0));
-    }
-    let mut worker_free = vec![0.0f64; workers];
-    // When each shard's dispatch bus frees up.
-    let mut bus_free = vec![0.0f64; nshards];
-    let mut left: usize = n;
-    while left > 0 {
-        // Globally earliest dispatch: for each home shard's earliest-ready
-        // session, consider its own pool and — when stealing is on — pools
-        // whose own ready list is empty. Tie-break prefers the home pool,
-        // then (home, thief) order, so the schedule is deterministic.
-        let mut best: Option<(f64, usize, usize, usize, usize)> = None;
-        for h in 0..nshards {
-            let Some((ci, &(ready_t, ..))) = ready[h].iter().enumerate().min_by(|a, b| {
-                (a.1 .0, a.1 .1).partial_cmp(&(b.1 .0, b.1 .1)).expect("finite times")
-            }) else {
-                continue;
-            };
-            for (t, ready_t_pool) in ready.iter().enumerate().take(nshards) {
-                if t != h && !(shard.steal && ready_t_pool.is_empty()) {
-                    continue;
-                }
-                let wi = (t * wps..(t + 1) * wps)
-                    .min_by(|a, b| {
-                        worker_free[*a].partial_cmp(&worker_free[*b]).expect("finite times")
-                    })
-                    .expect("wps >= 1");
-                let bus_start = worker_free[wi].max(ready_t).max(bus_free[h]);
-                let key = (bus_start, usize::from(t != h), h, t);
-                if best.is_none_or(|(bs, steal_flag, bh, bt, _)| {
-                    key < (bs, steal_flag, bh, bt)
-                }) {
-                    best = Some((bus_start, usize::from(t != h), h, t, ci));
-                }
-            }
-        }
-        let (bus_start, stolen, h, t, ci) = best.expect("left > 0 implies ready work");
-        let (ready_t, s, first_cycle) = ready[h].swap_remove(ci);
-        let wi = (t * wps..(t + 1) * wps)
-            .min_by(|a, b| worker_free[*a].partial_cmp(&worker_free[*b]).expect("finite times"))
-            .expect("wps >= 1");
-        // The dispatch holds the home bus for the overhead window.
-        bus_free[h] = bus_start + cfg.dispatch_overhead;
-        let start = bus_start + cfg.dispatch_overhead;
-        let wait = start - ready_t;
-        if stolen == 1 {
-            cross_shard_steals += 1;
-            rings[wi].emit_at(ns(start), TraceKind::CrossShardSteal, s as u32, 0, 0, h as u64);
-        }
-        let cycles = &sessions[s];
-        let last = (first_cycle + slice).min(cycles.len());
-        let mut time = start;
-        for &c in &cycles[first_cycle..last] {
-            time += c;
-            cycle_latency.push(wait + c);
-        }
-        worker_free[wi] = time;
-        rings[wi].emit_at(
-            ns(start),
-            TraceKind::SliceStart,
-            s as u32,
-            first_cycle as u64,
-            first_cycle as u64,
-            ns(wait),
-        );
-        rings[wi].emit_at(
-            ns(time),
-            TraceKind::SliceEnd,
-            s as u32,
-            first_cycle as u64,
-            last as u64,
-            ns(time - start),
-        );
-        if last < cycles.len() {
-            // Affinity: re-enqueue on the home shard even after a steal.
-            ready[h].push((time, s, last));
-            rings[wi].emit_at(ns(time), TraceKind::Reenqueued, s as u32, 0, 0, 0);
-        } else {
-            completions[s] = time;
-            left -= 1;
-            rings[wi].emit_at(ns(time), TraceKind::Retired, s as u32, 0, last as u64, 0);
-        }
-    }
-    let mut trace = TraceLog::default();
-    trace.absorb(&mut ctl);
-    for ring in &mut rings {
-        trace.absorb(ring);
-    }
-    if nshards > 1 {
-        for w in 0..workers {
-            trace.set_shard(w as u32, (w / wps) as u32);
-        }
-    }
-    trace.seal();
-    let makespan = completions.iter().cloned().fold(0.0, f64::max);
+    let m = Model { shards: shard.shards, steal: shard.steal, bus: true, tier: None, open: None };
+    let r = run(sessions, cfg, &m);
     DesShardedResult {
-        makespan,
-        sessions_per_sec: if makespan > 0.0 { n as f64 / makespan } else { 0.0 },
-        completions,
-        cycle_latency,
-        cross_shard_steals,
-        trace,
+        makespan: r.makespan,
+        sessions_per_sec: r.sessions_per_sec,
+        completions: r.completions,
+        cycle_latency: r.cycle_latency,
+        cross_shard_steals: r.cross_shard_steals,
+        trace: r.trace,
     }
 }
 
@@ -379,142 +417,16 @@ pub fn simulate_serve_tiered(
     cfg: &DesConfig,
     tier: &DesTierConfig,
 ) -> DesTieredResult {
-    let n = sessions.len();
-    let workers = cfg.workers.max(1);
-    let slice = cfg.slice.max(1);
-    let hot_cap = tier.hot_capacity.max(1);
-    let mut completions = vec![0.0f64; n];
-    let mut resume_latency: Vec<f64> = Vec::new();
-    let mut hibernations = 0u64;
-    let mut resumes = 0u64;
-    let dispatches: usize = sessions.iter().map(|c| c.len().div_ceil(slice).max(1)).sum();
-    // Up to 3 slice events + 1 resume + 1 eviction per dispatch.
-    let ring_cap = 5 * dispatches + 2 * n + 1;
-    let origin = Instant::now();
-    let mut rings: Vec<TraceRing> =
-        (0..workers).map(|w| TraceRing::new(w as u32, ring_cap, origin)).collect();
-    let mut ctl = TraceRing::new(workers as u32, ring_cap, origin);
-    let ns = |t: f64| (t * 1e9).round() as u64;
-    if n == 0 {
-        return DesTieredResult {
-            makespan: 0.0,
-            sessions_per_sec: 0.0,
-            completions,
-            resume_latency,
-            hibernations,
-            resumes,
-            trace: TraceLog::default(),
-        };
-    }
-    for s in 0..n {
-        ctl.emit_at(0, TraceKind::Enqueued, s as u32, 0, 0, 0);
-    }
-    // Residency: (session, last-dispatch virtual time). `started[s]` tells
-    // admission (free) apart from resume (replay cost).
-    let mut hot: Vec<(usize, f64)> = Vec::new();
-    let mut started = vec![false; n];
-    let mut ready: Vec<(f64, usize, usize)> = (0..n).map(|s| (0.0, s, 0)).collect();
-    let mut worker_free = vec![0.0f64; workers];
-    while !ready.is_empty() {
-        let ri = ready
-            .iter()
-            .enumerate()
-            .min_by(|a, b| {
-                (a.1 .0, a.1 .1).partial_cmp(&(b.1 .0, b.1 .1)).expect("finite times")
-            })
-            .map(|(i, _)| i)
-            .expect("nonempty");
-        let (ready_t, s, first_cycle) = ready.swap_remove(ri);
-        let wi = worker_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .map(|(i, _)| i)
-            .expect("workers >= 1");
-        let mut start = worker_free[wi].max(ready_t) + cfg.dispatch_overhead;
-        if let Some(entry) = hot.iter_mut().find(|(h, _)| *h == s) {
-            entry.1 = start;
-        } else {
-            // Take a seat, evicting the LRU resident session if full.
-            if hot.len() >= hot_cap {
-                let vi = hot
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        (a.1 .1, a.1 .0).partial_cmp(&(b.1 .1, b.1 .0)).expect("finite")
-                    })
-                    .map(|(i, _)| i)
-                    .expect("hot nonempty");
-                let (victim, _) = hot.swap_remove(vi);
-                hibernations += 1;
-                rings[wi].emit_at(ns(start), TraceKind::Hibernated, victim as u32, 0, 0, 0);
-            }
-            hot.push((s, start));
-            if started[s] {
-                let cost = tier.resume_base + tier.resume_per_cycle * first_cycle as f64;
-                resumes += 1;
-                resume_latency.push(cost);
-                rings[wi].emit_at(
-                    ns(start),
-                    TraceKind::Resumed,
-                    s as u32,
-                    first_cycle as u64,
-                    first_cycle as u64,
-                    ns(cost),
-                );
-                start += cost;
-            } else {
-                started[s] = true;
-                rings[wi].emit_at(ns(start), TraceKind::Admitted, s as u32, 0, 0, 0);
-            }
-        }
-        let cycles = &sessions[s];
-        let last = (first_cycle + slice).min(cycles.len());
-        let mut t = start;
-        for &c in &cycles[first_cycle..last] {
-            t += c;
-        }
-        worker_free[wi] = t;
-        rings[wi].emit_at(
-            ns(start),
-            TraceKind::SliceStart,
-            s as u32,
-            first_cycle as u64,
-            first_cycle as u64,
-            ns(start - ready_t),
-        );
-        rings[wi].emit_at(
-            ns(t),
-            TraceKind::SliceEnd,
-            s as u32,
-            first_cycle as u64,
-            last as u64,
-            ns(t - start),
-        );
-        if last < cycles.len() {
-            ready.push((t, s, last));
-            rings[wi].emit_at(ns(t), TraceKind::Reenqueued, s as u32, 0, 0, 0);
-        } else {
-            completions[s] = t;
-            hot.retain(|(h, _)| *h != s);
-            rings[wi].emit_at(ns(t), TraceKind::Retired, s as u32, 0, last as u64, 0);
-        }
-    }
-    let mut trace = TraceLog::default();
-    trace.absorb(&mut ctl);
-    for ring in &mut rings {
-        trace.absorb(ring);
-    }
-    trace.seal();
-    let makespan = completions.iter().cloned().fold(0.0, f64::max);
+    let m = Model { shards: 1, steal: false, bus: false, tier: Some(tier), open: None };
+    let r = run(sessions, cfg, &m);
     DesTieredResult {
-        makespan,
-        sessions_per_sec: if makespan > 0.0 { n as f64 / makespan } else { 0.0 },
-        completions,
-        resume_latency,
-        hibernations,
-        resumes,
-        trace,
+        makespan: r.makespan,
+        sessions_per_sec: r.sessions_per_sec,
+        completions: r.completions,
+        resume_latency: r.resume_latency,
+        hibernations: r.hibernations,
+        resumes: r.resumes,
+        trace: r.trace,
     }
 }
 
@@ -596,180 +508,23 @@ pub fn simulate_serve_open(
     open: &DesOpenConfig,
 ) -> DesOpenResult {
     assert_eq!(sessions.len(), arrivals.len(), "one arrival time per session");
-    let n = sessions.len();
-    let wps = cfg.workers.max(1);
-    let nshards = open.shards.max(1);
-    let workers = nshards * wps;
-    let slice = cfg.slice.max(1);
-    let cap_s = open.table_capacity.max(1).div_ceil(nshards);
-    let depth_s = open.admission_depth.div_ceil(nshards);
-    let dispatches: usize = sessions.iter().map(|c| c.len().div_ceil(slice).max(1)).sum();
-    // Up to 4 events per dispatch plus 4 per arrival (request, admit/shed
-    // pair, enqueue).
-    let ring_cap = 4 * dispatches + 4 * n + 1;
-    let origin = Instant::now();
-    let mut rings: Vec<TraceRing> =
-        (0..workers).map(|w| TraceRing::new(w as u32, ring_cap, origin)).collect();
-    let mut ctl = TraceRing::new(workers as u32, ring_cap, origin);
-    let ns = |t: f64| (t * 1e9).round() as u64;
-    let mut completions: Vec<Option<f64>> = vec![None; n];
-    let mut cycle_latency: Vec<f64> = Vec::new();
-    let mut cross_shard_steals = 0u64;
-    let mut shed_count = 0usize;
-    if n == 0 {
-        return DesOpenResult {
-            makespan: 0.0,
-            sessions_per_sec: 0.0,
-            completed: 0,
-            shed: 0,
-            sojourn: Vec::new(),
-            cycle_latency,
-            cross_shard_steals,
-            trace: TraceLog::default(),
-        };
-    }
-    // Jittered arrival order: the wire reorders closely spaced arrivals.
-    let mut rng = open.seed;
-    let eff: Vec<f64> = arrivals.iter().map(|&a| a + open.jitter * u01(&mut rng)).collect();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| (eff[a], a).partial_cmp(&(eff[b], b)).expect("finite times"));
-
-    let mut ready: Vec<Vec<(f64, usize, usize)>> = vec![Vec::new(); nshards];
-    let mut waiting: Vec<std::collections::VecDeque<usize>> =
-        vec![std::collections::VecDeque::new(); nshards];
-    let mut live = vec![0usize; nshards];
-    let mut worker_free = vec![0.0f64; workers];
-    let mut bus_free = vec![0.0f64; nshards];
-    let mut ai = 0usize;
-    let mut left = n;
-    while left > 0 {
-        // Next dispatch candidate, as in the sharded model.
-        let mut best: Option<(f64, usize, usize, usize, usize)> = None;
-        for h in 0..nshards {
-            let Some((ci, &(ready_t, ..))) = ready[h].iter().enumerate().min_by(|a, b| {
-                (a.1 .0, a.1 .1).partial_cmp(&(b.1 .0, b.1 .1)).expect("finite times")
-            }) else {
-                continue;
-            };
-            for (t, pool) in ready.iter().enumerate().take(nshards) {
-                if t != h && !(open.steal && pool.is_empty()) {
-                    continue;
-                }
-                let wi = (t * wps..(t + 1) * wps)
-                    .min_by(|a, b| {
-                        worker_free[*a].partial_cmp(&worker_free[*b]).expect("finite times")
-                    })
-                    .expect("wps >= 1");
-                let bus_start = worker_free[wi].max(ready_t).max(bus_free[h]);
-                let key = (bus_start, usize::from(t != h), h, t);
-                if best.is_none_or(|(bs, sf, bh, bt, _)| key < (bs, sf, bh, bt)) {
-                    best = Some((bus_start, usize::from(t != h), h, t, ci));
-                }
-            }
-        }
-        // Arrivals at or before the candidate dispatch go first: an
-        // arrival can only make an earlier dispatch possible.
-        if ai < n && best.is_none_or(|(bs, ..)| eff[order[ai]] <= bs) {
-            let s = order[ai];
-            ai += 1;
-            let t = eff[s];
-            let h = s % nshards;
-            ctl.emit_at(ns(t), TraceKind::NetRequest, s as u32, 0, 0, 0);
-            if live[h] < cap_s {
-                live[h] += 1;
-                ctl.emit_at(ns(t), TraceKind::Admitted, s as u32, 0, 0, 0);
-                ready[h].push((t, s, 0));
-                ctl.emit_at(ns(t), TraceKind::Enqueued, s as u32, 0, 0, 0);
-            } else {
-                waiting[h].push_back(s);
-                if waiting[h].len() > depth_s {
-                    let v = waiting[h].pop_front().expect("nonempty");
-                    shed_count += 1;
-                    left -= 1;
-                    ctl.emit_at(ns(t), TraceKind::Shed, v as u32, 0, 0, 0);
-                    ctl.emit_at(ns(t), TraceKind::NetShed, v as u32, 0, 0, 0);
-                }
-            }
-            continue;
-        }
-        let (bus_start, stolen, h, t, ci) = best.expect("left > 0 implies work or arrivals");
-        let (ready_t, s, first_cycle) = ready[h].swap_remove(ci);
-        let wi = (t * wps..(t + 1) * wps)
-            .min_by(|a, b| worker_free[*a].partial_cmp(&worker_free[*b]).expect("finite times"))
-            .expect("wps >= 1");
-        bus_free[h] = bus_start + cfg.dispatch_overhead;
-        let start = bus_start + cfg.dispatch_overhead;
-        let wait = start - ready_t;
-        if stolen == 1 {
-            cross_shard_steals += 1;
-            rings[wi].emit_at(ns(start), TraceKind::CrossShardSteal, s as u32, 0, 0, h as u64);
-        }
-        let cycles = &sessions[s];
-        let last = (first_cycle + slice).min(cycles.len());
-        let mut time = start;
-        for &c in &cycles[first_cycle..last] {
-            time += c;
-            cycle_latency.push(wait + c);
-        }
-        worker_free[wi] = time;
-        rings[wi].emit_at(
-            ns(start),
-            TraceKind::SliceStart,
-            s as u32,
-            first_cycle as u64,
-            first_cycle as u64,
-            ns(wait),
-        );
-        rings[wi].emit_at(
-            ns(time),
-            TraceKind::SliceEnd,
-            s as u32,
-            first_cycle as u64,
-            last as u64,
-            ns(time - start),
-        );
-        if last < cycles.len() {
-            ready[h].push((time, s, last));
-            rings[wi].emit_at(ns(time), TraceKind::Reenqueued, s as u32, 0, 0, 0);
-        } else {
-            completions[s] = Some(time);
-            left -= 1;
-            rings[wi].emit_at(ns(time), TraceKind::Retired, s as u32, 0, last as u64, 0);
-            // The retired session's seat goes to the oldest waiting one.
-            if let Some(v) = waiting[h].pop_front() {
-                ctl.emit_at(ns(time), TraceKind::Admitted, v as u32, 0, 0, 0);
-                ready[h].push((time, v, 0));
-                ctl.emit_at(ns(time), TraceKind::Enqueued, v as u32, 0, 0, 0);
-            } else {
-                live[h] -= 1;
-            }
-        }
-    }
-    let mut trace = TraceLog::default();
-    trace.absorb(&mut ctl);
-    for ring in &mut rings {
-        trace.absorb(ring);
-    }
-    if nshards > 1 {
-        for w in 0..workers {
-            trace.set_shard(w as u32, (w / wps) as u32);
-        }
-    }
-    trace.seal();
-    let sojourn: Vec<f64> = (0..n)
-        .filter_map(|s| completions[s].map(|t| t - eff[s]))
-        .collect();
-    let completed = n - shed_count;
-    let makespan = completions.iter().flatten().cloned().fold(0.0, f64::max);
+    let m = Model {
+        shards: open.shards,
+        steal: open.steal,
+        bus: true,
+        tier: None,
+        open: Some((arrivals, open)),
+    };
+    let r = run(sessions, cfg, &m);
     DesOpenResult {
-        makespan,
-        sessions_per_sec: if makespan > 0.0 { completed as f64 / makespan } else { 0.0 },
-        completed,
-        shed: shed_count,
-        sojourn,
-        cycle_latency,
-        cross_shard_steals,
-        trace,
+        makespan: r.makespan,
+        sessions_per_sec: r.sessions_per_sec,
+        completed: sessions.len() - r.shed,
+        shed: r.shed,
+        sojourn: r.sojourn,
+        cycle_latency: r.cycle_latency,
+        cross_shard_steals: r.cross_shard_steals,
+        trace: r.trace,
     }
 }
 
@@ -1120,5 +875,143 @@ mod tests {
             &DesConfig { workers: 2, slice: 8, dispatch_overhead: 0.05 },
         );
         assert!(small.makespan > large.makespan);
+    }
+
+    #[test]
+    fn open_loop_with_batch_arrivals_and_ample_table_is_the_sharded_model() {
+        let sessions: Vec<Vec<f64>> = (0..11)
+            .map(|i| (0..(i % 5 + 1)).map(|j| 0.01 * (i + j + 1) as f64).collect())
+            .collect();
+        let cfg = DesConfig { workers: 2, slice: 2, dispatch_overhead: 0.003 };
+        for (shards, steal) in [(1, false), (3, false), (3, true)] {
+            let mut open = open_cfg(shards, sessions.len() * shards, sessions.len());
+            open.steal = steal;
+            let o = simulate_serve_open(&sessions, &vec![0.0; sessions.len()], &cfg, &open);
+            let s = simulate_serve_sharded(&sessions, &cfg, &DesShardConfig { shards, steal });
+            assert_eq!((o.completed, o.shed), (sessions.len(), 0));
+            assert_eq!(o.sojourn, s.completions, "arrival at 0: sojourn = completion");
+            assert_eq!(o.cycle_latency, s.cycle_latency);
+            assert_eq!(o.cross_shard_steals, s.cross_shard_steals);
+        }
+    }
+
+    #[test]
+    fn one_shard_without_overhead_is_the_plain_model() {
+        // With no overhead the bus is never held, so the only difference
+        // between the two models vanishes.
+        let sessions: Vec<Vec<f64>> = (0..9)
+            .map(|i| (0..(i % 4 + 2)).map(|j| 0.02 * (2 * i + j + 1) as f64).collect())
+            .collect();
+        let cfg = DesConfig { workers: 3, slice: 2, dispatch_overhead: 0.0 };
+        let plain = simulate_serve(&sessions, &cfg);
+        let one =
+            simulate_serve_sharded(&sessions, &cfg, &DesShardConfig { shards: 1, steal: false });
+        assert_eq!(plain.completions, one.completions);
+        assert_eq!(plain.cycle_latency, one.cycle_latency);
+        assert_eq!(plain.trace.events, one.trace.events);
+    }
+
+    /// Everything a model run reports, flattened for one checksum.
+    #[derive(Default)]
+    struct Digest(Vec<u8>);
+
+    impl Digest {
+        fn word(&mut self, x: u64) {
+            self.0.extend_from_slice(&x.to_le_bytes());
+        }
+        fn floats(&mut self, xs: &[f64]) {
+            self.word(xs.len() as u64);
+            xs.iter().for_each(|x| self.word(x.to_bits()));
+        }
+        fn trace(&mut self, t: &TraceLog) {
+            self.word(t.dropped);
+            self.word(t.shard_of.len() as u64);
+            for e in &t.events {
+                self.0.extend_from_slice(e.kind.name().as_bytes());
+                let (worker, session) = (e.worker.into(), e.session.into());
+                for x in [e.t_ns, worker, e.seq, session, e.cycle_lo, e.cycle_hi, e.arg_ns] {
+                    self.word(x);
+                }
+            }
+        }
+    }
+
+    /// 400 seeded cases per model (0–39 sessions of 0–9 cycles, 1–5
+    /// workers, 1–4 shards, steal on/off, zero and non-zero overhead, hot
+    /// capacity / table 1–6, depth 0–4, jitter on/off). The four digests
+    /// were recorded from the four stand-alone simulator bodies this
+    /// module had before they became projections of one kernel.
+    #[test]
+    fn seeded_cases_reproduce_the_recorded_digests() {
+        let mut rng = 0x5eed_u64;
+        let mut pick =
+            |lo: usize, hi: usize| lo + (splitmix64(&mut rng) % (hi - lo + 1) as u64) as usize;
+        let mut d: [Digest; 4] = Default::default();
+        for _ in 0..400 {
+            let n = pick(0, 39);
+            let sessions: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..pick(0, 9)).map(|_| pick(1, 500) as f64 * 1e-4).collect())
+                .collect();
+            let cfg = DesConfig {
+                workers: pick(1, 5),
+                slice: pick(1, 4),
+                dispatch_overhead: pick(0, 3) as f64 * 2.5e-4,
+            };
+            let (shards, steal) = (pick(1, 4), pick(0, 1) == 1);
+
+            let r = simulate_serve(&sessions, &cfg);
+            d[0].floats(&r.completions);
+            d[0].floats(&r.cycle_latency);
+            d[0].floats(&[r.makespan, r.sessions_per_sec]);
+            d[0].trace(&r.trace);
+
+            let r = simulate_serve_sharded(&sessions, &cfg, &DesShardConfig { shards, steal });
+            d[1].floats(&r.completions);
+            d[1].floats(&r.cycle_latency);
+            d[1].word(r.cross_shard_steals);
+            d[1].floats(&[r.makespan, r.sessions_per_sec]);
+            d[1].trace(&r.trace);
+
+            let tier = DesTierConfig {
+                hot_capacity: pick(1, 6),
+                resume_base: pick(0, 2) as f64 * 1e-3,
+                resume_per_cycle: pick(0, 2) as f64 * 1e-4,
+            };
+            let r = simulate_serve_tiered(&sessions, &cfg, &tier);
+            d[2].floats(&r.completions);
+            d[2].floats(&r.resume_latency);
+            d[2].word(r.hibernations);
+            d[2].word(r.resumes);
+            d[2].floats(&[r.makespan, r.sessions_per_sec]);
+            d[2].trace(&r.trace);
+
+            let arrivals: Vec<f64> = (0..n).map(|_| pick(0, 200) as f64 * 1e-3).collect();
+            let open = DesOpenConfig {
+                shards,
+                steal,
+                table_capacity: pick(1, 6),
+                admission_depth: pick(0, 4),
+                jitter: pick(0, 1) as f64 * 5e-3,
+                seed: pick(0, 1 << 20) as u64,
+            };
+            let r = simulate_serve_open(&sessions, &arrivals, &cfg, &open);
+            d[3].floats(&r.sojourn);
+            d[3].floats(&r.cycle_latency);
+            d[3].word(r.completed as u64);
+            d[3].word(r.shed as u64);
+            d[3].word(r.cross_shard_steals);
+            d[3].floats(&[r.makespan, r.sessions_per_sec]);
+            d[3].trace(&r.trace);
+        }
+        assert_eq!(
+            d.map(|d| psme_rete::snapshot::fnv1a64(&d.0)),
+            [
+                14983908776251361794,
+                3928823283668991495,
+                1932014750003274819,
+                8219970264600824649,
+            ],
+            "plain / sharded / tiered / open digests moved: the dispatch model changed"
+        );
     }
 }

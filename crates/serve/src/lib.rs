@@ -49,8 +49,8 @@ pub use des::{
 };
 pub use open::{OpenServe, SubmitError};
 pub use serve::{
-    recommend_shards_from_occupancy, serve, ServeConfig, ServeConfigError, ServeEvent, ServeReport,
-    ShardConfig, ShardReport, ShardRouter,
+    serve, ServeConfig, ServeConfigError, ServeEvent, ServeReport, ShardConfig, ShardReport,
+    ShardRouter,
 };
 pub use session::{
     build_topology, SessionReport, SessionSpec, SessionTelemetry, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -29,8 +29,8 @@
 //! [`OpenServe::start`] rejects a tiered config.
 
 use crate::serve::{
-    admit_pending, build_shards, finalize, finish_session, release_seat, worker_loop, Inner,
-    ServeConfig, ServeEvent, ServeReport, ShardRouter, Slot,
+    admit_pending, build_shards, finalize, finish_session, worker_loop, Inner, ServeConfig,
+    ServeEvent, ServeReport, ShardRouter, Slot,
 };
 use crate::session::{SessionReport, SessionSpec};
 use psme_core::QueueStats;
@@ -40,7 +40,7 @@ use psme_soar::StopReason;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -72,6 +72,22 @@ impl std::error::Error for SubmitError {}
 /// requests — low rate relative to dispatch, so one lock is fine).
 struct AdmitState {
     names: HashSet<String>,
+}
+
+/// Retire the session parked in `slot` with [`StopReason::Closed`] and pass
+/// its table seat on. No worker holds a parked session, so this runs on the
+/// caller's thread against the control ring.
+fn close_parked(inner: &Inner, idx: usize, mut slot: MutexGuard<'_, Slot>) {
+    let sess = slot.sess.take().expect("parked session is in its slot");
+    slot.parked = false;
+    slot.closing = false;
+    drop(slot);
+    let home = inner.home_of(idx);
+    let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
+    let mut qs = inner.seed_stats.lock().expect("seed stats lock");
+    finish_session(inner, &mut ring, sess, idx, home, StopReason::Closed);
+    inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
+    admit_pending(inner, &mut ring, &mut qs, home, None);
 }
 
 /// A serving loop accepting sessions while it runs. See the module docs.
@@ -299,15 +315,7 @@ impl OpenServe {
         let idx = id as usize;
         let mut slot = inner.slots[idx].lock().expect("slot lock");
         if slot.parked {
-            let sess = slot.sess.take().expect("parked session is in its slot");
-            slot.parked = false;
-            slot.closing = false;
-            drop(slot);
-            let home = inner.home_of(idx);
-            let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
-            let mut qs = inner.seed_stats.lock().expect("seed stats lock");
-            finish_session(inner, &mut ring, sess, idx, home, StopReason::Closed);
-            release_seat(inner, &mut ring, &mut qs, home, None);
+            close_parked(inner, idx, slot);
         } else {
             slot.closing = true;
         }
@@ -350,17 +358,9 @@ impl OpenServe {
         inner.closed.store(true, Ordering::Release);
         while inner.remaining.load(Ordering::Acquire) > 0 {
             for idx in 0..inner.submitted.load(Ordering::Acquire) {
-                let mut slot = inner.slots[idx].lock().expect("slot lock");
+                let slot = inner.slots[idx].lock().expect("slot lock");
                 if slot.parked {
-                    let sess = slot.sess.take().expect("parked session is in its slot");
-                    slot.parked = false;
-                    slot.closing = false;
-                    drop(slot);
-                    let home = inner.home_of(idx);
-                    let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
-                    let mut qs = inner.seed_stats.lock().expect("seed stats lock");
-                    finish_session(inner, &mut ring, sess, idx, home, StopReason::Closed);
-                    release_seat(inner, &mut ring, &mut qs, home, None);
+                    close_parked(inner, idx, slot);
                 }
                 // In flight or pending: left to drain — the workers run it
                 // to its stop, and the park path closes it if it stalls on

@@ -244,8 +244,7 @@ pub struct ShardReport {
     /// Fraction of this shard's dispatch-bus traffic that moved a session
     /// (`pops / (pops + failed_pops)`): 1.0 means every bus acquisition
     /// dispatched work, values near 0 mean the pool mostly spun on an
-    /// empty bus. The shard-count autotuning hint
-    /// ([`ServeReport::recommended_shards`]) keys on this.
+    /// empty bus.
     pub bus_occupancy: f64,
     /// Decision-cycle latency over sessions homed on this shard (ns).
     pub cycle_latency: Quantiles,
@@ -284,36 +283,6 @@ impl ShardReport {
                 },
             ),
         ])
-    }
-}
-
-/// Occupancy above which a pool's dispatch bus is considered saturated
-/// (every acquisition dispatched work — adding workers adds contention,
-/// adding shards adds bus bandwidth).
-const OCCUPANCY_SPLIT: f64 = 0.75;
-/// Occupancy below which pools are mostly idle and shards could merge.
-const OCCUPANCY_MERGE: f64 = 0.25;
-
-/// Shard-count hint from observed per-shard dispatch-bus occupancies.
-///
-/// Split (double) when the *mean* occupancy saturates — the buses
-/// collectively have no headroom, so more buses help even if one shard is
-/// lighter. Merge (halve) only when **every** shard is mostly idle: halving
-/// doubles each surviving bus's load, so a single busy shard vetoes the
-/// merge — a mean-based merge would fold a hot shard onto a cold one and
-/// saturate it.
-pub fn recommend_shards_from_occupancy(current: usize, occupancies: &[f64]) -> usize {
-    let current = current.max(1);
-    if occupancies.is_empty() {
-        return current;
-    }
-    let mean = occupancies.iter().sum::<f64>() / occupancies.len() as f64;
-    if mean > OCCUPANCY_SPLIT {
-        current * 2
-    } else if current > 1 && occupancies.iter().all(|&o| o < OCCUPANCY_MERGE) {
-        current / 2
-    } else {
-        current
     }
 }
 
@@ -366,18 +335,6 @@ impl ServeReport {
         self.shards.iter().map(|s| s.bus_occupancy).sum::<f64>() / self.shards.len() as f64
     }
 
-    /// Shard-count hint from the observed per-shard dispatch-bus
-    /// occupancies — groundwork for autotuning. Saturated buses (mean
-    /// occupancy above 75%) suggest doubling the pool count to add bus
-    /// bandwidth; halving needs *every* shard mostly idle (below 25%), so
-    /// one hot shard vetoes a merge that would saturate its new pool. In
-    /// between, the current count stands. See
-    /// [`recommend_shards_from_occupancy`].
-    pub fn recommended_shards(&self) -> usize {
-        let occ: Vec<f64> = self.shards.iter().map(|s| s.bus_occupancy).collect();
-        recommend_shards_from_occupancy(self.shards.len().max(1), &occ)
-    }
-
     /// Serialize for artifacts.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -389,7 +346,6 @@ impl ServeReport {
             ("cycle_latency_ns", self.aggregate_cycle_latency.to_json()),
             ("cross_shard_steals", Json::from(self.cross_shard_steals)),
             ("mean_bus_occupancy", Json::float(self.mean_bus_occupancy())),
-            ("recommended_shards", Json::from(self.recommended_shards() as u64)),
             ("shards", Json::arr(self.shards.iter().map(|s| s.to_json()))),
             (
                 "trace",
@@ -688,19 +644,6 @@ pub(crate) fn admit_pending(
     }
 }
 
-/// A retired/closed session released a table seat on `home`: give it to
-/// the oldest waiting session, if any.
-pub(crate) fn release_seat(
-    inner: &Inner,
-    ring: &mut TraceRing,
-    qs: &mut QueueStats,
-    home: usize,
-    local: Option<usize>,
-) {
-    inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
-    admit_pending(inner, ring, qs, home, local);
-}
-
 /// Execute one dispatch on session `idx`, whose home shard is `home`.
 /// `local` is `Some(wid)` when the executing worker belongs to the home
 /// pool (the affine fast path), `None` when it is a cross-shard thief.
@@ -728,49 +671,45 @@ fn step_session(
                 }
                 (sess, std::mem::take(&mut slot.closing))
             };
-            if closing {
-                finish_session(inner, ring, sess, idx, home, StopReason::Closed);
-                release_seat(inner, ring, qs, home, local);
-                return;
+            // A close that raced in retires the session instead of running it.
+            let mut stop = if closing {
+                Some(StopReason::Closed)
+            } else {
+                run_slice(inner, ring, &mut sess, idx, wait_ns)
+            };
+            let cyc = sess.agent.stats.decisions;
+            if stop.is_none() && sess.credit == Some(0) {
+                // Out of client credit: park in the slot (not in any queue)
+                // unless a grant or close raced in. A shut-down loop
+                // (`closed`) will never grant more credit, so parking would
+                // stall forever — close.
+                let mut slot = inner.slots[idx].lock().expect("slot lock");
+                if slot.closing || inner.closed.load(Ordering::Acquire) {
+                    slot.closing = false;
+                    stop = Some(StopReason::Closed);
+                } else if slot.credit_due > 0 {
+                    let due = std::mem::take(&mut slot.credit_due);
+                    *sess.credit.get_or_insert(0) += due;
+                } else {
+                    slot.parked = true;
+                    slot.sess = Some(sess);
+                    drop(slot);
+                    inner.event(ServeEvent::Parked { id: idx as u32, decisions: cyc });
+                    return;
+                }
             }
-            match run_slice(inner, ring, &mut sess, idx, wait_ns) {
+            match stop {
                 None => {
-                    let cyc = sess.agent.stats.decisions;
-                    if sess.credit == Some(0) {
-                        // Out of client credit: park in the slot (not in
-                        // any queue) unless a grant or close raced in. A
-                        // shut-down loop (`closed`) will never grant more
-                        // credit, so parking would stall forever — close.
-                        let mut slot = inner.slots[idx].lock().expect("slot lock");
-                        if slot.closing || inner.closed.load(Ordering::Acquire) {
-                            slot.closing = false;
-                            drop(slot);
-                            finish_session(inner, ring, sess, idx, home, StopReason::Closed);
-                            release_seat(inner, ring, qs, home, local);
-                        } else if slot.credit_due > 0 {
-                            let due = std::mem::take(&mut slot.credit_due);
-                            *sess.credit.get_or_insert(0) += due;
-                            slot.sess = Some(sess);
-                            drop(slot);
-                            enqueue(inner, qs, home, local, idx);
-                            ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
-                        } else {
-                            slot.parked = true;
-                            slot.sess = Some(sess);
-                            drop(slot);
-                            inner.event(ServeEvent::Parked { id: idx as u32, decisions: cyc });
-                        }
-                    } else {
-                        inner.slots[idx].lock().expect("slot lock").sess = Some(sess);
-                        enqueue(inner, qs, home, local, idx);
-                        ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
-                    }
+                    inner.slots[idx].lock().expect("slot lock").sess = Some(sess);
+                    enqueue(inner, qs, home, local, idx);
+                    ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
                 }
                 Some(reason) => {
                     finish_session(inner, ring, sess, idx, home, reason);
-                    // A table slot freed on the home shard: admit its next
-                    // waiting session.
-                    release_seat(inner, ring, qs, home, local);
+                    // The table seat it held goes to the home shard's
+                    // oldest waiting session, if any.
+                    inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
+                    admit_pending(inner, ring, qs, home, local);
                 }
             }
         }

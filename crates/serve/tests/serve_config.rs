@@ -82,19 +82,8 @@ fn bus_occupancy_is_reported_and_bounded() {
     }
     let mean = report.mean_bus_occupancy();
     assert!((0.0..=1.0).contains(&mean));
-    // The recommendation follows the hysteresis thresholds exactly: split
-    // on a saturated mean, merge only when every shard is idle (one busy
-    // shard vetoes — halving would fold it onto a cold bus and saturate it).
-    let expected = if mean > 0.75 {
-        4
-    } else if report.shards.iter().all(|sh| sh.bus_occupancy < 0.25) {
-        1
-    } else {
-        2
-    };
-    assert_eq!(report.recommended_shards(), expected, "mean occupancy {mean}");
     let json = report.to_json();
-    assert!(json.get("mean_bus_occupancy").is_some() && json.get("recommended_shards").is_some());
+    assert!(json.get("mean_bus_occupancy").is_some());
     assert!(json
         .get("shards")
         .and_then(|s| s.at(0))

@@ -272,25 +272,3 @@ proptest! {
         prop_assert_eq!(seen, want, "each task exactly once, none lost, none duplicated");
     }
 }
-
-/// Shard-count autotuning consumes *per-shard* bus occupancies: split keys
-/// on the mean (collective saturation), but merge needs **every** shard
-/// mostly idle — one hot shard vetoes a merge that would fold its load
-/// onto another pool's bus. Pins the decision table.
-#[test]
-fn shard_recommendation_pins() {
-    use psme_serve::recommend_shards_from_occupancy as rec;
-    // Collectively saturated: double.
-    assert_eq!(rec(2, &[0.9, 0.9]), 4);
-    // Everyone idle: halve.
-    assert_eq!(rec(2, &[0.1, 0.1]), 1);
-    // Mean is 0.5 but one shard is hot: the hot shard vetoes the merge
-    // and the mean is below the split line — stay.
-    assert_eq!(rec(2, &[0.1, 0.9]), 2);
-    // All near-idle except one just over the merge line: stay (a
-    // mean-based merge would have folded 0.28 onto a halved bus).
-    assert_eq!(rec(4, &[0.2, 0.2, 0.2, 0.28]), 4);
-    // Degenerate inputs: no samples or a single shard never change.
-    assert_eq!(rec(3, &[]), 3);
-    assert_eq!(rec(1, &[0.0]), 1);
-}

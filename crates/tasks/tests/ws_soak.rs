@@ -110,3 +110,31 @@ fn eight_puzzle_learning_is_deterministic_across_ws_worker_counts() {
         assert_reports_match(&ser, &par, &format!("during-chunking ws{workers}"));
     }
 }
+
+/// Oversubscription regression. When runnable match processes far
+/// outnumber cores, a worker can be preempted between reading an epoch and
+/// joining it, then run the *next* cycle's tasks inside that late pass and
+/// an empty pass of its own before the control thread harvests. Its
+/// metrics slot must accumulate over both passes: when the second pass
+/// overwrote the slot, per-cycle task counts (summed into `update_tasks`)
+/// undercounted while every match result stayed right. The three
+/// schedulers run concurrently so the box stays oversubscribed throughout.
+#[test]
+fn oversubscribed_workers_lose_no_task_counts() {
+    let workers = 8 * std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|scope| {
+        for sched in [Scheduler::SingleQueue, Scheduler::MultiQueue, Scheduler::WorkStealing] {
+            scope.spawn(move || {
+                let task = eight_puzzle(&scrambled(4, 21));
+                let (ser, _) = run_serial(&task, RunMode::DuringChunking, false);
+                let mut cycles = 0;
+                while cycles < 1000 {
+                    let config = EngineConfig { workers, scheduler: sched, ..Default::default() };
+                    let (par, engine) = run_parallel(&task, RunMode::DuringChunking, config);
+                    assert_reports_match(&ser, &par, &format!("{sched:?} x{workers}"));
+                    cycles += engine.metrics.cycles.len();
+                }
+            });
+        }
+    });
+}

@@ -27,98 +27,63 @@ run_step() {
 fail=0
 run_step "build" cargo build --release || fail=1
 run_step "test" cargo test -q --workspace || fail=1
-# The cross-scheduler differential suite is the gate for scheduler changes;
-# run it by name so a filtered or partial test invocation can't skip it.
-run_step "scheduler differential" \
-    cargo test -q -p psme-core --test scheduler_differential || fail=1
-# The alpha discrimination index is gated the same way: the indexed
-# classifier must stay observationally identical to the linear oracle.
-run_step "alpha differential" \
-    cargo test -q -p psme-rete --test proptest_alpha || fail=1
-# The beta-memory overhaul is gated the same way: the indexed hash-first
-# probe must stay observationally identical to the reference whole-line
-# scan over random add/delete interleavings.
-run_step "memory differential" \
-    cargo test -q -p psme-rete --test proptest_memory || fail=1
-# The serving layer's gate: N concurrent sessions over one shared topology
-# must stay bit-for-bit identical to N solo runs (including mid-run chunk
-# learning); run it by name so a filtered invocation can't skip it.
-run_step "serve isolation" \
-    cargo test -q -p psme-serve --test serve_isolation || fail=1
-# The trace layer's gates: ring/merge/export invariants, and the serving
-# loop's flight-recorder behaviour (seeded overload must dump its sheds).
-run_step "trace properties" \
-    cargo test -q -p psme-obs --test proptest_trace || fail=1
-run_step "trace flight" \
-    cargo test -q -p psme-serve --test trace_flight || fail=1
-# The persistence layer's gates: snapshot->restore must be bit-for-bit
-# (and corrupt bytes typed errors, never panics), and hibernated/resumed
-# sessions must finish identical to continuously-live and solo runs.
-run_step "snapshot round-trip" \
-    cargo test -q -p psme-rete --test proptest_snapshot || fail=1
-run_step "serve hibernate" \
-    cargo test -q -p psme-serve --test serve_hibernate || fail=1
-# The sharded serving gate: a sharded run (including cross-shard stealing
-# and per-shard tier stores) must stay bit-for-bit identical to the
-# single-shard loop and to solo runs; run it by name so a filtered
-# invocation can't skip it.
-run_step "serve shard differential" \
-    cargo test -q -p psme-serve --test serve_shard || fail=1
-# The network front-end's gates: every wire frame round-trips (and every
-# truncation/corruption is a typed error, never a panic), and loopback TCP
-# responses stay bit-for-bit identical to in-process serve() under all
-# three schedulers; run both by name so a filtered invocation can't skip
-# them.
-run_step "wire proptests" \
-    cargo test -q -p psme-net --test proptest_wire || fail=1
-run_step "net loopback differential" \
-    cargo test -q -p psme-net --test net_loopback || fail=1
-# The adaptive-reorganization gates: a mid-run bilinear rebuild must be
-# observationally invisible (serve differential), and the detector/surgery
-# invariants must hold over random topologies (proptests); run both by
-# name so a filtered invocation can't skip them.
-run_step "reorg differential" \
-    cargo test -q -p psme-serve --test reorg_differential || fail=1
-run_step "reorg proptests" \
-    cargo test -q -p psme-rete --test proptest_reorg || fail=1
+# Each layer's differential / property gate, run by name so a filtered or
+# partial test invocation can't skip it: "step name|package|test target".
+named_suites=(
+    # Cross-scheduler equality: the gate for scheduler changes.
+    "scheduler differential|psme-core|scheduler_differential"
+    # Indexed alpha classifier == the linear oracle.
+    "alpha differential|psme-rete|proptest_alpha"
+    # Indexed hash-first beta probe == the reference whole-line scan over
+    # random add/delete interleavings.
+    "memory differential|psme-rete|proptest_memory"
+    # N concurrent sessions over one shared topology == N solo runs,
+    # bit for bit, including mid-run chunk learning.
+    "serve isolation|psme-serve|serve_isolation"
+    # Trace ring/merge/export invariants, and the serving loop's flight
+    # recorder (seeded overload must dump its sheds).
+    "trace properties|psme-obs|proptest_trace"
+    "trace flight|psme-serve|trace_flight"
+    # Snapshot->restore is bit-for-bit (corrupt bytes are typed errors,
+    # never panics); hibernated/resumed sessions finish identical to
+    # continuously-live and solo runs.
+    "snapshot round-trip|psme-rete|proptest_snapshot"
+    "serve hibernate|psme-serve|serve_hibernate"
+    # A sharded run (cross-shard stealing, per-shard tier stores) == the
+    # single-shard loop == solo runs.
+    "serve shard differential|psme-serve|serve_shard"
+    # Every wire frame round-trips (truncation/corruption is a typed error,
+    # never a panic); loopback TCP == in-process serve() under all three
+    # schedulers.
+    "wire proptests|psme-net|proptest_wire"
+    "net loopback differential|psme-net|net_loopback"
+    # A mid-run bilinear rebuild is observationally invisible; detector and
+    # surgery invariants hold over random topologies.
+    "reorg differential|psme-serve|reorg_differential"
+    "reorg proptests|psme-rete|proptest_reorg"
+)
+for entry in "${named_suites[@]}"; do
+    IFS='|' read -r name pkg suite <<<"$entry"
+    run_step "$name" cargo test -q -p "$pkg" --test "$suite" || fail=1
+done
 
-# The committed alpha-discrimination artifact must exist and parse: it is
-# the evidence for the jump-table index's tests-per-wme reduction.
-alpha_artifact="crates/bench/BENCH_alpha_discrimination.json"
-if [ ! -f "$alpha_artifact" ]; then
-    echo "!! missing ${alpha_artifact} (regenerate: cargo bench -p psme-bench --bench alpha_discrimination)" >&2
-    fail=1
-elif command -v python3 >/dev/null 2>&1; then
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$alpha_artifact"; then
-        echo "!! ${alpha_artifact} is not valid JSON" >&2
+# Committed artifacts that must exist and parse (the gated ones below also
+# check their numbers): the jump-table index's tests-per-wme reduction, the
+# 8-worker >= 4x single-session throughput gate, and the indexed probe's
+# entries-examined reduction.
+parsed_artifacts=(alpha_discrimination serve_throughput memory_probe)
+for bench in "${parsed_artifacts[@]}"; do
+    artifact="crates/bench/BENCH_${bench}.json"
+    if [ ! -f "$artifact" ]; then
+        echo "!! missing ${artifact} (regenerate: cargo bench -p psme-bench --bench ${bench})" >&2
         fail=1
+    elif command -v python3 >/dev/null 2>&1; then
+        if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$artifact"; then
+            echo "!! ${artifact} is not valid JSON" >&2
+            fail=1
+        fi
     fi
-fi
-
-# Same for the serving-throughput artifact: the committed evidence for the
-# 8-worker >= 4x single-session throughput gate.
-serve_artifact="crates/bench/BENCH_serve_throughput.json"
-if [ ! -f "$serve_artifact" ]; then
-    echo "!! missing ${serve_artifact} (regenerate: cargo bench -p psme-bench --bench serve_throughput)" >&2
-    fail=1
-elif command -v python3 >/dev/null 2>&1; then
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$serve_artifact"; then
-        echo "!! ${serve_artifact} is not valid JSON" >&2
-        fail=1
-    fi
-fi
-# And for the memory-probe artifact: the committed evidence for the
-# indexed probe's entries-examined reduction.
-memory_artifact="crates/bench/BENCH_memory_probe.json"
-if [ ! -f "$memory_artifact" ]; then
-    echo "!! missing ${memory_artifact} (regenerate: cargo bench -p psme-bench --bench memory_probe)" >&2
-    fail=1
-elif command -v python3 >/dev/null 2>&1; then
-    if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$memory_artifact"; then
-        echo "!! ${memory_artifact} is not valid JSON" >&2
-        fail=1
-    fi
-fi
+done
 # The trace-overhead artifact must exist, parse, and show always-on tracing
 # within its bound — the committed evidence that the flight recorder is
 # cheap enough to leave on.
