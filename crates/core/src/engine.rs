@@ -307,7 +307,8 @@ pub struct ParallelEngine {
 impl ParallelEngine {
     /// Spawn the match processes over a compiled network.
     pub fn new(net: ReteNetwork, config: EngineConfig) -> ParallelEngine {
-        ParallelEngine::with_state(net, psme_rete::MatchState::new(), config)
+        let state = psme_rete::MatchState::with_memory(config.memory_lines);
+        ParallelEngine::with_state(net, state, config)
     }
 
     /// Spawn the match processes adopting an externally owned
@@ -444,9 +445,9 @@ impl ParallelEngine {
         let store = s.store.read();
         let cs = fold.into_delta(&*net, &store);
         drop(store);
-        drop(net);
         #[cfg(debug_assertions)]
-        s.mem.assert_quiescent();
+        psme_rete::assert_quiescent(&*net, &s.mem);
+        drop(net);
         // Incremental quiescent housekeeping: compact + counter-reset only
         // the lines this cycle dirtied (after the histogram harvest).
         cm.counters.add(Counter::LinesCompacted, s.mem.end_cycle());

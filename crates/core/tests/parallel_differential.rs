@@ -97,6 +97,20 @@ fn one_line_memory_maximum_contention() {
 }
 
 #[test]
+fn memory_lines_sizes_the_engines_own_table() {
+    // `ParallelEngine::new` used to build the default 4096-line table
+    // whatever `memory_lines` said, so the one-line test above never
+    // collided anything. The per-line histograms are as long as the table.
+    let sys = random_system(7, GenConfig::default());
+    for lines in [1usize, 2, 64] {
+        let cfg = EngineConfig { memory_lines: lines, bucket_histograms: true, ..Default::default() };
+        let mut par = ParallelEngine::new(build_net(&sys), cfg);
+        par.apply_changes(vec![sys.random_wme(&mut XorShift::new(7))], vec![]);
+        assert_eq!(par.last_cycle_metrics().unwrap().left_bucket_accesses.len(), lines);
+    }
+}
+
+#[test]
 fn worker_counts_sweep() {
     for &workers in &[1usize, 2, 3, 8, 13] {
         stream_test(

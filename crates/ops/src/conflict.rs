@@ -7,8 +7,8 @@
 //! deltas, while OPS5 mode uses [`Strategy::Lex`].
 
 use crate::production::Instantiation;
+use crate::util::FxHashMap;
 use crate::wme::TimeTag;
-use std::collections::HashSet;
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -21,6 +21,14 @@ pub enum Strategy {
     FireAll,
 }
 
+#[derive(Debug)]
+struct Entry {
+    inst: Instantiation,
+    specificity: usize,
+    /// Refraction: set when the entry fires, gone with the entry.
+    fired: bool,
+}
+
 /// The conflict set: the instantiations currently matched.
 ///
 /// Tracks refraction (instantiations already fired are not re-fired even if
@@ -29,8 +37,10 @@ pub enum Strategy {
 /// still present").
 #[derive(Debug, Default)]
 pub struct ConflictSet {
-    present: Vec<(Instantiation, usize)>, // (inst, specificity)
-    fired: HashSet<Instantiation>,
+    present: Vec<Entry>,
+    /// Position in `present` of each instantiation (of its earliest-added
+    /// copy, should a caller add one twice).
+    index: FxHashMap<Instantiation, usize>,
 }
 
 impl ConflictSet {
@@ -42,24 +52,31 @@ impl ConflictSet {
     /// Add an instantiation (with its production's test count for
     /// specificity ordering).
     pub fn add(&mut self, inst: Instantiation, specificity: usize) {
-        self.present.push((inst, specificity));
+        self.restore_entry(inst, specificity, false);
     }
 
-    /// Remove an instantiation (when its support disappears). Also clears
-    /// its refraction record. Returns `true` if it was present.
+    /// Remove an instantiation (when its support disappears), and its
+    /// refraction record with it. Returns `true` if it was present.
     pub fn remove(&mut self, inst: &Instantiation) -> bool {
-        if let Some(i) = self.present.iter().position(|(p, _)| p == inst) {
-            self.present.swap_remove(i);
-            self.fired.remove(inst);
-            true
-        } else {
-            false
+        // The index misses only the second copy of an instantiation added
+        // twice, after the first was removed.
+        let found = self.index.remove(inst);
+        let Some(i) = found.or_else(|| self.present.iter().position(|e| e.inst == *inst)) else {
+            return false;
+        };
+        self.present.swap_remove(i);
+        if let Some(moved) = self.present.get(i) {
+            let last = self.present.len();
+            if let Some(at) = self.index.get_mut(&moved.inst).filter(|at| **at == last) {
+                *at = i;
+            }
         }
+        true
     }
 
     /// All currently present instantiations.
     pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.present.iter().map(|(i, _)| i)
+        self.present.iter().map(|e| &e.inst)
     }
 
     /// Number of instantiations present.
@@ -73,13 +90,12 @@ impl ConflictSet {
     }
 
     /// Instantiations present and not yet fired (Soar fires all of these in
-    /// one elaboration cycle). Marks them fired.
+    /// one elaboration cycle), in insertion order. Marks them fired.
     pub fn take_unfired(&mut self) -> Vec<Instantiation> {
         let mut out = Vec::new();
-        for (inst, _) in &self.present {
-            if self.fired.insert(inst.clone()) {
-                out.push(inst.clone());
-            }
+        for e in self.present.iter_mut().filter(|e| !e.fired) {
+            e.fired = true;
+            out.push(e.inst.clone());
         }
         out
     }
@@ -89,42 +105,40 @@ impl ConflictSet {
     /// order [`Self::take_unfired`] fires in, so a snapshot must preserve
     /// it to keep a restored agent's firing (and gensym) order identical.
     pub fn entries(&self) -> impl Iterator<Item = (&Instantiation, usize, bool)> {
-        self.present.iter().map(|(i, s)| (i, *s, self.fired.contains(i)))
+        self.present.iter().map(|e| (&e.inst, e.specificity, e.fired))
     }
 
     /// Re-append one entry recorded by [`Self::entries`] (snapshot restore).
     /// Call in recorded order.
     pub fn restore_entry(&mut self, inst: Instantiation, specificity: usize, fired: bool) {
-        if fired {
-            self.fired.insert(inst.clone());
-        }
-        self.present.push((inst, specificity));
+        self.index.entry(inst.clone()).or_insert(self.present.len());
+        self.present.push(Entry { inst, specificity, fired });
     }
 
     /// OPS5 LEX selection: choose the dominant unfired instantiation, mark
     /// it fired, and return it. `None` when every instantiation has fired.
     pub fn select_lex(&mut self) -> Option<Instantiation> {
-        let mut best: Option<(&Instantiation, Vec<TimeTag>, usize)> = None;
-        for (inst, spec) in &self.present {
-            if self.fired.contains(inst) {
+        let mut best: Option<(usize, Vec<TimeTag>, usize)> = None;
+        for (i, e) in self.present.iter().enumerate() {
+            if e.fired {
                 continue;
             }
-            let key = inst.recency_key();
+            let key = e.inst.recency_key();
             let better = match &best {
                 None => true,
                 Some((_, bkey, bspec)) => match key.cmp(bkey) {
                     std::cmp::Ordering::Greater => true,
-                    std::cmp::Ordering::Equal => spec > bspec,
+                    std::cmp::Ordering::Equal => e.specificity > *bspec,
                     std::cmp::Ordering::Less => false,
                 },
             };
             if better {
-                best = Some((inst, key, *spec));
+                best = Some((i, key, e.specificity));
             }
         }
-        let chosen = best.map(|(i, _, _)| i.clone())?;
-        self.fired.insert(chosen.clone());
-        Some(chosen)
+        let chosen = &mut self.present[best?.0];
+        chosen.fired = true;
+        Some(chosen.inst.clone())
     }
 }
 

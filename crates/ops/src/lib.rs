@@ -38,6 +38,7 @@ pub mod parser;
 pub mod printer;
 pub mod production;
 pub mod symbol;
+pub mod util;
 pub mod value;
 pub mod wme;
 

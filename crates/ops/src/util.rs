@@ -4,7 +4,7 @@
 //! bindings tested for equality plus the destination node id. Keys are tiny
 //! (a handful of words), so we use an Fx-style multiply-xor hash rather than
 //! SipHash; HashDoS is not a concern for a match engine running trusted
-//! productions.
+//! productions. (`psme-rete` re-exports this module as `psme_rete::util`.)
 
 use std::hash::Hasher;
 

@@ -72,6 +72,70 @@ proptest! {
         prop_assert!(cs.take_unfired().is_empty());
     }
 
+    /// The position index and per-entry fired flag against the structure
+    /// they replaced — a `position()` scan with `swap_remove`, and a set of
+    /// fired instantiations: after every operation `entries()` (order,
+    /// specificity, fired) and every `take_unfired()` result are identical,
+    /// so firing order and the hibernate encoding cannot have moved.
+    #[test]
+    fn indexed_set_equals_scan_and_fired_set(
+        insts in prop::collection::vec(inst_strategy(), 1..24),
+        script in prop::collection::vec((0u8..4, 0usize..64), 1..80),
+    ) {
+        let mut cs = ConflictSet::new();
+        let mut present: Vec<(Instantiation, usize)> = Vec::new();
+        let mut fired: std::collections::HashSet<Instantiation> = Default::default();
+        for (op, pick) in script {
+            let (inst, spec) = &insts[pick % insts.len()];
+            match op {
+                0 | 1 => {
+                    if !present.iter().any(|(p, _)| p == inst) {
+                        cs.add(inst.clone(), *spec);
+                        present.push((inst.clone(), *spec));
+                    }
+                }
+                2 => {
+                    let at = present.iter().position(|(p, _)| p == inst);
+                    prop_assert_eq!(cs.remove(inst), at.is_some());
+                    if let Some(i) = at {
+                        present.swap_remove(i);
+                        fired.remove(inst);
+                    }
+                }
+                _ => {
+                    let expect: Vec<Instantiation> = present
+                        .iter()
+                        .filter(|(p, _)| fired.insert(p.clone()))
+                        .map(|(p, _)| p.clone())
+                        .collect();
+                    prop_assert_eq!(cs.take_unfired(), expect);
+                }
+            }
+            let got: Vec<_> = cs.entries().map(|(i, s, f)| (i.clone(), s, f)).collect();
+            let want: Vec<_> =
+                present.iter().map(|(i, s)| (i.clone(), *s, fired.contains(i))).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// An instantiation added twice is two entries, and `remove` takes them
+    /// one at a time.
+    #[test]
+    fn duplicates_are_removed_one_at_a_time((inst, spec) in inst_strategy(), others in prop::collection::vec(inst_strategy(), 0..6)) {
+        let mut cs = ConflictSet::new();
+        cs.add(inst.clone(), spec);
+        for (o, s) in others.iter().filter(|(o, _)| *o != inst) {
+            cs.add(o.clone(), *s);
+        }
+        cs.add(inst.clone(), spec);
+        let n = cs.len();
+        prop_assert!(cs.remove(&inst));
+        prop_assert!(cs.remove(&inst));
+        prop_assert!(!cs.remove(&inst));
+        prop_assert_eq!(cs.len(), n - 2);
+        prop_assert!(cs.iter().all(|i| *i != inst));
+    }
+
     /// The lexer/parser never panic on arbitrary input — they return errors.
     #[test]
     fn parser_is_total(src in "[ -~\\n]{0,200}") {

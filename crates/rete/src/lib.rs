@@ -69,19 +69,24 @@ pub mod testgen;
 pub mod token;
 pub mod trace;
 pub mod update;
-pub mod util;
 pub mod view;
 
 pub use alpha::{AlphaMem, AlphaMemId, AlphaNet, AlphaStats};
 pub use bilinear::{plan_bilinear, plan_chain_length};
 pub use build::{AddResult, BuildError};
 pub use codesize::{code_size, compile_time_us, CodeSizeModel, CodegenStyle, ProdCodeSize};
-pub use memory::{key_hash, Key, KeyElem, LeftEntry, LineData, MemoryTable, RightEntry, KEY_INLINE};
+/// The Fx hasher; it lives in `psme-ops` so the conflict set can use it too.
+pub use psme_ops::util;
+
+pub use memory::{
+    key_hash, token_hash, Key, KeyElem, LeftEntry, LineData, MemoryTable, RightEntry, KEY_INLINE,
+    STRIPE,
+};
 pub use network::{NetStats, NetworkOrg, ProdInfo, ReteNetwork};
 pub use node::{BetaNode, JoinTest, KeyPart, NodeId, NodeKind, RightSrc, Side, ROOT};
 pub use ops5::{Ops5Runtime, Ops5Stop};
 pub use process::{
-    make_key, plan_beta, process_beta, process_beta_batch, process_beta_scratch,
+    assert_quiescent, make_key, plan_beta, process_beta, process_beta_batch, process_beta_scratch,
     process_wme_change, ActStats, Activation, BetaScratch, CsChange, PlannedBeta,
 };
 pub use reorg::{ChainDetector, ReorgConfig, ReorgDecision};

@@ -42,10 +42,18 @@
 //! * **Padded lines.** Each line is `#[repr(align(64))]` so neighbouring
 //!   spinlocks never share a cache line (no false sharing between workers
 //!   probing adjacent lines).
-//! * **Incremental housekeeping.** A per-line dirty flag (readable without
-//!   the lock) marks lines written this cycle; [`MemoryTable::end_cycle`]
-//!   compacts and counter-resets only those, instead of locking all 2^k
-//!   lines at every cycle boundary.
+//! * **Incremental housekeeping.** The first write to a line in a cycle
+//!   appends it to a first-touch list; [`MemoryTable::end_cycle`] compacts
+//!   and counter-resets the listed lines and looks at no other.
+//! * **Node stripes.** A node's entries are confined to a *stripe* of
+//!   [`STRIPE`] consecutive lines starting at `hash(node)`; the key hash
+//!   picks the offset within it (still "bindings + node-ID"). Enumerating
+//!   or purging a node visits its stripe, not the table.
+//! * **P nodes hash on the token.** A P node's memory is never probed by
+//!   key — it is only upserted and enumerated — so its entries carry the
+//!   hash of the whole token instead of the (empty) key's. A production's
+//!   instantiations then spread over the stripe instead of piling into one
+//!   line, and the hash-first reject makes their upsert O(1) expected.
 
 use crate::node::NodeId;
 use crate::sync::{SpinGuard, SpinLock};
@@ -53,6 +61,9 @@ use crate::token::Token;
 use crate::util::fxhash;
 use psme_ops::{Value, WmeId};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+/// Width of a node's stripe, in lines (the whole table when it is smaller).
+pub const STRIPE: usize = 64;
 
 /// One element of a memory key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -161,12 +172,20 @@ pub fn key_hash(key: &Key) -> u64 {
     fxhash(key)
 }
 
+/// The 64-bit hash of a whole token — what a P node's entries carry in
+/// place of a key hash (their key is empty and never probed).
+#[inline]
+pub fn token_hash(token: &Token) -> u64 {
+    fxhash(token)
+}
+
 /// An entry in a left memory.
 #[derive(Clone, Debug)]
 pub struct LeftEntry {
     /// Destination node.
     pub node: NodeId,
-    /// Hash of `key` (hash-first probe rejection).
+    /// Hash of `key` — of `token` at a P node (hash-first rejection, and
+    /// the offset of the entry's line within the node's stripe).
     pub hash: u64,
     /// Equality-binding key.
     pub key: Key,
@@ -318,9 +337,10 @@ impl LineData {
 #[repr(align(64))]
 struct Line {
     lock: SpinLock<LineData>,
-    /// Written this cycle? Readable without the lock — quiescent
-    /// housekeeping skips clean lines entirely. The cycle barrier provides
-    /// the happens-before edge, so relaxed ordering suffices.
+    /// Already on the first-touch list this cycle? Read and written only
+    /// under `lock` (by [`MemoryTable::touch`]) or at quiescence, so relaxed
+    /// ordering suffices: the line lock and the cycle barrier provide the
+    /// happens-before edges.
     dirty: AtomicBool,
 }
 
@@ -334,6 +354,11 @@ impl Line {
 pub struct MemoryTable {
     lines: Box<[Line]>,
     mask: u64,
+    /// Stripe width − 1 (`min(STRIPE, lines)` is a power of two).
+    stripe_mask: u64,
+    /// Lines written since the last [`Self::end_cycle`], in first-touch
+    /// order, each exactly once (its `dirty` flag guards the append).
+    touched: SpinLock<Vec<u32>>,
     /// Probe through the per-node line index with hash-first rejection
     /// (default). `false` selects the reference whole-line scan with
     /// structural compares — the pre-overhaul behaviour, kept as the
@@ -350,6 +375,8 @@ impl MemoryTable {
         MemoryTable {
             lines: (0..n).map(|_| Line::new()).collect(),
             mask: (n - 1) as u64,
+            stripe_mask: (n.min(STRIPE) - 1) as u64,
+            touched: SpinLock::new(Vec::new()),
             use_index: true,
             compacted_total: AtomicU64::new(0),
         }
@@ -360,10 +387,24 @@ impl MemoryTable {
         self.lines.len()
     }
 
-    /// The line index for a node and a precomputed key hash.
+    /// Line `off` of `node`'s stripe, which starts at `hash(node)` and wraps.
     #[inline]
-    pub fn line_of_hash(&self, node: NodeId, khash: u64) -> u32 {
-        (fxhash(&(node, khash)) & self.mask) as u32
+    fn stripe_line(&self, node: NodeId, off: u64) -> u32 {
+        (fxhash(&node).wrapping_add(off) & self.mask) as u32
+    }
+
+    /// The lines of `node`'s stripe.
+    fn stripe(&self, node: NodeId) -> impl Iterator<Item = &Line> {
+        (0..=self.stripe_mask).map(move |off| &self.lines[self.stripe_line(node, off) as usize])
+    }
+
+    /// The line index for a node and a precomputed entry hash: the node
+    /// picks the stripe, the hash the offset within it. The offset comes
+    /// from the hash's *high* bits — Fx ends in a multiply, whose low output
+    /// bits depend only on the low input bits.
+    #[inline]
+    pub fn line_of_hash(&self, node: NodeId, hash: u64) -> u32 {
+        self.stripe_line(node, (hash >> (64 - STRIPE.trailing_zeros())) & self.stripe_mask)
     }
 
     /// The line index for a node/key pair.
@@ -378,31 +419,39 @@ impl MemoryTable {
         self.lines[line as usize].lock.lock()
     }
 
-    /// Mark a line written this cycle (activation processing calls this
-    /// while holding the line lock; [`Self::end_cycle`] clears it).
+    /// Mark a line written this cycle, appending it to the first-touch
+    /// list unless it is already there. The caller holds the line's lock
+    /// (activation processing calls this right after acquiring it), so the
+    /// flag's check-then-set cannot race; [`Self::end_cycle`] clears it.
     #[inline]
     pub fn touch(&self, line: u32) {
-        self.lines[line as usize].dirty.store(true, Ordering::Relaxed);
+        let dirty = &self.lines[line as usize].dirty;
+        if !dirty.load(Ordering::Relaxed) {
+            dirty.store(true, Ordering::Relaxed);
+            self.touched.lock().0.push(line);
+        }
     }
 
     /// Quiescent housekeeping: for every line written since the last call,
     /// drop zero-weight entries, reset the access counters and clear the
-    /// dirty flag. Clean lines are skipped without locking. Returns the
+    /// dirty flag. Walks the first-touch list, never the table. Returns the
     /// number of lines compacted.
     pub fn end_cycle(&self) -> u64 {
-        let mut n = 0u64;
-        for l in self.lines.iter() {
-            if !l.dirty.load(Ordering::Relaxed) {
-                continue;
-            }
+        // Taken out, not held: `touch` takes the list's lock inside a
+        // line's, so holding it across the line locks would invert that.
+        let mut touched = std::mem::take(&mut *self.touched.lock().0);
+        for &line in touched.iter() {
+            let l = &self.lines[line as usize];
             let (mut g, _) = l.lock.lock();
             g.left.retain(|e| e.weight != 0);
             g.right.retain(|e| e.weight != 0);
             g.left_accesses = 0;
             g.right_accesses = 0;
             l.dirty.store(false, Ordering::Relaxed);
-            n += 1;
         }
+        let n = touched.len() as u64;
+        touched.clear();
+        *self.touched.lock().0 = touched; // keeps its capacity
         self.compacted_total.fetch_add(n, Ordering::Relaxed);
         n
     }
@@ -435,11 +484,11 @@ impl MemoryTable {
 
     /// Enumerate the stored left tokens of `node` with positive weight, as
     /// `(token, weight)` pairs — no per-unit-of-weight cloning (used by the
-    /// state-update seeder and by tests). Locks lines one at a time;
-    /// callers run at quiescence, where every weight is 1.
+    /// state-update seeder and by tests). Locks the node's stripe one line
+    /// at a time; callers run at quiescence, where every weight is 1.
     pub fn left_tokens_of(&self, node: NodeId) -> Vec<(Token, i32)> {
         let mut out = Vec::new();
-        for l in self.lines.iter() {
+        for l in self.stripe(node) {
             let (g, _) = l.lock.lock();
             let (s, e) = g.left_run(node);
             for en in g.left[s..e].iter().filter(|en| en.weight > 0) {
@@ -453,7 +502,7 @@ impl MemoryTable {
     /// `(token, weight)` pairs.
     pub fn right_tokens_of(&self, node: NodeId) -> Vec<(Token, i32)> {
         let mut out = Vec::new();
-        for l in self.lines.iter() {
+        for l in self.stripe(node) {
             let (g, _) = l.lock.lock();
             let (s, e) = g.right_run(node);
             for en in g.right[s..e].iter().filter(|en| en.weight > 0) {
@@ -464,11 +513,18 @@ impl MemoryTable {
     }
 
     /// Assert the quiescence invariant: every weight is 0 or 1, every
-    /// not-counter is non-negative, every stored hash matches its key, and
-    /// every line is grouped by node. Panics otherwise (used by tests and
-    /// debug assertions at cycle boundaries).
-    pub fn assert_quiescent(&self) {
+    /// not-counter is non-negative, every line is grouped by node, every
+    /// stored hash is its key's — its token's at the nodes `hashes_token`
+    /// names, the P nodes — every entry sits on the line its node and hash
+    /// select, and the first-touch list is exactly the set of dirty lines.
+    /// Panics otherwise (used by tests and debug assertions at cycle
+    /// boundaries).
+    pub fn assert_quiescent(&self, hashes_token: impl Fn(NodeId) -> bool) {
+        let mut dirty = Vec::new();
         for (i, l) in self.lines.iter().enumerate() {
+            if l.dirty.load(Ordering::Relaxed) {
+                dirty.push(i as u32);
+            }
             let (g, _) = l.lock.lock();
             g.check_grouped();
             for e in &g.left {
@@ -480,7 +536,15 @@ impl MemoryTable {
                     e.token
                 );
                 assert!(e.m >= 0, "line {i}: negative not-counter {} node {}", e.m, e.node);
-                assert_eq!(e.hash, key_hash(&e.key), "line {i}: stale left hash node {}", e.node);
+                if hashes_token(e.node) {
+                    let want = token_hash(&e.token);
+                    assert_eq!(e.hash, want, "line {i}: stale token hash node {}", e.node);
+                } else {
+                    let want = key_hash(&e.key);
+                    assert_eq!(e.hash, want, "line {i}: stale left hash node {}", e.node);
+                }
+                let home = self.line_of_hash(e.node, e.hash) as usize;
+                assert_eq!(home, i, "left entry of node {} misplaced", e.node);
             }
             for e in &g.right {
                 assert!(
@@ -491,23 +555,28 @@ impl MemoryTable {
                     e.token
                 );
                 assert_eq!(e.hash, key_hash(&e.key), "line {i}: stale right hash node {}", e.node);
+                let home = self.line_of_hash(e.node, e.hash) as usize;
+                assert_eq!(home, i, "right entry of node {} misplaced", e.node);
             }
         }
+        let mut touched = self.touched.lock().0.clone();
+        touched.sort_unstable();
+        assert_eq!(touched, dirty, "first-touch list differs from the dirty lines");
     }
 
-    /// Drop every entry destined for one of `nodes` (**sorted** node ids) —
-    /// the memory half of retiring a reorganized production's old chain.
-    /// Order-preserving removal keeps the grouping invariant; callers run at
-    /// a quiescent point, so no activation can race the purge.
+    /// Drop every entry destined for one of `nodes` — the memory half of
+    /// retiring a reorganized production's old chain. Removing a node's
+    /// whole run keeps the grouping invariant; callers run at a quiescent
+    /// point, so no activation can race the purge.
     pub fn purge_nodes(&self, nodes: &[NodeId]) {
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "purge list must be sorted");
-        if nodes.is_empty() {
-            return;
-        }
-        for l in self.lines.iter() {
-            let (mut g, _) = l.lock.lock();
-            g.left.retain(|e| nodes.binary_search(&e.node).is_err());
-            g.right.retain(|e| nodes.binary_search(&e.node).is_err());
+        for &node in nodes {
+            for l in self.stripe(node) {
+                let (mut g, _) = l.lock.lock();
+                let (s, e) = g.left_run(node);
+                g.left.drain(s..e);
+                let (s, e) = g.right_run(node);
+                g.right.drain(s..e);
+            }
         }
     }
 
@@ -675,7 +744,7 @@ mod tests {
             let (mut g, _) = m.lock(0);
             g.left.push(left(1, key(&[]), Token::empty(), -1));
         }
-        m.assert_quiescent();
+        m.assert_quiescent(|_| false);
     }
 
     #[test]
@@ -687,7 +756,39 @@ mod tests {
             g.left.push(left(9, key(&[]), Token::empty(), 1));
             g.left.push(left(3, key(&[]), Token::empty(), 1));
         }
-        m.assert_quiescent();
+        m.assert_quiescent(|_| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale token hash")]
+    fn assert_quiescent_catches_stale_p_node_hash() {
+        // Node 1 is a P node: its entry must carry the token's hash, and
+        // this one carries the empty key's.
+        let m = MemoryTable::new(1);
+        {
+            let (mut g, _) = m.lock(0);
+            g.left.push(left(1, key(&[]), Token::unit(WmeId(4)), 1));
+        }
+        m.assert_quiescent(|n| n == 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "misplaced")]
+    fn assert_quiescent_catches_entries_off_their_line() {
+        let m = MemoryTable::new(128);
+        let k = key(&[7]);
+        let line = (m.line_of(5, &k) + 1) % 128;
+        m.lock(line).0.left.push(left(5, k, Token::empty(), 1));
+        m.assert_quiescent(|_| false);
+    }
+
+    #[test]
+    #[should_panic(expected = "first-touch list")]
+    fn assert_quiescent_catches_a_dirty_line_missing_from_the_list() {
+        let m = MemoryTable::new(2);
+        m.touch(1);
+        m.touched.lock().0.clear();
+        m.assert_quiescent(|_| false);
     }
 
     #[test]

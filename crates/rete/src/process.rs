@@ -28,7 +28,7 @@
 //! modes — so indexed and reference runs produce bit-identical traces apart
 //! from the `hash_rejects`/`skipped` cost columns.
 
-use crate::memory::{key_hash, Key, KeyElem, MemoryTable};
+use crate::memory::{key_hash, token_hash, Key, KeyElem, MemoryTable};
 use crate::node::{BetaNode, KeyPart, MergeSrc, NodeId, NodeKind, Side, ROOT};
 use crate::token::{Token, WmeStore};
 use crate::view::ReteView;
@@ -197,17 +197,28 @@ fn plan_parts<N: ReteView + ?Sized>(
     act: &Activation,
 ) -> (Key, u64, Option<u32>) {
     let node = net.node(act.node);
-    let key = match node.kind {
+    let (key, khash) = match node.kind {
         NodeKind::Root => return (Key::empty(), 0, None),
-        NodeKind::Prod { .. } => Key::empty(),
-        NodeKind::Join | NodeKind::Neg => match act.side {
-            Side::Left => make_key(&node.left_key, &act.token, store),
-            Side::Right => make_key(&node.right_key, &act.token, store),
-        },
+        // A P node's memory is upserted and enumerated, never probed by
+        // key: hashing on the token spreads a production's instantiations
+        // over the node's stripe instead of one empty-key line.
+        NodeKind::Prod { .. } => (Key::empty(), token_hash(&act.token)),
+        NodeKind::Join | NodeKind::Neg => {
+            let key = match act.side {
+                Side::Left => make_key(&node.left_key, &act.token, store),
+                Side::Right => make_key(&node.right_key, &act.token, store),
+            };
+            let khash = key_hash(&key);
+            (key, khash)
+        }
     };
-    let khash = key_hash(&key);
-    let line = mem.line_of_hash(act.node, khash);
-    (key, khash, Some(line))
+    (key, khash, Some(mem.line_of_hash(act.node, khash)))
+}
+
+/// [`MemoryTable::assert_quiescent`] under the placement rule of
+/// `plan_parts`: the P nodes are the ones that hash on the token.
+pub fn assert_quiescent<N: ReteView + ?Sized>(net: &N, mem: &MemoryTable) {
+    mem.assert_quiescent(|n| matches!(net.node(n).kind, NodeKind::Prod { .. }));
 }
 
 /// The critical section of one beta activation: mutate the line's memories
@@ -671,7 +682,7 @@ mod tests {
         }
         let net2: i32 = cs2.iter().map(|c| c.delta).sum();
         assert_eq!(net2, 0, "delete+add cancel");
-        mem.assert_quiescent();
+        assert_quiescent(&net, &mem);
     }
 
     #[test]
@@ -769,7 +780,7 @@ mod tests {
                     }
                 }
             }
-            mem.assert_quiescent();
+            assert_quiescent(&net, &mem);
             (cs_net, acquires, acts)
         };
         let (seq_cs, seq_acq, seq_acts) = run(false);
@@ -824,7 +835,7 @@ mod tests {
                 assert_eq!(stats_sum.hash_rejects, 0, "reference scan never hash-rejects");
                 assert!(stats_sum.skipped > 0, "whole-line scan traverses other nodes");
             }
-            mem.assert_quiescent();
+            assert_quiescent(&net, &mem);
         }
     }
 }

@@ -325,7 +325,7 @@ impl<N: ReteView> SerialEngine<N> {
         let outcome = CycleOutcome { cs: cs_fold.into_delta(&self.net, &self.state.store), tasks };
         self.cycle_count += 1;
         #[cfg(debug_assertions)]
-        self.state.mem.assert_quiescent();
+        crate::process::assert_quiescent(&self.net, &self.state.mem);
         // Incremental quiescent housekeeping: only the lines this cycle
         // wrote are compacted and counter-reset.
         self.state.mem.end_cycle();
@@ -503,7 +503,7 @@ impl<N: ReteBuild> SerialEngine<N> {
         let add = self.net.add_production(prod, org)?;
         let (update_tasks, cs_fold) = self.run_update(add.first_new);
         #[cfg(debug_assertions)]
-        self.state.mem.assert_quiescent();
+        crate::process::assert_quiescent(&self.net, &self.state.mem);
         self.state.mem.end_cycle();
         Ok(AddOutcome { add, update_tasks, cs: cs_fold.into_delta(&self.net, &self.state.store) })
     }
@@ -561,7 +561,7 @@ impl<N: ReteBuild> SerialEngine<N> {
             assert_eq!(added, old_insts, "reorg changed production {prod_idx}'s matches");
         }
         #[cfg(debug_assertions)]
-        self.state.mem.assert_quiescent();
+        crate::process::assert_quiescent(&self.net, &self.state.mem);
         self.state.mem.end_cycle();
         Ok(ReorgOutcome {
             prod_idx,

@@ -94,7 +94,10 @@ struct StoredWme {
 pub struct WmeStore {
     wmes: Vec<StoredWme>,
     next_tag: u64,
-    live: usize,
+    /// Ids of the live wmes, ascending (ids are assigned in increasing
+    /// order, so adds append): [`Self::iter_alive`] walks these instead of
+    /// every slot ever allocated.
+    live: Vec<WmeId>,
     /// Content-hash index over *live* wmes: bucket of candidate ids in
     /// ascending-id order (insertion order; removal is order-preserving).
     /// Makes [`Self::find_alive`] — the RHS `make` dedup path — O(bucket)
@@ -115,7 +118,7 @@ impl WmeStore {
         let tag = TimeTag(self.next_tag);
         self.alive_idx.entry(fxhash(&wme)).or_default().push(id);
         self.wmes.push(StoredWme { wme: Arc::new(wme), tag, alive: true, unit: Token::unit(id) });
-        self.live += 1;
+        self.live.push(id);
         (id, tag)
     }
 
@@ -126,7 +129,8 @@ impl WmeStore {
             return None;
         }
         s.alive = false;
-        self.live -= 1;
+        let at = self.live.binary_search(&id).expect("an alive wme is on the live list");
+        self.live.remove(at);
         let wme = s.wme.clone();
         let h = fxhash(wme.as_ref());
         if let Some(bucket) = self.alive_idx.get_mut(&h) {
@@ -167,13 +171,9 @@ impl WmeStore {
         self.wmes.get(id.0 as usize).map(|s| s.alive).unwrap_or(false)
     }
 
-    /// Iterate over live wmes.
+    /// Iterate over live wmes, in ascending id order.
     pub fn iter_alive(&self) -> impl Iterator<Item = (WmeId, &Arc<Wme>)> {
-        self.wmes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .map(|(i, s)| (WmeId(i as u32), &s.wme))
+        self.live.iter().map(|&id| (id, &self.wmes[id.0 as usize].wme))
     }
 
     /// Find the first (lowest-id) live wme structurally equal to `w`.
@@ -194,7 +194,7 @@ impl WmeStore {
 
     /// Number of live wmes.
     pub fn live_count(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
     /// Total wmes ever added.
@@ -318,5 +318,26 @@ mod tests {
         s.remove(id1);
         let alive: Vec<_> = s.iter_alive().map(|(id, _)| id).collect();
         assert_eq!(alive, vec![WmeId(1)]);
+    }
+
+    #[test]
+    fn iter_alive_is_the_ascending_scan_of_alive_slots() {
+        // The live list against the slot-by-slot definition, over an
+        // interleaving of adds and removes (middle, first, last, repeated).
+        let r = reg();
+        let mut s = WmeStore::new();
+        let mut rng = crate::testgen::XorShift::new(7);
+        for step in 0..300 {
+            if rng.below(3) > 0 || s.live_count() == 0 {
+                s.add(mk(&r, &format!("(a ^x {step})")));
+            } else {
+                s.remove(WmeId(rng.below(s.total_count()) as u32));
+            }
+            let scan: Vec<WmeId> =
+                (0..s.total_count() as u32).map(WmeId).filter(|&id| s.is_alive(id)).collect();
+            let listed: Vec<WmeId> = s.iter_alive().map(|(id, _)| id).collect();
+            assert_eq!(listed, scan, "step {step}");
+            assert_eq!(s.live_count(), scan.len());
+        }
     }
 }

@@ -4,14 +4,21 @@
 //! over arbitrary add/delete interleavings — including deletes overtaking
 //! adds, Neg not-counters and NCC subnetworks — plus an exact-accounting
 //! fixture for the new `hash_rejects` / `entries_skipped` counters.
+//!
+//! And properties of where entries live: a node's stripe holds everything
+//! a whole-table sweep would find, the first-touch list is exactly the set
+//! of lines written, and neither keys at a join nor tokens at a P node pile
+//! up on a few lines of the stripe.
 
 use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
+use psme_ops::{Value, WmeId};
 use psme_rete::{
-    process_beta, process_wme_change, Activation, CsChange, MatchState, MemoryTable, NetworkOrg,
-    NodeId, ReteNetwork, SerialEngine, TaskKind, Token, WmeStore,
+    assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, Activation, CsChange,
+    Key, KeyElem, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine, TaskKind,
+    Token, WmeStore, STRIPE,
 };
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 fn build_net(sys: &psme_rete::testgen::GeneratedSystem) -> ReteNetwork {
@@ -59,8 +66,111 @@ fn drain_all(
     folded
 }
 
+fn int_key(vals: &[i64]) -> Key {
+    Key::build(vals.len(), vals.iter().map(|&v| KeyElem::V(Value::Int(v))))
+}
+
+/// Store `token` at `node` under `key` the way an activation would: on the
+/// line the node and the key's hash select, marking the line written.
+fn store(mem: &MemoryTable, node: NodeId, key: &Key, token: &Token, right: bool) -> u32 {
+    let hash = key_hash(key);
+    let line = mem.line_of_hash(node, hash);
+    let (mut g, _) = mem.lock(line);
+    mem.touch(line);
+    if right {
+        g.upsert_right(node, key, hash, token, 1, true);
+    } else {
+        g.upsert_left(node, key, hash, token, 1, 0, true);
+    }
+    line
+}
+
+/// `node`'s left and right tokens found by sweeping every line of the table.
+fn sweep(mem: &MemoryTable, node: NodeId) -> (Vec<Token>, Vec<Token>) {
+    let (mut left, mut right) = (Vec::new(), Vec::new());
+    for line in 0..mem.num_lines() as u32 {
+        let (g, _) = mem.lock(line);
+        left.extend(g.left.iter().filter(|e| e.node == node).map(|e| e.token.clone()));
+        right.extend(g.right.iter().filter(|e| e.node == node).map(|e| e.token.clone()));
+    }
+    (left, right)
+}
+
+fn sorted(mut v: Vec<Token>) -> Vec<Token> {
+    v.sort_by(|a, b| a.wmes().cmp(b.wmes()));
+    v
+}
+
+/// Longest run any line holds for `node`, over the whole table.
+fn max_left_run(mem: &MemoryTable, node: NodeId) -> usize {
+    (0..mem.num_lines() as u32)
+        .map(|line| {
+            let (s, e) = mem.lock(line).0.left_run(node);
+            e - s
+        })
+        .max()
+        .unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, .. ProptestConfig::default() })]
+
+    /// Stripe enumeration against the whole-table sweep it replaced, as
+    /// multisets, on tables narrower than, as wide as and wider than a
+    /// stripe; and purging some nodes empties exactly those.
+    #[test]
+    fn stripe_enumeration_equals_whole_table_sweep(
+        lines in (0usize..6).prop_map(|i| [1usize, 2, 8, 64, 256, 4096][i]),
+        entries in prop::collection::vec((0u32..40, -50i64..50, any::<bool>()), 1..200),
+        purge in prop::collection::vec(0u32..40, 0..6),
+    ) {
+        let mem = MemoryTable::new(lines);
+        for (i, &(node, k, right)) in entries.iter().enumerate() {
+            store(&mem, node, &int_key(&[k]), &Token::unit(WmeId(i as u32)), right);
+        }
+        mem.assert_quiescent(|_| false);
+        let total: usize = (0..40).map(|n| mem.left_tokens_of(n).len() + mem.right_tokens_of(n).len()).sum();
+        prop_assert_eq!(total, entries.len());
+        mem.purge_nodes(&purge);
+        for node in 0..40 {
+            let (left, right) = sweep(&mem, node);
+            if purge.contains(&node) {
+                prop_assert!(left.is_empty() && right.is_empty(), "node {} survived its purge", node);
+            }
+            let of = |v: Vec<(Token, i32)>| sorted(v.into_iter().map(|(t, _)| t).collect());
+            prop_assert_eq!(of(mem.left_tokens_of(node)), sorted(left));
+            prop_assert_eq!(of(mem.right_tokens_of(node)), sorted(right));
+        }
+    }
+
+    /// `end_cycle` compacts exactly the lines written since the last one —
+    /// however often each was written — and a second call finds none.
+    #[test]
+    fn end_cycle_compacts_exactly_the_touched_lines(
+        lines in (0usize..4).prop_map(|i| [1usize, 2, 64, 1024][i]),
+        cycles in prop::collection::vec(prop::collection::vec((0u32..30, 0i64..40, any::<bool>()), 0..60), 1..5),
+    ) {
+        let mem = MemoryTable::new(lines);
+        let mut serial = 0u32;
+        for writes in cycles {
+            let mut written = BTreeSet::new();
+            for (node, k, bare_touch) in writes {
+                if bare_touch {
+                    let line = mem.line_of_hash(node, key_hash(&int_key(&[k])));
+                    let _g = mem.lock(line);
+                    mem.touch(line);
+                    written.insert(line);
+                } else {
+                    serial += 1;
+                    written.insert(store(&mem, node, &int_key(&[k]), &Token::unit(WmeId(serial)), false));
+                }
+            }
+            mem.assert_quiescent(|_| false);
+            prop_assert_eq!(mem.end_cycle(), written.len() as u64);
+            prop_assert_eq!(mem.end_cycle(), 0);
+            mem.assert_quiescent(|_| false);
+        }
+    }
 
     /// Engine-level differential: a serial engine probing through the
     /// per-node index behaves bit-for-bit like one running the reference
@@ -109,7 +219,7 @@ proptest! {
             snapshot(&engines[1].net, &engines[1].state.mem)
         );
         for e in &engines {
-            e.state.mem.assert_quiescent();
+            assert_quiescent(&e.net, &e.state.mem);
         }
     }
 
@@ -146,7 +256,7 @@ proptest! {
             let mut mem = MemoryTable::new(1);
             mem.use_index = use_index;
             let cs = drain_all(&net, &mem, &store, &seeds);
-            mem.assert_quiescent();
+            assert_quiescent(&net, &mem);
             mem.compact();
             prop_assert_eq!(snapshot(&net, &mem), snapshot(&net, &MemoryTable::new(1)),
                 "add+delete pairs must annihilate (use_index={})", use_index);
@@ -186,11 +296,55 @@ proptest! {
             let mut mem = MemoryTable::new(1);
             mem.use_index = use_index;
             let cs = drain_all(&net, &mem, &store, &seeds);
-            mem.assert_quiescent();
+            assert_quiescent(&net, &mem);
             results.push((cs, snapshot(&net, &mem)));
         }
         prop_assert_eq!(&results[0], &results[1]);
     }
+}
+
+/// 4096 distinct keys at one node use its whole stripe evenly: the offset
+/// within the stripe must come from hash bits that sequential small keys
+/// actually vary (FxHash's low bits do not).
+#[test]
+fn distinct_keys_fill_the_stripe_evenly() {
+    type MakeKey = fn(i64) -> Key;
+    let shapes: [(&str, MakeKey); 4] = [
+        ("one int", |i| int_key(&[i])),
+        ("int, low bits constant", |i| int_key(&[i << 12])),
+        ("int pair", |i| int_key(&[i % 64, i / 64])),
+        ("wme id", |i| Key::build(1, std::iter::once(KeyElem::W(WmeId(i as u32))))),
+    ];
+    for (what, make) in shapes {
+        let mem = MemoryTable::new(4096);
+        let node = 37;
+        let mut used = BTreeSet::new();
+        for i in 0..4096 {
+            used.insert(store(&mem, node, &make(i), &Token::unit(WmeId(i as u32)), false));
+        }
+        assert_eq!(used.len(), STRIPE, "{what}: every stripe line is used");
+        let max = max_left_run(&mem, node);
+        assert!(max <= 2 * 4096 / STRIPE, "{what}: fullest line holds {max}, mean {}", 4096 / STRIPE);
+        mem.assert_quiescent(|_| false);
+    }
+}
+
+/// 500 instantiations of one production spread over the P node's stripe
+/// instead of sharing its empty key's line.
+#[test]
+fn p_node_tokens_do_not_share_a_line() {
+    let mem = MemoryTable::new(4096);
+    let p_node = 91;
+    for i in 0..500u32 {
+        // Instantiations of one production differ in a slot or two.
+        let token = Token::from_slice(&[WmeId(3), WmeId(17), WmeId(40 + i % 25), WmeId(8), WmeId(200 + i)]);
+        let hash = token_hash(&token);
+        let line = mem.line_of_hash(p_node, hash);
+        mem.lock(line).0.upsert_left(p_node, &Key::empty(), hash, &token, 1, 0, true);
+    }
+    assert_eq!(mem.left_tokens_of(p_node).len(), 500);
+    let max = max_left_run(&mem, p_node);
+    assert!(max <= 32, "one line holds {max} of 500 tokens");
 }
 
 /// Exact accounting on a hand-built fixture: one two-join production on a

@@ -254,9 +254,7 @@ impl<E: MatchEngine> Agent<E> {
 
     /// Compute the goal level a new wme belongs to.
     fn wme_level_for(&mut self, w: &Wme, firing_level: u32) -> u32 {
-        let goal_cls = intern("goal");
-        let pref_cls = intern("preference");
-        let eval_cls = intern("eval");
+        let ArchFields { goal_cls, pref_cls, eval_cls, id_attr, .. } = self.fields;
         if w.class == goal_cls {
             if let Some(g) = w.field(self.fields.goal_id).as_sym() {
                 return self.goal_level(g).unwrap_or(firing_level);
@@ -273,7 +271,7 @@ impl<E: MatchEngine> Agent<E> {
             }
         }
         if let Some(decl) = self.classes.get(w.class) {
-            if let Some(idf) = decl.field_of(intern("id")) {
+            if let Some(idf) = decl.field_of(id_attr) {
                 if let Some(id) = w.field(idf).as_sym() {
                     if let Some(&l) = self.book.obj_level.get(&id) {
                         return l;
@@ -555,9 +553,7 @@ impl<E: MatchEngine> Agent<E> {
     /// accessible from the context stack, and automatically garbage
     /// collects inaccessible wmes" (§3).
     fn gc_removals(&self) -> Vec<WmeId> {
-        let goal_cls = intern("goal");
-        let pref_cls = intern("preference");
-        let eval_cls = intern("eval");
+        let ArchFields { goal_cls, pref_cls, eval_cls, id_attr, .. } = self.fields;
         let stack_ids: FxHashSet<Symbol> = self.stack.iter().map(|g| g.id).collect();
         let state_of: FxHashMap<Symbol, Option<Symbol>> =
             self.stack.iter().map(|g| (g.id, g.slot(Role::State))).collect();
@@ -631,7 +627,7 @@ impl<E: MatchEngine> Agent<E> {
                         continue;
                     }
                     let Some(decl) = self.classes.get(w.class) else { continue };
-                    let Some(idf) = decl.field_of(intern("id")) else { continue };
+                    let Some(idf) = decl.field_of(id_attr) else { continue };
                     let Some(id) = w.field(idf).as_sym() else { continue };
                     if !reachable.contains(&id) {
                         continue;
@@ -667,7 +663,7 @@ impl<E: MatchEngine> Agent<E> {
                 } else if w.class == eval_cls {
                     w.field(0).as_sym().map(|g| stack_ids.contains(&g)).unwrap_or(false)
                 } else if let Some(decl) = self.classes.get(w.class) {
-                    match decl.field_of(intern("id")) {
+                    match decl.field_of(id_attr) {
                         Some(idf) => match w.field(idf).as_sym() {
                             Some(id) => reachable.contains(&id),
                             None => true,

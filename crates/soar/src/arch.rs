@@ -90,7 +90,9 @@ pub struct Preference {
 }
 
 /// Field indices of the architecture classes (kept in one place so the
-/// architecture code never hard-codes numbers).
+/// architecture code never hard-codes numbers), and the interned names the
+/// agent tests on every wme — resolved once here, because `intern` takes a
+/// global lock.
 #[derive(Clone, Copy, Debug)]
 pub struct ArchFields {
     /// `goal` class: id, supergoal, problem-space, state, operator, impasse,
@@ -110,6 +112,14 @@ pub struct ArchFields {
     pub pref_value: u16,
     pub pref_goal: u16,
     pub pref_state: u16,
+    /// The `goal` class name.
+    pub goal_cls: Symbol,
+    /// The `preference` class name.
+    pub pref_cls: Symbol,
+    /// The `eval` class name.
+    pub eval_cls: Symbol,
+    /// The `id` attribute name (object classes carry their identifier there).
+    pub id_attr: Symbol,
 }
 
 /// The architecture's class declarations, registered into a task's registry.
@@ -138,12 +148,16 @@ pub fn declare_arch_classes(reg: &mut ClassRegistry) -> ArchFields {
         pref_value: f(&p, "value"),
         pref_goal: f(&p, "goal"),
         pref_state: f(&p, "state"),
+        goal_cls: intern("goal"),
+        pref_cls: intern("preference"),
+        eval_cls: intern("eval"),
+        id_attr: intern("id"),
     }
 }
 
 /// Decode a `preference` wme (ignores malformed ones).
 pub fn decode_preference(id: WmeId, w: &Wme, f: &ArchFields) -> Option<Preference> {
-    if w.class != intern("preference") {
+    if w.class != f.pref_cls {
         return None;
     }
     let object = w.field(f.pref_object).as_sym()?;

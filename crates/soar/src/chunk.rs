@@ -195,11 +195,12 @@ impl Chunker {
         // rebuild the whole promoted structure).
         let mut action_wmes: Vec<WmeId> = req.results.to_vec();
         let mut closed: FxHashSet<WmeId> = action_wmes.iter().copied().collect();
+        let id_attr = intern("id");
         let mut i = 0;
         while i < action_wmes.len() {
             let w = store.get(action_wmes[i]).clone();
             let decl = reg.get(w.class)?;
-            let idf = decl.field_of(intern("id"));
+            let idf = decl.field_of(id_attr);
             for (fi, v) in w.fields.iter().enumerate() {
                 if Some(fi as u16) == idf {
                     continue;
@@ -216,7 +217,7 @@ impl Chunker {
                             continue;
                         }
                         let Some(d2) = reg.get(ww.class) else { continue };
-                        let Some(id2) = d2.field_of(intern("id")) else { continue };
+                        let Some(id2) = d2.field_of(id_attr) else { continue };
                         if ww.field(id2) == Value::Sym(*s) {
                             closed.insert(wid);
                             action_wmes.push(wid);

@@ -114,9 +114,10 @@ impl WmBook {
         // Re-level this object's augmentation wmes and recurse into their
         // identifier values.
         let mut to_promote: Vec<Symbol> = Vec::new();
+        let id_attr = intern("id");
         for (wid, w) in store.iter_alive() {
             let Some(decl) = reg.get(w.class) else { continue };
-            let Some(idf) = decl.field_of(intern("id")) else { continue };
+            let Some(idf) = decl.field_of(id_attr) else { continue };
             if w.field(idf) != Value::Sym(obj) {
                 continue;
             }

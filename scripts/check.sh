@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must stay green on every commit.
 #
-#   build (release) -> tests (all crates) -> clippy (deny warnings)
+#   build (release) -> tests (all crates) -> benchmark build -> clippy (deny warnings)
 #
 # Runs fully offline against the vendored stub crates. If cargo still tries
 # to reach a registry (e.g. a stale lockfile on a fresh checkout), we retry
@@ -66,6 +66,11 @@ for entry in "${named_suites[@]}"; do
     IFS='|' read -r name pkg suite <<<"$entry"
     run_step "$name" cargo test -q -p "$pkg" --test "$suite" || fail=1
 done
+
+# The repo benchmark (benchmark/, a package outside the workspace) calls
+# `pub` items of crates/*: build it, so a change that breaks the driver's
+# command fails this gate instead of the pipeline.
+run_step "benchmark build" cargo build --release --offline --manifest-path benchmark/Cargo.toml || fail=1
 
 # Committed artifacts that must exist and parse (the gated ones below also
 # check their numbers): the jump-table index's tests-per-wme reduction, the
