@@ -63,8 +63,9 @@ fn main() {
             ));
         }
 
-        // Host run: real deques, real steal counters. 8 workers keeps the
-        // host sweep cheap while still forcing cross-worker traffic.
+        // Host run: real deques, real steal counters. 8 match processes
+        // keeps the host sweep cheap while still forcing cross-worker
+        // traffic on the cycles wide enough to call the helpers in.
         let (host_report, engine) = run_parallel(
             &task,
             RunMode::WithoutChunking,

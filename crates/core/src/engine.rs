@@ -1,5 +1,5 @@
-//! The parallel match engine: one control thread (the caller) plus N match
-//! processes (§2.3, §4).
+//! The parallel match engine: `workers` match processes, of which process 0
+//! is the control thread itself (§2.3, §4).
 //!
 //! "PSM-E consists of one control process that selects and then fires an
 //! instantiation and one or more match processes that actually perform the
@@ -8,47 +8,74 @@
 //! tasks are generated, pushing them onto one of the queues. When the task
 //! queues becomes empty, one production system cycle ends."
 //!
-//! Quiescence detection uses an outstanding-task counter: a worker
-//! increments it for every child it pushes *before* decrementing it for the
-//! task it finished, so the counter reaches zero exactly at quiescence.
-//! Workers park between cycles on an epoch condvar; the control thread owns
-//! the network/store write locks between cycles (run-time chunk addition,
-//! wme changes) and never mutates them while a cycle is in flight.
+//! A Multimax task is ≈ 220 µs and a queue operation ≈ 42 µs; a host task is
+//! ≈ 0.3 µs and waking a thread ≈ 30 µs. So there is **one match loop**
+//! ([`Shared::match_loop`]) and the thread that calls
+//! [`ParallelEngine::run_changes`] — process 0 — runs it first, on the
+//! cycle's seeds; the `workers − 1` *helper* threads run the same function,
+//! but only once process 0 has [`WIDE_AT`] tasks waiting and calls them in
+//! through the [`Gate`]. Every process pops rounds from a
+//! **private deque** and pushes children back on it — no lock, no atomic;
+//! only surplus goes through the shared [`TaskQueues`], in batches, and only
+//! while some process is *hungry* (has run dry and is looking).
+//!
+//! Quiescence is still "the counter reads 0": `outstanding` counts
+//! *published tasks + processes holding a non-empty private deque*. A
+//! process adds what it publishes before pushing it and gives up its own
+//! unit only on finding its deque empty, so the counter reaches zero only
+//! when no task exists anywhere. The control thread owns the network/store
+//! write locks between cycles (run-time chunk addition, wme changes); the
+//! gate, which closes only on nobody inside, is why no helper holds a read
+//! guard then.
 
+use crate::gate::Gate;
 use crate::metrics::{CycleMetrics, MetricsLog, WorkerStats};
-use crate::queue::{QueueStats, Scheduler, Task, TaskQueues};
-use parking_lot::{Condvar, Mutex, RwLock};
+use crate::queue::{Scheduler, Task, TaskQueues, TASK_BATCH};
+use parking_lot::{Mutex, RwLock};
 use psme_obs::{ControlPhase, Counter, Recorder, TraceKind, TraceRing, SESSION_NONE};
 use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
-    instantiations_from_memories, plan_beta, process_beta_batch, process_wme_change, seed_update,
-    AddOutcome, BetaScratch, BuildError, CsFold, CycleOutcome, MemoryTable, NetworkOrg, NodeId,
-    NodeKind, Phase, PlannedBeta, ReteNetwork, WmeStore,
+    instantiations_from_memories, plan_beta, process_beta_batch, process_beta_scratch,
+    process_wme_change, seed_update, ActStats, Activation, AddOutcome, BetaScratch, BuildError,
+    CsFold, CycleOutcome, MemoryTable, NetworkOrg, NodeId, NodeKind, Phase, PlannedBeta,
+    ReteNetwork, WmeStore,
 };
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, Ordering};
+use std::collections::VecDeque;
+use std::hint::spin_loop;
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::Instant;
 
 /// Configuration of the parallel engine.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Number of match processes (the paper sweeps 1–13).
+    /// Number of match processes (the paper sweeps 1–13), *including* the
+    /// calling thread: `workers − 1` helper threads are spawned.
     pub workers: usize,
-    /// Task-queue organization.
+    /// Task-queue organization: how published batches are queued and found.
     pub scheduler: Scheduler,
     /// Memory-table lines.
     pub memory_lines: usize,
     /// Collect per-line bucket access histograms each cycle (Figure 6-2).
     pub bucket_histograms: bool,
-    /// Line-lock batching: a worker drains up to this many tasks from its
-    /// queue per round, groups the beta activations by destination memory
-    /// line, and processes each group under a single lock acquisition
-    /// (`Counter::LineLockAcquisitions` records the paid acquisitions).
-    /// 1 disables batching — one acquisition per activation, the paper's
-    /// discipline.
+    /// Line-lock batching: a process takes up to this many tasks from its
+    /// private deque per round, groups the beta activations by destination
+    /// memory line, and processes each group under a single lock
+    /// acquisition (`Counter::LineLockAcquisitions` records the paid
+    /// acquisitions). 1 — the default, and the paper's discipline — is one
+    /// acquisition per activation, by the direct call the serial engine
+    /// makes.
     pub line_batch: usize,
 }
+
+/// Process 0 calls the helpers into a cycle once it has this many tasks
+/// waiting in its private deque. Waking a parked helper takes about as long
+/// as process 0 takes over a hundred tasks, so a narrower frontier is gone
+/// before anyone arrives to share it; cycles that never get this wide — most
+/// cycles — are process 0's alone. EXPERIMENTS.md (Figure 6-5, host leg) has
+/// the measurements.
+const WIDE_AT: usize = 64;
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
@@ -57,8 +84,51 @@ impl Default for EngineConfig {
             scheduler: Scheduler::MultiQueue,
             memory_lines: 4096,
             bucket_histograms: false,
-            line_batch: 8,
+            line_batch: 1,
         }
+    }
+}
+
+/// How long a helper spins before giving up — hungry, on the published-work
+/// hint, before it yields its core once and then before it leaves the
+/// cycle; between cycles, on the call word, before it parks. A few
+/// microseconds: a process with surplus answers within a round or not at
+/// all.
+const HELPER_SPINS: u32 = 512;
+/// How long process 0 spins for the helpers before it parks. It cannot
+/// leave, and a park costs it a wake-up.
+const CONTROL_SPINS: u32 = 1 << 14;
+/// The call word's value at shutdown (tickets are small and odd).
+const SHUTDOWN: u64 = u64::MAX;
+
+/// What one match process owns; none of it is shared.
+#[derive(Default)]
+struct Process {
+    /// The private tasks: wme changes (alpha tasks), run first as in the
+    /// serial engine's cycle, then beta activations, FIFO like its queue.
+    /// Two plain deques, not one of [`Task`]: moving a 32-byte activation
+    /// out of the enum costs a store-forwarding stall per task — 15 ns of
+    /// the 250 a task takes.
+    alphas: VecDeque<(WmeId, i32)>,
+    betas: VecDeque<Activation>,
+    /// Reusable beta-scan scratch: survives across tasks and cycles, so
+    /// the steady state allocates nothing per activation.
+    scratch: BetaScratch,
+    /// Staging for the grouped round and for publication.
+    planned: Vec<PlannedBeta>,
+    surplus: Vec<Task>,
+    /// This pass's counters, conflict-set fold (folded per emission, so
+    /// the control thread sorts only the net nonzero entries) and, when
+    /// profiling is armed, per-node costs.
+    stats: WorkerStats,
+    cs: CsFold,
+    costs: Vec<u64>,
+}
+
+impl Process {
+    /// Tasks waiting in the private deques.
+    fn waiting(&self) -> usize {
+        self.alphas.len() + self.betas.len()
     }
 }
 
@@ -67,222 +137,354 @@ struct Shared {
     store: RwLock<WmeStore>,
     mem: MemoryTable,
     queues: TaskQueues,
-    outstanding: AtomicI64,
+    /// Published tasks + processes holding non-empty private deques.
+    /// `SeqCst`, like the gate: touched only when a process runs dry or
+    /// publishes.
+    outstanding: AtomicUsize,
+    /// A hint of the tasks in `queues`: what a hungry process spins on
+    /// instead of locking empty queues. Added after the push — a popper that
+    /// saw it earlier would only spin on the publisher's lock — and taken
+    /// off after the pop, so it can dip below zero in between and is exact
+    /// whenever nobody is in between. `Relaxed` — the queue locks order the
+    /// tasks.
+    published: AtomicIsize,
+    /// Processes looking for work. `Relaxed` — a stale read delays or
+    /// wastes one batch.
+    hungry: AtomicUsize,
     min_node: AtomicU32,
-    epoch: Mutex<u64>,
-    epoch_cv: Condvar,
-    done: Mutex<()>,
-    done_cv: Condvar,
-    workers_active: AtomicI64,
-    shutdown: AtomicBool,
-    /// Per-emission-folded conflict-set delta: workers fold locally and
-    /// merge their maps here at the cycle barrier, so the control thread
-    /// sorts only the net nonzero entries instead of re-keying a raw
-    /// change vector every cycle.
-    cs_fold: Mutex<CsFold>,
-    worker_stats: Vec<Mutex<WorkerStats>>,
+    gate: Gate,
+    /// The ticket of the cycle the helpers are wanted in (or [`SHUTDOWN`]).
+    /// Written after the gate opens, so a helper that reads it can enter.
+    call: AtomicU64,
+    /// Process 0, while it is parked waiting for the helpers.
+    control: Mutex<Option<Thread>>,
+    /// What the helpers hand process 0 at the gate.
+    harvest: Mutex<(WorkerStats, CsFold)>,
     line_batch: usize,
-    /// Adaptive-reorg cost profiling: when armed, workers accumulate
-    /// per-node activation costs locally and merge them here at the cycle
-    /// barrier (one lock acquisition per worker per cycle, zero hot-loop
-    /// sharing).
+    /// Adaptive-reorg cost profiling: when armed, processes accumulate
+    /// per-node activation costs locally and merge them here at the end of
+    /// their pass (one lock acquisition per process per cycle, zero
+    /// hot-loop sharing).
     profile_costs: AtomicBool,
     node_costs: Mutex<Vec<u64>>,
 }
 
-fn worker_loop(shared: Arc<Shared>, wid: usize) {
-    let mut seen_epoch = 0u64;
-    // Per-worker reusable beta-scan scratch: survives across tasks and
-    // cycles, so the steady state allocates nothing per activation.
-    let mut scratch = BetaScratch::default();
-    // Per-worker cost vector for the adaptive-reorg detector; merged at the
-    // cycle barrier when profiling is armed.
-    let mut costs: Vec<u64> = Vec::new();
-    loop {
-        {
-            let mut e = shared.epoch.lock();
-            while *e == seen_epoch && !shared.shutdown.load(Ordering::Acquire) {
-                shared.epoch_cv.wait(&mut e);
-            }
-            if shared.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            seen_epoch = *e;
+/// Push one wme change through the constant-test network (an alpha task).
+fn alpha_task(
+    net: &ReteNetwork,
+    store: &WmeStore,
+    wme: WmeId,
+    delta: i32,
+    min_node: NodeId,
+    betas: &mut VecDeque<Activation>,
+    stats: &mut WorkerStats,
+) {
+    let (alpha, emitted) =
+        process_wme_change(net, store, wme, delta, min_node, &mut |a| betas.push_back(a));
+    let c = &mut stats.counters;
+    c.add(Counter::AlphaTasks, 1);
+    c.add(Counter::Scanned, alpha.tests_run as u64);
+    c.add(Counter::Emitted, emitted as u64);
+    c.add(Counter::AlphaProbes, alpha.probes as u64);
+    c.add(Counter::AlphaCandidates, alpha.candidates as u64);
+    c.add(Counter::AlphaTestsSaved, alpha.tests_saved as u64);
+}
+
+/// Book one processed beta activation.
+fn account_beta(
+    net: &ReteNetwork,
+    a: &Activation,
+    s: &ActStats,
+    stats: &mut WorkerStats,
+    costs: Option<&mut Vec<u64>>,
+) {
+    if let Some(costs) = costs {
+        let node = a.node as usize;
+        if costs.len() <= node {
+            costs.resize(node + 1, 0);
         }
-        shared.workers_active.fetch_add(1, Ordering::AcqRel);
-        let profiling = shared.profile_costs.load(Ordering::Relaxed);
-        let net = shared.net.read();
-        let store = shared.store.read();
-        let mut ws = WorkerStats::default();
-        let mut local_cs = CsFold::default();
-        let mut cs_emitted = 0u64;
-        let mut pending: Vec<Task> = Vec::new();
-        let mut local: Vec<Task> = Vec::new();
-        let mut planned: Vec<PlannedBeta> = Vec::new();
+        costs[node] += 1 + s.scanned as u64 + s.emitted as u64;
+    }
+    stats.mem_spins += s.spins;
+    stats.scanned += s.scanned as u64;
+    let c = &mut stats.counters;
+    c.add(Counter::BetaTasks, 1);
+    c.add(Counter::Scanned, s.scanned as u64);
+    c.add(Counter::HashRejects, s.hash_rejects as u64);
+    c.add(Counter::EntriesSkipped, s.skipped as u64);
+    c.add(Counter::Emitted, s.emitted as u64);
+    c.add(Counter::MemSpins, s.spins);
+    c.add(Counter::LineLockAcquisitions, s.acquires as u64);
+    // A childless two-input activation is a null activation in the paper's
+    // accounting.
+    if s.emitted == 0 && matches!(net.node(a.node).kind, NodeKind::Join | NodeKind::Neg) {
+        c.add(Counter::NullActivations, 1);
+    }
+}
+
+impl Shared {
+    /// One match process's pass over one cycle: rounds off the private
+    /// deque until it and the shared queues have nothing for this process.
+    ///
+    /// `helpers` is `Some` for process 0 until it has called them in; the
+    /// return value says whether it did. A helper passes `None`: it is
+    /// inside a cycle that has been called already.
+    fn match_loop(
+        &self,
+        me: usize,
+        p: &mut Process,
+        mut helpers: Option<&[JoinHandle<()>]>,
+    ) -> bool {
+        let net = self.net.read();
+        let store = self.store.read();
+        // Stored before the cycle began: in program order for process 0,
+        // before the gate opened for a helper.
+        let min_node: NodeId = self.min_node.load(Ordering::Relaxed);
+        let profiling = self.profile_costs.load(Ordering::Relaxed);
+        // Does this process hold a unit of `outstanding` for its deques?
+        let mut holding = p.waiting() > 0;
         loop {
-            match shared.queues.pop(wid, &mut ws.queue) {
-                Some(task) => {
-                    pending.clear();
-                    // Loaded per round, *after* the pop: the queue lock's
-                    // release/acquire pairing guarantees a popped task sees
-                    // the `min_node` the control thread stored before
-                    // pushing it, even for a worker that woke late and is
-                    // still in the previous cycle's work loop.
-                    let min_node: NodeId = shared.min_node.load(Ordering::Relaxed);
-                    // Drain up to `line_batch` tasks; the popped-but-not-yet
-                    // retired tasks keep `outstanding` positive, so no other
-                    // worker can observe premature quiescence.
-                    local.clear();
-                    local.push(task);
-                    while local.len() < shared.line_batch {
-                        match shared.queues.pop(wid, &mut ws.queue) {
-                            Some(t) => local.push(t),
-                            None => break,
-                        }
-                    }
-                    let popped = local.len() as i64;
-                    ws.tasks += popped as u64;
-                    ws.counters.add(Counter::Tasks, popped as u64);
-                    let cs_round = cs_emitted;
-                    planned.clear();
-                    for task in local.drain(..) {
-                        match task {
-                            Task::Alpha(w, d) => {
-                                let before = pending.len();
-                                let (alpha, _) =
-                                    process_wme_change(&*net, &store, w, d, min_node, &mut |a| {
-                                        pending.push(Task::Beta(a))
-                                    });
-                                ws.counters.add(Counter::AlphaTasks, 1);
-                                ws.counters.add(Counter::Scanned, alpha.tests_run as u64);
-                                ws.counters
-                                    .add(Counter::Emitted, (pending.len() - before) as u64);
-                                ws.counters.add(Counter::AlphaProbes, alpha.probes as u64);
-                                ws.counters.add(Counter::AlphaCandidates, alpha.candidates as u64);
-                                ws.counters
-                                    .add(Counter::AlphaTestsSaved, alpha.tests_saved as u64);
-                            }
-                            Task::Beta(a) => {
-                                planned.push(plan_beta(&*net, &shared.mem, &store, a));
-                            }
-                        }
-                    }
-                    // Group the betas by destination line (stable sort keeps
-                    // pop order within a group) and drain each group under a
-                    // single acquisition. Signed counting memories make the
-                    // within-round reordering commutative, so the quiescent
-                    // state is unchanged.
-                    planned.sort_by_key(|p| p.line);
-                    let mut i = 0;
-                    while i < planned.len() {
-                        let mut j = i + 1;
-                        while j < planned.len() && planned[j].line == planned[i].line {
-                            j += 1;
-                        }
-                        process_beta_batch(
-                            &*net,
-                            &shared.mem,
-                            &store,
-                            &planned[i..j],
-                            min_node,
-                            &mut scratch,
-                            &mut |child| pending.push(Task::Beta(child)),
-                            &mut |c| {
-                                cs_emitted += 1;
-                                local_cs.add(c);
-                            },
-                            &mut |a, stats| {
-                                if profiling {
-                                    let node = a.node as usize;
-                                    if costs.len() <= node {
-                                        costs.resize(node + 1, 0);
-                                    }
-                                    costs[node] += 1 + stats.scanned as u64 + stats.emitted as u64;
-                                }
-                                ws.mem_spins += stats.spins;
-                                ws.scanned += stats.scanned as u64;
-                                ws.counters.add(Counter::BetaTasks, 1);
-                                ws.counters.add(Counter::Scanned, stats.scanned as u64);
-                                ws.counters.add(Counter::HashRejects, stats.hash_rejects as u64);
-                                ws.counters.add(Counter::EntriesSkipped, stats.skipped as u64);
-                                ws.counters.add(Counter::Emitted, stats.emitted as u64);
-                                ws.counters.add(Counter::MemSpins, stats.spins);
-                                ws.counters
-                                    .add(Counter::LineLockAcquisitions, stats.acquires as u64);
-                                // A childless two-input activation is a null
-                                // activation in the paper's accounting.
-                                if stats.emitted == 0
-                                    && matches!(
-                                        net.node(a.node).kind,
-                                        NodeKind::Join | NodeKind::Neg
-                                    )
-                                {
-                                    ws.counters.add(Counter::NullActivations, 1);
-                                }
-                            },
-                        );
-                        i = j;
-                    }
-                    ws.counters.add(Counter::CsChanges, cs_emitted - cs_round);
-                    // Children first, then retire the round: the counter can
-                    // only reach zero at true quiescence. Under
-                    // `WorkStealing` the whole brood is published with one
-                    // release store; the locked schedulers push
-                    // one-at-a-time, exactly as the paper's configurations
-                    // do.
-                    if !pending.is_empty() {
-                        shared.outstanding.fetch_add(pending.len() as i64, Ordering::AcqRel);
-                        shared.queues.push_batch(wid, &mut pending, &mut ws.queue);
-                    }
-                    if shared.outstanding.fetch_sub(popped, Ordering::AcqRel) == popped {
-                        let _g = shared.done.lock();
-                        shared.done_cv.notify_all();
-                    }
+            let waiting = p.waiting();
+            if waiting == 0 {
+                if !self.refill(me, p, holding) {
+                    break;
                 }
-                None => {
-                    if shared.outstanding.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    std::thread::yield_now();
+                holding = true;
+                continue;
+            }
+            match helpers {
+                Some(h) if waiting >= WIDE_AT && !h.is_empty() => {
+                    // The frontier is wide: open the gate, wake the helpers.
+                    self.call.store(self.gate.open(), Ordering::SeqCst);
+                    h.iter().for_each(|h| h.thread().unpark());
+                    helpers = None;
                 }
+                None if waiting > 1 => self.publish(me, p),
+                _ => {}
+            }
+            if self.line_batch > 1 {
+                self.grouped_round(&net, &store, min_node, profiling, p);
+                continue;
+            }
+            // A round of one: the serial engine's call.
+            p.stats.tasks += 1;
+            if let Some((w, d)) = p.alphas.pop_front() {
+                alpha_task(&net, &store, w, d, min_node, &mut p.betas, &mut p.stats);
+            } else if let Some(a) = p.betas.pop_front() {
+                let s = process_beta_scratch(
+                    &*net,
+                    &self.mem,
+                    &store,
+                    &a,
+                    min_node,
+                    &mut p.scratch,
+                    &mut |child| p.betas.push_back(child),
+                    &mut |c| {
+                        p.stats.counters.add(Counter::CsChanges, 1);
+                        p.cs.add(c);
+                    },
+                );
+                account_beta(&net, &a, &s, &mut p.stats, profiling.then_some(&mut p.costs));
             }
         }
-        drop(store);
-        drop(net);
-        if !local_cs.is_empty() {
-            shared.cs_fold.lock().merge(local_cs);
-        }
-        if profiling && !costs.is_empty() {
-            let mut merged = shared.node_costs.lock();
-            if merged.len() < costs.len() {
-                merged.resize(costs.len(), 0);
-            }
-            for (m, c) in merged.iter_mut().zip(&costs) {
-                *m += c;
-            }
-            costs.clear();
-        }
+        let c = &mut p.stats.counters;
+        c.add(Counter::Tasks, p.stats.tasks);
         // Mirror the scheduler counters into the observability set so the
         // psme-obs JSON export carries them (zero under the paper
         // schedulers, omitted from JSON).
-        ws.counters.add(Counter::Steals, ws.queue.steals);
-        ws.counters.add(Counter::StealFails, ws.queue.steal_fails);
-        ws.counters.add(Counter::Batches, ws.queue.batches);
-        // Merge, never assign: a worker preempted between reading epoch E
-        // and joining it can run E+1's tasks inside this pass and then an
-        // empty E+1 pass before the control thread harvests — assigning
-        // would zero the counts it had just stored.
-        {
-            let mut slot = shared.worker_stats[wid].lock();
-            slot.queue.merge(&ws.queue);
-            slot.tasks = slot.tasks.saturating_add(ws.tasks);
-            slot.mem_spins = slot.mem_spins.saturating_add(ws.mem_spins);
-            slot.scanned = slot.scanned.saturating_add(ws.scanned);
-            slot.counters.merge(&ws.counters);
+        c.add(Counter::Steals, p.stats.queue.steals);
+        c.add(Counter::StealFails, p.stats.queue.steal_fails);
+        c.add(Counter::Batches, p.stats.queue.batches);
+        if profiling && !p.costs.is_empty() {
+            let mut merged = self.node_costs.lock();
+            if merged.len() < p.costs.len() {
+                merged.resize(p.costs.len(), 0);
+            }
+            for (m, c) in merged.iter_mut().zip(&p.costs) {
+                *m += c;
+            }
+            p.costs.clear();
         }
-        if shared.workers_active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = shared.done.lock();
-            shared.done_cv.notify_all();
+        helpers.is_none()
+    }
+
+    /// The round `line_batch > 1` asks for: run the waiting alpha tasks,
+    /// stage up to that many betas, group them by destination line (stable
+    /// sort keeps deque order within a group) and drain each group under a
+    /// single acquisition. Signed counting memories make the within-round
+    /// reordering commutative, so the quiescent state is unchanged.
+    fn grouped_round(
+        &self,
+        net: &ReteNetwork,
+        store: &WmeStore,
+        min_node: NodeId,
+        profiling: bool,
+        p: &mut Process,
+    ) {
+        while let Some((w, d)) = p.alphas.pop_front() {
+            p.stats.tasks += 1;
+            alpha_task(net, store, w, d, min_node, &mut p.betas, &mut p.stats);
+        }
+        let staged = self.line_batch.min(p.betas.len());
+        p.stats.tasks += staged as u64;
+        p.planned.clear();
+        p.planned.extend(p.betas.drain(..staged).map(|a| plan_beta(net, &self.mem, store, a)));
+        p.planned.sort_by_key(|b| b.line);
+        let mut cs_emitted = 0;
+        for group in p.planned.chunk_by(|a, b| a.line == b.line) {
+            process_beta_batch(
+                net,
+                &self.mem,
+                store,
+                group,
+                min_node,
+                &mut p.scratch,
+                &mut |child| p.betas.push_back(child),
+                &mut |c| {
+                    cs_emitted += 1;
+                    p.cs.add(c);
+                },
+                &mut |a, s| {
+                    account_beta(net, a, s, &mut p.stats, profiling.then_some(&mut p.costs))
+                },
+            );
+        }
+        p.stats.counters.add(Counter::CsChanges, cs_emitted);
+    }
+
+    /// The private deques are empty: give up the unit of `outstanding` this
+    /// process was `holding` for them, then look for published work. `true`
+    /// with tasks (and a unit) in hand; `false` when the process is done
+    /// with the cycle — it is quiescent, or (a helper only) nothing turned
+    /// up within two rounds of [`HELPER_SPINS`] with a yield between them.
+    ///
+    /// A hungry process spins on the `published` hint and locks a queue
+    /// only when the hint says something is in it. One that stops looking
+    /// has just seen the hint at zero or below, or had a pop come back
+    /// empty; its own additions it has seen, so nothing *it* published is
+    /// left behind: whatever is still counted belongs to a process that
+    /// still holds its unit, and process 0 never stops looking.
+    fn refill(&self, me: usize, p: &mut Process, holding: bool) -> bool {
+        if holding && self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
+            if me != 0 {
+                self.wake_control();
+            }
+            return false;
+        }
+        self.hungry.fetch_add(1, Ordering::Relaxed);
+        let mut spins = 0;
+        while self.outstanding.load(Ordering::SeqCst) != 0 {
+            // Up to a batch per visit, and no pop the hint does not cover.
+            let want = TASK_BATCH.min(self.published.load(Ordering::Relaxed).max(0) as usize);
+            if want > 0 {
+                self.queues.pop_batch(me, want, &mut p.stats.queue, |t| match t {
+                    Task::Alpha(w, d) => p.alphas.push_back((w, d)),
+                    Task::Beta(a) => p.betas.push_back(a),
+                });
+            }
+            if p.waiting() > 0 {
+                // The first task's unit of `outstanding` becomes this
+                // process's own; the others' are folded into it.
+                self.published.fetch_sub(p.waiting() as isize, Ordering::Relaxed);
+                self.outstanding.fetch_sub(p.waiting() - 1, Ordering::SeqCst);
+                break;
+            }
+            spins += 1;
+            if me != 0 && spins == HELPER_SPINS {
+                // Nobody answered. The wake-up may have put this helper on
+                // process 0's own core, ahead of it, and then nobody can:
+                // hand the core back once before concluding there is no
+                // surplus.
+                std::thread::yield_now();
+            }
+            if me != 0 && spins > 2 * HELPER_SPINS {
+                break;
+            }
+            if me == 0 && spins > CONTROL_SPINS {
+                // Process 0 cannot leave; parked, it is still hungry, and
+                // a publication wakes it.
+                self.park_control(|| {
+                    self.outstanding.load(Ordering::SeqCst) == 0
+                        || self.published.load(Ordering::Relaxed) > 0
+                });
+                spins = 0;
+            }
+            spin_loop();
+        }
+        self.hungry.fetch_sub(1, Ordering::Relaxed);
+        p.waiting() > 0
+    }
+
+    /// Donation rule: while some process is hungry and the shared queues
+    /// have been emptied, move the older half of the private tasks (at most
+    /// a few batches) there. Counted in `outstanding` before it is visible.
+    fn publish(&self, me: usize, p: &mut Process) {
+        if self.hungry.load(Ordering::Relaxed) == 0 || self.published.load(Ordering::Relaxed) > 0 {
+            return;
+        }
+        let k = (p.waiting() / 2).min(4 * TASK_BATCH);
+        let betas = k.min(p.betas.len());
+        p.surplus.extend(p.betas.drain(..betas).map(Task::Beta));
+        p.surplus.extend(p.alphas.drain(..k - betas).map(|(w, d)| Task::Alpha(w, d)));
+        self.outstanding.fetch_add(k, Ordering::SeqCst);
+        self.queues.push_batch(me, &mut p.surplus, &mut p.stats.queue);
+        self.published.fetch_add(k as isize, Ordering::Relaxed);
+        self.wake_control();
+    }
+
+    /// Process 0, out of spins, parks until `ready`; whoever changes what
+    /// `ready` reads calls [`Self::wake_control`] afterwards. The mutex
+    /// orders the two: a waker that finds nobody registered ran before the
+    /// registration, so the `ready` that follows it sees the change.
+    fn park_control(&self, ready: impl Fn() -> bool) {
+        *self.control.lock() = Some(std::thread::current());
+        while !ready() {
+            std::thread::park();
+        }
+        *self.control.lock() = None;
+    }
+
+    /// After taking `outstanding` to zero, leaving the gate last, or
+    /// publishing: process 0 may be parked on exactly that.
+    fn wake_control(&self) {
+        if let Some(control) = &*self.control.lock() {
+            control.unpark();
+        }
+    }
+}
+
+/// A helper match process: parked until called, then the same match loop
+/// as process 0, between `enter` and `leave`.
+fn helper_loop(shared: Arc<Shared>, me: usize) {
+    let mut p = Process::default();
+    let mut seen = 0;
+    loop {
+        let mut spins = 0;
+        let ticket = loop {
+            match shared.call.load(Ordering::SeqCst) {
+                SHUTDOWN => return,
+                t if t != seen => break t,
+                _ if spins < HELPER_SPINS => {
+                    spins += 1;
+                    spin_loop();
+                }
+                _ => std::thread::park(),
+            }
+        };
+        seen = ticket;
+        if !shared.gate.enter(ticket) {
+            continue; // Woke after the cycle closed.
+        }
+        shared.match_loop(me, &mut p, None);
+        debug_assert_eq!(p.waiting(), 0, "helper {me} leaves a cycle holding tasks");
+        {
+            // Before leaving: once the gate closes, process 0 harvests.
+            let mut h = shared.harvest.lock();
+            h.0.merge(&std::mem::take(&mut p.stats));
+            h.1.merge(std::mem::take(&mut p.cs));
+        }
+        if shared.gate.leave() {
+            shared.wake_control();
         }
     }
 }
@@ -290,6 +492,8 @@ fn worker_loop(shared: Arc<Shared>, wid: usize) {
 /// The PSM-E parallel match engine.
 pub struct ParallelEngine {
     shared: Arc<Shared>,
+    /// Process 0's private state; the helpers keep theirs on their stacks.
+    me: Process,
     handles: Vec<JoinHandle<()>>,
     config: EngineConfig,
     /// Per-cycle metrics log.
@@ -305,13 +509,13 @@ pub struct ParallelEngine {
 }
 
 impl ParallelEngine {
-    /// Spawn the match processes over a compiled network.
+    /// Spawn the helper match processes over a compiled network.
     pub fn new(net: ReteNetwork, config: EngineConfig) -> ParallelEngine {
         let state = psme_rete::MatchState::with_memory(config.memory_lines);
         ParallelEngine::with_state(net, state, config)
     }
 
-    /// Spawn the match processes adopting an externally owned
+    /// Spawn the helper match processes adopting an externally owned
     /// [`psme_rete::MatchState`] (working memory + token memories), e.g. a
     /// session's state handed over by the serving layer. `config.memory_lines`
     /// is ignored — the adopted state's table is used as-is.
@@ -327,35 +531,34 @@ impl ParallelEngine {
             store: RwLock::new(store),
             mem,
             queues: TaskQueues::new(config.scheduler, workers),
-            outstanding: AtomicI64::new(0),
+            outstanding: AtomicUsize::new(0),
+            published: AtomicIsize::new(0),
+            hungry: AtomicUsize::new(0),
             min_node: AtomicU32::new(0),
-            epoch: Mutex::new(0),
-            epoch_cv: Condvar::new(),
-            done: Mutex::new(()),
-            done_cv: Condvar::new(),
-            workers_active: AtomicI64::new(0),
-            shutdown: AtomicBool::new(false),
-            cs_fold: Mutex::new(CsFold::default()),
-            worker_stats: (0..workers).map(|_| Mutex::new(WorkerStats::default())).collect(),
+            gate: Gate::default(),
+            call: AtomicU64::new(0),
+            control: Mutex::new(None),
+            harvest: Mutex::default(),
             line_batch: config.line_batch.max(1),
             profile_costs: AtomicBool::new(false),
             node_costs: Mutex::new(Vec::new()),
         });
-        let handles = (0..workers)
-            .map(|wid| {
+        let handles = (1..workers)
+            .map(|me| {
                 let s = shared.clone();
                 std::thread::Builder::new()
-                    .name(format!("psm-match-{wid}"))
-                    .spawn(move || worker_loop(s, wid))
+                    .name(format!("psm-match-{me}"))
+                    .spawn(move || helper_loop(s, me))
                     .expect("spawn match process")
             })
             .collect();
         let recorder = Recorder::new();
-        // The control thread emits phase boundaries; its ring id is one
-        // past the last match process's.
+        // Only the control thread emits (phase boundaries); its ring id
+        // stays one past the last match process's.
         let trace = TraceRing::new(workers as u32, 4096, recorder.origin());
         ParallelEngine {
             shared,
+            me: Process::default(),
             handles,
             config,
             metrics: MetricsLog::default(),
@@ -365,72 +568,74 @@ impl ParallelEngine {
         }
     }
 
-    /// Number of match processes.
-    pub fn workers(&self) -> usize {
-        self.handles.len()
+    /// A control-thread trace event stamped with the current cycle.
+    fn emit(&mut self, kind: TraceKind, payload: u64) {
+        self.trace.emit(kind, SESSION_NONE, self.cycle_count, self.cycle_count, payload);
     }
 
-    /// Run a set of seed tasks to quiescence and harvest metrics + CS delta.
-    fn run_tasks(&mut self, seeds: Vec<Task>, min_node: NodeId, phase: Phase) -> CycleOutcome {
-        let s = &self.shared;
-        s.min_node.store(min_node, Ordering::Relaxed);
-        s.outstanding.store(seeds.len() as i64, Ordering::Release);
-        let mut seed_stats = QueueStats::default();
-        for (i, t) in seeds.into_iter().enumerate() {
-            // Round-robin across queues for the paper schedulers; the
-            // work-stealing injector for `WorkStealing` (the control thread
-            // must never touch a deque's owner end).
-            s.queues.push_seed(i, t, &mut seed_stats);
-        }
+    /// Number of match processes, the calling thread included.
+    pub fn workers(&self) -> usize {
+        self.handles.len() + 1
+    }
+
+    /// One cycle, as `SerialEngine::run_phase` defines it: the boundary
+    /// `seeds`, every wme change through the alpha network, and whatever
+    /// those activate, to quiescence; then harvest metrics + CS delta.
+    fn run_tasks(
+        &mut self,
+        seeds: Vec<Activation>,
+        changes: Vec<(WmeId, i32)>,
+        min_node: NodeId,
+        phase: Phase,
+    ) -> CycleOutcome {
         let cphase = match phase {
             Phase::Match => ControlPhase::Match,
             Phase::Update => ControlPhase::StateUpdate,
         };
         let span = self.recorder.start(cphase);
-        self.trace.emit(
-            TraceKind::PhaseBegin(cphase),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            0,
-        );
+        self.emit(TraceKind::PhaseBegin(cphase), 0);
         let start = Instant::now();
-        {
-            let mut e = s.epoch.lock();
-            *e += 1;
-            s.epoch_cv.notify_all();
+        let s = &*self.shared;
+        let mut called = false;
+        self.me.betas.extend(seeds);
+        self.me.alphas.extend(changes);
+        if self.me.waiting() > 0 {
+            s.min_node.store(min_node, Ordering::Relaxed);
+            s.outstanding.store(1, Ordering::SeqCst);
+            called = s.match_loop(0, &mut self.me, Some(&self.handles));
         }
-        {
-            let mut g = s.done.lock();
-            while s.outstanding.load(Ordering::Acquire) != 0
-                || s.workers_active.load(Ordering::Acquire) != 0
-            {
-                s.done_cv.wait(&mut g);
+        if called {
+            // The loop saw the counter at zero; every helper that got in
+            // notices and leaves, and the gate closes behind the last.
+            let mut spins = 0;
+            while !s.gate.try_close() {
+                spins += 1;
+                if spins > CONTROL_SPINS {
+                    s.park_control(|| s.gate.try_close());
+                    break;
+                }
+                spin_loop();
             }
         }
         let wall_ns = start.elapsed().as_nanos() as u64;
         self.recorder.finish_seq(span, self.cycle_count);
-        self.trace.emit(
-            TraceKind::PhaseEnd(cphase),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            wall_ns,
-        );
-        debug_assert!(s.queues.all_empty());
+        self.emit(TraceKind::PhaseEnd(cphase), wall_ns);
+        let s = &*self.shared;
+        debug_assert!(self.me.waiting() == 0 && s.queues.all_empty());
 
-        // Harvest.
+        // Harvest: process 0's own pass, plus the helpers' if they came.
         let mut cm = CycleMetrics {
             cycle: self.cycle_count,
             phase: Some(phase),
             wall_ns,
             ..Default::default()
         };
-        cm.queue.merge(&seed_stats);
-        for w in &s.worker_stats {
-            let mut ws = w.lock();
-            cm.absorb_worker(&ws);
-            ws.reset();
+        cm.absorb_worker(&std::mem::take(&mut self.me.stats));
+        let mut fold = std::mem::take(&mut self.me.cs);
+        if called {
+            let (stats, cs) = std::mem::take(&mut *s.harvest.lock());
+            cm.absorb_worker(&stats);
+            fold.merge(cs);
         }
         if self.config.bucket_histograms {
             // Per-cycle histograms (Figure 6-2): the incremental `end_cycle`
@@ -440,7 +645,6 @@ impl ParallelEngine {
             cm.left_bucket_accesses = counts.iter().map(|&(l, _)| l).collect();
             cm.right_bucket_accesses = counts.iter().map(|&(_, r)| r).collect();
         }
-        let fold = std::mem::take(&mut *s.cs_fold.lock());
         let net = s.net.read();
         let store = s.store.read();
         let cs = fold.into_delta(&*net, &store);
@@ -477,13 +681,16 @@ impl ParallelEngine {
 
     /// Match a batch of pre-applied wme changes.
     pub fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome {
-        // Straggler barrier: a worker that woke late for the previous cycle
-        // may still hold the store read lock with a stale `min_node`.
-        // Acquiring the write lock forces it to finish and park before the
-        // new cycle's tasks become visible.
-        drop(self.shared.store.write());
-        let seeds = changes.into_iter().map(|(w, d)| Task::Alpha(w, d)).collect();
-        self.run_tasks(seeds, 0, Phase::Match)
+        self.run_tasks(Vec::new(), changes, 0, Phase::Match)
+    }
+
+    /// The §5.2 state update for the nodes `>= first_new`: the boundary
+    /// seeds (the specially-executed last shared nodes), then an alpha
+    /// re-run of all of WM — shared by chunk addition and reorganization.
+    fn run_update(&mut self, first_new: NodeId) -> CycleOutcome {
+        let seeds = seed_update(&*self.shared.net.read(), &self.shared.mem, first_new);
+        let live = self.shared.store.read().iter_alive().map(|(id, _)| (id, 1)).collect();
+        self.run_tasks(seeds, live, first_new, Phase::Update)
     }
 
     /// Mutate the working-memory store between cycles (the Soar layer adds
@@ -500,37 +707,11 @@ impl ParallelEngine {
         org: NetworkOrg,
     ) -> Result<AddOutcome, BuildError> {
         let surgery = self.recorder.start(ControlPhase::NetworkSurgery);
-        self.trace.emit(
-            TraceKind::PhaseBegin(ControlPhase::NetworkSurgery),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            0,
-        );
-        let (add, mut seeds) = {
-            let mut net = self.shared.net.write();
-            let add = net.add_production(prod, org)?;
-            let seeds: Vec<Task> = seed_update(&*net, &self.shared.mem, add.first_new)
-                .into_iter()
-                .map(Task::Beta)
-                .collect();
-            (add, seeds)
-        };
+        self.emit(TraceKind::PhaseBegin(ControlPhase::NetworkSurgery), 0);
+        let add = self.shared.net.write().add_production(prod, org)?;
         let surgery_ns = self.recorder.finish_seq(surgery, self.cycle_count);
-        self.trace.emit(
-            TraceKind::PhaseEnd(ControlPhase::NetworkSurgery),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            surgery_ns,
-        );
-        {
-            let store = self.shared.store.read();
-            for (id, _) in store.iter_alive() {
-                seeds.push(Task::Alpha(id, 1));
-            }
-        }
-        let out = self.run_tasks(seeds, add.first_new, Phase::Update);
+        self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), surgery_ns);
+        let out = self.run_update(add.first_new);
         Ok(AddOutcome { add, update_tasks: out.tasks, cs: out.cs })
     }
 
@@ -568,84 +749,30 @@ impl ParallelEngine {
         org: NetworkOrg,
     ) -> Result<psme_rete::ReorgOutcome, BuildError> {
         let surgery = self.recorder.start(ControlPhase::NetworkSurgery);
-        self.trace.emit(
-            TraceKind::PhaseBegin(ControlPhase::NetworkSurgery),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            0,
-        );
-        self.trace.emit(
-            TraceKind::ReorgPlanned,
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            u64::from(prod_idx),
-        );
-        let built = {
-            let mut net = self.shared.net.write();
-            match net.reorg_build(prod_idx, org) {
-                Ok(rb) => {
-                    let seeds: Vec<Task> = seed_update(&*net, &self.shared.mem, rb.first_new)
-                        .into_iter()
-                        .map(Task::Beta)
-                        .collect();
-                    Ok((rb, seeds))
-                }
-                Err(e) => Err(e),
-            }
-        };
-        let (rb, mut seeds) = match built {
-            Ok(v) => v,
+        self.emit(TraceKind::PhaseBegin(ControlPhase::NetworkSurgery), 0);
+        self.emit(TraceKind::ReorgPlanned, u64::from(prod_idx));
+        let built = self.shared.net.write().reorg_build(prod_idx, org);
+        let rb = match built {
+            Ok(rb) => rb,
             Err(e) => {
                 // Rolled back inside reorg_build: the live chain is intact.
                 let ns = self.recorder.finish_seq(surgery, self.cycle_count);
-                self.trace.emit(
-                    TraceKind::ReorgRolledBack,
-                    SESSION_NONE,
-                    self.cycle_count,
-                    self.cycle_count,
-                    u64::from(prod_idx),
-                );
-                self.trace.emit(
-                    TraceKind::PhaseEnd(ControlPhase::NetworkSurgery),
-                    SESSION_NONE,
-                    self.cycle_count,
-                    self.cycle_count,
-                    ns,
-                );
+                self.emit(TraceKind::ReorgRolledBack, u64::from(prod_idx));
+                self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), ns);
                 return Err(e);
             }
         };
         let surgery_ns = self.recorder.finish_seq(surgery, self.cycle_count);
-        self.trace.emit(
-            TraceKind::PhaseEnd(ControlPhase::NetworkSurgery),
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            surgery_ns,
-        );
-        {
-            let store = self.shared.store.read();
-            for (id, _) in store.iter_alive() {
-                seeds.push(Task::Alpha(id, 1));
-            }
-        }
+        self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), surgery_ns);
         let first_new = rb.first_new;
         let p_node = rb.p_node;
-        let out = self.run_tasks(seeds, first_new, Phase::Update);
+        let out = self.run_update(first_new);
         let retired = {
             let mut net = self.shared.net.write();
             net.reorg_commit(rb)
         };
         self.shared.mem.purge_nodes(&retired);
-        self.trace.emit(
-            TraceKind::ReorgCommitted,
-            SESSION_NONE,
-            self.cycle_count,
-            self.cycle_count,
-            u64::from(prod_idx),
-        );
+        self.emit(TraceKind::ReorgCommitted, u64::from(prod_idx));
         if let Some(cm) = self.metrics.cycles.last_mut() {
             cm.counters.add(Counter::Reorganizations, 1);
         }
@@ -683,14 +810,16 @@ impl ParallelEngine {
 
 impl Drop for ParallelEngine {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let mut e = self.shared.epoch.lock();
-            *e += 1;
-            self.shared.epoch_cv.notify_all();
-        }
+        self.shared.call.store(SHUTDOWN, Ordering::SeqCst);
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            h.thread().unpark();
+            // A helper's panic is this engine's: surface it, unless this
+            // drop is itself part of an unwind.
+            if let Err(panic) = h.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
         }
     }
 }
@@ -700,7 +829,7 @@ impl std::fmt::Debug for ParallelEngine {
         write!(
             f,
             "ParallelEngine({} workers, {:?}, {} cycles)",
-            self.handles.len(),
+            self.workers(),
             self.shared.queues.scheduler(),
             self.cycle_count
         )

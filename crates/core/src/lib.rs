@@ -8,8 +8,11 @@
 //!   per match process with cycling search, or per-worker Chase–Lev
 //!   work-stealing deques with batched activation transfer
 //!   ([`queue`], [`deque`]),
-//! * long-lived **match processes** coordinated with the control thread by
-//!   an outstanding-task counter and epoch condvars ([`engine`]),
+//! * **match processes** of which the first is the calling thread: one
+//!   match loop over private deques, an outstanding-work counter, and
+//!   long-lived helpers called in through a cycle gate only when the
+//!   frontier is wide ([`engine`]; `EngineConfig::workers` includes the
+//!   caller),
 //! * hashed memories with per-line locks (from `psme-rete`), so
 //!   simultaneous left/right activations at a node are linearizable,
 //! * **parallel run-time production addition**: the §5.1 compile followed
@@ -55,6 +58,7 @@
 
 pub mod deque;
 pub mod engine;
+mod gate;
 pub mod metrics;
 pub mod queue;
 pub mod traits;

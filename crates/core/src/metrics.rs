@@ -115,9 +115,14 @@ pub struct WorkerStats {
 }
 
 impl WorkerStats {
-    /// Reset for a new cycle.
-    pub fn reset(&mut self) {
-        *self = WorkerStats::default();
+    /// Fold another process's stats in (saturating, as
+    /// [`CycleMetrics::absorb_worker`]).
+    pub fn merge(&mut self, o: &WorkerStats) {
+        self.queue.merge(&o.queue);
+        self.tasks = self.tasks.saturating_add(o.tasks);
+        self.mem_spins = self.mem_spins.saturating_add(o.mem_spins);
+        self.scanned = self.scanned.saturating_add(o.scanned);
+        self.counters.merge(&o.counters);
     }
 }
 

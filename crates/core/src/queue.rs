@@ -18,9 +18,9 @@
 //!   locks, idle workers steal from a randomized victim's top with a single
 //!   CAS, and activations move in small batches (batched bottom publication,
 //!   batched injector drains, steal bursts) to amortize queue traffic and
-//!   cache misses. Seeds from the control thread enter through a spin-locked
-//!   *injector* queue, since only the owning worker may touch a deque's
-//!   bottom.
+//!   cache misses. Tasks from a thread that owns no deque enter through a
+//!   spin-locked *injector* queue, since only the owning worker may touch a
+//!   deque's bottom.
 //!
 //! The paper schedulers' locks are instrumented TTAS spin locks so
 //! spins-per-access — the paper's contention metric — is measured, not
@@ -28,12 +28,17 @@
 //! batch counters.
 //!
 //! **Thread discipline** (matters only for `WorkStealing`): for a given
-//! worker index `w`, [`TaskQueues::push`], [`TaskQueues::push_batch`] and
-//! [`TaskQueues::pop`] must not be called from two threads concurrently —
+//! worker index `w`, [`TaskQueues::push`], [`TaskQueues::push_batch`],
+//! [`TaskQueues::pop`] and [`TaskQueues::pop_batch`] must not be called
+//! from two threads concurrently —
 //! the engine guarantees this by construction (worker `w` is one OS
-//! thread), and single-threaded tests satisfy it trivially.
-//! [`TaskQueues::push_seed`] is the control thread's entry point and is
-//! safe concurrently with everything.
+//! thread; worker 0 is whichever thread holds `&mut ParallelEngine`), and
+//! single-threaded tests satisfy it trivially.
+//! [`TaskQueues::push_seed`] is the entry point of a thread that owns no
+//! queue (the serving layer's admission) and is safe concurrently with
+//! everything. The match engine queues only what a process *publishes*:
+//! a cycle's seeds and most children stay in the processes' private deques
+//! ([`crate::engine`]).
 
 use crate::deque::{Steal, WsDeque};
 use psme_ops::WmeId;
@@ -206,16 +211,20 @@ impl<T> TaskQueues<T> {
         }
     }
 
-    /// Push a batch of tasks from `worker`. For the locked schedulers this
-    /// is a plain push loop — bit-identical behaviour and accounting to the
-    /// paper configurations. For `WorkStealing` the whole batch is written
-    /// and published with a single release store of the deque bottom.
+    /// Push a batch of tasks from `worker`: under one lock acquisition for
+    /// the locked schedulers (the queue ends up as after a push loop, at one
+    /// acquisition's spins), and for `WorkStealing` written and published
+    /// with a single release store of the deque bottom.
     pub fn push_batch(&self, worker: usize, tasks: &mut Vec<T>, stats: &mut QueueStats) {
         match &self.q {
-            Queues::Locked(_) => {
-                for t in tasks.drain(..) {
-                    self.push(worker, t, stats);
+            Queues::Locked(queues) => {
+                if tasks.is_empty() {
+                    return;
                 }
+                let (mut g, spins) = queues[self.home(worker)].lock();
+                stats.push_spins += spins;
+                stats.pushes += tasks.len() as u64;
+                g.extend(tasks.drain(..));
             }
             Queues::Stealing { deques, .. } => {
                 let k = tasks.len() as u64;
@@ -336,6 +345,51 @@ impl<T> TaskQueues<T> {
                 }
                 stats.failed_pops += 1;
                 None
+            }
+        }
+    }
+
+    /// Pop up to `max` tasks for `worker` into `sink`; returns how many.
+    ///
+    /// * Locked schedulers: the search of [`Self::pop`], but everything
+    ///   comes from the first non-empty queue under that one acquisition —
+    ///   a batch costs one lock (and one failed pop per empty queue passed)
+    ///   instead of one per task.
+    /// * `WorkStealing`: [`Self::pop`] already moves tasks in batches.
+    pub fn pop_batch(
+        &self,
+        worker: usize,
+        max: usize,
+        stats: &mut QueueStats,
+        mut sink: impl FnMut(T),
+    ) -> usize {
+        match &self.q {
+            Queues::Locked(queues) => {
+                let n = queues.len();
+                let home = self.home(worker);
+                for i in 0..n {
+                    let (mut g, spins) = queues[(home + i) % n].lock();
+                    stats.pop_spins += spins;
+                    let k = max.min(g.len());
+                    if k > 0 {
+                        stats.pops += k as u64;
+                        g.drain(..k).for_each(&mut sink);
+                        return k;
+                    }
+                    stats.failed_pops += 1;
+                }
+                0
+            }
+            Queues::Stealing { .. } => {
+                let mut k = 0;
+                while k < max {
+                    match self.pop(worker, stats) {
+                        Some(t) => sink(t),
+                        None => break,
+                    }
+                    k += 1;
+                }
+                k
             }
         }
     }
@@ -553,6 +607,32 @@ mod tests {
                 assert_eq!(s.batches, 0, "paper schedulers unchanged");
             }
         }
+    }
+
+    #[test]
+    fn pop_batch_takes_one_queue_under_one_acquisition() {
+        let q = TaskQueues::new(Scheduler::MultiQueue, 3);
+        let mut s = QueueStats::default();
+        let mut batch: Vec<Task> = (0..10).map(beta).collect();
+        q.push_batch(1, &mut batch, &mut s);
+        // Worker 0: its own queue is empty (one failed pop), worker 1's is
+        // next in the cycle and gives up to `max`, in order.
+        let mut got = Vec::new();
+        let mut s = QueueStats::default();
+        assert_eq!(q.pop_batch(0, 4, &mut s, |t| got.push(node_of(Some(t)))), 4);
+        assert_eq!(got, [0, 1, 2, 3]);
+        assert_eq!((s.pops, s.failed_pops), (4, 1));
+        assert_eq!(q.pop_batch(1, 100, &mut s, |_| {}), 6, "never more than the queue holds");
+        assert_eq!(q.pop_batch(1, 100, &mut s, |_| {}), 0);
+        assert_eq!((s.pops, s.failed_pops), (10, 4), "three empty queues passed");
+        // Work stealing: `pop` already batches; `pop_batch` just repeats it.
+        let q = TaskQueues::new(Scheduler::WorkStealing, 3);
+        let mut batch: Vec<Task> = (0..10).map(beta).collect();
+        q.push_batch(1, &mut batch, &mut s);
+        let mut n = 0;
+        while q.pop_batch(0, 4, &mut s, |_| n += 1) > 0 {}
+        assert_eq!(n, 10);
+        assert!(q.all_empty());
     }
 
     #[test]

@@ -46,8 +46,9 @@ proptest! {
     }
 
     /// The parallel engine matches correctly for any (scheduler, workers,
-    /// memory-lines) configuration on a small random workload — a compact
-    /// complement to the full differential suite.
+    /// memory-lines) configuration on a small random workload — one cycle
+    /// that process 0 runs alone, or one wide enough that it calls the
+    /// helpers in — a compact complement to the full differential suite.
     #[test]
     fn engine_config_space(
         seed in 0u64..500,
@@ -55,6 +56,7 @@ proptest! {
         single in prop::bool::ANY,
         tiny_memory in prop::bool::ANY,
         line_batch in 1usize..32,
+        wide in prop::bool::ANY,
     ) {
         let sys = random_system(seed, GenConfig { productions: 4, ..GenConfig::default() });
         let mut net = ReteNetwork::new();
@@ -69,7 +71,8 @@ proptest! {
             line_batch,
         });
         let mut rng = XorShift::new(seed ^ 0xBEEF);
-        let adds: Vec<_> = (0..6).map(|_| sys.random_wme(&mut rng)).collect();
+        let n_add = if wide { 96 } else { 6 };
+        let adds: Vec<_> = (0..n_add).map(|_| sys.random_wme(&mut rng)).collect();
         eng.apply_changes(adds, vec![]);
         let expected = psme_rete::naive::match_all(
             sys.productions.iter(),

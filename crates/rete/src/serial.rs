@@ -343,7 +343,6 @@ impl<N: ReteView> SerialEngine<N> {
         while let Some((act, parent)) = queue.pop_front() {
             let tid = *next_task;
             *next_task += 1;
-            let mut pending: Vec<Activation> = Vec::new();
             let t0 = self.capture.then(std::time::Instant::now);
             let stats = process_beta_scratch(
                 &self.net,
@@ -352,12 +351,9 @@ impl<N: ReteView> SerialEngine<N> {
                 &act,
                 min_node,
                 &mut self.scratch,
-                &mut |a| pending.push(a),
+                &mut |a| queue.push_back((a, Some(tid))),
                 &mut |c| cs_fold.add(c),
             );
-            for a in pending {
-                queue.push_back((a, Some(tid)));
-            }
             if self.profile_costs {
                 let node = act.node as usize;
                 if self.node_costs.len() <= node {

@@ -101,7 +101,7 @@ fn eight_puzzle_after_chunking_matches_serial_under_work_stealing() {
 fn eight_puzzle_learning_is_deterministic_across_ws_worker_counts() {
     let task = eight_puzzle(&scrambled(4, 21));
     let (ser, _) = run_serial(&task, RunMode::DuringChunking, false);
-    for workers in [1usize, 2, 8] {
+    for workers in [1usize, 2, 4, 8] {
         let (par, _) = run_parallel(
             &task,
             RunMode::DuringChunking,
@@ -112,11 +112,11 @@ fn eight_puzzle_learning_is_deterministic_across_ws_worker_counts() {
 }
 
 /// Oversubscription regression. When runnable match processes far
-/// outnumber cores, a worker can be preempted between reading an epoch and
-/// joining it, then run the *next* cycle's tasks inside that late pass and
-/// an empty pass of its own before the control thread harvests. Its
-/// metrics slot must accumulate over both passes: when the second pass
-/// overwrote the slot, per-cycle task counts (summed into `update_tasks`)
+/// outnumber cores, a process can be preempted anywhere — between being
+/// called for a cycle and joining it, say, waking when that cycle has
+/// closed and the next is open. Before PR 17's gate such a worker ran the
+/// *next* cycle's tasks inside its late pass and then zeroed its own
+/// metrics slot: per-cycle task counts (summed into `update_tasks`)
 /// undercounted while every match result stayed right. The three
 /// schedulers run concurrently so the box stays oversubscribed throughout.
 #[test]

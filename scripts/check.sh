@@ -27,45 +27,66 @@ run_step() {
 fail=0
 run_step "build" cargo build --release || fail=1
 run_step "test" cargo test -q --workspace || fail=1
-# Each layer's differential / property gate, run by name so a filtered or
-# partial test invocation can't skip it: "step name|package|test target".
-named_suites=(
-    # Cross-scheduler equality: the gate for scheduler changes.
-    "scheduler differential|psme-core|scheduler_differential"
+# Each layer's differential / property gate must be among the test binaries
+# the step above ran — a suite that was deleted, renamed, or dropped from its
+# crate's targets fails here: "what it gates|test source".
+required_suites=(
+    # Cross-scheduler equality: the gate for scheduler changes; the parallel
+    # engine against the serial one and the naive oracle, on cycles process
+    # 0 runs alone and on cycles wide enough to call the helpers in.
+    "scheduler differential|crates/core/tests/scheduler_differential.rs"
+    "parallel differential|crates/core/tests/parallel_differential.rs"
+    # A whole learning run on the parallel engine == the serial one, under
+    # every scheduler and oversubscribed.
+    "work-stealing soak|crates/tasks/tests/ws_soak.rs"
     # Indexed alpha classifier == the linear oracle.
-    "alpha differential|psme-rete|proptest_alpha"
+    "alpha differential|crates/rete/tests/proptest_alpha.rs"
     # Indexed hash-first beta probe == the reference whole-line scan over
     # random add/delete interleavings.
-    "memory differential|psme-rete|proptest_memory"
+    "memory differential|crates/rete/tests/proptest_memory.rs"
     # N concurrent sessions over one shared topology == N solo runs,
     # bit for bit, including mid-run chunk learning.
-    "serve isolation|psme-serve|serve_isolation"
+    "serve isolation|crates/serve/tests/serve_isolation.rs"
     # Trace ring/merge/export invariants, and the serving loop's flight
     # recorder (seeded overload must dump its sheds).
-    "trace properties|psme-obs|proptest_trace"
-    "trace flight|psme-serve|trace_flight"
+    "trace properties|crates/obs/tests/proptest_trace.rs"
+    "trace flight|crates/serve/tests/trace_flight.rs"
     # Snapshot->restore is bit-for-bit (corrupt bytes are typed errors,
     # never panics); hibernated/resumed sessions finish identical to
     # continuously-live and solo runs.
-    "snapshot round-trip|psme-rete|proptest_snapshot"
-    "serve hibernate|psme-serve|serve_hibernate"
+    "snapshot round-trip|crates/rete/tests/proptest_snapshot.rs"
+    "serve hibernate|crates/serve/tests/serve_hibernate.rs"
     # A sharded run (cross-shard stealing, per-shard tier stores) == the
     # single-shard loop == solo runs.
-    "serve shard differential|psme-serve|serve_shard"
+    "serve shard differential|crates/serve/tests/serve_shard.rs"
     # Every wire frame round-trips (truncation/corruption is a typed error,
     # never a panic); loopback TCP == in-process serve() under all three
     # schedulers.
-    "wire proptests|psme-net|proptest_wire"
-    "net loopback differential|psme-net|net_loopback"
+    "wire proptests|crates/net/tests/proptest_wire.rs"
+    "net loopback differential|crates/net/tests/net_loopback.rs"
     # A mid-run bilinear rebuild is observationally invisible; detector and
     # surgery invariants hold over random topologies.
-    "reorg differential|psme-serve|reorg_differential"
-    "reorg proptests|psme-rete|proptest_reorg"
+    "reorg differential|crates/serve/tests/reorg_differential.rs"
+    "reorg proptests|crates/rete/tests/proptest_reorg.rs"
 )
-for entry in "${named_suites[@]}"; do
-    IFS='|' read -r name pkg suite <<<"$entry"
-    run_step "$name" cargo test -q -p "$pkg" --test "$suite" || fail=1
-done
+# One compiler-artifact line per built target; nothing is rebuilt. A test
+# target is identified by its source file, which cargo reports as an
+# absolute path whatever form the package id takes.
+if built=$(CARGO_NET_OFFLINE=true cargo test -q --workspace --no-run --message-format=json); then
+    for entry in "${required_suites[@]}"; do
+        IFS='|' read -r name src <<<"$entry"
+        if grep -F "\"src_path\":\"$PWD/${src}\"" <<<"$built" | grep -F '"kind":["test"]' \
+            | grep -qF '"executable":"/'; then
+            echo "==> ${name}: ${src} was built and run"
+        else
+            echo "!! ${name}: no test binary for ${src}" >&2
+            fail=1
+        fi
+    done
+else
+    echo "!! test binaries did not build; required suites not checked" >&2
+    fail=1
+fi
 
 # The repo benchmark (benchmark/, a package outside the workspace) calls
 # `pub` items of crates/*: build it, so a change that breaks the driver's
