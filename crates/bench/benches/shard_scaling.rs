@@ -1,5 +1,5 @@
 //! Sharded-serving scaling: aggregate sessions/sec past the single-bus
-//! knee, plus the line-lock batching payoff in the match engine.
+//! knee.
 //!
 //! Three parts, one artifact (`BENCH_shard_scaling.json`):
 //!
@@ -17,26 +17,21 @@
 //!   pools drain at different times; the model reports how many dispatches
 //!   the idle pools serve by stealing, and what that does to throughput.
 //! * **Host measurement** — a real [`psme_serve::serve`] run at feasible
-//!   sizes (host cores, wall clock), sharded vs not, with the engine-side
-//!   line-lock batching differential: the same task, same schedule, with
-//!   batching off (`line_batch: 1`, the paper's one-acquisition-per-
-//!   activation discipline) vs on, on a memory-heavy table (few lines, so
-//!   same-line groups are large). The `line_lock_acquisitions` counter
-//!   must drop ≥ 2×.
+//!   sizes (host cores, wall clock), sharded vs not.
 //!
-//! Acceptance gates (asserted here and re-checked by `scripts/check.sh`
+//! Acceptance gate (asserted here and re-checked by `scripts/check.sh`
 //! from the committed artifact): 4 shards ≥ 2× one shard at 8 workers per
-//! shard in the DES, and the batched acquire count ≤ half the unbatched.
+//! shard in the DES.
 
 use psme_bench::*;
-use psme_core::{EngineConfig, Scheduler};
-use psme_obs::{Counter, Json};
+use psme_core::Scheduler;
+use psme_obs::Json;
 use psme_serve::{
     build_topology, serve, simulate_serve_sharded, DesConfig, DesShardConfig, ServeConfig,
     SessionSpec, ShardConfig,
 };
 use psme_sim::{simulate_cycle, SimConfig, SimScheduler};
-use psme_tasks::{cypress_sub, eight_puzzle, run_parallel, scrambled, CypressConfig, RunMode};
+use psme_tasks::{eight_puzzle, scrambled, RunMode};
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const WPS_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -186,7 +181,7 @@ fn main() {
         &steal_rows,
     );
 
-    // Part 3a: host measurement at feasible sizes.
+    // Part 3: host measurement at feasible sizes.
     let specs: Vec<SessionSpec> = (0..24)
         .map(|seed| SessionSpec {
             name: format!("host-{seed}"),
@@ -224,42 +219,6 @@ fn main() {
         ]));
     }
 
-    // Part 3b: line-lock batching differential on the memory-heavy config.
-    // Cypress-substitute at 4 roots without chunking re-derives every deep
-    // tie chain from scratch, so its match waves flood whole broods of
-    // same-destination activations into the queue at once; 2 memory lines
-    // concentrate them, and a worker draining a wave whole collapses it to
-    // one or two lock acquisitions. (The narrow-wave tasks — eight-puzzle,
-    // strips — batch far less: their rounds average ~1.3 activations.)
-    let task = cypress_sub(&CypressConfig { roots: 4 });
-    let heavy = |line_batch: usize| EngineConfig {
-        workers: 1,
-        scheduler: Scheduler::SingleQueue,
-        memory_lines: 2,
-        line_batch,
-        ..Default::default()
-    };
-    let (unbatched_report, unbatched_engine) =
-        run_parallel(&task, RunMode::WithoutChunking, heavy(1));
-    let (batched_report, batched_engine) =
-        run_parallel(&task, RunMode::WithoutChunking, heavy(64));
-    assert_eq!(
-        unbatched_report.stats.decisions, batched_report.stats.decisions,
-        "batching must not change the run"
-    );
-    let unbatched = unbatched_engine.metrics.total_counters().get(Counter::LineLockAcquisitions);
-    let batched = batched_engine.metrics.total_counters().get(Counter::LineLockAcquisitions);
-    let acquire_ratio = unbatched as f64 / batched.max(1) as f64;
-    println!(
-        "line-lock acquisitions (2 lines, 1 worker): unbatched {unbatched}, \
-         batched {batched} = {acquire_ratio:.2}x fewer (need >= 2x)"
-    );
-    assert!(
-        acquire_ratio >= 2.0,
-        "line-lock batching on the memory-heavy config must at least halve \
-         acquisitions: {unbatched} -> {batched} ({acquire_ratio:.2}x)"
-    );
-
     emit_artifact(
         "shard_scaling",
         &Json::obj([
@@ -292,19 +251,6 @@ fn main() {
             ),
             ("steal_curve", Json::arr(steal_points)),
             ("host", Json::arr(host_points)),
-            (
-                "line_lock",
-                Json::obj([
-                    ("task", Json::from("cypress-sub roots=4, without chunking")),
-                    ("memory_lines", Json::from(2u64)),
-                    ("workers", Json::from(1u64)),
-                    ("line_batch", Json::from(64u64)),
-                    ("unbatched_acquisitions", Json::from(unbatched)),
-                    ("batched_acquisitions", Json::from(batched)),
-                    ("ratio", Json::float(acquire_ratio)),
-                    ("required", Json::float(2.0)),
-                ]),
-            ),
         ]),
     );
 }

@@ -14,7 +14,7 @@
 //! [`ParallelEngine::run_changes`] — process 0 — runs it first, on the
 //! cycle's seeds; the `workers − 1` *helper* threads run the same function,
 //! but only once process 0 has [`WIDE_AT`] tasks waiting and calls them in
-//! through the [`Gate`]. Every process pops rounds from a
+//! through the [`Gate`]. Every process pops tasks from a
 //! **private deque** and pushes children back on it — no lock, no atomic;
 //! only surplus goes through the shared [`TaskQueues`], in batches, and only
 //! while some process is *hungry* (has run dry and is looking).
@@ -35,10 +35,9 @@ use parking_lot::{Mutex, RwLock};
 use psme_obs::{ControlPhase, Counter, Recorder, TraceKind, TraceRing, SESSION_NONE};
 use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
-    instantiations_from_memories, plan_beta, process_beta_batch, process_beta_scratch,
-    process_wme_change, seed_update, ActStats, Activation, AddOutcome, BetaScratch, BuildError,
-    CsFold, CycleOutcome, MemoryTable, NetworkOrg, NodeId, NodeKind, Phase, PlannedBeta,
-    ReteNetwork, WmeStore,
+    instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update, ActStats,
+    Activation, AddOutcome, BetaScratch, BuildError, CsFold, CycleOutcome, MemoryTable, NetworkOrg,
+    NodeId, NodeKind, Phase, ReteNetwork, WmeStore,
 };
 use std::collections::VecDeque;
 use std::hint::spin_loop;
@@ -59,14 +58,6 @@ pub struct EngineConfig {
     pub memory_lines: usize,
     /// Collect per-line bucket access histograms each cycle (Figure 6-2).
     pub bucket_histograms: bool,
-    /// Line-lock batching: a process takes up to this many tasks from its
-    /// private deque per round, groups the beta activations by destination
-    /// memory line, and processes each group under a single lock
-    /// acquisition (`Counter::LineLockAcquisitions` records the paid
-    /// acquisitions). 1 — the default, and the paper's discipline — is one
-    /// acquisition per activation, by the direct call the serial engine
-    /// makes.
-    pub line_batch: usize,
 }
 
 /// Process 0 calls the helpers into a cycle once it has this many tasks
@@ -84,7 +75,6 @@ impl Default for EngineConfig {
             scheduler: Scheduler::MultiQueue,
             memory_lines: 4096,
             bucket_histograms: false,
-            line_batch: 1,
         }
     }
 }
@@ -114,8 +104,7 @@ struct Process {
     /// Reusable beta-scan scratch: survives across tasks and cycles, so
     /// the steady state allocates nothing per activation.
     scratch: BetaScratch,
-    /// Staging for the grouped round and for publication.
-    planned: Vec<PlannedBeta>,
+    /// Staging for publication.
     surplus: Vec<Task>,
     /// This pass's counters, conflict-set fold (folded per emission, so
     /// the control thread sorts only the net nonzero entries) and, when
@@ -160,7 +149,6 @@ struct Shared {
     control: Mutex<Option<Thread>>,
     /// What the helpers hand process 0 at the gate.
     harvest: Mutex<(WorkerStats, CsFold)>,
-    line_batch: usize,
     /// Adaptive-reorg cost profiling: when armed, processes accumulate
     /// per-node activation costs locally and merge them here at the end of
     /// their pass (one lock acquisition per process per cycle, zero
@@ -214,7 +202,7 @@ fn account_beta(
     c.add(Counter::EntriesSkipped, s.skipped as u64);
     c.add(Counter::Emitted, s.emitted as u64);
     c.add(Counter::MemSpins, s.spins);
-    c.add(Counter::LineLockAcquisitions, s.acquires as u64);
+    c.add(Counter::LineLockAcquisitions, u64::from(s.line.is_some()));
     // A childless two-input activation is a null activation in the paper's
     // accounting.
     if s.emitted == 0 && matches!(net.node(a.node).kind, NodeKind::Join | NodeKind::Neg) {
@@ -223,7 +211,7 @@ fn account_beta(
 }
 
 impl Shared {
-    /// One match process's pass over one cycle: rounds off the private
+    /// One match process's pass over one cycle: tasks off the private
     /// deque until it and the shared queues have nothing for this process.
     ///
     /// `helpers` is `Some` for process 0 until it has called them in; the
@@ -262,11 +250,7 @@ impl Shared {
                 None if waiting > 1 => self.publish(me, p),
                 _ => {}
             }
-            if self.line_batch > 1 {
-                self.grouped_round(&net, &store, min_node, profiling, p);
-                continue;
-            }
-            // A round of one: the serial engine's call.
+            // One task, by the call the serial engine makes.
             p.stats.tasks += 1;
             if let Some((w, d)) = p.alphas.pop_front() {
                 alpha_task(&net, &store, w, d, min_node, &mut p.betas, &mut p.stats);
@@ -306,50 +290,6 @@ impl Shared {
             p.costs.clear();
         }
         helpers.is_none()
-    }
-
-    /// The round `line_batch > 1` asks for: run the waiting alpha tasks,
-    /// stage up to that many betas, group them by destination line (stable
-    /// sort keeps deque order within a group) and drain each group under a
-    /// single acquisition. Signed counting memories make the within-round
-    /// reordering commutative, so the quiescent state is unchanged.
-    fn grouped_round(
-        &self,
-        net: &ReteNetwork,
-        store: &WmeStore,
-        min_node: NodeId,
-        profiling: bool,
-        p: &mut Process,
-    ) {
-        while let Some((w, d)) = p.alphas.pop_front() {
-            p.stats.tasks += 1;
-            alpha_task(net, store, w, d, min_node, &mut p.betas, &mut p.stats);
-        }
-        let staged = self.line_batch.min(p.betas.len());
-        p.stats.tasks += staged as u64;
-        p.planned.clear();
-        p.planned.extend(p.betas.drain(..staged).map(|a| plan_beta(net, &self.mem, store, a)));
-        p.planned.sort_by_key(|b| b.line);
-        let mut cs_emitted = 0;
-        for group in p.planned.chunk_by(|a, b| a.line == b.line) {
-            process_beta_batch(
-                net,
-                &self.mem,
-                store,
-                group,
-                min_node,
-                &mut p.scratch,
-                &mut |child| p.betas.push_back(child),
-                &mut |c| {
-                    cs_emitted += 1;
-                    p.cs.add(c);
-                },
-                &mut |a, s| {
-                    account_beta(net, a, s, &mut p.stats, profiling.then_some(&mut p.costs))
-                },
-            );
-        }
-        p.stats.counters.add(Counter::CsChanges, cs_emitted);
     }
 
     /// The private deques are empty: give up the unit of `outstanding` this
@@ -539,7 +479,6 @@ impl ParallelEngine {
             call: AtomicU64::new(0),
             control: Mutex::new(None),
             harvest: Mutex::default(),
-            line_batch: config.line_batch.max(1),
             profile_costs: AtomicBool::new(false),
             node_costs: Mutex::new(Vec::new()),
         });

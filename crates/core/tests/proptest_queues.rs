@@ -55,7 +55,6 @@ proptest! {
         workers in 1usize..6,
         single in prop::bool::ANY,
         tiny_memory in prop::bool::ANY,
-        line_batch in 1usize..32,
         wide in prop::bool::ANY,
     ) {
         let sys = random_system(seed, GenConfig { productions: 4, ..GenConfig::default() });
@@ -68,7 +67,6 @@ proptest! {
             scheduler: if single { Scheduler::SingleQueue } else { Scheduler::MultiQueue },
             memory_lines: if tiny_memory { 1 } else { 1024 },
             bucket_histograms: false,
-            line_batch,
         });
         let mut rng = XorShift::new(seed ^ 0xBEEF);
         let n_add = if wide { 96 } else { 6 };

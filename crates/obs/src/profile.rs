@@ -289,7 +289,6 @@ mod tests {
             probes: 0,
             emitted,
             line: Some(0),
-            acquires: 1,
             wall_ns: 100,
         }
     }

@@ -138,26 +138,6 @@ impl Recorder {
         self.origin
     }
 
-    /// The retained spans re-expressed against another origin (e.g. a serve
-    /// run's shared trace origin), so per-agent phase spans can be folded
-    /// into a merged trace. Spans predating `origin` clamp to 0.
-    pub fn rebased_spans(&self, origin: Instant) -> Vec<SpanRecord> {
-        let forward = self.origin.checked_duration_since(origin).map(|d| d.as_nanos() as u64);
-        let back = origin.checked_duration_since(self.origin).map(|d| d.as_nanos() as u64);
-        self.spans
-            .iter()
-            .map(|s| {
-                let mut s = *s;
-                s.start_ns = match (forward, back) {
-                    (Some(f), _) => s.start_ns.saturating_add(f),
-                    (None, Some(b)) => s.start_ns.saturating_sub(b),
-                    (None, None) => s.start_ns,
-                };
-                s
-            })
-            .collect()
-    }
-
     /// Open a span. Does not record anything until finished.
     pub fn start(&self, phase: ControlPhase) -> SpanHandle {
         SpanHandle { phase, start: Instant::now() }
@@ -311,10 +291,7 @@ pub enum Counter {
     Emitted,
     /// Memory-line lock spins.
     MemSpins,
-    /// Memory-line lock acquisitions. One per line-touching activation
-    /// unbatched; line-lock batching drains a group of same-line
-    /// activations under a single acquisition, so this counter is the
-    /// direct evidence of the reduction.
+    /// Memory-line lock acquisitions: one per line-touching activation.
     LineLockAcquisitions,
     /// Conflict-set changes produced.
     CsChanges,
@@ -506,25 +483,6 @@ mod tests {
         assert_eq!(a.get(Counter::Batches), 2);
         let j = a.to_json();
         assert_eq!(j.get("batches").and_then(|v| v.as_u64()), Some(2));
-    }
-
-    #[test]
-    fn rebased_spans_shift_to_the_new_origin() {
-        let run_origin = Instant::now();
-        let mut r = Recorder::new(); // origin strictly after run_origin
-        let h = r.start(ControlPhase::Match);
-        r.finish_seq(h, 3);
-        let rebased = r.rebased_spans(run_origin);
-        assert_eq!(rebased.len(), 1);
-        assert!(
-            rebased[0].start_ns >= r.spans[0].start_ns,
-            "a later private origin shifts spans forward"
-        );
-        assert_eq!(rebased[0].dur_ns, r.spans[0].dur_ns);
-        assert_eq!(rebased[0].seq, 3);
-        // Rebasing onto its own origin is the identity.
-        let same = r.rebased_spans(r.origin());
-        assert_eq!(same[0].start_ns, r.spans[0].start_ns);
     }
 
     #[test]

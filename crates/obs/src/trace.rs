@@ -191,11 +191,6 @@ pub struct TraceConfig {
     /// Bound on the merged run-level log (0 = unbounded). Overflow drops
     /// oldest, counted.
     pub merged_cap: usize,
-    /// Also fold each retired session's control-phase spans into the trace
-    /// (B/E pairs per session track in the Chrome export). Off by default:
-    /// a 400-decision session emits thousands of phase events and would
-    /// evict the serving events a flight recorder exists to keep.
-    pub session_phases: bool,
     /// Flight-recorder triggering.
     pub flight: FlightConfig,
 }
@@ -206,7 +201,6 @@ impl Default for TraceConfig {
             enabled: true,
             ring_cap: 4096,
             merged_cap: 1 << 20,
-            session_phases: false,
             flight: FlightConfig::default(),
         }
     }

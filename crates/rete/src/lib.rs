@@ -86,8 +86,8 @@ pub use network::{NetStats, NetworkOrg, ProdInfo, ReteNetwork};
 pub use node::{BetaNode, JoinTest, KeyPart, NodeId, NodeKind, RightSrc, Side, ROOT};
 pub use ops5::{Ops5Runtime, Ops5Stop};
 pub use process::{
-    assert_quiescent, make_key, plan_beta, process_beta, process_beta_batch, process_beta_scratch,
-    process_wme_change, ActStats, Activation, BetaScratch, CsChange, PlannedBeta,
+    assert_quiescent, make_key, process_beta, process_beta_scratch, process_wme_change, ActStats,
+    Activation, BetaScratch, CsChange,
 };
 pub use reorg::{ChainDetector, ReorgConfig, ReorgDecision};
 pub use serial::{

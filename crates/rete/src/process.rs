@@ -76,10 +76,6 @@ pub struct ActStats {
     pub line: Option<u32>,
     /// Spins while acquiring the line lock.
     pub spins: u64,
-    /// Line-lock acquisitions this activation paid for: 1 standalone, 1 for
-    /// the first activation of a batched same-line drain, 0 for the rest of
-    /// the batch (they ride the first acquisition).
-    pub acquires: u32,
 }
 
 /// Reusable per-worker scratch for [`process_beta_scratch`]: the match /
@@ -88,7 +84,6 @@ pub struct ActStats {
 #[derive(Default, Debug)]
 pub struct BetaScratch {
     matches: Vec<(Token, i32)>,
-    posts: Vec<(Post, ActStats)>,
 }
 
 /// Compute a memory key for `token` under `spec` — inline (allocation-free)
@@ -146,50 +141,25 @@ pub fn process_beta<N: ReteView + ?Sized>(
 }
 
 /// Deferred after-lock work produced by [`beta_locked`]: what to emit once
-/// the line guard is dropped. Match/transition tokens live in the shared
-/// scratch buffer; `from` is the start of this activation's slice.
+/// the line guard is dropped. Match/transition tokens are the scratch
+/// buffer's contents.
 #[derive(Clone, Copy, Debug)]
 enum Post {
     /// Root activation — nothing to do.
     None,
     /// P node: one conflict-set change for the input token.
     Cs { prod: u32 },
-    /// Join: merge + fan out `matches[from..to]` (side decides merge order).
-    Join { from: usize, to: usize },
+    /// Join: merge + fan out the matches (side decides merge order).
+    Join,
     /// Neg left: fan the input token out iff it arrived unblocked.
     NegGate { fire: bool },
-    /// Neg right: fan out the blocked/unblocked transitions in
-    /// `matches[from..to]`.
-    NegTransitions { from: usize, to: usize },
+    /// Neg right: fan out the blocked/unblocked transitions.
+    NegTransitions,
 }
 
-/// A beta activation staged for batched processing: key, hash, and
-/// destination line are computed up front (outside any lock) so the caller
-/// can group same-line activations and drain each group under a single
-/// acquisition via [`process_beta_batch`].
-#[derive(Clone, Debug)]
-pub struct PlannedBeta {
-    /// The activation.
-    pub act: Activation,
-    /// Destination memory line; `None` only for root-kind activations,
-    /// which touch no memory.
-    pub line: Option<u32>,
-    key: Key,
-    khash: u64,
-}
-
-/// Stage `act` for batched processing: compute its memory key, hash, and
-/// destination line without taking any lock.
-pub fn plan_beta<N: ReteView + ?Sized>(
-    net: &N,
-    mem: &MemoryTable,
-    store: &WmeStore,
-    act: Activation,
-) -> PlannedBeta {
-    let (key, khash, line) = plan_parts(net, mem, store, &act);
-    PlannedBeta { act, line, key, khash }
-}
-
+/// The memory key, its hash and the destination line of `act` (`None` only
+/// for root-kind activations, which touch no memory), computed before any
+/// lock is taken.
 fn plan_parts<N: ReteView + ?Sized>(
     net: &N,
     mem: &MemoryTable,
@@ -251,7 +221,6 @@ fn beta_locked<N: ReteView + ?Sized>(
             Side::Left => {
                 g.left_accesses += 1;
                 g.upsert_left(act.node, key, khash, &act.token, act.delta, 0, use_index);
-                let from = matches.len();
                 let (s, e) = if use_index { g.right_run(act.node) } else { (0, g.right.len()) };
                 for en in &g.right[s..e] {
                     if en.node != act.node {
@@ -270,12 +239,11 @@ fn beta_locked<N: ReteView + ?Sized>(
                         matches.push((en.token.clone(), en.weight));
                     }
                 }
-                Post::Join { from, to: matches.len() }
+                Post::Join
             }
             Side::Right => {
                 g.right_accesses += 1;
                 g.upsert_right(act.node, key, khash, &act.token, act.delta, use_index);
-                let from = matches.len();
                 if node.parent == ROOT {
                     // The root's single output is the weight-1 empty token.
                     matches.push((Token::empty(), 1));
@@ -300,7 +268,7 @@ fn beta_locked<N: ReteView + ?Sized>(
                         }
                     }
                 }
-                Post::Join { from, to: matches.len() }
+                Post::Join
             }
         },
         NodeKind::Neg => match act.side {
@@ -361,7 +329,6 @@ fn beta_locked<N: ReteView + ?Sized>(
                 g.upsert_right(act.node, key, khash, &act.token, act.delta, use_index);
                 // Adjust the not-counters of matching left tokens; collect
                 // the blocked/unblocked transitions.
-                let from = matches.len();
                 let (s, e) = if use_index { g.left_run(act.node) } else { (0, g.left.len()) };
                 for i in s..e {
                     let en = &g.left[i];
@@ -385,7 +352,7 @@ fn beta_locked<N: ReteView + ?Sized>(
                         }
                     }
                 }
-                Post::NegTransitions { from, to: matches.len() }
+                Post::NegTransitions
             }
         },
     }
@@ -410,9 +377,9 @@ fn beta_post<N: ReteView + ?Sized>(
             cs_emit(CsChange { prod, token: act.token.clone(), delta: act.delta });
             stats.emitted = 1;
         }
-        Post::Join { from, to } => {
+        Post::Join => {
             let node = net.node(act.node);
-            for (t, w) in &matches[from..to] {
+            for (t, w) in matches {
                 let out = match act.side {
                     Side::Left => merge_token(node, &act.token, t),
                     Side::Right => merge_token(node, t, &act.token),
@@ -427,9 +394,9 @@ fn beta_post<N: ReteView + ?Sized>(
                     emit_children(net, node, act.token.clone(), act.delta, min_node, emit);
             }
         }
-        Post::NegTransitions { from, to } => {
+        Post::NegTransitions => {
             let node = net.node(act.node);
-            for (t, d) in &matches[from..to] {
+            for (t, d) in matches {
                 if *d != 0 {
                     stats.emitted += emit_children(net, node, t.clone(), *d, min_node, emit);
                 }
@@ -463,7 +430,6 @@ pub fn process_beta_scratch<N: ReteView + ?Sized>(
     stats.line = Some(line);
     let (mut g, spins) = mem.lock(line);
     stats.spins = spins;
-    stats.acquires = 1;
     mem.touch(line);
     let post =
         beta_locked(net, &mut g, store, act, &key, khash, mem.use_index, &mut scratch.matches, &mut stats);
@@ -471,79 +437,6 @@ pub fn process_beta_scratch<N: ReteView + ?Sized>(
     beta_post(net, act, post, &scratch.matches, min_node, &mut stats, emit, cs_emit);
     scratch.matches.clear();
     stats
-}
-
-/// Drain a group of same-line planned activations under a single line-lock
-/// acquisition.
-///
-/// Processing order within the group is the slice order, and the result is
-/// identical to processing each activation alone (each one's critical
-/// section sees all earlier ones' memory updates, exactly as under separate
-/// acquisitions); only the lock overhead is amortized. The first activation
-/// is charged `acquires = 1` plus the acquisition spins; the rest ride the
-/// same hold with `acquires = 0`. Emission for every activation happens
-/// after the single release. `on_stats` is called once per activation so
-/// callers keep per-task accounting.
-///
-/// A group whose `line` is `None` (root-kind activations) takes no lock and
-/// degenerates to per-activation processing.
-#[allow(clippy::too_many_arguments)]
-pub fn process_beta_batch<N: ReteView + ?Sized>(
-    net: &N,
-    mem: &MemoryTable,
-    store: &WmeStore,
-    group: &[PlannedBeta],
-    min_node: NodeId,
-    scratch: &mut BetaScratch,
-    emit: &mut dyn FnMut(Activation),
-    cs_emit: &mut dyn FnMut(CsChange),
-    on_stats: &mut dyn FnMut(&Activation, &ActStats),
-) {
-    let Some(first) = group.first() else { return };
-    let Some(line) = first.line else {
-        for p in group {
-            let s = process_beta_scratch(net, mem, store, &p.act, min_node, scratch, emit, cs_emit);
-            on_stats(&p.act, &s);
-        }
-        return;
-    };
-    debug_assert!(
-        group.iter().all(|p| p.line == Some(line)),
-        "process_beta_batch group must share one destination line"
-    );
-    scratch.matches.clear();
-    scratch.posts.clear();
-    let use_index = mem.use_index;
-    let (mut g, spins) = mem.lock(line);
-    mem.touch(line);
-    for (i, p) in group.iter().enumerate() {
-        let mut stats = ActStats { line: Some(line), ..ActStats::default() };
-        if i == 0 {
-            stats.spins = spins;
-            stats.acquires = 1;
-        }
-        let post = beta_locked(
-            net,
-            &mut g,
-            store,
-            &p.act,
-            &p.key,
-            p.khash,
-            use_index,
-            &mut scratch.matches,
-            &mut stats,
-        );
-        scratch.posts.push((post, stats));
-    }
-    drop(g);
-    let mut posts = std::mem::take(&mut scratch.posts);
-    for (p, (post, stats)) in group.iter().zip(posts.iter_mut()) {
-        beta_post(net, &p.act, *post, &scratch.matches, min_node, stats, emit, cs_emit);
-        on_stats(&p.act, stats);
-    }
-    posts.clear();
-    scratch.posts = posts;
-    scratch.matches.clear();
 }
 
 fn emit_children<N: ReteView + ?Sized>(
@@ -712,86 +605,6 @@ mod tests {
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].token.len(), 1);
         assert_eq!(stats.scanned, 1, "the implicit empty token counts as one scan");
-    }
-
-    #[test]
-    fn batched_drain_matches_sequential_and_charges_one_acquire_per_group() {
-        // The same wme sequence processed one activation at a time vs
-        // grouped by destination line and drained under single
-        // acquisitions: identical net conflict-set weight and activation
-        // count, but the batch path pays one acquisition per group.
-        let (r, net, _, mut store) = setup();
-        let mut ids = Vec::new();
-        for i in 0..4 {
-            ids.push(store.add(parse_wme(&format!("(a ^x {i})"), &r).unwrap()).0);
-            ids.push(store.add(parse_wme(&format!("(b ^x {i})"), &r).unwrap()).0);
-        }
-        let run = |batched: bool| {
-            // One line: every node co-hashed, so each wave is one group.
-            let mem = MemoryTable::new(1);
-            let mut scratch = BetaScratch::default();
-            let (mut cs_net, mut acquires, mut acts) = (0i32, 0u32, 0u32);
-            let mut queue: Vec<Activation> = Vec::new();
-            for &w in &ids {
-                process_wme_change(&net, &store, w, 1, 0, &mut |a| queue.push(a));
-            }
-            while !queue.is_empty() {
-                let wave = std::mem::take(&mut queue);
-                if batched {
-                    let mut planned: Vec<PlannedBeta> =
-                        wave.into_iter().map(|a| plan_beta(&net, &mem, &store, a)).collect();
-                    planned.sort_by_key(|p| p.line);
-                    let mut i = 0;
-                    while i < planned.len() {
-                        let mut j = i + 1;
-                        while j < planned.len() && planned[j].line == planned[i].line {
-                            j += 1;
-                        }
-                        process_beta_batch(
-                            &net,
-                            &mem,
-                            &store,
-                            &planned[i..j],
-                            0,
-                            &mut scratch,
-                            &mut |a| queue.push(a),
-                            &mut |c| cs_net += c.delta,
-                            &mut |_, s| {
-                                acquires += s.acquires;
-                                acts += 1;
-                            },
-                        );
-                        i = j;
-                    }
-                } else {
-                    for a in wave {
-                        let s = process_beta_scratch(
-                            &net,
-                            &mem,
-                            &store,
-                            &a,
-                            0,
-                            &mut scratch,
-                            &mut |x| queue.push(x),
-                            &mut |c| cs_net += c.delta,
-                        );
-                        acquires += s.acquires;
-                        acts += 1;
-                    }
-                }
-            }
-            assert_quiescent(&net, &mem);
-            (cs_net, acquires, acts)
-        };
-        let (seq_cs, seq_acq, seq_acts) = run(false);
-        let (bat_cs, bat_acq, bat_acts) = run(true);
-        assert_eq!(seq_cs, bat_cs, "batched and sequential agree on the conflict set");
-        assert_eq!(seq_acts, bat_acts, "same activation count either way");
-        assert_eq!(seq_acq, seq_acts, "unbatched: one acquisition per activation");
-        assert!(
-            bat_acq * 2 <= seq_acq,
-            "one-line batching must at least halve acquisitions ({bat_acq} vs {seq_acq})"
-        );
     }
 
     #[test]

@@ -384,7 +384,6 @@ impl<N: ReteView> SerialEngine<N> {
                     probes: 0,
                     emitted: stats.emitted,
                     line: stats.line,
-                    acquires: stats.acquires,
                     wall_ns: wall_ns_since(t0),
                 });
             }
@@ -435,7 +434,6 @@ impl<N: ReteView> SerialEngine<N> {
                     probes: alpha.probes,
                     emitted,
                     line: None,
-                    acquires: 0,
                     wall_ns: wall_ns_since(t0),
                 });
             }

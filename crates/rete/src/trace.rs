@@ -59,10 +59,6 @@ pub struct TaskRecord {
     pub emitted: u32,
     /// Memory line touched, if any.
     pub line: Option<u32>,
-    /// Line-lock acquisitions this task paid for: 1 for a standalone beta
-    /// task, 1 for the first task of a batched same-line drain, 0 for the
-    /// rest of the batch, 0 for alpha tasks (no memory line).
-    pub acquires: u32,
     /// Measured wall time of the task in nanoseconds (0 when the engine
     /// wasn't capturing timings; u32 caps one task at ~4.3 s, far beyond
     /// any real activation).
@@ -140,7 +136,7 @@ mod tests {
     use super::*;
 
     fn rec(id: u32, parent: Option<u32>, kind: TaskKind) -> TaskRecord {
-        TaskRecord { id, parent, node: 1, kind, side: None, delta: 1, scanned: 0, hash_rejects: 0, skipped: 0, probes: 0, emitted: 0, line: None, acquires: 0, wall_ns: 0 }
+        TaskRecord { id, parent, node: 1, kind, side: None, delta: 1, scanned: 0, hash_rejects: 0, skipped: 0, probes: 0, emitted: 0, line: None, wall_ns: 0 }
     }
 
     #[test]

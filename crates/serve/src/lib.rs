@@ -16,12 +16,15 @@
 //!   deltas consulted during propagation — no base copy, no cross-session
 //!   interference.
 //!
-//! On top of that split sits a serving loop ([`serve`]): a bounded
-//! admission queue with shed-oldest backpressure, a session table, and
-//! round-robin dispatch of decision-cycle slices onto a worker pool driven
-//! by the same three schedulers as the match engine (single queue, multi
-//! queue, work stealing). Per-session telemetry (p50/p99 cycle latency,
-//! queue wait, overlay growth) is reported through `psme-obs` quantiles.
+//! On top of that split sits **one serving loop**: a bounded admission
+//! queue with shed-oldest backpressure, a session table, and round-robin
+//! dispatch of decision-cycle slices onto a worker pool driven by the same
+//! three schedulers as the match engine (single queue, multi queue, work
+//! stealing). [`OpenServe`] keeps the loop's front door open while the
+//! workers run; batch [`serve`] is the closed arrival process over the same
+//! loop — every spec admitted before the first worker starts. Per-session
+//! telemetry (p50/p99 cycle latency, queue wait, overlay growth) is
+//! reported through `psme-obs` quantiles.
 //!
 //! A session executing `(halt)` terminates **that session only** — the
 //! loop keeps serving the rest (see `serve_isolation` tests).

@@ -1,46 +1,51 @@
 //! Open (streamed) serving: sessions arrive while the loop runs.
 //!
-//! [`serve`](crate::serve()) is batch — every spec is staged before the
-//! first worker starts, which makes offered-load claims closed-loop by
-//! construction. [`OpenServe`] runs the *same* worker pools, shards,
-//! admission budgets, and telemetry (the internals are shared with the
-//! batch path), but keeps the loop alive for submissions from outside —
-//! the network front-end (`psme-net`) feeds decoded wire requests through
-//! [`OpenServe::submit`], so the arrival process is whatever the wire
-//! carries (the open-loop load generator injects Poisson arrivals that do
-//! not slow down when the server saturates).
+//! [`OpenServe`] is a handle on the serving loop of [`crate::serve`]'s
+//! module — its worker pools, shards, admission budgets and telemetry —
+//! with the front door left open: the network front-end (`psme-net`) feeds
+//! decoded wire requests through [`OpenServe::submit`], so the arrival
+//! process is whatever the wire carries (the open-loop load generator
+//! injects Poisson arrivals that do not slow down when the server
+//! saturates). Batch [`serve`](crate::serve()) drives the same loop with
+//! the closed arrival process — everything admitted before the first worker
+//! starts — which makes its offered-load claims closed-loop by construction.
 //!
-//! Two things distinguish a streamed session from a batch one:
+//! What the open door adds:
 //!
-//! * **Admission is dynamic.** A submission takes a free table seat on its
-//!   home shard immediately, else joins that shard's pending queue; if the
-//!   queue exceeds its depth slice the *oldest* waiting session is shed
-//!   (the same shed-oldest policy as batch staging) and the shed is pushed
-//!   to the caller as a [`ServeEvent::Shed`] notification.
-//! * **Execution can be metered.** A submission may carry a decision
-//!   *credit*; the session runs until the credit is spent, then parks in
-//!   its table slot ([`ServeEvent::Parked`]) until the client grants more
-//!   via [`OpenServe::step`] — the wire protocol's interactive stepping.
-//!   A `None` grant auto-runs to completion, which is how the load
-//!   generator drives whole-session arrivals.
+//! * **Admission while running.** A submission goes through the loop's one
+//!   admission function: a free seat on its home shard immediately, else
+//!   that shard's waiting room, shedding the *oldest* waiting session on
+//!   overflow. A shed is pushed to the caller as a [`ServeEvent::Shed`]
+//!   notification.
+//! * **Metered execution.** A submission may carry a decision *credit*; the
+//!   session runs until the credit is spent, then parks in its table slot
+//!   ([`ServeEvent::Parked`]) until the client grants more via
+//!   [`OpenServe::step`] — the wire protocol's interactive stepping. A
+//!   `None` grant auto-runs to completion, which is how the load generator
+//!   drives whole-session arrivals; a `step` on such a session has nothing
+//!   to top up and changes nothing.
+//! * **A drain.** [`OpenServe::finish`] shuts the door and closes what is
+//!   parked in **one pass** over the slots. One is enough: once `closed` is
+//!   set no session parks again — the park path reads it under the slot
+//!   lock the pass takes — so whatever is still in flight or waiting for a
+//!   seat either runs to its stop or closes itself when its credit runs out.
 //!
 //! Streamed serving is untiered: hibernation would have to persist wire
-//! credit and in-flight control state, which nothing needs yet.
-//! [`OpenServe::start`] rejects a tiered config.
+//! credit, which is not in the snapshot. [`OpenServe::start`] rejects a
+//! tiered config; a tiered loop is reached only through batch `serve()`,
+//! which grants no credit.
 
 use crate::serve::{
-    admit_pending, build_shards, finalize, finish_session, worker_loop, Inner, ServeConfig,
-    ServeEvent, ServeReport, ShardRouter, Slot,
+    admit, enqueue, run_out, spawn_workers, step_session, Inner, ServeConfig, ServeEvent,
+    ServeReport, Slot,
 };
 use crate::session::{SessionReport, SessionSpec};
-use psme_core::QueueStats;
-use psme_obs::{TraceKind, TraceLog, TraceRing};
+use psme_obs::TraceKind;
 use psme_rete::Topology;
-use psme_soar::StopReason;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -68,33 +73,27 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Admission bookkeeping serialized under one mutex (submissions are wire
-/// requests — low rate relative to dispatch, so one lock is fine).
-struct AdmitState {
-    names: HashSet<String>,
-}
-
-/// Retire the session parked in `slot` with [`StopReason::Closed`] and pass
-/// its table seat on. No worker holds a parked session, so this runs on the
-/// caller's thread against the control ring.
+/// Retire the session parked in `slot` with [`psme_soar::StopReason::Closed`].
+/// No worker holds a parked session, so the caller's thread runs the
+/// dispatch a worker would, with the close already requested: the one step
+/// path claims it, retires it and passes its seat on.
 fn close_parked(inner: &Inner, idx: usize, mut slot: MutexGuard<'_, Slot>) {
-    let sess = slot.sess.take().expect("parked session is in its slot");
     slot.parked = false;
-    slot.closing = false;
+    slot.closing = true;
     drop(slot);
-    let home = inner.home_of(idx);
     let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
     let mut qs = inner.seed_stats.lock().expect("seed stats lock");
-    finish_session(inner, &mut ring, sess, idx, home, StopReason::Closed);
-    inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
-    admit_pending(inner, &mut ring, &mut qs, home, None);
+    step_session(inner, &mut ring, &mut qs, inner.home_of(idx), None, idx, Instant::now());
 }
 
 /// A serving loop accepting sessions while it runs. See the module docs.
 pub struct OpenServe {
     inner: Arc<Inner>,
-    joins: Mutex<Vec<JoinHandle<()>>>,
-    admit: Mutex<AdmitState>,
+    joins: Vec<JoinHandle<()>>,
+    /// Names submitted so far. Its lock also serializes admissions
+    /// (submissions are wire requests — low rate relative to dispatch, so
+    /// one lock is fine).
+    names: Mutex<HashSet<String>>,
     t0: Instant,
 }
 
@@ -111,60 +110,12 @@ impl OpenServe {
         cfg: ServeConfig,
         max_sessions: usize,
     ) -> (OpenServe, Receiver<ServeEvent>) {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
         assert!(cfg.tier.is_none(), "open serving is untiered (hibernation needs batch serving)");
-        if let ShardRouter::Explicit(map) = &cfg.shard.router {
-            assert!(
-                map.len() >= max_sessions,
-                "explicit shard map must cover max_sessions ({} < {max_sessions})",
-                map.len()
-            );
-        }
-        let nshards = cfg.shard.shards;
-        let workers = cfg.workers;
-        let origin = Instant::now();
         let (tx, rx) = channel();
-        let inner = Arc::new(Inner {
-            topo,
-            specs: (0..max_sessions).map(|_| OnceLock::new()).collect(),
-            home: (0..max_sessions).map(|_| AtomicU32::new(u32::MAX)).collect(),
-            shards: build_shards(&cfg, max_sessions),
-            slots: (0..max_sessions).map(|_| Mutex::new(Slot::default())).collect(),
-            reports: Mutex::new((0..max_sessions).map(|_| None).collect()),
-            remaining: AtomicI64::new(0),
-            closed: AtomicBool::new(false),
-            submitted: AtomicUsize::new(0),
-            origin,
-            trace_sink: Mutex::new(TraceLog::with_cap(cfg.trace.merged_cap)),
-            ctl_ring: Mutex::new(TraceRing::from_config(
-                (nshards * workers) as u32,
-                &cfg.trace,
-                origin,
-            )),
-            seed_stats: Mutex::new(QueueStats::default()),
-            events: Some(tx),
-            cfg,
-        });
-        let mut joins = Vec::with_capacity(nshards * workers);
-        for s in 0..nshards {
-            for wid in 0..workers {
-                let inner = Arc::clone(&inner);
-                joins.push(
-                    std::thread::Builder::new()
-                        .name(format!("psm-open-{s}-{wid}"))
-                        .spawn(move || worker_loop(&inner, s, wid))
-                        .expect("spawn open-serve worker"),
-                );
-            }
-        }
-        let serve = OpenServe {
-            inner,
-            joins: Mutex::new(joins),
-            admit: Mutex::new(AdmitState { names: HashSet::new() }),
-            t0: Instant::now(),
-        };
+        let inner = Arc::new(Inner::new(topo, cfg, max_sessions, Some(tx)));
+        let joins = spawn_workers(&inner);
+        let serve =
+            OpenServe { inner, joins, names: Mutex::new(HashSet::new()), t0: Instant::now() };
         (serve, rx)
     }
 
@@ -172,19 +123,12 @@ impl OpenServe {
     /// run's trace (`conn` is the connection id, a separate namespace
     /// from session ids).
     pub fn note_accepted(&self, conn: u32) {
-        self.inner
-            .ctl_ring
-            .lock()
-            .expect("ctl ring lock")
-            .emit(TraceKind::NetAccepted, conn, 0, 0, 0);
+        self.note(TraceKind::NetAccepted, conn);
     }
 
-    fn note_request(&self, id: u32) {
-        self.inner
-            .ctl_ring
-            .lock()
-            .expect("ctl ring lock")
-            .emit(TraceKind::NetRequest, id, 0, 0, 0);
+    /// Record a wire event about session `id` in the run's trace.
+    fn note(&self, kind: TraceKind, id: u32) {
+        self.inner.ctl_ring.lock().expect("ctl ring lock").emit(kind, id, 0, 0, 0);
     }
 
     /// Submit a session. `grant` is its initial decision credit (`None`
@@ -193,53 +137,23 @@ impl OpenServe {
     /// event stream and [`OpenServe::report`].
     pub fn submit(&self, spec: SessionSpec, grant: Option<u64>) -> Result<u32, SubmitError> {
         let inner = &*self.inner;
-        let mut adm = self.admit.lock().expect("admit lock");
+        let mut names = self.names.lock().expect("admit lock");
         if inner.closed.load(Ordering::Acquire) {
             return Err(SubmitError::Closed);
         }
-        let idx = inner.submitted.load(Ordering::Acquire);
-        if idx >= inner.specs.len() {
+        let id = inner.submitted.load(Ordering::Acquire);
+        if id >= inner.specs.len() {
             return Err(SubmitError::Exhausted);
         }
-        if !adm.names.insert(spec.name.clone()) {
+        if !names.insert(spec.name.clone()) {
             return Err(SubmitError::DuplicateName(spec.name));
         }
-        let nshards = inner.shards.len();
-        let home = inner.cfg.shard.router.route(idx, &spec.name, nshards) as usize;
-        assert!(inner.specs[idx].set(spec).is_ok(), "fresh id has no spec");
-        inner.home[idx].store(home as u32, Ordering::Relaxed);
-        inner.slots[idx].lock().expect("slot lock").grant = grant;
-        inner.remaining.fetch_add(1, Ordering::AcqRel);
-        inner.submitted.store(idx + 1, Ordering::Release);
-
         // Wire arrival: the open-loop injection point.
-        let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
-        ring.emit(TraceKind::NetRequest, idx as u32, 0, 0, 0);
-        let mut qs = inner.seed_stats.lock().expect("seed stats lock");
-        let st = &inner.shards[home];
-        st.pending.lock().expect("pending lock").push_back(idx);
-        admit_pending(inner, &mut ring, &mut qs, home, None);
-        // Shed-oldest: displace the longest-waiting sessions while the
-        // backlog exceeds this shard's admission-depth slice.
-        loop {
-            let victim = {
-                let mut p = st.pending.lock().expect("pending lock");
-                if p.len() > inner.depth_s() {
-                    p.pop_front()
-                } else {
-                    None
-                }
-            };
-            let Some(v) = victim else { break };
-            let name = inner.spec(v).name.clone();
-            self.inner.reports.lock().expect("reports lock")[v] = Some(SessionReport::shed(name));
-            st.shed.fetch_add(1, Ordering::Relaxed);
-            inner.remaining.fetch_sub(1, Ordering::AcqRel);
-            ring.emit(TraceKind::Shed, v as u32, 0, 0, 0);
-            ring.emit(TraceKind::NetShed, v as u32, 0, 0, 0);
-            inner.event(ServeEvent::Shed { id: v as u32 });
+        self.note(TraceKind::NetRequest, id as u32);
+        if let Some(shed) = admit(inner, spec, grant) {
+            self.note(TraceKind::NetShed, shed as u32);
         }
-        Ok(idx as u32)
+        Ok(id as u32)
     }
 
     /// True iff `id` is a submitted session that has not retired or shed.
@@ -251,35 +165,25 @@ impl OpenServe {
 
     /// Grant `n` more decisions of credit to session `id`. A parked
     /// session re-enters its home shard's queues immediately; an in-flight
-    /// or still-pending one absorbs the credit at its next dispatch.
+    /// or still-pending one absorbs the credit at its next dispatch; one
+    /// submitted without a grant auto-runs and has nothing to top up.
     /// Returns false if the session already retired or was shed (the
     /// client races completion; that's normal).
     pub fn step(&self, id: u32, n: u64) -> bool {
-        self.note_request(id);
+        self.note(TraceKind::NetRequest, id);
         if !self.is_open(id) {
             return false;
         }
         let inner = &*self.inner;
         let idx = id as usize;
         let mut slot = inner.slots[idx].lock().expect("slot lock");
-        if slot.parked {
-            let mut sess = slot.sess.take().expect("parked session is in its slot");
-            let due = std::mem::take(&mut slot.credit_due);
-            *sess.credit.get_or_insert(0) += n.saturating_add(due);
-            slot.parked = false;
-            slot.sess = Some(sess);
+        slot.credit_due = slot.credit_due.saturating_add(n);
+        if std::mem::take(&mut slot.parked) {
             drop(slot);
-            let home = inner.home_of(idx);
             let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
             let mut qs = inner.seed_stats.lock().expect("seed stats lock");
-            inner.shards[home].queues.push_seed(
-                idx % inner.cfg.workers,
-                (id, Instant::now()),
-                &mut qs,
-            );
+            enqueue(inner, &mut qs, inner.home_of(idx), None, idx);
             ring.emit(TraceKind::Reenqueued, id, 0, 0, 0);
-        } else {
-            slot.credit_due = slot.credit_due.saturating_add(n);
         }
         true
     }
@@ -288,26 +192,19 @@ impl OpenServe {
     /// request); applies at the session's next dispatch. Returns false if
     /// the session already retired or was shed.
     pub fn set_learning(&self, id: u32, enable: bool) -> bool {
-        self.note_request(id);
+        self.note(TraceKind::NetRequest, id);
         if !self.is_open(id) {
             return false;
         }
-        let mut slot = self.inner.slots[id as usize].lock().expect("slot lock");
-        if slot.parked {
-            if let Some(sess) = slot.sess.as_mut() {
-                sess.agent.learning = enable;
-            }
-        } else {
-            slot.learn_due = Some(enable);
-        }
+        self.inner.slots[id as usize].lock().expect("slot lock").learn_due = Some(enable);
         true
     }
 
-    /// Close session `id`: it retires with [`StopReason::Closed`] — a
+    /// Close session `id`: it retires with [`psme_soar::StopReason::Closed`] — a
     /// parked session immediately, an in-flight or pending one at its
     /// next dispatch. Returns false if it already retired or was shed.
     pub fn close_session(&self, id: u32) -> bool {
-        self.note_request(id);
+        self.note(TraceKind::NetRequest, id);
         if !self.is_open(id) {
             return false;
         }
@@ -345,36 +242,29 @@ impl OpenServe {
     /// Stop accepting submissions and drain: auto-run sessions (no credit
     /// bound) run to their natural stop, while sessions stalled on client
     /// credit — parked now, or parking after the close — retire with
-    /// [`StopReason::Closed`] (no more credit is coming). Then join the
+    /// [`psme_soar::StopReason::Closed`] (no more credit is coming). Then join the
     /// workers and fold the run into a [`ServeReport`] — the same
     /// aggregation as batch [`crate::serve()`], so open and batch
     /// artifacts are comparable (and uncredited open runs bit-for-bit
     /// equal batch runs of the same specs).
     pub fn finish(self) -> ServeReport {
         let inner = &*self.inner;
-        // Take the admit lock once so no submission interleaves with the
-        // close; after `closed` is set submissions are refused.
-        drop(self.admit.lock().expect("admit lock"));
-        inner.closed.store(true, Ordering::Release);
-        while inner.remaining.load(Ordering::Acquire) > 0 {
-            for idx in 0..inner.submitted.load(Ordering::Acquire) {
-                let slot = inner.slots[idx].lock().expect("slot lock");
-                if slot.parked {
-                    close_parked(inner, idx, slot);
-                }
-                // In flight or pending: left to drain — the workers run it
-                // to its stop, and the park path closes it if it stalls on
-                // credit (it checks `closed` under the slot lock).
+        // Close under the admit lock: no submission straddles the close,
+        // and every later one is refused.
+        {
+            let _names = self.names.lock().expect("admit lock");
+            inner.closed.store(true, Ordering::Release);
+        }
+        // One pass closes what is parked now. Nothing parks behind it: the
+        // park path reads `closed` under the slot lock this pass took after
+        // setting it, so a session in flight or still waiting for a seat
+        // that later stalls on credit closes itself there.
+        for idx in 0..inner.submitted.load(Ordering::Acquire) {
+            let slot = inner.slots[idx].lock().expect("slot lock");
+            if slot.parked {
+                close_parked(inner, idx, slot);
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
         }
-        for j in self.joins.lock().expect("joins lock").drain(..) {
-            j.join().expect("open-serve worker panicked");
-        }
-        let wall_seconds = self.t0.elapsed().as_secs_f64();
-        let inner = Arc::try_unwrap(self.inner)
-            .ok()
-            .expect("workers joined; no Inner refs remain");
-        finalize(inner, wall_seconds)
+        run_out(self.inner, self.joins, self.t0)
     }
 }

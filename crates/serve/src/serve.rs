@@ -1,32 +1,48 @@
 //! The serving loop: admission, session table, worker pools, dispatch.
 //!
-//! Batch serving ([`serve`]): all sessions arrive up front (a batch-arrival
-//! open system degenerates to this on a closed benchmark). Admission is
-//! two-stage:
+//! There is **one loop**. A session gets into it through [`admit`], through
+//! a slice of it in `step_session`, and out of it in `finish_session`;
+//! [`crate::OpenServe`] is that loop with its front door open while the
+//! workers run, and batch [`serve`] is the *closed arrival process* over the
+//! same loop — every spec admitted in order before the first worker starts,
+//! then the door shut — not a sibling implementation.
 //!
-//! 1. the **session table** holds at most `table_capacity` live sessions
-//!    (each owns a `MatchState` and an overlay, so the table bounds memory);
-//! 2. arrivals beyond that wait in a **bounded admission queue** of depth
-//!    `admission_depth`; on overflow the *oldest* waiting entry is shed
-//!    (shed-oldest keeps the freshest work under overload, and the shed
-//!    set is deterministic — reported, never silently dropped).
+//! Admission is two-stage, per shard:
 //!
-//! Dispatch: live sessions circulate as ids through a
+//! 1. a shard has **seats**: the sessions it lets circulate at once. A
+//!    circulating session owns a `MatchState` and an overlay, so untiered
+//!    the seats are the shard's slice of `table_capacity` — the table bounds
+//!    memory;
+//! 2. arrivals beyond that wait in a **bounded waiting room**, the shard's
+//!    slice of `admission_depth`; on overflow the *oldest* waiting session
+//!    is shed (shed-oldest keeps the freshest work under overload, and the
+//!    shed set is deterministic — reported, never silently dropped).
+//!
+//! Under a [`TierConfig`] the shard's [`SessionStore`] bounds residency
+//! instead (it hibernates the LRU session whenever more than the table slice
+//! are live), so every accepted session circulates from the start: the seats
+//! are the table slice *plus* the admission slice and there is no waiting
+//! room. Nobody waits, so the session an over-full tiered shard sheds is the
+//! arrival itself, not an older one.
+//!
+//! Dispatch: seated sessions circulate as ids through a
 //! [`psme_core::TaskQueues`] instance — the same three scheduler policies
 //! as the match engine's task queues (§2.3/§6.1), here scheduling whole
-//! decision-cycle slices instead of node activations. A worker pops a
-//! session, runs up to `slice_decisions` decision cycles, and either
-//! re-enqueues it (round-robin) or retires it and admits the next waiting
-//! session. A session halting (`(halt)` on the RHS) retires **only that
-//! session**— the loop drains the rest.
+//! decision-cycle slices instead of node activations. A worker pops an id,
+//! *claims* the session from where it lives between slices (its table slot,
+//! or the shard's store, which may have to build or resume it), runs up to
+//! `slice_decisions` decision cycles, and either *releases* it back there
+//! and re-enqueues the id (round-robin) or retires it and seats the next
+//! waiting session. Claim and release are the only steps that ask whether
+//! the shard has a store; what runs between them is the same for both. A
+//! session halting (`(halt)` on the RHS) retires **only that session** —
+//! the loop drains the rest.
 //!
-//! The same worker pools also serve **open arrivals**
-//! ([`crate::OpenServe`]): sessions submitted while the loop runs, each
-//! optionally holding a client-granted *decision credit* — a session that
-//! exhausts its credit parks in its table slot until the client grants
-//! more (the wire protocol's `step` request). Batch serving is the
-//! degenerate case: every session auto-runs with unbounded credit and
-//! admissions close before the workers start.
+//! A session may hold a client-granted *decision credit*
+//! ([`crate::OpenServe::submit`]): one that exhausts it parks — stays where
+//! it lives, out of every queue — until the client grants more (the wire
+//! protocol's `step` request). [`serve`] grants none: every session of a
+//! batch auto-runs to its natural stop.
 //!
 //! ## Sharding
 //!
@@ -43,7 +59,7 @@
 //! work-stealing, counted separately as `cross_shard_steals`); the stolen
 //! session is checked out of and re-enqueued to its *home* shard, so
 //! affinity is restored the moment the home pool catches up. `shards: 1`
-//! (the default) is exactly the old single-bus loop.
+//! (the default) is the single-bus loop.
 
 use crate::session::{Session, SessionReport, SessionSpec};
 use crate::store::{Checkout, SessionStore, TierConfig, TierReport};
@@ -57,6 +73,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// How sessions map to shards.
@@ -396,86 +413,147 @@ pub enum ServeEvent {
 
 /// One worker pool: the queues, admission backlog, store tier, and
 /// telemetry pools for its partition of the sessions.
-pub(crate) struct ShardState {
+struct ShardState {
     /// Session ids in flight on this shard, tagged with enqueue instants.
-    pub(crate) queues: TaskQueues<(u32, Instant)>,
-    /// This shard's admission backlog (untiered runs only).
-    pub(crate) pending: Mutex<VecDeque<usize>>,
-    /// Sessions currently holding one of this shard's table seats
-    /// (untiered runs; tiered runs bound residency in the store instead).
-    pub(crate) live: AtomicUsize,
+    queues: TaskQueues<(u32, Instant)>,
+    /// Sessions waiting for one of this shard's seats, oldest first (a
+    /// tiered shard has no waiting room, so this is empty between
+    /// admissions).
+    pending: Mutex<VecDeque<usize>>,
+    /// Sessions currently holding one of this shard's seats
+    /// ([`Inner::seats`]).
+    live: AtomicUsize,
     /// Sessions shed by this shard's admission queue.
-    pub(crate) shed: AtomicUsize,
+    shed: AtomicUsize,
     /// Queue stats merged from this shard's workers at exit.
-    pub(crate) stats: Mutex<QueueStats>,
+    stats: Mutex<QueueStats>,
     /// Cycle-latency reservoir for sessions homed here.
-    pub(crate) cycle_pool: Mutex<Reservoir>,
+    cycle_pool: Mutex<Reservoir>,
     /// This shard's slice of the tier store (tiered runs only).
-    pub(crate) store: Option<SessionStore>,
+    store: Option<SessionStore>,
     /// Slices this shard's workers stole from other shards.
-    pub(crate) cross_steals: AtomicU64,
+    cross_steals: AtomicU64,
 }
 
 /// Per-session table slot. The queue hands out exclusive ownership of an
 /// id, so the *session* is never contended; the mutex makes the handoff
-/// `Sync` and serializes the streamed-serving control fields (step
-/// credit, learning toggles, close requests) against the worker touching
-/// the same session.
+/// `Sync` and serializes the control fields (step credit, learning
+/// toggles, close requests) against the worker touching the same session.
 #[derive(Default)]
 pub(crate) struct Slot {
-    /// The session, while live but not being stepped.
-    pub(crate) sess: Option<Session>,
-    /// Streamed sessions only: out of credit, waiting for the client's
-    /// next `step` grant (not in any queue).
+    /// The session, between slices (untiered; a tiered session lives in
+    /// its home shard's store instead).
+    sess: Option<Session>,
+    /// Out of credit, waiting for the client's next `step` grant (not in
+    /// any queue).
     pub(crate) parked: bool,
-    /// Step credit granted while the session was in flight or pending;
-    /// drained into the session at its next dispatch or park attempt.
+    /// Step credit granted since the session's last dispatch; drained
+    /// into a metered session at its next dispatch or park attempt.
     pub(crate) credit_due: u64,
     /// Learning toggle requested over the wire; applied at next dispatch.
     pub(crate) learn_due: Option<bool>,
     /// Client asked to close; the next dispatch (or park attempt) retires
     /// the session with [`StopReason::Closed`].
     pub(crate) closing: bool,
-    /// Initial credit for sessions admitted later from the pending queue
+    /// Initial credit, given to the session when admission builds it
     /// (`None` = auto-run, the batch default).
-    pub(crate) grant: Option<u64>,
+    grant: Option<u64>,
 }
 
 pub(crate) struct Inner {
-    pub(crate) topo: Arc<Topology>,
-    /// Spec `i`, set before id `i` ever circulates (all up front in batch
-    /// serving, at submit time in open serving).
+    topo: Arc<Topology>,
+    /// Spec `i`, set by [`admit`] before id `i` ever circulates.
     pub(crate) specs: Vec<OnceLock<SessionSpec>>,
-    pub(crate) cfg: ServeConfig,
+    cfg: ServeConfig,
     /// Spec index → home shard (fixed at admission by the router;
     /// `u32::MAX` until the id is submitted).
-    pub(crate) home: Vec<AtomicU32>,
-    pub(crate) shards: Vec<ShardState>,
+    home: Vec<AtomicU32>,
+    shards: Vec<ShardState>,
     /// One slot per spec; see [`Slot`].
     pub(crate) slots: Vec<Mutex<Slot>>,
     pub(crate) reports: Mutex<Vec<Option<SessionReport>>>,
     /// Sessions admitted or waiting, not yet retired (all shards).
     pub(crate) remaining: AtomicI64,
     /// No further submissions will arrive; workers exit once `remaining`
-    /// hits zero. Batch serving closes before the workers start.
+    /// hits zero, and a session that runs out of credit retires instead of
+    /// parking.
     pub(crate) closed: AtomicBool,
-    /// Ids handed out so far (== spec count in batch serving).
+    /// Ids handed out so far.
     pub(crate) submitted: AtomicUsize,
     /// Shared origin every trace ring stamps against.
-    pub(crate) origin: Instant,
+    origin: Instant,
     /// Workers drain their rings here at loop exit (the join barrier).
-    pub(crate) trace_sink: Mutex<TraceLog>,
-    /// Control-side ring: batch staging, open-serving admission, and
-    /// forced closes emit through this.
+    trace_sink: Mutex<TraceLog>,
+    /// Control-side ring: admission, grants to parked sessions and forced
+    /// closes emit through this.
     pub(crate) ctl_ring: Mutex<TraceRing>,
     /// Queue stats for control-side seeds/pushes.
     pub(crate) seed_stats: Mutex<QueueStats>,
-    /// Streamed-serving notifications (open serving only).
-    pub(crate) events: Option<Sender<ServeEvent>>,
+    /// Streamed-serving notifications ([`crate::OpenServe`] listens; batch
+    /// [`serve`] does not).
+    events: Option<Sender<ServeEvent>>,
 }
 
 impl Inner {
-    pub(crate) fn spec(&self, idx: usize) -> &SessionSpec {
+    /// The loop before its first worker: `max_sessions` empty slots, nothing
+    /// admitted. Panics if the config fails [`ServeConfig::validate`] or an
+    /// explicit shard map cannot cover `max_sessions` ids.
+    pub(crate) fn new(
+        topo: Arc<Topology>,
+        cfg: ServeConfig,
+        max_sessions: usize,
+        events: Option<Sender<ServeEvent>>,
+    ) -> Inner {
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
+        if let ShardRouter::Explicit(map) = &cfg.shard.router {
+            assert!(
+                map.len() >= max_sessions,
+                "explicit shard map must cover every session id ({} < {max_sessions})",
+                map.len()
+            );
+        }
+        let nshards = cfg.shard.shards;
+        let cap_s = cfg.table_capacity.div_ceil(nshards);
+        let origin = Instant::now();
+        Inner {
+            topo,
+            specs: (0..max_sessions).map(|_| OnceLock::new()).collect(),
+            home: (0..max_sessions).map(|_| AtomicU32::new(u32::MAX)).collect(),
+            shards: (0..nshards)
+                .map(|_| ShardState {
+                    queues: TaskQueues::new(cfg.scheduler, cfg.workers),
+                    pending: Mutex::new(VecDeque::new()),
+                    live: AtomicUsize::new(0),
+                    shed: AtomicUsize::new(0),
+                    stats: Mutex::new(QueueStats::default()),
+                    cycle_pool: Mutex::new(Reservoir::default()),
+                    store: cfg.tier.as_ref().map(|t| SessionStore::new(max_sessions, cap_s, t)),
+                    cross_steals: AtomicU64::new(0),
+                })
+                .collect(),
+            slots: (0..max_sessions).map(|_| Mutex::new(Slot::default())).collect(),
+            reports: Mutex::new((0..max_sessions).map(|_| None).collect()),
+            remaining: AtomicI64::new(0),
+            closed: AtomicBool::new(false),
+            submitted: AtomicUsize::new(0),
+            origin,
+            trace_sink: Mutex::new(TraceLog::with_cap(cfg.trace.merged_cap)),
+            // The control side's ring; its worker id is one past the last
+            // worker's.
+            ctl_ring: Mutex::new(TraceRing::from_config(
+                (nshards * cfg.workers) as u32,
+                &cfg.trace,
+                origin,
+            )),
+            seed_stats: Mutex::new(QueueStats::default()),
+            events,
+            cfg,
+        }
+    }
+
+    fn spec(&self, idx: usize) -> &SessionSpec {
         self.specs[idx].get().expect("spec set before its id circulates")
     }
 
@@ -485,17 +563,29 @@ impl Inner {
         h as usize
     }
 
-    /// Per-shard slice of the table budget.
-    pub(crate) fn cap_s(&self) -> usize {
-        self.cfg.table_capacity.div_ceil(self.shards.len())
+    /// Sessions one shard lets circulate at once. Untiered, a circulating
+    /// session holds its `MatchState`, so this is the shard's slice of the
+    /// table. Tiered, the store bounds residency and everything accepted
+    /// circulates: the table slice plus the admission slice.
+    fn seats(&self) -> usize {
+        let n = self.shards.len();
+        let cap_s = self.cfg.table_capacity.div_ceil(n);
+        match self.cfg.tier {
+            None => cap_s,
+            Some(_) => cap_s + self.cfg.admission_depth.div_ceil(n),
+        }
     }
 
-    /// Per-shard slice of the admission-queue budget.
-    pub(crate) fn depth_s(&self) -> usize {
-        self.cfg.admission_depth.div_ceil(self.shards.len())
+    /// Sessions that may wait for a seat on one shard: its slice of the
+    /// admission budget — which a tier has already spent on seats.
+    fn waiting_room(&self) -> usize {
+        match self.cfg.tier {
+            None => self.cfg.admission_depth.div_ceil(self.shards.len()),
+            Some(_) => 0,
+        }
     }
 
-    pub(crate) fn event(&self, ev: ServeEvent) {
+    fn event(&self, ev: ServeEvent) {
         if let Some(tx) = &self.events {
             // A dropped receiver means the front-end stopped listening;
             // serving itself never depends on delivery.
@@ -553,7 +643,7 @@ fn run_slice(
 
 /// Retire a finished session: emit lifecycle events, fold telemetry into
 /// its home shard's pools, and file its report.
-pub(crate) fn finish_session(
+fn finish_session(
     inner: &Inner,
     ring: &mut TraceRing,
     sess: Session,
@@ -566,21 +656,6 @@ pub(crate) fn finish_session(
         ring.emit(TraceKind::Halted, idx as u32, cyc, cyc, 0);
     }
     ring.emit(TraceKind::Retired, idx as u32, cyc, cyc, 0);
-    if inner.cfg.trace.session_phases && ring.enabled() {
-        // Fold the session's control-phase spans into the trace, rebased
-        // onto the run origin.
-        for s in sess.agent.recorder.rebased_spans(inner.origin) {
-            ring.emit_at(s.start_ns, TraceKind::PhaseBegin(s.phase), idx as u32, s.seq, s.seq, 0);
-            ring.emit_at(
-                s.start_ns.saturating_add(s.dur_ns),
-                TraceKind::PhaseEnd(s.phase),
-                idx as u32,
-                s.seq,
-                s.seq,
-                s.dur_ns,
-            );
-        }
-    }
     inner.shards[home].cycle_pool.lock().expect("pool lock").extend(&sess.cycle_ns);
     inner.reports.lock().expect("reports lock")[idx] = Some(sess.into_report(reason));
     inner.remaining.fetch_sub(1, Ordering::AcqRel);
@@ -591,7 +666,13 @@ pub(crate) fn finish_session(
 /// home pool pushes to its own queue end; a cross-shard thief must use the
 /// any-thread seed entry point (the owner ends of a foreign pool's queues
 /// belong to that pool's threads).
-fn enqueue(inner: &Inner, qs: &mut QueueStats, home: usize, local: Option<usize>, idx: usize) {
+pub(crate) fn enqueue(
+    inner: &Inner,
+    qs: &mut QueueStats,
+    home: usize,
+    local: Option<usize>,
+    idx: usize,
+) {
     let item = (idx as u32, Instant::now());
     match local {
         Some(w) => inner.shards[home].queues.push(w, item, qs),
@@ -599,11 +680,51 @@ fn enqueue(inner: &Inner, qs: &mut QueueStats, home: usize, local: Option<usize>
     }
 }
 
-/// Admit waiting sessions while `home` has free table seats (untiered
-/// runs). Seats are reserved with a CAS so concurrent retire paths and
-/// open-serving submissions never over-admit; a reserved seat with an
-/// empty backlog is released again.
-pub(crate) fn admit_pending(
+/// Take `spec` into the loop as the next session id: route it to its home
+/// shard, seat it if a seat is free and otherwise let it wait, and — when
+/// that overflows the shard's waiting room — shed the session that has
+/// waited longest (under a tier nobody waits, so that is the arrival).
+/// Returns the shed id. The one way in: [`serve`] calls it per spec before
+/// any worker exists, [`crate::OpenServe::submit`] while they run. Control
+/// side only — callers serialize their calls and have checked that an id is
+/// left.
+pub(crate) fn admit(inner: &Inner, spec: SessionSpec, grant: Option<u64>) -> Option<usize> {
+    let idx = inner.submitted.load(Ordering::Acquire);
+    let home = inner.cfg.shard.router.route(idx, &spec.name, inner.shards.len()) as usize;
+    assert!(inner.specs[idx].set(spec).is_ok(), "fresh id has no spec");
+    inner.home[idx].store(home as u32, Ordering::Relaxed);
+    inner.slots[idx].lock().expect("slot lock").grant = grant;
+    inner.remaining.fetch_add(1, Ordering::AcqRel);
+    inner.submitted.store(idx + 1, Ordering::Release);
+
+    let mut ring = inner.ctl_ring.lock().expect("ctl ring lock");
+    let mut qs = inner.seed_stats.lock().expect("seed stats lock");
+    let st = &inner.shards[home];
+    st.pending.lock().expect("pending lock").push_back(idx);
+    admit_pending(inner, &mut ring, &mut qs, home, None);
+    let victim = {
+        let mut p = st.pending.lock().expect("pending lock");
+        if p.len() > inner.waiting_room() {
+            p.pop_front()
+        } else {
+            None
+        }
+    };
+    if let Some(v) = victim {
+        let name = inner.spec(v).name.clone();
+        inner.reports.lock().expect("reports lock")[v] = Some(SessionReport::shed(name));
+        st.shed.fetch_add(1, Ordering::Relaxed);
+        inner.remaining.fetch_sub(1, Ordering::AcqRel);
+        ring.emit(TraceKind::Shed, v as u32, 0, 0, 0);
+        inner.event(ServeEvent::Shed { id: v as u32 });
+    }
+    victim
+}
+
+/// Seat waiting sessions while `home` has free seats. Seats are reserved
+/// with a CAS so concurrent retire paths and submissions never over-admit;
+/// a reserved seat with nobody waiting is released again.
+fn admit_pending(
     inner: &Inner,
     ring: &mut TraceRing,
     qs: &mut QueueStats,
@@ -611,10 +732,10 @@ pub(crate) fn admit_pending(
     local: Option<usize>,
 ) {
     let st = &inner.shards[home];
-    let cap_s = inner.cap_s();
+    let seats = inner.seats();
     loop {
         let cur = st.live.load(Ordering::Acquire);
-        if cur >= cap_s {
+        if cur >= seats {
             return;
         }
         if st
@@ -629,100 +750,46 @@ pub(crate) fn admit_pending(
             st.live.fetch_sub(1, Ordering::AcqRel);
             return;
         };
-        let mut s = Session::build(inner.spec(n), &inner.topo, false, inner.cfg.reorg.as_ref());
-        {
-            let slot = inner.slots[n].lock().expect("slot lock");
-            s.credit = slot.grant.map(|g| g.saturating_add(slot.credit_due));
+        if st.store.is_none() {
+            // Untiered, a seat is a table slot and the session lives in it
+            // from now on; a tiered shard's store builds it at first claim.
+            let mut s = Session::build(inner.spec(n), &inner.topo, false, inner.cfg.reorg.as_ref());
+            let mut slot = inner.slots[n].lock().expect("slot lock");
+            s.credit = slot.grant;
+            slot.sess = Some(s);
+            drop(slot);
+            ring.emit(TraceKind::Admitted, n as u32, 0, 0, 0);
         }
-        let mut slot = inner.slots[n].lock().expect("slot lock");
-        slot.credit_due = 0;
-        slot.sess = Some(s);
-        drop(slot);
-        ring.emit(TraceKind::Admitted, n as u32, 0, 0, 0);
         enqueue(inner, qs, home, local, n);
         ring.emit(TraceKind::Enqueued, n as u32, 0, 0, 0);
     }
 }
 
-/// Execute one dispatch on session `idx`, whose home shard is `home`.
-/// `local` is `Some(wid)` when the executing worker belongs to the home
-/// pool (the affine fast path), `None` when it is a cross-shard thief.
-fn step_session(
-    inner: &Inner,
-    ring: &mut TraceRing,
-    qs: &mut QueueStats,
-    home: usize,
-    local: Option<usize>,
-    idx: usize,
-    enqueued: Instant,
-) {
-    let wait_ns = enqueued.elapsed().as_nanos() as f64;
-    match &inner.shards[home].store {
-        None => {
-            let (mut sess, closing) = {
-                let mut slot = inner.slots[idx].lock().expect("slot lock");
-                let mut sess = slot.sess.take().expect("queued session is in its slot");
-                if slot.credit_due > 0 {
-                    let due = std::mem::take(&mut slot.credit_due);
-                    *sess.credit.get_or_insert(0) += due;
-                }
-                if let Some(enable) = slot.learn_due.take() {
-                    sess.agent.learning = enable;
-                }
-                (sess, std::mem::take(&mut slot.closing))
-            };
-            // A close that raced in retires the session instead of running it.
-            let mut stop = if closing {
-                Some(StopReason::Closed)
-            } else {
-                run_slice(inner, ring, &mut sess, idx, wait_ns)
-            };
-            let cyc = sess.agent.stats.decisions;
-            if stop.is_none() && sess.credit == Some(0) {
-                // Out of client credit: park in the slot (not in any queue)
-                // unless a grant or close raced in. A shut-down loop
-                // (`closed`) will never grant more credit, so parking would
-                // stall forever — close.
-                let mut slot = inner.slots[idx].lock().expect("slot lock");
-                if slot.closing || inner.closed.load(Ordering::Acquire) {
-                    slot.closing = false;
-                    stop = Some(StopReason::Closed);
-                } else if slot.credit_due > 0 {
-                    let due = std::mem::take(&mut slot.credit_due);
-                    *sess.credit.get_or_insert(0) += due;
-                } else {
-                    slot.parked = true;
-                    slot.sess = Some(sess);
-                    drop(slot);
-                    inner.event(ServeEvent::Parked { id: idx as u32, decisions: cyc });
-                    return;
-                }
-            }
-            match stop {
-                None => {
-                    inner.slots[idx].lock().expect("slot lock").sess = Some(sess);
-                    enqueue(inner, qs, home, local, idx);
-                    ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
-                }
-                Some(reason) => {
-                    finish_session(inner, ring, sess, idx, home, reason);
-                    // The table seat it held goes to the home shard's
-                    // oldest waiting session, if any.
-                    inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
-                    admit_pending(inner, ring, qs, home, local);
-                }
-            }
-        }
-        // Tiered: the home shard's store materializes the session lazily
-        // (`Start`), hands back a live one (`Live`), or returns snapshot
-        // bytes to verify and replay (`Resume`) — hibernating its LRU
-        // resident whenever the shard's table slice is over capacity.
+/// Claim session `idx` for one dispatch: take it from where it lives between
+/// slices — its table slot, or its home shard's store, which materializes
+/// it lazily (`Start`), hands back a live one (`Live`), or returns snapshot
+/// bytes to verify and replay (`Resume`), hibernating its LRU resident
+/// whenever the shard's table slice is over capacity — and apply what the
+/// control side left in the slot meanwhile. Returns the session and whether
+/// a close was requested.
+fn claim(inner: &Inner, ring: &mut TraceRing, home: usize, idx: usize) -> (Session, bool) {
+    let (resident, due, learn, closing) = {
+        let mut slot = inner.slots[idx].lock().expect("slot lock");
+        (
+            slot.sess.take(),
+            std::mem::take(&mut slot.credit_due),
+            slot.learn_due.take(),
+            std::mem::take(&mut slot.closing),
+        )
+    };
+    let mut sess = match &inner.shards[home].store {
+        None => resident.expect("queued session is in its slot"),
         Some(store) => {
             let (checkout, evicted) = store.checkout(idx);
             for &(victim, bytes) in &evicted.hibernated {
                 ring.emit(TraceKind::Hibernated, victim, 0, 0, bytes as u64);
             }
-            let mut sess = match checkout {
+            match checkout {
                 Checkout::Live(s) => *s,
                 Checkout::Start => {
                     let s =
@@ -731,8 +798,8 @@ fn step_session(
                     s
                 }
                 Checkout::Resume(bytes, _tier) => {
-                    // Verify + replay outside the store lock; the slot is
-                    // marked Running, so the id is exclusively ours.
+                    // Verify + replay outside the store lock; the store
+                    // marked the id Running, so it is exclusively ours.
                     let t0 = Instant::now();
                     let s = Session::resume(
                         inner.spec(idx),
@@ -747,22 +814,97 @@ fn step_session(
                     ring.emit(TraceKind::Resumed, idx as u32, cyc, cyc, ns as u64);
                     s
                 }
-            };
-            match run_slice(inner, ring, &mut sess, idx, wait_ns) {
-                None => {
-                    let cyc = sess.agent.stats.decisions;
-                    let evicted = store.checkin(idx, sess);
-                    for &(victim, bytes) in &evicted.hibernated {
-                        ring.emit(TraceKind::Hibernated, victim, 0, 0, bytes as u64);
-                    }
-                    enqueue(inner, qs, home, local, idx);
-                    ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
-                }
-                Some(reason) => {
-                    store.retire(idx);
-                    finish_session(inner, ring, sess, idx, home, reason);
-                }
             }
+        }
+    };
+    // A grant tops up a metered session; an auto-run one has nothing to top
+    // up (unbounded plus n is unbounded).
+    if let Some(c) = sess.credit.as_mut() {
+        *c = c.saturating_add(due);
+    }
+    if let Some(enable) = learn {
+        sess.agent.learning = enable;
+    }
+    (sess, closing)
+}
+
+/// Put a claimed session back where it lives between slices. The caller
+/// holds the session's slot lock, so a park is atomic with the put.
+fn release(
+    inner: &Inner,
+    ring: &mut TraceRing,
+    slot: &mut Slot,
+    home: usize,
+    idx: usize,
+    sess: Session,
+) {
+    match &inner.shards[home].store {
+        None => slot.sess = Some(sess),
+        Some(store) => {
+            for &(victim, bytes) in &store.checkin(idx, sess).hibernated {
+                ring.emit(TraceKind::Hibernated, victim, 0, 0, bytes as u64);
+            }
+        }
+    }
+}
+
+/// Execute one dispatch on session `idx`, whose home shard is `home`: claim
+/// it, run a slice, then park it, put it back in circulation, or retire
+/// it. `local` is `Some(wid)` when the executing worker belongs to the home
+/// pool (the affine fast path), `None` for a cross-shard thief or the
+/// control side.
+pub(crate) fn step_session(
+    inner: &Inner,
+    ring: &mut TraceRing,
+    qs: &mut QueueStats,
+    home: usize,
+    local: Option<usize>,
+    idx: usize,
+    enqueued: Instant,
+) {
+    let wait_ns = enqueued.elapsed().as_nanos() as f64;
+    let (mut sess, closing) = claim(inner, ring, home, idx);
+    // A requested close retires the session instead of running it.
+    let mut stop = if closing {
+        Some(StopReason::Closed)
+    } else {
+        run_slice(inner, ring, &mut sess, idx, wait_ns)
+    };
+    let cyc = sess.agent.stats.decisions;
+    if stop.is_none() && sess.credit == Some(0) {
+        // Out of client credit: park (out of every queue) unless a grant or
+        // a close raced in. A shut-down loop (`closed`) will never grant
+        // more, so parking would stall forever — close.
+        let mut slot = inner.slots[idx].lock().expect("slot lock");
+        if std::mem::take(&mut slot.closing) || inner.closed.load(Ordering::Acquire) {
+            stop = Some(StopReason::Closed);
+        } else if slot.credit_due > 0 {
+            sess.credit = Some(std::mem::take(&mut slot.credit_due));
+        } else {
+            slot.parked = true;
+            release(inner, ring, &mut slot, home, idx, sess);
+            drop(slot);
+            inner.event(ServeEvent::Parked { id: idx as u32, decisions: cyc });
+            return;
+        }
+    }
+    match stop {
+        None => {
+            let mut slot = inner.slots[idx].lock().expect("slot lock");
+            release(inner, ring, &mut slot, home, idx, sess);
+            drop(slot);
+            enqueue(inner, qs, home, local, idx);
+            ring.emit(TraceKind::Reenqueued, idx as u32, cyc, cyc, 0);
+        }
+        Some(reason) => {
+            if let Some(store) = &inner.shards[home].store {
+                store.retire(idx);
+            }
+            finish_session(inner, ring, sess, idx, home, reason);
+            // The seat it held goes to the home shard's oldest waiting
+            // session, if any.
+            inner.shards[home].live.fetch_sub(1, Ordering::AcqRel);
+            admit_pending(inner, ring, qs, home, local);
         }
     }
 }
@@ -790,7 +932,7 @@ fn steal_from_others(
 /// core while the wire is quiet, without adding latency under load.
 const IDLE_SPINS: u32 = 64;
 
-pub(crate) fn worker_loop(inner: &Inner, shard: usize, wid: usize) {
+fn worker_loop(inner: &Inner, shard: usize, wid: usize) {
     let gwid = (shard * inner.cfg.workers + wid) as u32;
     let mut qs = QueueStats::default();
     // Thread-local event ring: emitting is a branch + array write, merged
@@ -834,29 +976,11 @@ pub(crate) fn worker_loop(inner: &Inner, shard: usize, wid: usize) {
     inner.trace_sink.lock().expect("trace lock").absorb(&mut ring);
 }
 
-/// Build the shard states for a run.
-pub(crate) fn build_shards(cfg: &ServeConfig, n_specs: usize) -> Vec<ShardState> {
-    let nshards = cfg.shard.shards;
-    let cap_s = cfg.table_capacity.div_ceil(nshards);
-    (0..nshards)
-        .map(|_| ShardState {
-            queues: TaskQueues::new(cfg.scheduler, cfg.workers),
-            pending: Mutex::new(VecDeque::new()),
-            live: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
-            stats: Mutex::new(QueueStats::default()),
-            cycle_pool: Mutex::new(Reservoir::default()),
-            store: cfg.tier.as_ref().map(|t| SessionStore::new(n_specs, cap_s, t)),
-            cross_steals: AtomicU64::new(0),
-        })
-        .collect()
-}
-
 /// Fold the run's state into a [`ServeReport`]: merge the control ring,
 /// seal the trace, scan the flight recorder, and aggregate the per-shard
 /// telemetry (queue stats sum, latency reservoirs *merge* at a common
 /// stride, tier counters sum with resume samples pooled).
-pub(crate) fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
+fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
     let Inner {
         reports,
         shards,
@@ -973,149 +1097,56 @@ pub(crate) fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
     }
 }
 
-/// Serve a batch of sessions over a shared topology.
+/// Start the loop's `shards × workers` worker threads.
+pub(crate) fn spawn_workers(inner: &Arc<Inner>) -> Vec<JoinHandle<()>> {
+    let mut joins = Vec::with_capacity(inner.shards.len() * inner.cfg.workers);
+    for s in 0..inner.shards.len() {
+        for wid in 0..inner.cfg.workers {
+            let inner = Arc::clone(inner);
+            joins.push(
+                std::thread::Builder::new()
+                    .name(format!("psm-serve-{s}-{wid}"))
+                    .spawn(move || worker_loop(&inner, s, wid))
+                    .expect("spawn serve worker"),
+            );
+        }
+    }
+    joins
+}
+
+/// Wait for a closed loop's workers to run it dry, then fold the run into
+/// its report; `t0` is where `wall_seconds` starts.
+pub(crate) fn run_out(inner: Arc<Inner>, joins: Vec<JoinHandle<()>>, t0: Instant) -> ServeReport {
+    debug_assert!(inner.closed.load(Ordering::Acquire), "only a closed loop runs dry");
+    for j in joins {
+        j.join().expect("serve worker panicked");
+    }
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let inner = Arc::try_unwrap(inner).ok().expect("workers joined; no Inner refs remain");
+    finalize(inner, wall_seconds)
+}
+
+/// Serve a batch of sessions over a shared topology: every spec goes
+/// through [`admit`] in order before the first worker starts (so who is
+/// seated, who waits and who is shed is a pure function of the batch), the
+/// loop closes, and the workers run it dry.
 ///
 /// Panics if the config fails [`ServeConfig::validate`], if two specs
 /// share a name (reports would be ambiguous), or if an explicit shard map
 /// doesn't cover every spec.
 pub fn serve(topo: Arc<Topology>, specs: Vec<SessionSpec>, cfg: ServeConfig) -> ServeReport {
-    if let Err(e) = cfg.validate() {
-        panic!("{e}");
-    }
     {
         let mut names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), specs.len(), "duplicate session names");
     }
-    let workers = cfg.workers;
-    let nshards = cfg.shard.shards;
-    let n = specs.len();
-    if let ShardRouter::Explicit(map) = &cfg.shard.router {
-        assert_eq!(map.len(), n, "explicit shard map must cover every spec");
-    }
-
-    // Route every spec to its home shard; the partition is fixed for the
-    // whole run (session affinity).
-    let home: Vec<u32> =
-        specs.iter().enumerate().map(|(i, s)| cfg.shard.router.route(i, &s.name, nshards)).collect();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-    for (i, &h) in home.iter().enumerate() {
-        members[h as usize].push(i);
-    }
-
-    // Stage each shard's batch arrival against its slice of the budgets:
-    // first `cap_s` members go live, the next `depth_s` queue for
-    // admission, and overflow sheds the oldest waiting entries.
-    let cap_s = cfg.table_capacity.div_ceil(nshards);
-    let depth_s = cfg.admission_depth.div_ceil(nshards);
-    let tiered = cfg.tier.is_some();
-    let mut reports: Vec<Option<SessionReport>> = (0..n).map(|_| None).collect();
-    let mut live: Vec<Vec<usize>> = Vec::with_capacity(nshards);
-    let mut waiting: Vec<Vec<usize>> = Vec::with_capacity(nshards);
-    let mut shed_ids: Vec<usize> = Vec::new();
-    let mut shard_shed: Vec<usize> = vec![0; nshards];
-    for (s, m) in members.iter().enumerate() {
-        let l = cap_s.min(m.len());
-        let overflow = &m[l..];
-        let shed_count = overflow.len().saturating_sub(depth_s);
-        for &i in &overflow[..shed_count] {
-            reports[i] = Some(SessionReport::shed(specs[i].name.clone()));
-        }
-        shard_shed[s] = shed_count;
-        shed_ids.extend_from_slice(&overflow[..shed_count]);
-        live.push(m[..l].to_vec());
-        waiting.push(overflow[shed_count..].to_vec());
-    }
-    let accepted: i64 = (0..nshards).map(|s| (live[s].len() + waiting[s].len()) as i64).sum();
-
-    let shards = build_shards(&cfg, n);
-    for (s, st) in shards.iter().enumerate() {
-        st.shed.store(shard_shed[s], Ordering::Relaxed);
-        st.live.store(live[s].len(), Ordering::Relaxed);
-        if !tiered {
-            // Tiered serving enqueues every accepted id up front instead
-            // of staging admissions through the pending queue.
-            *st.pending.lock().expect("pending lock") = waiting[s].iter().copied().collect();
-        }
-    }
-
-    let origin = Instant::now();
-    let inner = Inner {
-        home: home.into_iter().map(AtomicU32::new).collect(),
-        shards,
-        slots: (0..n).map(|_| Mutex::new(Slot::default())).collect(),
-        reports: Mutex::new(reports),
-        remaining: AtomicI64::new(accepted),
-        closed: AtomicBool::new(true),
-        submitted: AtomicUsize::new(n),
-        origin,
-        trace_sink: Mutex::new(TraceLog::with_cap(cfg.trace.merged_cap)),
-        // The control thread's ring (admission staging); its worker id is
-        // one past the last worker's.
-        ctl_ring: Mutex::new(TraceRing::from_config(
-            (nshards * workers) as u32,
-            &cfg.trace,
-            origin,
-        )),
-        seed_stats: Mutex::new(QueueStats::default()),
-        events: None,
-        topo,
-        specs: specs.into_iter().map(OnceLock::from).collect(),
-        cfg,
-    };
-
-    {
-        let mut ctl_ring = inner.ctl_ring.lock().expect("ctl ring lock");
-        for &i in &shed_ids {
-            ctl_ring.emit(TraceKind::Shed, i as u32, 0, 0, 0);
-        }
-    }
-
+    let inner = Arc::new(Inner::new(topo, cfg, specs.len(), None));
     let t0 = Instant::now();
-    {
-        let mut ctl_ring = inner.ctl_ring.lock().expect("ctl ring lock");
-        let mut seed_stats = inner.seed_stats.lock().expect("seed stats lock");
-        for s in 0..nshards {
-            if tiered {
-                // Every accepted session circulates as an id from the
-                // start; the shard's store materializes at most `cap_s` at
-                // a time.
-                for (k, i) in live[s].iter().chain(waiting[s].iter()).copied().enumerate() {
-                    inner.shards[s].queues.push_seed(
-                        k % workers,
-                        (i as u32, Instant::now()),
-                        &mut seed_stats,
-                    );
-                    ctl_ring.emit(TraceKind::Enqueued, i as u32, 0, 0, 0);
-                }
-            } else {
-                for (k, i) in live[s].iter().copied().enumerate() {
-                    let sess =
-                        Session::build(inner.spec(i), &inner.topo, false, inner.cfg.reorg.as_ref());
-                    inner.slots[i].lock().expect("slot lock").sess = Some(sess);
-                    ctl_ring.emit(TraceKind::Admitted, i as u32, 0, 0, 0);
-                    inner.shards[s].queues.push_seed(
-                        k % workers,
-                        (i as u32, Instant::now()),
-                        &mut seed_stats,
-                    );
-                    ctl_ring.emit(TraceKind::Enqueued, i as u32, 0, 0, 0);
-                }
-            }
-        }
+    for spec in specs {
+        admit(&inner, spec, None);
     }
-    std::thread::scope(|scope| {
-        for s in 0..nshards {
-            for wid in 0..workers {
-                let inner = &inner;
-                std::thread::Builder::new()
-                    .name(format!("psm-serve-{s}-{wid}"))
-                    .spawn_scoped(scope, move || worker_loop(inner, s, wid))
-                    .expect("spawn serve worker");
-            }
-        }
-    });
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    finalize(inner, wall_seconds)
+    inner.closed.store(true, Ordering::Release);
+    let joins = spawn_workers(&inner);
+    run_out(inner, joins, t0)
 }

@@ -17,7 +17,8 @@
 //! expensive *resume* half (frame verify + journal replay) runs outside
 //! the lock: checkout marks the slot `Running` — giving the caller
 //! exclusive ownership — and hands back the snapshot bytes to decode at
-//! leisure. Workers never hold any other lock while calling in.
+//! leisure. The store takes no lock but its own, and a worker calling in
+//! holds at most the slot lock of the session it is putting back.
 
 use crate::session::Session;
 use psme_obs::Quantiles;

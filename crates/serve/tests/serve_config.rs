@@ -156,3 +156,105 @@ fn open_serve_refuses_duplicates_and_submits_after_finish() {
     }
     open.finish();
 }
+
+/// Unbounded plus *n* is unbounded: a `step` grant on a session submitted
+/// without one tops up nothing — whether it finds the session in flight or
+/// still waiting for a seat, the session stays auto-run, never parks, and
+/// retires at its natural stop.
+#[test]
+fn step_on_an_auto_run_session_leaves_it_auto_run() {
+    // One seat, one-decision slices: session 0 is dispatched again and
+    // again while the grants land, session 1 waits for its seat.
+    let cfg = ServeConfig { workers: 1, table_capacity: 1, slice_decisions: 1, ..Default::default() };
+    let topo = build_topology(&specs(1)[0].task);
+    let batch = serve(topo.clone(), specs(2), cfg.clone());
+
+    let (open, events) = OpenServe::start(topo, cfg, 2);
+    for spec in specs(2) {
+        let id = open.submit(spec, None).expect("capacity for every submit");
+        assert!(open.step(id, 1), "the session is open; the grant is accepted and ignored");
+    }
+    let report = open.finish();
+    for (a, b) in batch.sessions.iter().zip(&report.sessions) {
+        assert_eq!(b.stop, a.stop, "{}: natural stop, not Closed", b.name);
+        assert_eq!(b.stats, a.stats, "{}", b.name);
+    }
+    assert!(
+        events.try_iter().all(|ev| !matches!(ev, ServeEvent::Parked { .. })),
+        "an auto-run session never parks"
+    );
+}
+
+/// `finish()` against a loop holding every kind of session at once: parked
+/// on spent credit, in flight, re-enqueued by a grant a moment ago, still
+/// waiting for a seat (credited and not), and auto-run. Every session
+/// retires and the drain never hangs; a credited session runs at least its
+/// initial grant and never past what it was granted — `Closed` if that was
+/// short of its natural stop (a top-up the close overtakes is dropped: no
+/// more credit is coming either way) — and an auto-run one is untouched.
+#[test]
+fn finish_drains_parked_in_flight_and_waiting_sessions() {
+    use std::time::Duration;
+    let n = 12;
+    let cfg = ServeConfig { workers: 2, table_capacity: 3, admission_depth: 16, ..Default::default() };
+    let topo = build_topology(&specs(1)[0].task);
+    let natural = serve(topo.clone(), specs(n), cfg.clone());
+    for round in 0..40u64 {
+        let grant = |i: usize| match i % 4 {
+            0 => Some(1),
+            1 => Some(3 + round % 5),
+            2 => Some(50),
+            _ => None,
+        };
+        let (open, events) = OpenServe::start(topo.clone(), cfg.clone(), n);
+        let mut granted: Vec<Option<u64>> = (0..n).map(grant).collect();
+        for (spec, &g) in specs(n).into_iter().zip(&granted) {
+            open.submit(spec, g).expect("capacity for every submit");
+        }
+        // Let 0..=3 sessions park first (three seats, so three is all that
+        // can), then top up the short grants wherever they are — parked, in
+        // flight or waiting — and close the door on all of it.
+        let (mut parked, mut retired) = (0, 0);
+        while parked < round % 4 {
+            match events.recv_timeout(Duration::from_secs(60)).expect("the loop stalled") {
+                ServeEvent::Parked { .. } => parked += 1,
+                ServeEvent::Retired { .. } => retired += 1,
+                ServeEvent::Shed { .. } => panic!("round {round}: nothing is shed"),
+            }
+        }
+        for i in (1..n).step_by(4) {
+            if open.step(i as u32, 2) {
+                granted[i] = granted[i].map(|g| g + 2);
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // The receiver gives up only by failing the test.
+            let _ = tx.send(open.finish());
+        });
+        let report = rx.recv_timeout(Duration::from_secs(120)).expect("finish() hung");
+
+        assert_eq!(report.sessions.len(), n, "round {round}");
+        assert_eq!(report.shed, 0, "round {round}");
+        for (i, (r, nat)) in report.sessions.iter().zip(&natural.sessions).enumerate() {
+            let ctx = format!("round {round} session {i} ({:?})", granted[i]);
+            match granted[i] {
+                Some(g) if g < nat.stats.decisions => {
+                    assert_eq!(r.stop, Some(psme_soar::StopReason::Closed), "{ctx}");
+                    let first = grant(i).expect("credited");
+                    assert!(
+                        (first..=g).contains(&r.stats.decisions),
+                        "{ctx}: ran {} decisions, outside its grants",
+                        r.stats.decisions
+                    );
+                }
+                _ => {
+                    assert_eq!(r.stop, nat.stop, "{ctx}");
+                    assert_eq!(r.stats, nat.stats, "{ctx}");
+                }
+            }
+        }
+        retired += events.try_iter().filter(|ev| matches!(ev, ServeEvent::Retired { .. })).count();
+        assert_eq!(retired, n, "round {round}: one Retired event per session");
+    }
+}

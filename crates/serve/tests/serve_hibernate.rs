@@ -243,3 +243,48 @@ fn ample_capacity_never_hibernates() {
         assert_session_matches_solo(sr, solo, &format!("ample/{}", sr.name));
     }
 }
+
+/// An over-full tiered batch. Under a tier everything accepted circulates
+/// at once (the store bounds residency), so a shard accepts its table slice
+/// plus its admission slice and has no waiting room: the session it sheds
+/// is the *arrival* that found it full — nobody older is waiting to be
+/// displaced. Deterministic per shard, and the survivors equal solo.
+#[test]
+fn overfull_tiered_batch_sheds_the_arrivals_deterministically() {
+    use psme_serve::{ShardConfig, ShardRouter};
+    let specs: Vec<SessionSpec> = (0..7).map(|seed| spec(seed + 600, 2, seed == 1)).collect();
+    let solos: Vec<RunReport> = specs.iter().map(solo).collect();
+    let topo = build_topology(&specs[0].task);
+    // Two shards of 1 table seat + 1 admission seat each. Shard 0 is offered
+    // 0, 1, 2, 4 and keeps the first two; shard 1 is offered 3, 5, 6 and
+    // keeps the first two.
+    let run = || {
+        serve(
+            topo.clone(),
+            specs.clone(),
+            ServeConfig {
+                workers: 1,
+                table_capacity: 2,
+                admission_depth: 2,
+                slice_decisions: 2,
+                tier: Some(TierConfig::default()),
+                shard: ShardConfig {
+                    shards: 2,
+                    router: ShardRouter::Explicit(vec![0, 0, 0, 1, 0, 1, 1]),
+                    steal: false,
+                },
+                ..Default::default()
+            },
+        )
+    };
+    for report in [run(), run()] {
+        let shed: Vec<usize> =
+            (0..specs.len()).filter(|&i| report.sessions[i].was_shed()).collect();
+        assert_eq!(shed, vec![2, 4, 6], "each shard sheds what arrived after it filled");
+        assert_eq!(report.shed, 3);
+        assert_eq!(report.shards.iter().map(|s| s.shed).collect::<Vec<_>>(), vec![2, 1]);
+        for (sr, solo) in report.sessions.iter().zip(&solos).filter(|(sr, _)| !sr.was_shed()) {
+            assert_session_matches_solo(sr, solo, &format!("overfull/{}", sr.name));
+        }
+    }
+}

@@ -87,6 +87,62 @@ fn seeded_overload_dumps_shed_flight_deterministically() {
     assert_eq!(sig(&a), sig(&b));
 }
 
+/// The shed set of a batch is what staging it by arithmetic gives — per
+/// shard, the first `cap_s` members are seated, the newest `depth_s` of the
+/// rest wait, and the overflow between them is shed — although every spec
+/// now goes through the loop's one admission function. Two shards with a
+/// crafted partition, so each shard's slice of the budgets is exercised.
+#[test]
+fn sharded_overload_sheds_what_staging_arithmetic_predicts() {
+    use psme_serve::{ShardConfig, ShardRouter};
+    let map: Vec<u32> = vec![0, 0, 0, 0, 1, 1, 1, 0];
+    let (cap_s, depth_s) = (1, 1); // table 2 and depth 2 over 2 shards
+    let mut predicted: Vec<u32> = Vec::new();
+    for shard in 0..2 {
+        let members: Vec<u32> = (0..map.len() as u32).filter(|&i| map[i as usize] == shard).collect();
+        let overflow = &members[cap_s.min(members.len())..];
+        predicted.extend(&overflow[..overflow.len().saturating_sub(depth_s)]);
+    }
+    predicted.sort_unstable();
+    assert_eq!(predicted, vec![1, 2, 3, 5]);
+
+    let run = || {
+        let specs: Vec<SessionSpec> = (0..8).map(|seed| spec(seed + 500, 2)).collect();
+        let topo = build_topology(&specs[0].task);
+        serve(
+            topo,
+            specs,
+            ServeConfig {
+                workers: 1,
+                table_capacity: 2,
+                admission_depth: 2,
+                shard: ShardConfig {
+                    shards: 2,
+                    router: ShardRouter::Explicit(map.clone()),
+                    steal: true,
+                },
+                ..Default::default()
+            },
+        )
+    };
+    // Shed events in trace order: the order admission shed them in.
+    let shed_seq = |r: &ServeReport| -> Vec<u32> {
+        r.trace.events.iter().filter(|e| e.kind == TraceKind::Shed).map(|e| e.session).collect()
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(shed_seq(&a), shed_seq(&b), "a pure function of the batch");
+    for r in [&a, &b] {
+        let shed: Vec<u32> =
+            (0..8).filter(|&i| r.sessions[i as usize].was_shed()).collect();
+        assert_eq!(shed, predicted);
+        let mut traced = shed_seq(r);
+        traced.sort_unstable();
+        assert_eq!(traced, predicted, "one Shed event per shed session");
+        assert_eq!(r.shards.iter().map(|s| s.shed).collect::<Vec<_>>(), vec![3, 1]);
+        assert!(r.sessions.iter().filter(|s| !s.was_shed()).all(|s| s.stop.is_some()));
+    }
+}
+
 #[test]
 fn slice_events_tile_every_sessions_decisions() {
     let specs: Vec<SessionSpec> = (0..4).map(|seed| spec(seed + 400, 3)).collect();

@@ -37,15 +37,9 @@ pub struct CostModel {
     pub per_emit: f64,
     /// Base cost of a P-node activation (conflict-set update).
     pub prod_base: f64,
-    /// Memory-line critical-section base (token insert/remove), excluding
-    /// the acquire/release overhead priced separately per acquisition.
+    /// Memory-line critical-section base: acquire, token insert/remove,
+    /// release.
     pub line_hold_base: f64,
-    /// Per line-lock acquisition (acquire + release pair). Standalone beta
-    /// tasks pay exactly one; line-lock batching amortizes it across a
-    /// same-line group, recorded in [`TaskRecord::acquires`]. The old
-    /// 60 µs hold base split as 36 + 24 so unbatched traces (acquires = 1)
-    /// cost exactly what they did before the split.
-    pub per_line_acquire: f64,
     /// Queue critical section (one push or one pop).
     pub queue_op: f64,
     /// One spin-loop iteration while waiting for a lock.
@@ -87,8 +81,7 @@ impl Default for CostModel {
             per_skip: 4.0,
             per_emit: 40.0,
             prod_base: 170.0,
-            line_hold_base: 36.0,
-            per_line_acquire: 24.0,
+            line_hold_base: 60.0,
             queue_op: 42.0,
             spin: 18.0,
             failed_pop_interference: 12.0,
@@ -125,17 +118,13 @@ impl CostModel {
                 let full = t.scanned.saturating_sub(t.hash_rejects) as f64;
                 (
                     self.line_hold_base
-                        + t.acquires as f64 * self.per_line_acquire
                         + full * self.per_scanned
                         + t.hash_rejects as f64 * self.per_hash_reject
                         + t.skipped as f64 * self.per_skip,
                     self.beta_base + t.emitted as f64 * self.per_emit,
                 )
             }
-            TaskKind::Prod => (
-                self.line_hold_base + t.acquires as f64 * self.per_line_acquire,
-                self.prod_base,
-            ),
+            TaskKind::Prod => (self.line_hold_base, self.prod_base),
         }
     }
 
@@ -192,7 +181,6 @@ mod tests {
             probes: 0,
             emitted,
             line: Some(0),
-            acquires: 1,
             wall_ns: 0,
         }
     }
@@ -250,24 +238,8 @@ mod tests {
         let (l_idx, a_idx) = m.body_cost(&indexed);
         assert_eq!(a_ref, a_idx, "emission cost unchanged");
         assert!(l_idx < l_ref, "hash rejects shrink lock hold: {l_idx} vs {l_ref}");
-        let expect =
-            m.line_hold_base + m.per_line_acquire + 2.0 * m.per_scanned + 6.0 * m.per_hash_reject;
+        let expect = m.line_hold_base + 2.0 * m.per_scanned + 6.0 * m.per_hash_reject;
         assert!((l_idx - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn batched_tasks_skip_the_acquire_cost() {
-        let m = CostModel::default();
-        let standalone = rec(TaskKind::Join, 3, 1);
-        let mut batched = standalone;
-        batched.acquires = 0;
-        let (l_solo, a_solo) = m.body_cost(&standalone);
-        let (l_bat, a_bat) = m.body_cost(&batched);
-        assert_eq!(a_solo, a_bat, "after-lock cost unchanged");
-        assert!((l_solo - l_bat - m.per_line_acquire).abs() < 1e-9);
-        // The split preserves the pre-split hold cost for unbatched tasks,
-        // so committed artifacts from acquires = 1 traces stay comparable.
-        assert!((m.line_hold_base + m.per_line_acquire - 60.0).abs() < 1e-9);
     }
 
     #[test]

@@ -479,7 +479,6 @@ mod tests {
             probes: 0,
             emitted,
             line: Some(id % 64),
-            acquires: 1,
             wall_ns: 0,
         }
     }

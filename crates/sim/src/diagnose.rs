@@ -171,7 +171,6 @@ mod tests {
             probes: 0,
             emitted: 1,
             line: Some(0),
-            acquires: 1,
             wall_ns: 0,
         }
     }

@@ -61,7 +61,6 @@ mod profile_tests {
             probes: 0,
             emitted: if kind == TaskKind::Prod { 0 } else { 1 },
             line: Some(node % 8),
-            acquires: if kind == TaskKind::Alpha { 0 } else { 1 },
             wall_ns: 0,
         };
         let trace = CycleTrace {

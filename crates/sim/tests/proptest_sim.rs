@@ -35,7 +35,6 @@ fn dag_strategy() -> impl Strategy<Value = CycleTrace> {
                 probes: if kind == TaskKind::Alpha { rng.below(3) as u32 } else { 0 },
                 emitted: rng.below(4) as u32,
                 line: Some(rng.below(16) as u32),
-                acquires: if kind == TaskKind::Alpha { 0 } else { 1 },
                 wall_ns: 0,
             });
         }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything that must stay green on every commit.
 #
-#   build (release) -> tests (all crates) -> benchmark build -> clippy (deny warnings)
+#   build (release) -> tests (all crates) -> bench targets build ->
+#   benchmark build -> clippy (deny warnings)
 #
 # Runs fully offline against the vendored stub crates. If cargo still tries
 # to reach a registry (e.g. a stale lockfile on a fresh checkout), we retry
@@ -88,6 +89,11 @@ else
     fail=1
 fi
 
+# The bench targets (crates/bench/benches/*.rs) call `pub` items of crates/*
+# too, and nothing above compiles them: build them here, not as a side
+# effect of clippy, which is skipped where it is not installed.
+run_step "bench targets build" cargo build --workspace --benches || fail=1
+
 # The repo benchmark (benchmark/, a package outside the workspace) calls
 # `pub` items of crates/*: build it, so a change that breaks the driver's
 # command fails this gate instead of the pipeline.
@@ -160,10 +166,9 @@ PY
         fail=1
     fi
 fi
-# The shard-scaling artifact must exist, parse, and show (a) the modeled
+# The shard-scaling artifact must exist, parse, and show the modeled
 # 4-shard configuration at least doubling single-shard throughput at equal
-# workers per shard, and (b) line-lock batching at least halving the
-# acquire count on the memory-heavy config.
+# workers per shard.
 shard_artifact="crates/bench/BENCH_shard_scaling.json"
 if [ ! -f "$shard_artifact" ]; then
     echo "!! missing ${shard_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench shard_scaling)" >&2
@@ -182,13 +187,8 @@ if not wide:
 one = gate["one_shard_8w_sessions_per_sec"]
 if not all(p["sessions_per_sec"] > 2 * one for p in wide):
     sys.exit("64-logical-worker points do not scale past the single-bus knee")
-lock = doc["line_lock"]
-if lock["ratio"] < lock["required"]:
-    sys.exit(f"line-lock batching ratio {lock['ratio']:.2f}x is below the "
-             f"committed {lock['required']}x gate")
 print(f"==> shard scaling: {gate['ratio']:.2f}x at 4 shards, "
-      f"{wide[0]['sessions_per_sec']:.2f}/s at 64 logical workers, "
-      f"line-lock {lock['ratio']:.2f}x — ok")
+      f"{wide[0]['sessions_per_sec']:.2f}/s at 64 logical workers — ok")
 PY
     then
         echo "!! ${shard_artifact} invalid or under its scaling gates" >&2
