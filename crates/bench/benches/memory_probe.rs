@@ -24,7 +24,7 @@
 
 use psme_bench::*;
 use psme_obs::Json;
-use psme_rete::{ReteNetwork, RunTrace, SerialEngine, TaskKind};
+use psme_rete::{MatchState, MemoryTable, ReteNetwork, RunTrace, SerialEngine, TaskKind, WmeStore};
 use psme_sim::{simulate_run, total_seconds, SimConfig, SimScheduler};
 use psme_soar::SoarTask;
 use psme_tasks::{eight_puzzle, scrambled, DECISION_BUDGET};
@@ -52,12 +52,17 @@ struct ProbeRun {
     lines_compacted: u64,
 }
 
+/// A serial engine over the indexed table, or over the reference
+/// whole-line-scan table.
+fn engine(lines: usize, use_index: bool) -> SerialEngine {
+    let mem = if use_index { MemoryTable::new(lines) } else { MemoryTable::reference(lines) };
+    SerialEngine::with_state(ReteNetwork::new(), MatchState { mem, store: WmeStore::new() })
+}
+
 /// One captured during-chunking run with the memory index on/off.
 fn capture_run(lines: usize, use_index: bool) -> ProbeRun {
     let task = bench_task();
-    let net = ReteNetwork::new();
-    let mut engine = SerialEngine::with_memory(net, lines);
-    engine.state.mem.use_index = use_index;
+    let mut engine = engine(lines, use_index);
     engine.capture = true;
     let mut agent = task.agent(engine);
     agent.learning = true;
@@ -79,9 +84,7 @@ fn host_wall_ms(lines: usize, use_index: bool, n: usize) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..n {
         let task = bench_task();
-        let mut engine = SerialEngine::with_memory(ReteNetwork::new(), lines);
-        engine.state.mem.use_index = use_index;
-        let mut agent = task.agent(engine);
+        let mut agent = task.agent(engine(lines, use_index));
         agent.learning = true;
         let t0 = Instant::now();
         agent.run(DECISION_BUDGET);

@@ -89,13 +89,6 @@ pub enum Steal<T> {
     Success(T),
 }
 
-impl<T> Steal<T> {
-    /// `true` for [`Steal::Success`].
-    pub fn is_success(&self) -> bool {
-        matches!(self, Steal::Success(_))
-    }
-}
-
 /// The work-stealing deque.
 pub struct WsDeque<T> {
     /// Next index a thief will claim.

@@ -36,8 +36,8 @@ use psme_obs::{ControlPhase, Counter, Recorder, TraceKind, TraceRing, SESSION_NO
 use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
     instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update, ActStats,
-    Activation, AddOutcome, BetaScratch, BuildError, CsFold, CycleOutcome, MemoryTable, NetworkOrg,
-    NodeId, NodeKind, Phase, ReteNetwork, WmeStore,
+    Activation, AddOutcome, BetaScratch, BuildError, CostWindow, CsFold, CycleOutcome, MemoryTable,
+    NetworkOrg, NodeId, NodeKind, Phase, ReteNetwork, WmeStore,
 };
 use std::collections::VecDeque;
 use std::hint::spin_loop;
@@ -111,7 +111,7 @@ struct Process {
     /// profiling is armed, per-node costs.
     stats: WorkerStats,
     cs: CsFold,
-    costs: Vec<u64>,
+    costs: CostWindow,
 }
 
 impl Process {
@@ -154,7 +154,7 @@ struct Shared {
     /// their pass (one lock acquisition per process per cycle, zero
     /// hot-loop sharing).
     profile_costs: AtomicBool,
-    node_costs: Mutex<Vec<u64>>,
+    node_costs: Mutex<CostWindow>,
 }
 
 /// Push one wme change through the constant-test network (an alpha task).
@@ -184,14 +184,10 @@ fn account_beta(
     a: &Activation,
     s: &ActStats,
     stats: &mut WorkerStats,
-    costs: Option<&mut Vec<u64>>,
+    costs: Option<&mut CostWindow>,
 ) {
     if let Some(costs) = costs {
-        let node = a.node as usize;
-        if costs.len() <= node {
-            costs.resize(node + 1, 0);
-        }
-        costs[node] += 1 + s.scanned as u64 + s.emitted as u64;
+        costs.note(a.node, s);
     }
     stats.mem_spins += s.spins;
     stats.scanned += s.scanned as u64;
@@ -279,15 +275,8 @@ impl Shared {
         c.add(Counter::Steals, p.stats.queue.steals);
         c.add(Counter::StealFails, p.stats.queue.steal_fails);
         c.add(Counter::Batches, p.stats.queue.batches);
-        if profiling && !p.costs.is_empty() {
-            let mut merged = self.node_costs.lock();
-            if merged.len() < p.costs.len() {
-                merged.resize(p.costs.len(), 0);
-            }
-            for (m, c) in merged.iter_mut().zip(&p.costs) {
-                *m += c;
-            }
-            p.costs.clear();
+        if profiling {
+            self.node_costs.lock().absorb(&mut p.costs);
         }
         helpers.is_none()
     }
@@ -480,7 +469,7 @@ impl ParallelEngine {
             control: Mutex::new(None),
             harvest: Mutex::default(),
             profile_costs: AtomicBool::new(false),
-            node_costs: Mutex::new(Vec::new()),
+            node_costs: Mutex::default(),
         });
         let handles = (1..workers)
             .map(|me| {
@@ -659,7 +648,7 @@ impl ParallelEngine {
     pub fn set_cost_profiling(&mut self, on: bool) {
         self.shared.profile_costs.store(on, Ordering::Relaxed);
         if !on {
-            self.shared.node_costs.lock().clear();
+            *self.shared.node_costs.lock() = CostWindow::default();
         }
     }
 
@@ -670,11 +659,7 @@ impl ParallelEngine {
         &mut self,
         det: &mut psme_rete::ChainDetector,
     ) -> Option<psme_rete::ReorgDecision> {
-        let mut costs = self.shared.node_costs.lock();
-        let net = self.shared.net.read();
-        let d = det.observe(&costs, &*net);
-        costs.iter_mut().for_each(|c| *c = 0);
-        d
+        self.shared.node_costs.lock().poll(det, &*self.shared.net.read())
     }
 
     /// Rebuild an existing production under a new organization: §5.1

@@ -111,7 +111,6 @@ pub struct Recorder {
     /// Retention cap for `spans`.
     pub span_cap: usize,
     totals: [PhaseTotal; 6],
-    dropped: u64,
 }
 
 impl Default for Recorder {
@@ -129,7 +128,6 @@ impl Recorder {
             events: Vec::new(),
             span_cap: DEFAULT_SPAN_CAP,
             totals: [PhaseTotal::default(); 6],
-            dropped: 0,
         }
     }
 
@@ -154,8 +152,6 @@ impl Recorder {
         t.max_ns = t.max_ns.max(dur_ns);
         if self.spans.len() < self.span_cap {
             self.spans.push(SpanRecord { phase: handle.phase, start_ns, dur_ns, seq });
-        } else {
-            self.dropped += 1;
         }
         dur_ns
     }
@@ -193,11 +189,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Spans dropped past the retention cap.
-    pub fn dropped_spans(&self) -> u64 {
-        self.dropped
-    }
-
     /// Merge another recorder's aggregates (its individual spans are
     /// appended up to the cap; origins are not reconciled, so only use
     /// this for recorders whose absolute timestamps don't matter).
@@ -209,14 +200,8 @@ impl Recorder {
             t.total_ns += o.total_ns;
             t.max_ns = t.max_ns.max(o.max_ns);
         }
-        for s in &other.spans {
-            if self.spans.len() < self.span_cap {
-                self.spans.push(*s);
-            } else {
-                self.dropped += 1;
-            }
-        }
-        self.dropped += other.dropped;
+        let room = self.span_cap.saturating_sub(self.spans.len());
+        self.spans.extend(other.spans.iter().take(room));
     }
 
     /// Phase totals as JSON: `{phase: {count, total_us, mean_us, max_us}}`.
@@ -238,26 +223,6 @@ impl Recorder {
                 })
                 .collect(),
         )
-    }
-
-    /// Plain-text phase summary.
-    pub fn text_summary(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::from("phase                 count     total ms      mean µs       max µs\n");
-        for (p, t) in self.phase_totals() {
-            let mean = if t.count == 0 { 0.0 } else { t.total_ns as f64 / t.count as f64 / 1e3 };
-            writeln!(
-                s,
-                "{:<20} {:>6} {:>12.3} {:>12.2} {:>12.2}",
-                p.name(),
-                t.count,
-                t.total_ns as f64 / 1e6,
-                mean,
-                t.max_ns as f64 / 1e3
-            )
-            .unwrap();
-        }
-        s
     }
 }
 
@@ -435,7 +400,6 @@ mod tests {
         assert_eq!(r.total(ControlPhase::Decide).count, 1);
         assert_eq!(r.total(ControlPhase::ChunkBuild).count, 0);
         assert_eq!(r.spans.len(), 4);
-        assert!(r.text_summary().contains("match"));
     }
 
     #[test]
@@ -447,7 +411,6 @@ mod tests {
             r.finish(h);
         }
         assert_eq!(r.spans.len(), 2);
-        assert_eq!(r.dropped_spans(), 3);
         assert_eq!(r.total(ControlPhase::Match).count, 5);
     }
 

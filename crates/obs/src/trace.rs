@@ -180,29 +180,24 @@ impl TraceEvent {
     }
 }
 
+/// Capacity, in events, of a ring built by [`TraceRing::from_config`].
+pub const RING_CAP: usize = 4096;
+/// Bound on a serving run's merged log. Overflow drops oldest, counted.
+pub const MERGED_CAP: usize = 1 << 20;
+
 /// Tracing configuration, embedded in the serve config (always-on by
 /// default — the `trace_overhead` bench gates the cost).
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Master switch. Disabled rings make `emit` a single branch.
     pub enabled: bool,
-    /// Per-worker ring capacity (events).
-    pub ring_cap: usize,
-    /// Bound on the merged run-level log (0 = unbounded). Overflow drops
-    /// oldest, counted.
-    pub merged_cap: usize,
     /// Flight-recorder triggering.
     pub flight: FlightConfig,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig {
-            enabled: true,
-            ring_cap: 4096,
-            merged_cap: 1 << 20,
-            flight: FlightConfig::default(),
-        }
+        TraceConfig { enabled: true, flight: FlightConfig::default() }
     }
 }
 
@@ -264,7 +259,7 @@ impl TraceRing {
     /// Build from config (disabled config ⇒ disabled ring).
     pub fn from_config(worker: u32, cfg: &TraceConfig, origin: Instant) -> TraceRing {
         if cfg.enabled {
-            TraceRing::new(worker, cfg.ring_cap, origin)
+            TraceRing::new(worker, RING_CAP, origin)
         } else {
             TraceRing::disabled(worker)
         }
@@ -376,8 +371,7 @@ impl TraceRing {
 }
 
 /// Chrome-export process ids: shard `s` renders as process
-/// `SHARD_PID_BASE + s`, clear of the default pool (pid 1) and the
-/// session-phase tracks (pid 2).
+/// `SHARD_PID_BASE + s`, clear of the default pool (pid 1).
 const SHARD_PID_BASE: u32 = 10;
 
 /// The merged run-level trace.
@@ -389,6 +383,10 @@ pub struct TraceLog {
     pub dropped: u64,
     /// Bound applied at seal time (0 = unbounded).
     pub merged_cap: usize,
+    /// The workers whose rings were absorbed, in absorb order — including
+    /// those that never emitted, so that the Chrome export can give every
+    /// worker of the run a track.
+    pub workers: Vec<u32>,
     /// Worker → shard assignment for sharded serving runs (empty =
     /// unsharded). Mapped workers render as one Chrome track group
     /// (process) per shard; unmapped workers — the control thread — stay
@@ -424,6 +422,9 @@ impl TraceLog {
     /// Drain one worker ring into the log (call at a barrier, from the
     /// ring's owning thread or after it has quiesced).
     pub fn absorb(&mut self, ring: &mut TraceRing) {
+        if ring.enabled && !self.workers.contains(&ring.worker) {
+            self.workers.push(ring.worker);
+        }
         let (evs, dropped) = ring.drain();
         self.events.extend_from_slice(&evs);
         self.dropped += dropped;
@@ -464,14 +465,15 @@ impl TraceLog {
     /// to their own process (`shard-N` track group) so Perfetto shows one
     /// group per shard. Slices appear as complete (`X`) events spanning
     /// their execution time; admission-control events are instants; a
-    /// session's hops between workers are flow arrows keyed by session id.
-    /// Session-level control-phase spans (when captured) land in process 2,
-    /// one thread track per session.
+    /// session's hops between workers are flow arrows keyed by session id;
+    /// control phases are `B`/`E` pairs on the emitting worker's track.
     pub fn chrome_json(&self) -> Json {
         let us = |t_ns: u64| Json::float(t_ns as f64 / 1e3);
         let mut out: Vec<Json> = Vec::new();
-        // Track-naming metadata.
-        let mut workers: Vec<u32> = self.events.iter().map(|e| e.worker).collect();
+        // Track-naming metadata: every absorbed ring's worker, whether or
+        // not it emitted, and whoever else the events name.
+        let mut workers = self.workers.clone();
+        workers.extend(self.events.iter().map(|e| e.worker));
         workers.sort_unstable();
         workers.dedup();
         out.push(Json::obj([
@@ -499,31 +501,6 @@ impl TraceLog {
                 ("tid", Json::from(w)),
                 ("args", Json::obj([("name", Json::from(format!("worker-{w}")))])),
             ]));
-        }
-        let mut session_tracks: Vec<u32> = self
-            .events
-            .iter()
-            .filter(|e| e.kind.phase().is_some() && e.session != SESSION_NONE)
-            .map(|e| e.session)
-            .collect();
-        session_tracks.sort_unstable();
-        session_tracks.dedup();
-        if !session_tracks.is_empty() {
-            out.push(Json::obj([
-                ("name", Json::from("process_name")),
-                ("ph", Json::from("M")),
-                ("pid", Json::from(2u32)),
-                ("args", Json::obj([("name", Json::from("session-phases"))])),
-            ]));
-            for &s in &session_tracks {
-                out.push(Json::obj([
-                    ("name", Json::from("thread_name")),
-                    ("ph", Json::from("M")),
-                    ("pid", Json::from(2u32)),
-                    ("tid", Json::from(s)),
-                    ("args", Json::obj([("name", Json::from(format!("session-{s}")))])),
-                ]));
-            }
         }
         // Flow arrows need a start (`s`) strictly before the finish (`f`);
         // track which session flows are open.
@@ -608,26 +585,15 @@ impl TraceLog {
                 | TraceKind::ReorgRolledBack => {
                     out.push(instant(e, us(e.t_ns), self.pid_of(e.worker)));
                 }
-                TraceKind::PhaseBegin(p) => {
-                    let (pid, tid) = self.phase_track(e);
+                TraceKind::PhaseBegin(p) | TraceKind::PhaseEnd(p) => {
+                    let ph = if matches!(e.kind, TraceKind::PhaseBegin(_)) { "B" } else { "E" };
                     out.push(Json::obj([
                         ("name", Json::from(p.name())),
                         ("cat", Json::from("phase")),
-                        ("ph", Json::from("B")),
+                        ("ph", Json::from(ph)),
                         ("ts", us(e.t_ns)),
-                        ("pid", Json::from(pid)),
-                        ("tid", Json::from(tid)),
-                    ]));
-                }
-                TraceKind::PhaseEnd(p) => {
-                    let (pid, tid) = self.phase_track(e);
-                    out.push(Json::obj([
-                        ("name", Json::from(p.name())),
-                        ("cat", Json::from("phase")),
-                        ("ph", Json::from("E")),
-                        ("ts", us(e.t_ns)),
-                        ("pid", Json::from(pid)),
-                        ("tid", Json::from(tid)),
+                        ("pid", Json::from(self.pid_of(e.worker))),
+                        ("tid", Json::from(e.worker)),
                     ]));
                 }
             }
@@ -636,17 +602,6 @@ impl TraceLog {
             ("traceEvents", Json::Arr(out)),
             ("displayTimeUnit", Json::from("ms")),
         ])
-    }
-
-    /// Track for a phase event: control-thread phases live on the emitting
-    /// worker's track (in its shard's process, if mapped); session-
-    /// attributed phases get a session track in pid 2.
-    fn phase_track(&self, e: &TraceEvent) -> (u32, u32) {
-        if e.session == SESSION_NONE {
-            (self.pid_of(e.worker), e.worker)
-        } else {
-            (2, e.session)
-        }
     }
 }
 
@@ -947,6 +902,28 @@ mod tests {
         let x = evs.iter().find(|e| e.get("ph").and_then(Json::as_str) == Some("X")).unwrap();
         assert_eq!(x.get("ts").and_then(Json::as_f64), Some(0.01));
         assert_eq!(x.get("dur").and_then(Json::as_f64), Some(0.02));
+    }
+
+    #[test]
+    fn a_worker_that_emitted_nothing_still_gets_a_track() {
+        // A worker that never won a slice absorbs an empty ring; the export
+        // must name its track all the same (a disabled ring leaves none).
+        let origin = Instant::now();
+        let mut log = TraceLog::default();
+        let mut busy = TraceRing::new(0, 16, origin);
+        ev(&mut busy, 5, TraceKind::Enqueued, 1);
+        log.absorb(&mut busy);
+        log.absorb(&mut TraceRing::new(1, 16, origin));
+        log.absorb(&mut TraceRing::disabled(2));
+        log.seal();
+        let parsed = Json::parse(&log.chrome_json().to_string()).expect("chrome JSON parses");
+        let evs = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+        let named: Vec<u64> = evs
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some("thread_name"))
+            .filter_map(|e| e.get("tid").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(named, vec![0, 1]);
     }
 
     #[test]

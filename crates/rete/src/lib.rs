@@ -79,7 +79,7 @@ pub use codesize::{code_size, compile_time_us, CodeSizeModel, CodegenStyle, Prod
 pub use psme_ops::util;
 
 pub use memory::{
-    key_hash, token_hash, Key, KeyElem, LeftEntry, LineData, MemoryTable, RightEntry, KEY_INLINE,
+    key_hash, token_hash, Bucket, Entry, Key, KeyElem, LineData, MemoryTable, Upsert, KEY_INLINE,
     STRIPE,
 };
 pub use network::{NetStats, NetworkOrg, ProdInfo, ReteNetwork};
@@ -89,9 +89,9 @@ pub use process::{
     assert_quiescent, make_key, process_beta, process_beta_scratch, process_wme_change, ActStats,
     Activation, BetaScratch, CsChange,
 };
-pub use reorg::{ChainDetector, ReorgConfig, ReorgDecision};
+pub use reorg::{ChainDetector, CostWindow, ReorgConfig, ReorgDecision};
 pub use serial::{
-    fold_cs, instantiation_of, instantiations_from_memories, AddOutcome, CsDelta, CsFold,
+    instantiation_of, instantiations_from_memories, AddOutcome, CsDelta, CsFold,
     CycleOutcome, ReorgOutcome, SerialEngine,
 };
 pub use session::{SessionNet, Topology};
@@ -103,5 +103,5 @@ pub use state::MatchState;
 pub use sync::{SpinGuard, SpinLock};
 pub use token::{Token, WmeStore};
 pub use trace::{CycleTrace, Phase, RunTrace, TaskKind, TaskRecord};
-pub use update::{seed_update, update_seeds};
+pub use update::seed_update;
 pub use view::{ReorgBuild, ReteBuild, ReteView};

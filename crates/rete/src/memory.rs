@@ -19,23 +19,33 @@
 //! carry `m`, the number (summed weight) of matching right tokens — the
 //! not-node counter of §2.2.
 //!
-//! ## Hot-path organization
+//! ## One entry, one bucket, one probe
 //!
-//! Beyond the paper's layout, the probe path is organized for constant
-//! factors:
+//! This module is the only one that knows what a memory entry is and how a
+//! bucket is searched. Both memories store the same [`Entry`] (the left
+//! ones with the not-counter, the right ones with `()` in its place), a
+//! line is a [`Bucket`] of each, and everything an activation does to a
+//! line is one of three calls: [`Bucket::upsert`] (insert own token),
+//! [`Bucket::probe`] (scan the opposite bucket — the only loop in the crate
+//! that looks for key matches) and, at a fresh not-node entry,
+//! [`Bucket::set_m`]. `process.rs` says *which* calls an activation makes;
+//! how they find their entries is decided here:
 //!
 //! * **Hash-first probes.** Every entry stores the 64-bit hash of its key,
 //!   computed once when the activation arrives. A probe compares hashes
 //!   before any structural [`Key`] compare; mismatches are counted as
 //!   `hash_rejects` and cost one word compare.
-//! * **Per-node grouping.** Each line keeps its entries *grouped by
+//! * **Per-node grouping.** Each bucket keeps its entries *grouped by
 //!   destination node* (ascending node id, insertion order within a node).
 //!   A probe binary-searches for its node's run and examines only real
-//!   candidates; co-hashed entries of other nodes are never touched. The
-//!   pre-overhaul whole-line scan survives behind `use_index = false` as
-//!   the differential oracle (the `classify_linear` precedent) — it walks
-//!   the entire line, counting the non-candidates it filters as
-//!   `entries_skipped`.
+//!   candidates; co-hashed entries of other nodes are never touched.
+//! * **Reference table by constructor.** The pre-overhaul search — walk the
+//!   whole line, skip foreign entries one by one (`skipped`), compare keys
+//!   structurally — survives as the differential oracle (the
+//!   `classify_linear` precedent). It is chosen when the table is built
+//!   ([`MemoryTable::reference`]), is one branch inside `upsert` and
+//!   `probe`, and no code outside this module can tell, or switch, which
+//!   kind of table it holds.
 //! * **Inline keys.** [`Key`] stores up to [`KEY_INLINE`] elements inline
 //!   and only spills longer keys to the heap, so `make_key` on the
 //!   activation hot path allocates nothing for typical join keys.
@@ -55,7 +65,8 @@
 //!   instantiations then spread over the stripe instead of piling into one
 //!   line, and the hash-first reject makes their upsert O(1) expected.
 
-use crate::node::NodeId;
+use crate::node::{NodeId, Side};
+use crate::process::ActStats;
 use crate::sync::{SpinGuard, SpinLock};
 use crate::token::Token;
 use crate::util::fxhash;
@@ -118,11 +129,6 @@ impl Key {
         }
     }
 
-    /// Build from a slice.
-    pub fn from_slice(elems: &[KeyElem]) -> Key {
-        Key::build(elems.len(), elems.iter().copied())
-    }
-
     /// The key elements.
     #[inline]
     pub fn elems(&self) -> &[KeyElem] {
@@ -130,22 +136,6 @@ impl Key {
             KeyRepr::Inline { len, elems } => &elems[..*len as usize],
             KeyRepr::Spill(b) => b,
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.elems().len()
-    }
-
-    /// `true` for the empty key.
-    pub fn is_empty(&self) -> bool {
-        self.elems().is_empty()
-    }
-}
-
-impl Default for Key {
-    fn default() -> Key {
-        Key::empty()
     }
 }
 
@@ -179,9 +169,11 @@ pub fn token_hash(token: &Token) -> u64 {
     fxhash(token)
 }
 
-/// An entry in a left memory.
+/// One stored token of one node's memory. `M` is what the side keeps beside
+/// it: the left memories' not-node counter (`i32`), nothing (`()`) on the
+/// right — so a right entry is a word shorter.
 #[derive(Clone, Debug)]
-pub struct LeftEntry {
+pub struct Entry<M> {
     /// Destination node.
     pub node: NodeId,
     /// Hash of `key` — of `token` at a P node (hash-first rejection, and
@@ -189,147 +181,162 @@ pub struct LeftEntry {
     pub hash: u64,
     /// Equality-binding key.
     pub key: Key,
-    /// The stored token.
+    /// The stored token (a unit token for alpha-sourced right inputs).
     pub token: Token,
     /// Signed multiplicity (1 at quiescence).
     pub weight: i32,
-    /// Not-node counter: summed weight of matching right tokens.
-    pub m: i32,
+    /// Left: summed weight of matching right tokens (§2.2's not-counter).
+    pub m: M,
 }
 
-/// An entry in a right memory.
-#[derive(Clone, Debug)]
-pub struct RightEntry {
-    /// Destination node.
-    pub node: NodeId,
-    /// Hash of `key` (hash-first probe rejection).
-    pub hash: u64,
-    /// Equality-binding key.
-    pub key: Key,
-    /// The stored token (a unit token for alpha-sourced inputs).
-    pub token: Token,
-    /// Signed multiplicity (1 at quiescence).
-    pub weight: i32,
+/// What [`Bucket::upsert`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Upsert<M> {
+    /// The entry's `m` before the call (the default for a fresh entry).
+    pub m: M,
+    /// Position of the entry the call created; `None` when the token was
+    /// already stored. Valid until the bucket is next written.
+    pub fresh: Option<usize>,
+}
+
+/// One side of a memory line: the entries hashed to it, kept *grouped by
+/// destination node* (ascending node id, insertion order within a node).
+/// Removals are order-preserving and the vector is private, so grouping is
+/// an invariant: a node's entries are one run, found by binary search.
+///
+/// A bucket of a [`MemoryTable::reference`] table never looks at a stored
+/// hash, and its `probe` walks the whole line instead of the node's run —
+/// the scan with structural compares that the differential suites use as
+/// the oracle.
+#[derive(Debug, Default)]
+pub struct Bucket<M> {
+    entries: Vec<Entry<M>>,
+    /// Token accesses this cycle (Figure 6-2 instrumentation).
+    accesses: u64,
+    reference: bool,
+}
+
+impl<M: Copy + Default> Bucket<M> {
+    /// The stored entries, grouped by node.
+    pub fn entries(&self) -> &[Entry<M>] {
+        &self.entries
+    }
+
+    /// `node`'s contiguous run of entries: `(start, end)`.
+    #[inline]
+    pub fn run(&self, node: NodeId) -> (usize, usize) {
+        let start = self.entries.partition_point(|e| e.node < node);
+        let len = self.entries[start..].partition_point(|e| e.node == node);
+        (start, start + len)
+    }
+
+    /// One access: add `delta` to the weight of the entry for
+    /// `(node, token)`, creating it (at its node run's end) or removing it
+    /// at weight zero. Candidates are rejected on hash inequality before
+    /// the structural token compare — sound because a node's key is a
+    /// function of the token, so equal `(node, token)` implies equal hash.
+    pub fn upsert(
+        &mut self,
+        node: NodeId,
+        key: &Key,
+        hash: u64,
+        token: &Token,
+        delta: i32,
+    ) -> Upsert<M> {
+        self.accesses += 1;
+        let (s, e) = self.run(node);
+        for i in s..e {
+            let en = &mut self.entries[i];
+            if (self.reference || en.hash == hash) && en.token == *token {
+                let m = en.m;
+                en.weight += delta;
+                if en.weight == 0 {
+                    self.entries.remove(i);
+                }
+                return Upsert { m, fresh: None };
+            }
+        }
+        let m = M::default();
+        self.entries.insert(
+            e,
+            Entry { node, hash, key: key.clone(), token: token.clone(), weight: delta, m },
+        );
+        Upsert { m, fresh: Some(e) }
+    }
+
+    /// Set the not-counter of the entry [`Self::upsert`] just created.
+    pub fn set_m(&mut self, at: usize, m: M) {
+        self.entries[at].m = m;
+    }
+
+    /// The bucket scan: call `hit` with the token, the weight and the `m`
+    /// of every entry of `node` whose key is `key` (`hash` is its hash) —
+    /// with `live_only`, of those of nonzero weight. `m` is all a caller can
+    /// change. Every same-node entry examined counts as `scanned`, every
+    /// one turned away by the one-word hash compare as a `hash_rejects`.
+    /// A reference bucket walks the whole line instead of the node's run,
+    /// counts the foreign entries it passes as `skipped`, and compares keys
+    /// structurally; `scanned` is the same either way.
+    #[inline]
+    pub fn probe(
+        &mut self,
+        node: NodeId,
+        key: &Key,
+        hash: u64,
+        live_only: bool,
+        stats: &mut ActStats,
+        mut hit: impl FnMut(&Token, i32, &mut M),
+    ) {
+        let reference = self.reference;
+        let (s, e) = if reference { (0, self.entries.len()) } else { self.run(node) };
+        for en in &mut self.entries[s..e] {
+            if en.node != node {
+                stats.skipped += 1;
+                continue;
+            }
+            stats.scanned += 1;
+            if live_only && en.weight == 0 {
+                continue;
+            }
+            if !reference && en.hash != hash {
+                stats.hash_rejects += 1;
+                continue;
+            }
+            if en.key == *key {
+                hit(&en.token, en.weight, &mut en.m);
+            }
+        }
+    }
+
+    /// Append `node`'s tokens of positive weight, with their weights.
+    fn live_tokens(&self, node: NodeId, out: &mut Vec<(Token, i32)>) {
+        let (s, e) = self.run(node);
+        let live = self.entries[s..e].iter().filter(|en| en.weight > 0);
+        out.extend(live.map(|en| (en.token.clone(), en.weight)));
+    }
+
+    /// Drop `node`'s whole run (which keeps the grouping).
+    fn purge(&mut self, node: NodeId) {
+        let (s, e) = self.run(node);
+        self.entries.drain(s..e);
+    }
+
+    fn compact(&mut self) {
+        self.entries.retain(|e| e.weight != 0);
+    }
+
+    fn grouped(&self) -> bool {
+        self.entries.windows(2).all(|w| w[0].node <= w[1].node)
+    }
 }
 
 /// The pair of corresponding left/right buckets guarded by one lock.
-///
-/// Both vectors are kept *grouped by destination node* (ascending node id,
-/// insertion order within a node): probes binary-search for their node's
-/// run, and removals are order-preserving so grouping is an invariant, not
-/// a sometimes-true property.
 #[derive(Default, Debug)]
 pub struct LineData {
-    /// Left-memory entries hashed to this line, grouped by node.
-    pub left: Vec<LeftEntry>,
-    /// Right-memory entries hashed to this line, grouped by node.
-    pub right: Vec<RightEntry>,
-    /// Left-token accesses this cycle (Figure 6-2 instrumentation).
-    pub left_accesses: u64,
-    /// Right-token accesses this cycle.
-    pub right_accesses: u64,
-}
-
-/// Find `node`'s contiguous run in a grouped slice: `(start, end)`.
-#[inline]
-fn run_of<E>(v: &[E], node: NodeId, node_of: impl Fn(&E) -> NodeId) -> (usize, usize) {
-    let start = v.partition_point(|e| node_of(e) < node);
-    let len = v[start..].partition_point(|e| node_of(e) == node);
-    (start, start + len)
-}
-
-impl LineData {
-    /// The contiguous run of left entries for `node`.
-    #[inline]
-    pub fn left_run(&self, node: NodeId) -> (usize, usize) {
-        run_of(&self.left, node, |e| e.node)
-    }
-
-    /// The contiguous run of right entries for `node`.
-    #[inline]
-    pub fn right_run(&self, node: NodeId) -> (usize, usize) {
-        run_of(&self.right, node, |e| e.node)
-    }
-
-    /// Add `delta` to the weight of the left entry for `(node, token)`,
-    /// creating it (at its node run's end, preserving grouping) or removing
-    /// it at weight zero. With `use_index`, candidate entries are rejected
-    /// on hash inequality before the structural token compare — sound
-    /// because a node's key is a function of the token, so equal
-    /// `(node, token)` implies equal hash.
-    #[allow(clippy::too_many_arguments)]
-    pub fn upsert_left(
-        &mut self,
-        node: NodeId,
-        key: &Key,
-        hash: u64,
-        token: &Token,
-        delta: i32,
-        m: i32,
-        use_index: bool,
-    ) {
-        let (s, e) = self.left_run(node);
-        for i in s..e {
-            let en = &self.left[i];
-            if use_index && en.hash != hash {
-                continue;
-            }
-            if en.token == *token {
-                self.left[i].weight += delta;
-                if self.left[i].weight == 0 {
-                    // Order-preserving removal keeps the grouping invariant.
-                    self.left.remove(i);
-                }
-                return;
-            }
-        }
-        self.left.insert(
-            e,
-            LeftEntry { node, hash, key: key.clone(), token: token.clone(), weight: delta, m },
-        );
-    }
-
-    /// Right-memory counterpart of [`Self::upsert_left`].
-    pub fn upsert_right(
-        &mut self,
-        node: NodeId,
-        key: &Key,
-        hash: u64,
-        token: &Token,
-        delta: i32,
-        use_index: bool,
-    ) {
-        let (s, e) = self.right_run(node);
-        for i in s..e {
-            let en = &self.right[i];
-            if use_index && en.hash != hash {
-                continue;
-            }
-            if en.token == *token {
-                self.right[i].weight += delta;
-                if self.right[i].weight == 0 {
-                    self.right.remove(i);
-                }
-                return;
-            }
-        }
-        self.right.insert(
-            e,
-            RightEntry { node, hash, key: key.clone(), token: token.clone(), weight: delta },
-        );
-    }
-
-    /// Assert the grouping invariant (debug/test helper).
-    pub fn check_grouped(&self) {
-        assert!(
-            self.left.windows(2).all(|w| w[0].node <= w[1].node),
-            "left entries not grouped by node"
-        );
-        assert!(
-            self.right.windows(2).all(|w| w[0].node <= w[1].node),
-            "right entries not grouped by node"
-        );
-    }
+    /// Left-memory entries hashed to this line.
+    pub left: Bucket<i32>,
+    /// Right-memory entries hashed to this line.
+    pub right: Bucket<()>,
 }
 
 /// One memory line: the spin-locked bucket pair plus its dirty flag,
@@ -345,8 +352,12 @@ struct Line {
 }
 
 impl Line {
-    fn new() -> Line {
-        Line { lock: SpinLock::new(LineData::default()), dirty: AtomicBool::new(false) }
+    fn new(reference: bool) -> Line {
+        let data = LineData {
+            left: Bucket { reference, ..Bucket::default() },
+            right: Bucket { reference, ..Bucket::default() },
+        };
+        Line { lock: SpinLock::new(data), dirty: AtomicBool::new(false) }
     }
 }
 
@@ -359,11 +370,6 @@ pub struct MemoryTable {
     /// Lines written since the last [`Self::end_cycle`], in first-touch
     /// order, each exactly once (its `dirty` flag guards the append).
     touched: SpinLock<Vec<u32>>,
-    /// Probe through the per-node line index with hash-first rejection
-    /// (default). `false` selects the reference whole-line scan with
-    /// structural compares — the pre-overhaul behaviour, kept as the
-    /// differential oracle and the cost baseline.
-    pub use_index: bool,
     /// Total lines compacted by [`Self::end_cycle`] over the table's life.
     compacted_total: AtomicU64,
 }
@@ -371,13 +377,24 @@ pub struct MemoryTable {
 impl MemoryTable {
     /// Create with `lines` lines (rounded up to a power of two, min 1).
     pub fn new(lines: usize) -> MemoryTable {
+        MemoryTable::build(lines, false)
+    }
+
+    /// The same table searched the pre-overhaul way — every probe walks its
+    /// whole line and compares keys and tokens structurally, never a stored
+    /// hash. Same matches, same `scanned`; the differential oracle of
+    /// `proptest_memory` and the cost baseline of the `memory_probe` bench.
+    pub fn reference(lines: usize) -> MemoryTable {
+        MemoryTable::build(lines, true)
+    }
+
+    fn build(lines: usize, reference: bool) -> MemoryTable {
         let n = lines.next_power_of_two().max(1);
         MemoryTable {
-            lines: (0..n).map(|_| Line::new()).collect(),
+            lines: (0..n).map(|_| Line::new(reference)).collect(),
             mask: (n - 1) as u64,
             stripe_mask: (n.min(STRIPE) - 1) as u64,
             touched: SpinLock::new(Vec::new()),
-            use_index: true,
             compacted_total: AtomicU64::new(0),
         }
     }
@@ -405,12 +422,6 @@ impl MemoryTable {
     #[inline]
     pub fn line_of_hash(&self, node: NodeId, hash: u64) -> u32 {
         self.stripe_line(node, (hash >> (64 - STRIPE.trailing_zeros())) & self.stripe_mask)
-    }
-
-    /// The line index for a node/key pair.
-    #[inline]
-    pub fn line_of(&self, node: NodeId, key: &Key) -> u32 {
-        self.line_of_hash(node, key_hash(key))
     }
 
     /// Lock a line; returns the guard and the spin count.
@@ -443,10 +454,10 @@ impl MemoryTable {
         for &line in touched.iter() {
             let l = &self.lines[line as usize];
             let (mut g, _) = l.lock.lock();
-            g.left.retain(|e| e.weight != 0);
-            g.right.retain(|e| e.weight != 0);
-            g.left_accesses = 0;
-            g.right_accesses = 0;
+            g.left.compact();
+            g.right.compact();
+            g.left.accesses = 0;
+            g.right.accesses = 0;
             l.dirty.store(false, Ordering::Relaxed);
         }
         let n = touched.len() as u64;
@@ -461,55 +472,59 @@ impl MemoryTable {
         self.compacted_total.load(Ordering::Relaxed)
     }
 
-    /// Reset the per-line access counters on **every** line (full sweep;
-    /// [`Self::end_cycle`] is the incremental variant engines use).
-    pub fn reset_access_counts(&self) {
-        for l in self.lines.iter() {
-            let (mut g, _) = l.lock.lock();
-            g.left_accesses = 0;
-            g.right_accesses = 0;
-        }
-    }
-
     /// Harvest `(left_accesses, right_accesses)` per line.
     pub fn access_counts(&self) -> Vec<(u64, u64)> {
         self.lines
             .iter()
             .map(|l| {
                 let (g, _) = l.lock.lock();
-                (g.left_accesses, g.right_accesses)
+                (g.left.accesses, g.right.accesses)
             })
             .collect()
     }
 
-    /// Enumerate the stored left tokens of `node` with positive weight, as
+    /// The tokens `node` stores on `side` with positive weight, as
     /// `(token, weight)` pairs — no per-unit-of-weight cloning (used by the
-    /// state-update seeder and by tests). Locks the node's stripe one line
-    /// at a time; callers run at quiescence, where every weight is 1.
-    pub fn left_tokens_of(&self, node: NodeId) -> Vec<(Token, i32)> {
+    /// state-update seeder, snapshots and tests). Locks the node's stripe
+    /// one line at a time; callers run at quiescence, where every weight
+    /// is 1.
+    pub fn tokens_of(&self, node: NodeId, side: Side) -> Vec<(Token, i32)> {
         let mut out = Vec::new();
         for l in self.stripe(node) {
             let (g, _) = l.lock.lock();
-            let (s, e) = g.left_run(node);
-            for en in g.left[s..e].iter().filter(|en| en.weight > 0) {
-                out.push((en.token.clone(), en.weight));
+            match side {
+                Side::Left => g.left.live_tokens(node, &mut out),
+                Side::Right => g.right.live_tokens(node, &mut out),
             }
         }
         out
     }
 
-    /// Enumerate the stored right tokens of `node` with positive weight, as
-    /// `(token, weight)` pairs.
-    pub fn right_tokens_of(&self, node: NodeId) -> Vec<(Token, i32)> {
-        let mut out = Vec::new();
-        for l in self.stripe(node) {
-            let (g, _) = l.lock.lock();
-            let (s, e) = g.right_run(node);
-            for en in g.right[s..e].iter().filter(|en| en.weight > 0) {
-                out.push((en.token.clone(), en.weight));
-            }
+    /// One bucket's share of [`Self::assert_quiescent`].
+    fn check_bucket<M: Copy + Default>(
+        &self,
+        i: usize,
+        side: &str,
+        b: &Bucket<M>,
+        hashes_token: &impl Fn(NodeId) -> bool,
+    ) {
+        assert!(b.grouped(), "line {i}: {side} entries not grouped by node");
+        for e in &b.entries {
+            assert!(
+                e.weight == 0 || e.weight == 1,
+                "line {i}: {side} entry weight {} for node {} {:?}",
+                e.weight,
+                e.node,
+                e.token
+            );
+            let (what, want) = match hashes_token(e.node) {
+                true => ("token", token_hash(&e.token)),
+                false => ("key", key_hash(&e.key)),
+            };
+            assert_eq!(e.hash, want, "line {i}: stale {what} hash, {side} entry of node {}", e.node);
+            let home = self.line_of_hash(e.node, e.hash) as usize;
+            assert_eq!(home, i, "{side} entry of node {} misplaced", e.node);
         }
-        out
     }
 
     /// Assert the quiescence invariant: every weight is 0 or 1, every
@@ -526,37 +541,10 @@ impl MemoryTable {
                 dirty.push(i as u32);
             }
             let (g, _) = l.lock.lock();
-            g.check_grouped();
-            for e in &g.left {
-                assert!(
-                    e.weight == 0 || e.weight == 1,
-                    "line {i}: left entry weight {} for node {} {:?}",
-                    e.weight,
-                    e.node,
-                    e.token
-                );
+            self.check_bucket(i, "left", &g.left, &hashes_token);
+            self.check_bucket(i, "right", &g.right, &hashes_token);
+            for e in &g.left.entries {
                 assert!(e.m >= 0, "line {i}: negative not-counter {} node {}", e.m, e.node);
-                if hashes_token(e.node) {
-                    let want = token_hash(&e.token);
-                    assert_eq!(e.hash, want, "line {i}: stale token hash node {}", e.node);
-                } else {
-                    let want = key_hash(&e.key);
-                    assert_eq!(e.hash, want, "line {i}: stale left hash node {}", e.node);
-                }
-                let home = self.line_of_hash(e.node, e.hash) as usize;
-                assert_eq!(home, i, "left entry of node {} misplaced", e.node);
-            }
-            for e in &g.right {
-                assert!(
-                    e.weight == 0 || e.weight == 1,
-                    "line {i}: right entry weight {} for node {} {:?}",
-                    e.weight,
-                    e.node,
-                    e.token
-                );
-                assert_eq!(e.hash, key_hash(&e.key), "line {i}: stale right hash node {}", e.node);
-                let home = self.line_of_hash(e.node, e.hash) as usize;
-                assert_eq!(home, i, "right entry of node {} misplaced", e.node);
             }
         }
         let mut touched = self.touched.lock().0.clone();
@@ -572,10 +560,8 @@ impl MemoryTable {
         for &node in nodes {
             for l in self.stripe(node) {
                 let (mut g, _) = l.lock.lock();
-                let (s, e) = g.left_run(node);
-                g.left.drain(s..e);
-                let (s, e) = g.right_run(node);
-                g.right.drain(s..e);
+                g.left.purge(node);
+                g.right.purge(node);
             }
         }
     }
@@ -585,8 +571,8 @@ impl MemoryTable {
     pub fn compact(&self) {
         for l in self.lines.iter() {
             let (mut g, _) = l.lock.lock();
-            g.left.retain(|e| e.weight != 0);
-            g.right.retain(|e| e.weight != 0);
+            g.left.compact();
+            g.right.compact();
         }
     }
 }
@@ -605,12 +591,21 @@ mod tests {
         Key::build(vals.len(), vals.iter().map(|&v| KeyElem::V(Value::Int(v))))
     }
 
-    fn left(node: NodeId, k: Key, token: Token, weight: i32) -> LeftEntry {
-        LeftEntry { node, hash: key_hash(&k), key: k, token, weight, m: 0 }
+    /// A raw entry, to be pushed past `upsert` (tests build broken lines).
+    fn entry<M: Default>(node: NodeId, k: Key, token: Token, weight: i32) -> Entry<M> {
+        Entry { node, hash: key_hash(&k), key: k, token, weight, m: M::default() }
     }
 
-    fn right(node: NodeId, k: Key, token: Token, weight: i32) -> RightEntry {
-        RightEntry { node, hash: key_hash(&k), key: k, token, weight }
+    fn line_of(m: &MemoryTable, node: NodeId, k: &Key) -> u32 {
+        m.line_of_hash(node, key_hash(k))
+    }
+
+    #[test]
+    fn entry_sizes_are_pinned() {
+        // What `peak_heap_mb` is made of: the not-counter rides in the left
+        // entry only.
+        assert_eq!(std::mem::size_of::<Entry<i32>>(), 112, "left entry");
+        assert_eq!(std::mem::size_of::<Entry<()>>(), 104, "right entry");
     }
 
     #[test]
@@ -625,13 +620,12 @@ mod tests {
         let m = MemoryTable::new(64);
         let k1 = key(&[1, 2]);
         let k2 = key(&[1, 3]);
-        assert_eq!(m.line_of(5, &k1), m.line_of(5, &k1));
+        assert_eq!(line_of(&m, 5, &k1), line_of(&m, 5, &k1));
         // different node or key generally maps elsewhere (not guaranteed for
         // any single pair, but these specific ones differ)
-        let same = (m.line_of(5, &k1) == m.line_of(6, &k1)) && (m.line_of(5, &k1) == m.line_of(5, &k2));
+        let same = (line_of(&m, 5, &k1) == line_of(&m, 6, &k1))
+            && (line_of(&m, 5, &k1) == line_of(&m, 5, &k2));
         assert!(!same);
-        // the precomputed-hash path is the same function
-        assert_eq!(m.line_of(5, &k1), m.line_of_hash(5, key_hash(&k1)));
     }
 
     #[test]
@@ -641,15 +635,14 @@ mod tests {
         let long = key(&[1, 2, 3, 4, 5]);
         assert!(matches!(short.0, KeyRepr::Inline { .. }));
         assert!(matches!(long.0, KeyRepr::Spill(_)));
-        assert_eq!(short.len(), 4);
-        assert_eq!(long.len(), 5);
+        assert_eq!(short.elems().len(), 4);
+        assert_eq!(long.elems().len(), 5);
         assert_ne!(short, long);
         let spilled_short = Key(KeyRepr::Spill(short.elems().into()));
         assert_eq!(short, spilled_short);
         assert_eq!(key_hash(&short), key_hash(&spilled_short));
         assert_eq!(fxhash(&short), fxhash(&spilled_short));
-        assert!(Key::default().is_empty());
-        assert_eq!(Key::from_slice(short.elems()), short);
+        assert!(Key::empty().elems().is_empty());
     }
 
     #[test]
@@ -665,15 +658,15 @@ mod tests {
         let t2 = Token::unit(WmeId(2));
         let k = key(&[]);
         {
-            let line = m.line_of(7, &k);
+            let line = line_of(&m, 7, &k);
             let (mut g, _) = m.lock(line);
-            g.left.push(left(7, k.clone(), t1.clone(), 1));
-            g.left.push(left(7, k.clone(), t2.clone(), 0));
-            g.left.push(left(8, k.clone(), t2.clone(), 1));
+            g.left.entries.push(entry(7, k.clone(), t1.clone(), 1));
+            g.left.entries.push(entry(7, k.clone(), t2.clone(), 0));
+            g.left.entries.push(entry(8, k.clone(), t2.clone(), 1));
         }
-        assert_eq!(m.left_tokens_of(7), vec![(t1, 1)]);
-        assert_eq!(m.left_tokens_of(8), vec![(t2, 1)]);
-        assert!(m.right_tokens_of(7).is_empty());
+        assert_eq!(m.tokens_of(7, Side::Left), vec![(t1, 1)]);
+        assert_eq!(m.tokens_of(8, Side::Left), vec![(t2, 1)]);
+        assert!(m.tokens_of(7, Side::Right).is_empty());
     }
 
     #[test]
@@ -681,14 +674,14 @@ mod tests {
         let mut d = LineData::default();
         let k = key(&[]);
         for node in [2u32, 2, 5, 9, 9, 9] {
-            d.left.push(left(node, k.clone(), Token::empty(), 1));
+            d.left.entries.push(entry(node, k.clone(), Token::empty(), 1));
         }
-        d.check_grouped();
-        assert_eq!(d.left_run(2), (0, 2));
-        assert_eq!(d.left_run(5), (2, 3));
-        assert_eq!(d.left_run(9), (3, 6));
-        assert_eq!(d.left_run(7), (3, 3), "absent node: empty run");
-        assert_eq!(d.right_run(2), (0, 0));
+        assert!(d.left.grouped());
+        assert_eq!(d.left.run(2), (0, 2));
+        assert_eq!(d.left.run(5), (2, 3));
+        assert_eq!(d.left.run(9), (3, 6));
+        assert_eq!(d.left.run(7), (3, 3), "absent node: empty run");
+        assert_eq!(d.right.run(2), (0, 0));
     }
 
     #[test]
@@ -696,12 +689,12 @@ mod tests {
         let m = MemoryTable::new(1);
         {
             let (mut g, _) = m.lock(0);
-            g.right.push(right(1, key(&[]), Token::empty(), 0));
-            g.right.push(right(1, key(&[]), Token::empty(), 1));
+            g.right.entries.push(entry(1, key(&[]), Token::empty(), 0));
+            g.right.entries.push(entry(1, key(&[]), Token::empty(), 1));
         }
         m.compact();
         let (g, _) = m.lock(0);
-        assert_eq!(g.right.len(), 1);
+        assert_eq!(g.right.entries().len(), 1);
     }
 
     #[test]
@@ -709,27 +702,27 @@ mod tests {
         let m = MemoryTable::new(4);
         {
             let (mut g, _) = m.lock(1);
-            g.left.push(left(3, key(&[]), Token::empty(), 0));
-            g.left_accesses = 7;
+            g.left.entries.push(entry(3, key(&[]), Token::empty(), 0));
+            g.left.accesses = 7;
         }
         m.touch(1);
         // Line 2 has state but was never marked dirty: it must be skipped.
         {
             let (mut g, _) = m.lock(2);
-            g.right.push(right(4, key(&[]), Token::empty(), 0));
-            g.right_accesses = 3;
+            g.right.entries.push(entry(4, key(&[]), Token::empty(), 0));
+            g.right.accesses = 3;
         }
         assert_eq!(m.end_cycle(), 1, "only the dirty line is compacted");
         assert_eq!(m.lines_compacted_total(), 1);
         {
             let (g, _) = m.lock(1);
-            assert!(g.left.is_empty(), "zero-weight entry dropped");
-            assert_eq!(g.left_accesses, 0, "access counter reset");
+            assert!(g.left.entries().is_empty(), "zero-weight entry dropped");
+            assert_eq!(g.left.accesses, 0, "access counter reset");
         }
         {
             let (g, _) = m.lock(2);
-            assert_eq!(g.right.len(), 1, "clean line untouched");
-            assert_eq!(g.right_accesses, 3);
+            assert_eq!(g.right.entries().len(), 1, "clean line untouched");
+            assert_eq!(g.right.accesses, 3);
         }
         // The dirty flag was cleared: a second pass compacts nothing.
         assert_eq!(m.end_cycle(), 0);
@@ -742,7 +735,7 @@ mod tests {
         let m = MemoryTable::new(1);
         {
             let (mut g, _) = m.lock(0);
-            g.left.push(left(1, key(&[]), Token::empty(), -1));
+            g.left.entries.push(entry(1, key(&[]), Token::empty(), -1));
         }
         m.assert_quiescent(|_| false);
     }
@@ -753,8 +746,8 @@ mod tests {
         let m = MemoryTable::new(1);
         {
             let (mut g, _) = m.lock(0);
-            g.left.push(left(9, key(&[]), Token::empty(), 1));
-            g.left.push(left(3, key(&[]), Token::empty(), 1));
+            g.left.entries.push(entry(9, key(&[]), Token::empty(), 1));
+            g.left.entries.push(entry(3, key(&[]), Token::empty(), 1));
         }
         m.assert_quiescent(|_| false);
     }
@@ -767,7 +760,7 @@ mod tests {
         let m = MemoryTable::new(1);
         {
             let (mut g, _) = m.lock(0);
-            g.left.push(left(1, key(&[]), Token::unit(WmeId(4)), 1));
+            g.left.entries.push(entry(1, key(&[]), Token::unit(WmeId(4)), 1));
         }
         m.assert_quiescent(|n| n == 1);
     }
@@ -777,8 +770,8 @@ mod tests {
     fn assert_quiescent_catches_entries_off_their_line() {
         let m = MemoryTable::new(128);
         let k = key(&[7]);
-        let line = (m.line_of(5, &k) + 1) % 128;
-        m.lock(line).0.left.push(left(5, k, Token::empty(), 1));
+        let line = (line_of(&m, 5, &k) + 1) % 128;
+        m.lock(line).0.left.entries.push(entry(5, k, Token::empty(), 1));
         m.assert_quiescent(|_| false);
     }
 
@@ -793,13 +786,63 @@ mod tests {
 
     #[test]
     fn access_counters_reset() {
+        // `upsert` is the access; the cycle's end forgets it.
         let m = MemoryTable::new(2);
-        {
-            let (mut g, _) = m.lock(0);
-            g.left_accesses = 5;
+        let (k, t) = (key(&[]), Token::empty());
+        for _ in 0..5 {
+            m.lock(0).0.left.upsert(1, &k, key_hash(&k), &t, 1);
         }
-        assert_eq!(m.access_counts()[0].0, 5);
-        m.reset_access_counts();
-        assert_eq!(m.access_counts()[0].0, 0);
+        m.lock(0).0.right.upsert(1, &k, key_hash(&k), &t, 1);
+        m.touch(0);
+        assert_eq!(m.access_counts(), vec![(5, 1), (0, 0)]);
+        m.end_cycle();
+        assert_eq!(m.access_counts(), vec![(0, 0), (0, 0)]);
+    }
+
+    #[test]
+    fn upsert_reports_the_prior_counter_and_the_fresh_position() {
+        let mut b = Bucket::<i32>::default();
+        let k = key(&[3]);
+        let (t1, t2) = (Token::unit(WmeId(1)), Token::unit(WmeId(2)));
+        b.upsert(9, &k, key_hash(&k), &t1, 1);
+        // Node 4 sorts before node 9: its fresh entry goes in at the front.
+        assert_eq!(b.upsert(4, &k, key_hash(&k), &t1, 1), Upsert { m: 0, fresh: Some(0) });
+        assert_eq!(b.upsert(4, &k, key_hash(&k), &t2, 1), Upsert { m: 0, fresh: Some(1) });
+        b.set_m(1, 7);
+        assert!(b.grouped());
+        // A second arrival of a stored token finds it and says what it held.
+        assert_eq!(b.upsert(4, &k, key_hash(&k), &t2, 1), Upsert { m: 7, fresh: None });
+        assert_eq!(b.entries()[1].weight, 2);
+        // Weight zero removes the entry, order kept.
+        assert_eq!(b.upsert(4, &k, key_hash(&k), &t1, -1), Upsert { m: 0, fresh: None });
+        let left: Vec<_> = b.entries().iter().map(|e| (e.node, e.token.clone())).collect();
+        assert_eq!(left, vec![(4, t2), (9, t1)]);
+    }
+
+    #[test]
+    fn probe_filters_in_order_and_a_reference_bucket_walks_the_line() {
+        // Node 5 holds keys [1] (live), [1] (weight 0) and [2]; node 3 is a
+        // co-hashed neighbour. Probing node 5 for key [1]:
+        let (k1, k2) = (key(&[1]), key(&[2]));
+        for reference in [false, true] {
+            let mut b = Bucket::<()> { reference, ..Bucket::default() };
+            b.upsert(3, &k1, key_hash(&k1), &Token::unit(WmeId(9)), 1);
+            b.upsert(5, &k1, key_hash(&k1), &Token::unit(WmeId(1)), 1);
+            b.upsert(5, &k1, key_hash(&k1), &Token::unit(WmeId(2)), 1);
+            b.upsert(5, &k2, key_hash(&k2), &Token::unit(WmeId(3)), 1);
+            b.entries[2].weight = 0;
+            for live_only in [true, false] {
+                let mut stats = ActStats::default();
+                let mut hits = Vec::new();
+                b.probe(5, &k1, key_hash(&k1), live_only, &mut stats, |t, _, _| hits.push(t.clone()));
+                let want: &[u32] = if live_only { &[1] } else { &[1, 2] };
+                let want: Vec<Token> = want.iter().map(|&w| Token::unit(WmeId(w))).collect();
+                assert_eq!(hits, want, "reference {reference}, live_only {live_only}");
+                assert_eq!(stats.scanned, 3, "every same-node entry is a candidate");
+                // Key [2]'s entry alone is turned away by its hash.
+                assert_eq!(stats.hash_rejects, u32::from(!reference));
+                assert_eq!(stats.skipped, u32::from(reference), "node 3's entry");
+            }
+        }
     }
 }

@@ -13,22 +13,17 @@
 //! locking discipline the paper describes (§6.1). Child activations are
 //! emitted after the lock is released.
 //!
-//! The opposite-bucket scan has two modes, selected by
-//! [`MemoryTable::use_index`]:
-//!
-//! * **indexed** (default): the key's hash is computed once per activation,
-//!   the scan is bounded to the destination node's run within the line, and
-//!   entries are rejected on hash inequality (`hash_rejects`) before any
-//!   structural [`Key`] compare;
-//! * **reference**: the pre-overhaul whole-line scan with structural
-//!   compares — the differential oracle. Non-candidate entries it filters
-//!   by node id are counted as `skipped`.
-//!
-//! `scanned` counts same-node candidates only, and is identical in both
-//! modes — so indexed and reference runs produce bit-identical traces apart
-//! from the `hash_rejects`/`skipped` cost columns.
+//! This module decides *which* memory operations an activation performs —
+//! six short `(node kind, side)` arms in `beta_locked`, each an
+//! [`upsert`](crate::memory::Bucket::upsert) into the token's own bucket
+//! and, at two-input nodes, one [`probe`](crate::memory::Bucket::probe) of
+//! the opposite bucket with the arm's consistency tests and its reaction to
+//! a match as the callback. What an entry is, how a bucket is searched and
+//! what the search costs (`scanned` / `hash_rejects` / `skipped`) belong to
+//! `memory.rs`; so does the reference whole-line scan, which a table is
+//! built with ([`MemoryTable::reference`]) and which this module cannot see.
 
-use crate::memory::{key_hash, token_hash, Key, KeyElem, MemoryTable};
+use crate::memory::{key_hash, token_hash, Key, KeyElem, LineData, MemoryTable};
 use crate::node::{BetaNode, KeyPart, MergeSrc, NodeId, NodeKind, Side, ROOT};
 use crate::token::{Token, WmeStore};
 use crate::view::ReteView;
@@ -64,11 +59,10 @@ pub struct ActStats {
     /// Opposite-memory candidate entries examined (same destination node).
     pub scanned: u32,
     /// Candidates rejected by the one-word hash compare before any
-    /// structural key compare (indexed probes only; 0 in reference mode).
+    /// structural key compare (0 on a reference table).
     pub hash_rejects: u32,
     /// Co-hashed entries of *other* nodes traversed by the reference
-    /// whole-line scan (0 when the per-node index is on — the run bounds
-    /// never visit them).
+    /// whole-line scan (0 otherwise — the run bounds never visit them).
     pub skipped: u32,
     /// Child activations emitted.
     pub emitted: u32,
@@ -157,18 +151,18 @@ enum Post {
     NegTransitions,
 }
 
-/// The memory key, its hash and the destination line of `act` (`None` only
-/// for root-kind activations, which touch no memory), computed before any
-/// lock is taken.
+/// The memory key, its hash and the destination line of `act`, computed
+/// before any lock is taken (`None` only for root-kind activations, which
+/// touch no memory).
 fn plan_parts<N: ReteView + ?Sized>(
     net: &N,
     mem: &MemoryTable,
     store: &WmeStore,
     act: &Activation,
-) -> (Key, u64, Option<u32>) {
+) -> Option<(Key, u64, u32)> {
     let node = net.node(act.node);
     let (key, khash) = match node.kind {
-        NodeKind::Root => return (Key::empty(), 0, None),
+        NodeKind::Root => return None,
         // A P node's memory is upserted and enumerated, never probed by
         // key: hashing on the token spreads a production's instantiations
         // over the node's stripe instead of one empty-key line.
@@ -182,7 +176,7 @@ fn plan_parts<N: ReteView + ?Sized>(
             (key, khash)
         }
     };
-    (key, khash, Some(mem.line_of_hash(act.node, khash)))
+    Some((key, khash, mem.line_of_hash(act.node, khash)))
 }
 
 /// [`MemoryTable::assert_quiescent`] under the placement rule of
@@ -191,170 +185,87 @@ pub fn assert_quiescent<N: ReteView + ?Sized>(net: &N, mem: &MemoryTable) {
     mem.assert_quiescent(|n| matches!(net.node(n).kind, NodeKind::Prod { .. }));
 }
 
-/// The critical section of one beta activation: mutate the line's memories
-/// and collect match/transition tokens into `matches`. Runs under the line
-/// lock; emission is deferred to [`beta_post`] via the returned [`Post`].
+/// The critical section of one beta activation: insert the token into its
+/// own bucket, scan the opposite one, and collect match/transition tokens
+/// into `matches`. Runs under the line lock; emission is deferred to
+/// [`beta_post`] via the returned [`Post`].
 #[allow(clippy::too_many_arguments)]
 fn beta_locked<N: ReteView + ?Sized>(
     net: &N,
-    g: &mut crate::memory::LineData,
+    g: &mut LineData,
     store: &WmeStore,
     act: &Activation,
     key: &Key,
     khash: u64,
-    use_index: bool,
     matches: &mut Vec<(Token, i32)>,
     stats: &mut ActStats,
 ) -> Post {
     let node = net.node(act.node);
-    match node.kind {
-        NodeKind::Root => Post::None,
-        NodeKind::Prod { prod } => {
+    let (id, token, delta) = (act.node, &act.token, act.delta);
+    match (node.kind, act.side) {
+        (NodeKind::Root, _) => Post::None,
+        (NodeKind::Prod { prod }, _) => {
             // P nodes store their input tokens (so that a later chunk
             // sharing this whole chain can enumerate the parent's outputs)
             // and update the conflict set.
-            g.left_accesses += 1;
-            g.upsert_left(act.node, key, khash, &act.token, act.delta, 0, use_index);
+            g.left.upsert(id, key, khash, token, delta);
             Post::Cs { prod }
         }
-        NodeKind::Join => match act.side {
-            Side::Left => {
-                g.left_accesses += 1;
-                g.upsert_left(act.node, key, khash, &act.token, act.delta, 0, use_index);
-                let (s, e) = if use_index { g.right_run(act.node) } else { (0, g.right.len()) };
-                for en in &g.right[s..e] {
-                    if en.node != act.node {
-                        stats.skipped += 1;
-                        continue;
-                    }
-                    stats.scanned += 1;
-                    if en.weight == 0 {
-                        continue;
-                    }
-                    if use_index && en.hash != khash {
-                        stats.hash_rejects += 1;
-                        continue;
-                    }
-                    if en.key == *key && tests_pass(node, &act.token, &en.token, store) {
-                        matches.push((en.token.clone(), en.weight));
-                    }
+        (NodeKind::Join, Side::Left) => {
+            g.left.upsert(id, key, khash, token, delta);
+            g.right.probe(id, key, khash, true, stats, |right, w, _| {
+                if tests_pass(node, token, right, store) {
+                    matches.push((right.clone(), w));
                 }
-                Post::Join
-            }
-            Side::Right => {
-                g.right_accesses += 1;
-                g.upsert_right(act.node, key, khash, &act.token, act.delta, use_index);
-                if node.parent == ROOT {
-                    // The root's single output is the weight-1 empty token.
-                    matches.push((Token::empty(), 1));
-                    stats.scanned += 1;
-                } else {
-                    let (s, e) = if use_index { g.left_run(act.node) } else { (0, g.left.len()) };
-                    for en in &g.left[s..e] {
-                        if en.node != act.node {
-                            stats.skipped += 1;
-                            continue;
-                        }
-                        stats.scanned += 1;
-                        if en.weight == 0 {
-                            continue;
-                        }
-                        if use_index && en.hash != khash {
-                            stats.hash_rejects += 1;
-                            continue;
-                        }
-                        if en.key == *key && tests_pass(node, &en.token, &act.token, store) {
-                            matches.push((en.token.clone(), en.weight));
-                        }
+            });
+            Post::Join
+        }
+        (NodeKind::Join, Side::Right) => {
+            g.right.upsert(id, key, khash, token, delta);
+            if node.parent == ROOT {
+                // The root's single output is the weight-1 empty token.
+                matches.push((Token::empty(), 1));
+                stats.scanned += 1;
+            } else {
+                g.left.probe(id, key, khash, true, stats, |left, w, _| {
+                    if tests_pass(node, left, token, store) {
+                        matches.push((left.clone(), w));
                     }
-                }
-                Post::Join
-            }
-        },
-        NodeKind::Neg => match act.side {
-            Side::Left => {
-                g.left_accesses += 1;
-                // Find or create the entry; a fresh entry computes its
-                // not-counter m by scanning the right bucket.
-                let (ls, le) = g.left_run(act.node);
-                let idx = (ls..le).find(|&i| {
-                    let en = &g.left[i];
-                    (!use_index || en.hash == khash) && en.token == act.token
                 });
-                let m_now = match idx {
-                    Some(i) => {
-                        g.left[i].weight += act.delta;
-                        let m = g.left[i].m;
-                        if g.left[i].weight == 0 {
-                            g.left.remove(i);
-                        }
-                        m
-                    }
-                    None => {
-                        let mut m = 0i32;
-                        let (s, e) =
-                            if use_index { g.right_run(act.node) } else { (0, g.right.len()) };
-                        for en in &g.right[s..e] {
-                            if en.node != act.node {
-                                stats.skipped += 1;
-                                continue;
-                            }
-                            stats.scanned += 1;
-                            if use_index && en.hash != khash {
-                                stats.hash_rejects += 1;
-                                continue;
-                            }
-                            if en.key == *key && tests_pass(node, &act.token, &en.token, store) {
-                                m += en.weight;
-                            }
-                        }
-                        g.left.insert(
-                            le,
-                            crate::memory::LeftEntry {
-                                node: act.node,
-                                hash: khash,
-                                key: key.clone(),
-                                token: act.token.clone(),
-                                weight: act.delta,
-                                m,
-                            },
-                        );
-                        m
-                    }
-                };
-                Post::NegGate { fire: m_now == 0 }
             }
-            Side::Right => {
-                g.right_accesses += 1;
-                g.upsert_right(act.node, key, khash, &act.token, act.delta, use_index);
-                // Adjust the not-counters of matching left tokens; collect
-                // the blocked/unblocked transitions.
-                let (s, e) = if use_index { g.left_run(act.node) } else { (0, g.left.len()) };
-                for i in s..e {
-                    let en = &g.left[i];
-                    if en.node != act.node {
-                        stats.skipped += 1;
-                        continue;
+            Post::Join
+        }
+        (NodeKind::Neg, Side::Left) => {
+            // A fresh entry computes its not-counter from the right bucket.
+            let up = g.left.upsert(id, key, khash, token, delta);
+            let mut m = up.m;
+            if let Some(at) = up.fresh {
+                g.right.probe(id, key, khash, false, stats, |right, w, _| {
+                    if tests_pass(node, token, right, store) {
+                        m += w;
                     }
-                    stats.scanned += 1;
-                    if use_index && en.hash != khash {
-                        stats.hash_rejects += 1;
-                        continue;
-                    }
-                    if en.key == *key && tests_pass(node, &en.token, &act.token, store) {
-                        let en = &mut g.left[i];
-                        let m_old = en.m;
-                        en.m += act.delta;
-                        if m_old == 0 && en.m != 0 {
-                            matches.push((en.token.clone(), -en.weight));
-                        } else if m_old != 0 && en.m == 0 {
-                            matches.push((en.token.clone(), en.weight));
-                        }
+                });
+                g.left.set_m(at, m);
+            }
+            Post::NegGate { fire: m == 0 }
+        }
+        (NodeKind::Neg, Side::Right) => {
+            g.right.upsert(id, key, khash, token, delta);
+            // Adjust the not-counters of matching left tokens; collect the
+            // blocked/unblocked transitions.
+            g.left.probe(id, key, khash, false, stats, |left, w, m| {
+                if tests_pass(node, left, token, store) {
+                    let m_old = *m;
+                    *m += delta;
+                    if m_old == 0 && *m != 0 {
+                        matches.push((left.clone(), -w));
+                    } else if m_old != 0 && *m == 0 {
+                        matches.push((left.clone(), w));
                     }
                 }
-                Post::NegTransitions
-            }
-        },
+            });
+            Post::NegTransitions
+        }
     }
 }
 
@@ -423,16 +334,14 @@ pub fn process_beta_scratch<N: ReteView + ?Sized>(
 ) -> ActStats {
     let mut stats = ActStats::default();
     scratch.matches.clear();
-    let (key, khash, line) = plan_parts(net, mem, store, act);
-    let Some(line) = line else {
+    let Some((key, khash, line)) = plan_parts(net, mem, store, act) else {
         return stats; // Root: no memory, no emission.
     };
     stats.line = Some(line);
     let (mut g, spins) = mem.lock(line);
     stats.spins = spins;
     mem.touch(line);
-    let post =
-        beta_locked(net, &mut g, store, act, &key, khash, mem.use_index, &mut scratch.matches, &mut stats);
+    let post = beta_locked(net, &mut g, store, act, &key, khash, &mut scratch.matches, &mut stats);
     drop(g);
     beta_post(net, act, post, &scratch.matches, min_node, &mut stats, emit, cs_emit);
     scratch.matches.clear();
@@ -615,8 +524,7 @@ mod tests {
         // `hash_rejects` > 0 only in indexed mode.
         let (r, net, _, mut store) = setup();
         for mode in [true, false] {
-            let mut mem = MemoryTable::new(1);
-            mem.use_index = mode;
+            let mem = if mode { MemoryTable::new(1) } else { MemoryTable::reference(1) };
             let mut cs = Vec::new();
             let mut stats_sum = ActStats::default();
             // Several (a, b) pairs with distinct keys: only the same-key

@@ -2,14 +2,13 @@
 //!
 //! The simulator's `diagnose_run` finds long-chain bottlenecks offline by
 //! computing critical paths over full task traces — far too expensive for
-//! the hot loop. [`ChainDetector`] is the online rendition: engines
-//! accumulate a per-node activation-cost vector as a side effect of normal
-//! matching (one add per beta task — see `SerialEngine::drain` and the
-//! parallel workers), and at each quiescent decision boundary the detector
-//! folds the vector into per-production EWMA cost shares. A production
-//! whose *linear* chain holds a dominant share of recent match work — the
-//! same 0.35 dominance constant `diagnose_cycle` classifies `LongChain`
-//! with — gets a [`ReorgDecision`]: the bilinear grouping
+//! the hot loop. Here engines keep a [`CostWindow`] — per-node activation
+//! costs, one add per beta task, as a side effect of normal matching — and
+//! at each quiescent decision boundary [`CostWindow::poll`] hands it to the
+//! [`ChainDetector`], which folds it into per-production EWMA cost shares.
+//! A production whose *linear* chain holds a dominant share of recent match
+//! work — the same 0.35 dominance constant `diagnose_cycle` classifies
+//! `LongChain` with — gets a [`ReorgDecision`]: the bilinear grouping
 //! ([`crate::bilinear::plan_bilinear`]) that most shortens its dependent
 //! chain. The engine then performs the actual surgery at the barrier via
 //! `reorganize_production`.
@@ -21,9 +20,21 @@
 
 use crate::bilinear::{plan_bilinear, plan_chain_length};
 use crate::network::NetworkOrg;
+use crate::node::NodeId;
+use crate::process::ActStats;
 use crate::util::FxHashMap;
 use crate::view::ReteView;
 use psme_ops::Symbol;
+
+/// EWMA smoothing factor for per-production cost shares (weight of the
+/// newest window).
+const EWMA_ALPHA: f64 = 0.4;
+/// Largest constraint-prefix length tried when planning the bilinear
+/// grouping (k0 = 1..=MAX_K0).
+const MAX_K0: usize = 4;
+/// Only productions with at least this many positive CEs are candidates —
+/// short chains cannot blow up super-quadratically.
+const MIN_CES: usize = 4;
 
 /// Tuning knobs for the online chain detector.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,37 +47,14 @@ pub struct ReorgConfig {
     /// Calibrated to the simulator's `CHAIN_DOMINANCE` (0.35): a chain
     /// holding over a third of recent match work caps parallelism under 3×.
     pub dominance: f64,
-    /// EWMA smoothing factor for per-production cost shares (weight of the
-    /// newest window).
-    pub ewma_alpha: f64,
     /// Quiescent polls to skip after firing a decision — lets the rebuilt
     /// network's costs settle before judging the next candidate.
     pub cooldown: u64,
-    /// Largest constraint-prefix length tried when planning the bilinear
-    /// grouping (k0 = 1..=max_k0).
-    pub max_k0: usize,
-    /// Only productions with at least this many positive CEs are
-    /// candidates — short chains cannot blow up super-quadratically.
-    pub min_ces: usize,
-    /// Agent-level poll cadence: fold a window every `poll_stride`-th
-    /// decision (the engine's cost vector keeps accumulating in between).
-    /// Per-decision windows (stride 1) give the sharpest detection; wider
-    /// strides amortize the fold's attribution walk on chunk-heavy nets at
-    /// the price of detection latency and diluted per-window shares.
-    pub poll_stride: u64,
 }
 
 impl Default for ReorgConfig {
     fn default() -> ReorgConfig {
-        ReorgConfig {
-            min_window_cost: 2_000,
-            dominance: 0.35,
-            ewma_alpha: 0.4,
-            cooldown: 8,
-            max_k0: 4,
-            min_ces: 4,
-            poll_stride: 1,
-        }
+        ReorgConfig { min_window_cost: 2_000, dominance: 0.35, cooldown: 8 }
     }
 }
 
@@ -86,9 +74,65 @@ pub struct ReorgDecision {
     pub share: f64,
 }
 
-/// Incremental chain-dominance detector. One per agent; feed it the
-/// engine's per-node cost vector at quiescent boundaries via
-/// [`ChainDetector::observe`].
+/// The beta work done at each node since the last poll — what an engine
+/// armed for adaptive reorganization accumulates as it matches, and the
+/// detector's only input. Dense costs plus the list of nodes that have one,
+/// in first-touch order, so noting a task is an indexed add and a poll
+/// visits and resets only the nodes that were active, not the network.
+#[derive(Clone, Debug, Default)]
+pub struct CostWindow {
+    /// Cost per node id; nonzero exactly at the `touched` nodes.
+    costs: Vec<u64>,
+    touched: Vec<NodeId>,
+}
+
+impl CostWindow {
+    fn add(&mut self, node: NodeId, cost: u64) {
+        let i = node as usize;
+        if self.costs.len() <= i {
+            self.costs.resize(i + 1, 0);
+        }
+        if self.costs[i] == 0 {
+            self.touched.push(node);
+        }
+        self.costs[i] += cost;
+    }
+
+    /// Book one processed beta activation at `node`: the task itself, the
+    /// entries it scanned and the children it emitted — the unit the
+    /// simulator prices.
+    #[inline]
+    pub fn note(&mut self, node: NodeId, s: &ActStats) {
+        self.add(node, 1 + s.scanned as u64 + s.emitted as u64);
+    }
+
+    /// Move everything `other` holds into this window, leaving it empty (a
+    /// match process handing its cycle's share to the engine's window).
+    pub fn absorb(&mut self, other: &mut CostWindow) {
+        for node in other.touched.drain(..) {
+            let cost = std::mem::take(&mut other.costs[node as usize]);
+            self.add(node, cost);
+        }
+    }
+
+    /// Feed the window to the detector and start the next one. Call at a
+    /// quiescent boundary.
+    pub fn poll<N: ReteView + ?Sized>(
+        &mut self,
+        det: &mut ChainDetector,
+        net: &N,
+    ) -> Option<ReorgDecision> {
+        let window = self.touched.iter().map(|&n| (n, self.costs[n as usize]));
+        let d = det.fold(window, net);
+        for node in self.touched.drain(..) {
+            self.costs[node as usize] = 0;
+        }
+        d
+    }
+}
+
+/// Incremental chain-dominance detector. One per agent; an engine feeds it
+/// its [`CostWindow`] at quiescent boundaries.
 #[derive(Clone, Debug)]
 pub struct ChainDetector {
     cfg: ReorgConfig,
@@ -119,56 +163,24 @@ impl ChainDetector {
         }
     }
 
-    /// The detector's configuration.
-    pub fn config(&self) -> &ReorgConfig {
-        &self.cfg
-    }
-
-    /// Fold one observation window (per-node accumulated costs since the
-    /// last call; indices are node ids) and return a reorganization
+    /// Fold one observation window — the nodes activated since the last
+    /// call, as `(node id, cost)` pairs — and return a reorganization
     /// decision if some linear production's chain now dominates.
     ///
     /// Cost attribution: each node's cost is split evenly across the
     /// productions whose chains it serves (`prod_names` — the same
     /// bookkeeping node sharing maintains), so shared prefixes do not
     /// double-count.
-    pub fn observe<N: ReteView + ?Sized>(
+    fn fold<N: ReteView + ?Sized>(
         &mut self,
-        costs: &[u64],
-        net: &N,
-    ) -> Option<ReorgDecision> {
-        let total: u64 = costs.iter().sum();
-        let window = costs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c != 0)
-            .map(|(i, &c)| (i as u32, c));
-        self.observe_window(total, window, net)
-    }
-
-    /// [`ChainDetector::observe`] over a sparse window — only the nodes
-    /// actually activated since the last poll, as `(node id, cost)` pairs.
-    /// Engines that track touched nodes use this so an armed-but-idle
-    /// detector costs O(active nodes) per quiescent poll, not O(network).
-    pub fn observe_sparse<N: ReteView + ?Sized>(
-        &mut self,
-        window: &[(u32, u64)],
-        net: &N,
-    ) -> Option<ReorgDecision> {
-        let total: u64 = window.iter().map(|&(_, c)| c).sum();
-        self.observe_window(total, window.iter().copied(), net)
-    }
-
-    fn observe_window<N: ReteView + ?Sized>(
-        &mut self,
-        total: u64,
-        window_costs: impl Iterator<Item = (u32, u64)>,
+        window_costs: impl Iterator<Item = (NodeId, u64)> + Clone,
         net: &N,
     ) -> Option<ReorgDecision> {
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
             return None;
         }
+        let total: u64 = window_costs.clone().map(|(_, c)| c).sum();
         if total < self.cfg.min_window_cost {
             return None;
         }
@@ -195,7 +207,7 @@ impl ChainDetector {
             }
         }
         // EWMA fold: productions absent from this window decay toward 0.
-        let a = self.cfg.ewma_alpha;
+        let a = EWMA_ALPHA;
         for s in self.share.values_mut() {
             *s *= 1.0 - a;
         }
@@ -217,14 +229,14 @@ impl ChainDetector {
         let prod = &info.production;
         // Negated / NCC chains are deferred (see ROADMAP): reorganize only
         // all-positive chains of useful length.
-        if !prod.ces.iter().all(|ce| ce.is_pos()) || prod.ces.len() < self.cfg.min_ces {
+        if !prod.ces.iter().all(|ce| ce.is_pos()) || prod.ces.len() < MIN_CES {
             // Never a candidate: stop re-evaluating it every window.
             self.share.remove(&prod_idx);
             return None;
         }
         let chain_before = prod.ces.len();
         let mut plan: Option<(Vec<Vec<usize>>, usize)> = None;
-        for k0 in 1..=self.cfg.max_k0.min(chain_before.saturating_sub(1)) {
+        for k0 in 1..=MAX_K0.min(chain_before.saturating_sub(1)) {
             if let Some(groups) = plan_bilinear(prod, k0) {
                 // A two-group "bilinear" is the linear chain plus spine
                 // overhead; demand a real split.
@@ -386,11 +398,8 @@ mod tests {
                 vec![],
             );
         }
-        let mut eager = ChainDetector::new(ReorgConfig {
-            min_window_cost: 1,
-            min_ces: 4,
-            ..ReorgConfig::default()
-        });
+        let mut eager =
+            ChainDetector::new(ReorgConfig { min_window_cost: 1, ..ReorgConfig::default() });
         assert!(e.poll_reorg(&mut eager).is_none());
     }
 }

@@ -15,8 +15,8 @@
 use crate::build::{AddResult, BuildError};
 use crate::memory::MemoryTable;
 use crate::network::{NetworkOrg, ReteNetwork};
-use crate::node::{NodeId, NodeKind};
-use crate::reorg::{ChainDetector, ReorgDecision};
+use crate::node::{NodeId, NodeKind, Side};
+use crate::reorg::{ChainDetector, CostWindow, ReorgDecision};
 use crate::process::{process_beta_scratch, process_wme_change, Activation, BetaScratch, CsChange};
 use crate::state::MatchState;
 use crate::token::{Token, WmeStore};
@@ -158,16 +158,6 @@ impl CsFold {
     }
 }
 
-/// Fold raw P-node emissions into net instantiation adds/removes
-/// (buffered-vector compatibility wrapper over [`CsFold`]).
-pub fn fold_cs<N: ReteView + ?Sized>(net: &N, store: &WmeStore, raw: Vec<CsChange>) -> CsDelta {
-    let mut fold = CsFold::default();
-    for c in raw {
-        fold.add(c);
-    }
-    fold.into_delta(net, store)
-}
-
 /// Build the [`Instantiation`] for a P-node token.
 pub fn instantiation_of<N: ReteView + ?Sized>(
     net: &N,
@@ -191,7 +181,7 @@ pub fn instantiations_from_memories<N: ReteView + ?Sized>(
     let mut out = Vec::new();
     for i in 0..net.num_prods() as u32 {
         let info = net.prod_info(i);
-        for (t, w) in mem.left_tokens_of(info.p_node) {
+        for (t, w) in mem.tokens_of(info.p_node, Side::Left) {
             for _ in 0..w {
                 out.push(instantiation_of(net, store, i, &t));
             }
@@ -221,16 +211,10 @@ pub struct SerialEngine<N = ReteNetwork> {
     total_tasks: u64,
     /// Reusable beta-scan scratch (the serial engine is its own "worker").
     scratch: BetaScratch,
-    /// When `true`, [`Self::drain`] accumulates per-node activation costs
-    /// into `node_costs` (one add per beta task) for the online chain
-    /// detector. Off by default — armed sessions pay one branch per task.
-    profile_costs: bool,
-    /// Accumulated per-node costs since the last [`Self::poll_reorg`].
-    node_costs: Vec<u64>,
-    /// Nodes with a nonzero cost in the current window (pushed on the
-    /// 0 → nonzero transition), so a poll touches only the active nodes
-    /// instead of walking the whole network's cost vector.
-    touched_nodes: Vec<u32>,
+    /// `Some` while armed for the online chain detector: [`Self::drain`]
+    /// notes every beta task's cost here, [`Self::poll_reorg`] empties it.
+    /// Off by default — unarmed sessions pay one branch per task.
+    costs: Option<CostWindow>,
 }
 
 impl<N> SerialEngine<N> {
@@ -256,29 +240,14 @@ impl<N> SerialEngine<N> {
             cycle_count: 0,
             total_tasks: 0,
             scratch: BetaScratch::default(),
-            profile_costs: false,
-            node_costs: Vec::new(),
-            touched_nodes: Vec::new(),
+            costs: None,
         }
     }
 
     /// Arm or disarm per-node cost accumulation for the chain detector.
+    /// Disarming discards the accumulated window.
     pub fn set_cost_profiling(&mut self, on: bool) {
-        self.profile_costs = on;
-        if !on {
-            self.node_costs.clear();
-            self.touched_nodes.clear();
-        }
-    }
-
-    /// Is cost profiling armed?
-    pub fn cost_profiling(&self) -> bool {
-        self.profile_costs
-    }
-
-    /// The per-node costs accumulated since the last reset (detector food).
-    pub fn node_costs(&self) -> &[u64] {
-        &self.node_costs
+        self.costs = on.then(|| self.costs.take().unwrap_or_default());
     }
 
     /// Decompose into network + state (e.g. to freeze the network into a
@@ -354,15 +323,8 @@ impl<N: ReteView> SerialEngine<N> {
                 &mut |a| queue.push_back((a, Some(tid))),
                 &mut |c| cs_fold.add(c),
             );
-            if self.profile_costs {
-                let node = act.node as usize;
-                if self.node_costs.len() <= node {
-                    self.node_costs.resize(node + 1, 0);
-                }
-                if self.node_costs[node] == 0 {
-                    self.touched_nodes.push(act.node);
-                }
-                self.node_costs[node] += 1 + stats.scanned as u64 + stats.emitted as u64;
+            if let Some(costs) = &mut self.costs {
+                costs.note(act.node, &stats);
             }
             if self.capture {
                 let kind = match self.net.node(act.node).kind {
@@ -469,19 +431,9 @@ impl<N: ReteView> SerialEngine<N> {
     }
 
     /// Feed the accumulated per-node costs to the chain detector and reset
-    /// the window. Call at a quiescent boundary.
+    /// the window (`None` while unarmed). Call at a quiescent boundary.
     pub fn poll_reorg(&mut self, det: &mut ChainDetector) -> Option<ReorgDecision> {
-        let window: Vec<(u32, u64)> = self
-            .touched_nodes
-            .iter()
-            .map(|&n| (n, self.node_costs[n as usize]))
-            .collect();
-        let d = det.observe_sparse(&window, &self.net);
-        for &n in &self.touched_nodes {
-            self.node_costs[n as usize] = 0;
-        }
-        self.touched_nodes.clear();
-        d
+        self.costs.as_mut()?.poll(det, &self.net)
     }
 }
 
@@ -526,7 +478,7 @@ impl<N: ReteBuild> SerialEngine<N> {
             let mut v: Vec<Instantiation> = self
                 .state
                 .mem
-                .left_tokens_of(old_p)
+                .tokens_of(old_p, Side::Left)
                 .iter()
                 .map(|(t, _)| instantiation_of(&self.net, &self.state.store, prod_idx, t))
                 .collect();

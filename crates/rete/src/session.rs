@@ -192,11 +192,6 @@ impl SessionNet {
         self.retired_count
     }
 
-    /// Base productions this session has reorganized.
-    pub fn reorganized_prods(&self) -> usize {
-        self.prod_overrides.len()
-    }
-
     /// The shared base topology.
     pub fn topology(&self) -> &Arc<Topology> {
         &self.topo

@@ -25,6 +25,7 @@
 //! snapshot does not depend on intern-table numbering.
 
 use crate::network::NetworkOrg;
+use crate::node::Side;
 use crate::serial::SerialEngine;
 use crate::session::{SessionNet, Topology};
 use crate::state::MatchState;
@@ -736,12 +737,8 @@ pub fn session_digest(eng: &SerialEngine<SessionNet>) -> u64 {
         for sym in net.extra_prod_names_of(id) {
             w.sym(*sym);
         }
-        for side in [false, true] {
-            let mut toks = if side {
-                eng.state.mem.right_tokens_of(id)
-            } else {
-                eng.state.mem.left_tokens_of(id)
-            };
+        for side in [Side::Left, Side::Right] {
+            let mut toks = eng.state.mem.tokens_of(id, side);
             toks.sort_by(|a, b| (a.0.wmes(), a.1).cmp(&(b.0.wmes(), b.1)));
             w.u64(toks.len() as u64);
             for (t, weight) in toks {

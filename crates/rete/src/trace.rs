@@ -105,11 +105,6 @@ impl CycleTrace {
     pub fn is_empty(&self) -> bool {
         self.tasks.is_empty()
     }
-
-    /// Number of two-input + P node tasks (excludes alpha tasks).
-    pub fn beta_tasks(&self) -> usize {
-        self.tasks.iter().filter(|t| t.kind != TaskKind::Alpha).count()
-    }
 }
 
 /// A full run's traces.
@@ -163,7 +158,6 @@ mod tests {
             ],
         };
         assert_eq!(c.len(), 3);
-        assert_eq!(c.beta_tasks(), 2);
         let r = RunTrace { cycles: vec![c.clone(), CycleTrace { cycle: 1, phase: Phase::Update, tasks: vec![] }] };
         assert_eq!(r.total_tasks(), 3);
         assert_eq!(r.phase_cycles(Phase::Update).count(), 1);

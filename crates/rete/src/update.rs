@@ -18,8 +18,8 @@
 
 use crate::memory::MemoryTable;
 use crate::node::{NodeId, RightSrc, Side, ROOT};
-use crate::process::{process_wme_change, Activation};
-use crate::token::{Token, WmeStore};
+use crate::process::Activation;
+use crate::token::Token;
 use crate::view::ReteView;
 
 /// Enumerate the output tokens (with stored weights — all 1 at the
@@ -43,10 +43,7 @@ fn outputs_of_old_node<N: ReteView + ?Sized>(
         // A consumer masked into a session's retired pool has a purged
         // memory — reading it would seed nothing. Skip to a live one.
         if child < first_new && net.edge_live(child) {
-            return match side {
-                Side::Left => mem.left_tokens_of(child),
-                Side::Right => mem.right_tokens_of(child),
-            };
+            return mem.tokens_of(child, side);
         }
     }
     panic!(
@@ -59,7 +56,13 @@ fn outputs_of_old_node<N: ReteView + ?Sized>(
 ///
 /// The caller must be at a quiescent point (no cycle in flight) and must
 /// afterwards process the seeds **and** one alpha re-run of all live wmes
-/// with `min_node = first_new`; [`update_seeds`] bundles both.
+/// with `min_node = first_new` — `run_update` of either engine does both.
+///
+/// The re-run routes through whatever classifier the network is configured
+/// with: when the discrimination index is on, each live wme probes the
+/// spliced jump table (which already contains the new production's alpha
+/// memories) instead of scanning the class linearly; the `min_node` filter
+/// then confines emission to the new nodes either way.
 pub fn seed_update<N: ReteView + ?Sized>(
     net: &N,
     mem: &MemoryTable,
@@ -90,36 +93,24 @@ pub fn seed_update<N: ReteView + ?Sized>(
     seeds
 }
 
-/// Convenience: all update seeds *including* the alpha re-run of working
-/// memory (returned as ready activations). Engines that want to parallelize
-/// the alpha re-run itself should instead call [`seed_update`] and run
-/// [`process_wme_change`] per live wme as tasks.
-///
-/// The re-run routes through whatever classifier the network is configured
-/// with: when the discrimination index is on, each live wme probes the
-/// spliced jump table (which already contains the new production's alpha
-/// memories) instead of scanning the class linearly; the `min_node` filter
-/// then confines emission to the new nodes either way.
-pub fn update_seeds<N: ReteView + ?Sized>(
-    net: &N,
-    mem: &MemoryTable,
-    store: &WmeStore,
-    first_new: NodeId,
-) -> Vec<Activation> {
-    let mut seeds = seed_update(net, mem, first_new);
-    for (id, _) in store.iter_alive() {
-        process_wme_change(net, store, id, 1, first_new, &mut |a| seeds.push(a));
-    }
-    seeds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::{NetworkOrg, ReteNetwork};
+    use crate::process::process_wme_change;
     use crate::serial::SerialEngine;
     use psme_ops::{parse_production, parse_wme, ClassRegistry};
     use std::sync::Arc;
+
+    /// The whole update frontier as an engine's `run_update` produces it:
+    /// the boundary seeds, then the alpha re-run of every live wme.
+    fn update_seeds(e: &SerialEngine, first_new: NodeId) -> Vec<Activation> {
+        let mut seeds = seed_update(&e.net, &e.state.mem, first_new);
+        for (id, _) in e.state.store.iter_alive() {
+            process_wme_change(&e.net, &e.state.store, id, 1, first_new, &mut |a| seeds.push(a));
+        }
+        seeds
+    }
 
     fn reg() -> ClassRegistry {
         let mut r = ClassRegistry::new();
@@ -204,7 +195,7 @@ mod tests {
             let first_new = e.net.num_nodes() as NodeId;
             e.net.add_production(Arc::new(p2.clone()), NetworkOrg::Linear).unwrap();
             e.net.alpha.validate_index().unwrap();
-            all_seeds.push(update_seeds(&e.net, &e.state.mem, &e.state.store, first_new));
+            all_seeds.push(update_seeds(e, first_new));
         }
         assert!(!all_seeds[0].is_empty(), "the update must have work to do");
         assert_eq!(all_seeds[0], all_seeds[1], "indexed vs linear update seeds");
@@ -223,7 +214,7 @@ mod tests {
         let p2 = parse_production("(p nb (b ^x <v>) --> (halt))", &mut r).unwrap();
         let first_new = e.net.num_nodes() as NodeId;
         e.net.add_production(Arc::new(p2), NetworkOrg::Linear).unwrap();
-        let seeds = update_seeds(&e.net, &e.state.mem, &e.state.store, first_new);
+        let seeds = update_seeds(&e, first_new);
         // The (b ^x 1) wme reaches the new node's right input; the (a …)
         // wme is filtered out (its successors are all old).
         assert_eq!(seeds.len(), 1);

@@ -15,8 +15,8 @@ use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_ops::{Value, WmeId};
 use psme_rete::{
     assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, Activation, CsChange,
-    Key, KeyElem, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine, TaskKind,
-    Token, WmeStore, STRIPE,
+    Key, KeyElem, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine, Side,
+    TaskKind, Token, WmeStore, STRIPE,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ fn snapshot(net: &ReteNetwork, mem: &MemoryTable) -> Vec<NodeTokens> {
         v
     };
     (0..net.num_nodes() as NodeId)
-        .map(|n| (n, sort(mem.left_tokens_of(n)), sort(mem.right_tokens_of(n))))
+        .map(|n| (n, sort(mem.tokens_of(n, Side::Left)), sort(mem.tokens_of(n, Side::Right))))
         .collect()
 }
 
@@ -66,6 +66,16 @@ fn drain_all(
     folded
 }
 
+/// The indexed table, or the reference whole-line-scan table it is checked
+/// against.
+fn table(use_index: bool, lines: usize) -> MemoryTable {
+    if use_index {
+        MemoryTable::new(lines)
+    } else {
+        MemoryTable::reference(lines)
+    }
+}
+
 fn int_key(vals: &[i64]) -> Key {
     Key::build(vals.len(), vals.iter().map(|&v| KeyElem::V(Value::Int(v))))
 }
@@ -78,9 +88,9 @@ fn store(mem: &MemoryTable, node: NodeId, key: &Key, token: &Token, right: bool)
     let (mut g, _) = mem.lock(line);
     mem.touch(line);
     if right {
-        g.upsert_right(node, key, hash, token, 1, true);
+        g.right.upsert(node, key, hash, token, 1);
     } else {
-        g.upsert_left(node, key, hash, token, 1, 0, true);
+        g.left.upsert(node, key, hash, token, 1);
     }
     line
 }
@@ -90,8 +100,8 @@ fn sweep(mem: &MemoryTable, node: NodeId) -> (Vec<Token>, Vec<Token>) {
     let (mut left, mut right) = (Vec::new(), Vec::new());
     for line in 0..mem.num_lines() as u32 {
         let (g, _) = mem.lock(line);
-        left.extend(g.left.iter().filter(|e| e.node == node).map(|e| e.token.clone()));
-        right.extend(g.right.iter().filter(|e| e.node == node).map(|e| e.token.clone()));
+        left.extend(g.left.entries().iter().filter(|e| e.node == node).map(|e| e.token.clone()));
+        right.extend(g.right.entries().iter().filter(|e| e.node == node).map(|e| e.token.clone()));
     }
     (left, right)
 }
@@ -105,7 +115,7 @@ fn sorted(mut v: Vec<Token>) -> Vec<Token> {
 fn max_left_run(mem: &MemoryTable, node: NodeId) -> usize {
     (0..mem.num_lines() as u32)
         .map(|line| {
-            let (s, e) = mem.lock(line).0.left_run(node);
+            let (s, e) = mem.lock(line).0.left.run(node);
             e - s
         })
         .max()
@@ -129,7 +139,9 @@ proptest! {
             store(&mem, node, &int_key(&[k]), &Token::unit(WmeId(i as u32)), right);
         }
         mem.assert_quiescent(|_| false);
-        let total: usize = (0..40).map(|n| mem.left_tokens_of(n).len() + mem.right_tokens_of(n).len()).sum();
+        let total: usize = (0..40)
+            .map(|n| mem.tokens_of(n, Side::Left).len() + mem.tokens_of(n, Side::Right).len())
+            .sum();
         prop_assert_eq!(total, entries.len());
         mem.purge_nodes(&purge);
         for node in 0..40 {
@@ -138,8 +150,8 @@ proptest! {
                 prop_assert!(left.is_empty() && right.is_empty(), "node {} survived its purge", node);
             }
             let of = |v: Vec<(Token, i32)>| sorted(v.into_iter().map(|(t, _)| t).collect());
-            prop_assert_eq!(of(mem.left_tokens_of(node)), sorted(left));
-            prop_assert_eq!(of(mem.right_tokens_of(node)), sorted(right));
+            prop_assert_eq!(of(mem.tokens_of(node, Side::Left)), sorted(left));
+            prop_assert_eq!(of(mem.tokens_of(node, Side::Right)), sorted(right));
         }
     }
 
@@ -185,9 +197,8 @@ proptest! {
         let sys = random_system(seed, GenConfig::default());
         let mut engines: Vec<SerialEngine> = (0..2)
             .map(|i| {
-                let mut e = SerialEngine::with_memory(build_net(&sys), 2);
-                e.state.mem.use_index = i == 0;
-                e
+                let state = MatchState { mem: table(i == 0, 2), store: WmeStore::new() };
+                SerialEngine::with_state(build_net(&sys), state)
             })
             .collect();
         let mut rng = XorShift::new(seed ^ 0xBEEF);
@@ -253,8 +264,7 @@ proptest! {
         }
         let mut results = Vec::new();
         for use_index in [true, false] {
-            let mut mem = MemoryTable::new(1);
-            mem.use_index = use_index;
+            let mem = table(use_index, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
             assert_quiescent(&net, &mem);
             mem.compact();
@@ -293,8 +303,7 @@ proptest! {
         }
         let mut results = Vec::new();
         for use_index in [true, false] {
-            let mut mem = MemoryTable::new(1);
-            mem.use_index = use_index;
+            let mem = table(use_index, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
             assert_quiescent(&net, &mem);
             results.push((cs, snapshot(&net, &mem)));
@@ -340,9 +349,9 @@ fn p_node_tokens_do_not_share_a_line() {
         let token = Token::from_slice(&[WmeId(3), WmeId(17), WmeId(40 + i % 25), WmeId(8), WmeId(200 + i)]);
         let hash = token_hash(&token);
         let line = mem.line_of_hash(p_node, hash);
-        mem.lock(line).0.upsert_left(p_node, &Key::empty(), hash, &token, 1, 0, true);
+        mem.lock(line).0.left.upsert(p_node, &Key::empty(), hash, &token, 1);
     }
-    assert_eq!(mem.left_tokens_of(p_node).len(), 500);
+    assert_eq!(mem.tokens_of(p_node, Side::Left).len(), 500);
     let max = max_left_run(&mem, p_node);
     assert!(max <= 32, "one line holds {max} of 500 tokens");
 }
@@ -362,8 +371,8 @@ fn exact_hash_reject_and_skip_accounting() {
     for use_index in [true, false] {
         let mut net = ReteNetwork::new();
         net.add_production(Arc::new(prod.clone()), NetworkOrg::Linear).unwrap();
-        let mut e = SerialEngine::with_state(net, MatchState::with_memory(1));
-        e.state.mem.use_index = use_index;
+        let state = MatchState { mem: table(use_index, 1), store: WmeStore::new() };
+        let mut e = SerialEngine::with_state(net, state);
         e.capture = true;
         // Step 1: a1 → J1 right (scans the implicit root token: scanned 1),
         //         emits [a1] → J2 left (right run empty: scanned 0; the

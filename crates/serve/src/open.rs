@@ -29,6 +29,12 @@
 //!   set no session parks again — the park path reads it under the slot
 //!   lock the pass takes — so whatever is still in flight or waiting for a
 //!   seat either runs to its stop or closes itself when its credit runs out.
+//!   **A grant is never lost to the drain:** a top-up [`OpenServe::step`]
+//!   answered `true` to is run before the session closes, wherever the
+//!   session was when the door shut — the park path looks for credit due
+//!   before it looks at `closed` — so a drained session has run exactly
+//!   `min(everything granted, its natural length)` decisions. The drain
+//!   still ends: `finish` consumes the handle, so no grant arrives after it.
 //!
 //! Streamed serving is untiered: hibernation would have to persist wire
 //! credit, which is not in the snapshot. [`OpenServe::start`] rejects a
@@ -241,8 +247,9 @@ impl OpenServe {
 
     /// Stop accepting submissions and drain: auto-run sessions (no credit
     /// bound) run to their natural stop, while sessions stalled on client
-    /// credit — parked now, or parking after the close — retire with
-    /// [`psme_soar::StopReason::Closed`] (no more credit is coming). Then join the
+    /// credit — parked now, or parking after the close with every grant
+    /// spent — retire with [`psme_soar::StopReason::Closed`] (no more
+    /// credit is coming). Then join the
     /// workers and fold the run into a [`ServeReport`] — the same
     /// aggregation as batch [`crate::serve()`], so open and batch
     /// artifacts are comparable (and uncredited open runs bit-for-bit

@@ -539,7 +539,7 @@ impl Inner {
             closed: AtomicBool::new(false),
             submitted: AtomicUsize::new(0),
             origin,
-            trace_sink: Mutex::new(TraceLog::with_cap(cfg.trace.merged_cap)),
+            trace_sink: Mutex::new(TraceLog::with_cap(psme_obs::trace::MERGED_CAP)),
             // The control side's ring; its worker id is one past the last
             // worker's.
             ctl_ring: Mutex::new(TraceRing::from_config(
@@ -872,14 +872,18 @@ pub(crate) fn step_session(
     };
     let cyc = sess.agent.stats.decisions;
     if stop.is_none() && sess.credit == Some(0) {
-        // Out of client credit: park (out of every queue) unless a grant or
-        // a close raced in. A shut-down loop (`closed`) will never grant
-        // more, so parking would stall forever — close.
+        // Out of client credit: park (out of every queue) unless a close or
+        // a grant raced in. The grant is looked at before `closed`: `step`
+        // answered `true` to it, so it runs even though the door has shut
+        // since. A shut-down loop will never grant more, so once nothing is
+        // due parking would stall forever — close.
         let mut slot = inner.slots[idx].lock().expect("slot lock");
-        if std::mem::take(&mut slot.closing) || inner.closed.load(Ordering::Acquire) {
+        if std::mem::take(&mut slot.closing) {
             stop = Some(StopReason::Closed);
         } else if slot.credit_due > 0 {
             sess.credit = Some(std::mem::take(&mut slot.credit_due));
+        } else if inner.closed.load(Ordering::Acquire) {
+            stop = Some(StopReason::Closed);
         } else {
             slot.parked = true;
             release(inner, ring, &mut slot, home, idx, sess);

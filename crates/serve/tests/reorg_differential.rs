@@ -254,12 +254,7 @@ fn served_sessions_with_adaptive_reorg_match_unarmed_serve_bit_for_bit() {
         .map(|i| SessionSpec { name: format!("pump-{i}"), task: task.clone(), learning: true })
         .collect();
     let topo = build_topology(&task);
-    let eager = ReorgConfig {
-        min_window_cost: 1,
-        dominance: 0.0,
-        cooldown: 0,
-        ..Default::default()
-    };
+    let eager = ReorgConfig { min_window_cost: 1, dominance: 0.0, cooldown: 0 };
     for sched in [Scheduler::SingleQueue, Scheduler::MultiQueue, Scheduler::WorkStealing] {
         let cfg = |reorg: Option<ReorgConfig>| ServeConfig {
             workers: 2,

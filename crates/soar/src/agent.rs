@@ -141,11 +141,6 @@ impl<E: MatchEngine> Agent<E> {
     /// of the same production (e.g. on session resume).
     fn maybe_reorganize(&mut self) {
         let Some(mut det) = self.reorg_detector.take() else { return };
-        let stride = det.config().poll_stride.max(1);
-        if !self.stats.decisions.is_multiple_of(stride) {
-            self.reorg_detector = Some(det);
-            return;
-        }
         if let Some(d) = self.engine.poll_reorg(&mut det) {
             let span = self.recorder.start(ControlPhase::NetworkSurgery);
             match self.engine.reorganize_production(d.prod_idx, d.org.clone()) {

@@ -69,6 +69,10 @@ required_suites=(
     # surgery invariants hold over random topologies.
     "reorg differential|crates/serve/tests/reorg_differential.rs"
     "reorg proptests|crates/rete/tests/proptest_reorg.rs"
+    # The captured task streams of the three paper tasks, column for column:
+    # the gate for changes to the beta hot path that claim to keep the match
+    # bit-identical.
+    "task-stream digests|crates/tasks/tests/trace_digest.rs"
 )
 # One compiler-artifact line per built target; nothing is rebuilt. A test
 # target is identified by its source file, which cargo reports as an
@@ -99,6 +103,14 @@ run_step "bench targets build" cargo build --workspace --benches || fail=1
 # command fails this gate instead of the pipeline.
 run_step "benchmark build" cargo build --release --offline --manifest-path benchmark/Cargo.toml || fail=1
 
+# The artifact gates below read JSON with python3. Without it they would
+# pass having checked nothing, so its absence is a failure, said once.
+have_python=1
+if ! command -v python3 >/dev/null 2>&1; then
+    echo "!! python3 not found: the committed-artifact gates cannot run" >&2
+    have_python=0
+    fail=1
+fi
 # Committed artifacts that must exist and parse (the gated ones below also
 # check their numbers): the jump-table index's tests-per-wme reduction, the
 # 8-worker >= 4x single-session throughput gate, and the indexed probe's
@@ -109,7 +121,7 @@ for bench in "${parsed_artifacts[@]}"; do
     if [ ! -f "$artifact" ]; then
         echo "!! missing ${artifact} (regenerate: cargo bench -p psme-bench --bench ${bench})" >&2
         fail=1
-    elif command -v python3 >/dev/null 2>&1; then
+    elif [ "$have_python" -eq 1 ]; then
         if ! python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$artifact"; then
             echo "!! ${artifact} is not valid JSON" >&2
             fail=1
@@ -123,7 +135,7 @@ trace_artifact="crates/bench/BENCH_trace_overhead.json"
 if [ ! -f "$trace_artifact" ]; then
     echo "!! missing ${trace_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench trace_overhead)" >&2
     fail=1
-elif command -v python3 >/dev/null 2>&1; then
+elif [ "$have_python" -eq 1 ]; then
     if ! python3 - "$trace_artifact" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -145,7 +157,7 @@ resume_artifact="crates/bench/BENCH_session_resume.json"
 if [ ! -f "$resume_artifact" ]; then
     echo "!! missing ${resume_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench session_resume)" >&2
     fail=1
-elif command -v python3 >/dev/null 2>&1; then
+elif [ "$have_python" -eq 1 ]; then
     if ! python3 - "$resume_artifact" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -173,7 +185,7 @@ shard_artifact="crates/bench/BENCH_shard_scaling.json"
 if [ ! -f "$shard_artifact" ]; then
     echo "!! missing ${shard_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench shard_scaling)" >&2
     fail=1
-elif command -v python3 >/dev/null 2>&1; then
+elif [ "$have_python" -eq 1 ]; then
     if ! python3 - "$shard_artifact" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -204,7 +216,7 @@ open_artifact="crates/bench/BENCH_open_loop.json"
 if [ ! -f "$open_artifact" ]; then
     echo "!! missing ${open_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench open_loop)" >&2
     fail=1
-elif command -v python3 >/dev/null 2>&1; then
+elif [ "$have_python" -eq 1 ]; then
     if ! python3 - "$open_artifact" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -247,7 +259,7 @@ reorg_artifact="crates/bench/BENCH_reorg_adaptive.json"
 if [ ! -f "$reorg_artifact" ]; then
     echo "!! missing ${reorg_artifact} (regenerate: PSME_BENCH_DIR=\$PWD/crates/bench cargo bench -p psme-bench --bench reorg_adaptive)" >&2
     fail=1
-elif command -v python3 >/dev/null 2>&1; then
+elif [ "$have_python" -eq 1 ]; then
     if ! python3 - "$reorg_artifact" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
