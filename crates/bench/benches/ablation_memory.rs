@@ -1,4 +1,4 @@
-//! Ablation: hashed memories vs a single memory line (the paper's §6.1
+//! host — ablation: hashed memories vs a single memory line (the paper's §6.1
 //! motivation for hashing the token memories — "hashing the contents of the
 //! associated memory nodes, instead of storing them in linear lists,
 //! reduces the number of comparisons performed during a node-activation").

@@ -1,4 +1,4 @@
-//! Ablation: two-input node sharing on/off (paper: 20–30% gains from
+//! modeled — ablation: two-input node sharing on/off (paper: 20–30% gains from
 //! sharing during updates and after-chunking runs; Table 5-2's comparison).
 
 use psme_bench::*;

@@ -1,4 +1,4 @@
-//! §7's adaptive loop, end to end: run a task, diagnose chain-bound cycles
+//! modeled — §7's adaptive loop, end to end: run a task, diagnose chain-bound cycles
 //! from the trace, map the critical-path nodes back to productions, rebuild
 //! those productions bilinearly, and re-measure.
 //!

@@ -1,15 +1,15 @@
-//! Alpha-network discrimination: the `(field, value)` jump-table index
-//! against the linear per-class scan, on the eight-puzzle learning run.
+//! modeled — alpha-network discrimination: the `(field, value)` jump-table
+//! index against the linear per-class scan, on the eight-puzzle learning run.
 //!
 //! This is the regime the index exists for: every chunk built mid-run
 //! splices new alpha memories into the network, so under the linear scan
 //! the constant-test cost per wme grows with each chunk — exactly the
 //! overhead the paper's §5.1 jumptable avoids. The bench runs the same
-//! during-chunking eight-puzzle instance twice on the serial engine (index
-//! on / off), checks the agent trajectories are identical, and reports:
+//! during-chunking eight-puzzle instance twice on the serial engine (the
+//! indexed net / the reference net), checks the agent trajectories are
+//! identical, and reports:
 //!
 //! * constant tests evaluated per wme (the ≥2× acceptance criterion),
-//! * host wall-clock for the serial run (min of 3),
 //! * simulated wall-clock for 1–13 match processes under all three
 //!   schedulers on the NS32032 cost model — the indexed trace must be no
 //!   slower than the linear trace at every worker count.
@@ -18,65 +18,7 @@
 
 use psme_bench::*;
 use psme_obs::Json;
-use psme_rete::{ReteNetwork, RunTrace, SerialEngine, TaskKind};
-use psme_sim::{simulate_run, total_seconds, SimConfig, SimScheduler};
-use psme_soar::SoarTask;
-use psme_tasks::{eight_puzzle, scrambled, DECISION_BUDGET};
-use std::time::Instant;
-
-const SCHEDULERS: [(&str, SimScheduler); 3] = [
-    ("single", SimScheduler::Single),
-    ("multi", SimScheduler::Multi),
-    ("work-stealing", SimScheduler::WorkStealing),
-];
-
-fn bench_task() -> SoarTask {
-    eight_puzzle(&scrambled(4, 11))
-}
-
-struct IndexedRun {
-    trace: RunTrace,
-    chunks: Vec<String>,
-    decisions: u64,
-}
-
-/// One captured during-chunking run with the discrimination index on/off.
-fn capture_run(use_index: bool) -> IndexedRun {
-    let task = bench_task();
-    let mut net = ReteNetwork::new();
-    net.alpha.use_index = use_index;
-    let mut engine = SerialEngine::new(net);
-    engine.capture = true;
-    let mut agent = task.agent(engine);
-    agent.learning = true;
-    agent.run(DECISION_BUDGET);
-    IndexedRun {
-        trace: agent.engine.trace.clone(),
-        chunks: agent
-            .learned_chunks()
-            .iter()
-            .map(|c| psme_ops::sym_name(c.name).to_string())
-            .collect(),
-        decisions: agent.stats.decisions,
-    }
-}
-
-/// Host wall for the same run, uncaptured, min of `n`.
-fn host_wall_ms(use_index: bool, n: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let task = bench_task();
-        let mut net = ReteNetwork::new();
-        net.alpha.use_index = use_index;
-        let engine = SerialEngine::new(net);
-        let mut agent = task.agent(engine);
-        agent.learning = true;
-        let t0 = Instant::now();
-        agent.run(DECISION_BUDGET);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
+use psme_rete::{AlphaNet, ReteNetwork, RunTrace, SerialEngine, TaskKind};
 
 struct AlphaTotals {
     wmes: u64,
@@ -102,14 +44,16 @@ fn main() {
     println!("Alpha discrimination: jump-table index vs linear scan");
     println!("eight-puzzle, during chunking (chunks splice memories mid-run)");
 
-    let indexed = capture_run(true);
-    let linear = capture_run(false);
+    let indexed = capture_learning(SerialEngine::new(ReteNetwork::new()));
+    let mut reference = ReteNetwork::new();
+    reference.alpha = AlphaNet::reference();
+    let linear = capture_learning(SerialEngine::new(reference));
     assert_eq!(indexed.chunks, linear.chunks, "index changed the learned chunks");
     assert_eq!(indexed.decisions, linear.decisions, "index changed the trajectory");
     assert!(!indexed.chunks.is_empty(), "the run must actually learn");
 
-    let ti = alpha_totals(&indexed.trace);
-    let tl = alpha_totals(&linear.trace);
+    let ti = alpha_totals(&indexed.engine.trace);
+    let tl = alpha_totals(&linear.engine.trace);
     assert_eq!(ti.wmes, tl.wmes, "same wme-change stream");
     let per_wme_i = ti.tests as f64 / ti.wmes.max(1) as f64;
     let per_wme_l = tl.tests as f64 / tl.wmes.max(1) as f64;
@@ -126,43 +70,12 @@ fn main() {
          (got {reduction:.2}x)"
     );
 
-    // Simulated 1–13 process sweep, all three schedulers: the indexed
-    // trace must be no slower anywhere.
-    let cyc_i: Vec<_> = indexed.trace.cycles.clone();
-    let cyc_l: Vec<_> = linear.trace.cycles.clone();
-    let mut sched_json: Vec<(String, Json)> = Vec::new();
-    for (label, sched) in SCHEDULERS {
-        let mut rows = Vec::new();
-        let mut points = Vec::new();
-        for &w in WORKER_SWEEP {
-            let cfg = SimConfig::new(w, sched);
-            let s_l = total_seconds(&simulate_run(&cyc_l, &cfg));
-            let s_i = total_seconds(&simulate_run(&cyc_i, &cfg));
-            assert!(
-                s_i <= s_l,
-                "acceptance: indexed simulated wall {s_i:.4}s exceeds linear \
-                 {s_l:.4}s at {w} workers under {label}"
-            );
-            points.push((w, s_l / s_i.max(1e-12)));
-            rows.push(Json::obj([
-                ("workers", Json::from(w as u64)),
-                ("linear_s", Json::float(s_l)),
-                ("indexed_s", Json::float(s_i)),
-                ("speedup_vs_linear", Json::float(s_l / s_i.max(1e-12))),
-            ]));
-        }
-        print_curve(
-            &format!("{label} — indexed speedup over linear vs processes"),
-            &points,
-            "x",
-        );
-        sched_json.push((label.to_string(), Json::arr(rows)));
-    }
-
-    // Host serial wall (min of 3): the index must not cost wall time.
-    let wall_i = host_wall_ms(true, 3);
-    let wall_l = host_wall_ms(false, 3);
-    println!("\nhost serial wall (min of 3): linear {wall_l:.1} ms, indexed {wall_i:.1} ms");
+    let sim_sweep = indexed_vs_baseline(
+        "linear",
+        &linear.engine.trace.cycles,
+        &indexed.engine.trace.cycles,
+        Some(""),
+    );
 
     let doc = Json::obj([
         ("bench", Json::from("alpha_discrimination")),
@@ -174,7 +87,6 @@ fn main() {
             Json::obj([
                 ("tests_run", Json::from(tl.tests)),
                 ("tests_per_wme", Json::float(per_wme_l)),
-                ("host_wall_ms_serial", Json::float(wall_l)),
             ]),
         ),
         (
@@ -183,11 +95,10 @@ fn main() {
                 ("tests_run", Json::from(ti.tests)),
                 ("tests_per_wme", Json::float(per_wme_i)),
                 ("jump_probes", Json::from(ti.probes)),
-                ("host_wall_ms_serial", Json::float(wall_i)),
             ]),
         ),
         ("tests_per_wme_reduction", Json::float(reduction)),
-        ("sim_sweep", Json::Obj(sched_json)),
+        ("sim_sweep", sim_sweep),
     ]);
     emit_artifact("alpha_discrimination", &doc);
 }

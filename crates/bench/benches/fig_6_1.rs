@@ -1,9 +1,9 @@
-//! Figure 6-1: speedups without chunking, single task queue.
+//! modeled — Figure 6-1: speedups without chunking, single task queue.
 
 use psme_bench::*;
 use psme_obs::Json;
 use psme_sim::{profile_run, CostModel, SimScheduler};
-use psme_tasks::RunMode;
+use psme_tasks::{run_serial, RunMode};
 
 fn main() {
     println!("Figure 6-1: Speedups without chunking, SINGLE task queue");
@@ -11,7 +11,9 @@ fn main() {
     println!("paper uniprocessor times: eight-puzzle 37.7 s, strips 43.7 s, cypress 172.7 s");
     let mut tasks_json: Vec<(String, Json)> = Vec::new();
     for (name, task) in paper_tasks() {
-        let (report, engine) = capture_engine(&task, RunMode::WithoutChunking);
+        // Keep the whole engine: the hot-spot profile resolves production
+        // names through its network.
+        let (report, engine) = run_serial(&task, RunMode::WithoutChunking, true);
         let trace = &engine.trace;
         let cycles = match_cycles(trace);
         println!(

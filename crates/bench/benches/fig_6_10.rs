@@ -1,4 +1,4 @@
-//! Figure 6-10: speedups after chunking, multiple task queues.
+//! modeled — Figure 6-10: speedups after chunking, multiple task queues.
 
 use psme_bench::*;
 use psme_sim::SimScheduler;

@@ -1,4 +1,4 @@
-//! Figures 6-11 and 6-12: tasks/cycle histograms, without vs after chunking.
+//! modeled — Figures 6-11 and 6-12: tasks/cycle histograms, without vs after chunking.
 
 use psme_bench::*;
 use psme_tasks::RunMode;

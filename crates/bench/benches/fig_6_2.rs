@@ -1,5 +1,8 @@
-//! Figure 6-2: hash-bucket contention — distribution of left-token accesses
-//! per bucket per cycle, from the real (host) engine instrumentation.
+//! modeled — Figure 6-2: hash-bucket contention — distribution of
+//! left-token accesses per bucket per cycle, counted by the real engine's
+//! instrumentation. One match process: the figure is about the hash, not
+//! the schedule, and one process makes the histogram a function of the
+//! source.
 
 use psme_bench::*;
 use psme_core::{EngineConfig, MetricsLog, Scheduler};
@@ -22,7 +25,7 @@ fn main() {
             &task,
             RunMode::WithoutChunking,
             EngineConfig {
-                workers: 2,
+                workers: 1,
                 scheduler: Scheduler::MultiQueue,
                 bucket_histograms: true,
                 ..Default::default()

@@ -1,4 +1,4 @@
-//! Figure 6-3: task-queue contention (spins/task) with increasing processes.
+//! modeled — Figure 6-3: task-queue contention (spins/task) with increasing processes.
 
 use psme_bench::*;
 use psme_obs::Json;

@@ -1,4 +1,4 @@
-//! Figure 6-4: speedups without chunking, multiple task queues.
+//! modeled — Figure 6-4: speedups without chunking, multiple task queues.
 
 use psme_bench::*;
 use psme_sim::SimScheduler;

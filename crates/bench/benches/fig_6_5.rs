@@ -1,4 +1,4 @@
-//! Figure 6-5: per-cycle speedup as a function of tasks/cycle.
+//! host — Figure 6-5: per-cycle speedup as a function of tasks/cycle.
 //!
 //! Two legs. The **simulated** leg is the paper's figure on the modeled
 //! Multimax (eight-puzzle, 11 match processes). The **host** leg is the same

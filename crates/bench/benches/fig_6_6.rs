@@ -1,4 +1,4 @@
-//! Figure 6-6: tasks in the system over time within one large cycle.
+//! modeled — Figure 6-6: tasks in the system over time within one large cycle.
 
 use psme_bench::*;
 use psme_sim::{simulate_cycle, SimConfig, SimScheduler};

@@ -1,4 +1,4 @@
-//! Figure 6-7: the long-chain production (monitor-strips-state).
+//! modeled — Figure 6-7: the long-chain production (monitor-strips-state).
 
 use psme_bench::*;
 use psme_rete::{NetworkOrg, ReteNetwork};

@@ -1,4 +1,4 @@
-//! Figure 6-8: the constrained bilinear network — chain-depth reduction and
+//! modeled — Figure 6-8: the constrained bilinear network — chain-depth reduction and
 //! simulated speedup on the long-chain production's update cycle.
 
 use psme_bench::*;

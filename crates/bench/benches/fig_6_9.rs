@@ -1,4 +1,4 @@
-//! Figure 6-9: speedups in the chunk state-update phase (§5.2).
+//! modeled — Figure 6-9: speedups in the chunk state-update phase (§5.2).
 
 use psme_bench::*;
 use psme_sim::SimScheduler;

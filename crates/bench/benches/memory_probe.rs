@@ -1,5 +1,5 @@
-//! Beta-memory probe cost: hash-first indexed probing against the
-//! reference whole-line scan, on the eight-puzzle learning run.
+//! modeled — beta-memory probe cost: hash-first indexed probing against
+//! the reference whole-line scan, on the eight-puzzle learning run.
 //!
 //! This is the regime the per-node line index exists for: every beta
 //! activation locks a line and searches the opposite memory, and on small
@@ -15,7 +15,6 @@
 //! * opposite-memory entries examined per beta activation — candidates
 //!   plus foreign traversals — (the ≥2× acceptance criterion, judged at
 //!   the most collision-heavy line count),
-//! * host wall-clock for the serial run (min of 3),
 //! * simulated wall-clock for 1–13 match processes under all three
 //!   schedulers at every line count — the indexed trace must be no slower
 //!   than the reference trace at every point.
@@ -25,72 +24,16 @@
 use psme_bench::*;
 use psme_obs::Json;
 use psme_rete::{MatchState, MemoryTable, ReteNetwork, RunTrace, SerialEngine, TaskKind, WmeStore};
-use psme_sim::{simulate_run, total_seconds, SimConfig, SimScheduler};
-use psme_soar::SoarTask;
-use psme_tasks::{eight_puzzle, scrambled, DECISION_BUDGET};
-use std::time::Instant;
-
-const SCHEDULERS: [(&str, SimScheduler); 3] = [
-    ("single", SimScheduler::Single),
-    ("multi", SimScheduler::Multi),
-    ("work-stealing", SimScheduler::WorkStealing),
-];
 
 /// Line counts under test, most collision-heavy first. The acceptance gate
 /// is judged at `LINE_SWEEP[0]`; larger tables show how the advantage
 /// shrinks as collisions thin out.
 const LINE_SWEEP: [usize; 3] = [8, 64, 512];
 
-fn bench_task() -> SoarTask {
-    eight_puzzle(&scrambled(4, 11))
-}
-
-struct ProbeRun {
-    trace: RunTrace,
-    chunks: Vec<String>,
-    decisions: u64,
-    lines_compacted: u64,
-}
-
-/// A serial engine over the indexed table, or over the reference
-/// whole-line-scan table.
-fn engine(lines: usize, use_index: bool) -> SerialEngine {
-    let mem = if use_index { MemoryTable::new(lines) } else { MemoryTable::reference(lines) };
-    SerialEngine::with_state(ReteNetwork::new(), MatchState { mem, store: WmeStore::new() })
-}
-
-/// One captured during-chunking run with the memory index on/off.
-fn capture_run(lines: usize, use_index: bool) -> ProbeRun {
-    let task = bench_task();
-    let mut engine = engine(lines, use_index);
-    engine.capture = true;
-    let mut agent = task.agent(engine);
-    agent.learning = true;
-    agent.run(DECISION_BUDGET);
-    ProbeRun {
-        trace: agent.engine.trace.clone(),
-        chunks: agent
-            .learned_chunks()
-            .iter()
-            .map(|c| psme_ops::sym_name(c.name).to_string())
-            .collect(),
-        decisions: agent.stats.decisions,
-        lines_compacted: agent.engine.state.mem.lines_compacted_total(),
-    }
-}
-
-/// Host wall for the same run, uncaptured, min of `n`.
-fn host_wall_ms(lines: usize, use_index: bool, n: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..n {
-        let task = bench_task();
-        let mut agent = task.agent(engine(lines, use_index));
-        agent.learning = true;
-        let t0 = Instant::now();
-        agent.run(DECISION_BUDGET);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    best
+/// One captured during-chunking run over `mem`.
+fn capture_run(mem: MemoryTable) -> LearningRun {
+    let state = MatchState { mem, store: WmeStore::new() };
+    capture_learning(SerialEngine::with_state(ReteNetwork::new(), state))
 }
 
 #[derive(Default)]
@@ -153,15 +96,17 @@ fn main() {
     let mut sched_json: Vec<(String, Json)> = Vec::new();
     let mut gate_reduction = 0.0;
     for (li, &lines) in LINE_SWEEP.iter().enumerate() {
-        let indexed = capture_run(lines, true);
-        let reference = capture_run(lines, false);
+        let indexed = capture_run(MemoryTable::new(lines));
+        let reference = capture_run(MemoryTable::reference(lines));
         assert_eq!(indexed.chunks, reference.chunks, "index changed the learned chunks");
         assert_eq!(indexed.decisions, reference.decisions, "index changed the trajectory");
         assert!(!indexed.chunks.is_empty(), "the run must actually learn");
-        assert_same_dag(&indexed.trace, &reference.trace);
+        let compacted = |r: &LearningRun| r.engine.state.mem.lines_compacted_total();
+        let (idx_trace, ref_trace) = (&indexed.engine.trace, &reference.engine.trace);
+        assert_same_dag(idx_trace, ref_trace);
 
-        let ti = beta_totals(&indexed.trace);
-        let tr = beta_totals(&reference.trace);
+        let ti = beta_totals(idx_trace);
+        let tr = beta_totals(ref_trace);
         assert_eq!(ti.acts, tr.acts, "same beta activation stream");
         assert_eq!(ti.scanned, tr.scanned, "candidates are mode-independent");
         assert_eq!(ti.skipped, 0, "run bounds never walk foreign entries");
@@ -186,39 +131,11 @@ fn main() {
             );
         }
 
-        // Simulated 1–13 process sweep under all three schedulers: the
-        // indexed trace must be no slower at any point.
-        let mut per_sched = Vec::new();
-        for (label, sched) in SCHEDULERS {
-            let mut rows = Vec::new();
-            let mut points = Vec::new();
-            for &w in WORKER_SWEEP {
-                let cfg = SimConfig::new(w, sched);
-                let s_r = total_seconds(&simulate_run(&reference.trace.cycles, &cfg));
-                let s_i = total_seconds(&simulate_run(&indexed.trace.cycles, &cfg));
-                assert!(
-                    s_i <= s_r,
-                    "acceptance: indexed simulated wall {s_i:.4}s exceeds reference \
-                     {s_r:.4}s at {w} workers under {label} ({lines} lines)"
-                );
-                points.push((w, s_r / s_i.max(1e-12)));
-                rows.push(Json::obj([
-                    ("workers", Json::from(w as u64)),
-                    ("reference_s", Json::float(s_r)),
-                    ("indexed_s", Json::float(s_i)),
-                    ("speedup_vs_reference", Json::float(s_r / s_i.max(1e-12))),
-                ]));
-            }
-            if li == 0 {
-                print_curve(
-                    &format!("{label} — indexed speedup over reference vs processes ({lines} lines)"),
-                    &points,
-                    "x",
-                );
-            }
-            per_sched.push((label.to_string(), Json::arr(rows)));
-        }
-        sched_json.push((format!("lines_{lines}"), Json::Obj(per_sched)));
+        // The indexed trace must be no slower at any simulated point.
+        let plot = (li == 0).then(|| format!(" ({lines} lines)"));
+        let sweep =
+            indexed_vs_baseline("reference", &ref_trace.cycles, &idx_trace.cycles, plot.as_deref());
+        sched_json.push((format!("lines_{lines}"), sweep));
 
         line_rows.push(Json::obj([
             ("lines", Json::from(lines as u64)),
@@ -228,33 +145,16 @@ fn main() {
             ("examined_reduction", Json::float(reduction)),
             ("hash_rejects_indexed", Json::from(ti.hash_rejects)),
             ("entries_skipped_reference", Json::from(tr.skipped)),
-            ("lines_compacted_indexed", Json::from(indexed.lines_compacted)),
-            ("lines_compacted_reference", Json::from(reference.lines_compacted)),
+            ("lines_compacted_indexed", Json::from(compacted(&indexed))),
+            ("lines_compacted_reference", Json::from(compacted(&reference))),
         ]));
     }
-
-    // Host serial wall (min of 3) at the collision-heavy line count: the
-    // indexed probe must actually be cheaper where collisions are dense.
-    let wall_i = host_wall_ms(LINE_SWEEP[0], true, 3);
-    let wall_r = host_wall_ms(LINE_SWEEP[0], false, 3);
-    println!(
-        "\nhost serial wall, {} lines (min of 3): reference {wall_r:.1} ms, indexed {wall_i:.1} ms",
-        LINE_SWEEP[0]
-    );
 
     let doc = Json::obj([
         ("bench", Json::from("memory_probe")),
         ("task", Json::from("eight-puzzle scrambled(4,11), during chunking")),
         ("line_sweep", Json::arr(line_rows)),
         ("examined_reduction_at_gate", Json::float(gate_reduction)),
-        (
-            "host_wall_ms_serial",
-            Json::obj([
-                ("lines", Json::from(LINE_SWEEP[0] as u64)),
-                ("reference", Json::float(wall_r)),
-                ("indexed", Json::float(wall_i)),
-            ]),
-        ),
         ("sim_sweep", Json::Obj(sched_json)),
     ]);
     emit_artifact("memory_probe", &doc);

@@ -1,4 +1,4 @@
-//! Criterion micro-benchmarks: match throughput, run-time production
+//! host — Criterion micro-benchmarks: match throughput, run-time production
 //! addition (compile + state update), and task-queue operations.
 
 use criterion::{criterion_group, criterion_main, Criterion};

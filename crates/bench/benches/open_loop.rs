@@ -1,44 +1,35 @@
-//! Offered-load sweeps under **open-loop** arrivals: throughput, tail
-//! latency, and shed rate as the arrival rate crosses saturation.
+//! modeled — offered-load sweep under **open-loop** arrivals: throughput,
+//! tail latency, and shed rate as the arrival rate crosses saturation
+//! (`BENCH_open_loop.json`).
 //!
 //! Closed-loop serving benchmarks (`serve_throughput`, `shard_scaling`)
 //! self-throttle: every in-flight session is one the server already
 //! admitted, so overload never happens and the shed path never fires.
 //! This harness fixes the *arrival process* instead — Poisson session
 //! opens at a configured rate, fired whether or not the server keeps up —
-//! and sweeps that rate through the saturation knee. Two parts, one
-//! artifact (`BENCH_open_loop.json`):
+//! and sweeps that rate through the saturation knee.
 //!
-//! * **DES sweep (the gated curve)** — per-session decision-cycle service
-//!   times from real captured eight-puzzle traces (costed on the NS32032
-//!   model, as in `shard_scaling`), run through
-//!   [`psme_serve::simulate_serve_open`]: deterministic Poisson arrivals
-//!   plus deterministic jitter into the sharded admission model. The
-//!   serving capacity is **calibrated** from the workload
-//!   (`workers_total / mean_session_seconds`) and the sweep offers
-//!   multiples of it. Expected open-loop shape, asserted here and
-//!   re-gated by `scripts/check.sh` from the committed artifact: no
-//!   shedding well below the knee, shed rate monotone non-decreasing
-//!   past it (and strictly positive at 3x), throughput plateauing at
-//!   capacity, p99 sojourn at the knee within a calibrated bound.
-//! * **Host loopback measurement** — a real [`psme_net::NetServer`] on
-//!   `127.0.0.1` driven by [`psme_net::run_open_loop`] with the paper
-//!   session mix (eight-puzzle auto-run, STRIPS with learning on, and
-//!   credited Cypress sessions that toggle chunking on mid-run over the
-//!   `Learn` frame), at a rate below and far above saturation. Wall-clock
-//!   numbers on a shared host are noise; only accounting identities are
-//!   asserted (every offered session resolves exactly once), the curves
-//!   are recorded for inspection.
+//! Per-session decision-cycle service times come from real captured
+//! eight-puzzle traces (costed on the NS32032 model, as in
+//! `shard_scaling`), run through [`psme_serve::simulate_serve_open`]:
+//! deterministic Poisson arrivals plus deterministic jitter into the
+//! sharded admission model. The serving capacity is **calibrated** from
+//! the workload (`workers_total / mean_session_seconds`) and the sweep
+//! offers multiples of it. Expected open-loop shape, asserted here: no
+//! shedding well below the knee, shed rate monotone non-decreasing past it
+//! (and strictly positive at 3x), throughput plateauing at capacity, p99
+//! sojourn at the knee within a calibrated bound.
+//!
+//! The real server under an open loop over TCP is the repo benchmark's
+//! `serve_open_short` (sojourn timed from when an open was *due*, one
+//! connection per app); that every offered session resolves exactly once
+//! under a burst is `net_loopback`.
 
 use psme_bench::*;
-use psme_core::Scheduler;
-use psme_net::{
-    paper_apps, poisson_arrivals, run_open_loop, LoadConfig, LoadReport, MixEntry, NetServer,
-};
+use psme_net::poisson_arrivals;
 use psme_obs::{Json, Quantiles};
-use psme_serve::{simulate_serve_open, DesConfig, DesOpenConfig, ServeConfig, ShardConfig};
-use psme_sim::{simulate_cycle, SimConfig, SimScheduler};
-use psme_tasks::{eight_puzzle, scrambled, RunMode};
+use psme_serve::{simulate_serve_open, DesConfig, DesOpenConfig};
+use psme_sim::SimScheduler;
 
 /// Sessions offered per DES sweep point (tiled over 8 workloads).
 const DES_SESSIONS: usize = 160;
@@ -64,77 +55,10 @@ const WORKERS_PER_SHARD: usize = 2;
 const TABLE_CAPACITY: usize = 16;
 const ADMISSION_DEPTH: usize = 16;
 
-/// Per-cycle service seconds for one session workload (captured trace,
-/// costed at one match process under work stealing).
-fn service_vector(seed: u64, learning: bool) -> Vec<f64> {
-    let task = eight_puzzle(&scrambled(3, seed));
-    let mode = if learning { RunMode::DuringChunking } else { RunMode::WithoutChunking };
-    let (_, trace) = capture(&task, mode);
-    trace
-        .cycles
-        .iter()
-        .map(|c| simulate_cycle(c, &SimConfig::new(1, SimScheduler::WorkStealing)).makespan_us * 1e-6)
-        .collect()
-}
-
-fn host_run(addr: &str, rate: f64, sessions: usize, seed: u64, prefix: &str) -> LoadReport {
-    let cfg = LoadConfig {
-        rate,
-        sessions,
-        seed,
-        mix: vec![
-            MixEntry {
-                app: "eight-puzzle".into(),
-                weight: 0.5,
-                learning: false,
-                grant: None,
-                learn_on_first_park: false,
-            },
-            MixEntry {
-                app: "strips".into(),
-                weight: 0.3,
-                learning: true,
-                grant: None,
-                learn_on_first_park: false,
-            },
-            // Credited sessions driven over the wire, chunking toggled on
-            // at the first park — mid-run learning through `Learn` frames.
-            MixEntry {
-                app: "cypress-sub".into(),
-                weight: 0.2,
-                learning: false,
-                grant: Some(6),
-                learn_on_first_park: true,
-            },
-        ],
-        name_prefix: prefix.to_string(),
-    };
-    let r = run_open_loop(addr, &cfg).expect("open-loop run against loopback server");
-    assert_eq!(
-        r.completed + r.shed + r.refused,
-        r.offered,
-        "every offered session resolves exactly once at rate {rate}"
-    );
-    assert!(r.completed > 0, "some sessions complete at rate {rate}");
-    println!(
-        "host {rate:>7.1}/s offered: {} completed, {} shed ({:.1}%), {} refused, \
-         {:.1} sessions/s, sojourn p50 {:.2} ms p99 {:.2} ms",
-        r.completed,
-        r.shed,
-        r.shed_rate * 100.0,
-        r.refused,
-        r.sessions_per_sec,
-        r.sojourn_ns.p50 * 1e-6,
-        r.sojourn_ns.p99 * 1e-6,
-    );
-    r
-}
-
 fn main() {
     println!("open_loop: offered-load sweeps across the saturation knee");
 
-    // ---- Part 1: the deterministic DES sweep. ----
-    let workloads: Vec<Vec<f64>> = (0..8).map(|seed| service_vector(seed, seed % 4 == 0)).collect();
+    let workloads = session_workloads(SimScheduler::WorkStealing);
     let mean_cycle =
         workloads.iter().flatten().sum::<f64>() / workloads.iter().map(Vec::len).sum::<usize>() as f64;
     let overhead = mean_cycle * OVERHEAD_FRACTION;
@@ -219,7 +143,6 @@ fn main() {
         &rows,
     );
 
-    // Gates (all deterministic; check.sh re-checks them from the JSON).
     assert_eq!(shed_curve[0].1, 0.0, "no shedding at 0.25x capacity");
     for w in shed_curve.windows(2) {
         if w[0].0 >= 1.0 {
@@ -257,28 +180,6 @@ fn main() {
         knee_bound
     );
 
-    // ---- Part 2: the host loopback measurement. ----
-    let serve_cfg = ServeConfig {
-        workers: 2,
-        scheduler: Scheduler::WorkStealing,
-        table_capacity: 8,
-        admission_depth: 8,
-        shard: ShardConfig { shards: 2, ..Default::default() },
-        ..Default::default()
-    };
-    let server = NetServer::start("127.0.0.1:0", &serve_cfg, paper_apps(), 1 << 16)
-        .expect("bind loopback server");
-    let addr = server.local_addr().to_string();
-    let below = host_run(&addr, 60.0, 48, 7, "lo");
-    let above = host_run(&addr, 1500.0, 48, 11, "hi");
-    let reports = server.finish();
-    let served: usize = reports.iter().map(|(_, r)| r.sessions.len()).sum();
-    assert_eq!(
-        served,
-        below.completed + below.shed + above.completed + above.shed,
-        "server-side session reports match the client-side ledger"
-    );
-
     emit_artifact(
         "open_loop",
         &Json::obj([
@@ -307,22 +208,6 @@ fn main() {
                             ("shed_rate_at_max", Json::float(last.1)),
                             ("monotone_from_multiple", Json::float(1.0)),
                         ]),
-                    ),
-                ]),
-            ),
-            (
-                "host",
-                Json::obj([
-                    (
-                        "mix",
-                        Json::from(
-                            "eight-puzzle 0.5 auto; strips 0.3 learning; \
-                             cypress-sub 0.2 credited, learn-on-first-park",
-                        ),
-                    ),
-                    (
-                        "runs",
-                        Json::arr([below, above].iter().map(LoadReport::to_json)),
                     ),
                 ]),
             ),

@@ -1,99 +1,26 @@
-//! Resume latency of the tiered session store under a 100× oversubscribed
-//! population.
+//! modeled — tiered-store resume latency against populations past what the
+//! host serves in bench time (`BENCH_session_resume.json`).
 //!
 //! The tiered store exists so a host can be responsible for far more
-//! sessions than it can keep resident. This bench holds that claim: a
-//! session population **100× the live table** is served to completion
-//! through constant hibernate/resume traffic, a sample of the survivors is
-//! checked bit-for-bit against solo runs (the differential that makes the
-//! throughput number meaningful), and the measured resume latency
-//! (frame verify + journal replay + shell restore) must keep its p99 under
-//! a committed bound. A deterministic DES sweep extends the population
-//! axis beyond what the host serves in bench time.
-//!
-//! `check.sh` re-asserts the committed artifact (`BENCH_session_resume.json`):
-//! population/table ≥ 100, `differential_ok` true, resume p99 ≤ bound.
+//! sessions than it can keep resident. This is the serving DES's view of
+//! it: synthetic populations 25× to 1600× the live table through
+//! [`psme_serve::simulate_serve_tiered`] in virtual time, so the scaling
+//! rows are a function of the source. The real store under a 100×
+//! oversubscribed population — served, checked against solo runs, its
+//! resume latency read off the clock — is the host target
+//! `session_resume_host`.
 
 use psme_bench::*;
-use psme_core::Scheduler;
 use psme_obs::{Json, Quantiles};
-use psme_serve::{
-    build_topology, serve, simulate_serve_tiered, DesConfig, DesTierConfig, ServeConfig,
-    ServeReport, SessionSpec, TierConfig,
-};
-use psme_tasks::{eight_puzzle, run_serial, scrambled, RunMode};
+use psme_serve::{simulate_serve_tiered, DesConfig, DesTierConfig};
 
 const TABLE: usize = 4;
-const POPULATION: usize = 400; // 100× the live table
 const WORKERS: usize = 4;
-/// Resume p99 bound, ns. A resume replays the session's journal (cost
-/// grows with executed history — measured p99 ≈ 17ms for these runs) and
-/// decodes its shell; the committed bound leaves ~3× headroom for noisy
-/// CI neighbours while still catching an accidental O(n²) in the replay.
-const BOUND_P99_NS: f64 = 50_000_000.0;
 
-fn batch() -> Vec<SessionSpec> {
-    (0..POPULATION)
-        .map(|seed| SessionSpec {
-            name: format!("pop-{seed}"),
-            task: eight_puzzle(&scrambled(2, seed as u64)),
-            learning: seed % 8 == 0,
-        })
-        .collect()
-}
-
-fn run_tiered() -> ServeReport {
-    let specs = batch();
-    let topo = build_topology(&specs[0].task);
-    serve(
-        topo,
-        specs,
-        ServeConfig {
-            workers: WORKERS,
-            scheduler: Scheduler::SingleQueue, // FIFO rotation = maximal swapping
-            table_capacity: TABLE,
-            admission_depth: POPULATION,
-            slice_decisions: 4,
-            tier: Some(TierConfig::default()),
-            ..Default::default()
-        },
-    )
-}
-
-/// Bit-for-bit differential on a deterministic sample of the population:
-/// every 33rd session is re-run solo and compared field by field.
-fn differential(report: &ServeReport) -> (bool, usize) {
-    let specs = batch();
-    let mut checked = 0;
-    for i in (0..POPULATION).step_by(33) {
-        let sp = &specs[i];
-        let mode = if sp.learning { RunMode::DuringChunking } else { RunMode::WithoutChunking };
-        let solo = run_serial(&sp.task, mode, false).0;
-        let sr = &report.sessions[i];
-        let chunks: Vec<String> =
-            solo.chunks.iter().map(|c| psme_ops::sym_name(c.name).to_string()).collect();
-        let ok = sr.stop == Some(solo.stop)
-            && sr.stats.decisions == solo.stats.decisions
-            && sr.stats.firings == solo.stats.firings
-            && sr.stats.chunks_built == solo.stats.chunks_built
-            && sr.stats.wme_adds == solo.stats.wme_adds
-            && sr.stats.wme_removes == solo.stats.wme_removes
-            && sr.chunk_names == chunks
-            && sr.output == solo.output;
-        if !ok {
-            eprintln!("differential FAILED for session {i} ({})", sp.name);
-            return (false, checked);
-        }
-        checked += 1;
-    }
-    (true, checked)
-}
-
-/// DES leg: the same hot bound against synthetic populations past what the
-/// host serves in bench time. Deterministic (virtual time), so the scaling
-/// row is reproducible bit-for-bit.
-fn des_sweep() -> Json {
+fn main() {
+    println!("session_resume: DES populations through a {TABLE}-seat hot table, {WORKERS} workers");
     let mut rows = Vec::new();
+    let mut sweep = Vec::new();
     for pop in [100usize, 400, 1600, 6400] {
         let sessions: Vec<Vec<f64>> = (0..pop)
             .map(|i| {
@@ -104,14 +31,17 @@ fn des_sweep() -> Json {
         let r = simulate_serve_tiered(
             &sessions,
             &DesConfig { workers: WORKERS, slice: 4, dispatch_overhead: 5.0e-7 },
-            &DesTierConfig {
-                hot_capacity: TABLE,
-                resume_base: 1.0e-5,
-                resume_per_cycle: 5.0e-8,
-            },
+            &DesTierConfig { hot_capacity: TABLE, resume_base: 1.0e-5, resume_per_cycle: 5.0e-8 },
         );
         let q = Quantiles::from_samples(&r.resume_latency);
-        rows.push(Json::obj([
+        rows.push(vec![
+            pop.to_string(),
+            r.hibernations.to_string(),
+            r.resumes.to_string(),
+            f2(q.p50 * 1e6),
+            f2(q.p99 * 1e6),
+        ]);
+        sweep.push(Json::obj([
             ("population", Json::from(pop as u64)),
             ("ratio", Json::float(pop as f64 / TABLE as f64)),
             ("makespan_s", Json::float(r.makespan)),
@@ -122,75 +52,19 @@ fn des_sweep() -> Json {
             ("resume_p99_s", Json::float(q.p99)),
         ]));
     }
-    Json::arr(rows)
-}
-
-fn main() {
-    println!(
-        "session_resume: {POPULATION} sessions through a {TABLE}-seat table \
-         ({}x oversubscribed), {WORKERS} workers",
-        POPULATION / TABLE
+    print_table(
+        "modeled resume latency vs population",
+        &["population", "hibernations", "resumes", "resume p50 us", "resume p99 us"],
+        &rows,
     );
-
-    let report = run_tiered();
-    assert_eq!(report.shed, 0, "admission depth covers the population");
-    let tier = report.tier.as_ref().expect("tiered run").clone();
-    assert!(tier.hibernated > 0, "oversubscription must force hibernation");
-    assert!(tier.resumed > 0, "hibernated sessions must resume");
-    assert!(tier.resume_latency.count > 0, "resume latencies were sampled");
-
-    println!(
-        "  hibernated {} / resumed {} / peak hot {} / {} snapshot bytes total",
-        tier.hibernated, tier.resumed, tier.peak_hot, tier.snapshot_bytes_total
-    );
-    println!(
-        "  resume latency: p50 {:.1}us p99 {:.1}us max {:.1}us over {} resumes",
-        tier.resume_latency.p50 / 1e3,
-        tier.resume_latency.p99 / 1e3,
-        tier.resume_latency.max / 1e3,
-        tier.resume_latency.count
-    );
-
-    let (differential_ok, sampled) = differential(&report);
-    println!("  differential: {sampled} sessions sampled vs solo -> ok = {differential_ok}");
-    assert!(differential_ok, "hibernated sessions must match solo bit-for-bit");
-
-    let des = des_sweep();
-
     emit_artifact(
         "session_resume",
         &Json::obj([
             ("figure", Json::from("session-resume")),
-            ("title", Json::from("Tiered store resume latency at 100x oversubscription")),
-            ("population", Json::from(POPULATION as u64)),
+            ("title", Json::from("Tiered store resume latency vs population (serving DES)")),
             ("table_capacity", Json::from(TABLE as u64)),
-            ("ratio", Json::float(POPULATION as f64 / TABLE as f64)),
             ("workers", Json::from(WORKERS as u64)),
-            ("sessions_per_sec", Json::float(report.sessions_per_sec)),
-            ("hibernated", Json::from(tier.hibernated)),
-            ("resumed", Json::from(tier.resumed)),
-            ("peak_hot", Json::from(tier.peak_hot as u64)),
-            ("snapshot_bytes_total", Json::from(tier.snapshot_bytes_total)),
-            ("resume_p50_ns", Json::float(tier.resume_latency.p50)),
-            ("resume_p90_ns", Json::float(tier.resume_latency.p90)),
-            ("resume_p99_ns", Json::float(tier.resume_latency.p99)),
-            ("resume_max_ns", Json::float(tier.resume_latency.max)),
-            ("resume_count", Json::from(tier.resume_latency.count)),
-            ("bound_p99_ns", Json::float(BOUND_P99_NS)),
-            ("differential_sampled", Json::from(sampled as u64)),
-            ("differential_ok", Json::Bool(differential_ok)),
-            ("des_sweep", des),
+            ("des_sweep", Json::arr(sweep)),
         ]),
-    );
-
-    assert!(
-        tier.resume_latency.p99 <= BOUND_P99_NS,
-        "resume p99 {:.0}ns exceeds the {BOUND_P99_NS:.0}ns bound",
-        tier.resume_latency.p99
-    );
-    println!(
-        "gate: resume p99 {:.1}us <= {:.1}us — ok",
-        tier.resume_latency.p99 / 1e3,
-        BOUND_P99_NS / 1e3
     );
 }

@@ -1,7 +1,5 @@
-//! Sharded-serving scaling: aggregate sessions/sec past the single-bus
-//! knee.
-//!
-//! Three parts, one artifact (`BENCH_shard_scaling.json`):
+//! modeled — sharded-serving scaling: aggregate sessions/sec past the
+//! single-bus knee (`BENCH_shard_scaling.json`).
 //!
 //! * **Modeled shard sweep** — per-session decision-cycle service times
 //!   come from *real captured traces* (each cycle costed on the NS32032
@@ -16,22 +14,22 @@
 //! * **Cross-shard steal curve** — deliberately length-skewed sessions so
 //!   pools drain at different times; the model reports how many dispatches
 //!   the idle pools serve by stealing, and what that does to throughput.
-//! * **Host measurement** — a real [`psme_serve::serve`] run at feasible
-//!   sizes (host cores, wall clock), sharded vs not.
 //!
-//! Acceptance gate (asserted here and re-checked by `scripts/check.sh`
-//! from the committed artifact): 4 shards ≥ 2× one shard at 8 workers per
-//! shard in the DES.
+//! That a sharded run equals the single-shard loop on the host is
+//! `serve_shard`; what the real loop delivers is the repo benchmark's
+//! `sessions_per_s`.
+//!
+//! Acceptance gate (asserted here): 4 shards ≥ [`GATE`]× one shard at 8
+//! workers per shard in the DES, and 64 logical workers likewise.
 
 use psme_bench::*;
-use psme_core::Scheduler;
 use psme_obs::Json;
-use psme_serve::{
-    build_topology, serve, simulate_serve_sharded, DesConfig, DesShardConfig, ServeConfig,
-    SessionSpec, ShardConfig,
-};
-use psme_sim::{simulate_cycle, SimConfig, SimScheduler};
-use psme_tasks::{eight_puzzle, scrambled, RunMode};
+use psme_serve::{simulate_serve_sharded, DesConfig, DesShardConfig};
+use psme_sim::SimScheduler;
+
+/// Required multi-shard over one-shard throughput ratio at 8 workers per
+/// shard.
+const GATE: f64 = 2.0;
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 const WPS_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -46,23 +44,10 @@ const MODEL_SESSIONS: usize = 256;
 /// the sweep.
 const BUS_HOLD_FRACTION: f64 = 0.5;
 
-/// Per-cycle service seconds for one session workload: every captured
-/// trace cycle costed at one match process under work stealing.
-fn service_vector(seed: u64, learning: bool) -> Vec<f64> {
-    let task = eight_puzzle(&scrambled(3, seed));
-    let mode = if learning { RunMode::DuringChunking } else { RunMode::WithoutChunking };
-    let (_, trace) = capture(&task, mode);
-    trace
-        .cycles
-        .iter()
-        .map(|c| simulate_cycle(c, &SimConfig::new(1, SimScheduler::WorkStealing)).makespan_us * 1e-6)
-        .collect()
-}
-
 fn main() {
     println!("shard_scaling: sessions/sec across shard counts x workers per shard");
 
-    let workloads: Vec<Vec<f64>> = (0..8).map(|seed| service_vector(seed, seed % 4 == 0)).collect();
+    let workloads = session_workloads(SimScheduler::WorkStealing);
     let total_cycles: usize = workloads.iter().map(Vec::len).sum();
     let total_secs: f64 = workloads.iter().flatten().sum();
     let mean_cycle = total_secs / total_cycles as f64;
@@ -124,15 +109,15 @@ fn main() {
     let gate_ratio = gate_4x8 / gate_1x8.max(1e-12);
     println!(
         "\ngate: 4 shards x 8w {gate_4x8:.2}/s vs 1 shard x 8w {gate_1x8:.2}/s = \
-         {gate_ratio:.2}x (need >= 2); 8x8 = 64 logical workers: {gate_8x8:.2}/s"
+         {gate_ratio:.2}x (need >= {GATE}); 8x8 = 64 logical workers: {gate_8x8:.2}/s"
     );
     assert!(
-        gate_ratio >= 2.0,
-        "4-shard throughput ({gate_4x8:.3}/s) must be >= 2x one shard ({gate_1x8:.3}/s) \
+        gate_ratio >= GATE,
+        "4-shard throughput ({gate_4x8:.3}/s) must be >= {GATE}x one shard ({gate_1x8:.3}/s) \
          at 8 workers per shard, got {gate_ratio:.2}x"
     );
     assert!(
-        gate_8x8 > gate_1x8 * 2.0,
+        gate_8x8 > gate_1x8 * GATE,
         "64 logical workers across 8 buses must scale past the single-bus knee"
     );
 
@@ -181,44 +166,6 @@ fn main() {
         &steal_rows,
     );
 
-    // Part 3: host measurement at feasible sizes.
-    let specs: Vec<SessionSpec> = (0..24)
-        .map(|seed| SessionSpec {
-            name: format!("host-{seed}"),
-            task: eight_puzzle(&scrambled(3, seed)),
-            learning: seed % 4 == 0,
-        })
-        .collect();
-    let topo = build_topology(&specs[0].task);
-    let mut host_points: Vec<Json> = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let report = serve(
-            topo.clone(),
-            specs.clone(),
-            ServeConfig {
-                workers: 2,
-                scheduler: Scheduler::WorkStealing,
-                table_capacity: 24,
-                shard: ShardConfig { shards, ..Default::default() },
-                ..Default::default()
-            },
-        );
-        assert_eq!(report.shed, 0, "host run must not shed");
-        println!(
-            "host {shards} shard(s) x 2w: {:.2} sessions/s, {} cross-shard steals",
-            report.sessions_per_sec, report.cross_shard_steals
-        );
-        host_points.push(Json::obj([
-            ("shards", Json::from(shards as u64)),
-            ("workers_per_shard", Json::from(2u64)),
-            ("sessions", Json::from(specs.len() as u64)),
-            ("sessions_per_sec", Json::float(report.sessions_per_sec)),
-            ("wall_seconds", Json::float(report.wall_seconds)),
-            ("cross_shard_steals", Json::from(report.cross_shard_steals)),
-            ("p99_cycle_ms", Json::float(report.aggregate_cycle_latency.p99 * 1e-6)),
-        ]));
-    }
-
     emit_artifact(
         "shard_scaling",
         &Json::obj([
@@ -244,13 +191,12 @@ fn main() {
                             ("four_shard_8w_sessions_per_sec", Json::float(gate_4x8)),
                             ("eight_shard_8w_sessions_per_sec", Json::float(gate_8x8)),
                             ("ratio", Json::float(gate_ratio)),
-                            ("required", Json::float(2.0)),
+                            ("required", Json::float(GATE)),
                         ]),
                     ),
                 ]),
             ),
             ("steal_curve", Json::arr(steal_points)),
-            ("host", Json::arr(host_points)),
         ]),
     );
 }

@@ -1,4 +1,4 @@
-//! Table 5-1: CEs per chunk and generated code size.
+//! modeled — Table 5-1: CEs per chunk and generated code size.
 
 use psme_bench::*;
 use psme_rete::{code_size, CodeSizeModel, NetworkOrg, ReteNetwork};

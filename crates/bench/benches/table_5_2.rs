@@ -1,4 +1,4 @@
-//! Table 5-2: time for compiling chunks at run time, shared vs unshared.
+//! host — Table 5-2: time for compiling chunks at run time, shared vs unshared.
 
 use psme_bench::*;
 use psme_rete::{code_size, compile_time_us, CodeSizeModel, NetworkOrg, ReteNetwork};

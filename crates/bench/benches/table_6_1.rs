@@ -1,4 +1,4 @@
-//! Table 6-1: task granularity on the PSM.
+//! modeled — Table 6-1: task granularity on the PSM.
 
 use psme_bench::*;
 use psme_obs::Json;

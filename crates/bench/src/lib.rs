@@ -6,18 +6,33 @@
 //! through the serial engine, simulator sweeps over 1–13 match processes,
 //! and plain-text table rendering. Paper reference values are printed next
 //! to the measured ones; EXPERIMENTS.md records both.
+//!
+//! A target is one of two kinds, named by the first word of its doc
+//! comment. A **modeled** target reads no clock: what it prints and the
+//! `BENCH_<name>.json` it writes are a function of the source, it
+//! `assert!`s its own gates, and `scripts/check.sh` regenerates every
+//! committed artifact and compares it byte for byte. A **host** target
+//! reads the clock: it prints, asserts only what no clock decides, and
+//! writes nothing.
 
-use psme_obs::Json;
+use psme_obs::{Json, TextTable};
 use psme_rete::{CycleTrace, Phase, RunTrace, SerialEngine};
-use psme_sim::{simulate_run, total_seconds, SimConfig, SimScheduler};
+use psme_sim::{simulate_cycle, simulate_run, total_seconds, SimConfig, SimScheduler};
 use psme_soar::SoarTask;
 use psme_tasks::{
     cypress_sub, eight_puzzle, run_serial, scrambled, strips, CypressConfig, RunMode, RunReport,
-    StripsConfig,
+    StripsConfig, DECISION_BUDGET,
 };
 
 /// The process counts the paper sweeps.
 pub const WORKER_SWEEP: &[usize] = &[1, 2, 3, 4, 6, 8, 9, 10, 11, 12, 13];
+
+/// The three queue disciplines, by artifact label.
+pub const SCHEDULERS: [(&str, SimScheduler); 3] = [
+    ("single", SimScheduler::Single),
+    ("multi", SimScheduler::Multi),
+    ("work-stealing", SimScheduler::WorkStealing),
+];
 
 /// The three benchmark task instances (sized so a full bench run stays in
 /// seconds; relative magnitudes follow the paper: Cypress ≫ the others).
@@ -44,10 +59,80 @@ pub fn capture(task: &SoarTask, mode: RunMode) -> (RunReport, RunTrace) {
     (report, engine.trace)
 }
 
-/// Like [`capture`], but keep the whole engine — callers that profile
-/// per-node need the network to resolve production names.
-pub fn capture_engine(task: &SoarTask, mode: RunMode) -> (RunReport, SerialEngine) {
-    run_serial(task, mode, true)
+/// A captured during-chunking run of the eight-puzzle instance the index
+/// benches (`alpha_discrimination`, `memory_probe`) run once per arm: every
+/// chunk splices new memories into the network mid-run.
+pub struct LearningRun {
+    pub engine: SerialEngine,
+    pub chunks: Vec<String>,
+    pub decisions: u64,
+}
+
+/// Run the index benches' instance to its end on `engine`, capturing.
+pub fn capture_learning(mut engine: SerialEngine) -> LearningRun {
+    engine.capture = true;
+    let mut agent = eight_puzzle(&scrambled(4, 11)).agent(engine);
+    agent.learning = true;
+    agent.run(DECISION_BUDGET);
+    let chunks =
+        agent.learned_chunks().iter().map(|c| psme_ops::sym_name(c.name).to_string()).collect();
+    LearningRun { chunks, decisions: agent.stats.decisions, engine: agent.engine }
+}
+
+/// Simulated seconds of an indexed trace against its `base`-named baseline
+/// trace across the worker sweep under all three schedulers, as the
+/// artifact's `sim_sweep` block. The indexed trace must be no slower at any
+/// point; `plot` prints the speedup curves under that caption suffix.
+pub fn indexed_vs_baseline(
+    base: &str,
+    baseline: &[CycleTrace],
+    indexed: &[CycleTrace],
+    plot: Option<&str>,
+) -> Json {
+    Json::obj(SCHEDULERS.map(|(label, sched)| {
+        let mut points = Vec::new();
+        let mut rows = Vec::new();
+        for &w in WORKER_SWEEP {
+            let cfg = SimConfig::new(w, sched);
+            let s_b = total_seconds(&simulate_run(baseline, &cfg));
+            let s_i = total_seconds(&simulate_run(indexed, &cfg));
+            assert!(
+                s_i <= s_b,
+                "acceptance: indexed simulated wall {s_i:.4}s exceeds {base} {s_b:.4}s \
+                 at {w} workers under {label}"
+            );
+            let speedup = s_b / s_i.max(1e-12);
+            points.push((w, speedup));
+            rows.push(Json::obj([
+                ("workers".to_string(), Json::from(w as u64)),
+                (format!("{base}_s"), Json::float(s_b)),
+                ("indexed_s".to_string(), Json::float(s_i)),
+                (format!("speedup_vs_{base}"), Json::float(speedup)),
+            ]));
+        }
+        if let Some(suffix) = plot {
+            let title = format!("{label} — indexed speedup over {base} vs processes{suffix}");
+            print_curve(&title, &points, "x");
+        }
+        (label, Json::Arr(rows))
+    }))
+}
+
+/// Per-cycle service seconds of the eight session workloads the serving
+/// models tile (eight-puzzle `scrambled(3, seed)`, every fourth one
+/// learning, like the isolation gate): each captured trace cycle costed at
+/// one match process under `sched` — a served session's own match runs on
+/// the worker that holds it.
+pub fn session_workloads(sched: SimScheduler) -> Vec<Vec<f64>> {
+    let cfg = SimConfig::new(1, sched);
+    (0..8)
+        .map(|seed| {
+            let mode =
+                if seed % 4 == 0 { RunMode::DuringChunking } else { RunMode::WithoutChunking };
+            let (_, trace) = capture(&eight_puzzle(&scrambled(3, seed)), mode);
+            trace.cycles.iter().map(|c| simulate_cycle(c, &cfg).makespan_us * 1e-6).collect()
+        })
+        .collect()
 }
 
 /// Match-phase cycles of a run trace.
@@ -90,27 +175,11 @@ pub fn spins_sweep(cycles: &[CycleTrace], sched: SimScheduler) -> Vec<(usize, f6
         .collect()
 }
 
-/// Render a plain-text table.
+/// Print a titled plain-text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-    }
-    let line = |cells: Vec<String>| {
-        let s: Vec<String> =
-            cells.iter().zip(&widths).map(|(c, w)| format!("{c:>width$}", width = w)).collect();
-        println!("  {}", s.join("  "));
-    };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
-    for r in rows {
-        line(r.clone());
-    }
+    let mut t = TextTable::new(headers);
+    rows.iter().for_each(|r| t.row(r.clone()));
+    print!("\n== {title} ==\n{}", t.render());
 }
 
 /// Render an ASCII curve `(x, y)` with a caption.

@@ -483,7 +483,7 @@ impl ParallelEngine {
         let recorder = Recorder::new();
         // Only the control thread emits (phase boundaries); its ring id
         // stays one past the last match process's.
-        let trace = TraceRing::new(workers as u32, 4096, recorder.origin());
+        let trace = TraceRing::new(workers as u32, psme_obs::trace::RING_CAP, recorder.origin());
         ParallelEngine {
             shared,
             me: Process::default(),

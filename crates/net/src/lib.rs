@@ -15,9 +15,8 @@
 //!   ([`psme_serve::OpenServe`]); responses carry summaries the loopback
 //!   differential proves bit-for-bit equal to batch [`psme_serve::serve`].
 //! * [`client`] — a small blocking client with a background reader.
-//! * [`load`] — seed-reproducible **open-loop** Poisson load generation
-//!   and offered-load sweeps: sessions/sec, sojourn quantiles, and shed
-//!   rate past saturation (see DESIGN.md §9 for the methodology).
+//! * [`load`] — seed-reproducible **open-loop** Poisson arrival schedules
+//!   (see DESIGN.md §9 for the methodology).
 
 pub mod apps;
 pub mod client;
@@ -27,10 +26,7 @@ pub mod wire;
 
 pub use apps::{paper_apps, AppDef, PUZZLE_MOVES};
 pub use client::{Client, ClientHandle};
-pub use load::{
-    exp_interarrival, poisson_arrivals, run_open_loop, splitmix64, u01, LoadConfig, LoadReport,
-    MixEntry,
-};
+pub use load::{exp_interarrival, poisson_arrivals, splitmix64, u01};
 pub use server::NetServer;
 pub use wire::{
     read_frame, stop_code, write_frame, Frame, FrameError, SessionSummary, APP_SHIFT, MAX_FRAME,

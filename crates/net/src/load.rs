@@ -1,4 +1,4 @@
-//! Open-loop load generation: seed-reproducible Poisson arrivals.
+//! Open-loop arrival schedules: seed-reproducible Poisson arrivals.
 //!
 //! **Closed-loop** load (N clients, each waiting for its response before
 //! the next request) self-throttles at saturation — throughput plateaus,
@@ -13,14 +13,8 @@
 //! Arrival schedules are drawn by inverse-CDF sampling over a splitmix64
 //! stream, so a (seed, rate, n) triple always produces the same schedule
 //! — offered-load sweeps are reproducible run to run; only service times
-//! vary with the host.
-
-use crate::client::Client;
-use crate::wire::Frame;
-use psme_obs::{Json, Quantiles};
-use std::collections::HashMap;
-use std::sync::mpsc::RecvTimeoutError;
-use std::time::{Duration, Instant};
+//! vary with the host. The generator that drives a server with such a
+//! schedule is the repo benchmark's (`benchmark/src/load.rs`).
 
 /// One step of the splitmix64 generator — the generator's only source of
 /// randomness, fully determined by the seed.
@@ -54,219 +48,4 @@ pub fn poisson_arrivals(rate: f64, n: usize, seed: u64) -> Vec<f64> {
             t
         })
         .collect()
-}
-
-/// One entry of the session mix.
-#[derive(Clone, Debug)]
-pub struct MixEntry {
-    /// App to open the session on.
-    pub app: String,
-    /// Relative weight in the mix.
-    pub weight: f64,
-    /// Open with learning on.
-    pub learning: bool,
-    /// Initial decision credit; `None` auto-runs. Credited sessions are
-    /// driven interactively: each `Stepped` (park) notification is
-    /// answered with another grant of the same size until the session
-    /// retires.
-    pub grant: Option<u64>,
-    /// On the session's first park, toggle learning **on** over the wire
-    /// before re-granting — exercises mid-run chunk learning through the
-    /// `Learn` frame.
-    pub learn_on_first_park: bool,
-}
-
-/// Load-generator configuration.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    /// Offered load, session opens per second.
-    pub rate: f64,
-    /// Sessions to offer.
-    pub sessions: usize,
-    /// Schedule + mix seed.
-    pub seed: u64,
-    /// Session mix (weights need not sum to 1).
-    pub mix: Vec<MixEntry>,
-    /// Prefix for generated session names (must differ between runs
-    /// against the same server — names are unique per app per run).
-    pub name_prefix: String,
-}
-
-/// What one open-loop run observed.
-#[derive(Clone, Debug)]
-pub struct LoadReport {
-    /// Configured offered rate (sessions/second).
-    pub offered_rate: f64,
-    /// Sessions offered.
-    pub offered: usize,
-    /// Opens the server refused outright (no admission entry).
-    pub refused: usize,
-    /// Sessions shed by admission backpressure after acceptance.
-    pub shed: usize,
-    /// Sessions that retired with a result.
-    pub completed: usize,
-    /// Wall seconds from first open to last resolution.
-    pub wall_seconds: f64,
-    /// Completed sessions per wall second.
-    pub sessions_per_sec: f64,
-    /// Shed fraction of offered sessions.
-    pub shed_rate: f64,
-    /// Per-session sojourn (open sent → `Done` received), nanoseconds.
-    pub sojourn_ns: Quantiles,
-}
-
-impl LoadReport {
-    /// Serialize for artifacts.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("offered_rate", Json::float(self.offered_rate)),
-            ("offered", Json::from(self.offered as u64)),
-            ("refused", Json::from(self.refused as u64)),
-            ("shed", Json::from(self.shed as u64)),
-            ("completed", Json::from(self.completed as u64)),
-            ("wall_seconds", Json::float(self.wall_seconds)),
-            ("sessions_per_sec", Json::float(self.sessions_per_sec)),
-            ("shed_rate", Json::float(self.shed_rate)),
-            ("sojourn_ns", self.sojourn_ns.to_json()),
-        ])
-    }
-}
-
-/// Drive one open-loop run against a server at `addr`.
-///
-/// The caller's thread paces the Poisson schedule (sleeping until each
-/// arrival, then sending `OpenSession` — never waiting for responses); a
-/// response thread matches `Opened` replies to sends in FIFO order,
-/// answers `Stepped` parks with more credit (and the mix's mid-run
-/// learning toggle), and records sojourn on `Done`. Returns when every
-/// offered session resolved (completed, shed, or refused).
-pub fn run_open_loop(addr: &str, cfg: &LoadConfig) -> std::io::Result<LoadReport> {
-    assert!(!cfg.mix.is_empty(), "load mix must have at least one entry");
-    assert!(cfg.rate > 0.0, "offered rate must be positive");
-    let mut client = Client::connect(addr)?;
-    client.hello("psme-load")?;
-    let events = client.take_events().expect("fresh client has its receiver");
-    let handle = client.handle();
-
-    // Deterministic schedule: arrival offsets and mix picks.
-    let arrivals = poisson_arrivals(cfg.rate, cfg.sessions, cfg.seed);
-    let total_w: f64 = cfg.mix.iter().map(|m| m.weight).sum();
-    let mut rng = cfg.seed ^ 0x9e37_79b9;
-    let picks: Vec<usize> = (0..cfg.sessions)
-        .map(|_| {
-            let mut r = u01(&mut rng) * total_w;
-            for (i, m) in cfg.mix.iter().enumerate() {
-                r -= m.weight;
-                if r <= 0.0 {
-                    return i;
-                }
-            }
-            cfg.mix.len() - 1
-        })
-        .collect();
-    let seeds: Vec<u64> = (0..cfg.sessions).map(|_| splitmix64(&mut rng)).collect();
-
-    // Sends and responses share the in-flight ledger: FIFO of opens not
-    // yet answered, and per-id state for opened sessions.
-    struct Pending {
-        sent: Instant,
-        mix: usize,
-    }
-    struct Open {
-        sent: Instant,
-        mix: usize,
-        parks: u64,
-    }
-    let n = cfg.sessions;
-    let mix = cfg.mix.clone();
-    let t0 = Instant::now();
-    let (fifo_tx, fifo_rx) = std::sync::mpsc::channel::<Pending>();
-
-    let collector = std::thread::Builder::new()
-        .name("psm-load-recv".into())
-        .spawn({
-            let handle = handle.clone();
-            move || {
-                let mut open: HashMap<u32, Open> = HashMap::new();
-                let mut sojourn: Vec<f64> = Vec::new();
-                let (mut refused, mut shed, mut completed) = (0usize, 0usize, 0usize);
-                let mut last = Instant::now();
-                while refused + shed + completed < n {
-                    let f = match events.recv_timeout(Duration::from_secs(120)) {
-                        Ok(f) => f,
-                        Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-                    };
-                    match f {
-                        Frame::Opened { id } => {
-                            let p = fifo_rx.recv().expect("an Opened per open sent");
-                            open.insert(id, Open { sent: p.sent, mix: p.mix, parks: 0 });
-                        }
-                        Frame::Refused { .. } => {
-                            let _ = fifo_rx.recv().expect("a reply per open sent");
-                            refused += 1;
-                            last = Instant::now();
-                        }
-                        Frame::Stepped { id, .. } => {
-                            if let Some(o) = open.get_mut(&id) {
-                                o.parks += 1;
-                                let m = &mix[o.mix];
-                                if m.learn_on_first_park && o.parks == 1 {
-                                    let _ = handle.send(&Frame::Learn { id, enable: true });
-                                }
-                                let grant = m.grant.unwrap_or(8).max(1);
-                                let _ = handle.send(&Frame::Step { id, n: grant });
-                            }
-                        }
-                        Frame::SessionShed { id } if open.remove(&id).is_some() => {
-                            shed += 1;
-                            last = Instant::now();
-                        }
-                        Frame::Done { id, .. } => {
-                            if let Some(o) = open.remove(&id) {
-                                sojourn.push(o.sent.elapsed().as_nanos() as f64);
-                                completed += 1;
-                                last = Instant::now();
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                (refused, shed, completed, sojourn, last)
-            }
-        })
-        .expect("spawn load collector");
-
-    // The open loop proper: fire each open at its scheduled time, never
-    // waiting for the server.
-    for (i, &at) in arrivals.iter().enumerate() {
-        let target = t0 + Duration::from_secs_f64(at);
-        let now = Instant::now();
-        if target > now {
-            std::thread::sleep(target - now);
-        }
-        let m = &cfg.mix[picks[i]];
-        fifo_tx.send(Pending { sent: Instant::now(), mix: picks[i] }).expect("collector alive");
-        handle.send(&Frame::OpenSession {
-            app: m.app.clone(),
-            session: format!("{}-{i}", cfg.name_prefix),
-            seed: seeds[i],
-            learning: m.learning,
-            grant: m.grant,
-        })?;
-    }
-
-    let (refused, shed, completed, sojourn, last) =
-        collector.join().expect("load collector panicked");
-    let wall_seconds = (last - t0).as_secs_f64().max(f64::EPSILON);
-    Ok(LoadReport {
-        offered_rate: cfg.rate,
-        offered: n,
-        refused,
-        shed,
-        completed,
-        wall_seconds,
-        sessions_per_sec: completed as f64 / wall_seconds,
-        shed_rate: shed as f64 / n.max(1) as f64,
-        sojourn_ns: Quantiles::from_samples(&sojourn),
-    })
 }

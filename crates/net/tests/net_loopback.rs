@@ -256,6 +256,93 @@ fn shed_notification_reaches_the_client() {
     assert_eq!(reports[0].1.shed, 1);
 }
 
+/// An open burst resolves every offered session exactly once: opens fired
+/// without waiting for replies (auto-run and credited mixed) at a table of
+/// 2 whose seats two parked sessions pin, a waiting room of 2, and an id
+/// space two short of the offer. Each id ends in exactly one of `Done` /
+/// `SessionShed`, each refusal names its session once, nothing is left
+/// over, and the server's report agrees with the client's ledger.
+#[test]
+fn a_burst_resolves_every_offered_session_exactly_once() {
+    const OFFERED: usize = 20;
+    const ID_SPACE: usize = OFFERED - 2;
+    let cfg = ServeConfig {
+        workers: 2,
+        table_capacity: 2,
+        admission_depth: 2,
+        ..Default::default()
+    };
+    let server =
+        NetServer::start("127.0.0.1:0", &cfg, vec![puzzle_app()], ID_SPACE).expect("bind loopback");
+    let client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client.hello("burst").expect("hello");
+    let open = |i: usize, grant: Option<u64>| {
+        client
+            .send(&Frame::OpenSession {
+                app: "eight-puzzle".into(),
+                session: format!("burst-{i}"),
+                seed: i as u64,
+                learning: i.is_multiple_of(4),
+                grant,
+            })
+            .expect("open");
+    };
+    // Two credited sessions take both seats and park on them.
+    let mut opened = Vec::new();
+    let mut parked = Vec::new();
+    (0..2).for_each(|i| open(i, Some(1)));
+    while parked.len() < 2 {
+        match recv(&client) {
+            Frame::Opened { id } => opened.push(id),
+            Frame::Stepped { id, .. } => parked.push(id),
+            f => panic!("unexpected frame {f:?}"),
+        }
+    }
+    // The burst: every other session credited; nobody reads a reply until
+    // all are sent. The seats are pinned, so the waiting room overflows.
+    (2..OFFERED).for_each(|i| open(i, i.is_multiple_of(2).then_some(3)));
+    for id in parked {
+        client.send(&Frame::Step { id, n: 3 }).expect("step");
+    }
+    let mut resolved: HashMap<u32, &str> = HashMap::new();
+    let mut refused: Vec<String> = Vec::new();
+    while resolved.len() + refused.len() < OFFERED {
+        let (id, how) = match recv(&client) {
+            Frame::Opened { id } => {
+                opened.push(id);
+                continue;
+            }
+            Frame::Refused { session, .. } => {
+                assert!(!refused.contains(&session), "{session} refused twice");
+                refused.push(session);
+                continue;
+            }
+            Frame::Stepped { id, .. } => {
+                client.send(&Frame::Step { id, n: 3 }).expect("re-step");
+                continue;
+            }
+            Frame::Done { id, .. } => (id, "done"),
+            Frame::SessionShed { id } => (id, "shed"),
+            f => panic!("unexpected frame {f:?}"),
+        };
+        assert!(opened.contains(&id), "session {id} resolved ({how}) before its Opened");
+        if let Some(before) = resolved.insert(id, how) {
+            panic!("session {id} resolved twice: {before}, then {how}");
+        }
+    }
+    let count = |how: &str| resolved.values().filter(|&&h| h == how).count();
+    let (done, shed) = (count("done"), count("shed"));
+    assert_eq!(opened.len(), ID_SPACE, "every id of the space was handed out once");
+    assert_eq!(refused.len(), OFFERED - ID_SPACE, "opens past the id space are refused");
+    assert_eq!(done + shed + refused.len(), OFFERED);
+    assert!(done > 0 && shed > 0, "the burst both serves and sheds: {done} done, {shed} shed");
+    drop(client);
+    let report = &server.finish()[0].1;
+    assert_eq!(report.shed, shed);
+    assert_eq!(report.sessions.len(), done + shed);
+    assert_eq!(report.sessions.iter().filter(|r| !r.was_shed()).count(), done);
+}
+
 /// Refusals: version mismatch at hello, unknown app, duplicate name.
 #[test]
 fn refusals() {

@@ -39,7 +39,7 @@ pub use json::Json;
 pub use profile::{HotSpotReport, NodeProfile, NodeProfiler};
 pub use quantiles::{Quantiles, Reservoir};
 pub use rec::{ControlPhase, Counter, CounterSet, PhaseTotal, Recorder, SpanRecord};
-pub use report::{artifact_dir, artifact_path, write_artifact, write_json, TextTable};
+pub use report::{write_artifact, TextTable};
 pub use trace::{
     DumpTrigger, FlightConfig, FlightDump, FlightRecorder, TraceConfig, TraceEvent, TraceKind,
     TraceLog, TraceRing, SESSION_NONE,

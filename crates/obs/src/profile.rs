@@ -31,9 +31,6 @@ pub struct NodeProfile {
     /// Attributed simulated cost in µs (whatever cost function the caller
     /// supplied — zero if none was).
     pub cost_us: f64,
-    /// Attributed measured wall time in ns (zero when the trace wasn't
-    /// wall-clocked).
-    pub wall_ns: u64,
 }
 
 impl NodeProfile {
@@ -89,7 +86,6 @@ impl NodeProfiler {
             p.scanned += t.scanned as u64;
             p.emitted += t.emitted as u64;
             p.cost_us += cost(t, children[i]);
-            p.wall_ns += t.wall_ns as u64;
             self.tasks += 1;
         }
         self.cycles += 1;
@@ -261,7 +257,6 @@ impl HotSpotReport {
                         ("scanned", Json::from(p.scanned)),
                         ("emitted", Json::from(p.emitted)),
                         ("cost_us", Json::float(p.cost_us)),
-                        ("wall_ns", Json::from(p.wall_ns)),
                         ("share", Json::float(r.share)),
                     ])
                 })),

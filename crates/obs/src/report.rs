@@ -8,7 +8,7 @@
 
 use crate::json::Json;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A right-padded, column-aligned plain-text table.
 #[derive(Clone, Debug)]
@@ -89,36 +89,16 @@ impl TextTable {
     }
 }
 
-/// Directory bench artifacts are written to: `$PSME_BENCH_DIR` when set
-/// (created on demand by [`write_artifact`]), else the current directory.
-pub fn artifact_dir() -> PathBuf {
-    match std::env::var_os("PSME_BENCH_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => PathBuf::from("."),
-    }
-}
-
-/// Path the artifact `name` will be written to: `BENCH_<name>.json` under
-/// [`artifact_dir`].
-pub fn artifact_path(name: &str) -> PathBuf {
-    artifact_dir().join(format!("BENCH_{name}.json"))
-}
-
-/// Write `doc` to the given path as pretty-printed JSON with a trailing
-/// newline, creating parent directories as needed.
-pub fn write_json(path: &Path, doc: &Json) -> io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, doc.pretty())
-}
-
-/// Write the artifact `BENCH_<name>.json` and return its path.
+/// Write `doc` as `BENCH_<name>.json`, pretty-printed with a trailing
+/// newline, under `$PSME_BENCH_DIR` when set (created on demand), else the
+/// current directory. Returns the path written.
 pub fn write_artifact(name: &str, doc: &Json) -> io::Result<PathBuf> {
-    let path = artifact_path(name);
-    write_json(&path, doc)?;
+    // Unset or empty is the empty path: nothing to create, and joining
+    // onto it names a file in the current directory.
+    let dir = PathBuf::from(std::env::var_os("PSME_BENCH_DIR").unwrap_or_default());
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("BENCH_{name}.json"));
+    std::fs::write(&path, doc.pretty())?;
     Ok(path)
 }
 

@@ -226,7 +226,7 @@ thread_local! {
 
 /// The alpha network: all alpha memories, indexed by class and, within each
 /// class, by a `(field, value)` jump table over equality constant tests.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AlphaNet {
     mems: Vec<AlphaMem>,
     by_class: FxHashMap<Symbol, Vec<AlphaMemId>>,
@@ -234,22 +234,9 @@ pub struct AlphaNet {
     class_index: FxHashMap<Symbol, ClassIndex>,
     /// Parallel to `mems`.
     entries: Vec<MemIndexEntry>,
-    /// When `false`, [`AlphaNet::classify`] falls back to the linear scan
-    /// (the `alpha_discrimination` bench's baseline switch).
-    pub use_index: bool,
-}
-
-impl Default for AlphaNet {
-    fn default() -> AlphaNet {
-        AlphaNet {
-            mems: Vec::new(),
-            by_class: FxHashMap::default(),
-            interned: FxHashMap::default(),
-            class_index: FxHashMap::default(),
-            entries: Vec::new(),
-            use_index: true,
-        }
-    }
+    /// Set by [`AlphaNet::reference`]: [`AlphaNet::classify`] takes the
+    /// linear scan.
+    reference: bool,
 }
 
 /// Result of pushing one wme through the discrimination network.
@@ -274,6 +261,18 @@ impl AlphaNet {
     /// Empty network.
     pub fn new() -> AlphaNet {
         AlphaNet::default()
+    }
+
+    /// Empty network that classifies by the linear per-class scan — the
+    /// oracle the indexed net is tested and benchmarked against.
+    pub fn reference() -> AlphaNet {
+        AlphaNet { reference: true, ..AlphaNet::default() }
+    }
+
+    /// Empty network of this one's kind (a session overlay classifies the
+    /// way its base does).
+    pub(crate) fn empty_like(&self) -> AlphaNet {
+        AlphaNet { reference: self.reference, ..AlphaNet::default() }
     }
 
     /// Get-or-create the alpha memory for a canonical test set. Returns the
@@ -391,10 +390,10 @@ impl AlphaNet {
     /// matching alpha memory (in ascending memory-id order, matching the
     /// linear scan). Returns test/match counts for cost models.
     pub fn classify(&self, w: &Wme, hit: impl FnMut(&AlphaMem)) -> AlphaStats {
-        if self.use_index {
-            self.classify_indexed(w, hit)
-        } else {
+        if self.reference {
             self.classify_linear(w, hit)
+        } else {
+            self.classify_indexed(w, hit)
         }
     }
 
@@ -788,9 +787,8 @@ mod tests {
     #[test]
     fn linear_fallback_switch() {
         let r = reg();
-        let mut a = AlphaNet::new();
+        let mut a = AlphaNet::reference();
         a.intern(intern("block"), vec![t(1, Pred::Eq, Value::sym("blue"))], vec![]);
-        a.use_index = false;
         let stats = a.classify(&w(&r, "(block ^color blue)"), |_| {});
         assert_eq!(stats.probes, 0);
         assert_eq!(stats.tests_saved, 0);

@@ -158,8 +158,7 @@ impl SessionNet {
         let base_alpha = topo.net().alpha.len() as u32;
         let base_prods = topo.net().prods.len() as u32;
         let sharing = topo.net().sharing;
-        let mut over_alpha = AlphaNet::new();
-        over_alpha.use_index = topo.net().alpha.use_index;
+        let over_alpha = topo.net().alpha.empty_like();
         SessionNet {
             topo,
             base_nodes,

@@ -96,6 +96,7 @@ pub fn seed_update<N: ReteView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alpha::AlphaNet;
     use crate::network::{NetworkOrg, ReteNetwork};
     use crate::process::process_wme_change;
     use crate::serial::SerialEngine;
@@ -174,7 +175,9 @@ mod tests {
         let mut engines: Vec<SerialEngine> = (0..2)
             .map(|i| {
                 let mut net = ReteNetwork::new();
-                net.alpha.use_index = i == 0;
+                if i == 1 {
+                    net.alpha = AlphaNet::reference();
+                }
                 SerialEngine::new(net)
             })
             .collect();

@@ -166,10 +166,12 @@ fn serial_runs_agree_with_index_on_and_off() {
         let mut engines: Vec<SerialEngine> = (0..2)
             .map(|i| {
                 let mut net = ReteNetwork::new();
+                if i == 1 {
+                    net.alpha = AlphaNet::reference();
+                }
                 for p in &sys.productions {
                     net.add_production(Arc::new(p.clone()), NetworkOrg::Linear).unwrap();
                 }
-                net.alpha.use_index = i == 0;
                 SerialEngine::new(net)
             })
             .collect();

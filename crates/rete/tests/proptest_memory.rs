@@ -68,8 +68,8 @@ fn drain_all(
 
 /// The indexed table, or the reference whole-line-scan table it is checked
 /// against.
-fn table(use_index: bool, lines: usize) -> MemoryTable {
-    if use_index {
+fn table(indexed: bool, lines: usize) -> MemoryTable {
+    if indexed {
         MemoryTable::new(lines)
     } else {
         MemoryTable::reference(lines)
@@ -263,13 +263,13 @@ proptest! {
             seeds.swap(i, rng.below(i + 1));
         }
         let mut results = Vec::new();
-        for use_index in [true, false] {
-            let mem = table(use_index, 1);
+        for indexed in [true, false] {
+            let mem = table(indexed, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
             assert_quiescent(&net, &mem);
             mem.compact();
             prop_assert_eq!(snapshot(&net, &mem), snapshot(&net, &MemoryTable::new(1)),
-                "add+delete pairs must annihilate (use_index={})", use_index);
+                "add+delete pairs must annihilate (indexed={})", indexed);
             results.push(cs);
         }
         prop_assert_eq!(&results[0], &results[1], "net conflict sets diverge");
@@ -302,8 +302,8 @@ proptest! {
             seeds.swap(i, rng.below(i + 1));
         }
         let mut results = Vec::new();
-        for use_index in [true, false] {
-            let mem = table(use_index, 1);
+        for indexed in [true, false] {
+            let mem = table(indexed, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
             assert_quiescent(&net, &mem);
             results.push((cs, snapshot(&net, &mem)));
@@ -368,10 +368,10 @@ fn exact_hash_reject_and_skip_accounting() {
     let prod = parse_production("(p t (a ^x <v>) (b ^x <v>) --> (halt))", &mut r).unwrap();
 
     let mut totals = Vec::new();
-    for use_index in [true, false] {
+    for indexed in [true, false] {
         let mut net = ReteNetwork::new();
         net.add_production(Arc::new(prod.clone()), NetworkOrg::Linear).unwrap();
-        let state = MatchState { mem: table(use_index, 1), store: WmeStore::new() };
+        let state = MatchState { mem: table(indexed, 1), store: WmeStore::new() };
         let mut e = SerialEngine::with_state(net, state);
         e.capture = true;
         // Step 1: a1 → J1 right (scans the implicit root token: scanned 1),
@@ -406,9 +406,9 @@ fn exact_hash_reject_and_skip_accounting() {
                 }
             }
         }
-        assert_eq!(prods, 2, "two instantiations fire (use_index={use_index})");
-        assert_eq!(scanned, 6, "candidates are mode-independent (use_index={use_index})");
-        if use_index {
+        assert_eq!(prods, 2, "two instantiations fire (indexed={indexed})");
+        assert_eq!(scanned, 6, "candidates are mode-independent (indexed={indexed})");
+        if indexed {
             assert_eq!(rejects, 2, "b2 vs [a1], then b1 vs [a2]");
             assert_eq!(skipped, 0, "run bounds never visit other nodes");
         } else {
