@@ -101,7 +101,6 @@ fn main() {
         assert_eq!(indexed.chunks, reference.chunks, "index changed the learned chunks");
         assert_eq!(indexed.decisions, reference.decisions, "index changed the trajectory");
         assert!(!indexed.chunks.is_empty(), "the run must actually learn");
-        let compacted = |r: &LearningRun| r.engine.state.mem.lines_compacted_total();
         let (idx_trace, ref_trace) = (&indexed.engine.trace, &reference.engine.trace);
         assert_same_dag(idx_trace, ref_trace);
 
@@ -145,8 +144,6 @@ fn main() {
             ("examined_reduction", Json::float(reduction)),
             ("hash_rejects_indexed", Json::from(ti.hash_rejects)),
             ("entries_skipped_reference", Json::from(tr.skipped)),
-            ("lines_compacted_indexed", Json::from(compacted(&indexed))),
-            ("lines_compacted_reference", Json::from(compacted(&reference))),
         ]));
     }
 

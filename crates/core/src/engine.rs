@@ -566,23 +566,19 @@ impl ParallelEngine {
             fold.merge(cs);
         }
         if self.config.bucket_histograms {
-            // Per-cycle histograms (Figure 6-2): the incremental `end_cycle`
-            // below zeroed every line written last cycle, so the counts
-            // harvested here are this cycle's alone.
-            let counts = s.mem.access_counts();
+            // Per-cycle histograms (Figure 6-2): the harvest zeroes what it
+            // takes, so the counts are this cycle's alone.
+            let counts = s.mem.take_access_counts();
             cm.left_bucket_accesses = counts.iter().map(|&(l, _)| l).collect();
             cm.right_bucket_accesses = counts.iter().map(|&(_, r)| r).collect();
         }
         let net = s.net.read();
         let store = s.store.read();
         let cs = fold.into_delta(&*net, &store);
-        drop(store);
         #[cfg(debug_assertions)]
-        psme_rete::assert_quiescent(&*net, &s.mem);
+        psme_rete::assert_quiescent(&*net, &s.mem, &store);
+        drop(store);
         drop(net);
-        // Incremental quiescent housekeeping: compact + counter-reset only
-        // the lines this cycle dirtied (after the histogram harvest).
-        cm.counters.add(Counter::LinesCompacted, s.mem.end_cycle());
         let tasks = cm.tasks;
         self.metrics.cycles.push(cm);
         self.cycle_count += 1;

@@ -249,9 +249,6 @@ pub enum Counter {
     /// Co-hashed entries of other nodes traversed by the reference
     /// whole-line memory scan (0 when the per-node line index is on).
     EntriesSkipped,
-    /// Memory lines compacted/counter-reset by the incremental end-of-cycle
-    /// housekeeping (dirty lines only; clean lines are skipped unlocked).
-    LinesCompacted,
     /// Child activations emitted.
     Emitted,
     /// Memory-line lock spins.
@@ -280,7 +277,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in reporting order.
-    pub const ALL: [Counter; 19] = [
+    pub const ALL: [Counter; 18] = [
         Counter::Tasks,
         Counter::AlphaTasks,
         Counter::BetaTasks,
@@ -288,7 +285,6 @@ impl Counter {
         Counter::Scanned,
         Counter::HashRejects,
         Counter::EntriesSkipped,
-        Counter::LinesCompacted,
         Counter::Emitted,
         Counter::MemSpins,
         Counter::LineLockAcquisitions,
@@ -312,7 +308,6 @@ impl Counter {
             Counter::Scanned => "scanned",
             Counter::HashRejects => "hash_rejects",
             Counter::EntriesSkipped => "entries_skipped",
-            Counter::LinesCompacted => "lines_compacted",
             Counter::Emitted => "emitted",
             Counter::MemSpins => "mem_spins",
             Counter::LineLockAcquisitions => "line_lock_acquisitions",

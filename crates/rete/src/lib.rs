@@ -79,14 +79,14 @@ pub use codesize::{code_size, compile_time_us, CodeSizeModel, CodegenStyle, Prod
 pub use psme_ops::util;
 
 pub use memory::{
-    key_hash, token_hash, Bucket, Entry, Key, KeyElem, LineData, MemoryTable, Upsert, KEY_INLINE,
+    key_hash, token_hash, Arrival, Bucket, Entry, KeyElem, LineData, Lines, MemoryTable, Upsert,
     STRIPE,
 };
 pub use network::{NetStats, NetworkOrg, ProdInfo, ReteNetwork};
 pub use node::{BetaNode, JoinTest, KeyPart, NodeId, NodeKind, RightSrc, Side, ROOT};
 pub use ops5::{Ops5Runtime, Ops5Stop};
 pub use process::{
-    assert_quiescent, make_key, process_beta, process_beta_scratch, process_wme_change, ActStats,
+    assert_quiescent, process_beta, process_beta_scratch, process_wme_change, ActStats,
     Activation, BetaScratch, CsChange,
 };
 pub use reorg::{ChainDetector, CostWindow, ReorgConfig, ReorgDecision};

@@ -13,11 +13,12 @@
 //! linearizable — no joined pair is missed or double-counted.
 //!
 //! Entries carry signed *weights* (counting Rete): a delete that overtakes
-//! its add simply leaves a −1 entry that the add later annihilates. Between
-//! quiescent points every weight is 0 or 1; the transient negatives only
-//! exist while a cycle's tasks are in flight. Left entries additionally
-//! carry `m`, the number (summed weight) of matching right tokens — the
-//! not-node counter of §2.2.
+//! its add simply leaves a −1 entry that the add later annihilates, and an
+//! entry whose weight reaches zero is removed on the spot — no stored entry
+//! ever has weight zero. At quiescent points every weight is 1; the
+//! transient negatives only exist while a cycle's tasks are in flight. Left
+//! entries additionally carry `m`, the number (summed weight) of matching
+//! right tokens — the not-node counter of §2.2.
 //!
 //! ## One entry, one bucket, one probe
 //!
@@ -25,7 +26,8 @@
 //! bucket is searched. Both memories store the same [`Entry`] (the left
 //! ones with the not-counter, the right ones with `()` in its place), a
 //! line is a [`Bucket`] of each, and everything an activation does to a
-//! line is one of three calls: [`Bucket::upsert`] (insert own token),
+//! line is one of three calls, each handed the [`Arrival`] the table made
+//! for the activation: [`Bucket::upsert`] (insert own token),
 //! [`Bucket::probe`] (scan the opposite bucket — the only loop in the crate
 //! that looks for key matches) and, at a fresh not-node entry,
 //! [`Bucket::set_m`]. `process.rs` says *which* calls an activation makes;
@@ -33,8 +35,15 @@
 //!
 //! * **Hash-first probes.** Every entry stores the 64-bit hash of its key,
 //!   computed once when the activation arrives. A probe compares hashes
-//!   before any structural [`Key`] compare; mismatches are counted as
+//!   before any structural key compare; mismatches are counted as
 //!   `hash_rejects` and cost one word compare.
+//! * **No stored key.** A key is a function of `(node, side, token)` and the
+//!   wme store, so an entry keeps the token and the key's hash and nothing
+//!   else (40 bytes left, 32 right). On a hash hit the probe *recomputes*
+//!   the stored token's key elements through the opposite side's
+//!   [`KeyPart`] spec and compares them with the arriving token's — the
+//!   structural compare that makes a hash collision harmless, on every hit,
+//!   in either kind of table.
 //! * **Per-node grouping.** Each bucket keeps its entries *grouped by
 //!   destination node* (ascending node id, insertion order within a node).
 //!   A probe binary-searches for its node's run and examines only real
@@ -46,15 +55,22 @@
 //!   ([`MemoryTable::reference`]), is one branch inside `upsert` and
 //!   `probe`, and no code outside this module can tell, or switch, which
 //!   kind of table it holds.
-//! * **Inline keys.** [`Key`] stores up to [`KEY_INLINE`] elements inline
-//!   and only spills longer keys to the heap, so `make_key` on the
-//!   activation hot path allocates nothing for typical join keys.
-//! * **Padded lines.** Each line is `#[repr(align(64))]` so neighbouring
-//!   spinlocks never share a cache line (no false sharing between workers
-//!   probing adjacent lines).
-//! * **Incremental housekeeping.** The first write to a line in a cycle
-//!   appends it to a first-touch list; [`MemoryTable::end_cycle`] compacts
-//!   and counter-resets the listed lines and looks at no other.
+//! * **One cache line per line.** A line — lock byte, two bucket vectors,
+//!   two access counters — is exactly 64 bytes, `#[repr(align(64))]`:
+//!   neighbouring spinlocks never share a cache line and an activation
+//!   reads one line of header before it reaches an entry.
+//! * **Who locks, who borrows.** [`Lines`] is how an activation reaches its
+//!   line. Through `&MemoryTable` — a table other match processes may be
+//!   in — it takes the line's lock and counts its spins; through
+//!   `&mut MemoryTable` — the serial engine, which owns its table — the
+//!   borrow already proves nobody else can arrive, and the line is handed
+//!   over with no atomic at all. Which one runs is a fact of the caller's
+//!   type, not a setting.
+//! * **Access counts are take-and-reset.** Reaching a line bumps the
+//!   arriving side's counter (Figure 6-2 instrumentation, saturating);
+//!   [`MemoryTable::take_access_counts`] returns and zeroes them, so an
+//!   engine that harvests every cycle reads per-cycle counts and there is
+//!   no end-of-cycle pass over the table.
 //! * **Node stripes.** A node's entries are confined to a *stripe* of
 //!   [`STRIPE`] consecutive lines starting at `hash(node)`; the key hash
 //!   picks the offset within it (still "bindings + node-ID"). Enumerating
@@ -65,13 +81,14 @@
 //!   instantiations then spread over the stripe instead of piling into one
 //!   line, and the hash-first reject makes their upsert O(1) expected.
 
-use crate::node::{NodeId, Side};
+use crate::node::{KeyPart, NodeId, Side};
 use crate::process::ActStats;
 use crate::sync::{SpinGuard, SpinLock};
-use crate::token::Token;
-use crate::util::fxhash;
+use crate::token::{Token, WmeStore};
+use crate::util::{fxhash, FxHasher};
 use psme_ops::{Value, WmeId};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// Width of a node's stripe, in lines (the whole table when it is smaller).
 pub const STRIPE: usize = 64;
@@ -85,81 +102,29 @@ pub enum KeyElem {
     W(WmeId),
 }
 
-/// Keys up to this many elements are stored inline (no heap allocation on
-/// the activation hot path); longer keys spill to a boxed slice.
-pub const KEY_INLINE: usize = 4;
-
-const KEY_FILL: KeyElem = KeyElem::W(WmeId(0));
-
-#[derive(Clone, Debug)]
-enum KeyRepr {
-    /// `len` live elements of `elems`; the rest is padding, never read.
-    Inline { len: u8, elems: [KeyElem; KEY_INLINE] },
-    /// Spilled storage for keys longer than [`KEY_INLINE`].
-    Spill(Box<[KeyElem]>),
-}
-
-/// A computed memory key: the equality bindings of a token at a node.
-///
-/// Equality, hashing and ordering are all over [`Key::elems`]; whether the
-/// elements live inline or spilled is invisible.
-#[derive(Clone, Debug)]
-pub struct Key(KeyRepr);
-
-impl Key {
-    /// The empty key (P nodes, nodes with no equality bindings).
-    pub fn empty() -> Key {
-        Key(KeyRepr::Inline { len: 0, elems: [KEY_FILL; KEY_INLINE] })
-    }
-
-    /// Build from an iterator whose exact length is known up front —
-    /// inline (allocation-free) when `len <= KEY_INLINE`.
-    pub fn build(len: usize, it: impl Iterator<Item = KeyElem>) -> Key {
-        if len <= KEY_INLINE {
-            let mut elems = [KEY_FILL; KEY_INLINE];
-            let mut n = 0usize;
-            for e in it {
-                elems[n] = e;
-                n += 1;
-            }
-            debug_assert_eq!(n, len, "iterator length mismatch");
-            Key(KeyRepr::Inline { len: n as u8, elems })
-        } else {
-            Key(KeyRepr::Spill(it.collect()))
-        }
-    }
-
-    /// The key elements.
+impl KeyElem {
+    /// What `part` reads from `token`.
     #[inline]
-    pub fn elems(&self) -> &[KeyElem] {
-        match &self.0 {
-            KeyRepr::Inline { len, elems } => &elems[..*len as usize],
-            KeyRepr::Spill(b) => b,
+    pub fn of(part: KeyPart, token: &Token, store: &WmeStore) -> KeyElem {
+        match part {
+            KeyPart::Val { slot, field } => KeyElem::V(store.value(token.slot(slot), field)),
+            KeyPart::Id { slot } => KeyElem::W(token.slot(slot)),
         }
     }
 }
 
-impl PartialEq for Key {
-    #[inline]
-    fn eq(&self, other: &Key) -> bool {
-        self.elems() == other.elems()
-    }
-}
-
-impl Eq for Key {}
-
-impl std::hash::Hash for Key {
-    #[inline]
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.elems().hash(state);
-    }
-}
-
-/// The 64-bit hash of a key — computed once per activation, stored in every
-/// entry, and compared before any structural [`Key`] compare.
+/// The 64-bit hash of `token`'s key under `spec` — computed once per
+/// activation, stored in the entry, and compared before any structural key
+/// compare. The elements are streamed into the hasher, never collected; the
+/// result is bit for bit `fxhash` of them as a `[KeyElem]` slice.
 #[inline]
-pub fn key_hash(key: &Key) -> u64 {
-    fxhash(key)
+pub fn key_hash(spec: &[KeyPart], token: &Token, store: &WmeStore) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(spec.len()); // a slice hashes its length first
+    for &part in spec {
+        KeyElem::of(part, token, store).hash(&mut h);
+    }
+    h.finish()
 }
 
 /// The 64-bit hash of a whole token — what a P node's entries carry in
@@ -176,17 +141,48 @@ pub fn token_hash(token: &Token) -> u64 {
 pub struct Entry<M> {
     /// Destination node.
     pub node: NodeId,
-    /// Hash of `key` — of `token` at a P node (hash-first rejection, and
-    /// the offset of the entry's line within the node's stripe).
+    /// Hash of the token's key — of the token at a P node (hash-first
+    /// rejection, and the offset of the entry's line within the node's
+    /// stripe).
     pub hash: u64,
-    /// Equality-binding key.
-    pub key: Key,
     /// The stored token (a unit token for alpha-sourced right inputs).
     pub token: Token,
-    /// Signed multiplicity (1 at quiescence).
+    /// Signed multiplicity (1 at quiescence, never 0).
     pub weight: i32,
     /// Left: summed weight of matching right tokens (§2.2's not-counter).
     pub m: M,
+}
+
+/// A token arriving at a node input, as its memory line sees it — made by
+/// [`MemoryTable::arrival`], which also says what kind of table it is for.
+pub struct Arrival<'a> {
+    node: NodeId,
+    token: &'a Token,
+    /// Hash of the token's key (of the token at a P node).
+    hash: u64,
+    line: u32,
+    /// Key spec of the arriving side, and of the opposite one (parallel).
+    own: &'a [KeyPart],
+    opposite: &'a [KeyPart],
+    store: &'a WmeStore,
+    reference: bool,
+}
+
+impl Arrival<'_> {
+    /// The line the destination node and the hash select.
+    #[inline]
+    pub fn line(&self) -> u32 {
+        self.line
+    }
+
+    /// Does `stored`, a token of the opposite memory, have the arriving
+    /// token's key? Element by element, each read through its side's spec.
+    #[inline]
+    fn key_matches(&self, stored: &Token) -> bool {
+        self.own.iter().zip(self.opposite).all(|(&own, &opp)| {
+            KeyElem::of(own, self.token, self.store) == KeyElem::of(opp, stored, self.store)
+        })
+    }
 }
 
 /// What [`Bucket::upsert`] found.
@@ -204,16 +200,13 @@ pub struct Upsert<M> {
 /// Removals are order-preserving and the vector is private, so grouping is
 /// an invariant: a node's entries are one run, found by binary search.
 ///
-/// A bucket of a [`MemoryTable::reference`] table never looks at a stored
-/// hash, and its `probe` walks the whole line instead of the node's run —
-/// the scan with structural compares that the differential suites use as
-/// the oracle.
+/// On behalf of an [`Arrival`] at a [`MemoryTable::reference`] table a
+/// bucket never looks at a stored hash, and its `probe` walks the whole
+/// line instead of the node's run — the scan that the differential suites
+/// use as the oracle.
 #[derive(Debug, Default)]
 pub struct Bucket<M> {
     entries: Vec<Entry<M>>,
-    /// Token accesses this cycle (Figure 6-2 instrumentation).
-    accesses: u64,
-    reference: bool,
 }
 
 impl<M: Copy + Default> Bucket<M> {
@@ -230,24 +223,16 @@ impl<M: Copy + Default> Bucket<M> {
         (start, start + len)
     }
 
-    /// One access: add `delta` to the weight of the entry for
-    /// `(node, token)`, creating it (at its node run's end) or removing it
-    /// at weight zero. Candidates are rejected on hash inequality before
-    /// the structural token compare — sound because a node's key is a
-    /// function of the token, so equal `(node, token)` implies equal hash.
-    pub fn upsert(
-        &mut self,
-        node: NodeId,
-        key: &Key,
-        hash: u64,
-        token: &Token,
-        delta: i32,
-    ) -> Upsert<M> {
-        self.accesses += 1;
-        let (s, e) = self.run(node);
+    /// Store the arriving token: add `delta` to the weight of its entry,
+    /// creating it (at its node run's end) or removing it at weight zero.
+    /// Candidates are rejected on hash inequality before the structural
+    /// token compare — sound because a node's key is a function of the
+    /// token, so equal `(node, token)` implies equal hash.
+    pub fn upsert(&mut self, a: &Arrival, delta: i32) -> Upsert<M> {
+        let (s, e) = self.run(a.node);
         for i in s..e {
             let en = &mut self.entries[i];
-            if (self.reference || en.hash == hash) && en.token == *token {
+            if (a.reference || en.hash == a.hash) && en.token == *a.token {
                 let m = en.m;
                 en.weight += delta;
                 if en.weight == 0 {
@@ -257,10 +242,8 @@ impl<M: Copy + Default> Bucket<M> {
             }
         }
         let m = M::default();
-        self.entries.insert(
-            e,
-            Entry { node, hash, key: key.clone(), token: token.clone(), weight: delta, m },
-        );
+        let (node, hash, token) = (a.node, a.hash, a.token.clone());
+        self.entries.insert(e, Entry { node, hash, token, weight: delta, m });
         Upsert { m, fresh: Some(e) }
     }
 
@@ -270,39 +253,33 @@ impl<M: Copy + Default> Bucket<M> {
     }
 
     /// The bucket scan: call `hit` with the token, the weight and the `m`
-    /// of every entry of `node` whose key is `key` (`hash` is its hash) —
-    /// with `live_only`, of those of nonzero weight. `m` is all a caller can
-    /// change. Every same-node entry examined counts as `scanned`, every
-    /// one turned away by the one-word hash compare as a `hash_rejects`.
-    /// A reference bucket walks the whole line instead of the node's run,
-    /// counts the foreign entries it passes as `skipped`, and compares keys
-    /// structurally; `scanned` is the same either way.
+    /// of every entry of the arrival's node whose token has the arriving
+    /// token's key. `m` is all a caller can change. Every same-node entry
+    /// examined counts as `scanned`, every one turned away by the one-word
+    /// hash compare as a `hash_rejects`; one that gets past it has its key
+    /// recomputed and compared. For a reference table the scan walks the
+    /// whole line instead of the node's run, counts the foreign entries it
+    /// passes as `skipped`, and goes straight to the key compare; `scanned`
+    /// is the same either way.
     #[inline]
     pub fn probe(
         &mut self,
-        node: NodeId,
-        key: &Key,
-        hash: u64,
-        live_only: bool,
+        a: &Arrival,
         stats: &mut ActStats,
         mut hit: impl FnMut(&Token, i32, &mut M),
     ) {
-        let reference = self.reference;
-        let (s, e) = if reference { (0, self.entries.len()) } else { self.run(node) };
+        let (s, e) = if a.reference { (0, self.entries.len()) } else { self.run(a.node) };
         for en in &mut self.entries[s..e] {
-            if en.node != node {
+            if en.node != a.node {
                 stats.skipped += 1;
                 continue;
             }
             stats.scanned += 1;
-            if live_only && en.weight == 0 {
-                continue;
-            }
-            if !reference && en.hash != hash {
+            if !a.reference && en.hash != a.hash {
                 stats.hash_rejects += 1;
                 continue;
             }
-            if en.key == *key {
+            if a.key_matches(&en.token) {
                 hit(&en.token, en.weight, &mut en.m);
             }
         }
@@ -321,10 +298,6 @@ impl<M: Copy + Default> Bucket<M> {
         self.entries.drain(s..e);
     }
 
-    fn compact(&mut self) {
-        self.entries.retain(|e| e.weight != 0);
-    }
-
     fn grouped(&self) -> bool {
         self.entries.windows(2).all(|w| w[0].node <= w[1].node)
     }
@@ -337,27 +310,50 @@ pub struct LineData {
     pub left: Bucket<i32>,
     /// Right-memory entries hashed to this line.
     pub right: Bucket<()>,
+    /// Tokens that arrived on the left and on the right since the last
+    /// [`MemoryTable::take_access_counts`] (Figure 6-2 instrumentation).
+    accesses: [u32; 2],
 }
 
-/// One memory line: the spin-locked bucket pair plus its dirty flag,
-/// padded to a cache line so adjacent locks never false-share.
+impl LineData {
+    /// Count one token arriving on `side`. Saturating: a table nobody
+    /// harvests (the serial engine's) only ever counts up.
+    #[inline]
+    fn count_access(&mut self, side: Side) {
+        let n = &mut self.accesses[side as usize];
+        *n = n.saturating_add(1);
+    }
+}
+
+/// One memory line: the spin-locked bucket pair, one cache line exactly.
 #[repr(align(64))]
-struct Line {
-    lock: SpinLock<LineData>,
-    /// Already on the first-touch list this cycle? Read and written only
-    /// under `lock` (by [`MemoryTable::touch`]) or at quiescence, so relaxed
-    /// ordering suffices: the line lock and the cycle barrier provide the
-    /// happens-before edges.
-    dirty: AtomicBool,
+struct Line(SpinLock<LineData>);
+
+/// How an activation reaches its memory line — by lock where another match
+/// process may arrive, by exclusive borrow where the type says none can.
+pub trait Lines: Deref<Target = MemoryTable> {
+    /// Exclusive access to `line` on behalf of a token arriving on `side`
+    /// (counted as one access), and the spins it took to get it.
+    fn reach(&mut self, line: u32, side: Side) -> (impl DerefMut<Target = LineData> + '_, u64);
 }
 
-impl Line {
-    fn new(reference: bool) -> Line {
-        let data = LineData {
-            left: Bucket { reference, ..Bucket::default() },
-            right: Bucket { reference, ..Bucket::default() },
-        };
-        Line { lock: SpinLock::new(data), dirty: AtomicBool::new(false) }
+/// A shared table: take the line's lock (§6.1).
+impl Lines for &MemoryTable {
+    #[inline]
+    fn reach(&mut self, line: u32, side: Side) -> (impl DerefMut<Target = LineData> + '_, u64) {
+        let (mut g, spins) = self.lock(line);
+        g.count_access(side);
+        (g, spins)
+    }
+}
+
+/// An owned table: nobody else can be in it, so there is nothing to lock.
+impl Lines for &mut MemoryTable {
+    #[inline]
+    fn reach(&mut self, line: u32, side: Side) -> (impl DerefMut<Target = LineData> + '_, u64) {
+        let data = self.lines[line as usize].0.get_mut();
+        data.count_access(side);
+        (data, 0)
     }
 }
 
@@ -367,11 +363,8 @@ pub struct MemoryTable {
     mask: u64,
     /// Stripe width − 1 (`min(STRIPE, lines)` is a power of two).
     stripe_mask: u64,
-    /// Lines written since the last [`Self::end_cycle`], in first-touch
-    /// order, each exactly once (its `dirty` flag guards the append).
-    touched: SpinLock<Vec<u32>>,
-    /// Total lines compacted by [`Self::end_cycle`] over the table's life.
-    compacted_total: AtomicU64,
+    /// Searched the pre-overhaul way (see [`Self::reference`])?
+    reference: bool,
 }
 
 impl MemoryTable {
@@ -391,11 +384,10 @@ impl MemoryTable {
     fn build(lines: usize, reference: bool) -> MemoryTable {
         let n = lines.next_power_of_two().max(1);
         MemoryTable {
-            lines: (0..n).map(|_| Line::new(reference)).collect(),
+            lines: (0..n).map(|_| Line(SpinLock::new(LineData::default()))).collect(),
             mask: (n - 1) as u64,
             stripe_mask: (n.min(STRIPE) - 1) as u64,
-            touched: SpinLock::new(Vec::new()),
-            compacted_total: AtomicU64::new(0),
+            reference,
         }
     }
 
@@ -424,61 +416,38 @@ impl MemoryTable {
         self.stripe_line(node, (hash >> (64 - STRIPE.trailing_zeros())) & self.stripe_mask)
     }
 
+    /// `token` arriving at `node` with entry hash `hash`: where it goes and
+    /// what its [`Bucket::upsert`] and [`Bucket::probe`] need. `own` is the
+    /// key spec of the side it arrives on, `opposite` the other side's (the
+    /// one a probe reads stored candidates through); both empty at a P node.
+    #[inline]
+    pub fn arrival<'a>(
+        &self,
+        node: NodeId,
+        token: &'a Token,
+        hash: u64,
+        own: &'a [KeyPart],
+        opposite: &'a [KeyPart],
+        store: &'a WmeStore,
+    ) -> Arrival<'a> {
+        let (line, reference) = (self.line_of_hash(node, hash), self.reference);
+        Arrival { node, token, hash, line, own, opposite, store, reference }
+    }
+
     /// Lock a line; returns the guard and the spin count.
     #[inline]
     pub fn lock(&self, line: u32) -> (SpinGuard<'_, LineData>, u64) {
-        self.lines[line as usize].lock.lock()
+        self.lines[line as usize].0.lock()
     }
 
-    /// Mark a line written this cycle, appending it to the first-touch
-    /// list unless it is already there. The caller holds the line's lock
-    /// (activation processing calls this right after acquiring it), so the
-    /// flag's check-then-set cannot race; [`Self::end_cycle`] clears it.
-    #[inline]
-    pub fn touch(&self, line: u32) {
-        let dirty = &self.lines[line as usize].dirty;
-        if !dirty.load(Ordering::Relaxed) {
-            dirty.store(true, Ordering::Relaxed);
-            self.touched.lock().0.push(line);
-        }
-    }
-
-    /// Quiescent housekeeping: for every line written since the last call,
-    /// drop zero-weight entries, reset the access counters and clear the
-    /// dirty flag. Walks the first-touch list, never the table. Returns the
-    /// number of lines compacted.
-    pub fn end_cycle(&self) -> u64 {
-        // Taken out, not held: `touch` takes the list's lock inside a
-        // line's, so holding it across the line locks would invert that.
-        let mut touched = std::mem::take(&mut *self.touched.lock().0);
-        for &line in touched.iter() {
-            let l = &self.lines[line as usize];
-            let (mut g, _) = l.lock.lock();
-            g.left.compact();
-            g.right.compact();
-            g.left.accesses = 0;
-            g.right.accesses = 0;
-            l.dirty.store(false, Ordering::Relaxed);
-        }
-        let n = touched.len() as u64;
-        touched.clear();
-        *self.touched.lock().0 = touched; // keeps its capacity
-        self.compacted_total.fetch_add(n, Ordering::Relaxed);
-        n
-    }
-
-    /// Total lines compacted by [`Self::end_cycle`] so far.
-    pub fn lines_compacted_total(&self) -> u64 {
-        self.compacted_total.load(Ordering::Relaxed)
-    }
-
-    /// Harvest `(left_accesses, right_accesses)` per line.
-    pub fn access_counts(&self) -> Vec<(u64, u64)> {
+    /// Harvest `(left_accesses, right_accesses)` per line since the last
+    /// harvest, and zero them.
+    pub fn take_access_counts(&self) -> Vec<(u64, u64)> {
         self.lines
             .iter()
             .map(|l| {
-                let (g, _) = l.lock.lock();
-                (g.left.accesses, g.right.accesses)
+                let [left, right] = std::mem::take(&mut l.0.lock().0.accesses);
+                (left.into(), right.into())
             })
             .collect()
     }
@@ -491,7 +460,7 @@ impl MemoryTable {
     pub fn tokens_of(&self, node: NodeId, side: Side) -> Vec<(Token, i32)> {
         let mut out = Vec::new();
         for l in self.stripe(node) {
-            let (g, _) = l.lock.lock();
+            let (g, _) = l.0.lock();
             match side {
                 Side::Left => g.left.live_tokens(node, &mut out),
                 Side::Right => g.right.live_tokens(node, &mut out),
@@ -501,55 +470,53 @@ impl MemoryTable {
     }
 
     /// One bucket's share of [`Self::assert_quiescent`].
-    fn check_bucket<M: Copy + Default>(
+    fn check_bucket<'a, M: Copy + Default>(
         &self,
         i: usize,
-        side: &str,
+        side: Side,
         b: &Bucket<M>,
-        hashes_token: &impl Fn(NodeId) -> bool,
+        store: &WmeStore,
+        key_spec: &impl Fn(NodeId, Side) -> Option<&'a [KeyPart]>,
     ) {
-        assert!(b.grouped(), "line {i}: {side} entries not grouped by node");
+        assert!(b.grouped(), "line {i}: {side:?} entries not grouped by node");
         for e in &b.entries {
             assert!(
-                e.weight == 0 || e.weight == 1,
-                "line {i}: {side} entry weight {} for node {} {:?}",
+                e.weight == 1,
+                "line {i}: {side:?} entry weight {} for node {} {:?}",
                 e.weight,
                 e.node,
                 e.token
             );
-            let (what, want) = match hashes_token(e.node) {
-                true => ("token", token_hash(&e.token)),
-                false => ("key", key_hash(&e.key)),
+            let (what, want) = match key_spec(e.node, side) {
+                None => ("token", token_hash(&e.token)),
+                Some(spec) => ("key", key_hash(spec, &e.token, store)),
             };
-            assert_eq!(e.hash, want, "line {i}: stale {what} hash, {side} entry of node {}", e.node);
+            assert_eq!(e.hash, want, "line {i}: stale {what} hash, {side:?} entry of node {}", e.node);
             let home = self.line_of_hash(e.node, e.hash) as usize;
-            assert_eq!(home, i, "{side} entry of node {} misplaced", e.node);
+            assert_eq!(home, i, "{side:?} entry of node {} misplaced", e.node);
         }
     }
 
-    /// Assert the quiescence invariant: every weight is 0 or 1, every
+    /// Assert the quiescence invariant: every weight is 1, every
     /// not-counter is non-negative, every line is grouped by node, every
-    /// stored hash is its key's — its token's at the nodes `hashes_token`
-    /// names, the P nodes — every entry sits on the line its node and hash
-    /// select, and the first-touch list is exactly the set of dirty lines.
-    /// Panics otherwise (used by tests and debug assertions at cycle
-    /// boundaries).
-    pub fn assert_quiescent(&self, hashes_token: impl Fn(NodeId) -> bool) {
-        let mut dirty = Vec::new();
+    /// stored hash is what its token's key hashes to under the spec
+    /// `key_spec` names for the entry's node and side — what the token
+    /// itself hashes to where it names none, the P nodes — and every entry
+    /// sits on the line its node and hash select. Panics otherwise (used by
+    /// tests and debug assertions at cycle boundaries).
+    pub fn assert_quiescent<'a>(
+        &self,
+        store: &WmeStore,
+        key_spec: impl Fn(NodeId, Side) -> Option<&'a [KeyPart]>,
+    ) {
         for (i, l) in self.lines.iter().enumerate() {
-            if l.dirty.load(Ordering::Relaxed) {
-                dirty.push(i as u32);
-            }
-            let (g, _) = l.lock.lock();
-            self.check_bucket(i, "left", &g.left, &hashes_token);
-            self.check_bucket(i, "right", &g.right, &hashes_token);
+            let (g, _) = l.0.lock();
+            self.check_bucket(i, Side::Left, &g.left, store, &key_spec);
+            self.check_bucket(i, Side::Right, &g.right, store, &key_spec);
             for e in &g.left.entries {
                 assert!(e.m >= 0, "line {i}: negative not-counter {} node {}", e.m, e.node);
             }
         }
-        let mut touched = self.touched.lock().0.clone();
-        touched.sort_unstable();
-        assert_eq!(touched, dirty, "first-touch list differs from the dirty lines");
     }
 
     /// Drop every entry destined for one of `nodes` — the memory half of
@@ -559,20 +526,10 @@ impl MemoryTable {
     pub fn purge_nodes(&self, nodes: &[NodeId]) {
         for &node in nodes {
             for l in self.stripe(node) {
-                let (mut g, _) = l.lock.lock();
+                let (mut g, _) = l.0.lock();
                 g.left.purge(node);
                 g.right.purge(node);
             }
-        }
-    }
-
-    /// Drop zero-weight entries on every line (full-sweep housekeeping;
-    /// tests use it, engines use the incremental [`Self::end_cycle`]).
-    pub fn compact(&self) {
-        for l in self.lines.iter() {
-            let (mut g, _) = l.lock.lock();
-            g.left.compact();
-            g.right.compact();
         }
     }
 }
@@ -586,26 +543,57 @@ impl std::fmt::Debug for MemoryTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psme_ops::{intern, Wme};
 
-    fn key(vals: &[i64]) -> Key {
-        Key::build(vals.len(), vals.iter().map(|&v| KeyElem::V(Value::Int(v))))
+    /// A store with one wme per row, its fields the row's ints; the wme of
+    /// row `i` is `WmeId(i)`.
+    fn store_of(rows: &[&[i64]]) -> WmeStore {
+        let mut store = WmeStore::new();
+        for row in rows {
+            let fields = row.iter().map(|&v| Value::Int(v)).collect();
+            store.add(Wme { class: intern("k"), fields });
+        }
+        store
+    }
+
+    /// The key spec reading fields `0..n` of a unit token's wme.
+    fn spec(n: u16) -> Vec<KeyPart> {
+        (0..n).map(|field| KeyPart::Val { slot: 0, field }).collect()
     }
 
     /// A raw entry, to be pushed past `upsert` (tests build broken lines).
-    fn entry<M: Default>(node: NodeId, k: Key, token: Token, weight: i32) -> Entry<M> {
-        Entry { node, hash: key_hash(&k), key: k, token, weight, m: M::default() }
+    fn entry<M: Default>(node: NodeId, hash: u64, token: Token, weight: i32) -> Entry<M> {
+        Entry { node, hash, token, weight, m: M::default() }
     }
 
-    fn line_of(m: &MemoryTable, node: NodeId, k: &Key) -> u32 {
-        m.line_of_hash(node, key_hash(k))
+    /// `token` arriving at `node` of `m`, both sides keyed by `key`.
+    fn arrive<'a>(
+        m: &MemoryTable,
+        store: &'a WmeStore,
+        key: &'a [KeyPart],
+        node: NodeId,
+        token: &'a Token,
+    ) -> Arrival<'a> {
+        m.arrival(node, token, key_hash(key, token, store), key, key, store)
+    }
+
+    /// `fxhash` of no key elements — the hash of every empty key.
+    fn empty_hash() -> u64 {
+        key_hash(&[], &Token::empty(), &WmeStore::new())
     }
 
     #[test]
     fn entry_sizes_are_pinned() {
-        // What `peak_heap_mb` is made of: the not-counter rides in the left
-        // entry only.
-        assert_eq!(std::mem::size_of::<Entry<i32>>(), 112, "left entry");
-        assert_eq!(std::mem::size_of::<Entry<()>>(), 104, "right entry");
+        // What `peak_heap_mb` is made of: no stored key, and the not-counter
+        // rides in the left entry only.
+        assert_eq!(std::mem::size_of::<Entry<i32>>(), 40, "left entry");
+        assert_eq!(std::mem::size_of::<Entry<()>>(), 32, "right entry");
+    }
+
+    #[test]
+    fn lines_are_cache_line_padded() {
+        assert_eq!(std::mem::align_of::<Line>(), 64, "one line per cache line");
+        assert_eq!(std::mem::size_of::<Line>(), 64, "and no more than one");
     }
 
     #[test]
@@ -618,37 +606,30 @@ mod tests {
     #[test]
     fn line_of_is_stable_and_keyed() {
         let m = MemoryTable::new(64);
-        let k1 = key(&[1, 2]);
-        let k2 = key(&[1, 3]);
-        assert_eq!(line_of(&m, 5, &k1), line_of(&m, 5, &k1));
+        let store = store_of(&[&[1, 2], &[1, 3]]);
+        let line_of = |node, w| {
+            m.line_of_hash(node, key_hash(&spec(2), &Token::unit(WmeId(w)), &store))
+        };
+        assert_eq!(line_of(5, 0), line_of(5, 0));
         // different node or key generally maps elsewhere (not guaranteed for
         // any single pair, but these specific ones differ)
-        let same = (line_of(&m, 5, &k1) == line_of(&m, 6, &k1))
-            && (line_of(&m, 5, &k1) == line_of(&m, 5, &k2));
+        let same = (line_of(5, 0) == line_of(6, 0)) && (line_of(5, 0) == line_of(5, 1));
         assert!(!same);
     }
 
     #[test]
-    fn inline_and_spilled_keys_are_interchangeable() {
-        // 4 elements stay inline, 5 spill; equality/hash/elems must not care.
-        let short = key(&[1, 2, 3, 4]);
-        let long = key(&[1, 2, 3, 4, 5]);
-        assert!(matches!(short.0, KeyRepr::Inline { .. }));
-        assert!(matches!(long.0, KeyRepr::Spill(_)));
-        assert_eq!(short.elems().len(), 4);
-        assert_eq!(long.elems().len(), 5);
-        assert_ne!(short, long);
-        let spilled_short = Key(KeyRepr::Spill(short.elems().into()));
-        assert_eq!(short, spilled_short);
-        assert_eq!(key_hash(&short), key_hash(&spilled_short));
-        assert_eq!(fxhash(&short), fxhash(&spilled_short));
-        assert!(Key::empty().elems().is_empty());
-    }
-
-    #[test]
-    fn lines_are_cache_line_padded() {
-        assert_eq!(std::mem::align_of::<Line>(), 64, "one line per cache line");
-        assert!(std::mem::size_of::<Line>().is_multiple_of(64));
+    fn streamed_key_hash_is_the_slice_hash() {
+        // Placement must not move: streaming a key's elements into Fx gives
+        // the hash of the collected `[KeyElem]`, whatever its length or mix.
+        let store = store_of(&[&[1, 2, 3, 4, 5], &[7, 7, 7, 7, 7]]);
+        let token = Token::from_slice(&[WmeId(1), WmeId(0)]);
+        let mut parts = vec![KeyPart::Id { slot: 0 }];
+        parts.extend((0..5).map(|field| KeyPart::Val { slot: 1, field }));
+        for n in 0..=parts.len() {
+            let elems: Vec<KeyElem> =
+                parts[..n].iter().map(|&p| KeyElem::of(p, &token, &store)).collect();
+            assert_eq!(key_hash(&parts[..n], &token, &store), fxhash(&elems.as_slice()), "{n}");
+        }
     }
 
     #[test]
@@ -656,14 +637,13 @@ mod tests {
         let m = MemoryTable::new(4);
         let t1 = Token::unit(WmeId(1));
         let t2 = Token::unit(WmeId(2));
-        let k = key(&[]);
+        let h = empty_hash();
         {
-            let line = line_of(&m, 7, &k);
-            let (mut g, _) = m.lock(line);
-            g.left.entries.push(entry(7, k.clone(), t1.clone(), 1));
-            g.left.entries.push(entry(7, k.clone(), t2.clone(), 0));
-            g.left.entries.push(entry(8, k.clone(), t2.clone(), 1));
+            let (mut g, _) = m.lock(m.line_of_hash(7, h));
+            g.left.entries.push(entry(7, h, t1.clone(), 1));
+            g.left.entries.push(entry(7, h, t2.clone(), -1));
         }
+        m.lock(m.line_of_hash(8, h)).0.left.entries.push(entry(8, h, t2.clone(), 1));
         assert_eq!(m.tokens_of(7, Side::Left), vec![(t1, 1)]);
         assert_eq!(m.tokens_of(8, Side::Left), vec![(t2, 1)]);
         assert!(m.tokens_of(7, Side::Right).is_empty());
@@ -672,9 +652,8 @@ mod tests {
     #[test]
     fn node_runs_are_found_by_binary_search() {
         let mut d = LineData::default();
-        let k = key(&[]);
         for node in [2u32, 2, 5, 9, 9, 9] {
-            d.left.entries.push(entry(node, k.clone(), Token::empty(), 1));
+            d.left.entries.push(entry(node, 0, Token::empty(), 1));
         }
         assert!(d.left.grouped());
         assert_eq!(d.left.run(2), (0, 2));
@@ -684,72 +663,32 @@ mod tests {
         assert_eq!(d.right.run(2), (0, 0));
     }
 
-    #[test]
-    fn compact_drops_zero_weight() {
-        let m = MemoryTable::new(1);
-        {
-            let (mut g, _) = m.lock(0);
-            g.right.entries.push(entry(1, key(&[]), Token::empty(), 0));
-            g.right.entries.push(entry(1, key(&[]), Token::empty(), 1));
-        }
-        m.compact();
-        let (g, _) = m.lock(0);
-        assert_eq!(g.right.entries().len(), 1);
-    }
-
-    #[test]
-    fn end_cycle_touches_only_dirty_lines() {
-        let m = MemoryTable::new(4);
-        {
-            let (mut g, _) = m.lock(1);
-            g.left.entries.push(entry(3, key(&[]), Token::empty(), 0));
-            g.left.accesses = 7;
-        }
-        m.touch(1);
-        // Line 2 has state but was never marked dirty: it must be skipped.
-        {
-            let (mut g, _) = m.lock(2);
-            g.right.entries.push(entry(4, key(&[]), Token::empty(), 0));
-            g.right.accesses = 3;
-        }
-        assert_eq!(m.end_cycle(), 1, "only the dirty line is compacted");
-        assert_eq!(m.lines_compacted_total(), 1);
-        {
-            let (g, _) = m.lock(1);
-            assert!(g.left.entries().is_empty(), "zero-weight entry dropped");
-            assert_eq!(g.left.accesses, 0, "access counter reset");
-        }
-        {
-            let (g, _) = m.lock(2);
-            assert_eq!(g.right.entries().len(), 1, "clean line untouched");
-            assert_eq!(g.right.accesses, 3);
-        }
-        // The dirty flag was cleared: a second pass compacts nothing.
-        assert_eq!(m.end_cycle(), 0);
-        assert_eq!(m.lines_compacted_total(), 1);
+    /// A 1-line table whose left bucket holds `entries`, checked with every
+    /// node but node 1 (a P node) keyed on nothing.
+    fn check_line(lines: usize, line: u32, entries: Vec<Entry<i32>>) {
+        let m = MemoryTable::new(lines);
+        m.lock(line).0.left.entries.extend(entries);
+        m.assert_quiescent(&WmeStore::new(), |n, _| (n != 1).then_some(&[][..]));
     }
 
     #[test]
     #[should_panic(expected = "weight")]
     fn assert_quiescent_catches_bad_weights() {
-        let m = MemoryTable::new(1);
-        {
-            let (mut g, _) = m.lock(0);
-            g.left.entries.push(entry(1, key(&[]), Token::empty(), -1));
-        }
-        m.assert_quiescent(|_| false);
+        check_line(1, 0, vec![entry(2, empty_hash(), Token::empty(), -1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight")]
+    fn assert_quiescent_catches_a_zero_weight_entry() {
+        // `upsert` removes an entry the moment its weight reaches zero.
+        check_line(1, 0, vec![entry(2, empty_hash(), Token::empty(), 0)]);
     }
 
     #[test]
     #[should_panic(expected = "grouped")]
     fn assert_quiescent_catches_ungrouped_lines() {
-        let m = MemoryTable::new(1);
-        {
-            let (mut g, _) = m.lock(0);
-            g.left.entries.push(entry(9, key(&[]), Token::empty(), 1));
-            g.left.entries.push(entry(3, key(&[]), Token::empty(), 1));
-        }
-        m.assert_quiescent(|_| false);
+        let h = empty_hash();
+        check_line(1, 0, vec![entry(9, h, Token::empty(), 1), entry(3, h, Token::empty(), 1)]);
     }
 
     #[test]
@@ -757,92 +696,99 @@ mod tests {
     fn assert_quiescent_catches_stale_p_node_hash() {
         // Node 1 is a P node: its entry must carry the token's hash, and
         // this one carries the empty key's.
+        check_line(1, 0, vec![entry(1, empty_hash(), Token::unit(WmeId(4)), 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stale key hash")]
+    fn assert_quiescent_catches_a_hash_that_is_not_the_tokens_keys() {
+        // The stored hash is recomputed from (node, side, token, store):
+        // this one is the hash of row 1's key on row 0's token.
+        let store = store_of(&[&[7], &[8]]);
         let m = MemoryTable::new(1);
-        {
-            let (mut g, _) = m.lock(0);
-            g.left.entries.push(entry(1, key(&[]), Token::unit(WmeId(4)), 1));
-        }
-        m.assert_quiescent(|n| n == 1);
+        let h = key_hash(&spec(1), &Token::unit(WmeId(1)), &store);
+        m.lock(0).0.right.entries.push(entry(5, h, Token::unit(WmeId(0)), 1));
+        m.assert_quiescent(&store, |_, _| Some(&[KeyPart::Val { slot: 0, field: 0 }]));
     }
 
     #[test]
     #[should_panic(expected = "misplaced")]
     fn assert_quiescent_catches_entries_off_their_line() {
-        let m = MemoryTable::new(128);
-        let k = key(&[7]);
-        let line = (line_of(&m, 5, &k) + 1) % 128;
-        m.lock(line).0.left.entries.push(entry(5, k, Token::empty(), 1));
-        m.assert_quiescent(|_| false);
-    }
-
-    #[test]
-    #[should_panic(expected = "first-touch list")]
-    fn assert_quiescent_catches_a_dirty_line_missing_from_the_list() {
-        let m = MemoryTable::new(2);
-        m.touch(1);
-        m.touched.lock().0.clear();
-        m.assert_quiescent(|_| false);
+        let line = (MemoryTable::new(128).line_of_hash(5, empty_hash()) + 1) % 128;
+        check_line(128, line, vec![entry(5, empty_hash(), Token::empty(), 1)]);
     }
 
     #[test]
     fn access_counters_reset() {
-        // `upsert` is the access; the cycle's end forgets it.
-        let m = MemoryTable::new(2);
-        let (k, t) = (key(&[]), Token::empty());
-        for _ in 0..5 {
-            m.lock(0).0.left.upsert(1, &k, key_hash(&k), &t, 1);
+        // Reaching a line is the access, by lock or by borrow; the harvest
+        // returns the counts and leaves zeros.
+        fn reach(mut lines: impl Lines, line: u32, side: Side) {
+            drop(lines.reach(line, side));
         }
-        m.lock(0).0.right.upsert(1, &k, key_hash(&k), &t, 1);
-        m.touch(0);
-        assert_eq!(m.access_counts(), vec![(5, 1), (0, 0)]);
-        m.end_cycle();
-        assert_eq!(m.access_counts(), vec![(0, 0), (0, 0)]);
+        let mut m = MemoryTable::new(2);
+        for _ in 0..3 {
+            reach(&m, 0, Side::Left);
+        }
+        for _ in 0..2 {
+            reach(&mut m, 0, Side::Left);
+        }
+        reach(&mut m, 0, Side::Right);
+        assert_eq!(m.take_access_counts(), vec![(5, 1), (0, 0)]);
+        assert_eq!(m.take_access_counts(), vec![(0, 0), (0, 0)]);
+        // A table nobody harvests counts up to the top and stays there.
+        m.lock(1).0.accesses = [u32::MAX - 1, u32::MAX];
+        reach(&mut m, 1, Side::Left);
+        reach(&m, 1, Side::Left);
+        reach(&m, 1, Side::Right);
+        let top = u64::from(u32::MAX);
+        assert_eq!(m.take_access_counts(), vec![(0, 0), (top, top)]);
     }
 
     #[test]
     fn upsert_reports_the_prior_counter_and_the_fresh_position() {
         let mut b = Bucket::<i32>::default();
-        let k = key(&[3]);
+        let (m, store, key) = (MemoryTable::new(1), store_of(&[&[0], &[3], &[3]]), spec(1));
         let (t1, t2) = (Token::unit(WmeId(1)), Token::unit(WmeId(2)));
-        b.upsert(9, &k, key_hash(&k), &t1, 1);
+        let at = |node, token| arrive(&m, &store, &key, node, token);
+        b.upsert(&at(9, &t1), 1);
         // Node 4 sorts before node 9: its fresh entry goes in at the front.
-        assert_eq!(b.upsert(4, &k, key_hash(&k), &t1, 1), Upsert { m: 0, fresh: Some(0) });
-        assert_eq!(b.upsert(4, &k, key_hash(&k), &t2, 1), Upsert { m: 0, fresh: Some(1) });
+        assert_eq!(b.upsert(&at(4, &t1), 1), Upsert { m: 0, fresh: Some(0) });
+        assert_eq!(b.upsert(&at(4, &t2), 1), Upsert { m: 0, fresh: Some(1) });
         b.set_m(1, 7);
         assert!(b.grouped());
         // A second arrival of a stored token finds it and says what it held.
-        assert_eq!(b.upsert(4, &k, key_hash(&k), &t2, 1), Upsert { m: 7, fresh: None });
+        assert_eq!(b.upsert(&at(4, &t2), 1), Upsert { m: 7, fresh: None });
         assert_eq!(b.entries()[1].weight, 2);
         // Weight zero removes the entry, order kept.
-        assert_eq!(b.upsert(4, &k, key_hash(&k), &t1, -1), Upsert { m: 0, fresh: None });
+        assert_eq!(b.upsert(&at(4, &t1), -1), Upsert { m: 0, fresh: None });
         let left: Vec<_> = b.entries().iter().map(|e| (e.node, e.token.clone())).collect();
         assert_eq!(left, vec![(4, t2), (9, t1)]);
     }
 
     #[test]
     fn probe_filters_in_order_and_a_reference_bucket_walks_the_line() {
-        // Node 5 holds keys [1] (live), [1] (weight 0) and [2]; node 3 is a
-        // co-hashed neighbour. Probing node 5 for key [1]:
-        let (k1, k2) = (key(&[1]), key(&[2]));
-        for reference in [false, true] {
-            let mut b = Bucket::<()> { reference, ..Bucket::default() };
-            b.upsert(3, &k1, key_hash(&k1), &Token::unit(WmeId(9)), 1);
-            b.upsert(5, &k1, key_hash(&k1), &Token::unit(WmeId(1)), 1);
-            b.upsert(5, &k1, key_hash(&k1), &Token::unit(WmeId(2)), 1);
-            b.upsert(5, &k2, key_hash(&k2), &Token::unit(WmeId(3)), 1);
-            b.entries[2].weight = 0;
-            for live_only in [true, false] {
-                let mut stats = ActStats::default();
-                let mut hits = Vec::new();
-                b.probe(5, &k1, key_hash(&k1), live_only, &mut stats, |t, _, _| hits.push(t.clone()));
-                let want: &[u32] = if live_only { &[1] } else { &[1, 2] };
-                let want: Vec<Token> = want.iter().map(|&w| Token::unit(WmeId(w))).collect();
-                assert_eq!(hits, want, "reference {reference}, live_only {live_only}");
-                assert_eq!(stats.scanned, 3, "every same-node entry is a candidate");
-                // Key [2]'s entry alone is turned away by its hash.
-                assert_eq!(stats.hash_rejects, u32::from(!reference));
-                assert_eq!(stats.skipped, u32::from(reference), "node 3's entry");
+        // Right wmes 1 and 2 have key [1], wme 3 key [2]; wme 9 sits at node
+        // 3, a co-hashed neighbour. A left token on wme 0 (key [1]) probes
+        // node 5:
+        let mut rows = [&[0i64][..]; 10];
+        rows[..4].copy_from_slice(&[&[1], &[1], &[1], &[2]]);
+        let (store, key) = (store_of(&rows), spec(1));
+        for m in [MemoryTable::new(1), MemoryTable::reference(1)] {
+            let mut b = Bucket::<()>::default();
+            for (node, w) in [(3, 9), (5, 1), (5, 2), (5, 3)] {
+                let t = Token::unit(WmeId(w));
+                b.upsert(&arrive(&m, &store, &key, node, &t), 1);
             }
+            let left = Token::unit(WmeId(0));
+            let a = arrive(&m, &store, &key, 5, &left);
+            let mut stats = ActStats::default();
+            let mut hits = Vec::new();
+            b.probe(&a, &mut stats, |t, _, _| hits.push(t.clone()));
+            assert_eq!(hits, [1, 2].map(|w| Token::unit(WmeId(w))), "reference {}", m.reference);
+            assert_eq!(stats.scanned, 3, "every same-node entry is a candidate");
+            // Key [2]'s entry alone is turned away by its hash.
+            assert_eq!(stats.hash_rejects, u32::from(!m.reference));
+            assert_eq!(stats.skipped, u32::from(m.reference), "node 3's entry");
         }
     }
 }

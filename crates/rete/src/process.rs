@@ -10,8 +10,10 @@
 //!
 //! The critical section per two-input activation — insert own token, scan
 //! the opposite bucket — runs under the memory-line lock, exactly the
-//! locking discipline the paper describes (§6.1). Child activations are
-//! emitted after the lock is released.
+//! locking discipline the paper describes (§6.1) — or, in an engine that
+//! owns its table and so has nobody to lock out, with the line exclusively
+//! borrowed ([`Lines`]). Child activations are emitted after the line is let
+//! go.
 //!
 //! This module decides *which* memory operations an activation performs —
 //! six short `(node kind, side)` arms in `beta_locked`, each an
@@ -23,8 +25,8 @@
 //! `memory.rs`; so does the reference whole-line scan, which a table is
 //! built with ([`MemoryTable::reference`]) and which this module cannot see.
 
-use crate::memory::{key_hash, token_hash, Key, KeyElem, LineData, MemoryTable};
-use crate::node::{BetaNode, KeyPart, MergeSrc, NodeId, NodeKind, Side, ROOT};
+use crate::memory::{key_hash, token_hash, Arrival, LineData, Lines, MemoryTable};
+use crate::node::{BetaNode, MergeSrc, NodeId, NodeKind, Side, ROOT};
 use crate::token::{Token, WmeStore};
 use crate::view::ReteView;
 use psme_ops::WmeId;
@@ -80,19 +82,6 @@ pub struct BetaScratch {
     matches: Vec<(Token, i32)>,
 }
 
-/// Compute a memory key for `token` under `spec` — inline (allocation-free)
-/// for keys of up to [`crate::memory::KEY_INLINE`] elements.
-#[inline]
-pub fn make_key(spec: &[KeyPart], token: &Token, store: &WmeStore) -> Key {
-    Key::build(
-        spec.len(),
-        spec.iter().map(|p| match *p {
-            KeyPart::Val { slot, field } => KeyElem::V(store.value(token.slot(slot), field)),
-            KeyPart::Id { slot } => KeyElem::W(token.slot(slot)),
-        }),
-    )
-}
-
 /// Evaluate the non-equality consistency tests between a left token and a
 /// right token.
 ///
@@ -123,7 +112,7 @@ fn merge_token(node: &BetaNode, left: &Token, right: &Token) -> Token {
 /// [`process_beta_scratch`]).
 pub fn process_beta<N: ReteView + ?Sized>(
     net: &N,
-    mem: &MemoryTable,
+    mem: impl Lines,
     store: &WmeStore,
     act: &Activation,
     min_node: NodeId,
@@ -151,69 +140,74 @@ enum Post {
     NegTransitions,
 }
 
-/// The memory key, its hash and the destination line of `act`, computed
-/// before any lock is taken (`None` only for root-kind activations, which
-/// touch no memory).
-fn plan_parts<N: ReteView + ?Sized>(
-    net: &N,
+/// `act` as its memory line will see it — the hash of its key and the
+/// destination line, computed before any lock is taken (`None` only for
+/// root-kind activations, which touch no memory).
+fn plan_parts<'a, N: ReteView + ?Sized>(
+    net: &'a N,
     mem: &MemoryTable,
-    store: &WmeStore,
-    act: &Activation,
-) -> Option<(Key, u64, u32)> {
+    store: &'a WmeStore,
+    act: &'a Activation,
+) -> Option<Arrival<'a>> {
     let node = net.node(act.node);
-    let (key, khash) = match node.kind {
+    let (own, opposite, hash) = match node.kind {
         NodeKind::Root => return None,
         // A P node's memory is upserted and enumerated, never probed by
         // key: hashing on the token spreads a production's instantiations
         // over the node's stripe instead of one empty-key line.
-        NodeKind::Prod { .. } => (Key::empty(), token_hash(&act.token)),
+        NodeKind::Prod { .. } => (&[][..], &[][..], token_hash(&act.token)),
         NodeKind::Join | NodeKind::Neg => {
-            let key = match act.side {
-                Side::Left => make_key(&node.left_key, &act.token, store),
-                Side::Right => make_key(&node.right_key, &act.token, store),
+            let (own, opposite) = match act.side {
+                Side::Left => (&node.left_key[..], &node.right_key[..]),
+                Side::Right => (&node.right_key[..], &node.left_key[..]),
             };
-            let khash = key_hash(&key);
-            (key, khash)
+            (own, opposite, key_hash(own, &act.token, store))
         }
     };
-    Some((key, khash, mem.line_of_hash(act.node, khash)))
+    Some(mem.arrival(act.node, &act.token, hash, own, opposite, store))
 }
 
 /// [`MemoryTable::assert_quiescent`] under the placement rule of
-/// `plan_parts`: the P nodes are the ones that hash on the token.
-pub fn assert_quiescent<N: ReteView + ?Sized>(net: &N, mem: &MemoryTable) {
-    mem.assert_quiescent(|n| matches!(net.node(n).kind, NodeKind::Prod { .. }));
+/// `plan_parts`: a two-input node's entries hash their side's key, a P
+/// node's the token.
+pub fn assert_quiescent<N: ReteView + ?Sized>(net: &N, mem: &MemoryTable, store: &WmeStore) {
+    mem.assert_quiescent(store, |n, side| {
+        let node = net.node(n);
+        match (node.kind, side) {
+            (NodeKind::Prod { .. }, _) => None,
+            (_, Side::Left) => Some(&node.left_key[..]),
+            (_, Side::Right) => Some(&node.right_key[..]),
+        }
+    });
 }
 
 /// The critical section of one beta activation: insert the token into its
 /// own bucket, scan the opposite one, and collect match/transition tokens
-/// into `matches`. Runs under the line lock; emission is deferred to
-/// [`beta_post`] via the returned [`Post`].
-#[allow(clippy::too_many_arguments)]
+/// into `matches`. Runs with the line in hand — locked or exclusively
+/// borrowed; emission is deferred to [`beta_post`] via the returned [`Post`].
 fn beta_locked<N: ReteView + ?Sized>(
     net: &N,
     g: &mut LineData,
     store: &WmeStore,
     act: &Activation,
-    key: &Key,
-    khash: u64,
+    arr: &Arrival,
     matches: &mut Vec<(Token, i32)>,
     stats: &mut ActStats,
 ) -> Post {
     let node = net.node(act.node);
-    let (id, token, delta) = (act.node, &act.token, act.delta);
+    let (token, delta) = (&act.token, act.delta);
     match (node.kind, act.side) {
         (NodeKind::Root, _) => Post::None,
         (NodeKind::Prod { prod }, _) => {
             // P nodes store their input tokens (so that a later chunk
             // sharing this whole chain can enumerate the parent's outputs)
             // and update the conflict set.
-            g.left.upsert(id, key, khash, token, delta);
+            g.left.upsert(arr, delta);
             Post::Cs { prod }
         }
         (NodeKind::Join, Side::Left) => {
-            g.left.upsert(id, key, khash, token, delta);
-            g.right.probe(id, key, khash, true, stats, |right, w, _| {
+            g.left.upsert(arr, delta);
+            g.right.probe(arr, stats, |right, w, _| {
                 if tests_pass(node, token, right, store) {
                     matches.push((right.clone(), w));
                 }
@@ -221,13 +215,13 @@ fn beta_locked<N: ReteView + ?Sized>(
             Post::Join
         }
         (NodeKind::Join, Side::Right) => {
-            g.right.upsert(id, key, khash, token, delta);
+            g.right.upsert(arr, delta);
             if node.parent == ROOT {
                 // The root's single output is the weight-1 empty token.
                 matches.push((Token::empty(), 1));
                 stats.scanned += 1;
             } else {
-                g.left.probe(id, key, khash, true, stats, |left, w, _| {
+                g.left.probe(arr, stats, |left, w, _| {
                     if tests_pass(node, left, token, store) {
                         matches.push((left.clone(), w));
                     }
@@ -237,10 +231,10 @@ fn beta_locked<N: ReteView + ?Sized>(
         }
         (NodeKind::Neg, Side::Left) => {
             // A fresh entry computes its not-counter from the right bucket.
-            let up = g.left.upsert(id, key, khash, token, delta);
+            let up = g.left.upsert(arr, delta);
             let mut m = up.m;
             if let Some(at) = up.fresh {
-                g.right.probe(id, key, khash, false, stats, |right, w, _| {
+                g.right.probe(arr, stats, |right, w, _| {
                     if tests_pass(node, token, right, store) {
                         m += w;
                     }
@@ -250,10 +244,10 @@ fn beta_locked<N: ReteView + ?Sized>(
             Post::NegGate { fire: m == 0 }
         }
         (NodeKind::Neg, Side::Right) => {
-            g.right.upsert(id, key, khash, token, delta);
+            g.right.upsert(arr, delta);
             // Adjust the not-counters of matching left tokens; collect the
             // blocked/unblocked transitions.
-            g.left.probe(id, key, khash, false, stats, |left, w, m| {
+            g.left.probe(arr, stats, |left, w, m| {
                 if tests_pass(node, left, token, store) {
                     let m_old = *m;
                     *m += delta;
@@ -318,13 +312,18 @@ fn beta_post<N: ReteView + ?Sized>(
 
 /// Process one beta activation, reusing `scratch` across calls.
 ///
+/// `mem` is the table as the caller holds it, and that decides how the
+/// activation's line is reached ([`Lines`]): `&MemoryTable` takes the
+/// line's lock, `&mut MemoryTable` — a table nobody else can be in —
+/// borrows the line.
+///
 /// `min_node` filters emissions during the run-time state update (§5.2):
 /// child activations targeting nodes below it are dropped. Use 0 for normal
 /// matching.
 #[allow(clippy::too_many_arguments)]
 pub fn process_beta_scratch<N: ReteView + ?Sized>(
     net: &N,
-    mem: &MemoryTable,
+    mut mem: impl Lines,
     store: &WmeStore,
     act: &Activation,
     min_node: NodeId,
@@ -334,14 +333,15 @@ pub fn process_beta_scratch<N: ReteView + ?Sized>(
 ) -> ActStats {
     let mut stats = ActStats::default();
     scratch.matches.clear();
-    let Some((key, khash, line)) = plan_parts(net, mem, store, act) else {
+    let Some(arr) = plan_parts(net, &mem, store, act) else {
         return stats; // Root: no memory, no emission.
     };
-    stats.line = Some(line);
-    let (mut g, spins) = mem.lock(line);
+    stats.line = Some(arr.line());
+    // The side the token arrives on is the bucket it is stored in (a P
+    // node's one input is its left).
+    let (mut g, spins) = mem.reach(arr.line(), act.side);
     stats.spins = spins;
-    mem.touch(line);
-    let post = beta_locked(net, &mut g, store, act, &key, khash, &mut scratch.matches, &mut stats);
+    let post = beta_locked(net, &mut g, store, act, &arr, &mut scratch.matches, &mut stats);
     drop(g);
     beta_post(net, act, post, &scratch.matches, min_node, &mut stats, emit, cs_emit);
     scratch.matches.clear();
@@ -359,17 +359,28 @@ fn emit_children<N: ReteView + ?Sized>(
     if delta == 0 {
         return 0;
     }
-    let mut n = 0;
     // A node's own edges first, then any overlay splices: together these
     // reproduce the monolithic successor append order (see `session.rs`).
     // `edge_live` masks edges into a session's retired pool (constant true
     // on a monolithic network, which unplugs retired nodes physically).
-    for &(child, side) in node.out_edges.iter().chain(net.extra_out_edges(node.id)) {
-        if child >= min_node && net.edge_live(child) {
-            emit(Activation { node: child, side, token: token.clone(), delta });
-            n += 1;
-        }
+    let mut live = node
+        .out_edges
+        .iter()
+        .chain(net.extra_out_edges(node.id))
+        .copied()
+        .filter(|&(child, _)| child >= min_node && net.edge_live(child));
+    // The last live child takes the token itself, the others a clone.
+    let Some(mut last) = live.next() else {
+        return 0;
+    };
+    let mut n = 1;
+    for next in live {
+        let (node, side) = std::mem::replace(&mut last, next);
+        emit(Activation { node, side, token: token.clone(), delta });
+        n += 1;
     }
+    let (node, side) = last;
+    emit(Activation { node, side, token, delta });
     n
 }
 
@@ -438,17 +449,14 @@ mod tests {
 
     #[test]
     fn make_key_extracts_values_and_ids() {
+        use crate::memory::KeyElem;
+        use crate::node::KeyPart;
         let (r, _, _, mut store) = setup();
         let (id, _) = store.add(parse_wme("(a ^x 7 ^y blue)", &r).unwrap());
         let t = Token::unit(id);
-        let key = make_key(
-            &[KeyPart::Val { slot: 0, field: 0 }, KeyPart::Id { slot: 0 }],
-            &t,
-            &store,
-        );
-        assert_eq!(key.elems().len(), 2);
-        assert_eq!(key.elems()[0], crate::memory::KeyElem::V(Value::Int(7)));
-        assert_eq!(key.elems()[1], crate::memory::KeyElem::W(id));
+        let of = |part| KeyElem::of(part, &t, &store);
+        assert_eq!(of(KeyPart::Val { slot: 0, field: 0 }), KeyElem::V(Value::Int(7)));
+        assert_eq!(of(KeyPart::Id { slot: 0 }), KeyElem::W(id));
     }
 
     #[test]
@@ -484,7 +492,7 @@ mod tests {
         }
         let net2: i32 = cs2.iter().map(|c| c.delta).sum();
         assert_eq!(net2, 0, "delete+add cancel");
-        assert_quiescent(&net, &mem);
+        assert_quiescent(&net, &mem, &store);
     }
 
     #[test]
@@ -556,7 +564,7 @@ mod tests {
                 assert_eq!(stats_sum.hash_rejects, 0, "reference scan never hash-rejects");
                 assert!(stats_sum.skipped > 0, "whole-line scan traverses other nodes");
             }
-            assert_quiescent(&net, &mem);
+            assert_quiescent(&net, &mem, &store);
         }
     }
 }

@@ -294,10 +294,7 @@ impl<N: ReteView> SerialEngine<N> {
         let outcome = CycleOutcome { cs: cs_fold.into_delta(&self.net, &self.state.store), tasks };
         self.cycle_count += 1;
         #[cfg(debug_assertions)]
-        crate::process::assert_quiescent(&self.net, &self.state.mem);
-        // Incremental quiescent housekeeping: only the lines this cycle
-        // wrote are compacted and counter-reset.
-        self.state.mem.end_cycle();
+        crate::process::assert_quiescent(&self.net, &self.state.mem, &self.state.store);
         outcome
     }
 
@@ -315,7 +312,7 @@ impl<N: ReteView> SerialEngine<N> {
             let t0 = self.capture.then(std::time::Instant::now);
             let stats = process_beta_scratch(
                 &self.net,
-                &self.state.mem,
+                &mut self.state.mem, // ours alone: borrowed, not locked
                 &self.state.store,
                 &act,
                 min_node,
@@ -449,8 +446,7 @@ impl<N: ReteBuild> SerialEngine<N> {
         let add = self.net.add_production(prod, org)?;
         let (update_tasks, cs_fold) = self.run_update(add.first_new);
         #[cfg(debug_assertions)]
-        crate::process::assert_quiescent(&self.net, &self.state.mem);
-        self.state.mem.end_cycle();
+        crate::process::assert_quiescent(&self.net, &self.state.mem, &self.state.store);
         Ok(AddOutcome { add, update_tasks, cs: cs_fold.into_delta(&self.net, &self.state.store) })
     }
 
@@ -507,8 +503,7 @@ impl<N: ReteBuild> SerialEngine<N> {
             assert_eq!(added, old_insts, "reorg changed production {prod_idx}'s matches");
         }
         #[cfg(debug_assertions)]
-        crate::process::assert_quiescent(&self.net, &self.state.mem);
-        self.state.mem.end_cycle();
+        crate::process::assert_quiescent(&self.net, &self.state.mem, &self.state.store);
         Ok(ReorgOutcome {
             prod_idx,
             first_new,

@@ -167,7 +167,7 @@ fn bilinear_matches_linear_on_random_systems() {
 #[test]
 fn deletes_fully_unwind_state() {
     // Adding a set of wmes and then removing them all must leave an empty
-    // conflict set and empty memories (weights all zero).
+    // conflict set and empty memories.
     for seed in 500..520 {
         let sys = random_system(seed, GenConfig::default());
         let mut net = ReteNetwork::new();
@@ -181,11 +181,12 @@ fn deletes_fully_unwind_state() {
         let alive: Vec<WmeId> = e.state.store.iter_alive().map(|(id, _)| id).collect();
         e.apply_changes(vec![], alive);
         assert!(e.current_instantiations().is_empty(), "seed {seed}");
-        e.state.mem.compact();
-        // After compaction, only first-level right memories may retain
-        // nothing; all weights were zeroed, so every line is empty.
-        for (l, r) in e.state.mem.access_counts() {
-            let _ = (l, r);
+        // Every add met its delete, and an entry whose weight reaches zero
+        // is removed on the spot: every line is empty.
+        for line in 0..e.state.mem.num_lines() as u32 {
+            let (g, _) = e.state.mem.lock(line);
+            assert!(g.left.entries().is_empty(), "seed {seed}: line {line} left");
+            assert!(g.right.entries().is_empty(), "seed {seed}: line {line} right");
         }
         assert!(e.state.store.live_count() == 0);
     }

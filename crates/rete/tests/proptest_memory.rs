@@ -5,18 +5,19 @@
 //! adds, Neg not-counters and NCC subnetworks — plus an exact-accounting
 //! fixture for the new `hash_rejects` / `entries_skipped` counters.
 //!
-//! And properties of where entries live: a node's stripe holds everything
-//! a whole-table sweep would find, the first-touch list is exactly the set
-//! of lines written, and neither keys at a join nor tokens at a P node pile
-//! up on a few lines of the stripe.
+//! And properties of where entries live and how they are found: a node's
+//! stripe holds everything a whole-table sweep would find, neither keys at a
+//! join nor tokens at a P node pile up on a few lines of the stripe, a hash
+//! collision is not a match, and a line reached by `&mut` behaves like one
+//! reached by its lock.
 
 use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
-use psme_ops::{Value, WmeId};
+use psme_ops::{intern, Value, Wme, WmeId};
 use psme_rete::{
-    assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, Activation, CsChange,
-    Key, KeyElem, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine, Side,
-    TaskKind, Token, WmeStore, STRIPE,
+    assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, ActStats, Activation,
+    CsChange, KeyPart, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine,
+    Side, TaskKind, Token, WmeStore, STRIPE,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -42,6 +43,30 @@ fn snapshot(net: &ReteNetwork, mem: &MemoryTable) -> Vec<NodeTokens> {
         .collect()
 }
 
+/// Everything observable about running `seeds` to quiescence through `step`
+/// (one `process_beta` call): per-activation stats, emissions in order.
+fn observe(
+    seeds: &[Activation],
+    mut step: impl FnMut(&Activation, &mut dyn FnMut(Activation), &mut dyn FnMut(CsChange)) -> ActStats,
+) -> (Vec<ActStats>, Vec<Activation>, Vec<CsChange>) {
+    let (mut stats, mut emitted, mut cs) = (Vec::new(), Vec::new(), Vec::new());
+    for seed in seeds {
+        let mut queue = vec![seed.clone()];
+        while let Some(act) = queue.pop() {
+            let s = step(
+                &act,
+                &mut |a| {
+                    emitted.push(a.clone());
+                    queue.push(a)
+                },
+                &mut |c| cs.push(c),
+            );
+            stats.push(ActStats { spins: 0, ..s });
+        }
+    }
+    (stats, emitted, cs)
+}
+
 /// Drain a queue of seed activations through one memory, returning the net
 /// conflict-set weight per (production, token).
 fn drain_all(
@@ -50,14 +75,8 @@ fn drain_all(
     store: &WmeStore,
     seeds: &[Activation],
 ) -> HashMap<(u32, Token), i32> {
-    let mut queue: Vec<Activation> = Vec::new();
-    let mut cs: Vec<CsChange> = Vec::new();
-    for seed in seeds {
-        queue.push(seed.clone());
-        while let Some(act) = queue.pop() {
-            process_beta(net, mem, store, &act, 0, &mut |a| queue.push(a), &mut |c| cs.push(c));
-        }
-    }
+    let (_, _, cs) =
+        observe(seeds, |act, emit, cs| process_beta(net, mem, store, act, 0, emit, cs));
     let mut folded: HashMap<(u32, Token), i32> = HashMap::new();
     for c in cs {
         *folded.entry((c.prod, c.token)).or_insert(0) += c.delta;
@@ -76,23 +95,80 @@ fn table(indexed: bool, lines: usize) -> MemoryTable {
     }
 }
 
-fn int_key(vals: &[i64]) -> Key {
-    Key::build(vals.len(), vals.iter().map(|&v| KeyElem::V(Value::Int(v))))
+/// The key of a hand-stored entry: the int fields of its token's one wme.
+fn int_key(fields: u16) -> Vec<KeyPart> {
+    (0..fields).map(|field| KeyPart::Val { slot: 0, field }).collect()
 }
 
-/// Store `token` at `node` under `key` the way an activation would: on the
-/// line the node and the key's hash select, marking the line written.
-fn store(mem: &MemoryTable, node: NodeId, key: &Key, token: &Token, right: bool) -> u32 {
-    let hash = key_hash(key);
-    let line = mem.line_of_hash(node, hash);
-    let (mut g, _) = mem.lock(line);
-    mem.touch(line);
+/// A new wme with the int fields `vals`, as a unit token.
+fn int_token(wmes: &mut WmeStore, vals: &[i64]) -> Token {
+    let fields = vals.iter().map(|&v| Value::Int(v)).collect();
+    Token::unit(wmes.add(Wme { class: intern("k"), fields }).0)
+}
+
+/// Store `token` at `node` the way an activation would: keyed by `key` (on
+/// either side), on the line the node and the key's hash select.
+fn store(
+    mem: &MemoryTable,
+    wmes: &WmeStore,
+    node: NodeId,
+    key: &[KeyPart],
+    token: &Token,
+    right: bool,
+) -> u32 {
+    let a = mem.arrival(node, token, key_hash(key, token, wmes), key, key, wmes);
+    let (mut g, _) = mem.lock(a.line());
     if right {
-        g.right.upsert(node, key, hash, token, 1);
+        g.right.upsert(&a, 1);
     } else {
-        g.left.upsert(node, key, hash, token, 1);
+        g.left.upsert(&a, 1);
     }
-    line
+    a.line()
+}
+
+/// Every stored entry, line by line: `(node, hash, token, weight, m)`.
+type Contents = Vec<(Vec<(NodeId, u64, Token, i32, i32)>, Vec<(NodeId, u64, Token, i32)>)>;
+
+fn contents(mem: &MemoryTable) -> Contents {
+    (0..mem.num_lines() as u32)
+        .map(|line| {
+            let (g, _) = mem.lock(line);
+            let left = g.left.entries().iter();
+            let right = g.right.entries().iter();
+            (
+                left.map(|e| (e.node, e.hash, e.token.clone(), e.weight, e.m)).collect(),
+                right.map(|e| (e.node, e.hash, e.token.clone(), e.weight)).collect(),
+            )
+        })
+        .collect()
+}
+
+/// A random system's net, `n` wmes of which the ones from `del_from` on are
+/// deleted again, and the add and delete activations of all of them in one
+/// shuffled order — so a delete can run before its add.
+fn partial_delete_stream(
+    seed: u64,
+    salt: u64,
+    n: usize,
+    del_from: usize,
+) -> (ReteNetwork, WmeStore, Vec<Activation>) {
+    let sys = random_system(seed, GenConfig { neg_pct: 50, ncc_pct: 30, ..GenConfig::default() });
+    let net = build_net(&sys);
+    let mut store = WmeStore::new();
+    let mut rng = XorShift::new(seed ^ salt);
+    let mut seeds: Vec<Activation> = Vec::new();
+    for i in 0..n {
+        let (id, _) = store.add(sys.random_wme(&mut rng));
+        process_wme_change(&net, &store, id, 1, 0, &mut |a| seeds.push(a));
+        if i >= del_from.min(n - 1) {
+            store.remove(id);
+            process_wme_change(&net, &store, id, -1, 0, &mut |a| seeds.push(a));
+        }
+    }
+    for i in (1..seeds.len()).rev() {
+        seeds.swap(i, rng.below(i + 1));
+    }
+    (net, store, seeds)
 }
 
 /// `node`'s left and right tokens found by sweeping every line of the table.
@@ -134,11 +210,12 @@ proptest! {
         entries in prop::collection::vec((0u32..40, -50i64..50, any::<bool>()), 1..200),
         purge in prop::collection::vec(0u32..40, 0..6),
     ) {
-        let mem = MemoryTable::new(lines);
-        for (i, &(node, k, right)) in entries.iter().enumerate() {
-            store(&mem, node, &int_key(&[k]), &Token::unit(WmeId(i as u32)), right);
+        let (mem, mut wmes, key) = (MemoryTable::new(lines), WmeStore::new(), int_key(1));
+        for &(node, k, right) in &entries {
+            let token = int_token(&mut wmes, &[k]);
+            store(&mem, &wmes, node, &key, &token, right);
         }
-        mem.assert_quiescent(|_| false);
+        mem.assert_quiescent(&wmes, |_, _| Some(&key));
         let total: usize = (0..40)
             .map(|n| mem.tokens_of(n, Side::Left).len() + mem.tokens_of(n, Side::Right).len())
             .sum();
@@ -155,40 +232,12 @@ proptest! {
         }
     }
 
-    /// `end_cycle` compacts exactly the lines written since the last one —
-    /// however often each was written — and a second call finds none.
-    #[test]
-    fn end_cycle_compacts_exactly_the_touched_lines(
-        lines in (0usize..4).prop_map(|i| [1usize, 2, 64, 1024][i]),
-        cycles in prop::collection::vec(prop::collection::vec((0u32..30, 0i64..40, any::<bool>()), 0..60), 1..5),
-    ) {
-        let mem = MemoryTable::new(lines);
-        let mut serial = 0u32;
-        for writes in cycles {
-            let mut written = BTreeSet::new();
-            for (node, k, bare_touch) in writes {
-                if bare_touch {
-                    let line = mem.line_of_hash(node, key_hash(&int_key(&[k])));
-                    let _g = mem.lock(line);
-                    mem.touch(line);
-                    written.insert(line);
-                } else {
-                    serial += 1;
-                    written.insert(store(&mem, node, &int_key(&[k]), &Token::unit(WmeId(serial)), false));
-                }
-            }
-            mem.assert_quiescent(|_| false);
-            prop_assert_eq!(mem.end_cycle(), written.len() as u64);
-            prop_assert_eq!(mem.end_cycle(), 0);
-            mem.assert_quiescent(|_| false);
-        }
-    }
-
     /// Engine-level differential: a serial engine probing through the
     /// per-node index behaves bit-for-bit like one running the reference
     /// whole-line scan — same per-cycle conflict-set deltas, same
-    /// instantiations, same quiescent memory contents — on 2-line tables
-    /// where every node co-hashes with others.
+    /// instantiations, same quiescent memory contents, same candidates
+    /// `scanned` task by task — on 2-line tables where every node co-hashes
+    /// with others.
     #[test]
     fn indexed_memory_equals_reference_scan(
         seed in 0u64..10_000,
@@ -198,7 +247,9 @@ proptest! {
         let mut engines: Vec<SerialEngine> = (0..2)
             .map(|i| {
                 let state = MatchState { mem: table(i == 0, 2), store: WmeStore::new() };
-                SerialEngine::with_state(build_net(&sys), state)
+                let mut e = SerialEngine::with_state(build_net(&sys), state);
+                e.capture = true;
+                e
             })
             .collect();
         let mut rng = XorShift::new(seed ^ 0xBEEF);
@@ -229,8 +280,13 @@ proptest! {
             snapshot(&engines[0].net, &engines[0].state.mem),
             snapshot(&engines[1].net, &engines[1].state.mem)
         );
+        let scanned = |e: &SerialEngine| -> Vec<u32> {
+            let tasks = e.trace.cycles.iter().flat_map(|c| &c.tasks);
+            tasks.filter(|t| t.kind != TaskKind::Alpha).map(|t| t.scanned).collect()
+        };
+        prop_assert_eq!(scanned(&engines[0]), scanned(&engines[1]));
         for e in &engines {
-            assert_quiescent(&e.net, &e.state.mem);
+            assert_quiescent(&e.net, &e.state.mem, &e.state.store);
         }
     }
 
@@ -266,8 +322,7 @@ proptest! {
         for indexed in [true, false] {
             let mem = table(indexed, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
-            assert_quiescent(&net, &mem);
-            mem.compact();
+            assert_quiescent(&net, &mem, &store);
             prop_assert_eq!(snapshot(&net, &mem), snapshot(&net, &MemoryTable::new(1)),
                 "add+delete pairs must annihilate (indexed={})", indexed);
             results.push(cs);
@@ -285,30 +340,36 @@ proptest! {
         n in 2usize..8,
         del_from in 0usize..6,
     ) {
-        let sys = random_system(seed, GenConfig { neg_pct: 50, ncc_pct: 30, ..GenConfig::default() });
-        let net = build_net(&sys);
-        let mut store = WmeStore::new();
-        let mut rng = XorShift::new(seed ^ 0xCAFE);
-        let mut seeds: Vec<Activation> = Vec::new();
-        for i in 0..n {
-            let (id, _) = store.add(sys.random_wme(&mut rng));
-            process_wme_change(&net, &store, id, 1, 0, &mut |a| seeds.push(a));
-            if i >= del_from.min(n - 1) {
-                store.remove(id);
-                process_wme_change(&net, &store, id, -1, 0, &mut |a| seeds.push(a));
-            }
-        }
-        for i in (1..seeds.len()).rev() {
-            seeds.swap(i, rng.below(i + 1));
-        }
+        let (net, store, seeds) = partial_delete_stream(seed, 0xCAFE, n, del_from);
         let mut results = Vec::new();
         for indexed in [true, false] {
             let mem = table(indexed, 1);
             let cs = drain_all(&net, &mem, &store, &seeds);
-            assert_quiescent(&net, &mem);
+            assert_quiescent(&net, &mem, &store);
             results.push((cs, snapshot(&net, &mem)));
         }
         prop_assert_eq!(&results[0], &results[1]);
+    }
+
+    /// The two ways to reach a line are one behaviour: the same shuffled
+    /// add/delete activations through a shared table (`&MemoryTable`, line
+    /// locks) and through an owned one (`&mut MemoryTable`, no lock) give
+    /// the same stats activation by activation (spins aside), the same
+    /// emissions in the same order, and the same buckets entry for entry.
+    #[test]
+    fn a_borrowed_line_behaves_like_a_locked_one(
+        seed in 0u64..10_000,
+        n in 2usize..8,
+        del_from in 0usize..6,
+    ) {
+        let (net, store, seeds) = partial_delete_stream(seed, 0xFACE, n, del_from);
+        let shared = MemoryTable::new(2);
+        let locked = observe(&seeds, |act, emit, cs| process_beta(&net, &shared, &store, act, 0, emit, cs));
+        let mut owned = MemoryTable::new(2);
+        let borrowed = observe(&seeds, |act, emit, cs| process_beta(&net, &mut owned, &store, act, 0, emit, cs));
+        prop_assert_eq!(locked, borrowed);
+        prop_assert_eq!(contents(&shared), contents(&owned));
+        prop_assert_eq!(shared.take_access_counts(), owned.take_access_counts());
     }
 }
 
@@ -317,24 +378,27 @@ proptest! {
 /// actually vary (FxHash's low bits do not).
 #[test]
 fn distinct_keys_fill_the_stripe_evenly() {
-    type MakeKey = fn(i64) -> Key;
-    let shapes: [(&str, MakeKey); 4] = [
-        ("one int", |i| int_key(&[i])),
-        ("int, low bits constant", |i| int_key(&[i << 12])),
-        ("int pair", |i| int_key(&[i % 64, i / 64])),
-        ("wme id", |i| Key::build(1, std::iter::once(KeyElem::W(WmeId(i as u32))))),
+    // The i-th wme's fields, and the key read from them (the i-th wme's id
+    // is i, so the last shape's keys are the ids 0..4096).
+    type Fields = fn(i64) -> Vec<i64>;
+    let shapes: [(&str, Fields, Vec<KeyPart>); 4] = [
+        ("one int", |i| vec![i], int_key(1)),
+        ("int, low bits constant", |i| vec![i << 12], int_key(1)),
+        ("int pair", |i| vec![i % 64, i / 64], int_key(2)),
+        ("wme id", |_| vec![], vec![KeyPart::Id { slot: 0 }]),
     ];
-    for (what, make) in shapes {
-        let mem = MemoryTable::new(4096);
+    for (what, fields, key) in shapes {
+        let (mem, mut wmes) = (MemoryTable::new(4096), WmeStore::new());
         let node = 37;
         let mut used = BTreeSet::new();
         for i in 0..4096 {
-            used.insert(store(&mem, node, &make(i), &Token::unit(WmeId(i as u32)), false));
+            let token = int_token(&mut wmes, &fields(i));
+            used.insert(store(&mem, &wmes, node, &key, &token, false));
         }
         assert_eq!(used.len(), STRIPE, "{what}: every stripe line is used");
         let max = max_left_run(&mem, node);
         assert!(max <= 2 * 4096 / STRIPE, "{what}: fullest line holds {max}, mean {}", 4096 / STRIPE);
-        mem.assert_quiescent(|_| false);
+        mem.assert_quiescent(&wmes, |_, _| Some(&key));
     }
 }
 
@@ -342,18 +406,43 @@ fn distinct_keys_fill_the_stripe_evenly() {
 /// instead of sharing its empty key's line.
 #[test]
 fn p_node_tokens_do_not_share_a_line() {
-    let mem = MemoryTable::new(4096);
+    let (mem, wmes) = (MemoryTable::new(4096), WmeStore::new());
     let p_node = 91;
     for i in 0..500u32 {
         // Instantiations of one production differ in a slot or two.
         let token = Token::from_slice(&[WmeId(3), WmeId(17), WmeId(40 + i % 25), WmeId(8), WmeId(200 + i)]);
-        let hash = token_hash(&token);
-        let line = mem.line_of_hash(p_node, hash);
-        mem.lock(line).0.left.upsert(p_node, &Key::empty(), hash, &token, 1);
+        let a = mem.arrival(p_node, &token, token_hash(&token), &[], &[], &wmes);
+        mem.lock(a.line()).0.left.upsert(&a, 1);
     }
     assert_eq!(mem.tokens_of(p_node, Side::Left).len(), 500);
     let max = max_left_run(&mem, p_node);
     assert!(max <= 32, "one line holds {max} of 500 tokens");
+}
+
+/// A stored entry whose hash equals the arriving key's is still not a match
+/// unless its key is: the probe recomputes the stored token's key and
+/// compares it, in either kind of table.
+#[test]
+fn an_equal_hash_with_a_different_key_does_not_hit() {
+    for indexed in [true, false] {
+        let (mem, mut wmes, key) = (table(indexed, 1), WmeStore::new(), int_key(1));
+        let stored = int_token(&mut wmes, &[1]);
+        let (same_key, other_key) = (int_token(&mut wmes, &[1]), int_token(&mut wmes, &[2]));
+        store(&mem, &wmes, 5, &key, &stored, true);
+        let stored_hash = key_hash(&key, &stored, &wmes);
+        assert_ne!(stored_hash, key_hash(&key, &other_key, &wmes));
+        // Both arrive carrying the stored entry's hash — one honestly.
+        for (arriving, hits) in [(&same_key, 1), (&other_key, 0)] {
+            let a = mem.arrival(5, arriving, stored_hash, &key, &key, &wmes);
+            let (mut stats, mut found) = (ActStats::default(), 0);
+            mem.lock(a.line()).0.right.probe(&a, &mut stats, |t, _, _| {
+                assert_eq!(t, &stored);
+                found += 1;
+            });
+            assert_eq!(found, hits, "indexed {indexed}");
+            assert_eq!((stats.scanned, stats.hash_rejects), (1, 0), "the hash let it through");
+        }
+    }
 }
 
 /// Exact accounting on a hand-built fixture: one two-join production on a
