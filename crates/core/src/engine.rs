@@ -32,7 +32,7 @@ use crate::gate::Gate;
 use crate::metrics::{CycleMetrics, MetricsLog, WorkerStats};
 use crate::queue::{Scheduler, Task, TaskQueues, TASK_BATCH};
 use parking_lot::{Mutex, RwLock};
-use psme_obs::{ControlPhase, Counter, Recorder, TraceKind, TraceRing, SESSION_NONE};
+use psme_obs::{ControlPhase, Counter, Recorder};
 use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
     instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update, ActStats,
@@ -190,14 +190,12 @@ fn account_beta(
         costs.note(a.node, s);
     }
     stats.mem_spins += s.spins;
-    stats.scanned += s.scanned as u64;
     let c = &mut stats.counters;
     c.add(Counter::BetaTasks, 1);
     c.add(Counter::Scanned, s.scanned as u64);
     c.add(Counter::HashRejects, s.hash_rejects as u64);
     c.add(Counter::EntriesSkipped, s.skipped as u64);
     c.add(Counter::Emitted, s.emitted as u64);
-    c.add(Counter::MemSpins, s.spins);
     c.add(Counter::LineLockAcquisitions, u64::from(s.line.is_some()));
     // A childless two-input activation is a null activation in the paper's
     // accounting.
@@ -267,14 +265,6 @@ impl Shared {
                 account_beta(&net, &a, &s, &mut p.stats, profiling.then_some(&mut p.costs));
             }
         }
-        let c = &mut p.stats.counters;
-        c.add(Counter::Tasks, p.stats.tasks);
-        // Mirror the scheduler counters into the observability set so the
-        // psme-obs JSON export carries them (zero under the paper
-        // schedulers, omitted from JSON).
-        c.add(Counter::Steals, p.stats.queue.steals);
-        c.add(Counter::StealFails, p.stats.queue.steal_fails);
-        c.add(Counter::Batches, p.stats.queue.batches);
         if profiling {
             self.node_costs.lock().absorb(&mut p.costs);
         }
@@ -427,13 +417,9 @@ pub struct ParallelEngine {
     config: EngineConfig,
     /// Per-cycle metrics log.
     pub metrics: MetricsLog,
-    /// Control-thread span recorder (match / §5.1 surgery / §5.2 update
-    /// phases; the embedding layer adds its own decide/chunk spans).
+    /// Control-thread phase totals (match / §5.1 surgery / §5.2 update;
+    /// the embedding layer keeps its own decide/chunk totals).
     pub recorder: Recorder,
-    /// Cycle-phase boundary events (PhaseBegin/PhaseEnd), same taxonomy
-    /// as the serve trace — drain into a `TraceLog` to merge engine and
-    /// serving timelines.
-    pub trace: TraceRing,
     cycle_count: u64,
 }
 
@@ -480,25 +466,15 @@ impl ParallelEngine {
                     .expect("spawn match process")
             })
             .collect();
-        let recorder = Recorder::new();
-        // Only the control thread emits (phase boundaries); its ring id
-        // stays one past the last match process's.
-        let trace = TraceRing::new(workers as u32, psme_obs::trace::RING_CAP, recorder.origin());
         ParallelEngine {
             shared,
             me: Process::default(),
             handles,
             config,
             metrics: MetricsLog::default(),
-            recorder,
-            trace,
+            recorder: Recorder::new(),
             cycle_count: 0,
         }
-    }
-
-    /// A control-thread trace event stamped with the current cycle.
-    fn emit(&mut self, kind: TraceKind, payload: u64) {
-        self.trace.emit(kind, SESSION_NONE, self.cycle_count, self.cycle_count, payload);
     }
 
     /// Number of match processes, the calling thread included.
@@ -521,7 +497,6 @@ impl ParallelEngine {
             Phase::Update => ControlPhase::StateUpdate,
         };
         let span = self.recorder.start(cphase);
-        self.emit(TraceKind::PhaseBegin(cphase), 0);
         let start = Instant::now();
         let s = &*self.shared;
         let mut called = false;
@@ -546,8 +521,7 @@ impl ParallelEngine {
             }
         }
         let wall_ns = start.elapsed().as_nanos() as u64;
-        self.recorder.finish_seq(span, self.cycle_count);
-        self.emit(TraceKind::PhaseEnd(cphase), wall_ns);
+        self.recorder.finish(span);
         let s = &*self.shared;
         debug_assert!(self.me.waiting() == 0 && s.queues.all_empty());
 
@@ -631,10 +605,8 @@ impl ParallelEngine {
         org: NetworkOrg,
     ) -> Result<AddOutcome, BuildError> {
         let surgery = self.recorder.start(ControlPhase::NetworkSurgery);
-        self.emit(TraceKind::PhaseBegin(ControlPhase::NetworkSurgery), 0);
         let add = self.shared.net.write().add_production(prod, org)?;
-        let surgery_ns = self.recorder.finish_seq(surgery, self.cycle_count);
-        self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), surgery_ns);
+        self.recorder.finish(surgery);
         let out = self.run_update(add.first_new);
         Ok(AddOutcome { add, update_tasks: out.tasks, cs: out.cs })
     }
@@ -669,21 +641,10 @@ impl ParallelEngine {
         org: NetworkOrg,
     ) -> Result<psme_rete::ReorgOutcome, BuildError> {
         let surgery = self.recorder.start(ControlPhase::NetworkSurgery);
-        self.emit(TraceKind::PhaseBegin(ControlPhase::NetworkSurgery), 0);
-        self.emit(TraceKind::ReorgPlanned, u64::from(prod_idx));
         let built = self.shared.net.write().reorg_build(prod_idx, org);
-        let rb = match built {
-            Ok(rb) => rb,
-            Err(e) => {
-                // Rolled back inside reorg_build: the live chain is intact.
-                let ns = self.recorder.finish_seq(surgery, self.cycle_count);
-                self.emit(TraceKind::ReorgRolledBack, u64::from(prod_idx));
-                self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), ns);
-                return Err(e);
-            }
-        };
-        let surgery_ns = self.recorder.finish_seq(surgery, self.cycle_count);
-        self.emit(TraceKind::PhaseEnd(ControlPhase::NetworkSurgery), surgery_ns);
+        self.recorder.finish(surgery);
+        // An error was rolled back inside reorg_build: the live chain is intact.
+        let rb = built?;
         let first_new = rb.first_new;
         let p_node = rb.p_node;
         let out = self.run_update(first_new);
@@ -692,7 +653,6 @@ impl ParallelEngine {
             net.reorg_commit(rb)
         };
         self.shared.mem.purge_nodes(&retired);
-        self.emit(TraceKind::ReorgCommitted, u64::from(prod_idx));
         if let Some(cm) = self.metrics.cycles.last_mut() {
             cm.counters.add(Counter::Reorganizations, 1);
         }

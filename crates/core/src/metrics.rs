@@ -19,8 +19,6 @@ pub struct CycleMetrics {
     pub queue: QueueStats,
     /// Spins on memory-line locks.
     pub mem_spins: u64,
-    /// Opposite-memory entries scanned.
-    pub scanned: u64,
     /// Per-line left-token access counts (only when histogram collection is
     /// on — Figure 6-2).
     pub left_bucket_accesses: Vec<u64>,
@@ -60,7 +58,6 @@ impl CycleMetrics {
         self.queue.merge(&ws.queue);
         self.tasks = self.tasks.saturating_add(ws.tasks);
         self.mem_spins = self.mem_spins.saturating_add(ws.mem_spins);
-        self.scanned = self.scanned.saturating_add(ws.scanned);
         self.counters.merge(&ws.counters);
     }
 
@@ -87,7 +84,6 @@ impl CycleMetrics {
             ("steal_fails".to_string(), Json::from(self.queue.steal_fails)),
             ("batches".to_string(), Json::from(self.queue.batches)),
             ("mem_spins".to_string(), Json::from(self.mem_spins)),
-            ("scanned".to_string(), Json::from(self.scanned)),
             ("spins_per_task".to_string(), Json::float(self.spins_per_task())),
             ("contention_per_task".to_string(), Json::float(self.contention_per_task())),
         ];
@@ -107,8 +103,6 @@ pub struct WorkerStats {
     pub tasks: u64,
     /// Memory-line lock spins.
     pub mem_spins: u64,
-    /// Opposite entries scanned.
-    pub scanned: u64,
     /// Observability counters (task mix, null activations, …), kept on the
     /// worker's stack and merged at the cycle barrier — no hot-path locks.
     pub counters: CounterSet,
@@ -121,7 +115,6 @@ impl WorkerStats {
         self.queue.merge(&o.queue);
         self.tasks = self.tasks.saturating_add(o.tasks);
         self.mem_spins = self.mem_spins.saturating_add(o.mem_spins);
-        self.scanned = self.scanned.saturating_add(o.scanned);
         self.counters.merge(&o.counters);
     }
 }
@@ -287,22 +280,22 @@ mod tests {
         let mut ws = WorkerStats { tasks: 100, mem_spins: u64::MAX, ..Default::default() };
         ws.queue.pop_spins = 3;
         ws.queue.pushes = 42;
-        ws.counters.add(psme_obs::Counter::Tasks, u64::MAX);
-        ws.counters.add(psme_obs::Counter::Steals, 7);
+        ws.counters.add(psme_obs::Counter::BetaTasks, u64::MAX);
+        ws.counters.add(psme_obs::Counter::NullActivations, 7);
         cm.absorb_worker(&ws);
         assert_eq!(cm.tasks, u64::MAX, "tasks saturate");
         assert_eq!(cm.queue.pop_spins, u64::MAX, "queue counters saturate");
         assert_eq!(cm.mem_spins, u64::MAX, "mem spins saturate");
         assert_eq!(cm.queue.pushes, 42, "non-overflowing fields stay exact");
-        assert_eq!(cm.counters.get(psme_obs::Counter::Tasks), u64::MAX);
+        assert_eq!(cm.counters.get(psme_obs::Counter::BetaTasks), u64::MAX);
         // A second merge on an already-saturated set stays put.
         let mut again = WorkerStats::default();
-        again.counters.add(psme_obs::Counter::Tasks, 1);
+        again.counters.add(psme_obs::Counter::BetaTasks, 1);
         again.tasks = 1;
         cm.absorb_worker(&again);
         assert_eq!(cm.tasks, u64::MAX);
-        assert_eq!(cm.counters.get(psme_obs::Counter::Tasks), u64::MAX);
-        assert_eq!(cm.counters.get(psme_obs::Counter::Steals), 7);
+        assert_eq!(cm.counters.get(psme_obs::Counter::BetaTasks), u64::MAX);
+        assert_eq!(cm.counters.get(psme_obs::Counter::NullActivations), 7);
     }
 
     #[test]
@@ -312,7 +305,7 @@ mod tests {
         let mut c = CycleMetrics { cycle: 0, tasks: 12, wall_ns: 3400, mem_spins: 6, ..Default::default() };
         c.phase = Some(Phase::Match);
         c.queue.pushes = 12;
-        c.counters.add(Counter::Tasks, 12);
+        c.counters.add(Counter::BetaTasks, 12);
         c.counters.add(Counter::NullActivations, 5);
         log.cycles.push(c);
         let j = log.to_json();

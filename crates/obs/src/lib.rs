@@ -3,22 +3,24 @@
 //! The paper's entire argument rests on *measurement*: Gupta's per-node
 //! activation counts, the null-activation overheads, the cost model behind
 //! the simulated speedups. This crate makes the same measurements
-//! first-class in the reproduction:
+//! first-class in the reproduction, each fact booked by one instrument:
 //!
-//! - [`rec`] — a hand-rolled span/event recorder for the control thread's
-//!   phases (match, conflict resolution, decide, chunk build, §5.1 network
-//!   surgery, §5.2 state update) plus lock-free per-worker counters
-//!   ([`rec::CounterSet`]) that workers accumulate thread-locally and flush
-//!   at the cycle barrier they already cross.
+//! - [`rec`] — per-phase totals for the control thread's phases (match,
+//!   conflict resolution, decide, chunk build, §5.1 network surgery, §5.2
+//!   state update), and the per-worker counters ([`rec::CounterSet`]) that
+//!   match processes accumulate thread-locally and flush at the cycle
+//!   barrier they already cross. Both enums are declared once, name and
+//!   all.
 //! - [`profile`] — a per-node profiler over [`psme_rete::TaskRecord`]
 //!   streams producing §6-style hot-spot reports: activations, null
 //!   activations, opposite-memory entries scanned, attributed cost, with a
 //!   top-K table keyed back to production names.
-//! - [`trace`] — the flight recorder: per-worker fixed-capacity event
-//!   rings (drop-oldest, per-worker sequence numbers, no hot-path
-//!   allocation or locking), a merged run-level [`trace::TraceLog`], an
-//!   anomaly-triggered [`trace::FlightRecorder`], and Chrome
-//!   `trace_event` export for `chrome://tracing` / Perfetto.
+//! - [`trace`] — the serving stack's event stream: per-worker
+//!   fixed-capacity event rings (drop-oldest, per-worker sequence numbers,
+//!   no hot-path allocation or locking), a merged run-level
+//!   [`trace::TraceLog`], an anomaly-triggered [`trace::FlightRecorder`]
+//!   with fixed triggers, and Chrome `trace_event` export for
+//!   `chrome://tracing` / Perfetto.
 //! - [`json`] — a dependency-free JSON value type, writer and strict
 //!   parser (the build environment has no serde).
 //! - [`report`] — plain-text table rendering and `BENCH_<name>.json`
@@ -38,9 +40,9 @@ pub mod trace;
 pub use json::Json;
 pub use profile::{HotSpotReport, NodeProfile, NodeProfiler};
 pub use quantiles::{Quantiles, Reservoir};
-pub use rec::{ControlPhase, Counter, CounterSet, PhaseTotal, Recorder, SpanRecord};
+pub use rec::{ControlPhase, Counter, CounterSet, PhaseTotal, Recorder};
 pub use report::{write_artifact, TextTable};
 pub use trace::{
-    DumpTrigger, FlightConfig, FlightDump, FlightRecorder, TraceConfig, TraceEvent, TraceKind,
-    TraceLog, TraceRing, SESSION_NONE,
+    DumpTrigger, FlightDump, FlightRecorder, TraceConfig, TraceEvent, TraceKind, TraceLog,
+    TraceRing, SESSION_NONE,
 };

@@ -16,9 +16,10 @@
 //!   serving loop already has (worker exit, end of run). Sealing sorts by
 //!   `(t_ns, worker, seq)` into one causally-ordered timeline.
 //! * **[`FlightRecorder`]** — an anomaly detector over the merged stream:
-//!   a slice that ran longer than a configurable multiple of the running
-//!   p99 (kept in a deterministic [`Reservoir`]), any shed, or a session
-//!   halt triggers a dump of the last N events — the "black box" readout.
+//!   a slice that ran longer than [`LATENCY_MULTIPLE`] × the running p99
+//!   (kept in a deterministic [`Reservoir`]), any shed, or a session halt
+//!   triggers a dump of the last [`FLIGHT_WINDOW`] events — the "black box"
+//!   readout.
 //! * **Export** — [`TraceLog::to_json`] is the compact run-trace artifact;
 //!   [`TraceLog::chrome_json`] emits Chrome `trace_event` JSON loadable in
 //!   `chrome://tracing` / Perfetto, with one track per worker, instant
@@ -36,13 +37,13 @@ use crate::rec::ControlPhase;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// `session` value for events not attributed to any session (engine
-/// phases on the control thread).
+/// `session` value for events not attributed to any session (simulated
+/// phases on the control track, connection-level frames).
 pub const SESSION_NONE: u32 = u32::MAX;
 
 /// What happened. The serving-loop lifecycle events carry the session id;
-/// the phase events reuse [`ControlPhase`] so engine traces and serve
-/// traces share one taxonomy.
+/// the phase events reuse [`ControlPhase`] so simulated cycle traces and
+/// serve traces share one taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceKind {
     /// Session took a table slot (batch staging or post-retire admit).
@@ -87,14 +88,10 @@ pub enum TraceKind {
     PhaseBegin(ControlPhase),
     /// A control phase closed (`arg_ns` = phase duration).
     PhaseEnd(ControlPhase),
-    /// The adaptive detector flagged a chain-dominant production;
-    /// `arg_ns` = the production index.
-    ReorgPlanned,
-    /// A mid-run reorganization committed; `arg_ns` = the production index.
+    /// Mid-run reorganizations committed inside a slice; `arg_ns` = how
+    /// many (a count, not a duration), `cycle_lo..cycle_hi` = the slice's
+    /// decision range.
     ReorgCommitted,
-    /// A mid-run rebuild failed and rolled back (the old chain kept
-    /// matching); `arg_ns` = the production index.
-    ReorgRolledBack,
 }
 
 impl TraceKind {
@@ -117,9 +114,7 @@ impl TraceKind {
             TraceKind::NetShed => "net_shed",
             TraceKind::PhaseBegin(_) => "phase_begin",
             TraceKind::PhaseEnd(_) => "phase_end",
-            TraceKind::ReorgPlanned => "reorg_planned",
             TraceKind::ReorgCommitted => "reorg_committed",
-            TraceKind::ReorgRolledBack => "reorg_rolled_back",
         }
     }
 
@@ -149,8 +144,9 @@ pub struct TraceEvent {
     pub cycle_lo: u64,
     /// One past the last decision cycle covered (slice events; 0 otherwise).
     pub cycle_hi: u64,
-    /// Kind-specific duration: queue wait for `SliceStart`, execution time
-    /// for `SliceEnd`, phase duration for `PhaseEnd`, else 0.
+    /// Kind-specific payload: queue wait for `SliceStart`, execution time
+    /// for `SliceEnd`, phase duration for `PhaseEnd`, the count for
+    /// `ReorgCommitted`, else 0.
     pub arg_ns: u64,
 }
 
@@ -191,20 +187,18 @@ pub const MERGED_CAP: usize = 1 << 20;
 pub struct TraceConfig {
     /// Master switch. Disabled rings make `emit` a single branch.
     pub enabled: bool,
-    /// Flight-recorder triggering.
-    pub flight: FlightConfig,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig { enabled: true, flight: FlightConfig::default() }
+        TraceConfig { enabled: true }
     }
 }
 
 impl TraceConfig {
     /// Tracing switched off entirely.
     pub fn disabled() -> TraceConfig {
-        TraceConfig { enabled: false, ..TraceConfig::default() }
+        TraceConfig { enabled: false }
     }
 }
 
@@ -580,9 +574,7 @@ impl TraceLog {
                 | TraceKind::NetAccepted
                 | TraceKind::NetRequest
                 | TraceKind::NetShed
-                | TraceKind::ReorgPlanned
-                | TraceKind::ReorgCommitted
-                | TraceKind::ReorgRolledBack => {
+                | TraceKind::ReorgCommitted => {
                     out.push(instant(e, us(e.t_ns), self.pid_of(e.worker)));
                 }
                 TraceKind::PhaseBegin(p) | TraceKind::PhaseEnd(p) => {
@@ -622,31 +614,21 @@ fn instant(e: &TraceEvent, ts: Json, pid: u32) -> Json {
     ])
 }
 
-/// Flight-recorder triggering knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct FlightConfig {
-    /// Events per dump (the "last N" window).
-    pub window: usize,
-    /// Trigger when a slice's execution time exceeds this multiple of the
-    /// running p99.
-    pub latency_multiple: f64,
-    /// Slice samples required before latency triggering arms (a cold p99
-    /// is noise).
-    pub min_samples: u64,
-    /// Dumps retained per run; further triggers only count.
-    pub max_dumps: usize,
-}
-
-impl Default for FlightConfig {
-    fn default() -> FlightConfig {
-        FlightConfig { window: 256, latency_multiple: 8.0, min_samples: 64, max_dumps: 8 }
-    }
-}
+/// Events per flight-recorder dump (the "last N" window).
+pub const FLIGHT_WINDOW: usize = 256;
+/// A slice triggers a dump when its execution time exceeds this multiple of
+/// the running p99.
+pub const LATENCY_MULTIPLE: f64 = 8.0;
+/// Slice samples required before latency triggering arms (a cold p99 is
+/// noise).
+pub const MIN_SAMPLES: u64 = 64;
+/// Dumps retained per run; further triggers only count.
+pub const MAX_DUMPS: usize = 8;
 
 /// Why a dump fired.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DumpTrigger {
-    /// A slice ran past `latency_multiple × running p99`.
+    /// A slice ran past [`LATENCY_MULTIPLE`] × the running p99.
     SliceLatency {
         /// The offending slice's execution time.
         exec_ns: u64,
@@ -714,47 +696,31 @@ impl FlightDump {
 
 /// The anomaly detector. Feed it the merged, sealed event stream (or live
 /// events in merge order); it keeps a sliding window of the last
-/// `cfg.window` events and dumps it on each trigger.
+/// [`FLIGHT_WINDOW`] events and dumps it on each trigger.
 ///
 /// Everything is a pure function of the event sequence: the same sealed
 /// log always produces the same triggers and the same dumps.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    /// Triggering configuration.
-    pub cfg: FlightConfig,
     window: VecDeque<TraceEvent>,
     lat: Reservoir,
     cached_p99: f64,
     since_refresh: u32,
-    /// Dumps captured (bounded by `cfg.max_dumps`).
+    /// Dumps captured (at most [`MAX_DUMPS`]).
     pub dumps: Vec<FlightDump>,
     /// Total triggers, including those past the dump cap.
     pub triggers: u64,
 }
 
-impl Default for FlightRecorder {
-    fn default() -> FlightRecorder {
-        FlightRecorder::new(FlightConfig::default())
-    }
-}
-
 impl FlightRecorder {
-    /// A recorder with the given triggering config.
-    pub fn new(cfg: FlightConfig) -> FlightRecorder {
-        FlightRecorder {
-            cfg,
-            window: VecDeque::with_capacity(cfg.window.max(1)),
-            lat: Reservoir::default(),
-            cached_p99: 0.0,
-            since_refresh: 0,
-            dumps: Vec::new(),
-            triggers: 0,
-        }
+    /// A recorder that has seen nothing.
+    pub fn new() -> FlightRecorder {
+        FlightRecorder::default()
     }
 
     /// Observe one event (in merge order).
     pub fn observe(&mut self, ev: TraceEvent) {
-        if self.window.len() >= self.cfg.window.max(1) {
+        if self.window.len() >= FLIGHT_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(ev);
@@ -763,9 +729,9 @@ impl FlightRecorder {
             TraceKind::Halted => self.trigger(DumpTrigger::Halt { session: ev.session }, &ev),
             TraceKind::SliceEnd => {
                 let exec = ev.arg_ns as f64;
-                if self.lat.seen() >= self.cfg.min_samples
+                if self.lat.seen() >= MIN_SAMPLES
                     && self.cached_p99 > 0.0
-                    && exec > self.cfg.latency_multiple * self.cached_p99
+                    && exec > LATENCY_MULTIPLE * self.cached_p99
                 {
                     self.trigger(
                         DumpTrigger::SliceLatency { exec_ns: ev.arg_ns, p99_ns: self.cached_p99 },
@@ -776,7 +742,7 @@ impl FlightRecorder {
                 self.since_refresh += 1;
                 // Refresh the running p99 periodically — recomputing exact
                 // quantiles per event would make the detector O(n²).
-                if self.since_refresh >= 32 || self.lat.seen() == self.cfg.min_samples {
+                if self.since_refresh >= 32 || self.lat.seen() == MIN_SAMPLES {
                     self.cached_p99 = self.lat.quantiles().p99;
                     self.since_refresh = 0;
                 }
@@ -799,7 +765,7 @@ impl FlightRecorder {
 
     fn trigger(&mut self, trigger: DumpTrigger, ev: &TraceEvent) {
         self.triggers += 1;
-        if self.dumps.len() < self.cfg.max_dumps {
+        if self.dumps.len() < MAX_DUMPS {
             self.dumps.push(FlightDump {
                 trigger,
                 t_ns: ev.t_ns,
@@ -987,8 +953,6 @@ mod tests {
 
     #[test]
     fn flight_recorder_triggers_on_shed_and_tail_latency() {
-        let cfg = FlightConfig { window: 4, latency_multiple: 4.0, min_samples: 8, max_dumps: 8 };
-        let mut fr = FlightRecorder::new(cfg);
         let mk = |t: u64, kind: TraceKind, arg: u64| TraceEvent {
             t_ns: t,
             worker: 0,
@@ -999,16 +963,29 @@ mod tests {
             cycle_hi: 0,
             arg_ns: arg,
         };
-        // Warm up the running p99 with uniform 100ns slices.
-        for t in 0..40 {
-            fr.observe(mk(t, TraceKind::SliceEnd, 100));
-        }
+        // Uniform 100 ns slices: enough to arm the latency trigger and to
+        // fill the window, then a 100× slice and a shed.
+        let warm = MIN_SAMPLES.max(FLIGHT_WINDOW as u64) + 16;
+        let mut stream: Vec<TraceEvent> =
+            (0..warm).map(|t| mk(t, TraceKind::SliceEnd, 100)).collect();
+        stream.push(mk(warm, TraceKind::SliceEnd, 10_000));
+        stream.push(mk(warm + 1, TraceKind::Shed, 0));
+
+        // A cold p99 is noise: the same outlier before MIN_SAMPLES slices
+        // triggers nothing.
+        let mut cold = FlightRecorder::new();
+        cold.scan(&stream[..MIN_SAMPLES as usize - 1]);
+        cold.observe(stream[warm as usize]);
+        assert_eq!(cold.triggers, 0, "latency trigger not armed yet");
+
+        let mut fr = FlightRecorder::new();
+        fr.scan(&stream[..warm as usize]);
         assert_eq!(fr.triggers, 0);
-        fr.observe(mk(100, TraceKind::SliceEnd, 10_000));
-        assert_eq!(fr.triggers, 1, "40× p99 slice must trigger");
+        fr.observe(stream[warm as usize]);
+        assert_eq!(fr.triggers, 1, "100× p99 slice must trigger");
         assert!(matches!(fr.dumps[0].trigger, DumpTrigger::SliceLatency { .. }));
-        assert_eq!(fr.dumps[0].events.len(), 4, "window of last N events");
-        fr.observe(mk(101, TraceKind::Shed, 0));
+        assert_eq!(fr.dumps[0].events.len(), FLIGHT_WINDOW, "window of last N events");
+        fr.observe(stream[warm as usize + 1]);
         assert_eq!(fr.triggers, 2, "any shed triggers");
         assert!(matches!(fr.dumps[1].trigger, DumpTrigger::Shed { session: 1 }));
         assert!(
@@ -1016,12 +993,8 @@ mod tests {
             "dump contains the shed event"
         );
         // Determinism: replaying the same stream reproduces the dumps.
-        let mut fr2 = FlightRecorder::new(cfg);
-        for t in 0..40 {
-            fr2.observe(mk(t, TraceKind::SliceEnd, 100));
-        }
-        fr2.observe(mk(100, TraceKind::SliceEnd, 10_000));
-        fr2.observe(mk(101, TraceKind::Shed, 0));
+        let mut fr2 = FlightRecorder::new();
+        fr2.scan(&stream);
         assert_eq!(fr2.triggers, fr.triggers);
         assert_eq!(fr2.dumps.len(), fr.dumps.len());
         for (a, b) in fr.dumps.iter().zip(&fr2.dumps) {

@@ -630,9 +630,8 @@ fn run_slice(
     }
     let cyc1 = sess.agent.stats.decisions;
     let exec_ns = slice_start.elapsed().as_nanos() as u64;
-    // Reorganizations committed inside this slice (arg = count, not ns:
-    // the per-reorg production index lives in the agent's own trace; here
-    // the session id is the useful coordinate).
+    // Reorganizations committed inside this slice (arg = count, not ns;
+    // which productions were rebuilt is in the agent's `org_overrides`).
     let reorgs = sess.agent.stats.reorganizations - reorg0;
     if reorgs > 0 {
         ring.emit(TraceKind::ReorgCommitted, idx as u32, cyc0, cyc1, reorgs);
@@ -1015,7 +1014,7 @@ fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
         }
     }
     trace.seal();
-    let mut flight = FlightRecorder::new(cfg.trace.flight);
+    let mut flight = FlightRecorder::new();
     flight.scan(&trace.events);
 
     let sessions: Vec<SessionReport> = reports

@@ -90,10 +90,10 @@ pub struct Agent<E: MatchEngine> {
     pub reorg_detector: Option<ChainDetector>,
     /// Elaboration-cycle budget per phase (runaway guard).
     pub max_elab_cycles: u64,
-    /// Control-thread span recorder: match, conflict resolution, decide and
-    /// chunk-build phases as seen from the agent loop. (The parallel
-    /// engine's own recorder separately splits §5.1 network surgery from
-    /// the §5.2 state update; reporting layers absorb both.)
+    /// Control-thread phase totals as seen from the agent loop: match,
+    /// conflict resolution, decide, chunk build and network surgery. No two
+    /// of these spans overlap. (The parallel engine's own recorder
+    /// separately splits §5.1 network surgery from the §5.2 state update.)
     pub recorder: Recorder,
 }
 
@@ -153,7 +153,7 @@ impl<E: MatchEngine> Agent<E> {
                     // Rolled back; keep matching on the old chain.
                 }
             }
-            self.recorder.finish_seq(span, self.stats.decisions);
+            self.recorder.finish(span);
         }
         self.reorg_detector = Some(det);
     }
@@ -178,7 +178,7 @@ impl<E: MatchEngine> Agent<E> {
         // compile from the §5.2 state update.
         let span = self.recorder.start(ControlPhase::NetworkSurgery);
         let out = self.engine.add_production(p.clone(), org).map_err(|e| e.to_string())?;
-        self.recorder.finish_seq(span, self.stats.decisions);
+        self.recorder.finish(span);
         self.stats.update_tasks += out.update_tasks;
         self.prods.insert(p.name, p);
         self.merge_cs(out.cs);
@@ -214,8 +214,7 @@ impl<E: MatchEngine> Agent<E> {
             self.stats.wme_adds += 1;
             changes.push((id, 1));
         }
-        let out = self.engine.run_changes(changes);
-        self.merge_cs(out.cs);
+        self.match_changes(changes);
     }
 
     /// Create the top goal; returns its identifier.
@@ -228,9 +227,20 @@ impl<E: MatchEngine> Agent<E> {
         let (id, _) = self.engine.add_wme(w.clone());
         self.book.note_add(id, &w, 0, Provenance::Arch { sources: vec![] }, false);
         self.stats.wme_adds += 1;
-        let out = self.engine.run_changes(vec![(id, 1)]);
-        self.merge_cs(out.cs);
+        self.match_changes(vec![(id, 1)]);
         g
+    }
+
+    /// Match a batch of wme changes and fold the outcome into the conflict
+    /// set. Every match the agent starts runs here, so `Match` and
+    /// `ConflictResolution` are each timed once, inside no other span.
+    fn match_changes(&mut self, changes: Vec<(WmeId, i32)>) {
+        let span = self.recorder.start(ControlPhase::Match);
+        let out = self.engine.run_changes(changes);
+        self.recorder.finish(span);
+        let span = self.recorder.start(ControlPhase::ConflictResolution);
+        self.merge_cs(out.cs);
+        self.recorder.finish(span);
     }
 
     fn merge_cs(&mut self, delta: CsDelta) {
@@ -372,18 +382,13 @@ impl<E: MatchEngine> Agent<E> {
                 let built = self.engine.with_store(|s| {
                     self.chunker.build(req, &self.book, s, &self.classes, &lookup)
                 });
-                self.recorder.finish_seq(span, self.stats.decisions);
+                self.recorder.finish(span);
                 if let Some(chunk) = built {
                     pending_chunks.push(chunk);
                 }
             }
         }
-        let span = self.recorder.start(ControlPhase::Match);
-        let out = self.engine.run_changes(changes);
-        self.recorder.finish_seq(span, self.stats.decisions);
-        let span = self.recorder.start(ControlPhase::ConflictResolution);
-        self.merge_cs(out.cs);
-        self.recorder.finish_seq(span, self.stats.decisions);
+        self.match_changes(changes);
         // "Soar adds chunks only at the end of an elaboration cycle, i.e.,
         // when the match is quiescent" (§5.1).
         for chunk in pending_chunks {
@@ -417,13 +422,14 @@ impl<E: MatchEngine> Agent<E> {
     }
 
     /// The decision phase: apply the decision procedure, perform the wme
-    /// surgery and reachability GC. Returns `false` when stuck.
-    fn decision_phase(&mut self) -> bool {
+    /// surgery and reachability GC. Returns the wme changes to match, or
+    /// `None` when stuck.
+    fn decision_phase(&mut self) -> Option<Vec<(WmeId, i32)>> {
         let prefs = self.collect_preferences();
         let d = decide(&self.stack, &prefs);
         self.stats.decisions += 1;
         match d {
-            Decision::Stuck => false,
+            Decision::Stuck => None,
             Decision::Change { goal_idx, role, winner } => {
                 self.stack.truncate(goal_idx + 1);
                 {
@@ -459,8 +465,7 @@ impl<E: MatchEngine> Agent<E> {
                         .collect();
                     adds.push((wme, g.level, Provenance::Arch { sources }));
                 }
-                self.apply_decision_changes(adds);
-                true
+                Some(self.install_decision_changes(adds))
             }
             Decision::NewImpasse { parent_idx, key } => {
                 self.stack.truncate(parent_idx + 1);
@@ -514,14 +519,17 @@ impl<E: MatchEngine> Agent<E> {
                         Provenance::Arch { sources },
                     ));
                 }
-                self.apply_decision_changes(adds);
-                true
+                Some(self.install_decision_changes(adds))
             }
         }
     }
 
-    /// Install decision-phase wmes, garbage-collect, and run one match.
-    fn apply_decision_changes(&mut self, adds: Vec<(Wme, u32, Provenance)>) {
+    /// Garbage-collect and install decision-phase wmes; returns the
+    /// changes for the match that follows.
+    fn install_decision_changes(
+        &mut self,
+        adds: Vec<(Wme, u32, Provenance)>,
+    ) -> Vec<(WmeId, i32)> {
         let mut changes: Vec<(WmeId, i32)> = Vec::new();
         for id in self.gc_removals() {
             let w = self.engine.with_store(|s| s.get(id).clone());
@@ -540,8 +548,7 @@ impl<E: MatchEngine> Agent<E> {
             self.stats.wme_adds += 1;
             changes.push((id, 1));
         }
-        let out = self.engine.run_changes(changes);
-        self.merge_cs(out.cs);
+        changes
     }
 
     /// Reachability GC: "the decision module keeps track of which wmes are
@@ -694,12 +701,12 @@ impl<E: MatchEngine> Agent<E> {
         if self.stats.decisions >= max_decisions {
             return Some(StopReason::DecisionLimit);
         }
+        // `Decide` closes before the match its changes start.
         let span = self.recorder.start(ControlPhase::Decide);
-        let progressed = self.decision_phase();
-        self.recorder.finish_seq(span, self.stats.decisions);
-        if !progressed {
-            return Some(StopReason::Stuck);
-        }
+        let changes = self.decision_phase();
+        self.recorder.finish(span);
+        let Some(changes) = changes else { return Some(StopReason::Stuck) };
+        self.match_changes(changes);
         None
     }
 

@@ -5,10 +5,16 @@
 //! preventing the impasse, on both the serial and the parallel engine.
 
 use psme_core::{EngineConfig, MatchEngine, ParallelEngine, Scheduler};
-use psme_ops::{intern, parse_program, parse_wme, ClassRegistry};
-use psme_rete::{ReteNetwork, SerialEngine};
+use psme_obs::ControlPhase;
+use psme_ops::{
+    intern, parse_program, parse_wme, ClassRegistry, Instantiation, Production, TimeTag, Wme, WmeId,
+};
+use psme_rete::{
+    AddOutcome, BuildError, CycleOutcome, NetworkOrg, ReteNetwork, SerialEngine, WmeStore,
+};
 use psme_soar::{declare_arch_classes, Agent, SoarTask, StopReason};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The "fruit boxes" task: two boxes with different payoffs; opening the
 /// fuller one is better. Forces exactly one operator tie.
@@ -164,4 +170,74 @@ fn garbage_collection_reclaims_subgoal_structure() {
         }
     });
     assert!(agent.stats.wme_removes > 0, "GC actually removed wmes");
+}
+
+/// A serial engine whose every match takes at least [`Slow::MATCH`] and is
+/// counted, so the agent's phase totals can be checked against known time.
+struct Slow {
+    inner: SerialEngine,
+    matches: u64,
+}
+
+impl Slow {
+    const MATCH: Duration = Duration::from_millis(4);
+
+    fn slow<R>(&mut self, f: impl FnOnce(&mut SerialEngine) -> R) -> R {
+        self.matches += 1;
+        std::thread::sleep(Self::MATCH);
+        f(&mut self.inner)
+    }
+}
+
+impl MatchEngine for Slow {
+    fn apply_changes(&mut self, adds: Vec<Wme>, removes: Vec<WmeId>) -> CycleOutcome {
+        self.slow(|e| e.apply_changes(adds, removes))
+    }
+    fn add_wme(&mut self, w: Wme) -> (WmeId, TimeTag) {
+        MatchEngine::add_wme(&mut self.inner, w)
+    }
+    fn remove_wme(&mut self, id: WmeId) -> bool {
+        MatchEngine::remove_wme(&mut self.inner, id)
+    }
+    fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome {
+        self.slow(|e| MatchEngine::run_changes(e, changes))
+    }
+    fn add_production(
+        &mut self,
+        prod: Arc<Production>,
+        org: NetworkOrg,
+    ) -> Result<AddOutcome, BuildError> {
+        self.inner.add_production(prod, org)
+    }
+    fn with_store<R>(&self, f: impl FnOnce(&WmeStore) -> R) -> R {
+        MatchEngine::with_store(&self.inner, f)
+    }
+    fn num_net_nodes(&self) -> usize {
+        MatchEngine::num_net_nodes(&self.inner)
+    }
+    fn current_instantiations(&self) -> Vec<Instantiation> {
+        self.inner.current_instantiations()
+    }
+}
+
+/// The agent's recorder times every match it starts — installation,
+/// elaboration and decision phase alike — once, as `Match`, and `Decide`
+/// encloses none of them.
+#[test]
+fn recorder_sees_every_match_once_and_decide_none() {
+    let slow = Slow { inner: SerialEngine::new(ReteNetwork::new()), matches: 0 };
+    let (agent, stop) = run_learning(slow);
+    assert_eq!(stop, StopReason::Halted);
+    let calls = agent.engine.matches;
+    let s_ns = Slow::MATCH.as_nanos() as u64;
+    let matched = agent.recorder.total(ControlPhase::Match);
+    assert_eq!(matched.count, calls, "one Match span per engine match");
+    assert!(matched.total_ns >= s_ns * calls, "Match covers every match: {matched:?}");
+    let decisions = agent.stats.decisions;
+    let decide = agent.recorder.total(ControlPhase::Decide);
+    assert_eq!(decide.count, decisions);
+    assert!(
+        decide.total_ns < s_ns / 2 * decisions,
+        "Decide encloses no match: {decide:?} over {decisions} decisions"
+    );
 }

@@ -2,8 +2,8 @@
 # Tier-1 gate: everything that must stay green on every commit.
 #
 #   build (release) -> tests (all crates) -> bench targets build ->
-#   benchmark build -> committed artifacts regenerate and compare ->
-#   clippy (deny warnings)
+#   benchmark build -> benchmark tests -> committed artifacts regenerate and
+#   compare -> clippy (deny warnings)
 #
 # Runs fully offline against the vendored stub crates. If cargo still tries
 # to reach a registry (e.g. a stale lockfile on a fresh checkout), we retry
@@ -103,6 +103,9 @@ run_step "bench targets build" cargo bench -p psme-bench --bench '*' --no-run ||
 # `pub` items of crates/*: build it, so a change that breaks the driver's
 # command fails this gate instead of the pipeline.
 run_step "benchmark build" cargo build --release --offline --manifest-path benchmark/Cargo.toml || fail=1
+# ... and run its own tests: they read `agent.recorder`, `MetricsLog` and
+# `Counter::LineLockAcquisitions` from traced runs (about 45 s).
+run_step "benchmark tests" cargo test --release --offline --manifest-path benchmark/Cargo.toml || fail=1
 
 # A committed crates/bench/BENCH_<name>.json is written by the modeled bench
 # target <name>, which reads no clock and asserts its own gates: regenerate
