@@ -9,13 +9,12 @@
 //!   conflict resolution, decide, chunk build, §5.1 network surgery, §5.2
 //!   state update), and the per-worker counters ([`rec::CounterSet`]) that
 //!   match processes accumulate thread-locally and flush at the cycle
-//!   barrier they already cross. Both enums are declared once, name and
-//!   all.
+//!   barrier they already cross.
 //! - [`profile`] — a per-node profiler over [`psme_rete::TaskRecord`]
 //!   streams producing §6-style hot-spot reports: activations, null
 //!   activations, opposite-memory entries scanned, attributed cost, with a
 //!   top-K table keyed back to production names.
-//! - [`trace`] — the serving stack's event stream: per-worker
+//! - [`trace`] — the serving loop's event stream: per-worker
 //!   fixed-capacity event rings (drop-oldest, per-worker sequence numbers,
 //!   no hot-path allocation or locking), a merged run-level
 //!   [`trace::TraceLog`], an anomaly-triggered [`trace::FlightRecorder`]
@@ -26,9 +25,36 @@
 //! - [`report`] — plain-text table rendering and `BENCH_<name>.json`
 //!   artifact emission for the bench harness.
 //!
+//! The three taxonomies — [`ControlPhase`], [`Counter`] and [`TraceKind`] —
+//! are each declared once, name and all, by `named_enum!`.
+//!
 //! Everything is deliberately free of external dependencies and of hot-path
 //! synchronization: recording is owned by the thread doing the work, and
 //! aggregation happens at barriers that already exist.
+
+/// A fieldless enum declared as `Variant = "json_name"` lines; the enum, its
+/// `ALL` (declaration order = reporting order) and `name()` all come from
+/// the one list.
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident = $name:literal,)+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum $ty { $($(#[$vmeta])* $v,)+ }
+
+        impl $ty {
+            /// Every variant, in reporting order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$v),+];
+
+            /// Stable snake_case name (its JSON spelling).
+            pub fn name(self) -> &'static str {
+                match self { $($ty::$v => $name,)+ }
+            }
+        }
+    };
+}
 
 pub mod json;
 pub mod profile;
@@ -44,5 +70,5 @@ pub use rec::{ControlPhase, Counter, CounterSet, PhaseTotal, Recorder};
 pub use report::{write_artifact, TextTable};
 pub use trace::{
     DumpTrigger, FlightDump, FlightRecorder, TraceConfig, TraceEvent, TraceKind, TraceLog,
-    TraceRing, SESSION_NONE,
+    TraceRing,
 };

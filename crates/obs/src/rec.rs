@@ -21,30 +21,6 @@
 use crate::json::Json;
 use std::time::Instant;
 
-/// A fieldless enum declared as `Variant = "json_key"` lines; the enum, its
-/// `ALL` (declaration order = reporting order) and `name()` all come from
-/// the one list.
-macro_rules! named_enum {
-    (
-        $(#[$meta:meta])*
-        pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident = $name:literal,)+ }
-    ) => {
-        $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        pub enum $ty { $($(#[$vmeta])* $v,)+ }
-
-        impl $ty {
-            /// Every variant, in reporting order.
-            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$v),+];
-
-            /// Stable snake_case name (used as the JSON key).
-            pub fn name(self) -> &'static str {
-                match self { $($ty::$v => $name,)+ }
-            }
-        }
-    };
-}
-
 named_enum! {
     /// The control-thread phases of one production-system cycle (plus the
     /// run-time learning phases of §5).
@@ -292,8 +268,8 @@ mod tests {
     }
 
     /// The names leave the process as JSON keys (`MetricsLog::to_json`, the
-    /// harness's `agent_phases` / `engine_phases`): the macro must spell them
-    /// as they were spelled by hand.
+    /// harness's `agent_phases` / `engine_phases`) and as the trace's event
+    /// kinds: the macro must spell them as they were spelled by hand.
     #[test]
     fn exported_names_are_pinned() {
         assert_eq!(
@@ -323,6 +299,26 @@ mod tests {
                 "chunk_build",
                 "network_surgery",
                 "state_update",
+            ]
+        );
+        assert_eq!(
+            crate::TraceKind::ALL.map(crate::TraceKind::name),
+            [
+                "admitted",
+                "enqueued",
+                "slice_start",
+                "slice_end",
+                "reenqueued",
+                "retired",
+                "shed",
+                "halted",
+                "hibernated",
+                "resumed",
+                "cross_shard_steal",
+                "net_accepted",
+                "net_request",
+                "net_shed",
+                "reorg_committed",
             ]
         );
     }

@@ -28,115 +28,74 @@
 //!
 //! Event timestamps are nanoseconds from a run origin the caller supplies
 //! (one `Instant` shared by all rings of a run), so per-worker streams
-//! merge on a common clock. Simulated runs ([`TraceRing::emit_at`]) stamp
-//! virtual time instead — the DES sweeps emit the same event stream.
+//! merge on a common clock. [`TraceRing::emit_at`] takes an explicit
+//! timestamp instead, so a test can build a deterministic stream.
 
 use crate::json::Json;
 use crate::quantiles::Reservoir;
-use crate::rec::ControlPhase;
 use std::collections::VecDeque;
 use std::time::Instant;
 
-/// `session` value for events not attributed to any session (simulated
-/// phases on the control track, connection-level frames).
-pub const SESSION_NONE: u32 = u32::MAX;
-
-/// What happened. The serving-loop lifecycle events carry the session id;
-/// the phase events reuse [`ControlPhase`] so simulated cycle traces and
-/// serve traces share one taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// Session took a table slot (batch staging or post-retire admit).
-    Admitted,
-    /// Session entered the dispatch queues for the first time.
-    Enqueued,
-    /// Worker popped the session; `arg_ns` = queue wait, `cycle_lo` = the
-    /// session's decision count entering the slice.
-    SliceStart,
-    /// Slice finished; `arg_ns` = execution time, `cycle_lo..cycle_hi` =
-    /// the decision range the slice covered.
-    SliceEnd,
-    /// Session went back into the dispatch queues after a slice.
-    Reenqueued,
-    /// Session completed and left the table.
-    Retired,
-    /// Session shed by admission backpressure (never ran).
-    Shed,
-    /// Session executed `(halt)`.
-    Halted,
-    /// Session hibernated out of the table under memory pressure;
-    /// `arg_ns` = snapshot size in bytes.
-    Hibernated,
-    /// Session resumed from a snapshot on its next dispatch; `arg_ns` =
-    /// resume latency (decode + journal replay), nanoseconds.
-    Resumed,
-    /// A worker ran a session stolen from another shard's queues —
-    /// cross-shard work-stealing fired because the thief's own pool was
-    /// empty; `arg_ns` = the session's home shard id.
-    CrossShardSteal,
-    /// The network front-end accepted a connection; `session` = the
-    /// connection id, `arg_ns` unused.
-    NetAccepted,
-    /// A decoded request frame entered the serving stack (wire arrival —
-    /// the open-loop injection point); `session` = the session the request
-    /// addresses, or [`SESSION_NONE`] for connection-level frames.
-    NetRequest,
-    /// A shed notification left for a client: admission backpressure
-    /// displaced this session after it was accepted over the wire.
-    NetShed,
-    /// A control phase opened (`arg_ns` unused).
-    PhaseBegin(ControlPhase),
-    /// A control phase closed (`arg_ns` = phase duration).
-    PhaseEnd(ControlPhase),
-    /// Mid-run reorganizations committed inside a slice; `arg_ns` = how
-    /// many (a count, not a duration), `cycle_lo..cycle_hi` = the slice's
-    /// decision range.
-    ReorgCommitted,
-}
-
-impl TraceKind {
-    /// Stable snake_case name (used as the JSON discriminant).
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceKind::Admitted => "admitted",
-            TraceKind::Enqueued => "enqueued",
-            TraceKind::SliceStart => "slice_start",
-            TraceKind::SliceEnd => "slice_end",
-            TraceKind::Reenqueued => "reenqueued",
-            TraceKind::Retired => "retired",
-            TraceKind::Shed => "shed",
-            TraceKind::Halted => "halted",
-            TraceKind::Hibernated => "hibernated",
-            TraceKind::Resumed => "resumed",
-            TraceKind::CrossShardSteal => "cross_shard_steal",
-            TraceKind::NetAccepted => "net_accepted",
-            TraceKind::NetRequest => "net_request",
-            TraceKind::NetShed => "net_shed",
-            TraceKind::PhaseBegin(_) => "phase_begin",
-            TraceKind::PhaseEnd(_) => "phase_end",
-            TraceKind::ReorgCommitted => "reorg_committed",
-        }
-    }
-
-    /// The control phase, for phase-boundary events.
-    pub fn phase(self) -> Option<ControlPhase> {
-        match self {
-            TraceKind::PhaseBegin(p) | TraceKind::PhaseEnd(p) => Some(p),
-            _ => None,
-        }
+named_enum! {
+    /// What happened to a session in the serving loop (or, for the `net_*`
+    /// kinds, at its network front-end). Every event carries the session
+    /// id (`NetAccepted`: the connection id).
+    pub enum TraceKind {
+        /// Session took a table slot (batch staging or post-retire admit).
+        Admitted = "admitted",
+        /// Session entered the dispatch queues for the first time.
+        Enqueued = "enqueued",
+        /// Worker popped the session; `arg_ns` = queue wait, `cycle_lo` =
+        /// the session's decision count entering the slice.
+        SliceStart = "slice_start",
+        /// Slice finished; `arg_ns` = execution time, `cycle_lo..cycle_hi`
+        /// = the decision range the slice covered.
+        SliceEnd = "slice_end",
+        /// Session went back into the dispatch queues after a slice.
+        Reenqueued = "reenqueued",
+        /// Session completed and left the table.
+        Retired = "retired",
+        /// Session shed by admission backpressure (never ran).
+        Shed = "shed",
+        /// Session executed `(halt)`.
+        Halted = "halted",
+        /// Session hibernated out of the table under memory pressure;
+        /// `arg_ns` = snapshot size in bytes.
+        Hibernated = "hibernated",
+        /// Session resumed from a snapshot on its next dispatch; `arg_ns` =
+        /// resume latency (decode + journal replay), nanoseconds.
+        Resumed = "resumed",
+        /// A worker ran a session stolen from another shard's queues —
+        /// cross-shard work-stealing fired because the thief's own pool was
+        /// empty; `arg_ns` = the session's home shard id.
+        CrossShardSteal = "cross_shard_steal",
+        /// The network front-end accepted a connection; `session` = the
+        /// connection id, `arg_ns` unused.
+        NetAccepted = "net_accepted",
+        /// A decoded request frame entered the serving stack (wire arrival
+        /// — the open-loop injection point); `session` = the session the
+        /// request addresses.
+        NetRequest = "net_request",
+        /// A shed notification left for a client: admission backpressure
+        /// displaced this session after it was accepted over the wire.
+        NetShed = "net_shed",
+        /// Mid-run reorganizations committed inside a slice; `arg_ns` = how
+        /// many (a count, not a duration), `cycle_lo..cycle_hi` = the
+        /// slice's decision range.
+        ReorgCommitted = "reorg_committed",
     }
 }
 
 /// One trace event. `Copy` and flat — a ring slot is a plain array write.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TraceEvent {
-    /// Nanoseconds since the run origin (virtual time in DES traces).
+    /// Nanoseconds since the run origin.
     pub t_ns: u64,
     /// Emitting worker (the control thread uses an id past the last worker).
     pub worker: u32,
     /// Monotonic per-worker sequence number.
     pub seq: u64,
-    /// Session id, or [`SESSION_NONE`].
+    /// Session id.
     pub session: u32,
     /// Event type.
     pub kind: TraceKind,
@@ -145,8 +104,8 @@ pub struct TraceEvent {
     /// One past the last decision cycle covered (slice events; 0 otherwise).
     pub cycle_hi: u64,
     /// Kind-specific payload: queue wait for `SliceStart`, execution time
-    /// for `SliceEnd`, phase duration for `PhaseEnd`, the count for
-    /// `ReorgCommitted`, else 0.
+    /// for `SliceEnd`, the count for `ReorgCommitted`, else 0 (see
+    /// [`TraceKind`]).
     pub arg_ns: u64,
 }
 
@@ -158,13 +117,8 @@ impl TraceEvent {
             ("w".to_string(), Json::from(self.worker)),
             ("seq".to_string(), Json::from(self.seq)),
             ("kind".to_string(), Json::from(self.kind.name())),
+            ("session".to_string(), Json::from(self.session)),
         ];
-        if self.session != SESSION_NONE {
-            fields.push(("session".to_string(), Json::from(self.session)));
-        }
-        if let Some(p) = self.kind.phase() {
-            fields.push(("phase".to_string(), Json::from(p.name())));
-        }
         if self.cycle_lo != 0 || self.cycle_hi != 0 {
             fields.push(("cycle_lo".to_string(), Json::from(self.cycle_lo)));
             fields.push(("cycle_hi".to_string(), Json::from(self.cycle_hi)));
@@ -182,7 +136,7 @@ pub const RING_CAP: usize = 4096;
 pub const MERGED_CAP: usize = 1 << 20;
 
 /// Tracing configuration, embedded in the serve config (always-on by
-/// default — the `trace_overhead` bench gates the cost).
+/// default — the `trace_overhead` bench prints its cost against a budget).
 #[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Master switch. Disabled rings make `emit` a single branch.
@@ -297,20 +251,10 @@ impl TraceRing {
             return;
         }
         let t_ns = self.origin.elapsed().as_nanos() as u64;
-        self.push(TraceEvent {
-            t_ns,
-            worker: self.worker,
-            seq: 0,
-            session,
-            kind,
-            cycle_lo,
-            cycle_hi,
-            arg_ns,
-        });
+        self.emit_at(t_ns, kind, session, cycle_lo, cycle_hi, arg_ns);
     }
 
-    /// Emit an event at an explicit timestamp (virtual DES time, or a
-    /// retro-stamped span boundary).
+    /// Emit an event at an explicit timestamp (a deterministic test stream).
     #[inline]
     pub fn emit_at(
         &mut self,
@@ -324,21 +268,16 @@ impl TraceRing {
         if !self.enabled {
             return;
         }
-        self.push(TraceEvent {
+        let ev = TraceEvent {
             t_ns,
             worker: self.worker,
-            seq: 0,
+            seq: self.next_seq,
             session,
             kind,
             cycle_lo,
             cycle_hi,
             arg_ns,
-        });
-    }
-
-    #[inline]
-    fn push(&mut self, mut ev: TraceEvent) {
-        ev.seq = self.next_seq;
+        };
         self.next_seq += 1;
         if self.buf.len() < self.cap {
             self.buf.push(ev);
@@ -459,8 +398,7 @@ impl TraceLog {
     /// to their own process (`shard-N` track group) so Perfetto shows one
     /// group per shard. Slices appear as complete (`X`) events spanning
     /// their execution time; admission-control events are instants; a
-    /// session's hops between workers are flow arrows keyed by session id;
-    /// control phases are `B`/`E` pairs on the emitting worker's track.
+    /// session's hops between workers are flow arrows keyed by session id.
     pub fn chrome_json(&self) -> Json {
         let us = |t_ns: u64| Json::float(t_ns as f64 / 1e3);
         let mut out: Vec<Json> = Vec::new();
@@ -577,17 +515,6 @@ impl TraceLog {
                 | TraceKind::ReorgCommitted => {
                     out.push(instant(e, us(e.t_ns), self.pid_of(e.worker)));
                 }
-                TraceKind::PhaseBegin(p) | TraceKind::PhaseEnd(p) => {
-                    let ph = if matches!(e.kind, TraceKind::PhaseBegin(_)) { "B" } else { "E" };
-                    out.push(Json::obj([
-                        ("name", Json::from(p.name())),
-                        ("cat", Json::from("phase")),
-                        ("ph", Json::from(ph)),
-                        ("ts", us(e.t_ns)),
-                        ("pid", Json::from(self.pid_of(e.worker))),
-                        ("tid", Json::from(e.worker)),
-                    ]));
-                }
             }
         }
         Json::obj([
@@ -598,13 +525,8 @@ impl TraceLog {
 }
 
 fn instant(e: &TraceEvent, ts: Json, pid: u32) -> Json {
-    let name = if e.session == SESSION_NONE {
-        e.kind.name().to_string()
-    } else {
-        format!("{} s{}", e.kind.name(), e.session)
-    };
     Json::obj([
-        ("name", Json::from(name)),
+        ("name", Json::from(format!("{} s{}", e.kind.name(), e.session))),
         ("cat", Json::from("serve")),
         ("ph", Json::from("i")),
         ("s", Json::from("t")),
@@ -851,8 +773,6 @@ mod tests {
         r.emit_at(10, TraceKind::SliceStart, 3, 0, 0, 4);
         r.emit_at(30, TraceKind::SliceEnd, 3, 0, 8, 20);
         ev(&mut r, 31, TraceKind::Reenqueued, 3);
-        r.emit_at(40, TraceKind::PhaseBegin(ControlPhase::Match), SESSION_NONE, 0, 0, 0);
-        r.emit_at(45, TraceKind::PhaseEnd(ControlPhase::Match), SESSION_NONE, 0, 0, 5);
         ev(&mut r, 50, TraceKind::Halted, 3);
         log.absorb(&mut r);
         log.seal();
@@ -861,7 +781,7 @@ mod tests {
         let evs = parsed.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
         let phs: Vec<&str> =
             evs.iter().filter_map(|e| e.get("ph").and_then(Json::as_str)).collect();
-        for needed in ["M", "X", "i", "s", "f", "B", "E"] {
+        for needed in ["M", "X", "i", "s", "f"] {
             assert!(phs.contains(&needed), "missing ph {needed:?} in {phs:?}");
         }
         // The X slice reconstructs its start from end - exec.

@@ -7,22 +7,12 @@
 //! parser, which accepts nothing sloppy).
 
 use proptest::prelude::*;
-use psme_obs::{Json, TraceEvent, TraceKind, TraceLog, TraceRing, SESSION_NONE};
+use psme_obs::{Json, TraceKind, TraceLog, TraceRing};
 use std::time::Instant;
 
-/// An arbitrary event-kind index → concrete kind (session-carrying only;
-/// phase events are exercised by the unit tests).
+/// An arbitrary event-kind index → concrete kind, over every kind.
 fn kind_of(ix: u8) -> TraceKind {
-    match ix % 8 {
-        0 => TraceKind::Admitted,
-        1 => TraceKind::Enqueued,
-        2 => TraceKind::SliceStart,
-        3 => TraceKind::SliceEnd,
-        4 => TraceKind::Reenqueued,
-        5 => TraceKind::Retired,
-        6 => TraceKind::Shed,
-        _ => TraceKind::Halted,
-    }
+    TraceKind::ALL[ix as usize % TraceKind::ALL.len()]
 }
 
 proptest! {
@@ -33,7 +23,7 @@ proptest! {
     #[test]
     fn ring_is_bounded_with_exact_drop_oldest_accounting(
         cap in 1usize..40,
-        emits in proptest::collection::vec((0u64..1_000_000, 0u8..8, 0u32..16), 0..200),
+        emits in proptest::collection::vec((0u64..1_000_000, any::<u8>(), 0u32..16), 0..200),
     ) {
         let mut ring = TraceRing::new(3, cap, Instant::now());
         for (i, &(t, k, s)) in emits.iter().enumerate() {
@@ -140,7 +130,7 @@ proptest! {
     #[test]
     fn chrome_export_round_trips_strict_json(
         events in proptest::collection::vec(
-            (0u64..1_000_000, 0u32..4, 0u8..8, 0u32..8, 0u64..50_000), 0..120),
+            (0u64..1_000_000, 0u32..4, any::<u8>(), 0u32..8, 0u64..50_000), 0..120),
     ) {
         let origin = Instant::now();
         let mut rings: Vec<TraceRing> =
@@ -162,7 +152,7 @@ proptest! {
         // Every entry is an object with a one-char phase and a pid.
         for e in evs {
             let ph = e.get("ph").and_then(Json::as_str).expect("ph");
-            prop_assert!(["M", "X", "i", "s", "f", "B", "E"].contains(&ph), "ph {:?}", ph);
+            prop_assert!(["M", "X", "i", "s", "f"].contains(&ph), "ph {:?}", ph);
             prop_assert!(e.get("pid").and_then(Json::as_u64).is_some());
         }
         // The compact run-trace artifact round-trips too.
@@ -207,18 +197,4 @@ fn export_is_a_pure_function_of_the_events() {
     assert_eq!(a.events, b.events);
     assert_eq!(a.chrome_json().to_string(), b.chrome_json().to_string());
     assert_eq!(a.to_json().to_string(), b.to_json().to_string());
-}
-
-/// `SESSION_NONE` events never leak a bogus session field into either
-/// export.
-#[test]
-fn session_none_is_omitted_from_exports() {
-    let mut ring = TraceRing::new(0, 8, Instant::now());
-    ring.emit_at(10, TraceKind::SliceEnd, SESSION_NONE, 0, 1, 5);
-    let mut log = TraceLog::default();
-    log.absorb(&mut ring);
-    log.seal();
-    let ev: &TraceEvent = &log.events[0];
-    let artifact = ev.to_json().to_string();
-    assert!(!artifact.contains("session"), "artifact: {artifact}");
 }

@@ -15,10 +15,10 @@
 //! queue traffic. Relative throughput across worker counts — the quantity
 //! the `serve_throughput` figures report — is insensitive to both.
 //!
-//! There is **one** event loop (the private `run`); the four public
-//! entry points are configurations of it, like the paper's single- and
-//! multi-queue matchers are settings of one PSM-E (a batch is every
-//! arrival at t=0 into an unbounded table):
+//! There is **one** event loop (the private `run`) and one result type,
+//! [`DesResult`]; the four public entry points are configurations of it,
+//! like the paper's single- and multi-queue matchers are settings of one
+//! PSM-E (a batch is every arrival at t=0 into an unbounded table):
 //!
 //! | entry point                | shards | dispatch bus | tier | arrivals |
 //! |----------------------------|--------|--------------|------|----------|
@@ -27,9 +27,7 @@
 //! | [`simulate_serve_sharded`] | N      | serialized   | —    | batch    |
 //! | [`simulate_serve_open`]    | N      | serialized   | —    | open     |
 
-use psme_obs::{TraceKind, TraceLog, TraceRing};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Model configuration.
 #[derive(Clone, Copy, Debug)]
@@ -40,25 +38,6 @@ pub struct DesConfig {
     pub slice: usize,
     /// Seconds of dispatch overhead per slice (queue pop + handoff).
     pub dispatch_overhead: f64,
-}
-
-/// Model outputs.
-#[derive(Clone, Debug)]
-pub struct DesResult {
-    /// Time the last session completed (seconds).
-    pub makespan: f64,
-    /// Completed sessions per second (`n / makespan`).
-    pub sessions_per_sec: f64,
-    /// Per-session completion times, in input order (seconds).
-    pub completions: Vec<f64>,
-    /// Per-cycle latency samples (slice queue wait + own service time),
-    /// seconds; quantile them with `psme_obs::Quantiles`.
-    pub cycle_latency: Vec<f64>,
-    /// The same typed event stream the real serve loop emits
-    /// ([`psme_obs::TraceKind`]), stamped with *virtual* nanoseconds, so
-    /// model runs export through the identical Chrome-trace path as
-    /// captured runs. Deterministic: a pure function of the inputs.
-    pub trace: TraceLog,
 }
 
 /// What tells the four serving models apart. Private: every public entry
@@ -79,24 +58,36 @@ struct Model<'a> {
     open: Option<(&'a [f64], &'a DesOpenConfig)>,
 }
 
-/// Everything one run of the event loop produces; each public result is a
-/// selection of these fields.
-#[derive(Default)]
-struct Run {
-    makespan: f64,
+/// Model outputs: everything one run of the event loop produces. A field
+/// the configuration does not model stays zero (no resumes without a tier,
+/// no steals without stealing, no shed in a batch).
+#[derive(Clone, Debug, Default)]
+pub struct DesResult {
+    /// Time the last session retired (seconds).
+    pub makespan: f64,
     /// Retired sessions per second of makespan.
-    sessions_per_sec: f64,
-    /// Retire time per session, input order (0 for a shed session).
-    completions: Vec<f64>,
-    /// Retire − arrival per retired session, input order.
-    sojourn: Vec<f64>,
-    cycle_latency: Vec<f64>,
-    resume_latency: Vec<f64>,
-    cross_shard_steals: u64,
-    hibernations: u64,
-    resumes: u64,
-    shed: usize,
-    trace: TraceLog,
+    pub sessions_per_sec: f64,
+    /// Sessions that ran to completion.
+    pub completed: usize,
+    /// Sessions shed by admission backpressure.
+    pub shed: usize,
+    /// Retire time per session, input order (seconds; 0 for a shed session).
+    pub completions: Vec<f64>,
+    /// Retire − arrival per retired session, input order (seconds) — the
+    /// open-loop latency curve's raw samples.
+    pub sojourn: Vec<f64>,
+    /// Per-cycle latency samples (slice queue wait + own service time),
+    /// seconds; quantile them with `psme_obs::Quantiles`.
+    pub cycle_latency: Vec<f64>,
+    /// One sample per resume: the modeled resume latency, seconds.
+    pub resume_latency: Vec<f64>,
+    /// Dispatches served by a worker outside the session's home shard.
+    pub cross_shard_steals: u64,
+    /// Hibernations forced by the hot bound.
+    pub hibernations: u64,
+    /// Dispatches that paid a resume (= hibernations of sessions later
+    /// dispatched again).
+    pub resumes: u64,
 }
 
 /// The event loop. Each step takes the globally earliest of (a) the next
@@ -105,9 +96,9 @@ struct Run {
 /// pool's earliest-free worker and — when stealing is on — that of every
 /// pool whose own ready list is empty. Ties prefer the home pool, then
 /// (home, thief) order, so the schedule is a pure function of the inputs.
-fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
+fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> DesResult {
     let n = sessions.len();
-    let mut out = Run::default();
+    let mut out = DesResult::default();
     if n == 0 {
         return out;
     }
@@ -115,18 +106,6 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
     let nshards = m.shards.max(1);
     let workers = nshards * wps;
     let slice = cfg.slice.max(1);
-    // Ring capacity that can never drop: at most 5 events per dispatch,
-    // worst case all on one worker; at most 4 per session on control.
-    let dispatches: usize = sessions.iter().map(|c| c.len().div_ceil(slice).max(1)).sum();
-    let ring_cap = 5 * dispatches + 4 * n + 1;
-    let origin = Instant::now();
-    let mut rings: Vec<TraceRing> =
-        (0..workers).map(|w| TraceRing::new(w as u32, ring_cap, origin)).collect();
-    let mut ctl = TraceRing::new(workers as u32, ring_cap, origin);
-    let ns = |t: f64| (t * 1e9).round() as u64;
-    let emit = |r: &mut TraceRing, t: f64, kind: TraceKind, s: usize, lo: usize, hi: usize, arg| {
-        r.emit_at(ns(t), kind, s as u32, lo as u64, hi as u64, arg)
-    };
 
     // Arrival times (jittered: the wire reorders closely spaced arrivals)
     // and the per-shard slices of the table and admission-queue bounds.
@@ -142,17 +121,9 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
     }
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| (arrived[a], a).partial_cmp(&(arrived[b], b)).expect("finite times"));
-    // A session takes a table seat: straight onto its home ready list. The
-    // tiered model admits on first dispatch instead (a seat is residency).
-    let seat = |ctl: &mut TraceRing, pool: &mut Vec<(f64, usize, usize)>, t: f64, s: usize| {
-        if m.tier.is_none() {
-            emit(ctl, t, TraceKind::Admitted, s, 0, 0, 0);
-        }
-        pool.push((t, s, 0));
-        emit(ctl, t, TraceKind::Enqueued, s, 0, 0, 0);
-    };
 
-    // Per-shard ready lists: (ready_time, session, next_cycle).
+    // Per-shard ready lists: (ready_time, session, next_cycle). A session
+    // that takes a table seat goes straight onto its home list.
     let mut ready: Vec<Vec<(f64, usize, usize)>> = vec![Vec::new(); nshards];
     let mut waiting: Vec<VecDeque<usize>> = vec![VecDeque::new(); nshards];
     let mut live = vec![0usize; nshards];
@@ -195,35 +166,28 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
             let s = order[next_arrival];
             next_arrival += 1;
             let (t, h) = (arrived[s], s % nshards);
-            if m.open.is_some() {
-                emit(&mut ctl, t, TraceKind::NetRequest, s, 0, 0, 0);
-            }
             if live[h] < cap_s {
                 live[h] += 1;
-                seat(&mut ctl, &mut ready[h], t, s);
+                ready[h].push((t, s, 0));
             } else {
                 // Full table: wait; a backlog past the depth sheds the oldest.
                 waiting[h].push_back(s);
                 if waiting[h].len() > depth_s {
-                    let v = waiting[h].pop_front().expect("nonempty");
+                    waiting[h].pop_front();
                     out.shed += 1;
                     left -= 1;
-                    emit(&mut ctl, t, TraceKind::Shed, v, 0, 0, 0);
-                    emit(&mut ctl, t, TraceKind::NetShed, v, 0, 0, 0);
                 }
             }
             continue;
         }
         let (bus_start, stolen, h, _, ci, wi) = best.expect("left > 0 implies work or arrivals");
         let (ready_t, s, first) = ready[h].swap_remove(ci);
-        let ring = &mut rings[wi];
         let mut start = bus_start + cfg.dispatch_overhead;
         if m.bus {
             bus_free[h] = start;
         }
         if stolen {
             out.cross_shard_steals += 1;
-            emit(ring, start, TraceKind::CrossShardSteal, s, 0, 0, h as u64);
         }
         if let Some(tier) = m.tier {
             if let Some(entry) = hot.iter_mut().find(|(r, _)| *r == s) {
@@ -237,9 +201,8 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
                             (hot[a].1, hot[a].0).partial_cmp(&(hot[b].1, hot[b].0)).expect("finite")
                         })
                         .expect("hot nonempty");
-                    let (victim, _) = hot.swap_remove(vi);
+                    hot.swap_remove(vi);
                     out.hibernations += 1;
-                    emit(ring, start, TraceKind::Hibernated, victim, 0, 0, 0);
                 }
                 hot.push((s, start));
                 if first > 0 {
@@ -247,10 +210,7 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
                     let cost = tier.resume_base + tier.resume_per_cycle * first as f64;
                     out.resumes += 1;
                     out.resume_latency.push(cost);
-                    emit(ring, start, TraceKind::Resumed, s, first, first, ns(cost));
                     start += cost;
-                } else {
-                    emit(ring, start, TraceKind::Admitted, s, 0, 0, 0);
                 }
             }
         }
@@ -263,37 +223,24 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
             out.cycle_latency.push(wait + c);
         }
         worker_free[wi] = t;
-        emit(ring, start, TraceKind::SliceStart, s, first, first, ns(wait));
-        emit(ring, t, TraceKind::SliceEnd, s, first, last, ns(t - start));
         if last < cycles.len() {
             // Affinity: re-enqueue on the home shard even after a steal.
             ready[h].push((t, s, last));
-            emit(ring, t, TraceKind::Reenqueued, s, 0, 0, 0);
         } else {
             done[s] = Some(t);
             left -= 1;
             hot.retain(|(r, _)| *r != s);
-            emit(ring, t, TraceKind::Retired, s, 0, last, 0);
             // The retired session's seat goes to the oldest waiting one.
             match waiting[h].pop_front() {
-                Some(v) => seat(&mut ctl, &mut ready[h], t, v),
+                Some(v) => ready[h].push((t, v, 0)),
                 None => live[h] -= 1,
             }
         }
     }
-    out.trace.absorb(&mut ctl);
-    for ring in &mut rings {
-        out.trace.absorb(ring);
-    }
-    if nshards > 1 {
-        for w in 0..workers {
-            out.trace.set_shard(w as u32, (w / wps) as u32);
-        }
-    }
-    out.trace.seal();
+    out.completed = n - out.shed;
     out.makespan = done.iter().flatten().cloned().fold(0.0, f64::max);
     if out.makespan > 0.0 {
-        out.sessions_per_sec = (n - out.shed) as f64 / out.makespan;
+        out.sessions_per_sec = out.completed as f64 / out.makespan;
     }
     out.sojourn = (0..n).filter_map(|s| done[s].map(|t| t - arrived[s])).collect();
     out.completions = done.into_iter().map(|t| t.unwrap_or(0.0)).collect();
@@ -303,15 +250,7 @@ fn run(sessions: &[Vec<f64>], cfg: &DesConfig, m: &Model) -> Run {
 /// Simulate serving `sessions` (one inner `Vec<f64>` of per-cycle service
 /// seconds each) on `cfg.workers` workers. All sessions arrive at t=0.
 pub fn simulate_serve(sessions: &[Vec<f64>], cfg: &DesConfig) -> DesResult {
-    let m = Model { shards: 1, steal: false, bus: false, tier: None, open: None };
-    let r = run(sessions, cfg, &m);
-    DesResult {
-        makespan: r.makespan,
-        sessions_per_sec: r.sessions_per_sec,
-        completions: r.completions,
-        cycle_latency: r.cycle_latency,
-        trace: r.trace,
-    }
+    run(sessions, cfg, &Model { shards: 1, steal: false, bus: false, tier: None, open: None })
 }
 
 /// Sharding parameters for the model ([`simulate_serve_sharded`]).
@@ -328,25 +267,6 @@ pub struct DesShardConfig {
     pub steal: bool,
 }
 
-/// Model outputs for a sharded run.
-#[derive(Clone, Debug)]
-pub struct DesShardedResult {
-    /// Time the last session completed (seconds).
-    pub makespan: f64,
-    /// Completed sessions per second.
-    pub sessions_per_sec: f64,
-    /// Per-session completion times, in input order (seconds).
-    pub completions: Vec<f64>,
-    /// Per-cycle latency samples, seconds.
-    pub cycle_latency: Vec<f64>,
-    /// Dispatches served by a worker outside the session's home shard.
-    pub cross_shard_steals: u64,
-    /// Typed event stream (virtual ns) with `CrossShardSteal` markers and
-    /// the worker → shard map set, so the Chrome export groups one track
-    /// group per shard.
-    pub trace: TraceLog,
-}
-
 /// Simulate sharded serving: `shards` pools of `cfg.workers` workers, each
 /// pool owning the sessions `s` with `s % shards == pool`, each with its
 /// own **serialized dispatch bus** — every dispatch (pop + handoff) holds
@@ -359,17 +279,9 @@ pub fn simulate_serve_sharded(
     sessions: &[Vec<f64>],
     cfg: &DesConfig,
     shard: &DesShardConfig,
-) -> DesShardedResult {
+) -> DesResult {
     let m = Model { shards: shard.shards, steal: shard.steal, bus: true, tier: None, open: None };
-    let r = run(sessions, cfg, &m);
-    DesShardedResult {
-        makespan: r.makespan,
-        sessions_per_sec: r.sessions_per_sec,
-        completions: r.completions,
-        cycle_latency: r.cycle_latency,
-        cross_shard_steals: r.cross_shard_steals,
-        trace: r.trace,
-    }
+    run(sessions, cfg, &m)
 }
 
 /// Tiering parameters for the model ([`simulate_serve_tiered`]).
@@ -387,26 +299,6 @@ pub struct DesTierConfig {
     pub resume_per_cycle: f64,
 }
 
-/// Model outputs for a tiered run.
-#[derive(Clone, Debug)]
-pub struct DesTieredResult {
-    /// Time the last session completed (seconds).
-    pub makespan: f64,
-    /// Completed sessions per second.
-    pub sessions_per_sec: f64,
-    /// Per-session completion times, in input order (seconds).
-    pub completions: Vec<f64>,
-    /// One sample per resume: the modeled resume latency, seconds.
-    pub resume_latency: Vec<f64>,
-    /// Hibernations forced by the hot bound.
-    pub hibernations: u64,
-    /// Dispatches that paid a resume (= hibernations of sessions later
-    /// dispatched again).
-    pub resumes: u64,
-    /// Typed event stream with `Hibernated`/`Resumed` markers, virtual ns.
-    pub trace: TraceLog,
-}
-
 /// Simulate tiered serving: same dispatch model as [`simulate_serve`], but
 /// at most `tier.hot_capacity` sessions are resident; dispatching a
 /// non-resident session evicts the least-recently-dispatched resident one
@@ -416,18 +308,8 @@ pub fn simulate_serve_tiered(
     sessions: &[Vec<f64>],
     cfg: &DesConfig,
     tier: &DesTierConfig,
-) -> DesTieredResult {
-    let m = Model { shards: 1, steal: false, bus: false, tier: Some(tier), open: None };
-    let r = run(sessions, cfg, &m);
-    DesTieredResult {
-        makespan: r.makespan,
-        sessions_per_sec: r.sessions_per_sec,
-        completions: r.completions,
-        resume_latency: r.resume_latency,
-        hibernations: r.hibernations,
-        resumes: r.resumes,
-        trace: r.trace,
-    }
+) -> DesResult {
+    run(sessions, cfg, &Model { shards: 1, steal: false, bus: false, tier: Some(tier), open: None })
 }
 
 /// One step of the splitmix64 generator — the model's only randomness,
@@ -468,30 +350,6 @@ pub struct DesOpenConfig {
     pub seed: u64,
 }
 
-/// Model outputs for an open-loop run.
-#[derive(Clone, Debug)]
-pub struct DesOpenResult {
-    /// Time the last session retired (seconds).
-    pub makespan: f64,
-    /// Completed sessions per second of makespan.
-    pub sessions_per_sec: f64,
-    /// Sessions that ran to completion.
-    pub completed: usize,
-    /// Sessions shed by admission backpressure.
-    pub shed: usize,
-    /// Per-completed-session sojourn (retire − arrival), seconds, in
-    /// arrival order — the open-loop latency curve's raw samples.
-    pub sojourn: Vec<f64>,
-    /// Per-cycle latency samples (slice queue wait + own service), seconds.
-    pub cycle_latency: Vec<f64>,
-    /// Dispatches served outside the session's home shard.
-    pub cross_shard_steals: u64,
-    /// Typed event stream, virtual ns: `NetRequest` at each (jittered)
-    /// arrival, `NetShed` beside every `Shed`, and the usual dispatch
-    /// lifecycle — exporting through the identical Chrome-trace path.
-    pub trace: TraceLog,
-}
-
 /// Simulate **open-loop** serving: session `i` (service cycles
 /// `sessions[i]`) arrives at `arrivals[i]` seconds plus deterministic
 /// jitter, and the arrival process never slows down for the server — the
@@ -506,7 +364,7 @@ pub fn simulate_serve_open(
     arrivals: &[f64],
     cfg: &DesConfig,
     open: &DesOpenConfig,
-) -> DesOpenResult {
+) -> DesResult {
     assert_eq!(sessions.len(), arrivals.len(), "one arrival time per session");
     let m = Model {
         shards: open.shards,
@@ -515,17 +373,7 @@ pub fn simulate_serve_open(
         tier: None,
         open: Some((arrivals, open)),
     };
-    let r = run(sessions, cfg, &m);
-    DesOpenResult {
-        makespan: r.makespan,
-        sessions_per_sec: r.sessions_per_sec,
-        completed: sessions.len() - r.shed,
-        shed: r.shed,
-        sojourn: r.sojourn,
-        cycle_latency: r.cycle_latency,
-        cross_shard_steals: r.cross_shard_steals,
-        trace: r.trace,
-    }
+    run(sessions, cfg, &m)
 }
 
 #[cfg(test)]
@@ -586,36 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_mirrors_the_schedule_deterministically() {
-        let sessions = uniform(3, 5, 0.25);
-        let cfg = DesConfig { workers: 2, slice: 2, dispatch_overhead: 0.01 };
-        let r = simulate_serve(&sessions, &cfg);
-        assert!(r.trace.is_sorted());
-        assert_eq!(r.trace.dropped, 0, "DES rings are sized to never drop");
-        let count = |k: TraceKind| r.trace.events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(TraceKind::Admitted), 3);
-        assert_eq!(count(TraceKind::Enqueued), 3);
-        assert_eq!(count(TraceKind::Retired), 3);
-        // 5 cycles at slice 2 → 3 dispatches per session.
-        assert_eq!(count(TraceKind::SliceStart), 9);
-        assert_eq!(count(TraceKind::SliceEnd), 9);
-        assert_eq!(count(TraceKind::Reenqueued), 6);
-        // Virtual time: a retire event lands exactly at the completion time.
-        for (s, &done) in r.completions.iter().enumerate() {
-            let ev = r
-                .trace
-                .events
-                .iter()
-                .find(|e| e.kind == TraceKind::Retired && e.session == s as u32)
-                .expect("every session retires");
-            assert_eq!(ev.t_ns, (done * 1e9).round() as u64);
-        }
-        // Same inputs, same events.
-        let r2 = simulate_serve(&sessions, &cfg);
-        assert_eq!(r.trace.events, r2.trace.events);
-    }
-
-    #[test]
     fn sharded_is_deterministic_and_scales_linearly_without_contention() {
         let sessions = uniform(8, 20, 0.1);
         let cfg = DesConfig { workers: 1, slice: 20, dispatch_overhead: 0.0 };
@@ -623,8 +441,6 @@ mod tests {
         let a = simulate_serve_sharded(&sessions, &cfg, &sh4);
         let b = simulate_serve_sharded(&sessions, &cfg, &sh4);
         assert_eq!(a.completions, b.completions);
-        assert_eq!(a.trace.events, b.trace.events);
-        assert_eq!(a.trace.dropped, 0);
         // 8 sessions over 4 one-worker pools, 2 each, no overhead: 4x one
         // pool's throughput.
         let sh1 = DesShardConfig { shards: 1, steal: false };
@@ -671,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn cross_shard_stealing_fills_idle_pools_and_is_traced() {
+    fn cross_shard_stealing_fills_idle_pools() {
         // Shard 0 homes two long sessions on one worker, shard 1 a short
         // one; after shard 1 drains, shard 0 always has a queued slice its
         // busy worker can't take, so shard 1's idle worker steals it.
@@ -687,18 +503,6 @@ mod tests {
         assert_eq!(idle.cross_shard_steals, 0);
         assert!(steal.cross_shard_steals > 0, "idle pool must steal");
         assert!(steal.makespan < idle.makespan, "stealing shortens the tail");
-        let marks = steal
-            .trace
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceKind::CrossShardSteal)
-            .count() as u64;
-        assert_eq!(marks, steal.cross_shard_steals);
-        // Shard map groups the export one process per shard.
-        let chrome = steal.trace.chrome_json().to_string();
-        assert!(chrome.contains("shard-0"));
-        assert!(chrome.contains("shard-1"));
-        assert!(chrome.contains("cross_shard_steal s0"));
     }
 
     #[test]
@@ -740,25 +544,6 @@ mod tests {
         assert!(last > first, "later resumes replay longer journals");
     }
 
-    #[test]
-    fn tiered_trace_is_deterministic_and_carries_tier_events() {
-        let sessions = uniform(5, 6, 0.2);
-        let cfg = DesConfig { workers: 2, slice: 2, dispatch_overhead: 0.01 };
-        let tier = DesTierConfig { hot_capacity: 2, resume_base: 0.1, resume_per_cycle: 0.01 };
-        let a = simulate_serve_tiered(&sessions, &cfg, &tier);
-        let b = simulate_serve_tiered(&sessions, &cfg, &tier);
-        assert_eq!(a.trace.events, b.trace.events);
-        assert_eq!(a.trace.dropped, 0, "tiered DES rings are sized to never drop");
-        let count = |k: TraceKind| a.trace.events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(TraceKind::Hibernated) as u64, a.hibernations);
-        assert_eq!(count(TraceKind::Resumed) as u64, a.resumes);
-        assert!(a.hibernations > 0);
-        // The tier events ride the same Chrome-trace path.
-        let chrome = a.trace.chrome_json().to_string();
-        assert!(chrome.contains("hibernated s"));
-        assert!(chrome.contains("resumed s"));
-    }
-
     fn open_cfg(shards: usize, cap: usize, depth: usize) -> DesOpenConfig {
         DesOpenConfig {
             shards,
@@ -794,14 +579,14 @@ mod tests {
         open.jitter = 0.05;
         let a = simulate_serve_open(&sessions, &arrivals, &cfg, &open);
         let b = simulate_serve_open(&sessions, &arrivals, &cfg, &open);
-        assert_eq!(a.trace.events, b.trace.events);
         assert_eq!(a.sojourn, b.sojourn);
+        assert_eq!(a.cycle_latency, b.cycle_latency);
         assert_eq!(a.shed, b.shed);
-        // A different seed draws different jitter, shifting arrival stamps.
+        // A different seed draws different jitter, shifting arrivals.
         let mut open2 = open;
         open2.seed = 8;
         let c = simulate_serve_open(&sessions, &arrivals, &cfg, &open2);
-        assert_ne!(a.trace.events, c.trace.events);
+        assert_ne!(a.sojourn, c.sojourn);
     }
 
     #[test]
@@ -823,14 +608,9 @@ mod tests {
         assert_eq!(light, 0, "half the capacity never sheds");
         assert!(over > knee, "past saturation the backlog overflows: {over} vs {knee}");
         assert!(crush >= over, "shed rate is monotone in offered load");
-        // Every shed is announced on the wire trace.
         let arrivals: Vec<f64> = (0..n).map(|i| i as f64 * 0.25).collect();
         let r = simulate_serve_open(&sessions, &arrivals, &cfg, &open);
-        let count = |k: TraceKind| r.trace.events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(count(TraceKind::NetRequest), n);
-        assert_eq!(count(TraceKind::NetShed), r.shed);
-        assert_eq!(count(TraceKind::Shed), r.shed);
-        assert_eq!(count(TraceKind::Retired), r.completed);
+        assert_eq!(r.sojourn.len(), r.completed);
         assert_eq!(r.completed + r.shed, n);
     }
 
@@ -908,7 +688,6 @@ mod tests {
             simulate_serve_sharded(&sessions, &cfg, &DesShardConfig { shards: 1, steal: false });
         assert_eq!(plain.completions, one.completions);
         assert_eq!(plain.cycle_latency, one.cycle_latency);
-        assert_eq!(plain.trace.events, one.trace.events);
     }
 
     /// Everything a model run reports, flattened for one checksum.
@@ -923,24 +702,13 @@ mod tests {
             self.word(xs.len() as u64);
             xs.iter().for_each(|x| self.word(x.to_bits()));
         }
-        fn trace(&mut self, t: &TraceLog) {
-            self.word(t.dropped);
-            self.word(t.shard_of.len() as u64);
-            for e in &t.events {
-                self.0.extend_from_slice(e.kind.name().as_bytes());
-                let (worker, session) = (e.worker.into(), e.session.into());
-                for x in [e.t_ns, worker, e.seq, session, e.cycle_lo, e.cycle_hi, e.arg_ns] {
-                    self.word(x);
-                }
-            }
-        }
     }
 
     /// 400 seeded cases per model (0–39 sessions of 0–9 cycles, 1–5
     /// workers, 1–4 shards, steal on/off, zero and non-zero overhead, hot
     /// capacity / table 1–6, depth 0–4, jitter on/off). The four digests
-    /// were recorded from the four stand-alone simulator bodies this
-    /// module had before they became projections of one kernel.
+    /// were recorded, with these fields, from the model as it stood before
+    /// it stopped writing an event trace: the schedules did not move.
     #[test]
     fn seeded_cases_reproduce_the_recorded_digests() {
         let mut rng = 0x5eed_u64;
@@ -963,14 +731,12 @@ mod tests {
             d[0].floats(&r.completions);
             d[0].floats(&r.cycle_latency);
             d[0].floats(&[r.makespan, r.sessions_per_sec]);
-            d[0].trace(&r.trace);
 
             let r = simulate_serve_sharded(&sessions, &cfg, &DesShardConfig { shards, steal });
             d[1].floats(&r.completions);
             d[1].floats(&r.cycle_latency);
             d[1].word(r.cross_shard_steals);
             d[1].floats(&[r.makespan, r.sessions_per_sec]);
-            d[1].trace(&r.trace);
 
             let tier = DesTierConfig {
                 hot_capacity: pick(1, 6),
@@ -983,7 +749,6 @@ mod tests {
             d[2].word(r.hibernations);
             d[2].word(r.resumes);
             d[2].floats(&[r.makespan, r.sessions_per_sec]);
-            d[2].trace(&r.trace);
 
             let arrivals: Vec<f64> = (0..n).map(|_| pick(0, 200) as f64 * 1e-3).collect();
             let open = DesOpenConfig {
@@ -1001,15 +766,14 @@ mod tests {
             d[3].word(r.shed as u64);
             d[3].word(r.cross_shard_steals);
             d[3].floats(&[r.makespan, r.sessions_per_sec]);
-            d[3].trace(&r.trace);
         }
         assert_eq!(
             d.map(|d| psme_rete::snapshot::fnv1a64(&d.0)),
             [
-                14983908776251361794,
-                3928823283668991495,
-                1932014750003274819,
-                8219970264600824649,
+                3173584154219479636,
+                13480543530416279705,
+                1082126000548947680,
+                17989849574192074477,
             ],
             "plain / sharded / tiered / open digests moved: the dispatch model changed"
         );

@@ -47,8 +47,7 @@ pub mod store;
 
 pub use des::{
     simulate_serve, simulate_serve_open, simulate_serve_sharded, simulate_serve_tiered, DesConfig,
-    DesOpenConfig, DesOpenResult, DesResult, DesShardConfig, DesShardedResult, DesTierConfig,
-    DesTieredResult,
+    DesOpenConfig, DesResult, DesShardConfig, DesTierConfig,
 };
 pub use open::{OpenServe, SubmitError};
 pub use serve::{

@@ -183,7 +183,7 @@ pub struct ServeConfig {
     /// Decision cycles per dispatch slice.
     pub slice_decisions: u64,
     /// Event tracing / flight recorder (always-on by default; the
-    /// `trace_overhead` bench gates the cost).
+    /// `trace_overhead` bench prints its cost against a budget).
     pub trace: TraceConfig,
     /// Tiered session persistence. `None` (the default) serves exactly as
     /// before: sessions live in the table for their whole run. `Some`

@@ -58,15 +58,6 @@ pub struct CostModel {
     /// Work-stealing: fixed cost of publishing one batch of children (a
     /// single release store covers the whole batch).
     pub ws_batch_publish: f64,
-    /// Adaptive reorganization: fixed cost of one mid-run rebuild beyond
-    /// its traced §5.2 update tasks — the quiesced-cycle barrier, the §5.1
-    /// bilinear surgery beside the live chain, the successor splice and
-    /// old-chain retirement. The update tasks themselves are an ordinary
-    /// `Phase::Update` cycle trace priced by [`CostModel::body_cost`].
-    pub reorg_fixed: f64,
-    /// Adaptive reorganization: per freshly built beta node (allocate,
-    /// link, register in the memory table).
-    pub reorg_per_node: f64,
 }
 
 impl Default for CostModel {
@@ -88,8 +79,6 @@ impl Default for CostModel {
             ws_owner_op: 6.0,
             ws_steal: 25.0,
             ws_batch_publish: 10.0,
-            reorg_fixed: 900.0,
-            reorg_per_node: 50.0,
         }
     }
 }
@@ -133,32 +122,6 @@ impl CostModel {
     pub fn total_cost(&self, t: &TaskRecord, children: usize) -> f64 {
         let (locked, after) = self.body_cost(t);
         locked + after + self.queue_op * (1.0 + children as f64)
-    }
-
-    /// Serial overhead of one mid-run reorganization (µs): everything a
-    /// reorg-on sweep pays that a reorg-off sweep does not, *excluding* the
-    /// §5.2 state-update tasks (those arrive as a normal update-phase cycle
-    /// trace and go through the DES like any other cycle). `new_nodes` is
-    /// the bilinear subnetwork's node count.
-    pub fn reorg_overhead(&self, new_nodes: usize) -> f64 {
-        self.reorg_fixed + new_nodes as f64 * self.reorg_per_node
-    }
-
-    /// Does a reorganization pay for itself? `update_us` is the simulated
-    /// makespan of its §5.2 state-update cycle, `saving_per_cycle_us` the
-    /// simulated per-cycle match saving of the new organization, and
-    /// `remaining_cycles` the cycles left in the run. This is the
-    /// break-even question a reorg-on vs reorg-off DES sweep answers in
-    /// aggregate; the detector's `min_window_cost` threshold is calibrated
-    /// so flagged productions clear it by a wide margin.
-    pub fn reorg_pays_off(
-        &self,
-        new_nodes: usize,
-        update_us: f64,
-        saving_per_cycle_us: f64,
-        remaining_cycles: u64,
-    ) -> bool {
-        saving_per_cycle_us * remaining_cycles as f64 > self.reorg_overhead(new_nodes) + update_us
     }
 }
 
@@ -240,20 +203,6 @@ mod tests {
         assert!(l_idx < l_ref, "hash rejects shrink lock hold: {l_idx} vs {l_ref}");
         let expect = m.line_hold_base + 2.0 * m.per_scanned + 6.0 * m.per_hash_reject;
         assert!((l_idx - expect).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reorg_overhead_amortizes_over_remaining_cycles() {
-        let m = CostModel::default();
-        assert!((m.reorg_overhead(0) - m.reorg_fixed).abs() < 1e-9);
-        assert!(m.reorg_overhead(8) > m.reorg_overhead(4));
-        // A chain-dominant production saving a task granularity per cycle
-        // (Table 6-1's ≈400 µs) clears a 10-node rebuild within a handful
-        // of cycles; a negligible saving never does.
-        let update_us = 5.0 * 400.0;
-        assert!(m.reorg_pays_off(10, update_us, 400.0, 100));
-        assert!(!m.reorg_pays_off(10, update_us, 400.0, 5));
-        assert!(!m.reorg_pays_off(10, update_us, 0.5, 1000));
     }
 
     #[test]

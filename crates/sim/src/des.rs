@@ -10,9 +10,7 @@
 //! failed-pop interference the paper identifies at high process counts.
 
 use crate::cost::CostModel;
-use psme_obs::{ControlPhase, TraceKind, TraceLog, TraceRing, SESSION_NONE};
 use psme_rete::{CycleTrace, TaskKind};
-use std::time::Instant;
 
 /// Queue organization (mirrors `psme_core::Scheduler`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,20 +86,6 @@ struct Pending {
     idx: usize,
 }
 
-/// One executed task's placement on the simulated machine, recorded when
-/// the caller wants a trace export.
-#[derive(Clone, Copy, Debug)]
-struct Placement {
-    task: usize,
-    worker: usize,
-    /// Pop began (task was taken from a queue).
-    start_us: f64,
-    /// Pop finished (queue wait + queue op); execution proper starts here.
-    exec_us: f64,
-    /// Task fully done (children pushed).
-    end_us: f64,
-}
-
 /// A single-server resource whose busy time is a set of intervals.
 ///
 /// The greedy assignment loop executes a task's pushes at *future*
@@ -150,14 +134,6 @@ impl IntervalLock {
 
 /// Simulate one cycle trace.
 pub fn simulate_cycle(trace: &CycleTrace, cfg: &SimConfig) -> SimResult {
-    simulate_cycle_inner(trace, cfg, None)
-}
-
-fn simulate_cycle_inner(
-    trace: &CycleTrace,
-    cfg: &SimConfig,
-    mut placements: Option<&mut Vec<Placement>>,
-) -> SimResult {
     let n = trace.tasks.len();
     let mut result = SimResult { tasks: n as u64, ..Default::default() };
     if n == 0 {
@@ -281,7 +257,6 @@ fn simulate_cycle_inner(
             now = grant + cost.queue_op + interference;
         }
 
-        let pop_done = now;
         // Memory-line critical section.
         let (locked, after) = cost.body_cost(t);
         if t.kind != TaskKind::Alpha && locked > 0.0 {
@@ -327,15 +302,6 @@ fn simulate_cycle_inner(
         if cfg.timeline {
             spans[p.idx] = (avail_time[p.idx], now);
         }
-        if let Some(sink) = placements.as_deref_mut() {
-            sink.push(Placement {
-                task: p.idx,
-                worker: w,
-                start_us: start,
-                exec_us: pop_done,
-                end_us: now,
-            });
-        }
     }
     result.queue_spins = (result.queue_wait_us / cost.spin) as u64;
 
@@ -367,87 +333,6 @@ fn simulate_cycle_inner(
 /// Simulate a whole run (synchronous cycles: total = sum of makespans).
 pub fn simulate_run(traces: &[CycleTrace], cfg: &SimConfig) -> Vec<SimResult> {
     traces.iter().map(|t| simulate_cycle(t, cfg)).collect()
-}
-
-/// Simulate one cycle and also emit the serving-layer event stream
-/// ([`psme_obs::TraceKind`]) stamped with *virtual* nanoseconds: one
-/// `SliceStart`/`SliceEnd` pair per executed task on its worker's track
-/// (`session` = task id, `cycle_lo` = beta node), so a simulated cycle
-/// exports through the identical Chrome-trace path as a captured run.
-pub fn simulate_cycle_traced(trace: &CycleTrace, cfg: &SimConfig) -> (SimResult, TraceLog) {
-    let mut log = TraceLog::default();
-    let result = sim_cycle_into(trace, cfg, 0, 0.0, &mut log);
-    log.seal();
-    (result, log)
-}
-
-/// [`simulate_run`] with a merged event stream across cycles: each cycle's
-/// virtual clock is offset by the preceding makespans (synchronous cycles)
-/// and bracketed by `PhaseBegin`/`PhaseEnd(Match)` on the control track.
-pub fn simulate_run_traced(traces: &[CycleTrace], cfg: &SimConfig) -> (Vec<SimResult>, TraceLog) {
-    let mut log = TraceLog::default();
-    let mut offset_us = 0.0;
-    let mut results = Vec::with_capacity(traces.len());
-    for (cycle, t) in traces.iter().enumerate() {
-        let r = sim_cycle_into(t, cfg, cycle as u64, offset_us, &mut log);
-        offset_us += r.makespan_us;
-        results.push(r);
-    }
-    log.seal();
-    (results, log)
-}
-
-/// Run one cycle, appending its events (offset by `offset_us`) to `log`.
-fn sim_cycle_into(
-    trace: &CycleTrace,
-    cfg: &SimConfig,
-    cycle: u64,
-    offset_us: f64,
-    log: &mut TraceLog,
-) -> SimResult {
-    let mut placements = Vec::with_capacity(trace.tasks.len());
-    let result = simulate_cycle_inner(trace, cfg, Some(&mut placements));
-    let workers = cfg.workers.max(1);
-    let ns = |us: f64| ((offset_us + us) * 1e3).round() as u64;
-    let origin = Instant::now();
-    // Sized to hold every event: two per task, worst case all on one worker.
-    let cap = 2 * trace.tasks.len() + 1;
-    let mut rings: Vec<TraceRing> =
-        (0..workers).map(|w| TraceRing::new(w as u32, cap, origin)).collect();
-    let mut ctl = TraceRing::new(workers as u32, 4, origin);
-    ctl.emit_at(ns(0.0), TraceKind::PhaseBegin(ControlPhase::Match), SESSION_NONE, cycle, cycle, 0);
-    for p in &placements {
-        let node = trace.tasks[p.task].node as u64;
-        rings[p.worker].emit_at(
-            ns(p.start_us),
-            TraceKind::SliceStart,
-            p.task as u32,
-            node,
-            node,
-            ((p.exec_us - p.start_us) * 1e3).round() as u64,
-        );
-        rings[p.worker].emit_at(
-            ns(p.end_us),
-            TraceKind::SliceEnd,
-            p.task as u32,
-            node,
-            node,
-            ((p.end_us - p.exec_us) * 1e3).round() as u64,
-        );
-    }
-    ctl.emit_at(
-        ns(result.makespan_us),
-        TraceKind::PhaseEnd(ControlPhase::Match),
-        SESSION_NONE,
-        cycle,
-        cycle,
-        (result.makespan_us * 1e3).round() as u64,
-    );
-    log.absorb(&mut ctl);
-    for ring in &mut rings {
-        log.absorb(ring);
-    }
-    result
 }
 
 /// Total simulated time of a run in seconds.
@@ -554,38 +439,5 @@ mod tests {
         let b = simulate_cycle(&t, &SimConfig::new(5, SimScheduler::Multi));
         assert_eq!(a.makespan_us, b.makespan_us);
         assert_eq!(a.queue_spins, b.queue_spins);
-    }
-
-    #[test]
-    fn traced_run_matches_untraced_and_emits_every_task() {
-        let traces = [flat_trace(40), chain_trace(10)];
-        let cfg = SimConfig::new(4, SimScheduler::WorkStealing);
-        let plain = simulate_run(&traces, &cfg);
-        let (traced, log) = simulate_run_traced(&traces, &cfg);
-        for (a, b) in plain.iter().zip(&traced) {
-            assert_eq!(a.makespan_us, b.makespan_us, "tracing must not perturb the schedule");
-        }
-        assert!(log.is_sorted());
-        assert_eq!(log.dropped, 0);
-        let n_tasks: usize = traces.iter().map(|t| t.tasks.len()).sum();
-        let starts = log.events.iter().filter(|e| e.kind == TraceKind::SliceStart).count();
-        let ends = log.events.iter().filter(|e| e.kind == TraceKind::SliceEnd).count();
-        assert_eq!(starts, n_tasks);
-        assert_eq!(ends, n_tasks);
-        // One Match phase bracket per cycle, on the control track.
-        let begins: Vec<_> = log
-            .events
-            .iter()
-            .filter(|e| e.kind == TraceKind::PhaseBegin(ControlPhase::Match))
-            .collect();
-        assert_eq!(begins.len(), traces.len());
-        assert!(begins.iter().all(|e| e.worker == 4 && e.session == SESSION_NONE));
-        // Cycle 1's events sit after cycle 0's makespan (virtual offset).
-        let c0_end_ns = (plain[0].makespan_us * 1e3).round() as u64;
-        let c1_start = begins.iter().find(|e| e.cycle_lo == 1).expect("cycle 1 bracket");
-        assert_eq!(c1_start.t_ns, c0_end_ns);
-        // Chrome export of the merged simulated run parses.
-        let chrome = log.chrome_json().to_string();
-        assert!(psme_obs::Json::parse(&chrome).is_ok());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's hardware substrate — a 16-processor NS32032 Encore Multimax
 //! — simulated as a deterministic discrete-event system (see DESIGN.md §3:
-//! this host has a single CPU core, so real 13-process wall-clock speedups
-//! cannot be measured; the simulator replays the serial engine's task
-//! traces under a calibrated cost model instead).
+//! this host has 2 vCPUs, so real 13-process wall-clock speedups cannot be
+//! measured; the simulator replays the serial engine's task traces under a
+//! calibrated cost model instead).
 //!
 //! * [`cost`] — the NS32032 cost model (≈400 µs average task, Table 6-1);
 //! * [`des`] — P virtual match processes, single or per-process task
@@ -23,8 +23,7 @@ pub mod diagnose;
 pub use cost::CostModel;
 pub use diagnose::{diagnose_cycle, diagnose_run, Bottleneck, CycleDiagnosis, RunDiagnosis};
 pub use des::{
-    simulate_cycle, simulate_cycle_traced, simulate_run, simulate_run_traced, speedup,
-    total_seconds, SimConfig, SimResult, SimScheduler,
+    simulate_cycle, simulate_run, speedup, total_seconds, SimConfig, SimResult, SimScheduler,
 };
 
 use psme_obs::NodeProfiler;

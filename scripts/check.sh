@@ -152,6 +152,9 @@ if command -v git >/dev/null 2>&1 && git rev-parse --git-dir >/dev/null 2>&1; th
     fi
 fi
 
+# Code-only non-test lines (scripts/loc.sh): printed, not a gate.
+echo "==> lines: $(./scripts/loc.sh | tail -n 1)"
+
 if [ "$fail" -ne 0 ]; then
     echo "CHECK FAILED" >&2
     exit 1
