@@ -24,7 +24,7 @@ fn main() {
             for c in &agent.engine.trace.cycles {
                 for t in &c.tasks {
                     if t.kind != psme_rete::TaskKind::Alpha {
-                        scanned += t.scanned as u64;
+                        scanned += t.work.scanned as u64;
                         beta += 1;
                     }
                 }

@@ -32,8 +32,8 @@ fn alpha_totals(trace: &RunTrace) -> AlphaTotals {
         for r in &c.tasks {
             if r.kind == TaskKind::Alpha {
                 t.wmes += 1;
-                t.tests += r.scanned as u64;
-                t.probes += r.probes as u64;
+                t.tests += r.work.scanned as u64;
+                t.probes += r.work.probes as u64;
             }
         }
     }

@@ -59,9 +59,9 @@ fn beta_totals(trace: &RunTrace) -> BetaTotals {
         for r in &c.tasks {
             if matches!(r.kind, TaskKind::Join | TaskKind::Neg) {
                 t.acts += 1;
-                t.scanned += r.scanned as u64;
-                t.hash_rejects += r.hash_rejects as u64;
-                t.skipped += r.skipped as u64;
+                t.scanned += r.work.scanned as u64;
+                t.hash_rejects += r.work.hash_rejects as u64;
+                t.skipped += r.work.skipped as u64;
             }
         }
     }
@@ -81,8 +81,8 @@ fn assert_same_dag(idx: &RunTrace, reference: &RunTrace) {
                 && ti.kind == tr.kind
                 && ti.side == tr.side
                 && ti.delta == tr.delta
-                && ti.scanned == tr.scanned
-                && ti.emitted == tr.emitted;
+                && ti.work.scanned == tr.work.scanned
+                && ti.work.emitted == tr.work.emitted;
             assert!(same, "task DAGs diverge: {ti:?} vs {tr:?}");
         }
     }

@@ -32,12 +32,12 @@ use crate::gate::Gate;
 use crate::metrics::{CycleMetrics, MetricsLog, WorkerStats};
 use crate::queue::{Scheduler, Task, TaskQueues, TASK_BATCH};
 use parking_lot::{Mutex, RwLock};
-use psme_obs::{ControlPhase, Counter, Recorder};
+use psme_obs::{ControlPhase, Recorder};
 use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
-    instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update, ActStats,
+    instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update,
     Activation, AddOutcome, BetaScratch, BuildError, CostWindow, CsFold, CycleOutcome, MemoryTable,
-    NetworkOrg, NodeId, NodeKind, Phase, ReteNetwork, WmeStore,
+    NetworkOrg, NodeId, Phase, ReteNetwork, TaskKind, WmeStore,
 };
 use std::collections::VecDeque;
 use std::hint::spin_loop;
@@ -157,53 +157,6 @@ struct Shared {
     node_costs: Mutex<CostWindow>,
 }
 
-/// Push one wme change through the constant-test network (an alpha task).
-fn alpha_task(
-    net: &ReteNetwork,
-    store: &WmeStore,
-    wme: WmeId,
-    delta: i32,
-    min_node: NodeId,
-    betas: &mut VecDeque<Activation>,
-    stats: &mut WorkerStats,
-) {
-    let (alpha, emitted) =
-        process_wme_change(net, store, wme, delta, min_node, &mut |a| betas.push_back(a));
-    let c = &mut stats.counters;
-    c.add(Counter::AlphaTasks, 1);
-    c.add(Counter::Scanned, alpha.tests_run as u64);
-    c.add(Counter::Emitted, emitted as u64);
-    c.add(Counter::AlphaProbes, alpha.probes as u64);
-    c.add(Counter::AlphaCandidates, alpha.candidates as u64);
-    c.add(Counter::AlphaTestsSaved, alpha.tests_saved as u64);
-}
-
-/// Book one processed beta activation.
-fn account_beta(
-    net: &ReteNetwork,
-    a: &Activation,
-    s: &ActStats,
-    stats: &mut WorkerStats,
-    costs: Option<&mut CostWindow>,
-) {
-    if let Some(costs) = costs {
-        costs.note(a.node, s);
-    }
-    stats.mem_spins += s.spins;
-    let c = &mut stats.counters;
-    c.add(Counter::BetaTasks, 1);
-    c.add(Counter::Scanned, s.scanned as u64);
-    c.add(Counter::HashRejects, s.hash_rejects as u64);
-    c.add(Counter::EntriesSkipped, s.skipped as u64);
-    c.add(Counter::Emitted, s.emitted as u64);
-    c.add(Counter::LineLockAcquisitions, u64::from(s.line.is_some()));
-    // A childless two-input activation is a null activation in the paper's
-    // accounting.
-    if s.emitted == 0 && matches!(net.node(a.node).kind, NodeKind::Join | NodeKind::Neg) {
-        c.add(Counter::NullActivations, 1);
-    }
-}
-
 impl Shared {
     /// One match process's pass over one cycle: tasks off the private
     /// deque until it and the shared queues have nothing for this process.
@@ -247,9 +200,11 @@ impl Shared {
             // One task, by the call the serial engine makes.
             p.stats.tasks += 1;
             if let Some((w, d)) = p.alphas.pop_front() {
-                alpha_task(&net, &store, w, d, min_node, &mut p.betas, &mut p.stats);
+                let push = &mut |a| p.betas.push_back(a);
+                let work = process_wme_change(&*net, &store, w, d, min_node, push);
+                p.stats.counters.book(TaskKind::Alpha, &work);
             } else if let Some(a) = p.betas.pop_front() {
-                let s = process_beta_scratch(
+                let (work, spins) = process_beta_scratch(
                     &*net,
                     &self.mem,
                     &store,
@@ -257,12 +212,13 @@ impl Shared {
                     min_node,
                     &mut p.scratch,
                     &mut |child| p.betas.push_back(child),
-                    &mut |c| {
-                        p.stats.counters.add(Counter::CsChanges, 1);
-                        p.cs.add(c);
-                    },
+                    &mut |c| p.cs.add(c),
                 );
-                account_beta(&net, &a, &s, &mut p.stats, profiling.then_some(&mut p.costs));
+                p.stats.mem_spins += spins;
+                if profiling {
+                    p.costs.note(a.node, &work);
+                }
+                p.stats.counters.book(TaskKind::from(net.node(a.node).kind), &work);
             }
         }
         if profiling {
@@ -653,9 +609,6 @@ impl ParallelEngine {
             net.reorg_commit(rb)
         };
         self.shared.mem.purge_nodes(&retired);
-        if let Some(cm) = self.metrics.cycles.last_mut() {
-            cm.counters.add(Counter::Reorganizations, 1);
-        }
         Ok(psme_rete::ReorgOutcome {
             prod_idx,
             first_new,

@@ -280,21 +280,21 @@ mod tests {
         let mut ws = WorkerStats { tasks: 100, mem_spins: u64::MAX, ..Default::default() };
         ws.queue.pop_spins = 3;
         ws.queue.pushes = 42;
-        ws.counters.add(psme_obs::Counter::BetaTasks, u64::MAX);
+        ws.counters.add(psme_obs::Counter::AlphaTasks, u64::MAX);
         ws.counters.add(psme_obs::Counter::NullActivations, 7);
         cm.absorb_worker(&ws);
         assert_eq!(cm.tasks, u64::MAX, "tasks saturate");
         assert_eq!(cm.queue.pop_spins, u64::MAX, "queue counters saturate");
         assert_eq!(cm.mem_spins, u64::MAX, "mem spins saturate");
         assert_eq!(cm.queue.pushes, 42, "non-overflowing fields stay exact");
-        assert_eq!(cm.counters.get(psme_obs::Counter::BetaTasks), u64::MAX);
+        assert_eq!(cm.counters.get(psme_obs::Counter::AlphaTasks), u64::MAX);
         // A second merge on an already-saturated set stays put.
         let mut again = WorkerStats::default();
-        again.counters.add(psme_obs::Counter::BetaTasks, 1);
+        again.counters.add(psme_obs::Counter::AlphaTasks, 1);
         again.tasks = 1;
         cm.absorb_worker(&again);
         assert_eq!(cm.tasks, u64::MAX);
-        assert_eq!(cm.counters.get(psme_obs::Counter::BetaTasks), u64::MAX);
+        assert_eq!(cm.counters.get(psme_obs::Counter::AlphaTasks), u64::MAX);
         assert_eq!(cm.counters.get(psme_obs::Counter::NullActivations), 7);
     }
 
@@ -305,7 +305,7 @@ mod tests {
         let mut c = CycleMetrics { cycle: 0, tasks: 12, wall_ns: 3400, mem_spins: 6, ..Default::default() };
         c.phase = Some(Phase::Match);
         c.queue.pushes = 12;
-        c.counters.add(Counter::BetaTasks, 12);
+        c.counters.add(Counter::AlphaTasks, 12);
         c.counters.add(Counter::NullActivations, 5);
         log.cycles.push(c);
         let j = log.to_json();

@@ -8,9 +8,10 @@
 //! handful: process 0 alone, off its private deque).
 
 use psme_core::{EngineConfig, MatchEngine, ParallelEngine, Scheduler};
+use psme_obs::Counter;
 use psme_ops::{Instantiation, Wme, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, GeneratedSystem, XorShift};
-use psme_rete::{naive, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{naive, NetworkOrg, ReteNetwork, SerialEngine, TaskKind, Work};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -196,6 +197,59 @@ fn parallel_runtime_addition_matches_serial() {
             assert_eq!(inst_set(par.current_instantiations()), expected, "seed {seed} post");
         }
     }
+}
+
+/// The two engines book a task's work through the same value: over a run
+/// with run-time production additions (each §5.2 update re-runs working
+/// memory through the alpha network), the parallel engine's alpha counters,
+/// booked on whichever process ran each task and merged at the barriers,
+/// equal the serial engine's captured alpha rows, summed. What an alpha task
+/// does depends only on its wme change, not on the interleaving, so a field
+/// one booking path dropped or counted twice shows here.
+#[test]
+fn alpha_counters_equal_the_serial_engines_alpha_rows() {
+    let mut candidates = 0;
+    for seed in 300..306 {
+        let sys = random_system(seed, GenConfig::default());
+        let (first, second) = sys.productions.split_at(sys.productions.len() / 2);
+        let net = || {
+            let mut net = ReteNetwork::new();
+            for p in first {
+                net.add_production(Arc::new(p.clone()), NetworkOrg::Linear).unwrap();
+            }
+            net
+        };
+        let mut par = ParallelEngine::new(net(), EngineConfig { workers: 3, ..Default::default() });
+        let mut ser = SerialEngine::new(net());
+        ser.capture = true;
+        let mut rng = XorShift::new(seed ^ 0x5EED);
+        for batch in 0..6 {
+            let alive: Vec<WmeId> = ser.state.store.iter_alive().map(|(id, _)| id).collect();
+            let (adds, removes) = next_batch(&sys, &mut rng, &alive, batch);
+            par.apply_changes(adds.clone(), removes.clone());
+            ser.apply_changes(adds, removes);
+            if let Some(p) = second.get(batch) {
+                par.add_production(Arc::new(p.clone()), NetworkOrg::Linear).unwrap();
+                ser.add_production(Arc::new(p.clone()), NetworkOrg::Linear).unwrap();
+            }
+        }
+        let (mut rows, mut sum) = (0, Work::default());
+        let tasks = ser.trace.cycles.iter().flat_map(|c| &c.tasks);
+        for t in tasks.filter(|t| t.kind == TaskKind::Alpha) {
+            rows += 1;
+            sum += t.work;
+        }
+        let totals = par.metrics.total_counters();
+        let booked =
+            [Counter::AlphaTasks, Counter::AlphaProbes, Counter::AlphaCandidates, Counter::AlphaTestsSaved];
+        assert_eq!(
+            booked.map(|c| totals.get(c)),
+            [rows, sum.probes.into(), sum.candidates.into(), sum.tests_saved.into()],
+            "alpha tasks, probes, candidates, tests saved: seed {seed}"
+        );
+        candidates += sum.candidates;
+    }
+    assert!(candidates > 0, "the alpha tasks consulted memories");
 }
 
 #[test]

@@ -1,8 +1,10 @@
-//! Property tests for the metrics log and its JSON export.
+//! Property tests for the metrics log, its JSON export and the booked sums
+//! it merges.
 
 use proptest::prelude::*;
-use psme_core::{CycleMetrics, MetricsLog};
-use psme_obs::Json;
+use psme_core::{CycleMetrics, MetricsLog, WorkerStats};
+use psme_obs::{Counter, Json};
+use psme_rete::{TaskKind, Work};
 
 fn log_of(task_counts: &[u64]) -> MetricsLog {
     let mut log = MetricsLog::default();
@@ -54,8 +56,55 @@ fn float_metrics_never_emit_nan() {
     assert!(Json::parse(&text).is_ok());
 }
 
+/// One executed task: its kind and a work value over the full `u32` range.
+fn task() -> impl Strategy<Value = (TaskKind, Work)> {
+    let kinds = [TaskKind::Alpha, TaskKind::Join, TaskKind::Neg, TaskKind::Prod];
+    let kind = (0usize..4).prop_map(move |k| kinds[k]);
+    let n = || any::<u32>();
+    let counts = (n(), n(), n(), n(), n(), n(), 0u32..3);
+    (kind, counts, any::<bool>()).prop_map(|(kind, c, line)| {
+        let (scanned, hash_rejects, skipped, probes, candidates, tests_saved, emitted) = c;
+        let line = line.then_some(0);
+        let work = Work { scanned, hash_rejects, skipped, probes, candidates, tests_saved, emitted, line };
+        (kind, work)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 128, .. ProptestConfig::default() })]
+
+    /// The counters are sums, so where a task was booked cannot matter:
+    /// tasks booked on several match processes and merged at the barrier
+    /// read exactly as the same tasks booked on one, each sum is taken in
+    /// `u64` (no `u32` field clamps it), and a process already at the top
+    /// holds every merged sum there.
+    #[test]
+    fn booked_sums_merge_saturating(
+        tasks in prop::collection::vec(task(), 1..64),
+        workers in 1usize..5,
+    ) {
+        let mut one = WorkerStats::default();
+        let mut each = vec![WorkerStats::default(); workers];
+        for (i, (kind, work)) in tasks.iter().enumerate() {
+            one.counters.book(*kind, work);
+            each[i % workers].counters.book(*kind, work);
+        }
+        let mut merged = CycleMetrics::default();
+        for ws in &each {
+            merged.absorb_worker(ws);
+        }
+        prop_assert_eq!(merged.counters, one.counters);
+        let scanned: u64 = tasks.iter().map(|(_, w)| u64::from(w.scanned)).sum();
+        prop_assert_eq!(merged.counters.get(Counter::Scanned), scanned);
+        let mut top = WorkerStats::default();
+        for c in Counter::ALL {
+            top.counters.add(c, u64::MAX);
+        }
+        merged.absorb_worker(&top);
+        for c in Counter::ALL {
+            prop_assert_eq!(merged.counters.get(c), u64::MAX, "{} saturates", c.name());
+        }
+    }
 
     /// Figures 6-11/6-12 histograms are percentages of cycles: for any
     /// non-empty log the bucket percentages must account for every cycle,

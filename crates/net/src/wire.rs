@@ -87,15 +87,9 @@ impl SessionSummary {
     fn encode(&self, w: &mut ByteWriter) {
         w.str(&self.name);
         w.u8(self.stop);
-        w.u64(self.stats.decisions);
-        w.u64(self.stats.elaboration_cycles);
-        w.u64(self.stats.impasses);
-        w.u64(self.stats.chunks_built);
-        w.u64(self.stats.firings);
-        w.u64(self.stats.wme_adds);
-        w.u64(self.stats.wme_removes);
-        w.u64(self.stats.update_tasks);
-        w.u64(self.stats.reorganizations);
+        for v in self.stats.counts() {
+            w.u64(v);
+        }
         w.u64(self.chunk_names.len() as u64);
         for c in &self.chunk_names {
             w.str(c);
@@ -109,17 +103,11 @@ impl SessionSummary {
     fn decode(r: &mut ByteReader<'_>) -> Result<SessionSummary, SnapshotError> {
         let name = r.str()?;
         let stop = r.u8()?;
-        let stats = AgentStats {
-            decisions: r.u64()?,
-            elaboration_cycles: r.u64()?,
-            impasses: r.u64()?,
-            chunks_built: r.u64()?,
-            firings: r.u64()?,
-            wme_adds: r.u64()?,
-            wme_removes: r.u64()?,
-            update_tasks: r.u64()?,
-            reorganizations: r.u64()?,
-        };
+        let mut counts = [0; 9];
+        for c in &mut counts {
+            *c = r.u64()?;
+        }
+        let stats = AgentStats::from_counts(counts);
         let mut chunk_names = Vec::new();
         for _ in 0..r.count()? {
             chunk_names.push(r.str()?);

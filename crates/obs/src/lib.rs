@@ -26,35 +26,13 @@
 //!   artifact emission for the bench harness.
 //!
 //! The three taxonomies — [`ControlPhase`], [`Counter`] and [`TraceKind`] —
-//! are each declared once, name and all, by `named_enum!`.
+//! are each declared once, name and all, by `psme_ops::named_enum!`; the
+//! counters that sum a task's work take their slots from the one list that
+//! declares [`psme_rete::Work`].
 //!
 //! Everything is deliberately free of external dependencies and of hot-path
 //! synchronization: recording is owned by the thread doing the work, and
 //! aggregation happens at barriers that already exist.
-
-/// A fieldless enum declared as `Variant = "json_name"` lines; the enum, its
-/// `ALL` (declaration order = reporting order) and `name()` all come from
-/// the one list.
-macro_rules! named_enum {
-    (
-        $(#[$meta:meta])*
-        pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident = $name:literal,)+ }
-    ) => {
-        $(#[$meta])*
-        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-        pub enum $ty { $($(#[$vmeta])* $v,)+ }
-
-        impl $ty {
-            /// Every variant, in reporting order.
-            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$v),+];
-
-            /// Stable snake_case name (its JSON spelling).
-            pub fn name(self) -> &'static str {
-                match self { $($ty::$v => $name,)+ }
-            }
-        }
-    };
-}
 
 pub mod json;
 pub mod profile;

@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use crate::report::TextTable;
-use psme_rete::{CycleTrace, NodeId, NodeKind, ReteNetwork, RightSrc, TaskKind, TaskRecord};
+use psme_rete::{CycleTrace, NodeId, NodeKind, ReteNetwork, RightSrc, TaskKind, TaskRecord, Work};
 use std::collections::HashMap;
 
 /// Accumulated measurements for one node (or for the alpha network as a
@@ -24,10 +24,8 @@ pub struct NodeProfile {
     /// Activations that emitted no children (null activations — pure
     /// overhead in the paper's accounting).
     pub nulls: u64,
-    /// Opposite-memory entries scanned.
-    pub scanned: u64,
-    /// Child activations emitted.
-    pub emitted: u64,
+    /// The activations' work, summed (saturating; `line` unused).
+    pub work: Work,
     /// Attributed simulated cost in µs (whatever cost function the caller
     /// supplied — zero if none was).
     pub cost_us: f64,
@@ -80,11 +78,10 @@ impl NodeProfiler {
             let key = if t.kind == TaskKind::Alpha { 0 } else { t.node };
             let p = self.nodes.entry(key).or_insert(NodeProfile { node: key, ..Default::default() });
             p.activations += 1;
-            if t.is_null() {
+            if TaskRecord::is_null(t.kind, &t.work) {
                 p.nulls += 1;
             }
-            p.scanned += t.scanned as u64;
-            p.emitted += t.emitted as u64;
+            p.work += t.work;
             p.cost_us += cost(t, children[i]);
             self.tasks += 1;
         }
@@ -221,8 +218,8 @@ impl HotSpotReport {
                 r.kind.clone(),
                 p.activations.to_string(),
                 format!("{:.1}", 100.0 * p.null_ratio()),
-                p.scanned.to_string(),
-                p.emitted.to_string(),
+                p.work.scanned.to_string(),
+                p.work.emitted.to_string(),
                 format!("{:.1}", p.cost_us),
                 format!("{:.1}", 100.0 * r.share),
                 prods,
@@ -254,8 +251,8 @@ impl HotSpotReport {
                         ("activations", Json::from(p.activations)),
                         ("nulls", Json::from(p.nulls)),
                         ("null_ratio", Json::float(p.null_ratio())),
-                        ("scanned", Json::from(p.scanned)),
-                        ("emitted", Json::from(p.emitted)),
+                        ("scanned", Json::from(p.work.scanned)),
+                        ("emitted", Json::from(p.work.emitted)),
                         ("cost_us", Json::float(p.cost_us)),
                         ("share", Json::float(r.share)),
                     ])
@@ -278,12 +275,7 @@ mod tests {
             kind,
             side: Some(Side::Left),
             delta: 1,
-            scanned,
-            hash_rejects: 0,
-            skipped: 0,
-            probes: 0,
-            emitted,
-            line: Some(0),
+            work: Work { scanned, emitted, line: Some(0), ..Work::default() },
             wall_ns: 100,
         }
     }
@@ -302,12 +294,12 @@ mod tests {
                 rec(2, 7, TaskKind::Join, 2, 2),
                 rec(3, 9, TaskKind::Prod, 0, 0),
             ]),
-            |t, _| t.scanned as f64,
+            |t, _| t.work.scanned as f64,
         );
         let n7 = p.node(7).unwrap();
         assert_eq!(n7.activations, 2);
         assert_eq!(n7.nulls, 1);
-        assert_eq!(n7.scanned, 5);
+        assert_eq!(n7.work.scanned, 5);
         assert!((n7.null_ratio() - 0.5).abs() < 1e-12);
         assert!((n7.cost_us - 5.0).abs() < 1e-12);
         // Alpha tasks pool under node 0; P-node tasks are not null.

@@ -17,8 +17,13 @@
 //!
 //! Both enums name each variant once: `named_enum!` derives the type, its
 //! `ALL` list and its stable `name()` (the JSON key) from one declaration.
+//! The counters that sum a task's work are declared from the list that
+//! declares [`Work`]'s fields (`psme_rete::with_work_fields!`), and
+//! [`CounterSet::book`] is the one rule that turns a task into counts.
 
 use crate::json::Json;
+use psme_ops::named_enum;
+use psme_rete::{TaskKind, TaskRecord, Work};
 use std::time::Instant;
 
 named_enum! {
@@ -90,72 +95,49 @@ impl Recorder {
     pub fn total(&self, phase: ControlPhase) -> PhaseTotal {
         self.totals[phase as usize]
     }
-
-    /// Totals of the phases that recorded a span, as JSON:
-    /// `{phase: {count, total_us, mean_us, max_us}}`.
-    pub fn totals_json(&self) -> Json {
-        Json::Obj(
-            ControlPhase::ALL
-                .into_iter()
-                .map(|p| (p, self.total(p)))
-                .filter(|(_, t)| t.count > 0)
-                .map(|(p, t)| {
-                    let mean = t.total_ns as f64 / t.count as f64;
-                    (
-                        p.name().to_string(),
-                        Json::obj([
-                            ("count", Json::from(t.count)),
-                            ("total_us", Json::float(t.total_ns as f64 / 1e3)),
-                            ("mean_us", Json::float(mean / 1e3)),
-                            ("max_us", Json::float(t.max_ns as f64 / 1e3)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
 }
 
-named_enum! {
-    /// Worker-side counters, indexed into a [`CounterSet`]. Each counts what
-    /// no other field books: tasks, queue traffic and line-lock spins live in
-    /// `psme-core`'s `WorkerStats` / `CycleMetrics` / `QueueStats`.
-    pub enum Counter {
-        /// Alpha (wme-change) tasks.
-        AlphaTasks = "alpha_tasks",
-        /// Two-input + P node tasks.
-        BetaTasks = "beta_tasks",
-        /// Two-input activations that emitted nothing (the paper's null
-        /// activations — work that contributes no matches).
-        NullActivations = "null_activations",
-        /// Work scanned, as `TaskRecord::scanned` counts it: constant tests
-        /// an alpha task ran, opposite-memory candidates a beta task scanned
-        /// (same destination node; co-hashed entries of other nodes count as
-        /// `EntriesSkipped`).
-        Scanned = "scanned",
-        /// Candidates rejected by the stored 64-bit key-hash compare before
-        /// any structural key compare (indexed memory probes only).
-        HashRejects = "hash_rejects",
-        /// Co-hashed entries of other nodes traversed by the reference
-        /// whole-line memory scan (0 when the per-node line index is on).
-        EntriesSkipped = "entries_skipped",
-        /// Child activations emitted.
-        Emitted = "emitted",
-        /// Memory-line lock acquisitions: one per line-touching activation.
-        LineLockAcquisitions = "line_lock_acquisitions",
-        /// Conflict-set changes produced.
-        CsChanges = "cs_changes",
-        /// Alpha jump-table hash probes (one per indexed field per wme).
-        AlphaProbes = "alpha_probes",
-        /// Candidate alpha memories whose residual tests were consulted.
-        AlphaCandidates = "alpha_candidates",
-        /// Constant/intra tests the linear alpha scan would have evaluated
-        /// but the discrimination index skipped.
-        AlphaTestsSaved = "alpha_tests_saved",
-        /// Adaptive mid-run join reorganizations committed.
-        Reorganizations = "reorganizations",
-    }
+/// Declares [`Counter`] — four per-task counts, then one slot per line of
+/// the work list — and [`CounterSet::book`], which fills them.
+macro_rules! declare_counters {
+    ($($(#[$doc:meta])* $field:ident: $counter:ident = $name:literal,)+) => {
+        named_enum! {
+            /// Worker-side counters, indexed into a [`CounterSet`]: what the
+            /// executed tasks did, as [`CounterSet::book`] counts it. Task
+            /// totals, queue traffic and line-lock spins live in `psme-core`'s
+            /// `WorkerStats` / `CycleMetrics` / `QueueStats`.
+            pub enum Counter {
+                /// Alpha (wme-change) tasks.
+                AlphaTasks = "alpha_tasks",
+                /// Null activations ([`TaskRecord::is_null`]): two-input
+                /// activations that emitted nothing — work that contributes
+                /// no matches.
+                NullActivations = "null_activations",
+                /// Memory-line lock acquisitions: one per line-touching
+                /// activation.
+                LineLockAcquisitions = "line_lock_acquisitions",
+                /// Conflict-set changes: one per P-node task.
+                CsChanges = "cs_changes",
+                $($(#[$doc])* $counter = $name,)+
+            }
+        }
+
+        impl CounterSet {
+            /// Count one executed task of `kind` that did `work` — the one
+            /// booking rule.
+            #[inline]
+            pub fn book(&mut self, kind: TaskKind, work: &Work) {
+                self.add(Counter::AlphaTasks, u64::from(kind == TaskKind::Alpha));
+                self.add(Counter::NullActivations, u64::from(TaskRecord::is_null(kind, work)));
+                self.add(Counter::LineLockAcquisitions, u64::from(work.line.is_some()));
+                self.add(Counter::CsChanges, u64::from(kind == TaskKind::Prod));
+                $(self.add(Counter::$counter, u64::from(work.$field));)+
+            }
+        }
+    };
 }
+
+psme_rete::with_work_fields!(declare_counters);
 
 /// A fixed-slot set of counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -227,26 +209,22 @@ mod tests {
         assert_eq!(r.total(ControlPhase::Match).count, 3);
         assert_eq!(r.total(ControlPhase::Decide).count, 1);
         assert_eq!(r.total(ControlPhase::ChunkBuild).count, 0);
-        let j = r.totals_json();
-        assert_eq!(j.get("match").and_then(|m| m.get("count")).and_then(Json::as_u64), Some(3));
-        assert!(j.get("decide").is_some());
-        assert_eq!(j.get("chunk_build"), None, "phases without a span omitted");
     }
 
     #[test]
     fn counters_merge_and_serialize() {
         let mut a = CounterSet::new();
-        a.add(Counter::BetaTasks, 10);
+        a.add(Counter::AlphaTasks, 10);
         a.add(Counter::NullActivations, 3);
         let mut b = CounterSet::new();
-        b.add(Counter::BetaTasks, 5);
+        b.add(Counter::AlphaTasks, 5);
         b.add(Counter::Scanned, 7);
         a.merge(&b);
-        assert_eq!(a.get(Counter::BetaTasks), 15);
+        assert_eq!(a.get(Counter::AlphaTasks), 15);
         assert_eq!(a.get(Counter::Scanned), 7);
         let j = a.to_json();
-        assert_eq!(j.get("beta_tasks").and_then(|v| v.as_u64()), Some(15));
-        assert_eq!(j.get("alpha_tasks"), None, "zero counters omitted");
+        assert_eq!(j.get("alpha_tasks").and_then(|v| v.as_u64()), Some(15));
+        assert_eq!(j.get("emitted"), None, "zero counters omitted");
         a.reset();
         assert!(a.is_empty());
     }
@@ -259,35 +237,63 @@ mod tests {
         assert_eq!(a.get(Counter::CsChanges), u64::MAX, "add saturates");
         let mut b = CounterSet::new();
         b.add(Counter::CsChanges, 1);
-        b.add(Counter::Reorganizations, 2);
+        b.add(Counter::Emitted, 2);
         a.merge(&b);
         assert_eq!(a.get(Counter::CsChanges), u64::MAX, "merge saturates");
-        assert_eq!(a.get(Counter::Reorganizations), 2);
-        let j = a.to_json();
-        assert_eq!(j.get("reorganizations").and_then(|v| v.as_u64()), Some(2));
+        assert_eq!(a.get(Counter::Emitted), 2);
     }
 
-    /// The names leave the process as JSON keys (`MetricsLog::to_json`, the
-    /// harness's `agent_phases` / `engine_phases`) and as the trace's event
-    /// kinds: the macro must spell them as they were spelled by hand.
+    /// Every work field lands in its own slot, and the per-task counts
+    /// follow the task's kind: an alpha task, a childless join (null, one
+    /// line) and a P-node task (one conflict-set change).
+    #[test]
+    fn booking_counts_each_task_once() {
+        let none = Work::default();
+        let alpha = Work { scanned: 3, probes: 1, candidates: 2, tests_saved: 4, emitted: 2, ..none };
+        let join = Work { scanned: 5, hash_rejects: 2, skipped: 1, line: Some(9), ..none };
+        let prod = Work { emitted: 1, line: Some(4), ..none };
+        let mut c = CounterSet::new();
+        c.book(TaskKind::Alpha, &alpha);
+        c.book(TaskKind::Join, &join);
+        c.book(TaskKind::Prod, &prod);
+        let got = Counter::ALL.map(|k| (k.name(), c.get(k)));
+        assert_eq!(
+            got,
+            [
+                ("alpha_tasks", 1),
+                ("null_activations", 1),
+                ("line_lock_acquisitions", 2),
+                ("cs_changes", 1),
+                ("scanned", 8),
+                ("hash_rejects", 2),
+                ("entries_skipped", 1),
+                ("alpha_probes", 1),
+                ("alpha_candidates", 2),
+                ("alpha_tests_saved", 4),
+                ("emitted", 3),
+            ]
+        );
+    }
+
+    /// The names leave the process as JSON keys (`MetricsLog::to_json`) and
+    /// as the trace's event kinds: the macro must spell them as they were
+    /// spelled by hand.
     #[test]
     fn exported_names_are_pinned() {
         assert_eq!(
             Counter::ALL.map(Counter::name),
             [
                 "alpha_tasks",
-                "beta_tasks",
                 "null_activations",
+                "line_lock_acquisitions",
+                "cs_changes",
                 "scanned",
                 "hash_rejects",
                 "entries_skipped",
-                "emitted",
-                "line_lock_acquisitions",
-                "cs_changes",
                 "alpha_probes",
                 "alpha_candidates",
                 "alpha_tests_saved",
-                "reorganizations",
+                "emitted",
             ]
         );
         assert_eq!(

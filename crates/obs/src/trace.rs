@@ -33,6 +33,7 @@
 
 use crate::json::Json;
 use crate::quantiles::Reservoir;
+use psme_ops::named_enum;
 use std::collections::VecDeque;
 use std::time::Instant;
 

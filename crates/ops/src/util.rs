@@ -1,4 +1,5 @@
-//! Small utilities: a fast non-cryptographic hasher for memory keys.
+//! Small utilities: a fast non-cryptographic hasher for memory keys, and
+//! [`named_enum!`](crate::named_enum).
 //!
 //! The hashed token memories (§6.1 of the paper) hash on the variable
 //! bindings tested for equality plus the destination node id. Keys are tiny
@@ -7,6 +8,31 @@
 //! productions. (`psme-rete` re-exports this module as `psme_rete::util`.)
 
 use std::hash::Hasher;
+
+/// A fieldless enum declared as `Variant = "json_name"` lines; the enum, its
+/// `ALL` (declaration order = reporting order) and `name()` all come from
+/// the one list.
+#[macro_export]
+macro_rules! named_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident { $($(#[$vmeta:meta])* $v:ident = $name:literal,)+ }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum $ty { $($(#[$vmeta])* $v,)+ }
+
+        impl $ty {
+            /// Every variant, in reporting order.
+            pub const ALL: [$ty; [$($name),+].len()] = [$($ty::$v),+];
+
+            /// Stable snake_case name (its JSON spelling).
+            pub fn name(self) -> &'static str {
+                match self { $($ty::$v => $name,)+ }
+            }
+        }
+    };
+}
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 

@@ -41,6 +41,7 @@
 
 use crate::node::{NodeId, Side};
 use crate::util::FxHashMap;
+use crate::work::Work;
 use psme_ops::{Pred, Symbol, Value, Wme};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -242,19 +243,12 @@ pub struct AlphaNet {
 /// Result of pushing one wme through the discrimination network.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AlphaStats {
-    /// Constant/intra tests evaluated (jump-table probes count as one
-    /// hashed test each, like the class test).
-    pub tests_run: u32,
+    /// The alpha task's work: constant/intra tests evaluated as `scanned`
+    /// (jump-table probes count as one hashed test each, like the class
+    /// test), `probes`, `candidates` and `tests_saved`.
+    pub work: Work,
     /// Alpha memories the wme entered.
     pub mems_matched: u32,
-    /// Jump-table probes performed (0 under the linear scan).
-    pub probes: u32,
-    /// Candidate memories whose residual tests were consulted (under the
-    /// linear scan: every memory of the class).
-    pub candidates: u32,
-    /// Tests the linear scan would have charged minus `tests_run`
-    /// (0 under the linear scan).
-    pub tests_saved: u32,
 }
 
 impl AlphaNet {
@@ -399,7 +393,8 @@ impl AlphaNet {
 
     fn classify_indexed(&self, w: &Wme, mut hit: impl FnMut(&AlphaMem)) -> AlphaStats {
         // The class lookup is the first discrimination: one hashed test.
-        let mut stats = AlphaStats { tests_run: 1, ..AlphaStats::default() };
+        let mut stats = AlphaStats::default();
+        stats.work.scanned = 1;
         let Some(idx) = self.class_index.get(&w.class) else {
             return stats;
         };
@@ -413,8 +408,8 @@ impl AlphaNet {
             for &f in &idx.probe_fields {
                 // One hash probe per indexed field — the jumptable analogue:
                 // counted as a single test, like the class lookup.
-                stats.probes += 1;
-                stats.tests_run += 1;
+                stats.work.probes += 1;
+                stats.work.scanned += 1;
                 if let Some(bucket) = idx.jump.get(&(f, w.field(f))) {
                     for &id in bucket {
                         self.consider(idx, w, id, &mut scratch, &mut stats, &mut matched);
@@ -429,7 +424,7 @@ impl AlphaNet {
                 hit(&self.mems[id.0 as usize]);
             }
         });
-        stats.tests_saved = (1 + idx.linear_tests).saturating_sub(stats.tests_run);
+        stats.work.tests_saved = (1 + idx.linear_tests).saturating_sub(stats.work.scanned);
         stats
     }
 
@@ -444,11 +439,11 @@ impl AlphaNet {
         stats: &mut AlphaStats,
         matched: &mut Vec<AlphaMemId>,
     ) {
-        stats.candidates += 1;
+        stats.work.candidates += 1;
         for &tid in &self.entries[id.0 as usize].residual {
             let (fresh, ok) = scratch.eval(tid, &idx.pool, w);
             if fresh {
-                stats.tests_run += 1;
+                stats.work.scanned += 1;
             }
             if !ok {
                 return;
@@ -465,12 +460,12 @@ impl AlphaNet {
         // The class test itself is the first discrimination (hash lookup,
         // counted as one test — PSM-E's class-indexing optimization that
         // "reduces constant-test activations by almost half").
-        stats.tests_run += 1;
+        stats.work.scanned += 1;
         if let Some(ids) = self.by_class.get(&w.class) {
             for &id in ids {
                 let m = &self.mems[id.0 as usize];
-                stats.candidates += 1;
-                stats.tests_run += m.test_count() as u32;
+                stats.work.candidates += 1;
+                stats.work.scanned += m.test_count() as u32;
                 if m.passes(w) {
                     stats.mems_matched += 1;
                     hit(m);
@@ -613,8 +608,8 @@ mod tests {
         let ls = a.classify_linear(w, |m| lh.push(m.id));
         assert_eq!(ih, lh, "hit sets and order must agree");
         assert_eq!(is.mems_matched, ls.mems_matched);
-        assert!(is.tests_run <= ls.tests_run, "indexed may never test more");
-        assert_eq!(is.tests_saved, ls.tests_run - is.tests_run);
+        assert!(is.work.scanned <= ls.work.scanned, "indexed may never test more");
+        assert_eq!(is.work.tests_saved, ls.work.scanned - is.work.scanned);
         a.validate_index().unwrap();
         (ih, is, ls)
     }
@@ -652,7 +647,7 @@ mod tests {
         let stats = a.classify(&w(&r, "(block ^name b1 ^color blue)"), |m| hits.push(m.id));
         assert_eq!(hits.len(), 2);
         assert!(hits.contains(&blue) && hits.contains(&anyblock));
-        assert!(stats.tests_run >= 2);
+        assert!(stats.work.scanned >= 2);
 
         hits.clear();
         a.classify(&w(&r, "(block ^name b2 ^color red)"), |m| hits.push(m.id));
@@ -720,11 +715,11 @@ mod tests {
             a.intern(intern("block"), vec![t(0, Pred::Eq, Value::sym(&format!("b{i}")))], vec![]);
         }
         let (_, is, ls) = both(&a, &w(&r, "(block ^name b7)"));
-        assert_eq!(is.probes, 1);
-        assert_eq!(is.candidates, 1, "only the b7 memory is consulted");
-        assert_eq!(is.tests_run, 2, "class + one probe");
-        assert_eq!(ls.tests_run, 21, "linear pays every memory's chain");
-        assert_eq!(is.tests_saved, 19);
+        assert_eq!(is.work.probes, 1);
+        assert_eq!(is.work.candidates, 1, "only the b7 memory is consulted");
+        assert_eq!(is.work.scanned, 2, "class + one probe");
+        assert_eq!(ls.work.scanned, 21, "linear pays every memory's chain");
+        assert_eq!(is.work.tests_saved, 19);
     }
 
     #[test]
@@ -742,10 +737,10 @@ mod tests {
             );
         }
         let (_, is, ls) = both(&a, &w(&r, "(block ^color 5 ^on x)"));
-        assert_eq!(ls.tests_run, 7, "1 class + 3×2 chain tests");
+        assert_eq!(ls.work.scanned, 7, "1 class + 3×2 chain tests");
         // Indexed: class + ≠nil once + three distinct predicate tests.
-        assert_eq!(is.tests_run, 5);
-        assert_eq!(is.candidates, 3);
+        assert_eq!(is.work.scanned, 5);
+        assert_eq!(is.work.candidates, 3);
     }
 
     #[test]
@@ -768,7 +763,7 @@ mod tests {
         );
         let (h2, is, _) = both(&a, &wme);
         assert_eq!(h2.len(), 5, "all five memories match");
-        assert_eq!(is.probes, 2, "fields 0 and 1 are probed");
+        assert_eq!(is.work.probes, 2, "fields 0 and 1 are probed");
     }
 
     #[test]
@@ -790,9 +785,9 @@ mod tests {
         let mut a = AlphaNet::reference();
         a.intern(intern("block"), vec![t(1, Pred::Eq, Value::sym("blue"))], vec![]);
         let stats = a.classify(&w(&r, "(block ^color blue)"), |_| {});
-        assert_eq!(stats.probes, 0);
-        assert_eq!(stats.tests_saved, 0);
-        assert_eq!(stats.tests_run, 2);
+        assert_eq!(stats.work.probes, 0);
+        assert_eq!(stats.work.tests_saved, 0);
+        assert_eq!(stats.work.scanned, 2);
     }
 
     #[test]
@@ -801,6 +796,7 @@ mod tests {
         r.declare_str("ghost", &["x"]);
         let a = AlphaNet::new();
         let stats = a.classify(&w(&r, "(ghost ^x 1)"), |_| unreachable!());
-        assert_eq!(stats, AlphaStats { tests_run: 1, ..AlphaStats::default() });
+        assert_eq!(stats.work, Work { scanned: 1, ..Work::default() });
+        assert_eq!(stats.mems_matched, 0);
     }
 }

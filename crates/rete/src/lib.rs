@@ -14,6 +14,8 @@
 //! * a deterministic **serial engine** ([`serial`]) that doubles as trace
 //!   producer for the Multimax simulator, and a brute-force **oracle**
 //!   matcher ([`naive`]) for differential testing,
+//! * one task's counted work, [`Work`] ([`work`]), the one value every
+//!   consumer of a task's counts reads,
 //! * the **code-size / compile-time models** behind Tables 5-1 and 5-2
 //!   ([`codesize`]).
 //!
@@ -70,6 +72,7 @@ pub mod token;
 pub mod trace;
 pub mod update;
 pub mod view;
+pub mod work;
 
 pub use alpha::{AlphaMem, AlphaMemId, AlphaNet, AlphaStats};
 pub use bilinear::{plan_bilinear, plan_chain_length};
@@ -86,8 +89,8 @@ pub use network::{NetStats, NetworkOrg, ProdInfo, ReteNetwork};
 pub use node::{BetaNode, JoinTest, KeyPart, NodeId, NodeKind, RightSrc, Side, ROOT};
 pub use ops5::{Ops5Runtime, Ops5Stop};
 pub use process::{
-    assert_quiescent, process_beta, process_beta_scratch, process_wme_change, ActStats,
-    Activation, BetaScratch, CsChange,
+    assert_quiescent, process_beta, process_beta_scratch, process_wme_change, Activation,
+    BetaScratch, CsChange,
 };
 pub use reorg::{ChainDetector, CostWindow, ReorgConfig, ReorgDecision};
 pub use serial::{
@@ -105,3 +108,4 @@ pub use token::{Token, WmeStore};
 pub use trace::{CycleTrace, Phase, RunTrace, TaskKind, TaskRecord};
 pub use update::seed_update;
 pub use view::{ReorgBuild, ReteBuild, ReteView};
+pub use work::Work;

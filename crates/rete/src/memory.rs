@@ -82,10 +82,10 @@
 //!   line, and the hash-first reject makes their upsert O(1) expected.
 
 use crate::node::{KeyPart, NodeId, Side};
-use crate::process::ActStats;
 use crate::sync::{SpinGuard, SpinLock};
 use crate::token::{Token, WmeStore};
 use crate::util::{fxhash, FxHasher};
+use crate::work::Work;
 use psme_ops::{Value, WmeId};
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
@@ -265,18 +265,18 @@ impl<M: Copy + Default> Bucket<M> {
     pub fn probe(
         &mut self,
         a: &Arrival,
-        stats: &mut ActStats,
+        work: &mut Work,
         mut hit: impl FnMut(&Token, i32, &mut M),
     ) {
         let (s, e) = if a.reference { (0, self.entries.len()) } else { self.run(a.node) };
         for en in &mut self.entries[s..e] {
             if en.node != a.node {
-                stats.skipped += 1;
+                work.skipped += 1;
                 continue;
             }
-            stats.scanned += 1;
+            work.scanned += 1;
             if !a.reference && en.hash != a.hash {
-                stats.hash_rejects += 1;
+                work.hash_rejects += 1;
                 continue;
             }
             if a.key_matches(&en.token) {
@@ -781,14 +781,14 @@ mod tests {
             }
             let left = Token::unit(WmeId(0));
             let a = arrive(&m, &store, &key, 5, &left);
-            let mut stats = ActStats::default();
+            let mut work = Work::default();
             let mut hits = Vec::new();
-            b.probe(&a, &mut stats, |t, _, _| hits.push(t.clone()));
+            b.probe(&a, &mut work, |t, _, _| hits.push(t.clone()));
             assert_eq!(hits, [1, 2].map(|w| Token::unit(WmeId(w))), "reference {}", m.reference);
-            assert_eq!(stats.scanned, 3, "every same-node entry is a candidate");
+            assert_eq!(work.scanned, 3, "every same-node entry is a candidate");
             // Key [2]'s entry alone is turned away by its hash.
-            assert_eq!(stats.hash_rejects, u32::from(!m.reference));
-            assert_eq!(stats.skipped, u32::from(m.reference), "node 3's entry");
+            assert_eq!(work.hash_rejects, u32::from(!m.reference));
+            assert_eq!(work.skipped, u32::from(m.reference), "node 3's entry");
         }
     }
 }

@@ -29,6 +29,7 @@ use crate::memory::{key_hash, token_hash, Arrival, LineData, Lines, MemoryTable}
 use crate::node::{BetaNode, MergeSrc, NodeId, NodeKind, Side, ROOT};
 use crate::token::{Token, WmeStore};
 use crate::view::ReteView;
+use crate::work::Work;
 use psme_ops::WmeId;
 
 /// One unit of match work: a token arriving at a node input.
@@ -53,25 +54,6 @@ pub struct CsChange {
     pub token: Token,
     /// Signed weight.
     pub delta: i32,
-}
-
-/// Cost-relevant counters from processing one activation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ActStats {
-    /// Opposite-memory candidate entries examined (same destination node).
-    pub scanned: u32,
-    /// Candidates rejected by the one-word hash compare before any
-    /// structural key compare (0 on a reference table).
-    pub hash_rejects: u32,
-    /// Co-hashed entries of *other* nodes traversed by the reference
-    /// whole-line scan (0 otherwise — the run bounds never visit them).
-    pub skipped: u32,
-    /// Child activations emitted.
-    pub emitted: u32,
-    /// Memory line touched (two-input and P nodes).
-    pub line: Option<u32>,
-    /// Spins while acquiring the line lock.
-    pub spins: u64,
 }
 
 /// Reusable per-worker scratch for [`process_beta_scratch`]: the match /
@@ -107,9 +89,9 @@ fn merge_token(node: &BetaNode, left: &Token, right: &Token) -> Token {
     }))
 }
 
-/// Process one beta activation (convenience wrapper that brings its own
-/// scratch; hot loops should hold a [`BetaScratch`] and call
-/// [`process_beta_scratch`]).
+/// Process one beta activation and return its work (convenience wrapper
+/// that brings its own scratch and drops the lock spins; hot loops should
+/// hold a [`BetaScratch`] and call [`process_beta_scratch`]).
 pub fn process_beta<N: ReteView + ?Sized>(
     net: &N,
     mem: impl Lines,
@@ -118,9 +100,9 @@ pub fn process_beta<N: ReteView + ?Sized>(
     min_node: NodeId,
     emit: &mut dyn FnMut(Activation),
     cs_emit: &mut dyn FnMut(CsChange),
-) -> ActStats {
+) -> Work {
     let mut scratch = BetaScratch::default();
-    process_beta_scratch(net, mem, store, act, min_node, &mut scratch, emit, cs_emit)
+    process_beta_scratch(net, mem, store, act, min_node, &mut scratch, emit, cs_emit).0
 }
 
 /// Deferred after-lock work produced by [`beta_locked`]: what to emit once
@@ -192,7 +174,7 @@ fn beta_locked<N: ReteView + ?Sized>(
     act: &Activation,
     arr: &Arrival,
     matches: &mut Vec<(Token, i32)>,
-    stats: &mut ActStats,
+    work: &mut Work,
 ) -> Post {
     let node = net.node(act.node);
     let (token, delta) = (&act.token, act.delta);
@@ -207,7 +189,7 @@ fn beta_locked<N: ReteView + ?Sized>(
         }
         (NodeKind::Join, Side::Left) => {
             g.left.upsert(arr, delta);
-            g.right.probe(arr, stats, |right, w, _| {
+            g.right.probe(arr, work, |right, w, _| {
                 if tests_pass(node, token, right, store) {
                     matches.push((right.clone(), w));
                 }
@@ -219,9 +201,9 @@ fn beta_locked<N: ReteView + ?Sized>(
             if node.parent == ROOT {
                 // The root's single output is the weight-1 empty token.
                 matches.push((Token::empty(), 1));
-                stats.scanned += 1;
+                work.scanned += 1;
             } else {
-                g.left.probe(arr, stats, |left, w, _| {
+                g.left.probe(arr, work, |left, w, _| {
                     if tests_pass(node, left, token, store) {
                         matches.push((left.clone(), w));
                     }
@@ -234,7 +216,7 @@ fn beta_locked<N: ReteView + ?Sized>(
             let up = g.left.upsert(arr, delta);
             let mut m = up.m;
             if let Some(at) = up.fresh {
-                g.right.probe(arr, stats, |right, w, _| {
+                g.right.probe(arr, work, |right, w, _| {
                     if tests_pass(node, token, right, store) {
                         m += w;
                     }
@@ -247,7 +229,7 @@ fn beta_locked<N: ReteView + ?Sized>(
             g.right.upsert(arr, delta);
             // Adjust the not-counters of matching left tokens; collect the
             // blocked/unblocked transitions.
-            g.left.probe(arr, stats, |left, w, m| {
+            g.left.probe(arr, work, |left, w, m| {
                 if tests_pass(node, left, token, store) {
                     let m_old = *m;
                     *m += delta;
@@ -272,7 +254,7 @@ fn beta_post<N: ReteView + ?Sized>(
     post: Post,
     matches: &[(Token, i32)],
     min_node: NodeId,
-    stats: &mut ActStats,
+    work: &mut Work,
     emit: &mut dyn FnMut(Activation),
     cs_emit: &mut dyn FnMut(CsChange),
 ) {
@@ -280,7 +262,7 @@ fn beta_post<N: ReteView + ?Sized>(
         Post::None => {}
         Post::Cs { prod } => {
             cs_emit(CsChange { prod, token: act.token.clone(), delta: act.delta });
-            stats.emitted = 1;
+            work.emitted = 1;
         }
         Post::Join => {
             let node = net.node(act.node);
@@ -289,13 +271,13 @@ fn beta_post<N: ReteView + ?Sized>(
                     Side::Left => merge_token(node, &act.token, t),
                     Side::Right => merge_token(node, t, &act.token),
                 };
-                stats.emitted += emit_children(net, node, out, act.delta * w, min_node, emit);
+                work.emitted += emit_children(net, node, out, act.delta * w, min_node, emit);
             }
         }
         Post::NegGate { fire } => {
             if fire {
                 let node = net.node(act.node);
-                stats.emitted +=
+                work.emitted +=
                     emit_children(net, node, act.token.clone(), act.delta, min_node, emit);
             }
         }
@@ -303,14 +285,15 @@ fn beta_post<N: ReteView + ?Sized>(
             let node = net.node(act.node);
             for (t, d) in matches {
                 if *d != 0 {
-                    stats.emitted += emit_children(net, node, t.clone(), *d, min_node, emit);
+                    work.emitted += emit_children(net, node, t.clone(), *d, min_node, emit);
                 }
             }
         }
     }
 }
 
-/// Process one beta activation, reusing `scratch` across calls.
+/// Process one beta activation, reusing `scratch` across calls. Returns the
+/// task's work and the spins it took to reach its line.
 ///
 /// `mem` is the table as the caller holds it, and that decides how the
 /// activation's line is reached ([`Lines`]): `&MemoryTable` takes the
@@ -330,22 +313,21 @@ pub fn process_beta_scratch<N: ReteView + ?Sized>(
     scratch: &mut BetaScratch,
     emit: &mut dyn FnMut(Activation),
     cs_emit: &mut dyn FnMut(CsChange),
-) -> ActStats {
-    let mut stats = ActStats::default();
+) -> (Work, u64) {
+    let mut work = Work::default();
     scratch.matches.clear();
     let Some(arr) = plan_parts(net, &mem, store, act) else {
-        return stats; // Root: no memory, no emission.
+        return (work, 0); // Root: no memory, no emission.
     };
-    stats.line = Some(arr.line());
+    work.line = Some(arr.line());
     // The side the token arrives on is the bucket it is stored in (a P
     // node's one input is its left).
     let (mut g, spins) = mem.reach(arr.line(), act.side);
-    stats.spins = spins;
-    let post = beta_locked(net, &mut g, store, act, &arr, &mut scratch.matches, &mut stats);
+    let post = beta_locked(net, &mut g, store, act, &arr, &mut scratch.matches, &mut work);
     drop(g);
-    beta_post(net, act, post, &scratch.matches, min_node, &mut stats, emit, cs_emit);
+    beta_post(net, act, post, &scratch.matches, min_node, &mut work, emit, cs_emit);
     scratch.matches.clear();
-    stats
+    (work, spins)
 }
 
 fn emit_children<N: ReteView + ?Sized>(
@@ -385,10 +367,8 @@ fn emit_children<N: ReteView + ?Sized>(
 }
 
 /// Push one wme change through the alpha network, emitting right
-/// activations on every successor of every matching alpha memory.
-///
-/// Returns the discrimination stats (tests run, probes, candidates, tests
-/// saved) and the number of activations emitted.
+/// activations on every successor of every matching alpha memory. Returns
+/// the task's work: the discrimination counts and the activations emitted.
 pub fn process_wme_change<N: ReteView + ?Sized>(
     net: &N,
     store: &WmeStore,
@@ -396,20 +376,20 @@ pub fn process_wme_change<N: ReteView + ?Sized>(
     delta: i32,
     min_node: NodeId,
     emit: &mut dyn FnMut(Activation),
-) -> (crate::alpha::AlphaStats, u32) {
+) -> Work {
     // One unit token shared across the whole fan-out: the store caches it
     // per wme, so every successor (and every later alpha task for this
     // wme) takes a refcount bump instead of a fresh allocation.
     let token = store.unit_token(wme).clone();
     let w = store.get(wme).clone();
     let mut emitted = 0u32;
-    let stats = net.classify_wme(&w, &mut |child, side| {
+    let work = net.classify_wme(&w, &mut |child, side| {
         if child >= min_node && net.edge_live(child) {
             emit(Activation { node: child, side, token: token.clone(), delta });
             emitted += 1;
         }
     });
-    (stats, emitted)
+    Work { emitted, ..work }
 }
 
 #[cfg(test)]
@@ -503,9 +483,9 @@ mod tests {
         // Filter above every node id: nothing may be emitted.
         process_wme_change(&net, &store, wa, 1, 10_000, &mut |a| emitted.push(a));
         assert!(emitted.is_empty());
-        let (stats, n) = process_wme_change(&net, &store, wa, 1, 0, &mut |_| {});
-        assert!(stats.tests_run > 0);
-        assert_eq!(n, 1, "one successor at the join's right input");
+        let work = process_wme_change(&net, &store, wa, 1, 0, &mut |_| {});
+        assert!(work.scanned > 0);
+        assert_eq!(work.emitted, 1, "one successor at the join's right input");
         let _ = mem;
     }
 
@@ -517,11 +497,11 @@ mod tests {
         process_wme_change(&net, &store, wa, 1, 0, &mut |a| acts.push(a));
         assert_eq!(acts.len(), 1);
         let mut emitted = Vec::new();
-        let stats = process_beta(&net, &mem, &store, &acts[0], 0, &mut |a| emitted.push(a), &mut |_| {});
+        let work = process_beta(&net, &mem, &store, &acts[0], 0, &mut |a| emitted.push(a), &mut |_| {});
         // The first-level join emits a 1-wme token downstream.
         assert_eq!(emitted.len(), 1);
         assert_eq!(emitted[0].token.len(), 1);
-        assert_eq!(stats.scanned, 1, "the implicit empty token counts as one scan");
+        assert_eq!(work.scanned, 1, "the implicit empty token counts as one scan");
     }
 
     #[test]
@@ -534,7 +514,7 @@ mod tests {
         for mode in [true, false] {
             let mem = if mode { MemoryTable::new(1) } else { MemoryTable::reference(1) };
             let mut cs = Vec::new();
-            let mut stats_sum = ActStats::default();
+            let mut sum = Work::default();
             // Several (a, b) pairs with distinct keys: only the same-key
             // pair joins; different-key right entries are hash-rejectable.
             let mut ids = Vec::new();
@@ -547,22 +527,19 @@ mod tests {
                 process_wme_change(&net, &store, w, 1, 0, &mut |a| pending.push(a));
                 let mut queue = pending;
                 while let Some(act) = queue.pop() {
-                    let s = process_beta(&net, &mem, &store, &act, 0, &mut |a| queue.push(a), &mut |c| {
+                    sum += process_beta(&net, &mem, &store, &act, 0, &mut |a| queue.push(a), &mut |c| {
                         cs.push(c)
                     });
-                    stats_sum.scanned += s.scanned;
-                    stats_sum.hash_rejects += s.hash_rejects;
-                    stats_sum.skipped += s.skipped;
                 }
             }
             let net_weight: i32 = cs.iter().map(|c| c.delta).sum();
             assert_eq!(net_weight, 4, "one instantiation per pair (mode {mode})");
             if mode {
-                assert!(stats_sum.hash_rejects > 0, "indexed probes hash-reject");
-                assert_eq!(stats_sum.skipped, 0, "run bounds never visit other nodes");
+                assert!(sum.hash_rejects > 0, "indexed probes hash-reject");
+                assert_eq!(sum.skipped, 0, "run bounds never visit other nodes");
             } else {
-                assert_eq!(stats_sum.hash_rejects, 0, "reference scan never hash-rejects");
-                assert!(stats_sum.skipped > 0, "whole-line scan traverses other nodes");
+                assert_eq!(sum.hash_rejects, 0, "reference scan never hash-rejects");
+                assert!(sum.skipped > 0, "whole-line scan traverses other nodes");
             }
             assert_quiescent(&net, &mem, &store);
         }

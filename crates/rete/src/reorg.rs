@@ -21,9 +21,9 @@
 use crate::bilinear::{plan_bilinear, plan_chain_length};
 use crate::network::NetworkOrg;
 use crate::node::NodeId;
-use crate::process::ActStats;
 use crate::util::FxHashMap;
 use crate::view::ReteView;
+use crate::work::Work;
 use psme_ops::Symbol;
 
 /// EWMA smoothing factor for per-production cost shares (weight of the
@@ -102,8 +102,8 @@ impl CostWindow {
     /// entries it scanned and the children it emitted — the unit the
     /// simulator prices.
     #[inline]
-    pub fn note(&mut self, node: NodeId, s: &ActStats) {
-        self.add(node, 1 + s.scanned as u64 + s.emitted as u64);
+    pub fn note(&mut self, node: NodeId, w: &Work) {
+        self.add(node, 1 + w.scanned as u64 + w.emitted as u64);
     }
 
     /// Move everything `other` holds into this window, leaving it empty (a

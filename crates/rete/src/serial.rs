@@ -15,7 +15,7 @@
 use crate::build::{AddResult, BuildError};
 use crate::memory::MemoryTable;
 use crate::network::{NetworkOrg, ReteNetwork};
-use crate::node::{NodeId, NodeKind, Side};
+use crate::node::{NodeId, Side};
 use crate::reorg::{ChainDetector, CostWindow, ReorgDecision};
 use crate::process::{process_beta_scratch, process_wme_change, Activation, BetaScratch, CsChange};
 use crate::state::MatchState;
@@ -211,7 +211,7 @@ pub struct SerialEngine<N = ReteNetwork> {
     total_tasks: u64,
     /// Reusable beta-scan scratch (the serial engine is its own "worker").
     scratch: BetaScratch,
-    /// `Some` while armed for the online chain detector: [`Self::drain`]
+    /// `Some` while armed for the online chain detector: [`Self::run_phase`]
     /// notes every beta task's cost here, [`Self::poll_reorg`] empties it.
     /// Off by default — unarmed sessions pay one branch per task.
     costs: Option<CostWindow>,
@@ -298,57 +298,6 @@ impl<N: ReteView> SerialEngine<N> {
         outcome
     }
 
-    fn drain(
-        &mut self,
-        mut queue: VecDeque<(Activation, Option<u32>)>,
-        min_node: NodeId,
-        tasks: &mut Vec<TaskRecord>,
-        cs_fold: &mut CsFold,
-        next_task: &mut u32,
-    ) {
-        while let Some((act, parent)) = queue.pop_front() {
-            let tid = *next_task;
-            *next_task += 1;
-            let t0 = self.capture.then(std::time::Instant::now);
-            let stats = process_beta_scratch(
-                &self.net,
-                &mut self.state.mem, // ours alone: borrowed, not locked
-                &self.state.store,
-                &act,
-                min_node,
-                &mut self.scratch,
-                &mut |a| queue.push_back((a, Some(tid))),
-                &mut |c| cs_fold.add(c),
-            );
-            if let Some(costs) = &mut self.costs {
-                costs.note(act.node, &stats);
-            }
-            if self.capture {
-                let kind = match self.net.node(act.node).kind {
-                    NodeKind::Join => TaskKind::Join,
-                    NodeKind::Neg => TaskKind::Neg,
-                    NodeKind::Prod { .. } => TaskKind::Prod,
-                    NodeKind::Root => TaskKind::Join,
-                };
-                tasks.push(TaskRecord {
-                    id: tid,
-                    parent,
-                    node: act.node,
-                    kind,
-                    side: Some(act.side),
-                    delta: act.delta,
-                    scanned: stats.scanned,
-                    hash_rejects: stats.hash_rejects,
-                    skipped: stats.skipped,
-                    probes: 0,
-                    emitted: stats.emitted,
-                    line: stats.line,
-                    wall_ns: wall_ns_since(t0),
-                });
-            }
-        }
-    }
-
     /// One phase of match work, run to quiescence and recorded as one cycle
     /// of the trace: the boundary `seeds`, then every wme change through the
     /// alpha network, then whatever those activate — all filtered to nodes
@@ -365,39 +314,45 @@ impl<N: ReteView> SerialEngine<N> {
     ) -> (u64, CsFold) {
         let mut queue: VecDeque<(Activation, Option<u32>)> =
             seeds.into_iter().map(|a| (a, None)).collect();
+        let mut changes = changes.into_iter();
         let mut tasks: Vec<TaskRecord> = Vec::new();
         let mut cs_fold = CsFold::default();
         let mut next_task: u32 = 0;
-
-        for (id, delta) in changes {
-            let tid = next_task;
-            next_task += 1;
-            let mut emitted = 0u32;
+        loop {
+            let id = next_task;
             let t0 = self.capture.then(std::time::Instant::now);
-            let (alpha, _) =
-                process_wme_change(&self.net, &self.state.store, id, delta, min_node, &mut |a| {
-                    queue.push_back((a, Some(tid)));
-                    emitted += 1;
-                });
+            // The alpha tasks first, then the activations, FIFO.
+            let task = if let Some((wme, delta)) = changes.next() {
+                let (net, store) = (&self.net, &self.state.store);
+                let push = &mut |a| queue.push_back((a, Some(id)));
+                let work = process_wme_change(net, store, wme, delta, min_node, push);
+                (None, 0, TaskKind::Alpha, None, delta, work)
+            } else if let Some((act, parent)) = queue.pop_front() {
+                let (work, _) = process_beta_scratch(
+                    &self.net,
+                    &mut self.state.mem, // ours alone: borrowed, not locked
+                    &self.state.store,
+                    &act,
+                    min_node,
+                    &mut self.scratch,
+                    &mut |a| queue.push_back((a, Some(id))),
+                    &mut |c| cs_fold.add(c),
+                );
+                if let Some(costs) = &mut self.costs {
+                    costs.note(act.node, &work);
+                }
+                let kind = TaskKind::from(self.net.node(act.node).kind);
+                (parent, act.node, kind, Some(act.side), act.delta, work)
+            } else {
+                break;
+            };
+            next_task += 1;
             if self.capture {
-                tasks.push(TaskRecord {
-                    id: tid,
-                    parent: None,
-                    node: 0,
-                    kind: TaskKind::Alpha,
-                    side: None,
-                    delta,
-                    scanned: alpha.tests_run,
-                    hash_rejects: 0,
-                    skipped: 0,
-                    probes: alpha.probes,
-                    emitted,
-                    line: None,
-                    wall_ns: wall_ns_since(t0),
-                });
+                let (parent, node, kind, side, delta, work) = task;
+                let wall_ns = wall_ns_since(t0);
+                tasks.push(TaskRecord { id, parent, node, kind, side, delta, work, wall_ns });
             }
         }
-        self.drain(queue, min_node, &mut tasks, &mut cs_fold, &mut next_task);
         self.total_tasks += next_task as u64;
         if self.capture {
             self.trace.cycles.push(CycleTrace { cycle: self.cycle_count, phase, tasks });

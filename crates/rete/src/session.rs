@@ -29,12 +29,13 @@
 //! splice maps, and the whole [`crate::state::MatchState`]) is owned by one
 //! session.
 
-use crate::alpha::{AlphaMemId, AlphaNet, AlphaStats, AlphaTest, IntraTest};
+use crate::alpha::{AlphaMemId, AlphaNet, AlphaTest, IntraTest};
 use crate::build::{build_production, AddResult, BuildError, BuildTarget};
 use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
 use crate::node::{BetaNode, NodeId, NodeKind, NodeSignature, RightSrc, Side};
 use crate::util::FxHashMap;
 use crate::view::{ReteBuild, ReteView};
+use crate::work::Work;
 use psme_ops::{Production, Symbol, Wme};
 use std::sync::Arc;
 
@@ -338,14 +339,14 @@ impl ReteView for SessionNet {
         self.base_prods as usize + self.over_prods.len()
     }
 
-    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> AlphaStats {
+    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> Work {
         // Base memories are hit in ascending id order; for each, base
         // successors precede the session's splices (chronological), which
         // is exactly the monolithic append order. Overlay memories follow —
         // their global ids all exceed every base id, so the combined hit
         // order stays ascending, matching a monolithic network that
         // compiled base-then-chunks.
-        let mut stats = self.topo.net().alpha.classify(w, |m| {
+        let mut work = self.topo.net().alpha.classify(w, |m| {
             for &(child, side) in &m.successors {
                 hit(child, side);
             }
@@ -356,20 +357,17 @@ impl ReteView for SessionNet {
                     }
                 }
             }
-        });
+        })
+        .work;
         if !self.over_alpha.is_empty() {
-            let os = self.over_alpha.classify(w, |m| {
+            work += self.over_alpha.classify(w, |m| {
                 for &(child, side) in &m.successors {
                     hit(child, side);
                 }
-            });
-            stats.tests_run += os.tests_run;
-            stats.mems_matched += os.mems_matched;
-            stats.probes += os.probes;
-            stats.candidates += os.candidates;
-            stats.tests_saved += os.tests_saved;
+            })
+            .work;
         }
-        stats
+        work
     }
 
     #[inline]

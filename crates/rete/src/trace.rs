@@ -2,12 +2,13 @@
 //!
 //! The serial engine deterministically records every task (node activation)
 //! it executes: its parent task (the activation that enqueued it), the node,
-//! the side, and the work counters (opposite-memory entries scanned,
-//! children emitted, constant tests run). `psme-sim` replays these DAGs on
-//! P simulated processors under a calibrated NS32032 cost model to
+//! the side, and the task's [`Work`] (opposite-memory entries scanned,
+//! children emitted, constant tests run, …). `psme-sim` replays these DAGs
+//! on P simulated processors under a calibrated NS32032 cost model to
 //! regenerate the paper's speedup figures.
 
-use crate::node::{NodeId, Side};
+use crate::node::{NodeId, NodeKind, Side};
+use crate::work::Work;
 
 /// What kind of work a task performed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,6 +21,18 @@ pub enum TaskKind {
     Neg,
     /// A P-node activation (conflict-set update).
     Prod,
+}
+
+/// The kind of an activation of a node of this kind (the root, which no
+/// activation reaches, counts as a join).
+impl From<NodeKind> for TaskKind {
+    fn from(kind: NodeKind) -> TaskKind {
+        match kind {
+            NodeKind::Join | NodeKind::Root => TaskKind::Join,
+            NodeKind::Neg => TaskKind::Neg,
+            NodeKind::Prod { .. } => TaskKind::Prod,
+        }
+    }
 }
 
 /// One executed task.
@@ -38,27 +51,8 @@ pub struct TaskRecord {
     pub side: Option<Side>,
     /// +1 add / −1 delete.
     pub delta: i32,
-    /// Opposite-memory candidate entries examined (alpha: constant tests
-    /// run). Candidates only — co-hashed entries of other nodes are counted
-    /// in `skipped`, so indexed and reference memory runs agree on this
-    /// column.
-    pub scanned: u32,
-    /// Candidates rejected by the stored-hash compare before any structural
-    /// key compare (indexed probes only; 0 for alpha tasks and for the
-    /// reference whole-line scan).
-    pub hash_rejects: u32,
-    /// Co-hashed entries of *other* destination nodes traversed by the
-    /// reference whole-line scan (0 with the per-node line index, which
-    /// never visits them; 0 for alpha tasks).
-    pub skipped: u32,
-    /// For alpha tasks: hashed jump-table probes included in `scanned`
-    /// (cheaper than chain tests under the cost model; 0 for beta tasks and
-    /// for the linear-scan classifier).
-    pub probes: u32,
-    /// Child activations emitted.
-    pub emitted: u32,
-    /// Memory line touched, if any.
-    pub line: Option<u32>,
+    /// What the task did.
+    pub work: Work,
     /// Measured wall time of the task in nanoseconds (0 when the engine
     /// wasn't capturing timings; u32 caps one task at ~4.3 s, far beyond
     /// any real activation).
@@ -66,12 +60,14 @@ pub struct TaskRecord {
 }
 
 impl TaskRecord {
-    /// A null activation in the paper's sense: a two-input node activation
-    /// that emitted no children — memory was updated and scanned, but no
-    /// new match progress resulted. Gupta measured these as a dominant
-    /// overhead; alpha and P-node tasks are excluded by definition.
-    pub fn is_null(&self) -> bool {
-        matches!(self.kind, TaskKind::Join | TaskKind::Neg) && self.emitted == 0
+    /// Whether a task of `kind` that did `work` is a null activation in the
+    /// paper's sense: a two-input node activation that emitted no children
+    /// — memory was updated and scanned, but no new match progress
+    /// resulted. Gupta measured these as a dominant overhead; alpha and
+    /// P-node tasks are excluded by definition. The one rule the profiler
+    /// and the engines' counters apply, with or without a record in hand.
+    pub fn is_null(kind: TaskKind, work: &Work) -> bool {
+        matches!(kind, TaskKind::Join | TaskKind::Neg) && work.emitted == 0
     }
 }
 
@@ -131,19 +127,18 @@ mod tests {
     use super::*;
 
     fn rec(id: u32, parent: Option<u32>, kind: TaskKind) -> TaskRecord {
-        TaskRecord { id, parent, node: 1, kind, side: None, delta: 1, scanned: 0, hash_rejects: 0, skipped: 0, probes: 0, emitted: 0, line: None, wall_ns: 0 }
+        TaskRecord { id, parent, node: 1, kind, side: None, delta: 1, work: Work::default(), wall_ns: 0 }
     }
 
     #[test]
     fn null_activation_is_childless_two_input() {
-        let mut t = rec(0, None, TaskKind::Join);
-        assert!(t.is_null());
-        t.emitted = 1;
-        assert!(!t.is_null());
-        assert!(rec(1, None, TaskKind::Neg).is_null());
+        let childless = Work::default();
+        assert!(TaskRecord::is_null(TaskKind::Join, &childless));
+        assert!(!TaskRecord::is_null(TaskKind::Join, &Work { emitted: 1, ..childless }));
+        assert!(TaskRecord::is_null(TaskKind::Neg, &childless));
         // Alpha and P-node tasks are never "null activations".
-        assert!(!rec(2, None, TaskKind::Alpha).is_null());
-        assert!(!rec(3, None, TaskKind::Prod).is_null());
+        assert!(!TaskRecord::is_null(TaskKind::Alpha, &childless));
+        assert!(!TaskRecord::is_null(TaskKind::Prod, &childless));
     }
 
     #[test]

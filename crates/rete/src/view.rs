@@ -11,10 +11,10 @@
 //! is immutable, so a session records the edges a chunk would have spliced
 //! into it as out-of-band deltas).
 
-use crate::alpha::AlphaStats;
 use crate::build::{AddResult, BuildError};
 use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
 use crate::node::{BetaNode, NodeId, Side};
+use crate::work::Work;
 use psme_ops::{Production, Wme};
 use std::sync::Arc;
 
@@ -41,8 +41,8 @@ pub trait ReteView {
     /// Push one wme through the constant-test network, emitting every
     /// successor edge of every matching alpha memory — including overlay
     /// splices and overlay-private memories, in the same order a monolithic
-    /// network would emit them.
-    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> AlphaStats;
+    /// network would emit them. Returns the discrimination's work.
+    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> Work;
 
     /// `false` when `id` was retired by an adaptive reorganization and its
     /// incoming edges must be skipped during propagation. A monolithic
@@ -158,12 +158,14 @@ impl ReteView for ReteNetwork {
         self.prods.len()
     }
 
-    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> AlphaStats {
-        self.alpha.classify(w, |m| {
-            for &(child, side) in &m.successors {
-                hit(child, side);
-            }
-        })
+    fn classify_wme(&self, w: &Wme, hit: &mut dyn FnMut(NodeId, Side)) -> Work {
+        self.alpha
+            .classify(w, |m| {
+                for &(child, side) in &m.successors {
+                    hit(child, side);
+                }
+            })
+            .work
     }
 }
 

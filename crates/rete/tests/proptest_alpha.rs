@@ -20,14 +20,14 @@ fn check_one(net: &AlphaNet, w: &Wme) -> (Vec<AlphaMemId>, AlphaStats, AlphaStat
     let ls = net.classify_linear(w, |m| lh.push(m.id));
     assert_eq!(ih, lh, "hit sets/order diverge");
     assert_eq!(is.mems_matched, ls.mems_matched, "mems_matched diverge");
-    assert!(is.tests_run <= ls.tests_run, "indexed ran more tests than linear");
+    assert!(is.work.scanned <= ls.work.scanned, "indexed ran more tests than linear");
     assert_eq!(
-        is.tests_saved,
-        ls.tests_run - is.tests_run,
+        is.work.tests_saved,
+        ls.work.scanned - is.work.scanned,
         "tests_saved must account exactly for the linear-scan delta"
     );
-    assert_eq!(ls.probes, 0);
-    assert_eq!(ls.tests_saved, 0);
+    assert_eq!(ls.work.probes, 0);
+    assert_eq!(ls.work.tests_saved, 0);
     (ih, is, ls)
 }
 
@@ -149,7 +149,7 @@ proptest! {
             .filter(|m| m.class == w.class)
             .map(|m| m.test_count() as u32)
             .sum();
-        prop_assert_eq!(ls.tests_run, 1 + chain);
+        prop_assert_eq!(ls.work.scanned, 1 + chain);
     }
 }
 

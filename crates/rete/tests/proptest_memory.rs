@@ -15,9 +15,9 @@ use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_ops::{intern, Value, Wme, WmeId};
 use psme_rete::{
-    assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, ActStats, Activation,
-    CsChange, KeyPart, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine,
-    Side, TaskKind, Token, WmeStore, STRIPE,
+    assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, Activation, CsChange,
+    KeyPart, MatchState, MemoryTable, NetworkOrg, NodeId, ReteNetwork, SerialEngine, Side,
+    TaskKind, Token, WmeStore, Work, STRIPE,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -44,27 +44,26 @@ fn snapshot(net: &ReteNetwork, mem: &MemoryTable) -> Vec<NodeTokens> {
 }
 
 /// Everything observable about running `seeds` to quiescence through `step`
-/// (one `process_beta` call): per-activation stats, emissions in order.
+/// (one `process_beta` call): per-activation work, emissions in order.
 fn observe(
     seeds: &[Activation],
-    mut step: impl FnMut(&Activation, &mut dyn FnMut(Activation), &mut dyn FnMut(CsChange)) -> ActStats,
-) -> (Vec<ActStats>, Vec<Activation>, Vec<CsChange>) {
-    let (mut stats, mut emitted, mut cs) = (Vec::new(), Vec::new(), Vec::new());
+    mut step: impl FnMut(&Activation, &mut dyn FnMut(Activation), &mut dyn FnMut(CsChange)) -> Work,
+) -> (Vec<Work>, Vec<Activation>, Vec<CsChange>) {
+    let (mut works, mut emitted, mut cs) = (Vec::new(), Vec::new(), Vec::new());
     for seed in seeds {
         let mut queue = vec![seed.clone()];
         while let Some(act) = queue.pop() {
-            let s = step(
+            works.push(step(
                 &act,
                 &mut |a| {
                     emitted.push(a.clone());
                     queue.push(a)
                 },
                 &mut |c| cs.push(c),
-            );
-            stats.push(ActStats { spins: 0, ..s });
+            ));
         }
     }
-    (stats, emitted, cs)
+    (works, emitted, cs)
 }
 
 /// Drain a queue of seed activations through one memory, returning the net
@@ -282,7 +281,7 @@ proptest! {
         );
         let scanned = |e: &SerialEngine| -> Vec<u32> {
             let tasks = e.trace.cycles.iter().flat_map(|c| &c.tasks);
-            tasks.filter(|t| t.kind != TaskKind::Alpha).map(|t| t.scanned).collect()
+            tasks.filter(|t| t.kind != TaskKind::Alpha).map(|t| t.work.scanned).collect()
         };
         prop_assert_eq!(scanned(&engines[0]), scanned(&engines[1]));
         for e in &engines {
@@ -354,7 +353,7 @@ proptest! {
     /// The two ways to reach a line are one behaviour: the same shuffled
     /// add/delete activations through a shared table (`&MemoryTable`, line
     /// locks) and through an owned one (`&mut MemoryTable`, no lock) give
-    /// the same stats activation by activation (spins aside), the same
+    /// the same work activation by activation, the same
     /// emissions in the same order, and the same buckets entry for entry.
     #[test]
     fn a_borrowed_line_behaves_like_a_locked_one(
@@ -434,13 +433,13 @@ fn an_equal_hash_with_a_different_key_does_not_hit() {
         // Both arrive carrying the stored entry's hash — one honestly.
         for (arriving, hits) in [(&same_key, 1), (&other_key, 0)] {
             let a = mem.arrival(5, arriving, stored_hash, &key, &key, &wmes);
-            let (mut stats, mut found) = (ActStats::default(), 0);
-            mem.lock(a.line()).0.right.probe(&a, &mut stats, |t, _, _| {
+            let (mut work, mut found) = (Work::default(), 0);
+            mem.lock(a.line()).0.right.probe(&a, &mut work, |t, _, _| {
                 assert_eq!(t, &stored);
                 found += 1;
             });
             assert_eq!(found, hits, "indexed {indexed}");
-            assert_eq!((stats.scanned, stats.hash_rejects), (1, 0), "the hash let it through");
+            assert_eq!((work.scanned, work.hash_rejects), (1, 0), "the hash let it through");
         }
     }
 }
@@ -487,9 +486,9 @@ fn exact_hash_reject_and_skip_accounting() {
                 if t.kind == TaskKind::Alpha {
                     continue;
                 }
-                scanned += t.scanned;
-                rejects += t.hash_rejects;
-                skipped += t.skipped;
+                scanned += t.work.scanned;
+                rejects += t.work.hash_rejects;
+                skipped += t.work.skipped;
                 if t.kind == TaskKind::Prod {
                     prods += 1;
                 }

@@ -87,16 +87,17 @@ impl CostModel {
     /// Compute cost of the task body excluding queue operations, split into
     /// `(under_line_lock, after_lock)` portions.
     pub fn body_cost(&self, t: &TaskRecord) -> (f64, f64) {
+        let w = &t.work;
         match t.kind {
             TaskKind::Alpha => {
                 // `scanned` includes the probes; probes are re-priced at
                 // the (cheaper) hashed-dispatch rate.
-                let chain = t.scanned.saturating_sub(t.probes) as f64;
+                let chain = w.scanned.saturating_sub(w.probes) as f64;
                 (
                     0.0,
                     self.alpha_base
                         + chain * self.alpha_per_test
-                        + t.probes as f64 * self.alpha_probe,
+                        + w.probes as f64 * self.alpha_probe,
                 )
             }
             TaskKind::Join | TaskKind::Neg => {
@@ -104,13 +105,13 @@ impl CostModel {
                 // hash-rejected ones cost a word compare instead of the
                 // full structural examine, and the reference scan pays
                 // `per_skip` for each co-hashed entry it filters by node.
-                let full = t.scanned.saturating_sub(t.hash_rejects) as f64;
+                let full = w.scanned.saturating_sub(w.hash_rejects) as f64;
                 (
                     self.line_hold_base
                         + full * self.per_scanned
-                        + t.hash_rejects as f64 * self.per_hash_reject
-                        + t.skipped as f64 * self.per_skip,
-                    self.beta_base + t.emitted as f64 * self.per_emit,
+                        + w.hash_rejects as f64 * self.per_hash_reject
+                        + w.skipped as f64 * self.per_skip,
+                    self.beta_base + w.emitted as f64 * self.per_emit,
                 )
             }
             TaskKind::Prod => (self.line_hold_base, self.prod_base),
@@ -128,7 +129,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psme_rete::Side;
+    use psme_rete::{Side, Work};
 
     fn rec(kind: TaskKind, scanned: u32, emitted: u32) -> TaskRecord {
         TaskRecord {
@@ -138,12 +139,7 @@ mod tests {
             kind,
             side: Some(Side::Left),
             delta: 1,
-            scanned,
-            hash_rejects: 0,
-            skipped: 0,
-            probes: 0,
-            emitted,
-            line: Some(0),
+            work: Work { scanned, emitted, line: Some(0), ..Work::default() },
             wall_ns: 0,
         }
     }
@@ -176,7 +172,7 @@ mod tests {
     fn probes_are_cheaper_than_chain_tests() {
         let m = CostModel::default();
         let mut indexed = rec(TaskKind::Alpha, 5, 0);
-        indexed.probes = 3;
+        indexed.work.probes = 3;
         let linear = rec(TaskKind::Alpha, 5, 0);
         let (_, ci) = m.body_cost(&indexed);
         let (_, cl) = m.body_cost(&linear);
@@ -196,7 +192,7 @@ mod tests {
         let m = CostModel::default();
         let reference = rec(TaskKind::Join, 8, 1);
         let mut indexed = reference;
-        indexed.hash_rejects = 6;
+        indexed.work.hash_rejects = 6;
         let (l_ref, a_ref) = m.body_cost(&reference);
         let (l_idx, a_idx) = m.body_cost(&indexed);
         assert_eq!(a_ref, a_idx, "emission cost unchanged");
@@ -212,7 +208,7 @@ mod tests {
         assert!(m.per_hash_reject < m.per_scanned);
         let indexed = rec(TaskKind::Neg, 3, 0);
         let mut reference = indexed;
-        reference.skipped = 20;
+        reference.work.skipped = 20;
         let (l_idx, _) = m.body_cost(&indexed);
         let (l_ref, _) = m.body_cost(&reference);
         assert!((l_ref - l_idx - 20.0 * m.per_skip).abs() < 1e-9);

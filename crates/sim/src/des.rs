@@ -260,7 +260,7 @@ pub fn simulate_cycle(trace: &CycleTrace, cfg: &SimConfig) -> SimResult {
         // Memory-line critical section.
         let (locked, after) = cost.body_cost(t);
         if t.kind != TaskKind::Alpha && locked > 0.0 {
-            let line = t.line.unwrap_or(0);
+            let line = t.work.line.unwrap_or(0);
             let lock = line_locks.entry(line).or_default();
             let lgrant = lock.acquire(now, locked);
             result.line_wait_us += lgrant - now;
@@ -348,7 +348,7 @@ pub fn speedup(uni: &[SimResult], par: &[SimResult]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psme_rete::{CycleTrace, Phase, Side, TaskRecord};
+    use psme_rete::{CycleTrace, Phase, Side, TaskRecord, Work};
 
     fn rec(id: u32, parent: Option<u32>, scanned: u32, emitted: u32) -> TaskRecord {
         TaskRecord {
@@ -358,12 +358,7 @@ mod tests {
             kind: TaskKind::Join,
             side: Some(Side::Left),
             delta: 1,
-            scanned,
-            hash_rejects: 0,
-            skipped: 0,
-            probes: 0,
-            emitted,
-            line: Some(id % 64),
+            work: Work { scanned, emitted, line: Some(id % 64), ..Work::default() },
             wall_ns: 0,
         }
     }

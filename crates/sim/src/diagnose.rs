@@ -155,7 +155,7 @@ pub fn diagnose_run(traces: &[CycleTrace], cost: &CostModel) -> RunDiagnosis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psme_rete::{Phase, Side, TaskKind, TaskRecord};
+    use psme_rete::{Phase, Side, TaskKind, TaskRecord, Work};
 
     fn rec(id: u32, parent: Option<u32>, node: NodeId) -> TaskRecord {
         TaskRecord {
@@ -165,12 +165,7 @@ mod tests {
             kind: TaskKind::Join,
             side: Some(Side::Left),
             delta: 1,
-            scanned: 1,
-            hash_rejects: 0,
-            skipped: 0,
-            probes: 0,
-            emitted: 1,
-            line: Some(0),
+            work: Work { scanned: 1, emitted: 1, line: Some(0), ..Work::default() },
             wall_ns: 0,
         }
     }

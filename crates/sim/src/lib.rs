@@ -43,7 +43,7 @@ pub fn profile_run(traces: &[CycleTrace], cost: &CostModel) -> NodeProfiler {
 #[cfg(test)]
 mod profile_tests {
     use super::*;
-    use psme_rete::{Phase, Side, TaskKind, TaskRecord};
+    use psme_rete::{Phase, Side, TaskKind, TaskRecord, Work};
 
     #[test]
     fn per_node_costs_sum_to_per_task_costs() {
@@ -54,12 +54,12 @@ mod profile_tests {
             kind,
             side: Some(Side::Left),
             delta: 1,
-            scanned: 3,
-            hash_rejects: 0,
-            skipped: 0,
-            probes: 0,
-            emitted: if kind == TaskKind::Prod { 0 } else { 1 },
-            line: Some(node % 8),
+            work: Work {
+                scanned: 3,
+                emitted: if kind == TaskKind::Prod { 0 } else { 1 },
+                line: Some(node % 8),
+                ..Work::default()
+            },
             wall_ns: 0,
         };
         let trace = CycleTrace {

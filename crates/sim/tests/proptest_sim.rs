@@ -2,7 +2,7 @@
 //! must hold for any task DAG, worker count and queue organization.
 
 use proptest::prelude::*;
-use psme_rete::{CycleTrace, Phase, Side, TaskKind, TaskRecord};
+use psme_rete::{CycleTrace, Phase, Side, TaskKind, TaskRecord, Work};
 use psme_sim::{simulate_cycle, CostModel, SimConfig, SimScheduler};
 
 /// Build a random but well-formed task DAG: each task's parent precedes it.
@@ -29,12 +29,15 @@ fn dag_strategy() -> impl Strategy<Value = CycleTrace> {
                 kind,
                 side: Some(if rng.chance(50) { Side::Left } else { Side::Right }),
                 delta: if rng.chance(80) { 1 } else { -1 },
-                scanned: rng.below(8) as u32,
-                hash_rejects: if kind == TaskKind::Alpha { 0 } else { rng.below(3) as u32 },
-                skipped: if kind == TaskKind::Alpha { 0 } else { rng.below(5) as u32 },
-                probes: if kind == TaskKind::Alpha { rng.below(3) as u32 } else { 0 },
-                emitted: rng.below(4) as u32,
-                line: Some(rng.below(16) as u32),
+                work: Work {
+                    scanned: rng.below(8) as u32,
+                    hash_rejects: if kind == TaskKind::Alpha { 0 } else { rng.below(3) as u32 },
+                    skipped: if kind == TaskKind::Alpha { 0 } else { rng.below(5) as u32 },
+                    probes: if kind == TaskKind::Alpha { rng.below(3) as u32 } else { 0 },
+                    emitted: rng.below(4) as u32,
+                    line: Some(rng.below(16) as u32),
+                    ..Work::default()
+                },
                 wall_ns: 0,
             });
         }

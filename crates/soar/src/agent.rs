@@ -39,6 +39,41 @@ pub struct AgentStats {
     pub reorganizations: u64,
 }
 
+impl AgentStats {
+    /// The nine counts in declaration order — the order a hibernated shell
+    /// and a wire summary carry them in.
+    pub fn counts(&self) -> [u64; 9] {
+        [
+            self.decisions,
+            self.elaboration_cycles,
+            self.impasses,
+            self.chunks_built,
+            self.firings,
+            self.wme_adds,
+            self.wme_removes,
+            self.update_tasks,
+            self.reorganizations,
+        ]
+    }
+
+    /// The stats [`Self::counts`] returned `counts` for.
+    pub fn from_counts(counts: [u64; 9]) -> AgentStats {
+        let [decisions, elaboration_cycles, impasses, chunks_built, firings, wme_adds, wme_removes,
+            update_tasks, reorganizations] = counts;
+        AgentStats {
+            decisions,
+            elaboration_cycles,
+            impasses,
+            chunks_built,
+            firings,
+            wme_adds,
+            wme_removes,
+            update_tasks,
+            reorganizations,
+        }
+    }
+}
+
 /// Why a run ended.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopReason {

@@ -162,18 +162,7 @@ fn read_provenance(r: &mut ByteReader) -> Result<Provenance, SnapshotError> {
 /// is covered and what is rebuilt instead).
 pub fn encode_shell<E: MatchEngine>(agent: &Agent<E>, w: &mut ByteWriter) {
     // Counters and scalars.
-    let st = &agent.stats;
-    for v in [
-        st.decisions,
-        st.elaboration_cycles,
-        st.impasses,
-        st.chunks_built,
-        st.firings,
-        st.wme_adds,
-        st.wme_removes,
-        st.update_tasks,
-        st.reorganizations,
-    ] {
+    for v in agent.stats.counts() {
         w.u64(v);
     }
     w.bool(agent.learning);
@@ -295,17 +284,11 @@ pub fn decode_shell<E: MatchEngine>(
     agent: &mut Agent<E>,
     r: &mut ByteReader,
 ) -> Result<(), SnapshotError> {
-    agent.stats = AgentStats {
-        decisions: r.u64()?,
-        elaboration_cycles: r.u64()?,
-        impasses: r.u64()?,
-        chunks_built: r.u64()?,
-        firings: r.u64()?,
-        wme_adds: r.u64()?,
-        wme_removes: r.u64()?,
-        update_tasks: r.u64()?,
-        reorganizations: r.u64()?,
-    };
+    let mut counts = [0; 9];
+    for c in &mut counts {
+        *c = r.u64()?;
+    }
+    agent.stats = AgentStats::from_counts(counts);
     agent.learning = r.bool()?;
     agent.halt_requested = r.bool()?;
     agent.gensym_counter = r.u64()?;

@@ -6,7 +6,6 @@
 //!   learned chunks preloaded.
 
 use psme_core::{EngineConfig, MatchEngine, ParallelEngine};
-use psme_obs::Json;
 use psme_ops::Production;
 use psme_rete::{ReteNetwork, SerialEngine};
 use psme_soar::{Agent, SoarTask};
@@ -36,47 +35,6 @@ pub struct RunReport {
     pub chunks: Vec<Arc<Production>>,
     /// `(write …)` output.
     pub output: Vec<String>,
-    /// Agent-side control-phase totals (match, conflict resolution,
-    /// decide, chunk build, production addition) as JSON.
-    pub agent_phases: Json,
-    /// Engine-side phase totals (match / §5.1 surgery / §5.2 update) when
-    /// the engine keeps a recorder — the parallel engine does.
-    pub engine_phases: Option<Json>,
-}
-
-impl RunReport {
-    /// The whole report as a JSON document.
-    pub fn to_json(&self) -> Json {
-        let s = &self.stats;
-        Json::obj([
-            ("stop", Json::from(format!("{:?}", self.stop))),
-            (
-                "stats",
-                Json::obj([
-                    ("decisions", Json::from(s.decisions)),
-                    ("elaboration_cycles", Json::from(s.elaboration_cycles)),
-                    ("impasses", Json::from(s.impasses)),
-                    ("chunks_built", Json::from(s.chunks_built)),
-                    ("firings", Json::from(s.firings)),
-                    ("wme_adds", Json::from(s.wme_adds)),
-                    ("wme_removes", Json::from(s.wme_removes)),
-                    ("update_tasks", Json::from(s.update_tasks)),
-                ]),
-            ),
-            (
-                "chunks",
-                Json::arr(
-                    self.chunks.iter().map(|c| Json::from(psme_ops::sym_name(c.name).to_string())),
-                ),
-            ),
-            ("output", Json::arr(self.output.iter().map(|s| Json::from(s.as_str())))),
-            ("agent_phases", self.agent_phases.clone()),
-            (
-                "engine_phases",
-                self.engine_phases.clone().unwrap_or(Json::Null),
-            ),
-        ])
-    }
 }
 
 /// Decision budget used by the harness.
@@ -90,8 +48,6 @@ fn run_agent<E: MatchEngine>(mut agent: Agent<E>, learning: bool) -> (RunReport,
         stats: agent.stats,
         chunks: agent.learned_chunks(),
         output: agent.output.clone(),
-        agent_phases: agent.recorder.totals_json(),
-        engine_phases: agent.engine.recorder().map(|r| r.totals_json()),
     };
     (report, agent)
 }

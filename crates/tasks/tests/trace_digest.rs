@@ -74,18 +74,18 @@ fn pinned(task: &psme_soar::SoarTask) -> Pinned {
                 kind,
                 side,
                 t.delta as u64,
-                u64::from(t.scanned),
-                u64::from(t.hash_rejects),
-                u64::from(t.skipped),
-                u64::from(t.probes),
-                u64::from(t.emitted),
-                opt(t.line),
+                u64::from(t.work.scanned),
+                u64::from(t.work.hash_rejects),
+                u64::from(t.work.skipped),
+                u64::from(t.work.probes),
+                u64::from(t.work.emitted),
+                opt(t.work.line),
             ] {
                 h.word(x);
             }
-            p.scanned += u64::from(t.scanned);
-            p.hash_rejects += u64::from(t.hash_rejects);
-            p.skipped += u64::from(t.skipped);
+            p.scanned += u64::from(t.work.scanned);
+            p.hash_rejects += u64::from(t.work.hash_rejects);
+            p.skipped += u64::from(t.work.skipped);
         }
     }
     p.digest = h.0;

@@ -38,6 +38,12 @@ required_suites=(
     # 0 runs alone and on cycles wide enough to call the helpers in.
     "scheduler differential|crates/core/tests/scheduler_differential.rs"
     "parallel differential|crates/core/tests/parallel_differential.rs"
+    # Booked per-task sums merge across match processes, saturating; the
+    # metrics log and its JSON export.
+    "metrics properties|crates/core/tests/proptest_metrics.rs"
+    # Scheduling laws of the Multimax simulator, whose cost model reads each
+    # task record's work.
+    "simulator properties|crates/sim/tests/proptest_sim.rs"
     # A whole learning run on the parallel engine == the serial one, under
     # every scheduler and oversubscribed.
     "work-stealing soak|crates/tasks/tests/ws_soak.rs"
