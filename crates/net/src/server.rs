@@ -138,17 +138,20 @@ fn app_router(app: AppDef, app_idx: u32, opens: OpenServe, rx: Receiver<Cmd>) {
                 }
             }
             Cmd::Event(ev) => {
-                let writer_of = |ws: &[Option<Writer>], local: u32| {
-                    ws.get(local as usize).and_then(|w| w.clone())
+                // `Stepped` leaves the session open; `SessionShed` and `Done`
+                // are its last frame, so its entry lets go of the connection
+                // (the client may have said `Bye` already).
+                let last_of = |ws: &mut [Option<Writer>], local: u32| {
+                    ws.get_mut(local as usize).and_then(Option::take)
                 };
                 match ev {
                     ServeEvent::Parked { id, decisions } => {
-                        if let Some(w) = writer_of(&writers, id) {
-                            send_to(&w, &Frame::Stepped { id: gid(id), decisions });
+                        if let Some(Some(w)) = writers.get(id as usize) {
+                            send_to(w, &Frame::Stepped { id: gid(id), decisions });
                         }
                     }
                     ServeEvent::Shed { id } => {
-                        if let Some(w) = writer_of(&writers, id) {
+                        if let Some(w) = last_of(&mut writers, id) {
                             send_to(&w, &Frame::SessionShed { id: gid(id) });
                         }
                     }
@@ -166,7 +169,7 @@ fn app_router(app: AppDef, app_idx: u32, opens: OpenServe, rx: Receiver<Cmd>) {
                                 .map(SessionSummary::from_report),
                             (None, None) => None,
                         };
-                        if let (Some(w), Some(s)) = (writer_of(&writers, id), summary) {
+                        if let (Some(w), Some(s)) = (last_of(&mut writers, id), summary) {
                             send_to(&w, &Frame::Done { id: gid(id), summary: s });
                         }
                     }
@@ -265,7 +268,8 @@ impl NetServer {
     /// one serving loop per app with `cfg` (so `shards × workers` threads
     /// per app — size accordingly), and start accepting.
     /// `max_sessions_per_app` bounds each app's id space; it must fit in
-    /// [`APP_SHIFT`] bits.
+    /// [`APP_SHIFT`] bits. Each id costs 44 B of record up front per app
+    /// ([`OpenServe::start`]), and a retired id keeps only its report.
     pub fn start(
         addr: &str,
         cfg: &ServeConfig,

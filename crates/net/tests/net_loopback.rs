@@ -343,6 +343,45 @@ fn a_burst_resolves_every_offered_session_exactly_once() {
     assert_eq!(report.sessions.iter().filter(|r| !r.was_shed()).count(), done);
 }
 
+/// A client that says `Bye` after its session is `Done` sees the server
+/// close the connection: nothing the server keeps per session holds the
+/// socket open until `finish`.
+#[test]
+fn bye_after_done_closes_the_connection() {
+    use psme_net::{read_frame, write_frame, WIRE_VERSION};
+    use std::io::Read;
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+    let server =
+        NetServer::start("127.0.0.1:0", &cfg, vec![puzzle_app()], 16).expect("bind loopback");
+    let mut sock = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    sock.set_read_timeout(Some(Duration::from_secs(120))).expect("timeout");
+    write_frame(&mut sock, &Frame::Hello { proto: WIRE_VERSION, client: "bye".into() })
+        .expect("hello");
+    write_frame(
+        &mut sock,
+        &Frame::OpenSession {
+            app: "eight-puzzle".into(),
+            session: "once".into(),
+            seed: 1,
+            learning: false,
+            grant: None,
+        },
+    )
+    .expect("open");
+    let mut next = || read_frame(&mut sock).expect("frame").expect("not closed yet");
+    assert!(matches!(next(), Frame::HelloOk { .. }));
+    assert!(matches!(next(), Frame::Opened { .. }));
+    assert!(matches!(next(), Frame::Done { .. }));
+    write_frame(&mut sock, &Frame::Bye).expect("bye");
+    sock.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+    let mut byte = [0u8; 1];
+    match sock.read(&mut byte) {
+        Ok(0) => {}
+        other => panic!("expected the server to close the connection, got {other:?}"),
+    }
+    server.finish();
+}
+
 /// Refusals: version mismatch at hello, unknown app, duplicate name.
 #[test]
 fn refusals() {

@@ -42,7 +42,7 @@
 //! which grants no credit.
 
 use crate::serve::{
-    admit, enqueue, run_out, spawn_workers, step_session, Inner, ServeConfig, ServeEvent,
+    admit, enqueue, run_out, spawn_workers, step_session, Held, Inner, ServeConfig, ServeEvent,
     ServeReport, Slot,
 };
 use crate::session::{SessionReport, SessionSpec};
@@ -107,7 +107,9 @@ impl OpenServe {
     /// Start the worker pools and return the running loop plus the
     /// receiver for its [`ServeEvent`] notifications. `max_sessions`
     /// bounds the id space for the whole run (ids are dense, assigned in
-    /// submission order).
+    /// submission order). Each id costs 44 B up front — its record and its
+    /// home shard. A waiting session holds its task, a seated one its
+    /// session, and a retired or shed id keeps only its report.
     ///
     /// Panics if the config fails [`ServeConfig::validate`], is tiered,
     /// or carries an explicit shard map smaller than `max_sessions`.
@@ -148,7 +150,7 @@ impl OpenServe {
             return Err(SubmitError::Closed);
         }
         let id = inner.submitted.load(Ordering::Acquire);
-        if id >= inner.specs.len() {
+        if id >= inner.slots.len() {
             return Err(SubmitError::Exhausted);
         }
         if !names.insert(spec.name.clone()) {
@@ -162,11 +164,15 @@ impl OpenServe {
         Ok(id as u32)
     }
 
-    /// True iff `id` is a submitted session that has not retired or shed.
-    fn is_open(&self, id: u32) -> bool {
+    /// The record of `id`, locked, if it is a submitted session that has
+    /// not retired or shed.
+    fn open_slot(&self, id: u32) -> Option<MutexGuard<'_, Slot>> {
         let idx = id as usize;
-        idx < self.inner.submitted.load(Ordering::Acquire)
-            && self.inner.reports.lock().expect("reports lock")[idx].is_none()
+        if idx >= self.inner.submitted.load(Ordering::Acquire) {
+            return None;
+        }
+        let slot = self.inner.slots[idx].lock().expect("slot lock");
+        (!matches!(slot.held, Held::Report(_))).then_some(slot)
     }
 
     /// Grant `n` more decisions of credit to session `id`. A parked
@@ -177,12 +183,11 @@ impl OpenServe {
     /// client races completion; that's normal).
     pub fn step(&self, id: u32, n: u64) -> bool {
         self.note(TraceKind::NetRequest, id);
-        if !self.is_open(id) {
+        let Some(mut slot) = self.open_slot(id) else {
             return false;
-        }
+        };
         let inner = &*self.inner;
         let idx = id as usize;
-        let mut slot = inner.slots[idx].lock().expect("slot lock");
         slot.credit_due = slot.credit_due.saturating_add(n);
         if std::mem::take(&mut slot.parked) {
             drop(slot);
@@ -199,10 +204,10 @@ impl OpenServe {
     /// the session already retired or was shed.
     pub fn set_learning(&self, id: u32, enable: bool) -> bool {
         self.note(TraceKind::NetRequest, id);
-        if !self.is_open(id) {
+        let Some(mut slot) = self.open_slot(id) else {
             return false;
-        }
-        self.inner.slots[id as usize].lock().expect("slot lock").learn_due = Some(enable);
+        };
+        slot.learn_due = Some(enable);
         true
     }
 
@@ -211,14 +216,11 @@ impl OpenServe {
     /// next dispatch. Returns false if it already retired or was shed.
     pub fn close_session(&self, id: u32) -> bool {
         self.note(TraceKind::NetRequest, id);
-        if !self.is_open(id) {
+        let Some(mut slot) = self.open_slot(id) else {
             return false;
-        }
-        let inner = &*self.inner;
-        let idx = id as usize;
-        let mut slot = inner.slots[idx].lock().expect("slot lock");
+        };
         if slot.parked {
-            close_parked(inner, idx, slot);
+            close_parked(&self.inner, id as usize, slot);
         } else {
             slot.closing = true;
         }
@@ -228,11 +230,10 @@ impl OpenServe {
     /// The report for session `id`, once it retired or shed (`None` while
     /// it is still live or was never submitted).
     pub fn report(&self, id: u32) -> Option<SessionReport> {
-        let idx = id as usize;
-        if idx >= self.inner.submitted.load(Ordering::Acquire) {
-            return None;
+        match &self.inner.slots.get(id as usize)?.lock().expect("slot lock").held {
+            Held::Report(r) => Some(SessionReport::clone(r)),
+            _ => None,
         }
-        self.inner.reports.lock().expect("reports lock")[idx].clone()
     }
 
     /// Sessions submitted so far.

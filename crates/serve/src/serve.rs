@@ -72,7 +72,7 @@ use psme_soar::StopReason;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -292,13 +292,7 @@ impl ShardReport {
                     ("steal_fails", Json::from(self.queue_stats.steal_fails)),
                 ]),
             ),
-            (
-                "tier",
-                match &self.tier {
-                    Some(t) => t.to_json(),
-                    None => Json::Null,
-                },
-            ),
+            ("tier", self.tier.as_ref().map_or(Json::Null, TierReport::to_json)),
         ])
     }
 }
@@ -373,13 +367,7 @@ impl ServeReport {
                     ("flight_dumps", Json::from(self.flight.dumps.len() as u64)),
                 ]),
             ),
-            (
-                "tier",
-                match &self.tier {
-                    Some(t) => t.to_json(),
-                    None => Json::Null,
-                },
-            ),
+            ("tier", self.tier.as_ref().map_or(Json::Null, TierReport::to_json)),
             ("sessions", Json::arr(self.sessions.iter().map(|s| s.to_json()))),
         ])
     }
@@ -435,43 +423,59 @@ struct ShardState {
     cross_steals: AtomicU64,
 }
 
-/// Per-session table slot. The queue hands out exclusive ownership of an
-/// id, so the *session* is never contended; the mutex makes the handoff
-/// `Sync` and serializes the control fields (step credit, learning
-/// toggles, close requests) against the worker touching the same session.
+/// What an id holds, by where it is in its life. Every payload is boxed,
+/// so a slot is a few words whatever the session weighs.
+#[derive(Default)]
+pub(crate) enum Held {
+    /// Not submitted yet; or, untiered, a worker has the session in hand.
+    #[default]
+    Nothing,
+    /// Submitted and not yet built. Untiered, until admission seats and
+    /// builds it; tiered, until it retires, because a resume rebuilds the
+    /// session from its task.
+    Spec(Box<SessionSpec>),
+    /// Untiered, between slices. The box moves through claim, slice and
+    /// release unopened.
+    Session(Box<Session>),
+    /// Retired or shed: all a finished id keeps.
+    Report(Box<SessionReport>),
+}
+
+/// The one record per session id. The queue hands out exclusive ownership
+/// of an id, so the *session* is never contended; the mutex makes the
+/// handoff `Sync` and serializes the control fields (step credit, learning
+/// toggles, close requests) and the report against the worker touching the
+/// same session.
 #[derive(Default)]
 pub(crate) struct Slot {
-    /// The session, between slices (untiered; a tiered session lives in
-    /// its home shard's store instead).
-    sess: Option<Session>,
+    pub(crate) held: Held,
+    /// Step credit not yet given to the session: the initial grant until
+    /// its first dispatch, then what `step` granted since its last one.
+    /// Drained into a metered session at its next dispatch or park attempt.
+    pub(crate) credit_due: u64,
+    /// Submitted with a grant: the session counts credit. `false` runs it
+    /// to its natural stop (the batch default).
+    metered: bool,
     /// Out of credit, waiting for the client's next `step` grant (not in
     /// any queue).
     pub(crate) parked: bool,
-    /// Step credit granted since the session's last dispatch; drained
-    /// into a metered session at its next dispatch or park attempt.
-    pub(crate) credit_due: u64,
     /// Learning toggle requested over the wire; applied at next dispatch.
     pub(crate) learn_due: Option<bool>,
     /// Client asked to close; the next dispatch (or park attempt) retires
     /// the session with [`StopReason::Closed`].
     pub(crate) closing: bool,
-    /// Initial credit, given to the session when admission builds it
-    /// (`None` = auto-run, the batch default).
-    grant: Option<u64>,
 }
 
 pub(crate) struct Inner {
     topo: Arc<Topology>,
-    /// Spec `i`, set by [`admit`] before id `i` ever circulates.
-    pub(crate) specs: Vec<OnceLock<SessionSpec>>,
     cfg: ServeConfig,
-    /// Spec index → home shard (fixed at admission by the router;
-    /// `u32::MAX` until the id is submitted).
+    /// Id → home shard (fixed at admission by the router; `u32::MAX` until
+    /// the id is submitted). Beside the slots, not in them: workers read it
+    /// without the slot lock.
     home: Vec<AtomicU32>,
     shards: Vec<ShardState>,
-    /// One slot per spec; see [`Slot`].
+    /// One record per id; see [`Slot`].
     pub(crate) slots: Vec<Mutex<Slot>>,
-    pub(crate) reports: Mutex<Vec<Option<SessionReport>>>,
     /// Sessions admitted or waiting, not yet retired (all shards).
     pub(crate) remaining: AtomicI64,
     /// No further submissions will arrive; workers exit once `remaining`
@@ -519,7 +523,6 @@ impl Inner {
         let origin = Instant::now();
         Inner {
             topo,
-            specs: (0..max_sessions).map(|_| OnceLock::new()).collect(),
             home: (0..max_sessions).map(|_| AtomicU32::new(u32::MAX)).collect(),
             shards: (0..nshards)
                 .map(|_| ShardState {
@@ -534,7 +537,6 @@ impl Inner {
                 })
                 .collect(),
             slots: (0..max_sessions).map(|_| Mutex::new(Slot::default())).collect(),
-            reports: Mutex::new((0..max_sessions).map(|_| None).collect()),
             remaining: AtomicI64::new(0),
             closed: AtomicBool::new(false),
             submitted: AtomicUsize::new(0),
@@ -551,10 +553,6 @@ impl Inner {
             events,
             cfg,
         }
-    }
-
-    fn spec(&self, idx: usize) -> &SessionSpec {
-        self.specs[idx].get().expect("spec set before its id circulates")
     }
 
     pub(crate) fn home_of(&self, idx: usize) -> usize {
@@ -641,11 +639,12 @@ fn run_slice(
 }
 
 /// Retire a finished session: emit lifecycle events, fold telemetry into
-/// its home shard's pools, and file its report.
+/// its home shard's pools, and file its report in its slot in place of
+/// whatever the slot held.
 fn finish_session(
     inner: &Inner,
     ring: &mut TraceRing,
-    sess: Session,
+    sess: Box<Session>,
     idx: usize,
     home: usize,
     reason: StopReason,
@@ -656,7 +655,8 @@ fn finish_session(
     }
     ring.emit(TraceKind::Retired, idx as u32, cyc, cyc, 0);
     inner.shards[home].cycle_pool.lock().expect("pool lock").extend(&sess.cycle_ns);
-    inner.reports.lock().expect("reports lock")[idx] = Some(sess.into_report(reason));
+    let report = Box::new(sess.into_report(reason));
+    inner.slots[idx].lock().expect("slot lock").held = Held::Report(report);
     inner.remaining.fetch_sub(1, Ordering::AcqRel);
     inner.event(ServeEvent::Retired { id: idx as u32 });
 }
@@ -690,9 +690,14 @@ pub(crate) fn enqueue(
 pub(crate) fn admit(inner: &Inner, spec: SessionSpec, grant: Option<u64>) -> Option<usize> {
     let idx = inner.submitted.load(Ordering::Acquire);
     let home = inner.cfg.shard.router.route(idx, &spec.name, inner.shards.len()) as usize;
-    assert!(inner.specs[idx].set(spec).is_ok(), "fresh id has no spec");
     inner.home[idx].store(home as u32, Ordering::Relaxed);
-    inner.slots[idx].lock().expect("slot lock").grant = grant;
+    {
+        let mut slot = inner.slots[idx].lock().expect("slot lock");
+        debug_assert!(matches!(slot.held, Held::Nothing), "fresh id holds nothing");
+        slot.held = Held::Spec(Box::new(spec));
+        slot.credit_due = grant.unwrap_or(0);
+        slot.metered = grant.is_some();
+    }
     inner.remaining.fetch_add(1, Ordering::AcqRel);
     inner.submitted.store(idx + 1, Ordering::Release);
 
@@ -710,8 +715,13 @@ pub(crate) fn admit(inner: &Inner, spec: SessionSpec, grant: Option<u64>) -> Opt
         }
     };
     if let Some(v) = victim {
-        let name = inner.spec(v).name.clone();
-        inner.reports.lock().expect("reports lock")[v] = Some(SessionReport::shed(name));
+        // Shed before it was seated: of its spec, the report keeps the name.
+        let mut slot = inner.slots[v].lock().expect("slot lock");
+        let Held::Spec(spec) = std::mem::take(&mut slot.held) else {
+            unreachable!("a waiting id holds its spec")
+        };
+        slot.held = Held::Report(Box::new(SessionReport::shed(spec.name)));
+        drop(slot);
         st.shed.fetch_add(1, Ordering::Relaxed);
         inner.remaining.fetch_sub(1, Ordering::AcqRel);
         ring.emit(TraceKind::Shed, v as u32, 0, 0, 0);
@@ -751,11 +761,15 @@ fn admit_pending(
         };
         if st.store.is_none() {
             // Untiered, a seat is a table slot and the session lives in it
-            // from now on; a tiered shard's store builds it at first claim.
-            let mut s = Session::build(inner.spec(n), &inner.topo, false, inner.cfg.reorg.as_ref());
+            // from now on, so its task is done with; a tiered shard's store
+            // builds it at first claim.
             let mut slot = inner.slots[n].lock().expect("slot lock");
-            s.credit = slot.grant;
-            slot.sess = Some(s);
+            let Held::Spec(spec) = std::mem::take(&mut slot.held) else {
+                unreachable!("a waiting id holds its spec")
+            };
+            let mut s = Session::build(&spec, &inner.topo, false, inner.cfg.reorg.as_ref());
+            s.credit = slot.metered.then_some(0);
+            slot.held = Held::Session(s);
             drop(slot);
             ring.emit(TraceKind::Admitted, n as u32, 0, 0, 0);
         }
@@ -771,28 +785,30 @@ fn admit_pending(
 /// whenever the shard's table slice is over capacity — and apply what the
 /// control side left in the slot meanwhile. Returns the session and whether
 /// a close was requested.
-fn claim(inner: &Inner, ring: &mut TraceRing, home: usize, idx: usize) -> (Session, bool) {
-    let (resident, due, learn, closing) = {
-        let mut slot = inner.slots[idx].lock().expect("slot lock");
-        (
-            slot.sess.take(),
-            std::mem::take(&mut slot.credit_due),
-            slot.learn_due.take(),
-            std::mem::take(&mut slot.closing),
-        )
-    };
+fn claim(inner: &Inner, ring: &mut TraceRing, home: usize, idx: usize) -> (Box<Session>, bool) {
+    let mut slot = inner.slots[idx].lock().expect("slot lock");
+    let due = std::mem::take(&mut slot.credit_due);
+    let learn = slot.learn_due.take();
+    let closing = std::mem::take(&mut slot.closing);
     let mut sess = match &inner.shards[home].store {
-        None => resident.expect("queued session is in its slot"),
+        None => match std::mem::take(&mut slot.held) {
+            Held::Session(s) => s,
+            _ => unreachable!("a queued untiered session is in its slot"),
+        },
         Some(store) => {
+            // Built or resumed under the record's lock, reading the spec in
+            // place: a tiered loop has no control side to contend for it.
+            let Held::Spec(spec) = &slot.held else {
+                unreachable!("a tiered id keeps its spec until it retires")
+            };
             let (checkout, evicted) = store.checkout(idx);
             for &(victim, bytes) in &evicted.hibernated {
                 ring.emit(TraceKind::Hibernated, victim, 0, 0, bytes as u64);
             }
             match checkout {
-                Checkout::Live(s) => *s,
+                Checkout::Live(s) => s,
                 Checkout::Start => {
-                    let s =
-                        Session::build(inner.spec(idx), &inner.topo, true, inner.cfg.reorg.as_ref());
+                    let s = Session::build(spec, &inner.topo, true, inner.cfg.reorg.as_ref());
                     ring.emit(TraceKind::Admitted, idx as u32, 0, 0, 0);
                     s
                 }
@@ -800,13 +816,8 @@ fn claim(inner: &Inner, ring: &mut TraceRing, home: usize, idx: usize) -> (Sessi
                     // Verify + replay outside the store lock; the store
                     // marked the id Running, so it is exclusively ours.
                     let t0 = Instant::now();
-                    let s = Session::resume(
-                        inner.spec(idx),
-                        &inner.topo,
-                        &bytes,
-                        inner.cfg.reorg.as_ref(),
-                    )
-                    .expect("snapshot encoded by this run must resume");
+                    let s = Session::resume(spec, &inner.topo, &bytes, inner.cfg.reorg.as_ref())
+                        .expect("snapshot encoded by this run must resume");
                     let ns = t0.elapsed().as_nanos() as f64;
                     store.note_resume_ns(ns);
                     let cyc = s.agent.stats.decisions;
@@ -835,10 +846,10 @@ fn release(
     slot: &mut Slot,
     home: usize,
     idx: usize,
-    sess: Session,
+    sess: Box<Session>,
 ) {
     match &inner.shards[home].store {
-        None => slot.sess = Some(sess),
+        None => slot.held = Held::Session(sess),
         Some(store) => {
             for &(victim, bytes) in &store.checkin(idx, sess).hibernated {
                 ring.emit(TraceKind::Hibernated, victim, 0, 0, bytes as u64);
@@ -985,7 +996,7 @@ fn worker_loop(inner: &Inner, shard: usize, wid: usize) {
 /// stride, tier counters sum with resume samples pooled).
 fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
     let Inner {
-        reports,
+        slots,
         shards,
         cfg,
         trace_sink,
@@ -1017,25 +1028,16 @@ fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
     let mut flight = FlightRecorder::new();
     flight.scan(&trace.events);
 
-    let sessions: Vec<SessionReport> = reports
-        .into_inner()
-        .expect("reports lock")
-        .into_iter()
-        .take(n)
-        .map(|r| r.expect("every submitted session retired or shed"))
-        .collect();
-    let members: Vec<Vec<usize>> = {
-        let mut m: Vec<Vec<usize>> = vec![Vec::new(); nshards];
-        for (i, h) in home.iter().take(n).enumerate() {
-            m[h.load(Ordering::Relaxed) as usize].push(i);
-        }
-        m
-    };
-    let mut shard_completed: Vec<usize> = vec![0; nshards];
-    for (i, r) in sessions.iter().enumerate() {
-        if !r.was_shed() {
-            shard_completed[home[i].load(Ordering::Relaxed) as usize] += 1;
-        }
+    let mut sessions: Vec<SessionReport> = Vec::with_capacity(n);
+    let (mut shard_sessions, mut shard_completed) = (vec![0; nshards], vec![0; nshards]);
+    for (slot, h) in slots.into_iter().zip(home).take(n) {
+        let Held::Report(r) = slot.into_inner().expect("slot lock").held else {
+            unreachable!("every submitted session retired or shed")
+        };
+        let h = h.into_inner() as usize;
+        shard_sessions[h] += 1;
+        shard_completed[h] += usize::from(!r.was_shed());
+        sessions.push(*r);
     }
     let completed: usize = shard_completed.iter().sum();
 
@@ -1064,7 +1066,7 @@ fn finalize(inner: Inner, wall_seconds: f64) -> ServeReport {
         let bus_traffic = qstats.pops + qstats.failed_pops;
         shard_reports.push(ShardReport {
             shard: s as u32,
-            sessions: members[s].len(),
+            sessions: shard_sessions[s],
             completed: shard_completed[s],
             shed: st.shed.into_inner(),
             bus_occupancy: if bus_traffic > 0 {
@@ -1132,7 +1134,9 @@ pub(crate) fn run_out(inner: Arc<Inner>, joins: Vec<JoinHandle<()>>, t0: Instant
 /// Serve a batch of sessions over a shared topology: every spec goes
 /// through [`admit`] in order before the first worker starts (so who is
 /// seated, who waits and who is shed is a pure function of the batch), the
-/// loop closes, and the workers run it dry.
+/// loop closes, and the workers run it dry. Each spec gets one 44 B id
+/// record; untiered, its task is dropped once its session is built, and a
+/// retired id keeps only its report.
 ///
 /// Panics if the config fails [`ServeConfig::validate`], if two specs
 /// share a name (reports would be ambiguous), or if an explicit shard map
@@ -1152,4 +1156,20 @@ pub fn serve(topo: Arc<Topology>, specs: Vec<SessionSpec>, cfg: ServeConfig) -> 
     inner.closed.store(true, Ordering::Release);
     let joins = spawn_workers(&inner);
     run_out(inner, joins, t0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slot_size_is_pinned() {
+        // What an id costs before anything is submitted, whatever the
+        // session it will hold weighs: a tag and a box, the control fields,
+        // the lock; and the home shard beside it.
+        assert_eq!(std::mem::size_of::<Held>(), 16, "a tag and a box");
+        assert_eq!(std::mem::size_of::<Slot>(), 32, "the record");
+        assert_eq!(std::mem::size_of::<Mutex<Slot>>(), 40, "the locked record");
+        assert_eq!(std::mem::size_of::<AtomicU32>(), 4, "the home shard");
+    }
 }

@@ -149,12 +149,13 @@ impl Session {
     /// `journaled` enables the op journal (required to hibernate later).
     /// `reorg` arms the adaptive chain detector over this session's private
     /// overlay — reorganizations land in the overlay, never the shared base.
+    /// Boxed: the session moves between slices as one pointer.
     pub(crate) fn build(
         spec: &SessionSpec,
         topo: &Arc<Topology>,
         journaled: bool,
         reorg: Option<&ReorgConfig>,
-    ) -> Session {
+    ) -> Box<Session> {
         let engine = JournaledSession::fresh(topo.clone(), journaled);
         let mut agent = Agent::new(engine, spec.task.classes.clone());
         spec.task.install_adopted(&mut agent);
@@ -162,14 +163,14 @@ impl Session {
         if let Some(cfg) = reorg {
             agent.enable_adaptive_reorg(cfg.clone());
         }
-        Session {
+        Box::new(Session {
             name: spec.name.clone(),
             agent,
             cycle_ns: Vec::new(),
             wait_ns: Vec::new(),
             slices: 0,
             credit: None,
-        }
+        })
     }
 
     /// Hibernate to a versioned, checksummed snapshot: the engine's op
@@ -211,7 +212,7 @@ impl Session {
         topo: &Arc<Topology>,
         bytes: &[u8],
         reorg: Option<&ReorgConfig>,
-    ) -> Result<Session, SnapshotError> {
+    ) -> Result<Box<Session>, SnapshotError> {
         let payload = open_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
         let mut r = ByteReader::new(payload);
         let mut reg = spec.task.classes.clone();
@@ -233,7 +234,8 @@ impl Session {
         if let Some(cfg) = reorg {
             agent.enable_adaptive_reorg(cfg.clone());
         }
-        Ok(Session { name: spec.name.clone(), agent, cycle_ns, wait_ns, slices, credit: None })
+        let name = spec.name.clone();
+        Ok(Box::new(Session { name, agent, cycle_ns, wait_ns, slices, credit: None }))
     }
 
     /// Finish: fold samples into a report.

@@ -18,7 +18,8 @@
 //! the lock: checkout marks the slot `Running` — giving the caller
 //! exclusive ownership — and hands back the snapshot bytes to decode at
 //! leisure. The store takes no lock but its own, and a worker calling in
-//! holds at most the slot lock of the session it is putting back.
+//! holds at most the slot lock of the session it is claiming or putting
+//! back.
 
 use crate::session::Session;
 use psme_obs::Quantiles;
@@ -215,12 +216,12 @@ impl SessionStore {
     /// the returning session is itself a candidate victim (it is the MRU,
     /// so it only self-hibernates when nothing else is evictable — e.g.
     /// more workers than table seats, every other session mid-slice).
-    pub(crate) fn checkin(&self, idx: usize, sess: Session) -> Evictions {
+    pub(crate) fn checkin(&self, idx: usize, sess: Box<Session>) -> Evictions {
         let mut st = self.state.lock().expect("tier store lock");
         st.clock += 1;
         st.last_touch[idx] = st.clock;
         debug_assert!(matches!(st.slots[idx], TierSlot::Running));
-        st.slots[idx] = TierSlot::Hot(Box::new(sess));
+        st.slots[idx] = TierSlot::Hot(sess);
         self.enforce_pressure(&mut st)
     }
 

@@ -185,6 +185,104 @@ fn step_on_an_auto_run_session_leaves_it_auto_run() {
     );
 }
 
+/// What an id answers in each state of its life — never submitted, waiting
+/// for a seat, live, parked, retired and shed: `report` is `Some` exactly
+/// once the session retired or was shed, and `step`, `set_learning` and
+/// `close_session` accept a request exactly while it is open. A close
+/// retires a parked session before it returns, and a waiting one when it is
+/// seated, without running a decision.
+#[test]
+fn every_id_state_answers_the_control_protocol() {
+    use psme_soar::StopReason;
+    use std::time::Duration;
+    // Two seats, a one-session waiting room, one worker.
+    let cfg = ServeConfig { workers: 1, table_capacity: 2, admission_depth: 1, ..Default::default() };
+    let spec = |name: &str, seed: u64| SessionSpec {
+        name: name.into(),
+        task: eight_puzzle(&scrambled(3, seed)),
+        learning: false,
+    };
+    let topo = build_topology(&spec("n", 1).task);
+    let natural = serve(topo.clone(), vec![spec("n", 1), spec("m", 2)], cfg.clone());
+    assert!(natural.sessions.iter().all(|r| r.stats.decisions > 3), "grants below stay short");
+
+    let (open, events) = OpenServe::start(topo, cfg, 8);
+    let next = || events.recv_timeout(Duration::from_secs(60)).expect("the loop stalled");
+    let closed = |id: u32| {
+        open.report(id).is_none()
+            && !open.step(id, 1)
+            && !open.set_learning(id, true)
+            && !open.close_session(id)
+    };
+    let answers_open = |id: u32| {
+        open.report(id).is_none() && open.set_learning(id, true) && open.step(id, 1)
+    };
+
+    // Unsubmitted: no report, every request refused.
+    assert!(closed(0), "an id not yet handed out");
+
+    // Parked: both credited sessions take the seats and park.
+    assert_eq!(open.submit(spec("parked", 1), Some(1)), Ok(0));
+    assert_eq!(open.submit(spec("live", 2), Some(1)), Ok(1));
+    let mut parked = Vec::new();
+    while parked.len() < 2 {
+        match next() {
+            ServeEvent::Parked { id, decisions } => {
+                assert_eq!(decisions, 1);
+                parked.push(id);
+            }
+            ev => panic!("unexpected {ev:?}"),
+        }
+    }
+    assert!(open.report(0).is_none() && open.set_learning(0, true), "parked is open");
+
+    // Waiting, then shed: the third arrival waits; the fourth overflows the
+    // waiting room and displaces it.
+    assert_eq!(open.submit(spec("shed", 3), None), Ok(2));
+    assert!(answers_open(2), "waiting is open; a grant on an auto-run session is accepted");
+    assert_eq!(open.submit(spec("waiting", 4), None), Ok(3));
+    assert_eq!(next(), ServeEvent::Shed { id: 2 });
+    let shed = open.report(2).expect("a shed session has its report");
+    assert!(shed.was_shed() && shed.name == "shed" && shed.stats.decisions == 0);
+    assert!(!open.step(2, 1) && !open.set_learning(2, true) && !open.close_session(2));
+    assert!(answers_open(3) && open.close_session(3), "a waiting session takes a close");
+
+    // Live: a grant puts session 1 back in flight. It can park again before
+    // a call lands, but never retires on its own (its grants stay short of
+    // its natural length), so it answers as open until it is closed.
+    assert!(open.step(1, 1));
+    assert!(answers_open(1) && open.close_session(1), "a live session takes a close");
+
+    // A close retires a parked session before it returns.
+    assert!(open.close_session(0));
+    let r0 = open.report(0).expect("closed while parked: retired at once");
+    assert_eq!((r0.stop, r0.stats.decisions), (Some(StopReason::Closed), 1));
+
+    // Retired: the report, and every request refused.
+    let mut retired = Vec::new();
+    while retired.len() < 3 {
+        match next() {
+            ServeEvent::Retired { id } => retired.push(id),
+            ServeEvent::Parked { .. } => {}
+            ev => panic!("unexpected {ev:?}"),
+        }
+    }
+    retired.sort_unstable();
+    assert_eq!(retired, [0, 1, 3]);
+    for id in [0, 1, 3] {
+        let r = open.report(id).expect("retired");
+        assert_eq!(r.stop, Some(StopReason::Closed), "session {id}");
+        assert!(!open.step(id, 1) && !open.set_learning(id, true) && !open.close_session(id));
+    }
+    assert!((1..=3).contains(&open.report(1).unwrap().stats.decisions), "every grant run, no more");
+    assert_eq!(open.report(3).unwrap().stats.decisions, 0, "closed before its first slice");
+    assert!(closed(4) && closed(100), "ids past the submitted ones stay unsubmitted");
+
+    let report = open.finish();
+    assert_eq!(report.sessions.len(), 4);
+    assert_eq!(report.shed, 1);
+}
+
 /// `finish()` against a loop holding every kind of session at once: parked
 /// on spent credit, in flight, re-enqueued by a grant a moment ago, still
 /// waiting for a seat (credited and not), and auto-run. Every session

@@ -67,6 +67,12 @@ required_suites=(
     # A sharded run (cross-shard stealing, per-shard tier stores) == the
     # single-shard loop == solo runs.
     "serve shard differential|crates/serve/tests/serve_shard.rs"
+    # What each id state answers the control protocol, open == batch, the
+    # drain (a lost wake-up is a hang) and the credit fixes.
+    "serve config|crates/serve/tests/serve_config.rs"
+    # What an id costs before any submission, and what a retired session
+    # leaves on the heap.
+    "serve footprint|crates/serve/tests/serve_footprint.rs"
     # Every wire frame round-trips (truncation/corruption is a typed error,
     # never a panic); loopback TCP == in-process serve() under all three
     # schedulers.
