@@ -2,7 +2,7 @@
 //! sharing during updates and after-chunking runs; Table 5-2's comparison).
 
 use psme_bench::*;
-use psme_rete::{NetworkOrg, ReteNetwork};
+use psme_rete::{NetworkOrg, ReteBuild, ReteNetwork};
 use psme_tasks::RunMode;
 
 fn main() {

@@ -1,7 +1,7 @@
 //! modeled — Figure 6-7: the long-chain production (monitor-strips-state).
 
 use psme_bench::*;
-use psme_rete::{NetworkOrg, ReteNetwork};
+use psme_rete::{NetworkOrg, ReteBuild, ReteNetwork};
 
 fn main() {
     println!("Figure 6-7: The long-chain production");

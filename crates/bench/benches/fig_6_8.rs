@@ -2,7 +2,7 @@
 //! simulated speedup on the long-chain production's update cycle.
 
 use psme_bench::*;
-use psme_rete::{plan_bilinear, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{plan_bilinear, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use psme_sim::{simulate_cycle, SimConfig, SimScheduler};
 
 fn main() {

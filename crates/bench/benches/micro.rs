@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use psme_core::{QueueStats, Scheduler, Task, TaskQueues};
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
-use psme_rete::{Activation, NetworkOrg, ReteNetwork, SerialEngine, Side, Token};
+use psme_rete::{Activation, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine, Side, Token};
 use std::sync::Arc;
 
 fn bench_match_throughput(c: &mut Criterion) {

@@ -1,7 +1,7 @@
 //! modeled — Table 5-1: CEs per chunk and generated code size.
 
 use psme_bench::*;
-use psme_rete::{code_size, CodeSizeModel, NetworkOrg, ReteNetwork};
+use psme_rete::{code_size, CodeSizeModel, NetworkOrg, ReteBuild, ReteNetwork};
 use psme_tasks::RunMode;
 
 fn main() {

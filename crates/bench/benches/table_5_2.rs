@@ -1,7 +1,7 @@
 //! host — Table 5-2: time for compiling chunks at run time, shared vs unshared.
 
 use psme_bench::*;
-use psme_rete::{code_size, compile_time_us, CodeSizeModel, NetworkOrg, ReteNetwork};
+use psme_rete::{code_size, compile_time_us, CodeSizeModel, NetworkOrg, ReteBuild, ReteNetwork};
 use psme_tasks::RunMode;
 use std::time::Instant;
 

@@ -37,7 +37,7 @@ use psme_ops::{Instantiation, Production, Wme, WmeId};
 use psme_rete::{
     instantiations_from_memories, process_beta_scratch, process_wme_change, seed_update,
     Activation, AddOutcome, BetaScratch, BuildError, CostWindow, CsFold, CycleOutcome, MemoryTable,
-    NetworkOrg, NodeId, Phase, ReteNetwork, TaskKind, WmeStore,
+    NetworkOrg, NodeId, Phase, ReteBuild, ReteNetwork, TaskKind, WmeStore,
 };
 use std::collections::VecDeque;
 use std::hint::spin_loop;

@@ -28,7 +28,7 @@
 //! ```
 //! use psme_core::{EngineConfig, ParallelEngine, Scheduler};
 //! use psme_ops::{parse_program, parse_wme, ClassRegistry};
-//! use psme_rete::{NetworkOrg, ReteNetwork};
+//! use psme_rete::{NetworkOrg, ReteBuild, ReteNetwork};
 //! use std::sync::Arc;
 //!
 //! let mut classes = ClassRegistry::new();

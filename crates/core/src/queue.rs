@@ -41,6 +41,7 @@
 //! ([`crate::engine`]).
 
 use crate::deque::{Steal, WsDeque};
+use psme_ops::util::splitmix64;
 use psme_ops::WmeId;
 use psme_rete::{Activation, SpinLock};
 use std::collections::VecDeque;
@@ -128,15 +129,6 @@ enum Queues<T> {
 pub struct TaskQueues<T = Task> {
     q: Queues<T>,
     scheduler: Scheduler,
-}
-
-/// splitmix64 — cheap stateless mix for victim randomization.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl<T> TaskQueues<T> {
@@ -305,9 +297,10 @@ impl<T> TaskQueues<T> {
                 //    RNG state.
                 let n = deques.len();
                 if n > 1 {
-                    let r = mix64(
-                        (home as u64) ^ stats.pops.rotate_left(17) ^ stats.steal_fails.rotate_left(41),
-                    ) as usize;
+                    let mut seed = (home as u64)
+                        ^ stats.pops.rotate_left(17)
+                        ^ stats.steal_fails.rotate_left(41);
+                    let r = splitmix64(&mut seed) as usize;
                     for i in 0..n - 1 {
                         let victim = {
                             let v = (r + i) % (n - 1);

@@ -11,7 +11,7 @@ use psme_core::{EngineConfig, MatchEngine, ParallelEngine, Scheduler};
 use psme_obs::Counter;
 use psme_ops::{Instantiation, Wme, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, GeneratedSystem, XorShift};
-use psme_rete::{naive, NetworkOrg, ReteNetwork, SerialEngine, TaskKind, Work};
+use psme_rete::{naive, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine, TaskKind, Work};
 use std::collections::HashSet;
 use std::sync::Arc;
 

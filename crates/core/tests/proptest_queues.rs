@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use psme_core::{EngineConfig, ParallelEngine, QueueStats, Scheduler, Task, TaskQueues};
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
-use psme_rete::{Activation, NetworkOrg, ReteNetwork, Side, Token};
+use psme_rete::{Activation, NetworkOrg, ReteBuild, ReteNetwork, Side, Token};
 
 fn beta(n: u32) -> Task {
     Task::Beta(Activation { node: n, side: Side::Left, token: Token::empty(), delta: 1 })

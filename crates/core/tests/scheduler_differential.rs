@@ -15,7 +15,7 @@
 use psme_core::{EngineConfig, ParallelEngine, Scheduler};
 use psme_ops::{Instantiation, Wme, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, GeneratedSystem, XorShift};
-use psme_rete::{naive, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{naive, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use std::collections::HashSet;
 use std::sync::Arc;
 

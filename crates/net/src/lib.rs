@@ -26,7 +26,8 @@ pub mod wire;
 
 pub use apps::{paper_apps, AppDef, PUZZLE_MOVES};
 pub use client::{Client, ClientHandle};
-pub use load::{exp_interarrival, poisson_arrivals, splitmix64, u01};
+pub use load::{exp_interarrival, poisson_arrivals};
+pub use psme_rete::util::{splitmix64, u01};
 pub use server::NetServer;
 pub use wire::{
     read_frame, stop_code, write_frame, Frame, FrameError, SessionSummary, APP_SHIFT, MAX_FRAME,

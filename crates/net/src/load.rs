@@ -16,20 +16,7 @@
 //! vary with the host. The generator that drives a server with such a
 //! schedule is the repo benchmark's (`benchmark/src/load.rs`).
 
-/// One step of the splitmix64 generator — the generator's only source of
-/// randomness, fully determined by the seed.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from one splitmix64 draw (53 mantissa bits).
-pub fn u01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
+use psme_rete::util::u01;
 
 /// Exponential inter-arrival sample for a Poisson process of `rate`
 /// events/second (inverse CDF; `u` in `[0, 1)`).

@@ -265,6 +265,7 @@ impl HotSpotReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psme_rete::ReteBuild;
     use psme_rete::{Phase, Side};
 
     fn rec(id: u32, node: NodeId, kind: TaskKind, scanned: u32, emitted: u32) -> TaskRecord {

@@ -1,5 +1,5 @@
-//! Small utilities: a fast non-cryptographic hasher for memory keys, and
-//! [`named_enum!`](crate::named_enum).
+//! Small utilities: a fast non-cryptographic hasher for memory keys, the
+//! splitmix64 generator, and [`named_enum!`](crate::named_enum).
 //!
 //! The hashed token memories (§6.1 of the paper) hash on the variable
 //! bindings tested for equality plus the destination node id. Keys are tiny
@@ -85,6 +85,23 @@ pub fn fxhash<T: std::hash::Hash>(v: &T) -> u64 {
     let mut h = FxHasher::default();
     v.hash(&mut h);
     h.finish()
+}
+
+/// One step of the splitmix64 generator: advance `state` and return the
+/// next output, fully determined by the seed. The one seeded generator of
+/// the workspace (load schedules, the serving model, work-stealing victim
+/// choice).
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Uniform in `[0, 1)` from one splitmix64 draw (53 mantissa bits).
+pub fn u01(state: &mut u64) -> f64 {
+    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// `BuildHasher` for `HashMap`s keyed on small match-engine types.

@@ -375,9 +375,14 @@ impl AlphaNet {
         &self.mems
     }
 
-    /// Mutable access for network surgery (rollback of failed additions).
-    pub(crate) fn mems_mut(&mut self) -> &mut [AlphaMem] {
-        &mut self.mems
+    /// Network surgery (rolling back a failed build, unplugging retired
+    /// nodes): drop every successor edge whose target fails `live`.
+    /// Memories stay interned and indexed; one left without successors is
+    /// inert, and is reused if the same tests appear again.
+    pub(crate) fn retain_successors(&mut self, live: impl Fn(NodeId) -> bool) {
+        for m in &mut self.mems {
+            m.successors.retain(|&(c, _)| live(c));
+        }
     }
 
     /// Push a wme through the discrimination net, calling `hit` for each

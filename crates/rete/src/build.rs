@@ -7,22 +7,33 @@
 //! the jumptable). The caller is responsible for running the state update
 //! (§5.2, see [`crate::update`]) afterwards so the new nodes' memories are
 //! consistent with current working memory.
+//!
+//! The protocol is written once, in [`ReteBuild`]'s provided methods, for
+//! both places a network can live: a monolithic [`crate::ReteNetwork`]
+//! edited in place, and a [`crate::session::SessionNet`] overlay above a
+//! frozen base. The two implement only the primitives that differ.
 
 use crate::alpha::{AlphaMemId, AlphaTest, IntraTest, PredOrd};
-use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
+use crate::network::{NetworkOrg, ProdInfo};
 use crate::node::{
     BetaNode, JoinTest, KeyPart, MergeSrc, NodeId, NodeKind, NodeSignature, RightSrc, ROOT,
 };
 use crate::util::FxHashMap;
-use psme_ops::{BindSite, Cond, CondElem, Pred, Production, Symbol, VarId};
+use crate::view::ReteView;
+use psme_ops::{BindSite, Cond, CondElem, FieldTest, Pred, Production, Symbol, VarId};
 use std::fmt;
 use std::sync::Arc;
 
-/// What the production compiler needs from its target network. Implemented
-/// by [`ReteNetwork`] (monolithic append) and by
-/// [`crate::session::SessionNet`] (append into the session's overlay
-/// region, recording splices onto the frozen base as overlay deltas).
-pub(crate) trait BuildTarget {
+/// A network that compiles productions into itself at run time (§5.1) and
+/// rebuilds existing ones under a new organization (§7 made online).
+///
+/// A residence — [`crate::ReteNetwork`] or [`crate::session::SessionNet`]
+/// — implements the required methods, the few edits that differ between
+/// editing in place and editing an overlay over a frozen base. Adding,
+/// rebuilding and committing are the provided methods, written once on top
+/// of them, so both residences share nodes, assign ids and retire nodes by
+/// the same rules.
+pub trait ReteBuild: ReteView {
     /// Get-or-create the alpha memory for a canonical test set.
     fn intern_alpha(
         &mut self,
@@ -30,45 +41,94 @@ pub(crate) trait BuildTarget {
         tests: Vec<AlphaTest>,
         intra: Vec<IntraTest>,
     ) -> AlphaMemId;
-    /// Look up a shareable two-input node with this signature.
-    fn find_shared_sig(&self, sig: &NodeSignature) -> Option<NodeId>;
-    /// Record `prod_name` on an existing shared node; returns
-    /// `(is_two_input, coverage_len, right_coverage_len)`.
-    fn note_shared(&mut self, id: NodeId, prod_name: Symbol) -> (bool, usize, usize);
-    /// Append a node, wiring its parent / right-source edges.
+
+    /// A live (never retired) shareable node with this signature.
+    fn find_shared(&self, sig: &NodeSignature) -> Option<NodeId>;
+
+    /// Append `node` under the next id and wire its parent and right-source
+    /// edges: in place, or as a splice onto a frozen base node or memory.
     fn push_node(&mut self, node: BetaNode) -> NodeId;
-    /// The production index the in-progress build will occupy.
-    fn next_prod_index(&self) -> u32;
-}
 
-impl BuildTarget for ReteNetwork {
-    fn intern_alpha(
+    /// The names of the productions whose chains use node `id`, for
+    /// recording or dropping one.
+    fn prod_names_mut(&mut self, id: NodeId) -> &mut Vec<Symbol>;
+
+    /// Install `info` as production `idx`; `idx == num_prods()` appends.
+    fn place_prod(&mut self, idx: u32, info: ProdInfo);
+
+    /// Take the `retired` nodes (sorted, non-empty) out of propagation and
+    /// sharing: unplug them, or mask them where the edges are frozen.
+    fn retire(&mut self, retired: &[NodeId]);
+
+    /// Undo a failed build: drop every node `>= first_new` and every edge,
+    /// signature and alpha successor pointing at one.
+    fn rollback(&mut self, first_new: NodeId);
+
+    /// Compile `prod` into the network (or its overlay region). The caller
+    /// runs the §5.2 state update afterwards ([`crate::update::seed_update`]);
+    /// on error the network is rolled back unchanged.
+    fn add_production(
         &mut self,
-        class: Symbol,
-        tests: Vec<AlphaTest>,
-        intra: Vec<IntraTest>,
-    ) -> AlphaMemId {
-        self.alpha.intern(class, tests, intra).0
+        prod: Arc<Production>,
+        org: NetworkOrg,
+    ) -> Result<AddResult, BuildError> {
+        let prod_idx = self.num_prods() as u32;
+        let b = compile(self, &prod, org, prod_idx)?;
+        let add = AddResult {
+            prod_idx,
+            first_new: b.first_new,
+            new_two_input: b.new_two_input,
+            shared_two_input: b.shared_two_input,
+            p_node: b.p_node,
+        };
+        self.place_prod(prod_idx, b.into_info(prod));
+        Ok(add)
     }
 
-    fn find_shared_sig(&self, sig: &NodeSignature) -> Option<NodeId> {
-        self.find_shared(sig)
-    }
-
-    fn note_shared(&mut self, id: NodeId, prod_name: Symbol) -> (bool, usize, usize) {
-        let n = &mut self.betas[id as usize];
-        if !n.prod_names.contains(&prod_name) {
-            n.prod_names.push(prod_name);
+    /// Recompile production `prod_idx` with a new organization, appending
+    /// the replacement subnetwork like a chunk add but **reusing the
+    /// production's index** (the new P node fires into the same
+    /// conflict-set slot). The old chain stays fully wired (the §5.2 state
+    /// update needs its boundary memories); nothing observable changes
+    /// until [`Self::reorg_commit`]. On error the network is rolled back
+    /// unchanged.
+    fn reorg_build(&mut self, prod_idx: u32, org: NetworkOrg) -> Result<ReorgBuild, BuildError> {
+        if prod_idx as usize >= self.num_prods() {
+            return Err(BuildError(format!("no production {prod_idx} to reorganize")));
         }
-        (n.is_two_input(), n.coverage.len(), n.right_coverage.len())
+        let prod = self.prod_info(prod_idx).production.clone();
+        compile(self, &prod, org, prod_idx)
     }
 
-    fn push_node(&mut self, node: BetaNode) -> NodeId {
-        ReteNetwork::push_node(self, node)
-    }
-
-    fn next_prod_index(&self) -> u32 {
-        self.prods.len() as u32
+    /// Commit a reorganization after the state update: swap the
+    /// production's bookkeeping to the replacement subnetwork, strip the
+    /// production's name from the old-chain nodes the new chain does not
+    /// reuse, and retire every node left with no name (ids stay allocated,
+    /// so the monotone-id invariant of §5.2 holds). Returns the retired
+    /// ids, sorted — the caller purges their token memories. Infallible.
+    fn reorg_commit(&mut self, rb: ReorgBuild) -> Vec<NodeId> {
+        let old = self.prod_info(rb.prod_idx);
+        let (production, old_p) = (old.production.clone(), old.p_node);
+        let name = production.name;
+        let old_chain = chain_ancestors(self, old_p);
+        let new_chain = chain_ancestors(self, rb.p_node);
+        self.place_prod(rb.prod_idx, rb.into_info(production));
+        // `old_chain` is sorted, so `retired` is too.
+        let mut retired: Vec<NodeId> = Vec::new();
+        for &id in &old_chain {
+            if new_chain.binary_search(&id).is_ok() {
+                continue;
+            }
+            let names = self.prod_names_mut(id);
+            names.retain(|&s| s != name);
+            if names.is_empty() {
+                retired.push(id);
+            }
+        }
+        if !retired.is_empty() {
+            self.retire(&retired);
+        }
+        retired
     }
 }
 
@@ -87,7 +147,7 @@ impl std::error::Error for BuildError {}
 /// Outcome of adding one production.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AddResult {
-    /// Index into [`ReteNetwork::prods`].
+    /// Index into [`crate::ReteNetwork::prods`].
     pub prod_idx: u32,
     /// All nodes with id `>= first_new` were created by this addition.
     pub first_new: NodeId,
@@ -99,10 +159,96 @@ pub struct AddResult {
     pub p_node: NodeId,
 }
 
-struct Builder<'a, T: BuildTarget> {
+/// Result of [`ReteBuild::reorg_build`]: the freshly compiled replacement
+/// subnetwork for a production being reorganized, not yet committed. The
+/// caller runs the §5.2 state update over `first_new..` and then commits
+/// (swapping the production over and retiring the old chain) — the old
+/// chain is untouched until commit, so a failed build rolls back to the
+/// exact pre-reorg network.
+#[derive(Clone, Debug)]
+pub struct ReorgBuild {
+    /// Production being reorganized (index preserved across the rebuild).
+    pub prod_idx: u32,
+    /// The organization the replacement subnetwork was compiled with.
+    pub org: NetworkOrg,
+    /// First node id of the replacement subnetwork (§5.2 `min_node`).
+    pub first_new: NodeId,
+    /// Replacement terminal node.
+    pub p_node: NodeId,
+    /// Positive-CE slot map of the replacement P node.
+    pub pos_slots: Vec<u16>,
+    /// Two-input nodes newly created by the rebuild.
+    pub new_two_input: u32,
+    /// Two-input nodes shared with existing chains (incl. the old prefix).
+    pub shared_two_input: u32,
+}
+
+impl ReorgBuild {
+    fn into_info(self, production: Arc<Production>) -> ProdInfo {
+        ProdInfo {
+            production,
+            p_node: self.p_node,
+            pos_slots: self.pos_slots,
+            first_new: self.first_new,
+            new_two_input: self.new_two_input,
+            shared_two_input: self.shared_two_input,
+            org: self.org,
+        }
+    }
+}
+
+/// Collect the join-chain ancestry of `p_node` (the node itself, its
+/// parents and beta right-sources, transitively), excluding the root —
+/// exactly the node set a production's compilation touched. Sorted.
+fn chain_ancestors<N: ReteView + ?Sized>(net: &N, p_node: NodeId) -> Vec<NodeId> {
+    let mut seen = vec![p_node];
+    let mut stack = vec![p_node];
+    while let Some(id) = stack.pop() {
+        let n = net.node(id);
+        let mut push = |next: NodeId| {
+            if next != ROOT && !seen.contains(&next) {
+                seen.push(next);
+                stack.push(next);
+            }
+        };
+        push(n.parent);
+        if let Some(RightSrc::Beta(b)) = n.right {
+            push(b);
+        }
+    }
+    seen.sort_unstable();
+    seen
+}
+
+/// Compile `prod` as production `prod_idx` under `org`, appending its new
+/// nodes from id `num_nodes()` on; on error, roll the network back.
+fn compile<N: ReteBuild + ?Sized>(
+    net: &mut N,
+    prod: &Arc<Production>,
+    org: NetworkOrg,
+    prod_idx: u32,
+) -> Result<ReorgBuild, BuildError> {
+    let first_new = net.num_nodes() as NodeId;
+    match Builder::new(net, prod).build(&org, prod_idx) {
+        Ok((p_node, pos_slots, new_two_input, shared_two_input)) => Ok(ReorgBuild {
+            prod_idx,
+            org,
+            first_new,
+            p_node,
+            pos_slots,
+            new_two_input,
+            shared_two_input,
+        }),
+        Err(e) => {
+            net.rollback(first_new);
+            Err(e)
+        }
+    }
+}
+
+struct Builder<'a, T: ReteBuild + ?Sized> {
     net: &'a mut T,
     prod: &'a Production,
-    prod_name: Symbol,
     /// pos_idx → flat condition index.
     flat_of_pos: Vec<u16>,
     /// ce index → flat index of its first condition.
@@ -113,6 +259,7 @@ struct Builder<'a, T: BuildTarget> {
     shared_two: u32,
 }
 
+#[derive(Default)]
 struct CompiledCond {
     alpha_tests: Vec<AlphaTest>,
     intra: Vec<IntraTest>,
@@ -125,116 +272,105 @@ fn slot_of(cov: &[u16], flat: u16) -> Option<u16> {
     cov.iter().position(|&x| x == flat).map(|i| i as u16)
 }
 
-impl<'a, T: BuildTarget> Builder<'a, T> {
+/// Key on the wme ids of slots `0..k` (identity constraints of NCC and
+/// bilinear spine joins; the same spec on both sides).
+fn id_key(k: u16) -> Vec<KeyPart> {
+    (0..k).map(|slot| KeyPart::Id { slot }).collect()
+}
+
+impl<'a, T: ReteBuild + ?Sized> Builder<'a, T> {
+    fn new(net: &'a mut T, prod: &'a Production) -> Self {
+        // Flat condition indexing.
+        let mut flat_base = Vec::with_capacity(prod.ces.len());
+        let mut flat_of_pos = Vec::new();
+        let mut f: u16 = 0;
+        for ce in &prod.ces {
+            flat_base.push(f);
+            if ce.is_pos() {
+                flat_of_pos.push(f);
+            }
+            f += ce.conds().len() as u16;
+        }
+        Builder {
+            net,
+            prod,
+            flat_of_pos,
+            flat_base,
+            locals: FxHashMap::default(),
+            new_two: 0,
+            shared_two: 0,
+        }
+    }
+
     fn err<R>(&self, msg: impl Into<String>) -> Result<R, BuildError> {
-        Err(BuildError(format!("{}: {}", self.prod_name, msg.into())))
+        Err(BuildError(format!("{}: {}", self.prod.name, msg.into())))
     }
 
     fn compile_cond(&mut self, c: &Cond, f: u16, cov: &[u16]) -> Result<CompiledCond, BuildError> {
-        let mut out = CompiledCond {
-            alpha_tests: Vec::new(),
-            intra: Vec::new(),
-            eqs: Vec::new(),
-            tests: Vec::new(),
-        };
-        let mut bound_here: FxHashMap<VarId, u16> = FxHashMap::default();
+        let mut out = CompiledCond::default();
+        let mut bound_here: Vec<VarId> = Vec::new();
         for t in &c.tests {
-            match *t {
-                psme_ops::FieldTest::Const { field, pred, value } => {
+            let (field, pred, var) = match *t {
+                FieldTest::Const { field, pred, value } => {
                     out.alpha_tests.push(AlphaTest { field, pred: PredOrd(pred), value });
+                    continue;
                 }
-                psme_ops::FieldTest::Var { field, pred, var } => {
-                    // A variable test means "the attribute is present": an
-                    // unset (Nil) field never matches a variable. Compiled
-                    // as a constant ≠nil test so it is shared in the alpha
-                    // network.
-                    out.alpha_tests.push(AlphaTest {
-                        field,
-                        pred: PredOrd(Pred::Ne),
-                        value: psme_ops::Value::Nil,
-                    });
-                    match self.prod.bind_sites[var.0 as usize] {
-                        BindSite::Pos { pos_idx, field: bf } => {
-                            let sf = self.flat_of_pos[pos_idx as usize];
-                            if sf == f {
-                                if bf == field && pred == Pred::Eq && !bound_here.contains_key(&var)
-                                {
-                                    bound_here.insert(var, field);
-                                } else {
-                                    out.intra.push(IntraTest {
-                                        field_a: field,
-                                        pred: PredOrd(pred),
-                                        field_b: bf,
-                                    });
-                                }
-                            } else {
-                                let ls = match slot_of(cov, sf) {
-                                    Some(s) => s,
-                                    None => {
-                                        return self.err(format!(
-                                            "variable <{}> is bound in a condition outside this \
-                                             chain (invalid bilinear grouping?)",
-                                            self.prod.var_names[var.0 as usize]
-                                        ))
-                                    }
-                                };
-                                if pred == Pred::Eq {
-                                    out.eqs.push((ls, bf, field));
-                                } else {
-                                    out.tests.push(JoinTest {
-                                        left_slot: ls,
-                                        left_field: bf,
-                                        right_slot: 0,
-                                        right_field: field,
-                                        pred,
-                                    });
-                                }
-                            }
-                        }
-                        BindSite::NegLocal { .. } => match self.locals.get(&var).copied() {
-                            None => {
-                                debug_assert_eq!(pred, Pred::Eq, "ops validates binding preds");
-                                self.locals.insert(var, (f, field));
-                            }
-                            Some((lf, bf)) => {
-                                if lf == f {
-                                    out.intra.push(IntraTest {
-                                        field_a: field,
-                                        pred: PredOrd(pred),
-                                        field_b: bf,
-                                    });
-                                } else {
-                                    let ls = match slot_of(cov, lf) {
-                                        Some(s) => s,
-                                        None => {
-                                            return self.err(format!(
-                                                "negation-local variable <{}> escapes its chain",
-                                                self.prod.var_names[var.0 as usize]
-                                            ))
-                                        }
-                                    };
-                                    if pred == Pred::Eq {
-                                        out.eqs.push((ls, bf, field));
-                                    } else {
-                                        out.tests.push(JoinTest {
-                                            left_slot: ls,
-                                            left_field: bf,
-                                            right_slot: 0,
-                                            right_field: field,
-                                            pred,
-                                        });
-                                    }
-                                }
-                            }
-                        },
-                        BindSite::Rhs => {
-                            return self.err(format!(
-                                "RHS-bound variable <{}> used in the LHS",
-                                self.prod.var_names[var.0 as usize]
-                            ))
-                        }
+                FieldTest::Var { field, pred, var } => (field, pred, var),
+            };
+            // A variable test means "the attribute is present": an unset
+            // (Nil) field never matches a variable. Compiled as a constant
+            // ≠nil test so it is shared in the alpha network.
+            out.alpha_tests.push(AlphaTest {
+                field,
+                pred: PredOrd(Pred::Ne),
+                value: psme_ops::Value::Nil,
+            });
+            // Where the variable is bound: (flat condition, field), and how
+            // to say it when that condition is outside this chain.
+            let (bind_flat, bf, (what, escapes)) = match self.prod.bind_sites[var.0 as usize] {
+                BindSite::Pos { pos_idx, field: bf } => {
+                    let sf = self.flat_of_pos[pos_idx as usize];
+                    if sf == f && bf == field && pred == Pred::Eq && !bound_here.contains(&var) {
+                        bound_here.push(var); // the binding occurrence itself
+                        continue;
                     }
+                    let outside = "is bound in a condition outside this chain \
+                                   (invalid bilinear grouping?)";
+                    (sf, bf, ("variable", outside))
                 }
+                BindSite::NegLocal { .. } => match self.locals.get(&var).copied() {
+                    None => {
+                        debug_assert_eq!(pred, Pred::Eq, "ops validates binding preds");
+                        self.locals.insert(var, (f, field));
+                        continue;
+                    }
+                    Some((lf, bf)) => (lf, bf, ("negation-local variable", "escapes its chain")),
+                },
+                BindSite::Rhs => {
+                    return self.err(format!(
+                        "RHS-bound variable <{}> used in the LHS",
+                        self.prod.var_names[var.0 as usize]
+                    ))
+                }
+            };
+            if bind_flat == f {
+                out.intra.push(IntraTest { field_a: field, pred: PredOrd(pred), field_b: bf });
+                continue;
+            }
+            let Some(ls) = slot_of(cov, bind_flat) else {
+                let name = &self.prod.var_names[var.0 as usize];
+                return self.err(format!("{what} <{name}> {escapes}"));
+            };
+            if pred == Pred::Eq {
+                out.eqs.push((ls, bf, field));
+            } else {
+                out.tests.push(JoinTest {
+                    left_slot: ls,
+                    left_field: bf,
+                    right_slot: 0,
+                    right_field: field,
+                    pred,
+                });
             }
         }
         out.eqs.sort_unstable();
@@ -242,21 +378,51 @@ impl<'a, T: BuildTarget> Builder<'a, T> {
         Ok(out)
     }
 
+    /// The alpha-right node of `kind` that tests condition `c` (flat index
+    /// `f`) against tokens of `(cur, cov)`: the condition compiled, its
+    /// alpha memory interned, its equality joins turned into hash keys.
+    fn cond_node(
+        &mut self,
+        kind: NodeKind,
+        c: &Cond,
+        f: u16,
+        cur: NodeId,
+        cov: &[u16],
+    ) -> Result<BetaNode, BuildError> {
+        let cc = self.compile_cond(c, f, cov)?;
+        let alpha = self.net.intern_alpha(c.class, cc.alpha_tests, cc.intra);
+        let left_key = cc.eqs.iter().map(|&(slot, field, _)| KeyPart::Val { slot, field });
+        let right_key = cc.eqs.iter().map(|&(_, _, field)| KeyPart::Val { slot: 0, field });
+        Ok(BetaNode {
+            kind,
+            parent: cur,
+            right: Some(RightSrc::Alpha(alpha)),
+            tests: cc.tests,
+            left_key: left_key.collect(),
+            right_key: right_key.collect(),
+            coverage: cov.to_vec(),
+            right_coverage: vec![f],
+            ..BetaNode::default()
+        })
+    }
+
     /// Find-or-create a node; returns its id.
     fn make_node(&mut self, mut node: BetaNode) -> NodeId {
-        node.prod_names = vec![self.prod_name];
-        let sig = node.signature();
-        if let Some(id) = self.net.find_shared_sig(&sig) {
-            let (two_input, cov_len, right_cov_len) = self.net.note_shared(id, self.prod_name);
+        let name = self.prod.name;
+        if let Some(id) = self.net.find_shared(&node.signature()) {
+            let names = self.net.prod_names_mut(id);
+            if !names.contains(&name) {
+                names.push(name);
+            }
+            let shared = self.net.node(id);
             // Structural sanity: equal signatures imply equal token shapes.
             // (The *labels* in `coverage` may differ between the sharing
             // productions — e.g. a chunk whose shared prefix sits at other
             // flat CE indices — but slots are interpreted positionally per
             // production, so only the widths must agree.)
-            debug_assert_eq!(cov_len, node.coverage.len());
-            debug_assert_eq!(right_cov_len, node.right_coverage.len());
-            let _ = (cov_len, right_cov_len);
-            if two_input {
+            debug_assert_eq!(shared.coverage.len(), node.coverage.len());
+            debug_assert_eq!(shared.right_coverage.len(), node.right_coverage.len());
+            if shared.is_two_input() {
                 self.shared_two += 1;
             }
             return id;
@@ -264,6 +430,7 @@ impl<'a, T: BuildTarget> Builder<'a, T> {
         if node.is_two_input() {
             self.new_two += 1;
         }
+        node.prod_names = vec![name];
         self.net.push_node(node)
     }
 
@@ -275,58 +442,19 @@ impl<'a, T: BuildTarget> Builder<'a, T> {
         cur: NodeId,
         cov: &[u16],
     ) -> Result<(NodeId, Vec<u16>), BuildError> {
-        let cc = self.compile_cond(c, f, cov)?;
-        let alpha = self.net.intern_alpha(c.class, cc.alpha_tests, cc.intra);
-        let left_key: Vec<KeyPart> =
-            cc.eqs.iter().map(|&(ls, lf, _)| KeyPart::Val { slot: ls, field: lf }).collect();
-        let right_key: Vec<KeyPart> =
-            cc.eqs.iter().map(|&(_, _, rf)| KeyPart::Val { slot: 0, field: rf }).collect();
-        let mut coverage = cov.to_vec();
-        coverage.push(f);
-        let mut merge: Vec<MergeSrc> = (0..cov.len() as u16).map(MergeSrc::L).collect();
-        merge.push(MergeSrc::R(0));
-        let id = self.make_node(BetaNode {
-            id: 0,
-            kind: NodeKind::Join,
-            parent: cur,
-            right: Some(RightSrc::Alpha(alpha)),
-            tests: cc.tests,
-            left_key,
-            right_key,
-            coverage: coverage.clone(),
-            right_coverage: vec![f],
-            merge,
-            out_edges: vec![],
-            prod_names: vec![],
-        });
-        Ok((id, coverage))
+        let mut node = self.cond_node(NodeKind::Join, c, f, cur, cov)?;
+        node.coverage.push(f);
+        node.merge = (0..cov.len() as u16).map(MergeSrc::L).chain([MergeSrc::R(0)]).collect();
+        let coverage = node.coverage.clone();
+        Ok((self.make_node(node), coverage))
     }
 
     /// Build a negated condition as a Neg node (coverage unchanged).
     fn build_neg(&mut self, c: &Cond, f: u16, cur: NodeId, cov: &[u16]) -> Result<NodeId, BuildError> {
         let saved_locals = self.locals.clone();
-        let cc = self.compile_cond(c, f, cov)?;
+        let node = self.cond_node(NodeKind::Neg, c, f, cur, cov)?;
         self.locals = saved_locals; // CE-local bindings go out of scope
-        let alpha = self.net.intern_alpha(c.class, cc.alpha_tests, cc.intra);
-        let left_key: Vec<KeyPart> =
-            cc.eqs.iter().map(|&(ls, lf, _)| KeyPart::Val { slot: ls, field: lf }).collect();
-        let right_key: Vec<KeyPart> =
-            cc.eqs.iter().map(|&(_, _, rf)| KeyPart::Val { slot: 0, field: rf }).collect();
-        let id = self.make_node(BetaNode {
-            id: 0,
-            kind: NodeKind::Neg,
-            parent: cur,
-            right: Some(RightSrc::Alpha(alpha)),
-            tests: cc.tests,
-            left_key,
-            right_key,
-            coverage: cov.to_vec(),
-            right_coverage: vec![f],
-            merge: vec![],
-            out_edges: vec![],
-            prod_names: vec![],
-        });
-        Ok(id)
+        Ok(self.make_node(node))
     }
 
     /// Build a conjunctive negation: subnetwork joins + a beta-right Neg.
@@ -346,24 +474,17 @@ impl<'a, T: BuildTarget> Builder<'a, T> {
             scov = c2;
         }
         self.locals = saved_locals; // group-local bindings go out of scope
-        let k = cov.len() as u16;
-        let left_key: Vec<KeyPart> = (0..k).map(|i| KeyPart::Id { slot: i }).collect();
-        let right_key: Vec<KeyPart> = (0..k).map(|i| KeyPart::Id { slot: i }).collect();
-        let id = self.make_node(BetaNode {
-            id: 0,
+        let key = id_key(cov.len() as u16);
+        Ok(self.make_node(BetaNode {
             kind: NodeKind::Neg,
             parent: cur,
             right: Some(RightSrc::Beta(scur)),
-            tests: vec![],
-            left_key,
-            right_key,
+            left_key: key.clone(),
+            right_key: key,
             coverage: cov.to_vec(),
             right_coverage: scov,
-            merge: vec![],
-            out_edges: vec![],
-            prod_names: vec![],
-        });
-        Ok(id)
+            ..BetaNode::default()
+        }))
     }
 
     /// Build a chain of condition elements onto `(cur, cov)`.
@@ -397,49 +518,20 @@ impl<'a, T: BuildTarget> Builder<'a, T> {
         }
         Ok((cur, cov))
     }
-}
 
-/// Compile one production into `net` (a monolithic network or a session
-/// overlay), appending nodes and returning
-/// `(p_node, pos_slots, new_two_input, shared_two_input)`. On error the
-/// target is left with partially appended nodes — the caller rolls back.
-///
-/// `reuse_idx` lets a reorganization recompile an existing production
-/// under its current index (the new P node fires into the same conflict-set
-/// slot); `None` allocates the next free index as usual.
-pub(crate) fn build_production<T: BuildTarget>(
-    net: &mut T,
-    prod: &Arc<Production>,
-    org: &NetworkOrg,
-    reuse_idx: Option<u32>,
-) -> Result<(NodeId, Vec<u16>, u32, u32), BuildError> {
-    // Flat condition indexing.
-    let mut flat_base = Vec::with_capacity(prod.ces.len());
-    let mut flat_of_pos = Vec::new();
-    let mut f: u16 = 0;
-    for ce in &prod.ces {
-        flat_base.push(f);
-        if ce.is_pos() {
-            flat_of_pos.push(f);
-        }
-        f += ce.conds().len() as u16;
-    }
-    let prod_idx = reuse_idx.unwrap_or_else(|| net.next_prod_index());
-    let mut b = Builder {
-        prod_name: prod.name,
-        prod: prod.as_ref(),
-        net,
-        flat_of_pos,
-        flat_base,
-        locals: FxHashMap::default(),
-        new_two: 0,
-        shared_two: 0,
-    };
-
-    let (cur, cov) = match org {
+    /// Compile the production as `prod_idx`, appending nodes and returning
+    /// `(p_node, pos_slots, new_two_input, shared_two_input)`. On error the
+    /// target is left with partially appended nodes — the caller rolls back.
+    fn build(
+        mut self,
+        org: &NetworkOrg,
+        prod_idx: u32,
+    ) -> Result<(NodeId, Vec<u16>, u32, u32), BuildError> {
+        let prod = self.prod;
+        let (cur, cov) = match org {
             NetworkOrg::Linear => {
                 let ces: Vec<(usize, &CondElem)> = prod.ces.iter().enumerate().collect();
-                b.build_chain(&ces, ROOT, Vec::new())?
+                self.build_chain(&ces, ROOT, Vec::new())?
             }
             NetworkOrg::Bilinear(groups) => {
                 // Validate: groups partition 0..ces.len(), group 0 nonempty
@@ -448,55 +540,49 @@ pub(crate) fn build_production<T: BuildTarget>(
                 for g in groups {
                     for &i in g {
                         if i >= prod.ces.len() || seen[i] {
-                            return b.err("bilinear groups must partition the CE list");
+                            return self.err("bilinear groups must partition the CE list");
                         }
                         seen[i] = true;
                     }
                 }
                 if !seen.iter().all(|&s| s) || groups.is_empty() || groups[0].is_empty() {
-                    return b.err("bilinear groups must partition the CE list");
+                    return self.err("bilinear groups must partition the CE list");
                 }
                 if !prod.ces[groups[0][0]].is_pos() {
-                    return b.err("bilinear group 0 must start with a positive CE");
+                    return self.err("bilinear group 0 must start with a positive CE");
                 }
                 let g0: Vec<(usize, &CondElem)> =
                     groups[0].iter().map(|&i| (i, &prod.ces[i])).collect();
-                let (bottom0, cov0) = b.build_chain(&g0, ROOT, Vec::new())?;
+                let (bottom0, cov0) = self.build_chain(&g0, ROOT, Vec::new())?;
                 let k0 = cov0.len() as u16;
                 let mut cur = bottom0;
                 let mut cov = cov0.clone();
                 for g in &groups[1..] {
                     if g.is_empty() {
-                        return b.err("empty bilinear group");
+                        return self.err("empty bilinear group");
                     }
                     let gc: Vec<(usize, &CondElem)> =
                         g.iter().map(|&i| (i, &prod.ces[i])).collect();
-                    b.locals.clear();
-                    let (bg, covg) = b.build_chain(&gc, bottom0, cov0.clone())?;
+                    self.locals.clear();
+                    let (bg, covg) = self.build_chain(&gc, bottom0, cov0.clone())?;
                     // Spine join: identity constraints on the shared group-0
                     // prefix (positions 0..k0 on both sides).
-                    let left_key: Vec<KeyPart> = (0..k0).map(|i| KeyPart::Id { slot: i }).collect();
-                    let right_key: Vec<KeyPart> = (0..k0).map(|i| KeyPart::Id { slot: i }).collect();
                     let mut merge: Vec<MergeSrc> =
                         (0..cov.len() as u16).map(MergeSrc::L).collect();
                     merge.extend((k0..covg.len() as u16).map(MergeSrc::R));
-                    let mut new_cov = cov.clone();
-                    new_cov.extend_from_slice(&covg[k0 as usize..]);
-                    cur = b.make_node(BetaNode {
-                        id: 0,
+                    cov.extend_from_slice(&covg[k0 as usize..]);
+                    let key = id_key(k0);
+                    cur = self.make_node(BetaNode {
                         kind: NodeKind::Join,
                         parent: cur,
                         right: Some(RightSrc::Beta(bg)),
-                        tests: vec![],
-                        left_key,
-                        right_key,
-                        coverage: new_cov.clone(),
+                        left_key: key.clone(),
+                        right_key: key,
+                        coverage: cov.clone(),
                         right_coverage: covg,
                         merge,
-                        out_edges: vec![],
-                        prod_names: vec![],
+                        ..BetaNode::default()
                     });
-                    cov = new_cov;
                 }
                 (cur, cov)
             }
@@ -504,228 +590,26 @@ pub(crate) fn build_production<T: BuildTarget>(
 
         // Terminal production node (never shared).
         let mut pos_slots = Vec::with_capacity(prod.num_pos as usize);
-        for pi in 0..prod.num_pos as usize {
-            let flat = b.flat_of_pos[pi];
+        for &flat in &self.flat_of_pos {
             match slot_of(&cov, flat) {
                 Some(s) => pos_slots.push(s),
-                None => return b.err("internal: positive CE missing from final coverage"),
+                None => return self.err("internal: positive CE missing from final coverage"),
             }
         }
-        let new_two = b.new_two;
-        let shared_two = b.shared_two;
-        let p_node = b.net.push_node(BetaNode {
-            id: 0,
+        let p_node = self.net.push_node(BetaNode {
             kind: NodeKind::Prod { prod: prod_idx },
             parent: cur,
-            right: None,
-            tests: vec![],
-            left_key: vec![],
-            right_key: vec![],
             coverage: cov,
-            right_coverage: vec![],
-            merge: vec![],
-            out_edges: vec![],
             prod_names: vec![prod.name],
+            ..BetaNode::default()
         });
-        Ok((p_node, pos_slots, new_two, shared_two))
-}
-
-impl ReteNetwork {
-    /// Compile `prod` into the network with the given organization.
-    ///
-    /// May be called at any quiescent point, including at run time (Soar's
-    /// chunking); run [`crate::update::seed_update`] afterwards to fill the
-    /// new nodes' memories. On error the network is rolled back unchanged.
-    pub fn add_production(
-        &mut self,
-        prod: Arc<Production>,
-        org: NetworkOrg,
-    ) -> Result<AddResult, BuildError> {
-        let first_new = self.betas.len() as NodeId;
-        match build_production(self, &prod, &org, None) {
-            Ok((p_node, pos_slots, new_two, shared_two)) => {
-                let prod_idx = self.prods.len() as u32;
-                self.prods.push(ProdInfo {
-                    production: prod,
-                    p_node,
-                    pos_slots,
-                    first_new,
-                    new_two_input: new_two,
-                    shared_two_input: shared_two,
-                    org,
-                });
-                Ok(AddResult {
-                    prod_idx,
-                    first_new,
-                    new_two_input: new_two,
-                    shared_two_input: shared_two,
-                    p_node,
-                })
-            }
-            Err(e) => {
-                self.rollback(first_new);
-                Err(e)
-            }
-        }
-    }
-
-    /// Recompile production `prod_idx` with a new organization, reusing its
-    /// production index. The old chain is untouched (the §5.2 state update
-    /// reads its boundary memories); commit with
-    /// [`ReteNetwork::reorg_commit`] once the update has run. On error the
-    /// network is rolled back unchanged.
-    pub fn reorg_build(
-        &mut self,
-        prod_idx: u32,
-        org: NetworkOrg,
-    ) -> Result<crate::view::ReorgBuild, BuildError> {
-        let Some(info) = self.prods.get(prod_idx as usize) else {
-            return Err(BuildError(format!("no production {prod_idx} to reorganize")));
-        };
-        let prod = info.production.clone();
-        let first_new = self.betas.len() as NodeId;
-        match build_production(self, &prod, &org, Some(prod_idx)) {
-            Ok((p_node, pos_slots, new_two, shared_two)) => Ok(crate::view::ReorgBuild {
-                prod_idx,
-                org,
-                first_new,
-                p_node,
-                pos_slots,
-                new_two_input: new_two,
-                shared_two_input: shared_two,
-            }),
-            Err(e) => {
-                self.rollback(first_new);
-                Err(e)
-            }
-        }
-    }
-
-    /// Commit a reorganization: swap the production's bookkeeping to the
-    /// replacement subnetwork, strip its name from the old chain, and
-    /// physically unplug every old-chain node no production references
-    /// anymore (retired to the inert pool; ids stay allocated so the
-    /// monotone-id invariant of §5.2 holds). Returns the retired ids,
-    /// sorted — the caller purges their token memories.
-    pub fn reorg_commit(&mut self, rb: crate::view::ReorgBuild) -> Vec<NodeId> {
-        use crate::view::chain_ancestors;
-        let name = self.prods[rb.prod_idx as usize].production.name;
-        let old_p = self.prods[rb.prod_idx as usize].p_node;
-        let old_chain = chain_ancestors(self, old_p);
-        let new_chain = chain_ancestors(self, rb.p_node);
-        let info = &mut self.prods[rb.prod_idx as usize];
-        info.p_node = rb.p_node;
-        info.pos_slots = rb.pos_slots;
-        info.first_new = rb.first_new;
-        info.new_two_input = rb.new_two_input;
-        info.shared_two_input = rb.shared_two_input;
-        info.org = rb.org;
-        // Old-chain nodes also on the new chain (the shared prefix) keep the
-        // name; elsewhere the name comes off, and a node nobody references
-        // anymore retires. `old_chain` is sorted, so `retired` is too.
-        let mut retired: Vec<NodeId> = Vec::new();
-        for &id in &old_chain {
-            if new_chain.binary_search(&id).is_ok() {
-                continue;
-            }
-            let n = &mut self.betas[id as usize];
-            n.prod_names.retain(|&s| s != name);
-            if n.prod_names.is_empty() {
-                retired.push(id);
-            }
-        }
-        if retired.is_empty() {
-            return retired;
-        }
-        // Physically unplug the pool: no surviving successor list, alpha
-        // successor, or sharing signature points at a retired node. (A
-        // retired node's own children are always retired too — a live child
-        // would put the node on a live production's chain — so their edge
-        // lists empty out here as well.)
-        for n in &mut self.betas {
-            if !n.out_edges.is_empty() {
-                n.out_edges.retain(|&(c, _)| retired.binary_search(&c).is_err());
-            }
-        }
-        for m in 0..self.alpha.len() {
-            let mem = crate::alpha::AlphaMemId(m as u32);
-            if self
-                .alpha
-                .get(mem)
-                .successors
-                .iter()
-                .any(|&(c, _)| retired.binary_search(&c).is_ok())
-            {
-                let keep: Vec<_> = self
-                    .alpha
-                    .get(mem)
-                    .successors
-                    .iter()
-                    .copied()
-                    .filter(|&(c, _)| retired.binary_search(&c).is_err())
-                    .collect();
-                self.alpha_set_successors(mem, keep);
-            }
-        }
-        self.sig_index.retain(|_, &mut id| retired.binary_search(&id).is_err());
-        self.retired_pool.extend_from_slice(&retired);
-        self.retired_pool.sort_unstable();
-        #[cfg(debug_assertions)]
-        self.alpha.validate_index().expect("alpha index consistent after reorg commit");
-        retired
-    }
-
-    /// Undo a failed addition: drop nodes `>= first_new` and all edges,
-    /// signatures and alpha successors pointing at them.
-    fn rollback(&mut self, first_new: NodeId) {
-        self.betas.truncate(first_new as usize);
-        for n in &mut self.betas {
-            n.out_edges.retain(|&(c, _)| c < first_new);
-        }
-        self.sig_index.retain(|_, &mut id| id < first_new);
-        for m in 0..self.alpha.len() {
-            let mem = crate::alpha::AlphaMemId(m as u32);
-            // Rebuild successor lists without dangling targets.
-            let keep: Vec<_> = self
-                .alpha
-                .get(mem)
-                .successors
-                .iter()
-                .copied()
-                .filter(|&(c, _)| c < first_new)
-                .collect();
-            self.alpha_set_successors(mem, keep);
-        }
-        // Note: alpha memories created by the failed build are left in place
-        // with no successors; they are inert and will be reused if the same
-        // tests appear again. They stay spliced into the discrimination
-        // index (routing to a memory with no successors emits nothing), so
-        // rollback requires no index surgery.
-        #[cfg(debug_assertions)]
-        self.alpha.validate_index().expect("alpha index consistent after rollback");
-    }
-
-    fn alpha_set_successors(
-        &mut self,
-        mem: crate::alpha::AlphaMemId,
-        succ: Vec<(NodeId, Side)>,
-    ) {
-        // Small helper living here to keep AlphaNet's API minimal.
-        let m = &mut self.alpha_mems_mut()[mem.0 as usize];
-        m.successors = succ;
-    }
-}
-
-use crate::node::Side;
-
-impl ReteNetwork {
-    pub(crate) fn alpha_mems_mut(&mut self) -> &mut [crate::alpha::AlphaMem] {
-        self.alpha.mems_mut()
+        Ok((p_node, pos_slots, self.new_two, self.shared_two))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::ReteBuild;
     use crate::network::{NetworkOrg, ReteNetwork};
     use psme_ops::{parse_production, ClassRegistry};
     use std::sync::Arc;

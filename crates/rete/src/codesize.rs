@@ -130,6 +130,7 @@ pub fn compile_time_us(bytes: u64, searched_nodes: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::ReteBuild;
     use crate::network::NetworkOrg;
     use psme_ops::{parse_program, ClassRegistry};
     use std::sync::Arc;

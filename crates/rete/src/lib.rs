@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use psme_ops::{parse_program, parse_wme, ClassRegistry};
-//! use psme_rete::{NetworkOrg, ReteNetwork, SerialEngine};
+//! use psme_rete::{NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 //! use std::sync::Arc;
 //!
 //! let mut classes = ClassRegistry::new();
@@ -76,7 +76,7 @@ pub mod work;
 
 pub use alpha::{AlphaMem, AlphaMemId, AlphaNet, AlphaStats};
 pub use bilinear::{plan_bilinear, plan_chain_length};
-pub use build::{AddResult, BuildError};
+pub use build::{AddResult, BuildError, ReorgBuild, ReteBuild};
 pub use codesize::{code_size, compile_time_us, CodeSizeModel, CodegenStyle, ProdCodeSize};
 /// The Fx hasher; it lives in `psme-ops` so the conflict set can use it too.
 pub use psme_ops::util;
@@ -107,5 +107,5 @@ pub use sync::{SpinGuard, SpinLock};
 pub use token::{Token, WmeStore};
 pub use trace::{CycleTrace, Phase, RunTrace, TaskKind, TaskRecord};
 pub use update::seed_update;
-pub use view::{ReorgBuild, ReteBuild, ReteView};
+pub use view::ReteView;
 pub use work::Work;

@@ -1,9 +1,10 @@
 //! The Rete network: alpha net + beta DAG + production table.
 
-use crate::alpha::AlphaNet;
-use crate::node::{BetaNode, NodeId, NodeKind, NodeSignature, RightSrc, Side, ROOT};
+use crate::alpha::{AlphaMemId, AlphaNet, AlphaTest, IntraTest};
+use crate::build::ReteBuild;
+use crate::node::{BetaNode, NodeId, NodeKind, NodeSignature, RightSrc, Side};
 use crate::util::FxHashMap;
-use psme_ops::Production;
+use psme_ops::{Production, Symbol};
 use std::sync::Arc;
 
 /// Network organization for a production (§6.2 of the paper).
@@ -70,23 +71,9 @@ impl ReteNetwork {
 
     /// Empty network, choosing whether two-input nodes are shared.
     pub fn with_sharing(sharing: bool) -> ReteNetwork {
-        let root = BetaNode {
-            id: ROOT,
-            kind: NodeKind::Root,
-            parent: ROOT,
-            right: None,
-            tests: vec![],
-            left_key: vec![],
-            right_key: vec![],
-            coverage: vec![],
-            right_coverage: vec![],
-            merge: vec![],
-            out_edges: vec![],
-            prod_names: vec![],
-        };
         ReteNetwork {
             alpha: AlphaNet::new(),
-            betas: vec![root],
+            betas: vec![BetaNode::default()],
             prods: Vec::new(),
             sharing,
             sig_index: FxHashMap::default(),
@@ -116,37 +103,16 @@ impl ReteNetwork {
         self.betas.len()
     }
 
-    /// Append a node, wiring its parent / right-source edges. Returns its id.
-    pub(crate) fn push_node(&mut self, mut node: BetaNode) -> NodeId {
-        let id = self.betas.len() as NodeId;
-        node.id = id;
-        let parent = node.parent;
-        let right = node.right;
-        let sig = node.signature();
-        self.betas.push(node);
-        if id != ROOT {
-            self.betas[parent as usize].out_edges.push((id, Side::Left));
+    /// Drop every successor edge, alpha successor and sharing signature
+    /// whose node fails `live`.
+    fn unplug(&mut self, live: impl Fn(NodeId) -> bool) {
+        for n in &mut self.betas {
+            n.out_edges.retain(|&(c, _)| live(c));
         }
-        match right {
-            Some(RightSrc::Alpha(a)) => self.alpha.add_successor(a, id),
-            Some(RightSrc::Beta(b)) => self.betas[b as usize].out_edges.push((id, Side::Right)),
-            None => {}
-        }
-        if self.sharing && !matches!(self.betas[id as usize].kind, NodeKind::Prod { .. }) {
-            self.sig_index.insert(sig, id);
-        }
-        id
-    }
-
-    /// Look up a shareable node with this signature. Retired nodes are
-    /// removed from the index at reorg commit; the filter here is
-    /// belt-and-braces against ever sharing into the inert pool.
-    pub(crate) fn find_shared(&self, sig: &NodeSignature) -> Option<NodeId> {
-        if self.sharing {
-            self.sig_index.get(sig).copied().filter(|&id| !self.is_retired(id))
-        } else {
-            None
-        }
+        self.alpha.retain_successors(&live);
+        self.sig_index.retain(|_, &mut id| live(id));
+        #[cfg(debug_assertions)]
+        self.alpha.validate_index().expect("alpha index consistent after network surgery");
     }
 
     /// Find a production's index by name.
@@ -261,6 +227,70 @@ impl Default for ReteNetwork {
     }
 }
 
+/// The monolithic residence: every edit lands in place, and a retired node
+/// is unplugged — no surviving edge, alpha successor or sharing signature
+/// reaches it — and kept in the sorted inert pool.
+impl ReteBuild for ReteNetwork {
+    fn intern_alpha(
+        &mut self,
+        class: Symbol,
+        tests: Vec<AlphaTest>,
+        intra: Vec<IntraTest>,
+    ) -> AlphaMemId {
+        self.alpha.intern(class, tests, intra).0
+    }
+
+    fn find_shared(&self, sig: &NodeSignature) -> Option<NodeId> {
+        // Retired nodes leave the index at commit; the filter is
+        // belt-and-braces against ever sharing into the inert pool.
+        if !self.sharing {
+            return None;
+        }
+        self.sig_index.get(sig).copied().filter(|&id| !self.is_retired(id))
+    }
+
+    fn push_node(&mut self, mut node: BetaNode) -> NodeId {
+        let id = self.betas.len() as NodeId;
+        node.id = id;
+        self.betas[node.parent as usize].out_edges.push((id, Side::Left));
+        match node.right {
+            Some(RightSrc::Alpha(a)) => self.alpha.add_successor(a, id),
+            Some(RightSrc::Beta(b)) => self.betas[b as usize].out_edges.push((id, Side::Right)),
+            None => {}
+        }
+        if self.sharing && !matches!(node.kind, NodeKind::Prod { .. }) {
+            self.sig_index.insert(node.signature(), id);
+        }
+        self.betas.push(node);
+        id
+    }
+
+    fn prod_names_mut(&mut self, id: NodeId) -> &mut Vec<Symbol> {
+        &mut self.betas[id as usize].prod_names
+    }
+
+    fn place_prod(&mut self, idx: u32, info: ProdInfo) {
+        match self.prods.get_mut(idx as usize) {
+            Some(slot) => *slot = info,
+            None => self.prods.push(info),
+        }
+    }
+
+    fn retire(&mut self, retired: &[NodeId]) {
+        // A retired node's own children are always retired too — a live
+        // child would put the node on a live production's chain — so
+        // their edge lists empty out here as well.
+        self.unplug(|c| retired.binary_search(&c).is_err());
+        self.retired_pool.extend_from_slice(retired);
+        self.retired_pool.sort_unstable();
+    }
+
+    fn rollback(&mut self, first_new: NodeId) {
+        self.betas.truncate(first_new as usize);
+        self.unplug(|c| c < first_new);
+    }
+}
+
 impl std::fmt::Debug for ReteNetwork {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -298,6 +328,7 @@ pub struct NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ROOT;
     use psme_ops::{parse_production, ClassRegistry};
     use std::sync::Arc;
 

@@ -47,9 +47,10 @@ pub enum RightSrc {
 }
 
 /// Node behaviour.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum NodeKind {
     /// The network root (exactly one, id [`ROOT`]).
+    #[default]
     Root,
     /// And-node: joins left tokens with right tokens.
     Join,
@@ -106,8 +107,9 @@ pub enum MergeSrc {
     R(u16),
 }
 
-/// A beta node.
-#[derive(Clone, Debug)]
+/// A beta node. The default node is the root: id and parent [`ROOT`], no
+/// inputs, tests, keys or edges; the compiler fills in what a node uses.
+#[derive(Clone, Debug, Default)]
 pub struct BetaNode {
     /// This node's id.
     pub id: NodeId,

@@ -6,6 +6,7 @@
 //! instantiations, removes it, and then fires it" (§2.1). This is the OPS5
 //! half of PSM-E — Soar's fire-everything semantics live in `psme-soar`.
 
+use crate::build::ReteBuild;
 use crate::network::NetworkOrg;
 use crate::serial::SerialEngine;
 use crate::ReteNetwork;

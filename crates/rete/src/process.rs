@@ -395,6 +395,7 @@ pub fn process_wme_change<N: ReteView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::ReteBuild;
     use crate::memory::MemoryTable;
     use crate::network::{NetworkOrg, ReteNetwork};
     use psme_ops::{parse_production, parse_wme, ClassRegistry, Value};

@@ -12,7 +12,7 @@
 //! state (working memory + token memories) lives in a [`MatchState`] owned
 //! by the engine — the topology/state split the serving layer multiplexes.
 
-use crate::build::{AddResult, BuildError};
+use crate::build::{AddResult, BuildError, ReteBuild};
 use crate::memory::MemoryTable;
 use crate::network::{NetworkOrg, ReteNetwork};
 use crate::node::{NodeId, Side};
@@ -23,7 +23,7 @@ use crate::token::{Token, WmeStore};
 use crate::trace::{CycleTrace, Phase, RunTrace, TaskKind, TaskRecord};
 use crate::update::seed_update;
 use crate::util::FxHashMap;
-use crate::view::{ReteBuild, ReteView};
+use crate::view::ReteView;
 use psme_ops::{Instantiation, Wme, WmeId};
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -30,13 +30,13 @@
 //! session.
 
 use crate::alpha::{AlphaMemId, AlphaNet, AlphaTest, IntraTest};
-use crate::build::{build_production, AddResult, BuildError, BuildTarget};
-use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
+use crate::build::ReteBuild;
+use crate::network::{ProdInfo, ReteNetwork};
 use crate::node::{BetaNode, NodeId, NodeKind, NodeSignature, RightSrc, Side};
 use crate::util::FxHashMap;
-use crate::view::{ReteBuild, ReteView};
+use crate::view::ReteView;
 use crate::work::Work;
-use psme_ops::{Production, Symbol, Wme};
+use psme_ops::{Symbol, Wme};
 use std::sync::Arc;
 
 /// An immutable, shareable compiled base network.
@@ -136,9 +136,12 @@ pub struct SessionNet {
     alpha_splice_bits: Vec<u64>,
     /// Signature index over overlay nodes (chunk-to-chunk sharing).
     over_sigs: FxHashMap<NodeSignature, NodeId>,
-    /// Production names recorded against shared *base* nodes (the
-    /// monolithic build would have pushed onto the node's `prod_names`).
-    extra_prod_names: FxHashMap<NodeId, Vec<Symbol>>,
+    /// This session's production names for the *base* nodes whose names it
+    /// has edited: the frozen list, plus the names it added, minus the
+    /// names it dropped — the list the monolithic node would hold. Copied
+    /// from the frozen node on first edit; an absent node has its frozen
+    /// names.
+    base_names: FxHashMap<NodeId, Vec<Symbol>>,
     /// Retired-node mask over **global** ids (base and overlay): a
     /// reorganization cannot unplug the frozen base's successor lists, so
     /// retired targets are masked out of propagation via
@@ -174,7 +177,7 @@ impl SessionNet {
             beta_splice_bits: Vec::new(),
             alpha_splice_bits: Vec::new(),
             over_sigs: FxHashMap::default(),
-            extra_prod_names: FxHashMap::default(),
+            base_names: FxHashMap::default(),
             retired_bits: Vec::new(),
             retired_count: 0,
             prod_overrides: FxHashMap::default(),
@@ -219,9 +222,13 @@ impl SessionNet {
             + self.alpha_splices.values().map(Vec::len).sum::<usize>()
     }
 
-    /// Production names recorded on a shared base node by overlay chunks.
-    pub fn extra_prod_names_of(&self, id: NodeId) -> &[Symbol] {
-        self.extra_prod_names.get(&id).map(|v| &v[..]).unwrap_or(&[])
+    /// The names of the productions whose chains use node `id` in this
+    /// session (a base node's frozen names, as this session edited them).
+    pub fn prod_names_of(&self, id: NodeId) -> &[Symbol] {
+        match self.base_names.get(&id) {
+            Some(names) => names,
+            None => &self.node(id).prod_names,
+        }
     }
 
     /// Invariant check (tests): each presence bit is set iff its splice map
@@ -248,52 +255,6 @@ impl SessionNet {
         } else {
             self.over_betas[(src - self.base_nodes) as usize].out_edges.push((child, side));
         }
-    }
-
-    /// Undo a failed overlay build: drop overlay nodes `>= first_new` and
-    /// every splice / signature / overlay-alpha successor pointing at them.
-    /// Mirrors `ReteNetwork::rollback` scoped to the overlay (the base
-    /// needs no surgery — it was never touched).
-    fn rollback_overlay(&mut self, first_new: NodeId) {
-        self.over_betas.truncate((first_new - self.base_nodes) as usize);
-        for n in &mut self.over_betas {
-            n.out_edges.retain(|&(c, _)| c < first_new);
-        }
-        for v in self.beta_splices.values_mut() {
-            v.retain(|&(c, _)| c < first_new);
-        }
-        self.beta_splices.retain(|_, v| !v.is_empty());
-        for v in self.alpha_splices.values_mut() {
-            v.retain(|&(c, _)| c < first_new);
-        }
-        self.alpha_splices.retain(|_, v| !v.is_empty());
-        // Recompute the presence bitmaps from the surviving splice maps
-        // (rollback is rare; exactness beats cleverness here).
-        self.beta_splice_bits.iter_mut().for_each(|w| *w = 0);
-        for &id in self.beta_splices.keys() {
-            set_bit(&mut self.beta_splice_bits, self.base_nodes, id);
-        }
-        self.alpha_splice_bits.iter_mut().for_each(|w| *w = 0);
-        for &id in self.alpha_splices.keys() {
-            set_bit(&mut self.alpha_splice_bits, self.base_alpha, id);
-        }
-        self.over_sigs.retain(|_, &mut id| id < first_new);
-        for i in 0..self.over_alpha.len() {
-            let keep: Vec<_> = self
-                .over_alpha
-                .get(AlphaMemId(i as u32))
-                .successors
-                .iter()
-                .copied()
-                .filter(|&(c, _)| c < first_new)
-                .collect();
-            self.over_alpha.mems_mut()[i].successors = keep;
-        }
-        // Overlay alpha memories interned by the failed build stay in
-        // place, successor-less and inert — same policy as the monolithic
-        // rollback.
-        #[cfg(debug_assertions)]
-        self.over_alpha.validate_index().expect("overlay alpha index consistent after rollback");
     }
 }
 
@@ -376,7 +337,12 @@ impl ReteView for SessionNet {
     }
 }
 
-impl BuildTarget for SessionNet {
+/// The overlay residence: every edit lands in the session's overlay, and
+/// the frozen base is never written. A new node's edge from a base node or
+/// base alpha memory becomes a splice; a name a base node gains or loses
+/// goes to the session's copy of its name list; a retired node is masked
+/// ([`ReteView::edge_live`]) instead of unplugged.
+impl ReteBuild for SessionNet {
     fn intern_alpha(
         &mut self,
         class: Symbol,
@@ -392,7 +358,7 @@ impl BuildTarget for SessionNet {
         AlphaMemId(self.base_alpha + local.0)
     }
 
-    fn find_shared_sig(&self, sig: &NodeSignature) -> Option<NodeId> {
+    fn find_shared(&self, sig: &NodeSignature) -> Option<NodeId> {
         // The frozen base's sharing index cannot drop entries this session
         // retired, so both lookups filter through the session's mask —
         // sharing into a masked-dead node would build a chain whose
@@ -410,179 +376,90 @@ impl BuildTarget for SessionNet {
             })
     }
 
-    fn note_shared(&mut self, id: NodeId, prod_name: Symbol) -> (bool, usize, usize) {
-        if id < self.base_nodes {
-            let (two, cov, rcov, listed) = {
-                let n = self.topo.net().node(id);
-                (
-                    n.is_two_input(),
-                    n.coverage.len(),
-                    n.right_coverage.len(),
-                    n.prod_names.contains(&prod_name),
-                )
-            };
-            let names = self.extra_prod_names.entry(id).or_default();
-            if !listed && !names.contains(&prod_name) {
-                names.push(prod_name);
-            }
-            (two, cov, rcov)
-        } else {
-            let n = &mut self.over_betas[(id - self.base_nodes) as usize];
-            if !n.prod_names.contains(&prod_name) {
-                n.prod_names.push(prod_name);
-            }
-            (n.is_two_input(), n.coverage.len(), n.right_coverage.len())
-        }
-    }
-
     fn push_node(&mut self, mut node: BetaNode) -> NodeId {
         let id = self.base_nodes + self.over_betas.len() as NodeId;
         node.id = id;
-        let parent = node.parent;
-        let right = node.right;
-        let sig = node.signature();
-        let is_prod = matches!(node.kind, NodeKind::Prod { .. });
-        self.over_betas.push(node);
         // The root lives in the base, so every overlay node has a parent
         // edge to wire (possibly a splice onto a base node).
-        self.wire_edge(parent, id, Side::Left);
-        match right {
+        self.wire_edge(node.parent, id, Side::Left);
+        match node.right {
+            Some(RightSrc::Alpha(a)) if a.0 < self.base_alpha => {
+                set_bit(&mut self.alpha_splice_bits, self.base_alpha, a.0);
+                self.alpha_splices.entry(a.0).or_default().push((id, Side::Right));
+            }
             Some(RightSrc::Alpha(a)) => {
-                if a.0 < self.base_alpha {
-                    set_bit(&mut self.alpha_splice_bits, self.base_alpha, a.0);
-                    self.alpha_splices.entry(a.0).or_default().push((id, Side::Right));
-                } else {
-                    self.over_alpha.add_successor(AlphaMemId(a.0 - self.base_alpha), id);
-                }
+                self.over_alpha.add_successor(AlphaMemId(a.0 - self.base_alpha), id)
             }
             Some(RightSrc::Beta(b)) => self.wire_edge(b, id, Side::Right),
             None => {}
         }
-        if self.sharing && !is_prod {
-            self.over_sigs.insert(sig, id);
+        if self.sharing && !matches!(node.kind, NodeKind::Prod { .. }) {
+            self.over_sigs.insert(node.signature(), id);
         }
+        self.over_betas.push(node);
         id
     }
 
-    fn next_prod_index(&self) -> u32 {
-        self.base_prods + self.over_prods.len() as u32
+    fn prod_names_mut(&mut self, id: NodeId) -> &mut Vec<Symbol> {
+        if id >= self.base_nodes {
+            return &mut self.over_betas[(id - self.base_nodes) as usize].prod_names;
+        }
+        let topo = &self.topo;
+        self.base_names.entry(id).or_insert_with(|| topo.net().node(id).prod_names.clone())
     }
-}
 
-impl ReteBuild for SessionNet {
-    fn add_production(
-        &mut self,
-        prod: Arc<Production>,
-        org: NetworkOrg,
-    ) -> Result<AddResult, BuildError> {
-        let first_new = self.num_nodes() as NodeId;
-        match build_production(self, &prod, &org, None) {
-            Ok((p_node, pos_slots, new_two, shared_two)) => {
-                let prod_idx = self.base_prods + self.over_prods.len() as u32;
-                self.over_prods.push(ProdInfo {
-                    production: prod,
-                    p_node,
-                    pos_slots,
-                    first_new,
-                    new_two_input: new_two,
-                    shared_two_input: shared_two,
-                    org,
-                });
-                Ok(AddResult {
-                    prod_idx,
-                    first_new,
-                    new_two_input: new_two,
-                    shared_two_input: shared_two,
-                    p_node,
-                })
-            }
-            Err(e) => {
-                self.rollback_overlay(first_new);
-                Err(e)
-            }
+    fn place_prod(&mut self, idx: u32, info: ProdInfo) {
+        if idx < self.base_prods {
+            self.prod_overrides.insert(idx, info);
+            return;
+        }
+        match self.over_prods.get_mut((idx - self.base_prods) as usize) {
+            Some(slot) => *slot = info,
+            None => self.over_prods.push(info),
         }
     }
 
-    fn reorg_build(
-        &mut self,
-        prod_idx: u32,
-        org: NetworkOrg,
-    ) -> Result<crate::view::ReorgBuild, BuildError> {
-        if prod_idx as usize >= self.num_prods() {
-            return Err(BuildError(format!("no production {prod_idx} to reorganize")));
-        }
-        let prod = self.prod_info(prod_idx).production.clone();
-        let first_new = self.num_nodes() as NodeId;
-        match build_production(self, &prod, &org, Some(prod_idx)) {
-            Ok((p_node, pos_slots, new_two, shared_two)) => Ok(crate::view::ReorgBuild {
-                prod_idx,
-                org,
-                first_new,
-                p_node,
-                pos_slots,
-                new_two_input: new_two,
-                shared_two_input: shared_two,
-            }),
-            Err(e) => {
-                self.rollback_overlay(first_new);
-                Err(e)
-            }
-        }
-    }
-
-    fn reorg_commit(&mut self, rb: crate::view::ReorgBuild) -> Vec<NodeId> {
-        let name = self.prod_info(rb.prod_idx).production.name;
-        let old_p = self.prod_info(rb.prod_idx).p_node;
-        let old_chain = crate::view::chain_ancestors(self, old_p);
-        let new_chain = crate::view::chain_ancestors(self, rb.p_node);
-        let info = ProdInfo {
-            production: self.prod_info(rb.prod_idx).production.clone(),
-            p_node: rb.p_node,
-            pos_slots: rb.pos_slots,
-            first_new: rb.first_new,
-            new_two_input: rb.new_two_input,
-            shared_two_input: rb.shared_two_input,
-            org: rb.org,
-        };
-        if rb.prod_idx < self.base_prods {
-            self.prod_overrides.insert(rb.prod_idx, info);
-        } else {
-            self.over_prods[(rb.prod_idx - self.base_prods) as usize] = info;
-        }
-        let mut retired: Vec<NodeId> = Vec::new();
-        for &id in &old_chain {
-            if new_chain.binary_search(&id).is_ok() {
-                continue;
-            }
-            if id < self.base_nodes {
-                // The frozen base list cannot lose the name; retire only
-                // nodes this production owns outright, with no session
-                // chunk recorded on them either. A base node shared with
-                // another production simply stays live.
-                let n = self.topo.net().node(id);
-                if n.prod_names.len() == 1
-                    && n.prod_names[0] == name
-                    && self.extra_prod_names_of(id).is_empty()
-                {
-                    retired.push(id);
-                }
-            } else {
-                let n = &mut self.over_betas[(id - self.base_nodes) as usize];
-                n.prod_names.retain(|&s| s != name);
-                if n.prod_names.is_empty() {
-                    retired.push(id);
-                }
-            }
-        }
-        // Masking, not unplugging: frozen base successor lists keep their
-        // edges, `edge_live` filters them out of every propagation path.
-        for &id in &retired {
+    fn retire(&mut self, retired: &[NodeId]) {
+        for &id in retired {
             set_bit_grow(&mut self.retired_bits, id);
         }
         self.retired_count += retired.len();
         // Keep chunk-to-chunk sharing away from masked nodes.
         self.over_sigs.retain(|_, id| retired.binary_search(id).is_err());
-        retired
+    }
+
+    fn rollback(&mut self, first_new: NodeId) {
+        // Only the overlay needs surgery: the base was never touched.
+        self.over_betas.truncate((first_new - self.base_nodes) as usize);
+        for n in &mut self.over_betas {
+            n.out_edges.retain(|&(c, _)| c < first_new);
+        }
+        let (nodes, mems) = (self.base_nodes, self.base_alpha);
+        truncate_splices(&mut self.beta_splices, &mut self.beta_splice_bits, nodes, first_new);
+        truncate_splices(&mut self.alpha_splices, &mut self.alpha_splice_bits, mems, first_new);
+        self.over_sigs.retain(|_, &mut id| id < first_new);
+        self.over_alpha.retain_successors(|c| c < first_new);
+        #[cfg(debug_assertions)]
+        self.over_alpha.validate_index().expect("overlay alpha index consistent after rollback");
+    }
+}
+
+/// Drop the splices onto nodes `>= first_new`, and recompute the presence
+/// bitmap over `cap` ids from what survives (rollback is rare; exactness
+/// beats cleverness here).
+fn truncate_splices(
+    splices: &mut FxHashMap<u32, Vec<(NodeId, Side)>>,
+    bits: &mut Vec<u64>,
+    cap: u32,
+    first_new: NodeId,
+) {
+    splices.retain(|_, v| {
+        v.retain(|&(c, _)| c < first_new);
+        !v.is_empty()
+    });
+    bits.iter_mut().for_each(|w| *w = 0);
+    for &id in splices.keys() {
+        set_bit(bits, cap, id);
     }
 }
 
@@ -603,6 +480,7 @@ impl std::fmt::Debug for SessionNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NetworkOrg;
     use crate::node::ROOT;
     use psme_ops::{parse_production, ClassRegistry};
 

@@ -734,7 +734,7 @@ pub fn session_digest(eng: &SerialEngine<SessionNet>) -> u64 {
             w.u32(child);
             w.u8(side as u8);
         }
-        for sym in net.extra_prod_names_of(id) {
+        for sym in net.prod_names_of(id) {
             w.sym(*sym);
         }
         for side in [Side::Left, Side::Right] {
@@ -766,6 +766,7 @@ pub fn session_digest(eng: &SerialEngine<SessionNet>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::ReteBuild;
     use crate::network::ReteNetwork;
     use psme_ops::parse_wme;
 

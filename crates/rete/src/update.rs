@@ -96,6 +96,7 @@ pub fn seed_update<N: ReteView + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::ReteBuild;
     use crate::alpha::AlphaNet;
     use crate::network::{NetworkOrg, ReteNetwork};
     use crate::process::process_wme_change;

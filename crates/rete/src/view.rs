@@ -1,4 +1,4 @@
-//! Read and build interfaces over a Rete network.
+//! The read interface over a Rete network.
 //!
 //! The node-processing semantics ([`crate::process`]), the §5.2 state
 //! update ([`crate::update`]) and the serial engine are generic over
@@ -9,14 +9,13 @@
 //! resolve into an overlay region, and successor traversal must consult
 //! overlay *splice deltas* in addition to a node's own edge list (the base
 //! is immutable, so a session records the edges a chunk would have spliced
-//! into it as out-of-band deltas).
+//! into it as out-of-band deltas). Editing either network goes through
+//! [`crate::build::ReteBuild`].
 
-use crate::build::{AddResult, BuildError};
-use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
+use crate::network::{ProdInfo, ReteNetwork};
 use crate::node::{BetaNode, NodeId, Side};
 use crate::work::Work;
-use psme_ops::{Production, Wme};
-use std::sync::Arc;
+use psme_ops::Wme;
 
 /// Read access to a (possibly overlaid) Rete network.
 pub trait ReteView {
@@ -55,83 +54,6 @@ pub trait ReteView {
     }
 }
 
-/// Result of [`ReteBuild::reorg_build`]: the freshly compiled replacement
-/// subnetwork for a production being reorganized, not yet committed. The
-/// caller runs the §5.2 state update over `first_new..` and then either
-/// commits (swapping the production over and retiring the old chain) — the
-/// old chain is untouched until commit, so a failed build rolls back to the
-/// exact pre-reorg network.
-#[derive(Clone, Debug)]
-pub struct ReorgBuild {
-    /// Production being reorganized (index preserved across the rebuild).
-    pub prod_idx: u32,
-    /// The organization the replacement subnetwork was compiled with.
-    pub org: NetworkOrg,
-    /// First node id of the replacement subnetwork (§5.2 `min_node`).
-    pub first_new: NodeId,
-    /// Replacement terminal node.
-    pub p_node: NodeId,
-    /// Positive-CE slot map of the replacement P node.
-    pub pos_slots: Vec<u16>,
-    /// Two-input nodes newly created by the rebuild.
-    pub new_two_input: u32,
-    /// Two-input nodes shared with existing chains (incl. the old prefix).
-    pub shared_two_input: u32,
-}
-
-/// A network that also supports run-time production addition (§5.1) and
-/// mid-run reorganization of an existing production (§7 made online).
-pub trait ReteBuild: ReteView {
-    /// Compile `prod` into the network (or its overlay region). The caller
-    /// runs the §5.2 state update afterwards; on error the network is
-    /// rolled back unchanged.
-    fn add_production(
-        &mut self,
-        prod: Arc<Production>,
-        org: NetworkOrg,
-    ) -> Result<AddResult, BuildError>;
-
-    /// Recompile production `prod_idx` with a new organization, appending
-    /// the replacement subnetwork like a chunk add but **reusing the
-    /// production's index**. The old chain stays fully wired (the §5.2
-    /// state update needs its boundary memories); nothing observable
-    /// changes until [`Self::reorg_commit`]. On error the network is rolled
-    /// back unchanged.
-    fn reorg_build(&mut self, prod_idx: u32, org: NetworkOrg) -> Result<ReorgBuild, BuildError>;
-
-    /// Commit a reorganization after the state update: swap the
-    /// production's bookkeeping to the replacement subnetwork, strip the
-    /// production's name from its old chain, and retire every old-chain
-    /// node no production references anymore to an inert pool. Returns the
-    /// retired node ids (sorted) — the caller purges their token memories.
-    /// Infallible by construction.
-    fn reorg_commit(&mut self, rb: ReorgBuild) -> Vec<NodeId>;
-}
-
-/// Collect the join-chain ancestry of `p_node` (the node itself, its
-/// parents and beta right-sources, transitively), excluding the root —
-/// exactly the node set a production's compilation touched.
-pub(crate) fn chain_ancestors<N: ReteView + ?Sized>(net: &N, p_node: NodeId) -> Vec<NodeId> {
-    use crate::node::{RightSrc, ROOT};
-    let mut seen = vec![p_node];
-    let mut stack = vec![p_node];
-    while let Some(id) = stack.pop() {
-        let n = net.node(id);
-        let mut push = |next: NodeId| {
-            if next != ROOT && !seen.contains(&next) {
-                seen.push(next);
-                stack.push(next);
-            }
-        };
-        push(n.parent);
-        if let Some(RightSrc::Beta(b)) = n.right {
-            push(b);
-        }
-    }
-    seen.sort_unstable();
-    seen
-}
-
 impl ReteView for ReteNetwork {
     #[inline]
     fn node(&self, id: NodeId) -> &BetaNode {
@@ -166,23 +88,5 @@ impl ReteView for ReteNetwork {
                 }
             })
             .work
-    }
-}
-
-impl ReteBuild for ReteNetwork {
-    fn add_production(
-        &mut self,
-        prod: Arc<Production>,
-        org: NetworkOrg,
-    ) -> Result<AddResult, BuildError> {
-        ReteNetwork::add_production(self, prod, org)
-    }
-
-    fn reorg_build(&mut self, prod_idx: u32, org: NetworkOrg) -> Result<ReorgBuild, BuildError> {
-        ReteNetwork::reorg_build(self, prod_idx, org)
-    }
-
-    fn reorg_commit(&mut self, rb: ReorgBuild) -> Vec<NodeId> {
-        ReteNetwork::reorg_commit(self, rb)
     }
 }

@@ -5,7 +5,7 @@
 
 use psme_ops::{Instantiation, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
-use psme_rete::{naive, plan_bilinear, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{naive, plan_bilinear, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use std::collections::HashSet;
 use std::sync::Arc;
 

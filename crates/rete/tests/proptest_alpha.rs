@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use psme_rete::alpha::AlphaStats;
 use psme_rete::testgen::{alpha_grid, AlphaGridConfig, XorShift};
-use psme_rete::{AlphaMemId, AlphaNet, NetworkOrg, ReteNetwork};
+use psme_rete::{AlphaMemId, AlphaNet, NetworkOrg, ReteBuild, ReteNetwork};
 use psme_ops::Wme;
 
 /// Run both classifiers on one wme, checking every agreement invariant.

@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
+use psme_rete::ReteBuild;
 use psme_ops::{intern, Value, Wme, WmeId};
 use psme_rete::{
     assert_quiescent, key_hash, process_beta, process_wme_change, token_hash, Activation, CsChange,

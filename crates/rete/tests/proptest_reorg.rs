@@ -12,7 +12,7 @@
 use proptest::prelude::*;
 use psme_ops::Production;
 use psme_rete::testgen::{adversarial_chain, random_system, AdversarialConfig, GenConfig, XorShift};
-use psme_rete::{naive, plan_bilinear, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{naive, plan_bilinear, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use std::collections::HashSet;
 use std::sync::Arc;
 

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use psme_ops::{production_text, parse_production, Instantiation, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
-use psme_rete::{naive, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{naive, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use std::collections::HashSet;
 use std::sync::Arc;
 

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_rete::{
-    plan_bilinear, session_digest, Journal, JournaledSession, NetworkOrg, ReteNetwork,
+    plan_bilinear, session_digest, Journal, JournaledSession, NetworkOrg, ReteBuild, ReteNetwork,
     SnapshotError, Topology,
 };
 use psme_ops::{Production, WmeId};

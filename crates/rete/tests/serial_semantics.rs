@@ -3,7 +3,7 @@
 //! addition with the §5.2 state update, and bilinear network equivalence.
 
 use psme_ops::{parse_production, parse_program, parse_wme, ClassRegistry, Instantiation};
-use psme_rete::{plan_bilinear, NetworkOrg, ReteNetwork, SerialEngine};
+use psme_rete::{plan_bilinear, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine};
 use std::collections::HashSet;
 use std::sync::Arc;
 

@@ -17,12 +17,16 @@
 //! [`naive`] oracle after every batch, and the session's view (base +
 //! overlay + splices) must be node-for-node, edge-for-edge identical to
 //! the incremental monolithic network.
+//!
+//! A reorganization leg then rebuilds productions on the first two: both
+//! residences must retire the same nodes, the session masking what the
+//! monolithic network unplugs, and stay identical over live edges.
 
-use psme_ops::{Instantiation, Production, Wme, WmeId};
+use psme_ops::{intern, parse_production, ClassRegistry, Instantiation, Production, Wme, WmeId};
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_rete::{
-    naive, plan_bilinear, NetworkOrg, NodeId, ReteNetwork, ReteView, SerialEngine, SessionNet,
-    Topology,
+    naive, plan_bilinear, NetworkOrg, NodeId, ReteBuild, ReteNetwork, ReteView, SerialEngine,
+    SessionNet, Topology,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,14 +45,16 @@ fn monolithic(prods: &[Production], org: &dyn Fn(&Production) -> NetworkOrg) -> 
 }
 
 /// The session's effective successor list for a node: its own edges (base
-/// or overlay) followed by any session-local splices.
+/// or overlay) followed by any session-local splices, less the edges to
+/// nodes a reorganization masked (the monolithic network unplugs those).
 fn session_edges(sess: &SessionNet, id: NodeId) -> Vec<(NodeId, psme_rete::Side)> {
-    sess.node(id).out_edges.iter().chain(sess.extra_out_edges(id)).copied().collect()
+    let edges = sess.node(id).out_edges.iter().chain(sess.extra_out_edges(id));
+    edges.copied().filter(|&(c, _)| !sess.is_retired(c)).collect()
 }
 
-/// Base + overlay + splices must equal the monolithic network node for
-/// node: same count, same per-node successor order (the monolithic append
-/// order), same production count.
+/// Base + overlay + live splices must equal the monolithic network node
+/// for node: same count, same per-node successor order (the monolithic
+/// append order), same production count.
 fn assert_same_shape(mono: &ReteNetwork, sess: &SessionNet, ctx: &str) {
     assert_eq!(mono.num_nodes(), sess.num_nodes(), "{ctx}: node count");
     assert_eq!(mono.num_prods(), sess.num_prods(), "{ctx}: production count");
@@ -222,4 +228,121 @@ fn overlay_never_mutates_the_shared_base() {
         assert_eq!(topo.num_nodes() + sa.net.overlay_nodes(), sa.net.num_nodes());
         assert_eq!(topo.num_nodes() + sb.net.overlay_nodes(), sb.net.num_nodes());
     }
+}
+
+/// The organization a reorganization leg rebuilds `p` with: bilinear when
+/// it is all-positive and has a plan, else linear.
+fn rebuild_org(p: &Production) -> NetworkOrg {
+    match plan_bilinear(p, 1) {
+        Some(groups) if p.ces.iter().all(|c| c.is_pos()) => NetworkOrg::Bilinear(groups),
+        _ => NetworkOrg::Linear,
+    }
+}
+
+/// Rebuild production `prod_idx` on both residences and demand the same
+/// outcome, retired-node count included.
+fn reorganize_both(
+    mono: &mut SerialEngine,
+    sess: &mut SerialEngine<SessionNet>,
+    prod_idx: u32,
+    p: &Production,
+    ctx: &str,
+) {
+    let rm = mono.reorganize_production(prod_idx, rebuild_org(p));
+    let rs = sess.reorganize_production(prod_idx, rebuild_org(p));
+    assert_eq!(rm, rs, "{ctx}: reorganizing production {prod_idx}");
+}
+
+/// The session retired (masked) exactly the nodes the monolithic network
+/// retired (unplugged), and the two agree edge for edge over what is live.
+fn assert_same_retirement(mono: &ReteNetwork, sess: &SessionNet, ctx: &str) {
+    assert_eq!(mono.retired_nodes(), sess.retired_nodes(), "{ctx}: retired count");
+    for id in 0..mono.num_nodes() as NodeId {
+        assert_eq!(mono.is_retired(id), sess.is_retired(id), "{ctx}: node {id} retired");
+    }
+    assert_same_shape(mono, sess, ctx);
+}
+
+/// Reorganization leg. Both residences learn the system's second half and
+/// a renamed twin of every base production (a chunk whose conditions an
+/// existing production already tests), so base nodes carry chunk names.
+/// Then every base production, and the twin of the first one with a
+/// bilinear plan, are rebuilt on both.
+fn run_reorg_differential(seed: u64) {
+    let sys = random_system(seed, GenConfig::default());
+    let (base, chunks) = sys.productions.split_at(sys.productions.len() / 2);
+    if base.is_empty() {
+        return;
+    }
+    let twins: Vec<Production> = base
+        .iter()
+        .map(|p| Production { name: intern(&format!("{}-twin", p.name)), ..p.clone() })
+        .collect();
+    let linear = |_: &Production| NetworkOrg::Linear;
+    let mut mono = SerialEngine::new(monolithic(base, &linear));
+    let mut sess = SerialEngine::new(SessionNet::new(Topology::freeze(monolithic(base, &linear))));
+    let mut rng = XorShift::new(seed ^ 0x2E0A_6000);
+    let mut feed = |mono: &mut SerialEngine, sess: &mut SerialEngine<SessionNet>, n: usize| {
+        let adds: Vec<Wme> = (0..n).map(|_| sys.random_wme(&mut rng)).collect();
+        mono.apply_changes(adds.clone(), vec![]);
+        sess.apply_changes(adds, vec![]);
+    };
+    feed(&mut mono, &mut sess, 8);
+    for c in chunks.iter().chain(&twins) {
+        let rm = mono.add_production(Arc::new(c.clone()), NetworkOrg::Linear).unwrap();
+        let rs = sess.add_production(Arc::new(c.clone()), NetworkOrg::Linear).unwrap();
+        assert_eq!(rm.add, rs.add, "seed {seed}: chunk AddResult");
+    }
+    let ctx = format!("seed {seed}");
+    for (i, p) in base.iter().enumerate() {
+        reorganize_both(&mut mono, &mut sess, i as u32, p, &ctx);
+    }
+    let t = base.iter().position(|p| rebuild_org(p) != NetworkOrg::Linear).unwrap_or(0);
+    let twin_idx = (sys.productions.len() + t) as u32;
+    reorganize_both(&mut mono, &mut sess, twin_idx, &twins[t], &ctx);
+    assert_same_retirement(&mono.net, &sess.net, &format!("{ctx} post-reorg"));
+    feed(&mut mono, &mut sess, 6);
+    let expected = naive::match_all(sys.productions.iter().chain(&twins), &mono.state.store);
+    assert_eq!(inst_set(mono.current_instantiations()), expected, "{ctx}: monolithic");
+    assert_eq!(inst_set(sess.current_instantiations()), expected, "{ctx}: session");
+}
+
+#[test]
+fn overlay_reorganization_retires_what_monolithic_retires() {
+    for seed in 300..340 {
+        run_reorg_differential(seed);
+    }
+}
+
+#[test]
+fn overlay_retires_a_base_chain_once_every_sharer_is_rebuilt() {
+    // `pp` and `qq` share one linear chain of five joins. Rebuilding `pp`
+    // retires only its P node: `qq` still uses the four joins past the
+    // bilinear prefix. Rebuilding `qq` then leaves them with no name, so
+    // they retire too — in the frozen base of a session as in a monolithic
+    // network.
+    let mut r = ClassRegistry::new();
+    for class in ["a", "b", "c", "d", "e"] {
+        r.declare_str(class, &["x", "y"]);
+    }
+    let lhs = "(a ^x <v>) (b ^x <v> ^y <w>) (c ^x <v> ^y <u>) (d ^x <w>) (e ^x <u>)";
+    let prods: Vec<Production> = ["pp", "qq"]
+        .iter()
+        .map(|name| parse_production(&format!("(p {name} {lhs} --> (halt))"), &mut r).unwrap())
+        .collect();
+    let linear = |_: &Production| NetworkOrg::Linear;
+    let mut mono = SerialEngine::new(monolithic(&prods, &linear));
+    let topo = Topology::freeze(monolithic(&prods, &linear));
+    let mut sess = SerialEngine::new(SessionNet::new(topo));
+    let plan = NetworkOrg::Bilinear(vec![vec![0], vec![1, 3], vec![2, 4]]);
+    let mut retired = Vec::new();
+    for idx in 0..2 {
+        let rm = mono.reorganize_production(idx, plan.clone()).unwrap();
+        let rs = sess.reorganize_production(idx, plan.clone()).unwrap();
+        assert_eq!(rm, rs, "reorganizing production {idx}");
+        retired.push(rs.retired);
+    }
+    assert_eq!(retired, [1, 4], "P node first, then the four joins past the prefix");
+    assert_eq!(sess.net.num_nodes(), 15);
+    assert_same_retirement(&mono.net, &sess.net, "pp + qq");
 }

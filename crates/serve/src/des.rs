@@ -27,6 +27,7 @@
 //! | [`simulate_serve_sharded`] | N      | serialized   | —    | batch    |
 //! | [`simulate_serve_open`]    | N      | serialized   | —    | open     |
 
+use psme_ops::util::u01;
 use std::collections::VecDeque;
 
 /// Model configuration.
@@ -312,21 +313,6 @@ pub fn simulate_serve_tiered(
     run(sessions, cfg, &Model { shards: 1, steal: false, bus: false, tier: Some(tier), open: None })
 }
 
-/// One step of the splitmix64 generator — the model's only randomness,
-/// fully determined by the seed (network jitter must not break replay).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from one splitmix64 draw (53 mantissa bits).
-fn u01(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Open-loop arrival parameters for the model ([`simulate_serve_open`]).
 #[derive(Clone, Copy, Debug)]
 pub struct DesOpenConfig {
@@ -379,6 +365,7 @@ pub fn simulate_serve_open(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psme_ops::util::splitmix64;
 
     fn uniform(n: usize, cycles: usize, c: f64) -> Vec<Vec<f64>> {
         (0..n).map(|_| vec![c; cycles]).collect()

@@ -93,14 +93,7 @@ impl ShardRouter {
     pub fn route(&self, idx: usize, name: &str, shards: usize) -> u32 {
         let shards = shards.max(1) as u64;
         match self {
-            ShardRouter::Hash => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for &b in name.as_bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
-                (h % shards) as u32
-            }
+            ShardRouter::Hash => (psme_rete::fnv1a64(name.as_bytes()) % shards) as u32,
             ShardRouter::Explicit(map) => (u64::from(map[idx]) % shards) as u32,
         }
     }

@@ -1,7 +1,7 @@
 //! The simulator must reproduce the qualitative shapes of §6 when fed real
 //! traces from the serial engine running the paper's tasks.
 
-use psme_rete::{CycleTrace, NetworkOrg, Phase, ReteNetwork, SerialEngine};
+use psme_rete::{CycleTrace, NetworkOrg, Phase, ReteBuild, ReteNetwork, SerialEngine};
 use psme_sim::{simulate_cycle, simulate_run, total_seconds, SimConfig, SimScheduler};
 use psme_tasks::{eight_puzzle, run_serial, scrambled, RunMode};
 use std::sync::Arc;

@@ -7,7 +7,7 @@
 //! ```
 
 use soar_psme::ops::{parse_production, parse_program, parse_wme, ClassRegistry};
-use soar_psme::rete::{NetworkOrg, Ops5Runtime, ReteNetwork, SerialEngine};
+use soar_psme::rete::{NetworkOrg, Ops5Runtime, ReteBuild, ReteNetwork, SerialEngine};
 use std::sync::Arc;
 
 fn main() {

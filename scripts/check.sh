@@ -55,6 +55,10 @@ required_suites=(
     # N concurrent sessions over one shared topology == N solo runs,
     # bit for bit, including mid-run chunk learning.
     "serve isolation|crates/serve/tests/serve_isolation.rs"
+    # A session's overlay over a frozen base == the monolithic network, node
+    # for node, after chunk adds and after reorganizations (same nodes
+    # retired, masked where the other unplugs).
+    "session overlay|crates/rete/tests/session_overlay.rs"
     # Trace ring/merge/export invariants, and the serving loop's flight
     # recorder (seeded overload must dump its sheds).
     "trace properties|crates/obs/tests/proptest_trace.rs"
