@@ -2,10 +2,12 @@
 //!
 //! ## Threading model
 //!
-//! * **Acceptor** — one thread on a non-blocking listener; each accepted
+//! * **Acceptor** — one thread blocked in `accept`; each accepted
 //!   connection gets its own reader thread and a shared writer handle
 //!   (`Arc<Mutex<TcpStream>>` — replies and notifications interleave at
-//!   frame granularity).
+//!   frame granularity). An error that leaves the listener usable (an
+//!   aborted handshake, a signal, no file descriptor free) is retried;
+//!   [`NetServer::finish`] wakes it with one loopback connection.
 //! * **Connection readers** — one thread per connection: blocking frame
 //!   reads, `Hello` answered inline, everything else routed to the owning
 //!   app's router by session id (`app_index << APP_SHIFT | local id`).
@@ -26,8 +28,8 @@
 use crate::apps::AppDef;
 use crate::wire::{read_frame, write_frame, Frame, SessionSummary, APP_SHIFT, WIRE_VERSION};
 use psme_serve::{OpenServe, ServeConfig, ServeEvent, ServeReport, SessionSpec};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -73,6 +75,20 @@ pub struct NetServer {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     apps: Vec<AppHandle>,
+}
+
+/// An `accept` error that leaves the listener usable: the peer gave up
+/// before it was taken, or a signal interrupted the call.
+fn transient(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted};
+    matches!(e.kind(), ConnectionAborted | ConnectionReset | Interrupted)
+}
+
+/// The process or the system is out of file descriptors (`EMFILE` 24,
+/// `ENFILE` 23 on Linux and the BSDs): `accept` succeeds again once a
+/// connection closes.
+fn out_of_descriptors(e: &std::io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23 | 24))
 }
 
 fn send_to(writer: &Writer, frame: &Frame) {
@@ -281,7 +297,6 @@ impl NetServer {
             "session id space exceeds the wire id layout"
         );
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -322,11 +337,15 @@ impl NetServer {
             std::thread::Builder::new()
                 .name("psm-net-accept".into())
                 .spawn(move || {
-                    let next_conn = AtomicU32::new(0);
+                    let mut next_conn = 0u32;
                     loop {
                         match listener.accept() {
+                            // `finish` wakes a blocked `accept` with one
+                            // connection of its own.
+                            Ok(_) if stop.load(Ordering::Acquire) => return,
                             Ok((stream, _peer)) => {
-                                let conn = next_conn.fetch_add(1, Ordering::Relaxed);
+                                let conn = next_conn;
+                                next_conn += 1;
                                 let _ = stream.set_nodelay(true);
                                 for tx in app_txs.iter() {
                                     let _ = tx.send(Cmd::Accepted { conn });
@@ -341,12 +360,13 @@ impl NetServer {
                                     .name(format!("psm-net-conn-{conn}"))
                                     .spawn(move || conn_loop(stream, writer, names, txs));
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                if stop.load(Ordering::Acquire) {
-                                    return;
-                                }
-                                std::thread::sleep(std::time::Duration::from_millis(2));
+                            Err(_) if stop.load(Ordering::Acquire) => return,
+                            Err(e) if out_of_descriptors(&e) => {
+                                // Retrying at once would spin until some
+                                // connection closes and frees one.
+                                std::thread::sleep(std::time::Duration::from_millis(10));
                             }
+                            Err(e) if transient(&e) => {}
                             Err(_) => return,
                         }
                     }
@@ -368,6 +388,17 @@ impl NetServer {
     pub fn finish(mut self) -> Vec<(String, ServeReport)> {
         self.stop.store(true, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
+            // Wake the acceptor out of its blocking `accept`; it takes this
+            // connection, sees `stop` and returns. If the connect fails the
+            // acceptor has returned already.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             a.join().expect("acceptor panicked");
         }
         let mut out = Vec::with_capacity(self.apps.len());

@@ -382,6 +382,31 @@ fn bye_after_done_closes_the_connection() {
     server.finish();
 }
 
+/// `finish` wakes the acceptor out of its blocking `accept` and joins it,
+/// both when no client ever connected and while one is still connected.
+/// A hang fails the test at the watchdog instead of stalling the suite.
+#[test]
+fn finish_joins_the_acceptor_with_and_without_a_client() {
+    let finish_within = |server: NetServer| {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(server.finish()).expect("test waits"));
+        rx.recv_timeout(Duration::from_secs(60)).expect("finish returned")
+    };
+    let cfg = ServeConfig { workers: 1, ..Default::default() };
+
+    let idle = NetServer::start("127.0.0.1:0", &cfg, vec![puzzle_app()], 4).expect("bind loopback");
+    let reports = finish_within(idle);
+    assert!(reports[0].1.sessions.is_empty());
+
+    let server =
+        NetServer::start("127.0.0.1:0", &cfg, vec![puzzle_app()], 4).expect("bind loopback");
+    let client = Client::connect(&server.local_addr().to_string()).expect("connect");
+    client.hello("lingerer").expect("hello");
+    let reports = finish_within(server);
+    assert!(reports[0].1.sessions.is_empty());
+    drop(client);
+}
+
 /// Refusals: version mismatch at hello, unknown app, duplicate name.
 #[test]
 fn refusals() {

@@ -9,6 +9,7 @@
 use crate::production::Instantiation;
 use crate::util::FxHashMap;
 use crate::wme::TimeTag;
+use std::sync::Arc;
 
 /// Conflict-resolution strategy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -23,7 +24,7 @@ pub enum Strategy {
 
 #[derive(Debug)]
 struct Entry {
-    inst: Instantiation,
+    inst: Arc<Instantiation>,
     specificity: usize,
     /// Refraction: set when the entry fires, gone with the entry.
     fired: bool,
@@ -35,12 +36,23 @@ struct Entry {
 /// they re-enter after a remove/add of identical wme ids is *not* possible
 /// since wme ids are never reused; refraction is therefore just "fired and
 /// still present").
+///
+/// An operation costs what it changes. An instantiation is one allocation,
+/// shared by its entry, its index key and whoever fires it. The count of
+/// unfired entries and the position of the first one let
+/// [`Self::take_unfired`] skip the fired prefix and stop at the last unfired
+/// entry, so a set with nothing unfired answers without looking.
 #[derive(Debug, Default)]
 pub struct ConflictSet {
     present: Vec<Entry>,
     /// Position in `present` of each instantiation (of its earliest-added
-    /// copy, should a caller add one twice).
-    index: FxHashMap<Instantiation, usize>,
+    /// copy, should a caller add one twice). The key is the entry's own
+    /// allocation.
+    index: FxHashMap<Arc<Instantiation>, usize>,
+    /// Entries not yet fired.
+    unfired: usize,
+    /// Every entry before this position has fired.
+    first_unfired: usize,
 }
 
 impl ConflictSet {
@@ -61,11 +73,15 @@ impl ConflictSet {
         // The index misses only the second copy of an instantiation added
         // twice, after the first was removed.
         let found = self.index.remove(inst);
-        let Some(i) = found.or_else(|| self.present.iter().position(|e| e.inst == *inst)) else {
+        let Some(i) = found.or_else(|| self.present.iter().position(|e| *e.inst == *inst)) else {
             return false;
         };
-        self.present.swap_remove(i);
+        let gone = self.present.swap_remove(i);
+        self.unfired -= usize::from(!gone.fired);
         if let Some(moved) = self.present.get(i) {
+            if !moved.fired {
+                self.first_unfired = self.first_unfired.min(i);
+            }
             let last = self.present.len();
             if let Some(at) = self.index.get_mut(&moved.inst).filter(|at| **at == last) {
                 *at = i;
@@ -76,7 +92,7 @@ impl ConflictSet {
 
     /// All currently present instantiations.
     pub fn iter(&self) -> impl Iterator<Item = &Instantiation> {
-        self.present.iter().map(|e| &e.inst)
+        self.present.iter().map(|e| &*e.inst)
     }
 
     /// Number of instantiations present.
@@ -90,13 +106,22 @@ impl ConflictSet {
     }
 
     /// Instantiations present and not yet fired (Soar fires all of these in
-    /// one elaboration cycle), in insertion order. Marks them fired.
-    pub fn take_unfired(&mut self) -> Vec<Instantiation> {
-        let mut out = Vec::new();
-        for e in self.present.iter_mut().filter(|e| !e.fired) {
-            e.fired = true;
-            out.push(e.inst.clone());
+    /// one elaboration cycle), in insertion order as removals' `swap_remove`
+    /// left it. Marks them fired. The walk starts at the first unfired entry
+    /// and stops at the last one.
+    pub fn take_unfired(&mut self) -> Vec<Arc<Instantiation>> {
+        let mut out = Vec::with_capacity(self.unfired);
+        for e in self.present.iter_mut().skip(self.first_unfired) {
+            if out.len() == self.unfired {
+                break;
+            }
+            if !e.fired {
+                e.fired = true;
+                out.push(e.inst.clone());
+            }
         }
+        self.unfired = 0;
+        self.first_unfired = self.present.len();
         out
     }
 
@@ -105,19 +130,25 @@ impl ConflictSet {
     /// order [`Self::take_unfired`] fires in, so a snapshot must preserve
     /// it to keep a restored agent's firing (and gensym) order identical.
     pub fn entries(&self) -> impl Iterator<Item = (&Instantiation, usize, bool)> {
-        self.present.iter().map(|e| (&e.inst, e.specificity, e.fired))
+        self.present.iter().map(|e| (&*e.inst, e.specificity, e.fired))
     }
 
     /// Re-append one entry recorded by [`Self::entries`] (snapshot restore).
     /// Call in recorded order.
     pub fn restore_entry(&mut self, inst: Instantiation, specificity: usize, fired: bool) {
-        self.index.entry(inst.clone()).or_insert(self.present.len());
+        let inst = Arc::new(inst);
+        let at = self.present.len();
+        self.index.entry(inst.clone()).or_insert(at);
+        if !fired {
+            self.unfired += 1;
+            self.first_unfired = self.first_unfired.min(at);
+        }
         self.present.push(Entry { inst, specificity, fired });
     }
 
     /// OPS5 LEX selection: choose the dominant unfired instantiation, mark
     /// it fired, and return it. `None` when every instantiation has fired.
-    pub fn select_lex(&mut self) -> Option<Instantiation> {
+    pub fn select_lex(&mut self) -> Option<Arc<Instantiation>> {
         let mut best: Option<(usize, Vec<TimeTag>, usize)> = None;
         for (i, e) in self.present.iter().enumerate() {
             if e.fired {
@@ -138,6 +169,7 @@ impl ConflictSet {
         }
         let chosen = &mut self.present[best?.0];
         chosen.fired = true;
+        self.unfired -= 1;
         Some(chosen.inst.clone())
     }
 }

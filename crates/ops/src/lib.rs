@@ -48,6 +48,6 @@ pub use cond::{Cond, CondElem, FieldTest, Pred};
 pub use parser::{parse_production, parse_program, parse_wme, ParseError};
 pub use printer::production_text;
 pub use production::{BindSite, ConcreteAction, Instantiation, Production, VarId, VarTable};
-pub use symbol::{gensym, intern, sym_name, Symbol};
+pub use symbol::{gensym, intern, sym_name, LazySymbol, Symbol};
 pub use value::Value;
 pub use wme::{ClassDecl, ClassRegistry, TimeTag, Wme, WmeId};

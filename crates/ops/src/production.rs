@@ -53,6 +53,9 @@ pub struct Production {
     pub actions: Vec<Action>,
     /// Number of positive CEs.
     pub num_pos: u16,
+    /// Total number of attribute tests across all CEs, one class test per
+    /// condition included: the specificity LEX ranks by, counted once here.
+    pub test_count: usize,
 }
 
 /// A concrete action produced by evaluating a production's RHS against an
@@ -235,7 +238,8 @@ impl Production {
             .enumerate()
             .map(|(i, s)| s.ok_or_else(|| format!("{name}: variable <{}> never occurs", var_names[i])))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Production { name, ces, var_names, bind_sites, rhs_binds, actions, num_pos })
+        let test_count = ces.iter().flat_map(|ce| ce.conds()).map(|c| c.tests.len() + 1).sum();
+        Ok(Production { name, ces, var_names, bind_sites, rhs_binds, actions, num_pos, test_count })
     }
 
     /// Total number of condition elements (counting each NCC as one, as the
@@ -249,16 +253,6 @@ impl Production {
     /// used by Table 5-1 of the paper).
     pub fn ce_count_flat(&self) -> usize {
         self.ces.iter().map(|ce| ce.conds().len()).sum()
-    }
-
-    /// Total number of attribute tests across all CEs (specificity measure
-    /// used by LEX conflict resolution).
-    pub fn test_count(&self) -> usize {
-        self.ces
-            .iter()
-            .flat_map(|ce| ce.conds())
-            .map(|c| c.tests.len() + 1) // +1 for the class test
-            .sum()
     }
 
     /// Extract the variable bindings from the wmes matched by the positive
@@ -343,7 +337,11 @@ impl fmt::Display for Production {
 
 /// A production instantiation: "the list of the matching wmes" (§2.1), one
 /// per positive CE, plus their time tags for conflict resolution.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+///
+/// Its identity is the production and the wmes. A wme's time tag is fixed
+/// when it enters working memory, so `tags` adds nothing to it: equality and
+/// hashing leave the tags out, and a retraction may carry none.
+#[derive(Clone, Debug)]
 pub struct Instantiation {
     /// The matched production's name.
     pub prod: Symbol,
@@ -351,6 +349,21 @@ pub struct Instantiation {
     pub wmes: Vec<WmeId>,
     /// Time tags of those wmes (parallel to `wmes`).
     pub tags: Vec<TimeTag>,
+}
+
+impl PartialEq for Instantiation {
+    fn eq(&self, other: &Instantiation) -> bool {
+        self.prod == other.prod && self.wmes == other.wmes
+    }
+}
+
+impl Eq for Instantiation {}
+
+impl std::hash::Hash for Instantiation {
+    fn hash<H: std::hash::Hasher>(&self, h: &mut H) {
+        self.prod.hash(h);
+        self.wmes.hash(h);
+    }
 }
 
 impl Instantiation {
@@ -549,7 +562,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.ce_count(), 2);
         assert_eq!(p.ce_count_flat(), 3);
-        assert_eq!(p.test_count(), 4); // class tests (3) + var test (1)
+        assert_eq!(p.test_count, 4); // class tests (3) + var test (1)
     }
 
     #[test]

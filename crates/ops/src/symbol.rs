@@ -52,6 +52,29 @@ pub fn intern(name: &str) -> Symbol {
     Symbol(id)
 }
 
+/// A symbol whose name is fixed in the source, interned the first time it
+/// is asked for and read without the interner's lock after that.
+///
+/// It is interned at the moment a plain [`intern`] call in its place would
+/// have interned it, so the process's interning order, and with it every
+/// symbol id, does not move (memory placement hashes symbol ids).
+pub struct LazySymbol {
+    name: &'static str,
+    sym: OnceLock<Symbol>,
+}
+
+impl LazySymbol {
+    /// A symbol named `name`, not interned yet.
+    pub const fn new(name: &'static str) -> LazySymbol {
+        LazySymbol { name, sym: OnceLock::new() }
+    }
+
+    /// The symbol.
+    pub fn get(&self) -> Symbol {
+        *self.sym.get_or_init(|| intern(self.name))
+    }
+}
+
 /// Return the name of an interned symbol.
 pub fn sym_name(sym: Symbol) -> Arc<str> {
     interner().read().names[sym.0 as usize].clone()

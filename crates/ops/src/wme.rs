@@ -6,8 +6,8 @@
 //! field slot per declared attribute.
 
 use crate::symbol::{intern, Symbol};
+use crate::util::FxHashMap;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -27,13 +27,13 @@ pub struct ClassDecl {
     pub name: Symbol,
     /// Attribute names in field order.
     pub attrs: Vec<Symbol>,
-    index: HashMap<Symbol, u16>,
+    index: FxHashMap<Symbol, u16>,
 }
 
 impl ClassDecl {
     /// Build a declaration; attribute names must be distinct.
     pub fn new(name: Symbol, attrs: Vec<Symbol>) -> Result<ClassDecl, String> {
-        let mut index = HashMap::with_capacity(attrs.len());
+        let mut index = FxHashMap::with_capacity_and_hasher(attrs.len(), Default::default());
         for (i, &a) in attrs.iter().enumerate() {
             if index.insert(a, i as u16).is_some() {
                 return Err(format!("duplicate attribute {a} in class {name}"));
@@ -53,10 +53,12 @@ impl ClassDecl {
     }
 }
 
-/// Registry of all declared classes for one production system.
+/// Registry of all declared classes for one production system. Firing, GC
+/// and level bookkeeping look a class up for every wme they touch, so both
+/// this map and a declaration's attribute index hash with Fx.
 #[derive(Clone, Debug, Default)]
 pub struct ClassRegistry {
-    classes: HashMap<Symbol, Arc<ClassDecl>>,
+    classes: FxHashMap<Symbol, Arc<ClassDecl>>,
 }
 
 impl ClassRegistry {

@@ -2,6 +2,64 @@
 
 use proptest::prelude::*;
 use psme_ops::{intern, ConflictSet, Instantiation, TimeTag, WmeId};
+use std::sync::Arc;
+
+fn owned(insts: Vec<Arc<Instantiation>>) -> Vec<Instantiation> {
+    insts.iter().map(|i| Instantiation::clone(i)).collect()
+}
+
+/// The conflict set's documented behaviour as a plain list: the entries in
+/// insertion order as removals' `swap_remove` permutes it, each with its
+/// specificity, its fired flag and whether it is the copy the position
+/// index holds (the first copy added while no other copy was indexed).
+#[derive(Default)]
+struct Model {
+    entries: Vec<(Instantiation, usize, bool, bool)>,
+}
+
+impl Model {
+    fn add(&mut self, inst: &Instantiation, spec: usize) {
+        let indexed = !self.entries.iter().any(|e| e.0 == *inst && e.3);
+        self.entries.push((inst.clone(), spec, false, indexed));
+    }
+
+    /// Removes the indexed copy, else the first copy in list order.
+    fn remove(&mut self, inst: &Instantiation) -> bool {
+        let at = self
+            .entries
+            .iter()
+            .position(|e| e.0 == *inst && e.3)
+            .or_else(|| self.entries.iter().position(|e| e.0 == *inst));
+        at.map(|i| self.entries.swap_remove(i)).is_some()
+    }
+
+    fn take_unfired(&mut self) -> Vec<Instantiation> {
+        let mut out = Vec::new();
+        for e in self.entries.iter_mut().filter(|e| !e.2) {
+            e.2 = true;
+            out.push(e.0.clone());
+        }
+        out
+    }
+
+    /// The first unfired entry with the greatest (recency key, specificity).
+    fn select_lex(&mut self) -> Option<Instantiation> {
+        let key = |e: &(Instantiation, usize, bool, bool)| (e.0.recency_key(), e.1);
+        let mut best: Option<usize> = None;
+        for (i, e) in self.entries.iter().enumerate().filter(|(_, e)| !e.2) {
+            let better = match best {
+                None => true,
+                Some(b) => key(e) > key(&self.entries[b]),
+            };
+            if better {
+                best = Some(i);
+            }
+        }
+        let chosen = &mut self.entries[best?];
+        chosen.2 = true;
+        Some(chosen.0.clone())
+    }
+}
 
 fn inst_strategy() -> impl Strategy<Value = (Instantiation, usize)> {
     (0u8..8, prop::collection::vec(0u64..50, 1..5), 0usize..10).prop_map(|(p, tags, spec)| {
@@ -108,13 +166,55 @@ proptest! {
                         .filter(|(p, _)| fired.insert(p.clone()))
                         .map(|(p, _)| p.clone())
                         .collect();
-                    prop_assert_eq!(cs.take_unfired(), expect);
+                    prop_assert_eq!(owned(cs.take_unfired()), expect);
                 }
             }
             let got: Vec<_> = cs.entries().map(|(i, s, f)| (i.clone(), s, f)).collect();
             let want: Vec<_> =
                 present.iter().map(|(i, s)| (i.clone(), *s, fired.contains(i))).collect();
             prop_assert_eq!(got, want);
+        }
+    }
+
+    /// Random interleavings of every operation — adds (duplicates
+    /// included), removals of present and absent instantiations (most of
+    /// them `swap_remove`s from the middle), `take_unfired` and
+    /// `select_lex` — against the list model. What `take_unfired` and
+    /// `select_lex` return is the model's, `entries()` (the order a
+    /// hibernated conflict set is encoded in) is the model's list after
+    /// every step, and a set whose entries have all fired hands back nothing
+    /// and stays as it was.
+    #[test]
+    fn every_operation_matches_the_list_model(
+        insts in prop::collection::vec(inst_strategy(), 1..8),
+        script in prop::collection::vec((0u8..6, 0usize..64), 1..120),
+    ) {
+        let mut cs = ConflictSet::new();
+        let mut model = Model::default();
+        for (op, pick) in script {
+            let (inst, spec) = &insts[pick % insts.len()];
+            match op {
+                0 | 1 => {
+                    cs.add(inst.clone(), *spec);
+                    model.add(inst, *spec);
+                }
+                2 | 3 => prop_assert_eq!(cs.remove(inst), model.remove(inst)),
+                4 => {
+                    let nothing_unfired = model.entries.iter().all(|e| e.2);
+                    let taken = owned(cs.take_unfired());
+                    prop_assert_eq!(&taken, &model.take_unfired());
+                    prop_assert_eq!(taken.is_empty(), nothing_unfired);
+                    prop_assert!(cs.take_unfired().is_empty());
+                }
+                _ => prop_assert_eq!(
+                    cs.select_lex().map(|i| Instantiation::clone(&i)),
+                    model.select_lex()
+                ),
+            }
+            let got: Vec<_> = cs.entries().map(|(i, s, f)| (i.clone(), s, f)).collect();
+            let want: Vec<_> = model.entries.iter().map(|e| (e.0.clone(), e.1, e.2)).collect();
+            prop_assert_eq!(got, want);
+            prop_assert_eq!(cs.len(), model.entries.len());
         }
     }
 

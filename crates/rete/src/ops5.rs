@@ -74,7 +74,7 @@ impl Ops5Runtime {
             self.cs.remove(&i);
         }
         for i in delta.added {
-            let spec = self.prods.get(&i.prod).map(|p| p.test_count()).unwrap_or(0);
+            let spec = self.prods.get(&i.prod).map_or(0, |p| p.test_count);
             self.cs.add(i, spec);
         }
     }

@@ -33,7 +33,8 @@ use std::sync::Arc;
 pub struct CsDelta {
     /// Instantiations that entered the conflict set.
     pub added: Vec<Instantiation>,
-    /// Instantiations that left the conflict set.
+    /// Instantiations that left the conflict set, without their time tags
+    /// (identity only: see [`Instantiation`]).
     pub removed: Vec<Instantiation>,
 }
 
@@ -142,9 +143,20 @@ impl CsFold {
         let mut items: Vec<(u32, Instantiation, i32)> = self
             .net
             .into_iter()
-            .map(|((prod, token), d)| (prod, instantiation_of(net, store, prod, &token), d))
+            .map(|((prod, token), d)| {
+                // Only an entering instantiation needs its time tags (LEX
+                // recency); a retraction is found by its identity.
+                let inst = if d > 0 {
+                    instantiation_of(net, store, prod, &token)
+                } else {
+                    identity_of(net, prod, &token)
+                };
+                (prod, inst, d)
+            })
             .collect();
-        items.sort_by(|a, b| (a.0, &a.1.wmes).cmp(&(b.0, &b.1.wmes)));
+        // Items whose keys tie are identical instantiations, so an unstable
+        // sort gives the same delta.
+        items.sort_unstable_by(|a, b| (a.0, &a.1.wmes).cmp(&(b.0, &b.1.wmes)));
         for (prod, inst, d) in items {
             match d {
                 1 => delta.added.push(inst),
@@ -165,10 +177,16 @@ pub fn instantiation_of<N: ReteView + ?Sized>(
     prod: u32,
     token: &Token,
 ) -> Instantiation {
+    let mut inst = identity_of(net, prod, token);
+    inst.tags = inst.wmes.iter().map(|&w| store.tag(w)).collect();
+    inst
+}
+
+/// The [`Instantiation`] for a P-node token, without time tags.
+fn identity_of<N: ReteView + ?Sized>(net: &N, prod: u32, token: &Token) -> Instantiation {
     let info = net.prod_info(prod);
-    let wmes: Vec<WmeId> = info.pos_slots.iter().map(|&s| token.slot(s)).collect();
-    let tags = wmes.iter().map(|&w| store.tag(w)).collect();
-    Instantiation { prod: info.production.name, wmes, tags }
+    let wmes = info.pos_slots.iter().map(|&s| token.slot(s)).collect();
+    Instantiation { prod: info.production.name, wmes, tags: Vec::new() }
 }
 
 /// All current instantiations, read back from the P nodes' stored tokens

@@ -6,7 +6,6 @@
 //! the consuming node's coverage metadata, so the same representation serves
 //! linear chains, bilinear group joins and NCC subnetworks.
 
-use crate::util::{fxhash, FxHashMap};
 use psme_ops::{TimeTag, Value, Wme, WmeId};
 use std::fmt;
 use std::sync::Arc;
@@ -98,11 +97,6 @@ pub struct WmeStore {
     /// order, so adds append): [`Self::iter_alive`] walks these instead of
     /// every slot ever allocated.
     live: Vec<WmeId>,
-    /// Content-hash index over *live* wmes: bucket of candidate ids in
-    /// ascending-id order (insertion order; removal is order-preserving).
-    /// Makes [`Self::find_alive`] — the RHS `make` dedup path — O(bucket)
-    /// instead of O(live).
-    alive_idx: FxHashMap<u64, Vec<WmeId>>,
 }
 
 impl WmeStore {
@@ -116,7 +110,6 @@ impl WmeStore {
         self.next_tag += 1;
         let id = WmeId(self.wmes.len() as u32);
         let tag = TimeTag(self.next_tag);
-        self.alive_idx.entry(fxhash(&wme)).or_default().push(id);
         self.wmes.push(StoredWme { wme: Arc::new(wme), tag, alive: true, unit: Token::unit(id) });
         self.live.push(id);
         (id, tag)
@@ -131,17 +124,7 @@ impl WmeStore {
         s.alive = false;
         let at = self.live.binary_search(&id).expect("an alive wme is on the live list");
         self.live.remove(at);
-        let wme = s.wme.clone();
-        let h = fxhash(wme.as_ref());
-        if let Some(bucket) = self.alive_idx.get_mut(&h) {
-            if let Some(pos) = bucket.iter().position(|&b| b == id) {
-                bucket.remove(pos);
-            }
-            if bucket.is_empty() {
-                self.alive_idx.remove(&h);
-            }
-        }
-        Some(wme)
+        Some(s.wme.clone())
     }
 
     /// The wme for an id (alive or dead).
@@ -176,20 +159,11 @@ impl WmeStore {
         self.live.iter().map(|&id| (id, &self.wmes[id.0 as usize].wme))
     }
 
-    /// Find the first (lowest-id) live wme structurally equal to `w`.
-    ///
-    /// Probes the content-hash index and verifies structurally (hash
-    /// collisions land in the same bucket but fail the `==`); the bucket's
-    /// ascending-id order preserves the old linear scan's "first match"
-    /// answer.
+    /// Find the first (lowest-id) live wme structurally equal to `w`, by a
+    /// scan of the live list. Only tests ask; the Soar layer keeps its own
+    /// structural index of live wmes for its `make` dedup.
     pub fn find_alive(&self, w: &Wme) -> Option<WmeId> {
-        self.alive_idx.get(&fxhash(w)).and_then(|bucket| {
-            bucket.iter().copied().find(|&id| {
-                let s = &self.wmes[id.0 as usize];
-                debug_assert!(s.alive, "index holds a dead wme");
-                s.wme.as_ref() == w
-            })
-        })
+        self.iter_alive().find(|(_, x)| x.as_ref() == w).map(|(id, _)| id)
     }
 
     /// Number of live wmes.
@@ -263,8 +237,8 @@ mod tests {
 
     #[test]
     fn find_alive_index_survives_removal() {
-        // Regression: the content-hash index must stay consistent with the
-        // store across add/remove, including duplicates of equal content.
+        // `find_alive` follows the store across add/remove, including
+        // duplicates of equal content.
         let r = reg();
         let mut s = WmeStore::new();
         let (id1, _) = s.add(mk(&r, "(a ^x 1 ^y blue)"));
@@ -280,7 +254,7 @@ mod tests {
         // Re-adding equal content after full removal finds the new id.
         let (id4, _) = s.add(mk(&r, "(a ^x 1 ^y blue)"));
         assert_eq!(s.find_alive(&mk(&r, "(a ^x 1 ^y blue)")), Some(id4));
-        // Double-remove must not corrupt the bucket of a re-added twin.
+        // Double-remove must not hide a re-added twin.
         assert!(s.remove(id1).is_none());
         assert_eq!(s.find_alive(&mk(&r, "(a ^x 1 ^y blue)")), Some(id4));
         // Every live wme is findable; every dead one is not.
@@ -291,7 +265,7 @@ mod tests {
 
     #[test]
     fn find_alive_agrees_with_linear_scan() {
-        // Differential check against the pre-index reference definition.
+        // Against the definition: the first live wme of equal content.
         let r = reg();
         let mut s = WmeStore::new();
         let mut all = Vec::new();

@@ -9,7 +9,7 @@ use crate::wm::{Provenance, WmBook};
 use psme_core::MatchEngine;
 use psme_obs::{ControlPhase, Recorder};
 use psme_ops::{
-    intern, ClassRegistry, ConcreteAction, ConflictSet, Production, Symbol, Value,
+    intern, sym_name, ClassRegistry, ConcreteAction, ConflictSet, Production, Symbol, Value,
     Wme, WmeId,
 };
 use psme_rete::util::{FxHashMap, FxHashSet};
@@ -90,6 +90,35 @@ pub enum StopReason {
     Closed,
 }
 
+/// What decides whether reachability GC keeps a wme.
+#[derive(Clone, Copy)]
+enum Keep {
+    /// A goal augmentation: its goal is on the stack and its slot values
+    /// are current.
+    Goal,
+    /// A preference (its index in `WmView::prefs`; `None` when
+    /// malformed): its scope holds and its object is reachable.
+    Pref(Option<usize>),
+    /// An `eval` wme: its goal is on the stack.
+    Eval(Option<Symbol>),
+    /// An augmentation of this object: the object is reachable.
+    Object(Symbol),
+}
+
+/// Working memory as one decision phase reads it (`Agent::read_wm`).
+#[derive(Default)]
+struct WmView {
+    /// Every well-formed preference, ascending wme id: the decision
+    /// procedure's input.
+    prefs: Vec<Preference>,
+    /// Every wme that is not task-static, ascending id. (Pinned ones are
+    /// here too; GC never removes them, but a goal wme among them roots
+    /// reachability.)
+    wmes: Vec<(WmeId, Keep)>,
+    /// Object augmentations by identifier, each with its `^id` field index.
+    objects: FxHashMap<Symbol, Vec<(WmeId, u16)>>,
+}
+
 /// A Soar agent over any match engine.
 pub struct Agent<E: MatchEngine> {
     /// The match engine (serial or PSM-E parallel).
@@ -113,6 +142,10 @@ pub struct Agent<E: MatchEngine> {
     /// `(write …)` output lines.
     pub output: Vec<String>,
     pub(crate) prods: FxHashMap<Symbol, Arc<Production>>,
+    /// Symbols seen in made wmes whose names carry no `*` (so they are not
+    /// gensym'd identifiers). Reading a name takes the interner's lock, so
+    /// each symbol's is read once.
+    plain: FxHashSet<Symbol>,
     pub(crate) gensym_counter: u64,
     pub(crate) halt_requested: bool,
     /// Network organization used for newly added productions.
@@ -149,6 +182,7 @@ impl<E: MatchEngine> Agent<E> {
             stats: AgentStats::default(),
             output: Vec::new(),
             prods: FxHashMap::default(),
+            plain: FxHashSet::default(),
             gensym_counter: 0,
             halt_requested: false,
             org: NetworkOrg::Linear,
@@ -245,7 +279,7 @@ impl<E: MatchEngine> Agent<E> {
                 continue;
             }
             let (id, _) = self.engine.add_wme(w.clone());
-            self.book.note_add(id, &w, 0, Provenance::Arch { sources: vec![] }, true);
+            self.book.note_add(id, w, 0, Provenance::Arch { sources: vec![] }, true);
             self.stats.wme_adds += 1;
             changes.push((id, 1));
         }
@@ -260,7 +294,7 @@ impl<E: MatchEngine> Agent<E> {
         self.stack.push(GoalCtx { id: g, level: 0, slots: [None, None, None], impasse: None });
         let w = crate::arch::goal_aug(&self.classes, &self.fields, g, self.fields.goal_type, Value::sym("top"));
         let (id, _) = self.engine.add_wme(w.clone());
-        self.book.note_add(id, &w, 0, Provenance::Arch { sources: vec![] }, false);
+        self.book.note_add(id, w, 0, Provenance::Arch { sources: vec![] }, false);
         self.stats.wme_adds += 1;
         self.match_changes(vec![(id, 1)]);
         g
@@ -283,7 +317,7 @@ impl<E: MatchEngine> Agent<E> {
             self.cs.remove(&i);
         }
         for i in delta.added {
-            let spec = self.prods.get(&i.prod).map(|p| p.test_count()).unwrap_or(0);
+            let spec = self.prods.get(&i.prod).map_or(0, |p| p.test_count);
             self.cs.add(i, spec);
         }
     }
@@ -324,6 +358,19 @@ impl<E: MatchEngine> Agent<E> {
         firing_level
     }
 
+    /// Register `s` as an identifier if its name carries the `*` of a
+    /// gensym.
+    fn note_gensym(&mut self, s: Symbol) {
+        if self.book.is_identifier(s) || self.plain.contains(&s) {
+            return;
+        }
+        if sym_name(s).contains('*') {
+            self.book.register_identifier(s);
+        } else {
+            self.plain.insert(s);
+        }
+    }
+
     /// Fire every unfired instantiation once; batch the wme changes; match;
     /// integrate any chunks. Returns `false` at quiescence.
     fn elaborate_once(&mut self) -> bool {
@@ -336,13 +383,12 @@ impl<E: MatchEngine> Agent<E> {
         for inst in unfired {
             let Some(prod) = self.prods.get(&inst.prod).cloned() else { continue };
             self.stats.firings += 1;
-            let wme_arcs: Vec<Arc<Wme>> = self
-                .engine
-                .with_store(|s| inst.wmes.iter().map(|id| s.get(*id).clone()).collect());
-            let refs: Vec<&Wme> = wme_arcs.iter().map(|a| a.as_ref()).collect();
+            let mut bindings = self.engine.with_store(|s| {
+                let refs: Vec<&Wme> = inst.wmes.iter().map(|id| s.get(*id).as_ref()).collect();
+                prod.bindings_of(&refs)
+            });
             let firing_level =
                 inst.wmes.iter().map(|id| self.book.level_of(*id)).max().unwrap_or(0);
-            let mut bindings = prod.bindings_of(&refs);
             let mut counter = self.gensym_counter;
             let actions = prod.eval_rhs(&mut bindings, &mut || {
                 counter += 1;
@@ -355,43 +401,42 @@ impl<E: MatchEngine> Agent<E> {
             for act in actions {
                 match act {
                     ConcreteAction::Make(class, fields) => {
-                        let Some(decl) = self.classes.get(class).cloned() else { continue };
-                        let w = Wme::with_fields(&decl, &fields);
+                        let Some(decl) = self.classes.get(class) else { continue };
+                        let w = Wme::with_fields(decl, &fields);
                         if self.book.alive_index.contains_key(&w) {
                             continue; // WM is a set
                         }
                         // Fresh gensym'd ids become identifiers.
-                        for (_, v) in &fields {
+                        for &(_, v) in &fields {
                             if let Value::Sym(s) = v {
-                                if psme_ops::sym_name(*s).contains('*') {
-                                    self.book.register_identifier(*s);
-                                }
+                                self.note_gensym(s);
                             }
                         }
                         let level = self.wme_level_for(&w, firing_level);
                         let (wid, _) = self.engine.add_wme(w.clone());
-                        self.book.note_add(
-                            wid,
-                            &w,
-                            level,
-                            Provenance::Fired { matched: inst.wmes.clone(), prod: inst.prod },
-                            false,
-                        );
                         self.stats.wme_adds += 1;
                         changes.push((wid, 1));
-                        // Promote linked deeper objects into this level.
-                        let (store_promotions, classes) = (&mut self.book, &self.classes);
+                        // Promote linked deeper objects into this level. (The
+                        // new wme itself sits at its object's level, so no
+                        // promotion reaches it before it is noted below.)
+                        let (book, classes, id_attr) =
+                            (&mut self.book, &self.classes, self.fields.id_attr);
                         self.engine.with_store(|s| {
                             for v in w.fields.iter() {
                                 if let Value::Sym(sym) = v {
-                                    if store_promotions.is_identifier(*sym)
-                                        && store_promotions.level_of_obj(*sym) > level
-                                    {
-                                        store_promotions.promote(*sym, level, s, classes);
+                                    if book.is_identifier(*sym) && book.level_of_obj(*sym) > level {
+                                        book.promote(*sym, level, s, classes, id_attr);
                                     }
                                 }
                             }
                         });
+                        self.book.note_add(
+                            wid,
+                            w,
+                            level,
+                            Provenance::Fired { matched: inst.wmes.clone(), prod: inst.prod },
+                            false,
+                        );
                         if level < firing_level {
                             results.push(wid);
                             result_level = result_level.max(level);
@@ -449,19 +494,47 @@ impl<E: MatchEngine> Agent<E> {
         Ok(())
     }
 
-    fn collect_preferences(&self) -> Vec<Preference> {
+    /// Read working memory for one decision phase, in one pass over the
+    /// live wmes: decode every preference once, note what decides each
+    /// removable wme's fate, and index object augmentations by identifier.
+    fn read_wm(&self) -> WmView {
         let f = &self.fields;
-        self.engine.with_store(|s| {
-            s.iter_alive().filter_map(|(id, w)| decode_preference(id, w, f)).collect()
-        })
+        let mut wm = WmView::default();
+        self.engine.with_store(|store| {
+            for (id, w) in store.iter_alive() {
+                let keep = if w.class == f.goal_cls {
+                    Keep::Goal
+                } else if w.class == f.pref_cls {
+                    Keep::Pref(decode_preference(id, w, f).map(|p| {
+                        wm.prefs.push(p);
+                        wm.prefs.len() - 1
+                    }))
+                } else if w.class == f.eval_cls {
+                    Keep::Eval(w.field(0).as_sym())
+                } else {
+                    // An object carries its identifier in `^id`; a wme
+                    // without one is task-static and always kept.
+                    let Some(idf) = self.classes.get(w.class).and_then(|d| d.field_of(f.id_attr))
+                    else {
+                        continue;
+                    };
+                    let Some(obj) = w.field(idf).as_sym() else { continue };
+                    wm.objects.entry(obj).or_default().push((id, idf));
+                    Keep::Object(obj)
+                };
+                wm.wmes.push((id, keep));
+            }
+        });
+        wm
     }
 
     /// The decision phase: apply the decision procedure, perform the wme
     /// surgery and reachability GC. Returns the wme changes to match, or
     /// `None` when stuck.
     fn decision_phase(&mut self) -> Option<Vec<(WmeId, i32)>> {
-        let prefs = self.collect_preferences();
-        let d = decide(&self.stack, &prefs);
+        let wm = self.read_wm();
+        let prefs = &wm.prefs;
+        let d = decide(&self.stack, prefs);
         self.stats.decisions += 1;
         match d {
             Decision::Stuck => None,
@@ -500,7 +573,7 @@ impl<E: MatchEngine> Agent<E> {
                         .collect();
                     adds.push((wme, g.level, Provenance::Arch { sources }));
                 }
-                Some(self.install_decision_changes(adds))
+                Some(self.install_decision_changes(&wm, adds))
             }
             Decision::NewImpasse { parent_idx, key } => {
                 self.stack.truncate(parent_idx + 1);
@@ -554,19 +627,21 @@ impl<E: MatchEngine> Agent<E> {
                         Provenance::Arch { sources },
                     ));
                 }
-                Some(self.install_decision_changes(adds))
+                Some(self.install_decision_changes(&wm, adds))
             }
         }
     }
 
-    /// Garbage-collect and install decision-phase wmes; returns the
-    /// changes for the match that follows.
+    /// Garbage-collect (over `wm`, working memory as the decision phase
+    /// read it) and install decision-phase wmes; returns the changes for
+    /// the match that follows.
     fn install_decision_changes(
         &mut self,
+        wm: &WmView,
         adds: Vec<(Wme, u32, Provenance)>,
     ) -> Vec<(WmeId, i32)> {
         let mut changes: Vec<(WmeId, i32)> = Vec::new();
-        for id in self.gc_removals() {
+        for id in self.collect_garbage(wm) {
             let w = self.engine.with_store(|s| s.get(id).clone());
             if self.engine.remove_wme(id) {
                 self.book.note_remove(id, &w);
@@ -579,142 +654,112 @@ impl<E: MatchEngine> Agent<E> {
                 continue;
             }
             let (id, _) = self.engine.add_wme(w.clone());
-            self.book.note_add(id, &w, level, prov, false);
+            self.book.note_add(id, w, level, prov, false);
             self.stats.wme_adds += 1;
             changes.push((id, 1));
         }
         changes
     }
 
+    /// What reachability GC would remove from working memory now, for the
+    /// current context stack, in ascending id order: what the decision
+    /// phase removes once it has changed the stack.
+    pub fn gc_removals(&self) -> Vec<WmeId> {
+        self.collect_garbage(&self.read_wm())
+    }
+
     /// Reachability GC: "the decision module keeps track of which wmes are
     /// accessible from the context stack, and automatically garbage
-    /// collects inaccessible wmes" (§3).
-    fn gc_removals(&self) -> Vec<WmeId> {
-        let ArchFields { goal_cls, pref_cls, eval_cls, id_attr, .. } = self.fields;
-        let stack_ids: FxHashSet<Symbol> = self.stack.iter().map(|g| g.id).collect();
-        let state_of: FxHashMap<Symbol, Option<Symbol>> =
-            self.stack.iter().map(|g| (g.id, g.slot(Role::State))).collect();
+    /// collects inaccessible wmes" (§3). Reachability grows from the roots
+    /// by a worklist over `wm.objects`, so each object's augmentations are
+    /// read once, when the object is first reached.
+    fn collect_garbage(&self, wm: &WmView) -> Vec<WmeId> {
         let f = &self.fields;
+        let goal = |id: Symbol| self.stack.iter().find(|g| g.id == id);
+        // A preference counts while its goal is on the stack and, if it is
+        // scoped to a state, that state is the goal's current one.
+        let scope_ok = |p: &Preference| match (goal(p.goal), p.state) {
+            (Some(g), Some(s)) => g.slot(Role::State) == Some(s),
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
         self.engine.with_store(|store| {
-            // 1. Roots: goal ids, slot values, kept goal-augmentation values.
-            let mut reachable: FxHashSet<Symbol> = stack_ids.clone();
-            for g in &self.stack {
-                for s in g.slots.iter().flatten() {
-                    reachable.insert(*s);
-                }
-            }
-            // Which goal wmes survive? (Also seeds reachability from their
-            // values: supergoal links, impasse items.)
+            // A goal wme survives while its goal is on the stack and each
+            // slot augmentation it carries names the slot's current value.
             let goal_wme_keep = |w: &Wme| -> bool {
-                let Some(gid) = w.field(f.goal_id).as_sym() else { return false };
-                let Some(g) = self.stack.iter().find(|g| g.id == gid) else { return false };
-                // Slot augmentations must match the current slot.
-                for (role, field) in [
+                let Some(g) = w.field(f.goal_id).as_sym().and_then(goal) else { return false };
+                [
                     (Role::ProblemSpace, f.goal_problem_space),
                     (Role::State, f.goal_state),
                     (Role::Operator, f.goal_operator),
-                ] {
+                ]
+                .into_iter()
+                .all(|(role, field)| {
                     let v = w.field(field);
-                    if !v.is_nil() && v.as_sym() != g.slot(role) {
-                        return false;
-                    }
-                }
-                true
+                    v.is_nil() || v.as_sym() == g.slot(role)
+                })
             };
-            for (_, w) in store.iter_alive().filter(|(_, w)| w.class == goal_cls) {
-                if goal_wme_keep(w) {
-                    for v in w.fields.iter() {
-                        if let Value::Sym(s) = v {
-                            reachable.insert(*s);
-                        }
-                    }
+            // 1. Roots: goal ids, slot values, every value of a surviving
+            // goal wme (supergoal links, impasse items), and the objects of
+            // valid preferences that no valid reject cancels.
+            let mut work: Vec<Symbol> = Vec::new();
+            for g in &self.stack {
+                work.push(g.id);
+                work.extend(g.slots.iter().flatten());
+            }
+            for &(id, keep) in &wm.wmes {
+                if matches!(keep, Keep::Goal) && goal_wme_keep(store.get(id)) {
+                    work.extend(store.get(id).fields.iter().filter_map(|v| v.as_sym()));
                 }
             }
-            // 2. Valid preferences make their objects reachable, unless a
-            // valid reject cancels them.
-            let prefs: Vec<Preference> = store
-                .iter_alive()
-                .filter_map(|(id, w)| decode_preference(id, w, f))
-                .collect();
-            let scope_ok = |p: &Preference| -> bool {
-                stack_ids.contains(&p.goal)
-                    && match p.state {
-                        Some(s) => state_of.get(&p.goal).copied().flatten() == Some(s),
-                        None => true,
-                    }
-            };
-            let rejected: FxHashSet<(Symbol, Symbol)> = prefs
+            let rejected: FxHashSet<(Symbol, Symbol)> = wm
+                .prefs
                 .iter()
-                .filter(|p| p.value == PrefValue::Reject && scope_ok(p))
+                .filter(|&p| p.value == PrefValue::Reject && scope_ok(p))
                 .map(|p| (p.goal, p.object))
                 .collect();
-            for p in &prefs {
-                if scope_ok(p)
-                    && p.value != PrefValue::Reject
-                    && !rejected.contains(&(p.goal, p.object))
-                {
-                    reachable.insert(p.object);
+            work.extend(
+                wm.prefs
+                    .iter()
+                    .filter(|&p| {
+                        scope_ok(p)
+                            && p.value != PrefValue::Reject
+                            && !rejected.contains(&(p.goal, p.object))
+                    })
+                    .map(|p| p.object),
+            );
+            // 2. Closure: a reached object's augmentations reach the
+            // identifiers they name.
+            let mut reachable: FxHashSet<Symbol> = FxHashSet::default();
+            while let Some(s) = work.pop() {
+                if !reachable.insert(s) {
+                    continue;
                 }
-            }
-            // 3. Fixpoint over object augmentations.
-            loop {
-                let mut grew = false;
-                for (_, w) in store.iter_alive() {
-                    if w.class == goal_cls || w.class == pref_cls || w.class == eval_cls {
-                        continue;
-                    }
-                    let Some(decl) = self.classes.get(w.class) else { continue };
-                    let Some(idf) = decl.field_of(id_attr) else { continue };
-                    let Some(id) = w.field(idf).as_sym() else { continue };
-                    if !reachable.contains(&id) {
-                        continue;
-                    }
-                    for (i, v) in w.fields.iter().enumerate() {
-                        if i as u16 == idf {
-                            continue;
-                        }
-                        if let Value::Sym(s) = v {
-                            if self.book.is_identifier(*s) && reachable.insert(*s) {
-                                grew = true;
+                for &(id, idf) in wm.objects.get(&s).into_iter().flatten() {
+                    for (i, v) in store.get(id).fields.iter().enumerate() {
+                        if let Value::Sym(t) = *v {
+                            if i as u16 != idf && self.book.is_identifier(t) && !reachable.contains(&t)
+                            {
+                                work.push(t);
                             }
                         }
                     }
                 }
-                if !grew {
-                    break;
-                }
             }
-            // 4. Sweep.
-            let mut removals = Vec::new();
-            for (wid, w) in store.iter_alive() {
-                if self.book.pinned.contains(&wid) {
-                    continue;
-                }
-                let keep = if w.class == goal_cls {
-                    goal_wme_keep(w)
-                } else if w.class == pref_cls {
-                    match decode_preference(wid, w, f) {
-                        Some(p) => scope_ok(&p) && reachable.contains(&p.object),
-                        None => false,
+            // 3. Sweep, in ascending id order.
+            let gone = |id: WmeId, keep: Keep| {
+                !self.book.pinned.contains(&id)
+                    && !match keep {
+                        Keep::Goal => goal_wme_keep(store.get(id)),
+                        Keep::Pref(p) => p.is_some_and(|i| {
+                            let p = &wm.prefs[i];
+                            scope_ok(p) && reachable.contains(&p.object)
+                        }),
+                        Keep::Eval(g) => g.is_some_and(|g| goal(g).is_some()),
+                        Keep::Object(obj) => reachable.contains(&obj),
                     }
-                } else if w.class == eval_cls {
-                    w.field(0).as_sym().map(|g| stack_ids.contains(&g)).unwrap_or(false)
-                } else if let Some(decl) = self.classes.get(w.class) {
-                    match decl.field_of(id_attr) {
-                        Some(idf) => match w.field(idf).as_sym() {
-                            Some(id) => reachable.contains(&id),
-                            None => true,
-                        },
-                        None => true, // id-less classes are task-static
-                    }
-                } else {
-                    true
-                };
-                if !keep {
-                    removals.push(wid);
-                }
-            }
-            removals
+            };
+            wm.wmes.iter().filter(|&&(id, keep)| gone(id, keep)).map(|&(id, _)| id).collect()
         })
     }
 

@@ -5,7 +5,19 @@
 //! attribute set besides `^id`. Preferences are ordinary wmes of class
 //! `preference` read by the decision procedure.
 
-use psme_ops::{intern, ClassRegistry, Symbol, Value, Wme, WmeId};
+use psme_ops::{intern, ClassRegistry, LazySymbol, Symbol, Value, Wme, WmeId};
+
+/// The role names, in [`Role`] order.
+static ROLE_NAMES: [LazySymbol; 3] =
+    [LazySymbol::new("problem-space"), LazySymbol::new("state"), LazySymbol::new("operator")];
+
+/// The preference-value names, in [`PrefValue`] order.
+static PREF_VALUE_NAMES: [LazySymbol; 4] = [
+    LazySymbol::new("acceptable"),
+    LazySymbol::new("reject"),
+    LazySymbol::new("best"),
+    LazySymbol::new("indifferent"),
+];
 
 /// Context roles, in decision order.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -24,11 +36,7 @@ impl Role {
 
     /// The goal-class attribute and preference `^role` symbol.
     pub fn symbol(self) -> Symbol {
-        match self {
-            Role::ProblemSpace => intern("problem-space"),
-            Role::State => intern("state"),
-            Role::Operator => intern("operator"),
-        }
+        ROLE_NAMES[self as usize].get()
     }
 
     /// Parse from a symbol.
@@ -55,12 +63,7 @@ pub enum PrefValue {
 impl PrefValue {
     /// Wme symbol.
     pub fn symbol(self) -> Symbol {
-        match self {
-            PrefValue::Acceptable => intern("acceptable"),
-            PrefValue::Reject => intern("reject"),
-            PrefValue::Best => intern("best"),
-            PrefValue::Indifferent => intern("indifferent"),
-        }
+        PREF_VALUE_NAMES[self as usize].get()
     }
 
     /// Parse from a symbol.
@@ -92,7 +95,8 @@ pub struct Preference {
 /// Field indices of the architecture classes (kept in one place so the
 /// architecture code never hard-codes numbers), and the interned names the
 /// agent tests on every wme — resolved once here, because `intern` takes a
-/// global lock.
+/// global lock. (Role and preference-value names, which decoding a
+/// preference compares against, are [`LazySymbol`]s for the same reason.)
 #[derive(Clone, Copy, Debug)]
 pub struct ArchFields {
     /// `goal` class: id, supergoal, problem-space, state, operator, impasse,
@@ -170,7 +174,7 @@ pub fn decode_preference(id: WmeId, w: &Wme, f: &ArchFields) -> Option<Preferenc
 
 /// Build a goal-augmentation wme: `(goal ^id <id> ^<attr> <value>)`.
 pub fn goal_aug(reg: &ClassRegistry, f: &ArchFields, id: Symbol, attr_field: u16, value: Value) -> Wme {
-    let decl = reg.get(intern("goal")).unwrap();
+    let decl = reg.get(f.goal_cls).unwrap();
     Wme::with_fields(decl, &[(f.goal_id, Value::Sym(id)), (attr_field, value)])
 }
 

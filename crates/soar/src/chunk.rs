@@ -419,7 +419,7 @@ mod tests {
     ) -> WmeId {
         let w = psme_ops::parse_wme(s, reg).unwrap();
         let (id, _) = store.add(w.clone());
-        book.note_add(id, &w, level, prov, false);
+        book.note_add(id, w, level, prov, false);
         id
     }
 

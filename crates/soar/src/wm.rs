@@ -2,7 +2,7 @@
 //! levels, object levels, provenance records (for chunking's dependency
 //! analysis) and the structural-duplicate index (Soar WM is a set).
 
-use psme_ops::{intern, ClassRegistry, Symbol, Value, Wme, WmeId};
+use psme_ops::{ClassRegistry, Symbol, Value, Wme, WmeId};
 use psme_rete::util::{FxHashMap, FxHashSet};
 use psme_rete::WmeStore;
 
@@ -62,11 +62,11 @@ impl WmBook {
         self.identifiers.contains(&s)
     }
 
-    /// Record a newly added wme.
-    pub fn note_add(&mut self, id: WmeId, wme: &Wme, level: u32, prov: Provenance, pinned: bool) {
+    /// Record a newly added wme (the duplicate index keeps `wme`).
+    pub fn note_add(&mut self, id: WmeId, wme: Wme, level: u32, prov: Provenance, pinned: bool) {
         self.wme_level.insert(id, level);
         self.provenance.insert(id, prov);
-        self.alive_index.insert(wme.clone(), id);
+        self.alive_index.insert(wme, id);
         if pinned {
             self.pinned.insert(id);
         }
@@ -104,8 +104,16 @@ impl WmBook {
     /// reference) to `level` if it currently sits deeper. This is Soar's
     /// result promotion: a subgoal object linked into a supergoal structure
     /// becomes part of the supergoal context and must survive the subgoal's
-    /// garbage collection.
-    pub fn promote(&mut self, obj: Symbol, level: u32, store: &WmeStore, reg: &ClassRegistry) {
+    /// garbage collection. Objects carry their identifier in the `id_attr`
+    /// attribute.
+    pub fn promote(
+        &mut self,
+        obj: Symbol,
+        level: u32,
+        store: &WmeStore,
+        reg: &ClassRegistry,
+        id_attr: Symbol,
+    ) {
         let cur = self.level_of_obj(obj);
         if cur <= level {
             return;
@@ -114,7 +122,6 @@ impl WmBook {
         // Re-level this object's augmentation wmes and recurse into their
         // identifier values.
         let mut to_promote: Vec<Symbol> = Vec::new();
-        let id_attr = intern("id");
         for (wid, w) in store.iter_alive() {
             let Some(decl) = reg.get(w.class) else { continue };
             let Some(idf) = decl.field_of(id_attr) else { continue };
@@ -136,7 +143,7 @@ impl WmBook {
             }
         }
         for s in to_promote {
-            self.promote(s, level, store, reg);
+            self.promote(s, level, store, reg, id_attr);
         }
     }
 }
@@ -144,6 +151,7 @@ impl WmBook {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psme_ops::intern;
 
     fn reg() -> ClassRegistry {
         let mut r = ClassRegistry::new();
@@ -158,7 +166,7 @@ mod tests {
         let mut b = WmBook::new();
         let w = psme_ops::parse_wme("(obj ^id o1 ^color red)", &r).unwrap();
         let (id, _) = store.add(w.clone());
-        b.note_add(id, &w, 2, Provenance::Arch { sources: vec![] }, false);
+        b.note_add(id, w.clone(), 2, Provenance::Arch { sources: vec![] }, false);
         assert_eq!(b.alive_index.get(&w), Some(&id));
         assert_eq!(b.level_of(id), 2);
         b.note_remove(id, &w);
@@ -192,12 +200,12 @@ mod tests {
         // o1 links to o2.
         let w1 = psme_ops::parse_wme("(obj ^id p1 ^link p2)", &r).unwrap();
         let (id1, _) = store.add(w1.clone());
-        b.note_add(id1, &w1, 2, Provenance::Arch { sources: vec![] }, false);
+        b.note_add(id1, w1, 2, Provenance::Arch { sources: vec![] }, false);
         let w2 = psme_ops::parse_wme("(obj ^id p2 ^color blue)", &r).unwrap();
         let (id2, _) = store.add(w2.clone());
-        b.note_add(id2, &w2, 2, Provenance::Arch { sources: vec![] }, false);
+        b.note_add(id2, w2, 2, Provenance::Arch { sources: vec![] }, false);
 
-        b.promote(o1, 0, &store, &r);
+        b.promote(o1, 0, &store, &r, intern("id"));
         assert_eq!(b.level_of_obj(o1), 0);
         assert_eq!(b.level_of_obj(o2), 0, "linked object promoted too");
         assert_eq!(b.level_of(id1), 0);

@@ -86,6 +86,9 @@ required_suites=(
     # surgery invariants hold over random topologies.
     "reorg differential|crates/serve/tests/reorg_differential.rs"
     "reorg proptests|crates/rete/tests/proptest_reorg.rs"
+    # Reachability GC == the earlier repeat-until-no-growth rule at every
+    # decision of the paper tasks, and on hand-built states.
+    "gc differential|crates/soar/tests/gc_differential.rs"
     # The captured task streams of the three paper tasks, column for column:
     # the gate for changes to the beta hot path that claim to keep the match
     # bit-identical.
