@@ -3,10 +3,15 @@
 //! Encode → decode is identity for every frame type, and every way the
 //! bytes can go wrong on a real socket — truncation at any offset, any
 //! single-byte corruption, oversized length prefixes, unknown tags — is
-//! a typed error. The decoder must never panic and never misparse.
+//! a typed error. The decoder must never panic and never misparse. Bytes
+//! altered before sealing pass the checksum and reach the decoder's own tag,
+//! count and UTF-8 checks; they decode or fail typed, never panic.
 
 use proptest::prelude::*;
-use psme_net::{read_frame, Frame, FrameError, SessionSummary, MAX_FRAME};
+use psme_net::{
+    read_frame, Frame, FrameError, SessionSummary, MAX_FRAME, WIRE_MAGIC, WIRE_VERSION,
+};
+use psme_rete::{open_frame, seal_frame};
 use psme_soar::AgentStats;
 
 /// A strategy covering every frame variant in the protocol.
@@ -110,6 +115,21 @@ proptest! {
         prop_assert!(Frame::decode(&s).is_err(), "flip {mask:#x} at {pos} decoded");
     }
 
+    /// Payload bytes altered and then re-sealed pass the checksum: the
+    /// decoder's structural checks must answer, `Ok` or a typed error.
+    #[test]
+    fn resealed_corruption_never_panics(
+        f in frame_strategy(),
+        edits in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        let mut payload = open_frame(&sealed(&f), WIRE_MAGIC, WIRE_VERSION).unwrap().to_vec();
+        for &(pos, mask) in &edits {
+            let at = pos % payload.len();
+            payload[at] ^= mask;
+        }
+        let _ = Frame::decode(&seal_frame(WIRE_MAGIC, WIRE_VERSION, payload));
+    }
+
     /// Arbitrary garbage never panics the decoder.
     #[test]
     fn garbage_never_panics(bytes in prop::collection::vec(any::<u64>(), 0..64)) {
@@ -138,4 +158,33 @@ fn eof_semantics() {
     let bytes = Frame::Bye.encode();
     let mut cut = std::io::Cursor::new(bytes[..bytes.len() - 1].to_vec());
     assert!(matches!(read_frame(&mut cut), Err(FrameError::Io(_))));
+}
+
+/// A reader that fails its first read with `Interrupted` (a signal landing
+/// before any byte arrived), then reads from `inner`.
+struct InterruptedOnce {
+    interrupted: bool,
+    inner: std::io::Cursor<Vec<u8>>,
+}
+
+impl std::io::Read for InterruptedOnce {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if !self.interrupted {
+            self.interrupted = true;
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        self.inner.read(buf)
+    }
+}
+
+/// `EINTR` before the first length byte is retried, not reported: the
+/// connection's reader thread would otherwise drop a healthy connection.
+#[test]
+fn interrupted_first_read_is_retried() {
+    let f = Frame::Step { id: 3, n: 8 };
+    let mut r = InterruptedOnce { interrupted: false, inner: std::io::Cursor::new(f.encode()) };
+    match read_frame(&mut r) {
+        Ok(Some(got)) => assert_eq!(got, f),
+        other => panic!("expected the frame, got {other:?}"),
+    }
 }

@@ -97,10 +97,10 @@ pub use serial::{
     instantiation_of, instantiations_from_memories, AddOutcome, CsDelta, CsFold,
     CycleOutcome, ReorgOutcome, SerialEngine,
 };
-pub use session::{SessionNet, Topology};
+pub use session::{JournaledSession, SessionNet, Topology};
 pub use snapshot::{
-    fnv1a64, open_frame, seal_frame, session_digest, ByteReader, ByteWriter, Journal,
-    JournaledSession, SnapOp, SnapshotError, JOURNAL_MAGIC, JOURNAL_VERSION,
+    fnv1a64, open_frame, seal_frame, session_digest, ByteReader, ByteWriter, Decode, Encode,
+    Journal, SnapOp, SnapshotError, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use state::MatchState;
 pub use sync::{SpinGuard, SpinLock};

@@ -24,6 +24,10 @@
 //! as B then C. That is the invariant the overlay-splice differential test
 //! pins, and what makes serve-vs-solo traces bit-for-bit comparable.
 //!
+//! A session's engine is a [`JournaledSession`]: the serial engine over its
+//! [`SessionNet`], recording every mutation into a [`Journal`] when the
+//! session may hibernate (the byte format is [`crate::snapshot`]'s).
+//!
 //! No cross-session interference is possible by construction: the base is
 //! behind an immutable `Arc`, and every mutable structure (overlay vectors,
 //! splice maps, and the whole [`crate::state::MatchState`]) is owned by one
@@ -31,12 +35,16 @@
 
 use crate::alpha::{AlphaMemId, AlphaNet, AlphaTest, IntraTest};
 use crate::build::ReteBuild;
-use crate::network::{ProdInfo, ReteNetwork};
+use crate::network::{NetworkOrg, ProdInfo, ReteNetwork};
 use crate::node::{BetaNode, NodeId, NodeKind, NodeSignature, RightSrc, Side};
+use crate::serial::SerialEngine;
+use crate::snapshot::{Journal, SnapOp, SnapshotError};
+use crate::state::MatchState;
+use crate::trace::Phase;
 use crate::util::FxHashMap;
 use crate::view::ReteView;
 use crate::work::Work;
-use psme_ops::{Symbol, Wme};
+use psme_ops::{Production, Symbol, Wme, WmeId};
 use std::sync::Arc;
 
 /// An immutable, shareable compiled base network.
@@ -473,6 +481,134 @@ impl std::fmt::Debug for SessionNet {
             self.over_betas.len(),
             self.over_prods.len(),
             self.splice_edges()
+        )
+    }
+}
+
+/// A session engine that records its mutations into a [`Journal`].
+///
+/// This is the serving layer's engine: when journaling is on, hibernation
+/// is `journal.encode(...)` and resume is [`JournaledSession::resume`].
+/// With journaling off (`journal == None`) it is a zero-cost pass-through
+/// over the plain [`SerialEngine`], so a serve run without tiering behaves
+/// identically to one that never heard of snapshots.
+pub struct JournaledSession {
+    /// The wrapped deterministic engine.
+    pub eng: SerialEngine<SessionNet>,
+    /// The delta log; `None` disables recording.
+    pub journal: Option<Journal>,
+}
+
+impl JournaledSession {
+    /// Fresh session over a frozen topology.
+    pub fn fresh(topo: Arc<Topology>, journaled: bool) -> JournaledSession {
+        JournaledSession {
+            eng: SerialEngine::with_state(SessionNet::new(topo), MatchState::new()),
+            journal: journaled.then(Journal::default),
+        }
+    }
+
+    /// Resume from a decoded journal: replay it against `topo`, keeping the
+    /// journal attached so the resumed session can hibernate again later.
+    pub fn resume(topo: Arc<Topology>, journal: Journal) -> Result<JournaledSession, SnapshotError> {
+        let eng = journal.replay(topo)?;
+        Ok(JournaledSession { eng, journal: Some(journal) })
+    }
+
+    /// The recorded log, when journaling is on.
+    pub fn journal(&self) -> Option<&Journal> {
+        self.journal.as_ref()
+    }
+
+    #[inline]
+    fn record(&mut self, op: impl FnOnce() -> SnapOp) {
+        if let Some(j) = &mut self.journal {
+            j.ops.push(op());
+        }
+    }
+
+    /// Journaled `store.add`.
+    pub fn add_wme(&mut self, w: Wme) -> (WmeId, psme_ops::TimeTag) {
+        let journaling = self.journal.is_some();
+        let wme = journaling.then(|| w.clone());
+        let (id, tag) = self.eng.state.store.add(w);
+        if let Some(wme) = wme {
+            self.record(|| SnapOp::AddWme { wme, id });
+        }
+        (id, tag)
+    }
+
+    /// Journaled `store.remove`. Dead/unknown ids are not recorded (they
+    /// did not mutate the store).
+    pub fn remove_wme(&mut self, id: WmeId) -> bool {
+        let removed = self.eng.state.store.remove(id).is_some();
+        if removed {
+            self.record(|| SnapOp::RemoveWme { id });
+        }
+        removed
+    }
+
+    /// Journaled `run_cycle(changes, Phase::Match)`.
+    pub fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> crate::serial::CycleOutcome {
+        if self.journal.is_some() {
+            let recorded = changes.clone();
+            self.record(|| SnapOp::RunChanges { changes: recorded });
+        }
+        self.eng.run_cycle(changes, Phase::Match)
+    }
+
+    /// Journaled `apply_changes` (registers then matches, like
+    /// [`SerialEngine::apply_changes`]).
+    pub fn apply_changes(
+        &mut self,
+        adds: Vec<Wme>,
+        removes: Vec<WmeId>,
+    ) -> crate::serial::CycleOutcome {
+        let mut changes: Vec<(WmeId, i32)> = Vec::with_capacity(adds.len() + removes.len());
+        for w in adds {
+            let (id, _) = self.add_wme(w);
+            changes.push((id, 1));
+        }
+        for id in removes {
+            if self.remove_wme(id) {
+                changes.push((id, -1));
+            }
+        }
+        self.run_changes(changes)
+    }
+
+    /// Journaled `add_production`. Failed builds are not recorded (the
+    /// overlay rolled back; replaying the failure would poison resume).
+    pub fn add_production(
+        &mut self,
+        prod: Arc<Production>,
+        org: NetworkOrg,
+    ) -> Result<crate::serial::AddOutcome, crate::build::BuildError> {
+        let out = self.eng.add_production(prod.clone(), org.clone())?;
+        self.record(|| SnapOp::AddProd { prod, org });
+        Ok(out)
+    }
+
+    /// Journaled `reorganize_production`. Like failed chunk builds, failed
+    /// rebuilds roll back and are not recorded.
+    pub fn reorganize_production(
+        &mut self,
+        prod_idx: u32,
+        org: NetworkOrg,
+    ) -> Result<crate::serial::ReorgOutcome, crate::build::BuildError> {
+        let out = self.eng.reorganize_production(prod_idx, org.clone())?;
+        self.record(|| SnapOp::Reorg { prod_idx, org });
+        Ok(out)
+    }
+}
+
+impl std::fmt::Debug for JournaledSession {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "JournaledSession({:?}, {} journaled ops)",
+            self.eng,
+            self.journal.as_ref().map(|j| j.ops.len()).unwrap_or(0)
         )
     }
 }

@@ -9,7 +9,8 @@
 //! [`crate::session::Topology`] reconstructs working memory, token
 //! memories, the chunk overlay, and the conflict-set-bearing P-node tokens
 //! bit for bit. The serving layer's tiered session store (psme-serve)
-//! hibernates sessions as these logs and resumes them transparently.
+//! hibernates sessions as these logs and resumes them transparently; the
+//! engine that records them is [`crate::session::JournaledSession`].
 //!
 //! On the wire a snapshot is framed as
 //!
@@ -23,6 +24,15 @@
 //! (re-interned on decode) and chunk productions travel as their printed
 //! source text (the printer/parser round-trip is property-tested), so a
 //! snapshot does not depend on intern-table numbering.
+//!
+//! This module is also the one codec for every binary format in the repo —
+//! this journal (`PSNJ`), psme-soar's agent shell, psme-serve's session
+//! frame (`PSNS`) and psme-net's wire frames (`PSMN`). Values are written
+//! with [`ByteWriter::put`] and read with [`ByteReader::get`], through the
+//! [`Encode`]/[`Decode`] pair; the generic impls below fix the shared rules
+//! (lists, options, map order, widths), and each struct or tagged enum
+//! states its field order and tags once, in its declaration, with
+//! [`codec!`](crate::codec).
 
 use crate::network::NetworkOrg;
 use crate::node::Side;
@@ -30,9 +40,13 @@ use crate::serial::SerialEngine;
 use crate::session::{SessionNet, Topology};
 use crate::state::MatchState;
 use crate::trace::Phase;
+use crate::view::ReteView;
 use psme_ops::{
-    parse_production, production_text, ClassRegistry, Production, Symbol, Value, Wme, WmeId,
+    parse_production, production_text, ClassRegistry, Instantiation, Production, Symbol, TimeTag,
+    Value, Wme, WmeId,
 };
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// Frame magic for a rete journal snapshot.
@@ -87,16 +101,23 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Little-endian append-only encoder for snapshot payloads.
+/// Little-endian append-only encoder for snapshot payloads. Values go in
+/// through [`ByteWriter::put`]; their layout is their [`Encode`] impl.
 #[derive(Default)]
-pub struct ByteWriter {
+pub struct ByteWriter<'c> {
     buf: Vec<u8>,
+    classes: Option<&'c ClassRegistry>,
 }
 
-impl ByteWriter {
+impl<'c> ByteWriter<'c> {
     /// Empty writer.
-    pub fn new() -> ByteWriter {
+    pub fn new() -> ByteWriter<'c> {
         ByteWriter::default()
+    }
+
+    /// Empty writer that can print productions against `classes`.
+    pub fn with_classes(classes: &'c ClassRegistry) -> ByteWriter<'c> {
+        ByteWriter { buf: Vec::new(), classes: Some(classes) }
     }
 
     /// The encoded bytes.
@@ -104,604 +125,602 @@ impl ByteWriter {
         self.buf
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
+    /// Append one value.
+    pub fn put<T: Encode + ?Sized>(&mut self, v: &T) {
+        v.encode_to(self);
     }
 
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// One byte.
-    pub fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Bool as 0/1.
-    pub fn bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
-    /// u32, little endian.
-    pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// u64, little endian.
-    pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// i64, little endian.
-    pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// f64 as its bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Symbol by name (re-interned on decode; never by intern id).
-    pub fn sym(&mut self, s: Symbol) {
-        self.str(&psme_ops::sym_name(s));
-    }
-
-    /// One attribute value.
-    pub fn value(&mut self, v: Value) {
-        match v {
-            Value::Nil => self.u8(0),
-            Value::Sym(s) => {
-                self.u8(1);
-                self.sym(s);
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(i);
-            }
-        }
-    }
-
-    /// A whole wme (class name + field values).
-    pub fn wme(&mut self, w: &Wme) {
-        self.sym(w.class);
-        self.u64(w.fields.len() as u64);
-        for &v in w.fields.iter() {
-            self.value(v);
-        }
-    }
-
-    /// A network organization.
-    pub fn org(&mut self, org: &NetworkOrg) {
-        match org {
-            NetworkOrg::Linear => self.u8(0),
-            NetworkOrg::Bilinear(groups) => {
-                self.u8(1);
-                self.u64(groups.len() as u64);
-                for g in groups {
-                    self.u64(g.len() as u64);
-                    for &ce in g {
-                        self.u64(ce as u64);
-                    }
-                }
-            }
-        }
+    /// Append a sequence: its length as a `u64`, then each item — the
+    /// layout of every list, whatever holds it.
+    pub fn put_seq<I: ExactSizeIterator<Item: Encode>>(&mut self, items: I) {
+        self.put(&items.len());
+        items.for_each(|v| self.put(&v));
     }
 }
 
 /// Cursor over snapshot payload bytes; every read is bounds-checked and
-/// returns [`SnapshotError::Truncated`] rather than panicking.
+/// returns [`SnapshotError::Truncated`] rather than panicking. Values come
+/// out through [`ByteReader::get`].
 pub struct ByteReader<'a> {
     buf: &'a [u8],
-    pos: usize,
+    classes: Option<&'a mut ClassRegistry>,
 }
 
 impl<'a> ByteReader<'a> {
     /// Reader over `buf`, positioned at the start.
     pub fn new(buf: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { buf, pos: 0 }
+        ByteReader { buf, classes: None }
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    /// Reader that can parse productions into `classes`.
+    pub fn with_classes(buf: &'a [u8], classes: &'a mut ClassRegistry) -> ByteReader<'a> {
+        ByteReader { buf, classes: Some(classes) }
     }
 
     /// Error unless every byte was consumed (a valid payload has no slack
     /// for trailing garbage).
     pub fn expect_done(&self) -> Result<(), SnapshotError> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt(format!("{} trailing bytes", self.remaining())))
+        match self.buf.len() {
+            0 => Ok(()),
+            n => Err(SnapshotError::Corrupt(format!("{n} trailing bytes"))),
         }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.remaining() < n {
+        let Some((head, rest)) = self.buf.split_at_checked(n) else {
             return Err(SnapshotError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        };
+        self.buf = rest;
+        Ok(head)
     }
 
-    /// One byte.
-    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Bool; any byte other than 0/1 is corrupt.
-    pub fn bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(SnapshotError::Corrupt(format!("bool byte {b}"))),
-        }
-    }
-
-    /// u32, little endian.
-    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    /// u64, little endian.
-    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    /// Read one value.
+    pub fn get<T: Decode>(&mut self) -> Result<T, SnapshotError> {
+        T::decode_from(self)
     }
 
     /// A u64 that must fit a usize-sized count. Counts are *not* used to
     /// pre-reserve allocations — decode loops consume at least one byte per
     /// element, so a lying count dies as [`SnapshotError::Truncated`].
     pub fn count(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("count {v} overflows")))
-    }
-
-    /// i64, little endian.
-    pub fn i64(&mut self) -> Result<i64, SnapshotError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    /// f64 from its bit pattern.
-    pub fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
+        self.get()
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, SnapshotError> {
         let n = self.count()?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+        String::from_utf8(self.take(n)?.to_vec())
             .map_err(|_| SnapshotError::Corrupt("string is not UTF-8".into()))
-    }
-
-    /// Symbol by name.
-    pub fn sym(&mut self) -> Result<Symbol, SnapshotError> {
-        Ok(psme_ops::intern(&self.str()?))
-    }
-
-    /// One attribute value.
-    pub fn value(&mut self) -> Result<Value, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(Value::Nil),
-            1 => Ok(Value::Sym(self.sym()?)),
-            2 => Ok(Value::Int(self.i64()?)),
-            t => Err(SnapshotError::Corrupt(format!("value tag {t}"))),
-        }
-    }
-
-    /// A whole wme.
-    pub fn wme(&mut self) -> Result<Wme, SnapshotError> {
-        let class = self.sym()?;
-        let n = self.count()?;
-        let mut fields = Vec::new();
-        for _ in 0..n {
-            fields.push(self.value()?);
-        }
-        Ok(Wme { class, fields: fields.into_boxed_slice() })
-    }
-
-    /// A network organization.
-    pub fn org(&mut self) -> Result<NetworkOrg, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(NetworkOrg::Linear),
-            1 => {
-                let ngroups = self.count()?;
-                let mut groups = Vec::new();
-                for _ in 0..ngroups {
-                    let len = self.count()?;
-                    let mut g = Vec::new();
-                    for _ in 0..len {
-                        g.push(self.count()?);
-                    }
-                    groups.push(g);
-                }
-                Ok(NetworkOrg::Bilinear(groups))
-            }
-            t => Err(SnapshotError::Corrupt(format!("org tag {t}"))),
-        }
     }
 }
 
+/// A value with one byte layout, written by [`ByteWriter::put`]. Its
+/// [`Decode`] impl reads back exactly these bytes.
+pub trait Encode {
+    /// Append this value's bytes.
+    fn encode_to(&self, w: &mut ByteWriter<'_>);
+}
+
+/// The reading half of [`Encode`]: every malformation is a typed error.
+/// Every layout takes at least one byte, so a count can never make a
+/// decode loop spin without consuming input.
+pub trait Decode: Sized {
+    /// Read one value.
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Fixed-width little-endian integers.
+macro_rules! le_codec {
+    ($($t:ty),+) => {$(
+        impl Encode for $t {
+            fn encode_to(&self, w: &mut ByteWriter<'_>) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+
+        impl Decode for $t {
+            fn decode_from(r: &mut ByteReader<'_>) -> Result<$t, SnapshotError> {
+                let bytes = r.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact width")))
+            }
+        }
+    )+};
+}
+
+le_codec!(u8, u32, u64, i64);
+
+/// Types that travel in another type's layout: `T as V: |x| to, |y| from`
+/// writes `to` for `x: &T` and reads a `V` back as `y`, which `from` turns
+/// into the `T` or rejects.
+macro_rules! via {
+    ($($t:ty as $v:ty: |$x:ident| $to:expr, |$y:pat_param| $from:expr;)+) => {$(
+        impl Encode for $t {
+            fn encode_to(&self, w: &mut ByteWriter<'_>) {
+                let $x = self;
+                w.put(&$to);
+            }
+        }
+
+        impl Decode for $t {
+            fn decode_from(r: &mut ByteReader<'_>) -> Result<$t, SnapshotError> {
+                let $y = r.get::<$v>()?;
+                $from
+            }
+        }
+    )+};
+}
+
+via! {
+    bool as u8: |b| *b as u8, |b| match b {
+        0 | 1 => Ok(b == 1),
+        b => Err(SnapshotError::Corrupt(format!("bool byte {b}"))),
+    };
+    f64 as u64: |x| x.to_bits(), |bits| Ok(f64::from_bits(bits));
+    usize as u64: |n| *n as u64, |n| {
+        usize::try_from(n).map_err(|_| SnapshotError::Corrupt(format!("count {n} overflows")))
+    };
+    i32 as i64: |n| *n as i64, |n| {
+        i32::try_from(n).map_err(|_| SnapshotError::Corrupt(format!("{n} overflows i32")))
+    };
+    WmeId as u32: |id| id.0, |id| Ok(WmeId(id));
+    TimeTag as u64: |t| t.0, |t| Ok(TimeTag(t));
+    Wme as (Symbol, Vec<Value>): |m| (m.class, &*m.fields),
+        |(class, fields)| Ok(Wme { class, fields: fields.into() });
+}
+
+impl Encode for str {
+    /// Its length as a `u64`, then its UTF-8 bytes.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(&self.len());
+        w.buf.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Encode for String {
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(self.as_str());
+    }
+}
+
+impl Decode for String {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<String, SnapshotError> {
+        r.str()
+    }
+}
+
+impl Encode for Symbol {
+    /// By name, never by intern id.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(&*psme_ops::sym_name(*self));
+    }
+}
+
+impl Decode for Symbol {
+    /// Re-interned.
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Symbol, SnapshotError> {
+        Ok(psme_ops::intern(&r.str()?))
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        (**self).encode_to(w);
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put_seq(self.iter());
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put_seq(self.iter());
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    /// Never reserves from the count: a lying count runs out of bytes.
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Vec<T>, SnapshotError> {
+        let n = r.count()?;
+        let mut v = Vec::new();
+        for _ in 0..n {
+            v.push(r.get()?);
+        }
+        Ok(v)
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    /// A `bool`, then the value when there is one.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(&self.is_some());
+        self.iter().for_each(|v| w.put(v));
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Option<T>, SnapshotError> {
+        Ok(if r.get()? { Some(r.get()?) } else { None })
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<(A, B), SnapshotError> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+impl<T: Encode, const N: usize> Encode for [T; N] {
+    /// The elements, no length: `N` is part of the layout.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        self.iter().for_each(|v| w.put(v));
+    }
+}
+
+impl<T: Decode + Default, const N: usize> Decode for [T; N] {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<[T; N], SnapshotError> {
+        const { assert!(N > 0, "an empty array would decode from no bytes") };
+        let mut a: [T; N] = std::array::from_fn(|_| T::default());
+        for v in &mut a {
+            *v = r.get()?;
+        }
+        Ok(a)
+    }
+}
+
+/// A hash-map or hash-set key. A section sorts its entries by this, so its
+/// bytes depend on neither hash order nor intern order: symbols by name,
+/// ids numerically, strings as strings.
+pub trait SortKey {
+    /// This key's position in its section.
+    fn sort_key(&self) -> impl Ord;
+}
+
+impl SortKey for Symbol {
+    fn sort_key(&self) -> impl Ord {
+        psme_ops::sym_name(*self)
+    }
+}
+
+impl SortKey for WmeId {
+    fn sort_key(&self) -> impl Ord {
+        self.0
+    }
+}
+
+impl SortKey for String {
+    fn sort_key(&self) -> impl Ord {
+        self.clone()
+    }
+}
+
+impl<K: Encode + SortKey, V: Encode, S> Encode for HashMap<K, V, S> {
+    /// A list of `(key, value)` pairs in key order.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by_cached_key(|(k, _)| k.sort_key());
+        w.put(&entries);
+    }
+}
+
+impl<K: Decode + Eq + Hash, V: Decode, S: BuildHasher + Default> Decode for HashMap<K, V, S> {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.get::<Vec<(K, V)>>()?.into_iter().collect())
+    }
+}
+
+impl<K: Encode + SortKey, S> Encode for HashSet<K, S> {
+    /// A list of keys in key order.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        let mut keys: Vec<&K> = self.iter().collect();
+        keys.sort_by_cached_key(|k| k.sort_key());
+        w.put(&keys);
+    }
+}
+
+impl<K: Decode + Eq + Hash, S: BuildHasher + Default> Decode for HashSet<K, S> {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.get::<Vec<K>>()?.into_iter().collect())
+    }
+}
+
+impl Encode for Instantiation {
+    /// The production's name, then its `(wme, time tag)` pairs.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        w.put(&self.prod);
+        w.put_seq(self.wmes.iter().zip(&self.tags));
+    }
+}
+
+impl Decode for Instantiation {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Instantiation, SnapshotError> {
+        let prod = r.get()?;
+        let (wmes, tags) = r.get::<Vec<(WmeId, TimeTag)>>()?.into_iter().unzip();
+        Ok(Instantiation { prod, wmes, tags })
+    }
+}
+
+impl Encode for Arc<Production> {
+    /// Its printed source text (the printer/parser round-trip is
+    /// property-tested), so the bytes do not depend on intern numbering.
+    fn encode_to(&self, w: &mut ByteWriter<'_>) {
+        let classes = w.classes.expect("productions are written by ByteWriter::with_classes");
+        let text = production_text(self, classes);
+        w.put(&text);
+    }
+}
+
+impl Decode for Arc<Production> {
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, SnapshotError> {
+        let text = r.str()?;
+        let classes = r.classes.as_deref_mut();
+        parse_production(&text, classes.expect("productions are read by ByteReader::with_classes"))
+            .map(Arc::new)
+            .map_err(|e| SnapshotError::Corrupt(format!("production does not parse: {e}")))
+    }
+}
+
+/// Declare a struct or a tagged enum together with its byte layout: the
+/// [`Encode`]/[`Decode`] impls follow the declaration, fields in declared
+/// order, each enum variant behind its `u8` tag (`Variant { .. } = tag`).
+/// Attributes, doc comments included, pass through. A field written
+/// `name: T as V` travels as the newtype `V(T)`.
+/// `codec! { impl Type { .. } }` declares the layout of an enum defined
+/// elsewhere; its variants may also be one-field tuples, `Variant(x: T)`.
+#[macro_export]
+macro_rules! codec {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $ty:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $f:ident : $ft:ty $(as $via:ident)? ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $ty { $( $(#[$fmeta])* $fvis $f: $ft, )+ }
+
+        impl $crate::snapshot::Encode for $ty {
+            fn encode_to(&self, w: &mut $crate::snapshot::ByteWriter<'_>) {
+                let $ty { $($f),+ } = self;
+                $( $crate::codec!(@put w, $f $(, $via)?); )+
+            }
+        }
+
+        impl $crate::snapshot::Decode for $ty {
+            fn decode_from(
+                r: &mut $crate::snapshot::ByteReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty { $( $f: $crate::codec!(@get r, $ft $(, $via)?), )+ })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $ty:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $v:ident $({ $( $(#[$fmeta:meta])* $f:ident : $ft:ty $(as $via:ident)? ),+ $(,)? })?
+                = $tag:literal
+            ),+ $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $ty { $( $(#[$vmeta])* $v $({ $( $(#[$fmeta])* $f: $ft ),+ })?, )+ }
+
+        $crate::codec! { impl $ty { $( $v $({ $( $f: $ft $(as $via)? ),+ })? = $tag ),+ } }
+    };
+    (
+        impl $ty:ident {
+            $(
+                $v:ident
+                $(( $b:ident : $bt:ty ))?
+                $({ $( $f:ident : $ft:ty $(as $via:ident)? ),+ })?
+                = $tag:literal
+            ),+ $(,)?
+        }
+    ) => {
+        impl $crate::snapshot::Encode for $ty {
+            fn encode_to(&self, w: &mut $crate::snapshot::ByteWriter<'_>) {
+                match self {
+                    $( $ty::$v $(($b))? $({ $($f),+ })? => {
+                        w.put::<u8>(&$tag);
+                        $( w.put($b); )?
+                        $( $( $crate::codec!(@put w, $f $(, $via)?); )+ )?
+                    } )+
+                }
+            }
+        }
+
+        impl $crate::snapshot::Decode for $ty {
+            fn decode_from(
+                r: &mut $crate::snapshot::ByteReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok(match r.get::<u8>()? {
+                    $( $tag => $ty::$v
+                        $(( r.get::<$bt>()? ))?
+                        $({ $( $f: $crate::codec!(@get r, $ft $(, $via)?) ),+ })?, )+
+                    t => {
+                        let why = format!("{} tag {t}", stringify!($ty));
+                        return Err($crate::snapshot::SnapshotError::Corrupt(why));
+                    }
+                })
+            }
+        }
+    };
+    (@put $w:ident, $f:ident) => { $w.put($f) };
+    (@put $w:ident, $f:ident, $via:ident) => { $w.put(&$via($f.clone())) };
+    (@get $r:ident, $ft:ty) => { $r.get()? };
+    (@get $r:ident, $ft:ty, $via:ident) => { $r.get::<$via>()?.0 };
+}
+
+codec! { impl Value { Nil = 0, Sym(s: Symbol) = 1, Int(i: i64) = 2 } }
+
+codec! { impl NetworkOrg { Linear = 0, Bilinear(groups: Vec<Vec<usize>>) = 1 } }
+
 /// Frame a payload: magic, version, length, payload, checksum.
 pub fn seal_frame(magic: [u8; 4], version: u32, payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&magic);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    let sum = fnv1a64(&payload);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&sum.to_le_bytes());
-    out
+    let mut w = ByteWriter { buf: Vec::with_capacity(payload.len() + 24), classes: None };
+    w.put(&magic);
+    w.put(&version);
+    w.put(&payload.len());
+    w.buf.extend_from_slice(&payload);
+    w.put(&fnv1a64(&payload));
+    w.buf
 }
 
 /// Open a frame, validating magic, version, length and checksum. Returns
 /// the payload slice.
 pub fn open_frame(bytes: &[u8], magic: [u8; 4], version: u32) -> Result<&[u8], SnapshotError> {
-    if bytes.len() < 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != magic {
+    let mut r = ByteReader::new(bytes);
+    if r.get::<[u8; 4]>()? != magic {
         return Err(SnapshotError::BadMagic);
     }
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated);
+    match r.get()? {
+        v if v == version => {}
+        v => return Err(SnapshotError::UnsupportedVersion(v)),
     }
-    let got_version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if got_version != version {
-        return Err(SnapshotError::UnsupportedVersion(got_version));
-    }
-    if bytes.len() < 16 {
-        return Err(SnapshotError::Truncated);
-    }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let Ok(len) = usize::try_from(len) else {
-        return Err(SnapshotError::Truncated);
-    };
-    let Some(total) = len.checked_add(24) else {
-        return Err(SnapshotError::Truncated);
-    };
-    if bytes.len() < total {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes.len() > total {
-        return Err(SnapshotError::Corrupt(format!("{} trailing bytes", bytes.len() - total)));
-    }
-    let payload = &bytes[16..16 + len];
-    let sum = u64::from_le_bytes(bytes[16 + len..].try_into().expect("8 bytes"));
+    let n = r.count()?;
+    let payload = r.take(n)?;
+    let sum: u64 = r.get()?;
+    r.expect_done()?;
     if fnv1a64(payload) != sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(payload)
 }
 
-/// One engine mutation, as recorded in call order.
-#[derive(Clone, Debug)]
-pub enum SnapOp {
-    /// `store.add(wme)` — `id` is the id the store assigned, revalidated on
-    /// replay (ids are dense and never reused, so any divergence means the
-    /// log is being replayed against the wrong history).
-    AddWme {
-        /// The wme added.
-        wme: Wme,
-        /// The id the store assigned at record time.
-        id: WmeId,
-    },
-    /// `store.remove(id)`.
-    RemoveWme {
-        /// The wme marked dead.
-        id: WmeId,
-    },
-    /// `run_cycle(changes, Phase::Match)` — one batched match to
-    /// quiescence.
-    RunChanges {
-        /// The signed wme deltas injected.
-        changes: Vec<(WmeId, i32)>,
-    },
-    /// `add_production(prod, org)` — a chunk built into the overlay plus
-    /// its §5.2 state update.
-    AddProd {
-        /// The chunk (serialized as printed source text).
-        prod: Arc<Production>,
-        /// The network organization it was compiled under.
-        org: NetworkOrg,
-    },
-    /// `reorganize_production(prod_idx, org)` — an adaptive mid-run rebuild.
-    /// Deterministic given the ops before it, so replaying the op (rather
-    /// than the detector state that triggered it) reconstructs the same
-    /// rebuilt overlay.
-    Reorg {
-        /// Index of the production rebuilt.
-        prod_idx: u32,
-        /// The organization it was rebuilt under.
-        org: NetworkOrg,
-    },
+crate::codec! {
+    /// One engine mutation, as recorded in call order.
+    #[derive(Clone, Debug)]
+    pub enum SnapOp {
+        /// `store.add(wme)` — `id` is the id the store assigned, revalidated on
+        /// replay (ids are dense and never reused, so any divergence means the
+        /// log is being replayed against the wrong history).
+        AddWme {
+            /// The wme added.
+            wme: Wme,
+            /// The id the store assigned at record time.
+            id: WmeId,
+        } = 0,
+        /// `store.remove(id)`.
+        RemoveWme {
+            /// The wme marked dead.
+            id: WmeId,
+        } = 1,
+        /// `run_cycle(changes, Phase::Match)` — one batched match to
+        /// quiescence.
+        RunChanges {
+            /// The signed wme deltas injected.
+            changes: Vec<(WmeId, i32)>,
+        } = 2,
+        /// `add_production(prod, org)` — a chunk built into the overlay plus
+        /// its §5.2 state update.
+        AddProd {
+            /// The chunk (serialized as printed source text).
+            prod: Arc<Production>,
+            /// The network organization it was compiled under.
+            org: NetworkOrg,
+        } = 3,
+        /// `reorganize_production(prod_idx, org)` — an adaptive mid-run rebuild.
+        /// Deterministic given the ops before it, so replaying the op (rather
+        /// than the detector state that triggered it) reconstructs the same
+        /// rebuilt overlay.
+        Reorg {
+            /// Index of the production rebuilt.
+            prod_idx: u32,
+            /// The organization it was rebuilt under.
+            org: NetworkOrg,
+        } = 4,
+    }
 }
 
-/// The replayable delta log of one session's engine mutations.
-#[derive(Clone, Debug, Default)]
-pub struct Journal {
-    /// Ops in exact call order.
-    pub ops: Vec<SnapOp>,
+crate::codec! {
+    /// The replayable delta log of one session's engine mutations.
+    #[derive(Clone, Debug, Default)]
+    pub struct Journal {
+        /// Ops in exact call order.
+        pub ops: Vec<SnapOp>,
+    }
 }
 
 impl Journal {
-    /// Encode into a sealed frame (see module docs for the layout).
+    /// Encode into a sealed frame (see module docs for the layout). Chunks
+    /// are printed against `reg`.
     pub fn encode(&self, reg: &ClassRegistry) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        self.encode_payload(reg, &mut w);
+        let mut w = ByteWriter::with_classes(reg);
+        w.put(self);
         seal_frame(JOURNAL_MAGIC, JOURNAL_VERSION, w.into_inner())
     }
 
-    /// Encode just the payload (for embedding in a larger frame, as the
-    /// serving layer's session snapshot does).
-    pub fn encode_payload(&self, reg: &ClassRegistry, w: &mut ByteWriter) {
-        w.u64(self.ops.len() as u64);
-        for op in &self.ops {
-            match op {
-                SnapOp::AddWme { wme, id } => {
-                    w.u8(0);
-                    w.wme(wme);
-                    w.u32(id.0);
-                }
-                SnapOp::RemoveWme { id } => {
-                    w.u8(1);
-                    w.u32(id.0);
-                }
-                SnapOp::RunChanges { changes } => {
-                    w.u8(2);
-                    w.u64(changes.len() as u64);
-                    for &(id, delta) in changes {
-                        w.u32(id.0);
-                        w.i64(delta as i64);
-                    }
-                }
-                SnapOp::AddProd { prod, org } => {
-                    w.u8(3);
-                    w.str(&production_text(prod, reg));
-                    w.org(org);
-                }
-                SnapOp::Reorg { prod_idx, org } => {
-                    w.u8(4);
-                    w.u32(*prod_idx);
-                    w.org(org);
-                }
-            }
-        }
-    }
-
-    /// Decode a sealed frame.
+    /// Decode a sealed frame; chunks are parsed into `reg`.
     pub fn decode(bytes: &[u8], reg: &mut ClassRegistry) -> Result<Journal, SnapshotError> {
         let payload = open_frame(bytes, JOURNAL_MAGIC, JOURNAL_VERSION)?;
-        let mut r = ByteReader::new(payload);
-        let j = Journal::decode_payload(&mut r, reg)?;
+        let mut r = ByteReader::with_classes(payload, reg);
+        let j = r.get()?;
         r.expect_done()?;
         Ok(j)
     }
 
-    /// Decode just the payload (counterpart of [`Journal::encode_payload`]).
-    pub fn decode_payload(
-        r: &mut ByteReader,
-        reg: &mut ClassRegistry,
-    ) -> Result<Journal, SnapshotError> {
-        let n = r.count()?;
-        let mut ops = Vec::new();
-        for _ in 0..n {
-            let op = match r.u8()? {
-                0 => {
-                    let wme = r.wme()?;
-                    let id = WmeId(r.u32()?);
-                    SnapOp::AddWme { wme, id }
-                }
-                1 => SnapOp::RemoveWme { id: WmeId(r.u32()?) },
-                2 => {
-                    let m = r.count()?;
-                    let mut changes = Vec::new();
-                    for _ in 0..m {
-                        let id = WmeId(r.u32()?);
-                        let delta = r.i64()?;
-                        let delta = i32::try_from(delta).map_err(|_| {
-                            SnapshotError::Corrupt(format!("delta {delta} overflows i32"))
-                        })?;
-                        changes.push((id, delta));
-                    }
-                    SnapOp::RunChanges { changes }
-                }
-                3 => {
-                    let text = r.str()?;
-                    let prod = parse_production(&text, reg).map_err(|e| {
-                        SnapshotError::Corrupt(format!("production does not parse: {e}"))
-                    })?;
-                    let org = r.org()?;
-                    SnapOp::AddProd { prod: Arc::new(prod), org }
-                }
-                4 => {
-                    let prod_idx = r.u32()?;
-                    let org = r.org()?;
-                    SnapOp::Reorg { prod_idx, org }
-                }
-                t => return Err(SnapshotError::Corrupt(format!("op tag {t}"))),
-            };
-            ops.push(op);
-        }
-        Ok(Journal { ops })
-    }
-
     /// Replay against a frozen topology: a fresh session engine re-runs
     /// every op through the same deterministic APIs that recorded them,
-    /// reconstructing `MatchState` + `SessionNet` exactly.
+    /// reconstructing `MatchState` + `SessionNet` exactly. An op the
+    /// engine could not have recorded — a change to an id the store never
+    /// assigned, a wme entering or leaving the match out of turn, a
+    /// production index past the network — is a [`SnapshotError::Replay`]
+    /// naming the op, raised before the engine sees it.
     pub fn replay(&self, topo: Arc<Topology>) -> Result<SerialEngine<SessionNet>, SnapshotError> {
         let mut eng = SerialEngine::with_state(SessionNet::new(topo), MatchState::new());
+        // Per wme id: `Some(true)` while it is in the match. A wme enters
+        // the match once (+1) and leaves it at most once (-1).
+        let mut matched: Vec<Option<bool>> = Vec::new();
         for (i, op) in self.ops.iter().enumerate() {
+            let fail = |why: String| SnapshotError::Replay(format!("op {i}: {why}"));
             match op {
                 SnapOp::AddWme { wme, id } => {
                     let (got, _) = eng.state.store.add(wme.clone());
                     if got != *id {
-                        return Err(SnapshotError::Replay(format!(
-                            "op {i}: store assigned {got:?}, log recorded {id:?}"
-                        )));
+                        return Err(fail(format!("store assigned {got:?}, log recorded {id:?}")));
                     }
                 }
                 SnapOp::RemoveWme { id } => {
-                    if eng.state.store.remove(*id).is_none() {
-                        return Err(SnapshotError::Replay(format!(
-                            "op {i}: remove of dead/unknown {id:?}"
-                        )));
-                    }
+                    let removed = eng.state.store.remove(*id);
+                    removed.ok_or_else(|| fail(format!("remove of dead/unknown {id:?}")))?;
                 }
                 SnapOp::RunChanges { changes } => {
+                    matched.resize(eng.state.store.total_count(), None);
+                    for &(id, delta) in changes {
+                        let m = matched.get_mut(id.0 as usize);
+                        let m = m.ok_or_else(|| fail(format!("{id:?} was never assigned")))?;
+                        *m = match (*m, delta) {
+                            (None, 1) => Some(true),
+                            (Some(true), -1) => Some(false),
+                            _ => return Err(fail(format!("{id:?} changed {delta:+} out of turn"))),
+                        };
+                    }
                     eng.run_cycle(changes.clone(), Phase::Match);
                 }
                 SnapOp::AddProd { prod, org } => {
-                    eng.add_production(prod.clone(), org.clone()).map_err(|e| {
-                        SnapshotError::Replay(format!("op {i}: chunk rebuild failed: {e}"))
-                    })?;
+                    eng.add_production(prod.clone(), org.clone())
+                        .map_err(|e| fail(format!("chunk rebuild failed: {e}")))?;
                 }
                 SnapOp::Reorg { prod_idx, org } => {
-                    eng.reorganize_production(*prod_idx, org.clone()).map_err(|e| {
-                        SnapshotError::Replay(format!("op {i}: reorganization failed: {e}"))
-                    })?;
+                    if *prod_idx as usize >= eng.net.num_prods() {
+                        return Err(fail(format!("no production {prod_idx} to reorganize")));
+                    }
+                    eng.reorganize_production(*prod_idx, org.clone())
+                        .map_err(|e| fail(format!("reorganization failed: {e}")))?;
                 }
             }
         }
         Ok(eng)
-    }
-}
-
-/// A session engine that records its mutations into a [`Journal`].
-///
-/// This is the serving layer's engine: when journaling is on, hibernation
-/// is `journal.encode(...)` and resume is [`JournaledSession::resume`].
-/// With journaling off (`journal == None`) it is a zero-cost pass-through
-/// over the plain [`SerialEngine`], so a serve run without tiering behaves
-/// identically to one that never heard of snapshots.
-pub struct JournaledSession {
-    /// The wrapped deterministic engine.
-    pub eng: SerialEngine<SessionNet>,
-    /// The delta log; `None` disables recording.
-    pub journal: Option<Journal>,
-}
-
-impl JournaledSession {
-    /// Fresh session over a frozen topology.
-    pub fn fresh(topo: Arc<Topology>, journaled: bool) -> JournaledSession {
-        JournaledSession {
-            eng: SerialEngine::with_state(SessionNet::new(topo), MatchState::new()),
-            journal: journaled.then(Journal::default),
-        }
-    }
-
-    /// Resume from a decoded journal: replay it against `topo`, keeping the
-    /// journal attached so the resumed session can hibernate again later.
-    pub fn resume(topo: Arc<Topology>, journal: Journal) -> Result<JournaledSession, SnapshotError> {
-        let eng = journal.replay(topo)?;
-        Ok(JournaledSession { eng, journal: Some(journal) })
-    }
-
-    /// The recorded log, when journaling is on.
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
-    }
-
-    #[inline]
-    fn record(&mut self, op: impl FnOnce() -> SnapOp) {
-        if let Some(j) = &mut self.journal {
-            j.ops.push(op());
-        }
-    }
-
-    /// Journaled `store.add`.
-    pub fn add_wme(&mut self, w: Wme) -> (WmeId, psme_ops::TimeTag) {
-        let journaling = self.journal.is_some();
-        let wme = journaling.then(|| w.clone());
-        let (id, tag) = self.eng.state.store.add(w);
-        if let Some(wme) = wme {
-            self.record(|| SnapOp::AddWme { wme, id });
-        }
-        (id, tag)
-    }
-
-    /// Journaled `store.remove`. Dead/unknown ids are not recorded (they
-    /// did not mutate the store).
-    pub fn remove_wme(&mut self, id: WmeId) -> bool {
-        let removed = self.eng.state.store.remove(id).is_some();
-        if removed {
-            self.record(|| SnapOp::RemoveWme { id });
-        }
-        removed
-    }
-
-    /// Journaled `run_cycle(changes, Phase::Match)`.
-    pub fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> crate::serial::CycleOutcome {
-        if self.journal.is_some() {
-            let recorded = changes.clone();
-            self.record(|| SnapOp::RunChanges { changes: recorded });
-        }
-        self.eng.run_cycle(changes, Phase::Match)
-    }
-
-    /// Journaled `apply_changes` (registers then matches, like
-    /// [`SerialEngine::apply_changes`]).
-    pub fn apply_changes(
-        &mut self,
-        adds: Vec<Wme>,
-        removes: Vec<WmeId>,
-    ) -> crate::serial::CycleOutcome {
-        let mut changes: Vec<(WmeId, i32)> = Vec::with_capacity(adds.len() + removes.len());
-        for w in adds {
-            let (id, _) = self.add_wme(w);
-            changes.push((id, 1));
-        }
-        for id in removes {
-            if self.remove_wme(id) {
-                changes.push((id, -1));
-            }
-        }
-        self.run_changes(changes)
-    }
-
-    /// Journaled `add_production`. Failed builds are not recorded (the
-    /// overlay rolled back; replaying the failure would poison resume).
-    pub fn add_production(
-        &mut self,
-        prod: Arc<Production>,
-        org: NetworkOrg,
-    ) -> Result<crate::serial::AddOutcome, crate::build::BuildError> {
-        let out = self.eng.add_production(prod.clone(), org.clone())?;
-        self.record(|| SnapOp::AddProd { prod, org });
-        Ok(out)
-    }
-
-    /// Journaled `reorganize_production`. Like failed chunk builds, failed
-    /// rebuilds roll back and are not recorded.
-    pub fn reorganize_production(
-        &mut self,
-        prod_idx: u32,
-        org: NetworkOrg,
-    ) -> Result<crate::serial::ReorgOutcome, crate::build::BuildError> {
-        let out = self.eng.reorganize_production(prod_idx, org.clone())?;
-        self.record(|| SnapOp::Reorg { prod_idx, org });
-        Ok(out)
-    }
-}
-
-impl std::fmt::Debug for JournaledSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "JournaledSession({:?}, {} journaled ops)",
-            self.eng,
-            self.journal.as_ref().map(|j| j.ops.len()).unwrap_or(0)
-        )
     }
 }
 
@@ -712,54 +731,39 @@ impl std::fmt::Debug for JournaledSession {
 /// everything downstream code reads — this is what the snapshot round-trip
 /// property pins.
 pub fn session_digest(eng: &SerialEngine<SessionNet>) -> u64 {
-    use crate::view::ReteView;
     let mut w = ByteWriter::new();
     let store = &eng.state.store;
-    w.u64(store.total_count() as u64);
-    w.u64(store.live_count() as u64);
-    for id in 0..store.total_count() as u32 {
-        let id = WmeId(id);
-        w.wme(store.get(id));
-        w.u64(store.tag(id).0);
-        w.bool(store.is_alive(id));
+    w.put(&[store.total_count(), store.live_count()]);
+    for id in (0..store.total_count() as u32).map(WmeId) {
+        w.put(&**store.get(id));
+        w.put(&store.tag(id));
+        w.put(&store.is_alive(id));
     }
     let net = &eng.net;
-    w.u64(net.num_nodes() as u64);
-    w.u64(net.num_prods() as u64);
-    w.u64(net.overlay_nodes() as u64);
-    w.u64(net.overlay_prods() as u64);
-    w.u64(net.splice_edges() as u64);
+    w.put(&[
+        net.num_nodes(),
+        net.num_prods(),
+        net.overlay_nodes(),
+        net.overlay_prods(),
+        net.splice_edges(),
+    ]);
     for id in 0..net.num_nodes() as u32 {
         for &(child, side) in net.node(id).out_edges.iter().chain(net.extra_out_edges(id)) {
-            w.u32(child);
-            w.u8(side as u8);
+            w.put(&(child, side as u8));
         }
         for sym in net.prod_names_of(id) {
-            w.sym(*sym);
+            w.put(sym);
         }
         for side in [Side::Left, Side::Right] {
             let mut toks = eng.state.mem.tokens_of(id, side);
             toks.sort_by(|a, b| (a.0.wmes(), a.1).cmp(&(b.0.wmes(), b.1)));
-            w.u64(toks.len() as u64);
-            for (t, weight) in toks {
-                w.u64(t.wmes().len() as u64);
-                for &wid in t.wmes() {
-                    w.u32(wid.0);
-                }
-                w.i64(weight as i64);
-            }
+            w.put_seq(toks.iter().map(|(t, weight)| (t.wmes(), *weight)));
         }
     }
     for p in 0..net.num_prods() as u32 {
-        w.sym(net.prod_info(p).production.name);
+        w.put(&net.prod_info(p).production.name);
     }
-    for inst in eng.current_instantiations() {
-        w.sym(inst.prod);
-        for (&id, &tag) in inst.wmes.iter().zip(inst.tags.iter()) {
-            w.u32(id.0);
-            w.u64(tag.0);
-        }
-    }
+    w.put(&eng.current_instantiations());
     fnv1a64(&w.into_inner())
 }
 
@@ -768,6 +772,7 @@ mod tests {
     use super::*;
     use crate::build::ReteBuild;
     use crate::network::ReteNetwork;
+    use crate::session::JournaledSession;
     use psme_ops::parse_wme;
 
     fn topo(reg: &mut ClassRegistry) -> Arc<Topology> {
@@ -782,28 +787,28 @@ mod tests {
     #[test]
     fn writer_reader_round_trip() {
         let mut w = ByteWriter::new();
-        w.u8(7);
-        w.bool(true);
-        w.u32(0xdead_beef);
-        w.u64(u64::MAX);
-        w.i64(-42);
-        w.f64(3.25);
-        w.str("hé");
-        w.value(Value::Int(-9));
-        w.value(Value::Nil);
+        w.put(&7u8);
+        w.put(&true);
+        w.put(&0xdead_beef_u32);
+        w.put(&u64::MAX);
+        w.put(&-42i64);
+        w.put(&3.25f64);
+        w.put("hé");
+        w.put(&Value::Int(-9));
+        w.put(&Value::Nil);
         let buf = w.into_inner();
         let mut r = ByteReader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert!(r.bool().unwrap());
-        assert_eq!(r.u32().unwrap(), 0xdead_beef);
-        assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.i64().unwrap(), -42);
-        assert_eq!(r.f64().unwrap(), 3.25);
+        assert_eq!(r.get::<u8>().unwrap(), 7);
+        assert!(r.get::<bool>().unwrap());
+        assert_eq!(r.get::<u32>().unwrap(), 0xdead_beef);
+        assert_eq!(r.get::<u64>().unwrap(), u64::MAX);
+        assert_eq!(r.get::<i64>().unwrap(), -42);
+        assert_eq!(r.get::<f64>().unwrap(), 3.25);
         assert_eq!(r.str().unwrap(), "hé");
-        assert_eq!(r.value().unwrap(), Value::Int(-9));
-        assert_eq!(r.value().unwrap(), Value::Nil);
+        assert_eq!(r.get::<Value>().unwrap(), Value::Int(-9));
+        assert_eq!(r.get::<Value>().unwrap(), Value::Nil);
         r.expect_done().unwrap();
-        assert_eq!(r.u8(), Err(SnapshotError::Truncated));
+        assert_eq!(r.get::<u8>(), Err(SnapshotError::Truncated));
     }
 
     #[test]

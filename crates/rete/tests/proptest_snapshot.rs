@@ -6,13 +6,15 @@
 //! under both network organizations. And snapshot bytes from outside
 //! (truncated, bit-flipped, wrong version, trailing garbage) must be
 //! rejected with a typed [`SnapshotError`] — never a panic, never a
-//! silently wrong session.
+//! silently wrong session. Bytes that pass the checksum but were altered
+//! before sealing reach the decoder's own tag, count and UTF-8 checks and
+//! then replay; those end in `Ok` or a typed error too.
 
 use proptest::prelude::*;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_rete::{
-    plan_bilinear, session_digest, Journal, JournaledSession, NetworkOrg, ReteBuild, ReteNetwork,
-    SnapshotError, Topology,
+    open_frame, plan_bilinear, seal_frame, session_digest, Journal, JournaledSession, NetworkOrg,
+    ReteBuild, ReteNetwork, SnapOp, SnapshotError, Topology, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 use psme_ops::{Production, WmeId};
 use std::sync::Arc;
@@ -174,6 +176,34 @@ proptest! {
         );
     }
 
+    /// Payload bytes altered and then re-sealed pass the checksum, so the
+    /// decoder's structural checks and replay's own checks are what stand
+    /// between them and the engine: decode and replay end in `Ok` or a
+    /// typed error, never a panic.
+    #[test]
+    fn resealed_corruption_is_a_typed_error_or_replays(
+        seed in 0u64..10_000,
+        script in prop::collection::vec(0u8..7, 1..16),
+        edits in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+    ) {
+        let (sys, topo, mut chunks, mut live) = setup(seed, &org_linear);
+        let mut rng = XorShift::new(seed ^ 0x5E1);
+        for &op in &script {
+            apply_op(&mut live, &sys, &mut rng, &mut chunks, &org_linear, op);
+        }
+        let bytes = live.journal().unwrap().encode(&sys.classes);
+        let mut payload = open_frame(&bytes, JOURNAL_MAGIC, JOURNAL_VERSION).unwrap().to_vec();
+        for &(pos, mask) in &edits {
+            let at = pos % payload.len();
+            payload[at] ^= mask;
+        }
+        let resealed = seal_frame(JOURNAL_MAGIC, JOURNAL_VERSION, payload);
+        let mut reg = sys.classes.clone();
+        if let Ok(journal) = Journal::decode(&resealed, &mut reg) {
+            let _ = journal.replay(topo);
+        }
+    }
+
     /// Every strict prefix of a snapshot is rejected as truncated (or by a
     /// downstream typed check) — never a panic.
     #[test]
@@ -245,5 +275,55 @@ fn replay_against_a_different_base_fails_or_is_caught() {
         Err(e) => {
             assert!(matches!(e, SnapshotError::Replay(_)), "unexpected error kind: {e}");
         }
+    }
+}
+
+/// A sealed journal whose run names a wme id the store never assigned is a
+/// typed replay error, raised before the engine is touched.
+#[test]
+fn replay_of_an_unassigned_wme_id_is_a_typed_error() {
+    let (_sys, topo, _chunks, _live) = setup(3, &org_linear);
+    let j = Journal { ops: vec![SnapOp::RunChanges { changes: vec![(WmeId(99), 1)] }] };
+    match j.replay(topo) {
+        Err(SnapshotError::Replay(why)) => assert!(why.starts_with("op 0"), "{why}"),
+        other => panic!("expected a replay error, got {other:?}"),
+    }
+}
+
+/// A sealed journal that reorganizes a production index past the network
+/// is a typed replay error, raised before the engine is touched.
+#[test]
+fn replay_of_an_unknown_production_index_is_a_typed_error() {
+    let (sys, topo, _chunks, _live) = setup(3, &org_linear);
+    let mut rng = XorShift::new(5);
+    let wme = sys.random_wme(&mut rng);
+    let j = Journal {
+        ops: vec![
+            SnapOp::AddWme { wme, id: WmeId(0) },
+            SnapOp::Reorg { prod_idx: 9999, org: NetworkOrg::Linear },
+        ],
+    };
+    match j.replay(topo) {
+        Err(SnapshotError::Replay(why)) => assert!(why.starts_with("op 1"), "{why}"),
+        other => panic!("expected a replay error, got {other:?}"),
+    }
+}
+
+/// A sealed journal that feeds one wme into the match twice is a typed
+/// replay error: each wme enters the match once and leaves it at most once.
+#[test]
+fn replay_of_an_out_of_turn_change_is_a_typed_error() {
+    let (sys, topo, _chunks, _live) = setup(3, &org_linear);
+    let wme = sys.random_wme(&mut XorShift::new(5));
+    let j = Journal {
+        ops: vec![
+            SnapOp::AddWme { wme, id: WmeId(0) },
+            SnapOp::RunChanges { changes: vec![(WmeId(0), 1)] },
+            SnapOp::RunChanges { changes: vec![(WmeId(0), 1)] },
+        ],
+    };
+    match j.replay(topo) {
+        Err(SnapshotError::Replay(why)) => assert!(why.starts_with("op 2"), "{why}"),
+        other => panic!("expected a replay error, got {other:?}"),
     }
 }

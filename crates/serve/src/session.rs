@@ -1,7 +1,7 @@
 //! Session construction over a shared topology, and per-session reports.
 
 use psme_obs::{Json, Quantiles};
-use psme_rete::snapshot::{ByteReader, ByteWriter, Journal};
+use psme_rete::snapshot::{ByteReader, ByteWriter};
 use psme_rete::{
     open_frame, seal_frame, JournaledSession, ReorgConfig, ReteNetwork, SerialEngine,
     SnapshotError, Topology,
@@ -182,18 +182,12 @@ impl Session {
             .engine
             .journal()
             .expect("only journaled sessions hibernate");
-        let mut w = ByteWriter::new();
-        journal.encode_payload(&self.agent.classes, &mut w);
+        let mut w = ByteWriter::with_classes(&self.agent.classes);
+        w.put(journal);
         psme_soar::encode_shell(&self.agent, &mut w);
-        w.u64(self.cycle_ns.len() as u64);
-        for &v in &self.cycle_ns {
-            w.f64(v);
-        }
-        w.u64(self.wait_ns.len() as u64);
-        for &v in &self.wait_ns {
-            w.f64(v);
-        }
-        w.u64(self.slices);
+        w.put(&self.cycle_ns);
+        w.put(&self.wait_ns);
+        w.put(&self.slices);
         seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, w.into_inner())
     }
 
@@ -214,22 +208,13 @@ impl Session {
         reorg: Option<&ReorgConfig>,
     ) -> Result<Box<Session>, SnapshotError> {
         let payload = open_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION)?;
-        let mut r = ByteReader::new(payload);
         let mut reg = spec.task.classes.clone();
-        let journal = Journal::decode_payload(&mut r, &mut reg)?;
-        let engine = JournaledSession::resume(topo.clone(), journal)?;
+        let mut r = ByteReader::with_classes(payload, &mut reg);
+        let engine = JournaledSession::resume(topo.clone(), r.get()?)?;
         let mut agent = Agent::new(engine, spec.task.classes.clone());
         spec.task.adopt_productions(&mut agent);
         psme_soar::decode_shell(&mut agent, &mut r)?;
-        let mut cycle_ns = Vec::new();
-        for _ in 0..r.count()? {
-            cycle_ns.push(r.f64()?);
-        }
-        let mut wait_ns = Vec::new();
-        for _ in 0..r.count()? {
-            wait_ns.push(r.f64()?);
-        }
-        let slices = r.u64()?;
+        let (cycle_ns, wait_ns, slices) = (r.get()?, r.get()?, r.get()?);
         r.expect_done()?;
         if let Some(cfg) = reorg {
             agent.enable_adaptive_reorg(cfg.clone());
@@ -260,6 +245,63 @@ impl Session {
                 .collect(),
             output: self.agent.output.clone(),
             telemetry,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use psme_tasks::{eight_puzzle, scrambled};
+
+    /// A learning eight-puzzle session hibernated mid-run, past its first
+    /// chunk, with telemetry samples: its spec, topology and `PSNS` bytes.
+    fn hibernated() -> (SessionSpec, Arc<Topology>, Vec<u8>) {
+        let spec = SessionSpec {
+            name: "golden".into(),
+            task: eight_puzzle(&scrambled(4, 17)),
+            learning: true,
+        };
+        let topo = build_topology(&spec.task);
+        let mut session = Session::build(&spec, &topo, true, None);
+        session.agent.run(6);
+        assert!(session.agent.stats.chunks_built > 0, "the frame must carry a chunk");
+        session.cycle_ns = vec![1250.0, 980.5, 3.0e6];
+        session.wait_ns = vec![0.0, 42.25];
+        session.slices = 3;
+        let bytes = session.hibernate();
+        (spec, topo, bytes)
+    }
+
+    /// The whole `PSNS` frame (journal, shell, telemetry, envelope) is
+    /// pinned byte for byte.
+    #[test]
+    fn session_frame_is_byte_stable() {
+        assert_eq!(SNAPSHOT_VERSION, 1);
+        let (_, _, bytes) = hibernated();
+        assert_eq!(psme_rete::fnv1a64(&bytes), 0xacd6_5d77_de8a_cc73, "PSNS session frame");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+
+        /// A session frame altered before sealing passes the checksum;
+        /// resuming it replays a journal and restores a shell that may both
+        /// be wrong, and must end in a session or a typed error, never a
+        /// panic.
+        #[test]
+        fn resealed_session_frame_resumes_or_fails_typed(
+            edits in prop::collection::vec((any::<usize>(), 1u8..=255), 1..4),
+        ) {
+            let (spec, topo, bytes) = hibernated();
+            let mut payload = open_frame(&bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION).unwrap().to_vec();
+            for &(pos, mask) in &edits {
+                let at = pos % payload.len();
+                payload[at] ^= mask;
+            }
+            let resealed = seal_frame(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, payload);
+            let _ = Session::resume(&spec, &topo, &resealed, None);
         }
     }
 }

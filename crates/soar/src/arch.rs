@@ -19,15 +19,17 @@ static PREF_VALUE_NAMES: [LazySymbol; 4] = [
     LazySymbol::new("indifferent"),
 ];
 
-/// Context roles, in decision order.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Role {
-    /// The problem-space slot.
-    ProblemSpace,
-    /// The state slot.
-    State,
-    /// The operator slot.
-    Operator,
+psme_rete::codec! {
+    /// Context roles, in decision order.
+    #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+    pub enum Role {
+        /// The problem-space slot.
+        ProblemSpace = 0,
+        /// The state slot.
+        State = 1,
+        /// The operator slot.
+        Operator = 2,
+    }
 }
 
 impl Role {

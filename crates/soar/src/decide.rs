@@ -10,17 +10,19 @@
 use crate::arch::{PrefValue, Preference, Role};
 use psme_ops::{sym_name, Symbol};
 
-/// One goal in the context stack.
-#[derive(Clone, Debug)]
-pub struct GoalCtx {
-    /// Goal identifier.
-    pub id: Symbol,
-    /// Depth (0 = top goal).
-    pub level: u32,
-    /// Current problem-space / state / operator.
-    pub slots: [Option<Symbol>; 3],
-    /// The impasse this goal was created for (`None` for the top goal).
-    pub impasse: Option<ImpasseKey>,
+psme_rete::codec! {
+    /// One goal in the context stack.
+    #[derive(Clone, Debug)]
+    pub struct GoalCtx {
+        /// Goal identifier.
+        pub id: Symbol,
+        /// Depth (0 = top goal).
+        pub level: u32,
+        /// Current problem-space / state / operator.
+        pub slots: [Option<Symbol>; 3],
+        /// The impasse this goal was created for (`None` for the top goal).
+        pub impasse: Option<ImpasseKey>,
+    }
 }
 
 impl GoalCtx {
@@ -44,25 +46,29 @@ pub fn slot_index(r: Role) -> usize {
     }
 }
 
-/// Impasse identity: the same impasse persisting across decisions keeps its
-/// subgoal; a different one replaces it.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ImpasseKey {
-    /// Slot that could not be decided.
-    pub role: Role,
-    /// Tie (several candidates) or no-change (none).
-    pub kind: ImpasseKind,
-    /// Tied candidates (sorted), or the stuck operator for no-change.
-    pub items: Vec<Symbol>,
+psme_rete::codec! {
+    /// Impasse identity: the same impasse persisting across decisions keeps its
+    /// subgoal; a different one replaces it.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct ImpasseKey {
+        /// Slot that could not be decided.
+        pub role: Role,
+        /// Tie (several candidates) or no-change (none).
+        pub kind: ImpasseKind,
+        /// Tied candidates (sorted), or the stuck operator for no-change.
+        pub items: Vec<Symbol>,
+    }
 }
 
-/// Impasse flavor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ImpasseKind {
-    /// Multiple undominated candidates.
-    Tie,
-    /// No candidate (or no progress at the bottom goal).
-    NoChange,
+psme_rete::codec! {
+    /// Impasse flavor.
+    #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+    pub enum ImpasseKind {
+        /// Multiple undominated candidates.
+        Tie = 0,
+        /// No candidate (or no progress at the bottom goal).
+        NoChange = 1,
+    }
 }
 
 impl ImpasseKind {

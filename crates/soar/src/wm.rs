@@ -6,24 +6,26 @@ use psme_ops::{ClassRegistry, Symbol, Value, Wme, WmeId};
 use psme_rete::util::{FxHashMap, FxHashSet};
 use psme_rete::WmeStore;
 
-/// Where a wme came from — the chunker backtraces through these.
-#[derive(Clone, Debug)]
-pub enum Provenance {
-    /// Created by the architecture; `sources` are the wmes that caused it
-    /// (e.g. a tie-impasse `^item` augmentation is caused by the candidate's
-    /// acceptable preference).
-    Arch {
-        /// Causing wmes (may be empty — such wmes contribute no conditions).
-        sources: Vec<WmeId>,
-    },
-    /// Created by a production firing; the instantiation's matched wmes.
-    Fired {
-        /// Matched wme ids of the creating instantiation.
-        matched: Vec<WmeId>,
-        /// The production that fired (the chunker grounds its negated CEs
-        /// into chunk conditions).
-        prod: Symbol,
-    },
+psme_rete::codec! {
+    /// Where a wme came from — the chunker backtraces through these.
+    #[derive(Clone, Debug)]
+    pub enum Provenance {
+        /// Created by the architecture; `sources` are the wmes that caused it
+        /// (e.g. a tie-impasse `^item` augmentation is caused by the candidate's
+        /// acceptable preference).
+        Arch {
+            /// Causing wmes (may be empty — such wmes contribute no conditions).
+            sources: Vec<WmeId>,
+        } = 0,
+        /// Created by a production firing; the instantiation's matched wmes.
+        Fired {
+            /// Matched wme ids of the creating instantiation.
+            matched: Vec<WmeId>,
+            /// The production that fired (the chunker grounds its negated CEs
+            /// into chunk conditions).
+            prod: Symbol,
+        } = 1,
+    }
 }
 
 /// The bookkeeping ledger.
