@@ -242,19 +242,9 @@ impl<T> TaskQueues<T> {
     pub fn pop(&self, worker: usize, stats: &mut QueueStats) -> Option<T> {
         match &self.q {
             Queues::Locked(queues) => {
-                let n = queues.len();
-                let home = self.home(worker);
-                for i in 0..n {
-                    let qi = (home + i) % n;
-                    let (mut g, spins) = queues[qi].lock();
-                    stats.pop_spins += spins;
-                    if let Some(t) = g.pop_front() {
-                        stats.pops += 1;
-                        return Some(t);
-                    }
-                    stats.failed_pops += 1;
-                }
-                None
+                let mut task = None;
+                self.pop_locked(queues, worker, 1, stats, |t| task = Some(t));
+                task
             }
             Queues::Stealing { injector, deques } => {
                 let home = self.home(worker);
@@ -357,22 +347,7 @@ impl<T> TaskQueues<T> {
         mut sink: impl FnMut(T),
     ) -> usize {
         match &self.q {
-            Queues::Locked(queues) => {
-                let n = queues.len();
-                let home = self.home(worker);
-                for i in 0..n {
-                    let (mut g, spins) = queues[(home + i) % n].lock();
-                    stats.pop_spins += spins;
-                    let k = max.min(g.len());
-                    if k > 0 {
-                        stats.pops += k as u64;
-                        g.drain(..k).for_each(&mut sink);
-                        return k;
-                    }
-                    stats.failed_pops += 1;
-                }
-                0
-            }
+            Queues::Locked(queues) => self.pop_locked(queues, worker, max, stats, sink),
             Queues::Stealing { .. } => {
                 let mut k = 0;
                 while k < max {
@@ -385,6 +360,34 @@ impl<T> TaskQueues<T> {
                 k
             }
         }
+    }
+
+    /// §6.1's search for the locked schedulers: `worker`'s own queue first,
+    /// then cycle through the others; up to `max` tasks come from the first
+    /// non-empty queue, under its one acquisition, and each empty queue
+    /// passed is one failed pop.
+    fn pop_locked(
+        &self,
+        queues: &[SpinLock<VecDeque<T>>],
+        worker: usize,
+        max: usize,
+        stats: &mut QueueStats,
+        sink: impl FnMut(T),
+    ) -> usize {
+        let n = queues.len();
+        let home = self.home(worker);
+        for i in 0..n {
+            let (mut g, spins) = queues[(home + i) % n].lock();
+            stats.pop_spins += spins;
+            let k = max.min(g.len());
+            if k > 0 {
+                stats.pops += k as u64;
+                g.drain(..k).for_each(sink);
+                return k;
+            }
+            stats.failed_pops += 1;
+        }
+        0
     }
 
     /// Steal one task from this queue set on behalf of a *foreign* worker —

@@ -116,7 +116,17 @@ fn frames() -> Vec<Frame> {
             summary: SessionSummary {
                 name: "s-5".into(),
                 stop: psme_net::stop_code(StopReason::DecisionLimit),
-                stats: AgentStats::from_counts([1, 2, 3, 4, 5, 6, 7, 8, 9]),
+                stats: AgentStats {
+                    decisions: 1,
+                    elaboration_cycles: 2,
+                    impasses: 3,
+                    chunks_built: 4,
+                    firings: 5,
+                    wme_adds: 6,
+                    wme_removes: 7,
+                    update_tasks: 8,
+                    reorganizations: 9,
+                },
                 chunk_names: vec!["chunk*1".into(), "chunk*2".into()],
                 output: vec!["took 7".into()],
             },

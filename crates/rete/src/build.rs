@@ -221,7 +221,8 @@ fn chain_ancestors<N: ReteView + ?Sized>(net: &N, p_node: NodeId) -> Vec<NodeId>
 }
 
 /// Compile `prod` as production `prod_idx` under `org`, appending its new
-/// nodes from id `num_nodes()` on; on error, roll the network back.
+/// nodes from id `num_nodes()` on; on error, take its name back off the
+/// shared nodes it reached and roll the network back.
 fn compile<N: ReteBuild + ?Sized>(
     net: &mut N,
     prod: &Arc<Production>,
@@ -229,7 +230,10 @@ fn compile<N: ReteBuild + ?Sized>(
     prod_idx: u32,
 ) -> Result<ReorgBuild, BuildError> {
     let first_new = net.num_nodes() as NodeId;
-    match Builder::new(net, prod).build(&org, prod_idx) {
+    let mut builder = Builder::new(net, prod);
+    let built = builder.build(&org, prod_idx);
+    let named = builder.named;
+    match built {
         Ok((p_node, pos_slots, new_two_input, shared_two_input)) => Ok(ReorgBuild {
             prod_idx,
             org,
@@ -240,6 +244,9 @@ fn compile<N: ReteBuild + ?Sized>(
             shared_two_input,
         }),
         Err(e) => {
+            for id in named {
+                net.prod_names_mut(id).retain(|&s| s != prod.name);
+            }
             net.rollback(first_new);
             Err(e)
         }
@@ -257,6 +264,8 @@ struct Builder<'a, T: ReteBuild + ?Sized> {
     locals: FxHashMap<VarId, (u16, u16)>,
     new_two: u32,
     shared_two: u32,
+    /// Existing nodes this build added the production's name to.
+    named: Vec<NodeId>,
 }
 
 #[derive(Default)]
@@ -299,6 +308,7 @@ impl<'a, T: ReteBuild + ?Sized> Builder<'a, T> {
             locals: FxHashMap::default(),
             new_two: 0,
             shared_two: 0,
+            named: Vec::new(),
         }
     }
 
@@ -413,6 +423,7 @@ impl<'a, T: ReteBuild + ?Sized> Builder<'a, T> {
             let names = self.net.prod_names_mut(id);
             if !names.contains(&name) {
                 names.push(name);
+                self.named.push(id);
             }
             let shared = self.net.node(id);
             // Structural sanity: equal signatures imply equal token shapes.
@@ -523,7 +534,7 @@ impl<'a, T: ReteBuild + ?Sized> Builder<'a, T> {
     /// `(p_node, pos_slots, new_two_input, shared_two_input)`. On error the
     /// target is left with partially appended nodes — the caller rolls back.
     fn build(
-        mut self,
+        &mut self,
         org: &NetworkOrg,
         prod_idx: u32,
     ) -> Result<(NodeId, Vec<u16>, u32, u32), BuildError> {

@@ -70,13 +70,7 @@ impl Ops5Runtime {
     }
 
     fn absorb(&mut self, delta: crate::CsDelta) {
-        for i in delta.removed {
-            self.cs.remove(&i);
-        }
-        for i in delta.added {
-            let spec = self.prods.get(&i.prod).map_or(0, |p| p.test_count);
-            self.cs.add(i, spec);
-        }
+        delta.fold_into(&mut self.cs, |p| self.prods.get(&p).map_or(0, |p| p.test_count));
     }
 
     /// Productions fired so far.

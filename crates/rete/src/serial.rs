@@ -24,7 +24,7 @@ use crate::trace::{CycleTrace, Phase, RunTrace, TaskKind, TaskRecord};
 use crate::update::seed_update;
 use crate::util::FxHashMap;
 use crate::view::ReteView;
-use psme_ops::{Instantiation, Wme, WmeId};
+use psme_ops::{ConflictSet, Instantiation, Symbol, Wme, WmeId};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -36,6 +36,20 @@ pub struct CsDelta {
     /// Instantiations that left the conflict set, without their time tags
     /// (identity only: see [`Instantiation`]).
     pub removed: Vec<Instantiation>,
+}
+
+impl CsDelta {
+    /// Fold the delta into a conflict set: retractions first, then each
+    /// addition at the specificity `spec` gives its production.
+    pub fn fold_into(self, cs: &mut ConflictSet, spec: impl Fn(Symbol) -> usize) {
+        for i in self.removed {
+            cs.remove(&i);
+        }
+        for i in self.added {
+            let n = spec(i.prod);
+            cs.add(i, n);
+        }
+    }
 }
 
 /// Outcome of one match cycle.

@@ -346,3 +346,33 @@ fn overlay_retires_a_base_chain_once_every_sharer_is_rebuilt() {
     assert_eq!(sess.net.num_nodes(), 15);
     assert_same_retirement(&mono.net, &sess.net, "pp + qq");
 }
+
+#[test]
+fn a_failed_build_leaves_no_name_on_the_chain_it_shared() {
+    // `bad` shares `pp`'s first three joins (bilinear group 0 and the
+    // chain of group 1), then fails: its group `[4]` tests `<u>`, which
+    // group `[2]` binds. The shared joins must not keep its name, so
+    // rebuilding `pp` retires every old node the new chain does not reuse,
+    // in both residences, as if `bad` had never been tried.
+    let mut r = ClassRegistry::new();
+    for class in ["a", "b", "c", "d", "e"] {
+        r.declare_str(class, &["x", "y"]);
+    }
+    let lhs = "(a ^x <v>) (b ^x <v> ^y <w>) (c ^x <v> ^y <u>) (d ^x <w>) (e ^x <u>)";
+    let pp = parse_production(&format!("(p pp {lhs} --> (halt))"), &mut r).unwrap();
+    let bad = Arc::new(parse_production(&format!("(p bad {lhs} --> (halt))"), &mut r).unwrap());
+    let linear = |_: &Production| NetworkOrg::Linear;
+    let mut mono = SerialEngine::new(monolithic(std::slice::from_ref(&pp), &linear));
+    let topo = Topology::freeze(monolithic(std::slice::from_ref(&pp), &linear));
+    let mut sess = SerialEngine::new(SessionNet::new(topo));
+    let failing = NetworkOrg::Bilinear(vec![vec![0, 1], vec![2], vec![4], vec![3]]);
+    let err = mono.add_production(bad.clone(), failing.clone()).unwrap_err();
+    assert!(err.0.contains("outside this chain"), "{err}");
+    assert!(sess.add_production(bad, failing).is_err());
+    let plan = NetworkOrg::Bilinear(vec![vec![0], vec![1, 3], vec![2, 4]]);
+    let rm = mono.reorganize_production(0, plan.clone()).unwrap();
+    let rs = sess.reorganize_production(0, plan).unwrap();
+    assert_eq!(rm, rs);
+    assert_eq!(rs.retired, 4, "the P node and the joins on c, d and e");
+    assert_same_retirement(&mono.net, &sess.net, "pp after a failed bad");
+}

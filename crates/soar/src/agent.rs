@@ -2,10 +2,10 @@
 //! set, impasse-driven subgoaling, reachability garbage collection, and
 //! chunk integration through the engine's run-time production addition.
 
-use crate::arch::{decode_preference, ArchFields, PrefValue, Preference, Role};
+use crate::arch::{ArchFields, PrefValue, Preference, Role};
 use crate::chunk::{ChunkRequest, Chunker};
 use crate::decide::{decide, Decision, GoalCtx};
-use crate::wm::{Provenance, WmBook};
+use crate::wm::{object_of, Kind, Provenance, WmBook};
 use psme_core::MatchEngine;
 use psme_obs::{ControlPhase, Recorder};
 use psme_ops::{
@@ -16,61 +16,29 @@ use psme_rete::util::{FxHashMap, FxHashSet};
 use psme_rete::{ChainDetector, CsDelta, NetworkOrg, ReorgConfig};
 use std::sync::Arc;
 
-/// Run counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AgentStats {
-    /// Decision cycles executed.
-    pub decisions: u64,
-    /// Elaboration cycles executed.
-    pub elaboration_cycles: u64,
-    /// Impasses (subgoals created).
-    pub impasses: u64,
-    /// Chunks built and added at run time.
-    pub chunks_built: u64,
-    /// Production firings.
-    pub firings: u64,
-    /// Wmes added / removed over the run.
-    pub wme_adds: u64,
-    /// Wmes removed by decisions and GC.
-    pub wme_removes: u64,
-    /// Match tasks spent in chunk state updates (Figure 6-9's phase).
-    pub update_tasks: u64,
-    /// Adaptive mid-run join reorganizations committed.
-    pub reorganizations: u64,
-}
-
-impl AgentStats {
-    /// The nine counts in declaration order — the order a hibernated shell
-    /// and a wire summary carry them in.
-    pub fn counts(&self) -> [u64; 9] {
-        [
-            self.decisions,
-            self.elaboration_cycles,
-            self.impasses,
-            self.chunks_built,
-            self.firings,
-            self.wme_adds,
-            self.wme_removes,
-            self.update_tasks,
-            self.reorganizations,
-        ]
-    }
-
-    /// The stats [`Self::counts`] returned `counts` for.
-    pub fn from_counts(counts: [u64; 9]) -> AgentStats {
-        let [decisions, elaboration_cycles, impasses, chunks_built, firings, wme_adds, wme_removes,
-            update_tasks, reorganizations] = counts;
-        AgentStats {
-            decisions,
-            elaboration_cycles,
-            impasses,
-            chunks_built,
-            firings,
-            wme_adds,
-            wme_removes,
-            update_tasks,
-            reorganizations,
-        }
+psme_rete::codec! {
+    /// Run counters. A hibernated shell and a wire summary carry them as
+    /// nine little-endian `u64`s, in declaration order.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct AgentStats {
+        /// Decision cycles executed.
+        pub decisions: u64,
+        /// Elaboration cycles executed.
+        pub elaboration_cycles: u64,
+        /// Impasses (subgoals created).
+        pub impasses: u64,
+        /// Chunks built and added at run time.
+        pub chunks_built: u64,
+        /// Production firings.
+        pub firings: u64,
+        /// Wmes added / removed over the run.
+        pub wme_adds: u64,
+        /// Wmes removed by decisions and GC.
+        pub wme_removes: u64,
+        /// Match tasks spent in chunk state updates (Figure 6-9's phase).
+        pub update_tasks: u64,
+        /// Adaptive mid-run join reorganizations committed.
+        pub reorganizations: u64,
     }
 }
 
@@ -88,35 +56,6 @@ pub enum StopReason {
     /// The run was ended from outside the agent — a serving client closed
     /// the session, or the server shut down with the session still open.
     Closed,
-}
-
-/// What decides whether reachability GC keeps a wme.
-#[derive(Clone, Copy)]
-enum Keep {
-    /// A goal augmentation: its goal is on the stack and its slot values
-    /// are current.
-    Goal,
-    /// A preference (its index in `WmView::prefs`; `None` when
-    /// malformed): its scope holds and its object is reachable.
-    Pref(Option<usize>),
-    /// An `eval` wme: its goal is on the stack.
-    Eval(Option<Symbol>),
-    /// An augmentation of this object: the object is reachable.
-    Object(Symbol),
-}
-
-/// Working memory as one decision phase reads it (`Agent::read_wm`).
-#[derive(Default)]
-struct WmView {
-    /// Every well-formed preference, ascending wme id: the decision
-    /// procedure's input.
-    prefs: Vec<Preference>,
-    /// Every wme that is not task-static, ascending id. (Pinned ones are
-    /// here too; GC never removes them, but a goal wme among them roots
-    /// reachability.)
-    wmes: Vec<(WmeId, Keep)>,
-    /// Object augmentations by identifier, each with its `^id` field index.
-    objects: FxHashMap<Symbol, Vec<(WmeId, u16)>>,
 }
 
 /// A Soar agent over any match engine.
@@ -278,9 +217,8 @@ impl<E: MatchEngine> Agent<E> {
             if self.book.alive_index.contains_key(&w) {
                 continue;
             }
-            let (id, _) = self.engine.add_wme(w.clone());
-            self.book.note_add(id, w, 0, Provenance::Arch { sources: vec![] }, true);
-            self.stats.wme_adds += 1;
+            let id = self.add_noted(w, 0, Provenance::Arch { sources: vec![] });
+            self.book.pinned.insert(id);
             changes.push((id, 1));
         }
         self.match_changes(changes);
@@ -293,11 +231,18 @@ impl<E: MatchEngine> Agent<E> {
         self.book.note_new_object(g, 0);
         self.stack.push(GoalCtx { id: g, level: 0, slots: [None, None, None], impasse: None });
         let w = crate::arch::goal_aug(&self.classes, &self.fields, g, self.fields.goal_type, Value::sym("top"));
-        let (id, _) = self.engine.add_wme(w.clone());
-        self.book.note_add(id, w, 0, Provenance::Arch { sources: vec![] }, false);
-        self.stats.wme_adds += 1;
+        let id = self.add_noted(w, 0, Provenance::Arch { sources: vec![] });
         self.match_changes(vec![(id, 1)]);
         g
+    }
+
+    /// Add `w` to working memory and note it in the ledger at `level`: the
+    /// agent's one note path.
+    fn add_noted(&mut self, w: Wme, level: u32, prov: Provenance) -> WmeId {
+        let (id, _) = self.engine.add_wme(w.clone());
+        self.book.note_add(id, w, level, prov, &self.fields, &self.classes);
+        self.stats.wme_adds += 1;
+        id
     }
 
     /// Match a batch of wme changes and fold the outcome into the conflict
@@ -313,48 +258,35 @@ impl<E: MatchEngine> Agent<E> {
     }
 
     fn merge_cs(&mut self, delta: CsDelta) {
-        for i in delta.removed {
-            self.cs.remove(&i);
-        }
-        for i in delta.added {
-            let spec = self.prods.get(&i.prod).map_or(0, |p| p.test_count);
-            self.cs.add(i, spec);
-        }
+        delta.fold_into(&mut self.cs, |p| self.prods.get(&p).map_or(0, |p| p.test_count));
     }
 
     fn goal_level(&self, g: Symbol) -> Option<u32> {
         self.stack.iter().find(|gc| gc.id == g).map(|gc| gc.level)
     }
 
-    /// Compute the goal level a new wme belongs to.
+    /// Compute the goal level a new wme belongs to: its goal's, for an
+    /// architecture wme; its object's, for an augmentation (a new object is
+    /// born at `firing_level`).
     fn wme_level_for(&mut self, w: &Wme, firing_level: u32) -> u32 {
-        let ArchFields { goal_cls, pref_cls, eval_cls, id_attr, .. } = self.fields;
-        if w.class == goal_cls {
-            if let Some(g) = w.field(self.fields.goal_id).as_sym() {
-                return self.goal_level(g).unwrap_or(firing_level);
-            }
+        let f = &self.fields;
+        let goal = if w.class == f.goal_cls {
+            w.field(f.goal_id)
+        } else if w.class == f.pref_cls {
+            w.field(f.pref_goal)
+        } else if w.class == f.eval_cls {
+            w.field(0)
+        } else {
+            Value::Nil
+        };
+        if let Some(g) = goal.as_sym() {
+            return self.goal_level(g).unwrap_or(firing_level);
         }
-        if w.class == pref_cls {
-            if let Some(g) = w.field(self.fields.pref_goal).as_sym() {
-                return self.goal_level(g).unwrap_or(firing_level);
-            }
+        let Some((obj, _)) = object_of(w, &self.classes, f.id_attr) else { return firing_level };
+        if let Some(&l) = self.book.obj_level.get(&obj) {
+            return l;
         }
-        if w.class == eval_cls {
-            if let Some(g) = w.field(0).as_sym() {
-                return self.goal_level(g).unwrap_or(firing_level);
-            }
-        }
-        if let Some(decl) = self.classes.get(w.class) {
-            if let Some(idf) = decl.field_of(id_attr) {
-                if let Some(id) = w.field(idf).as_sym() {
-                    if let Some(&l) = self.book.obj_level.get(&id) {
-                        return l;
-                    }
-                    self.book.note_new_object(id, firing_level);
-                    return firing_level;
-                }
-            }
-        }
+        self.book.note_new_object(obj, firing_level);
         firing_level
     }
 
@@ -413,30 +345,22 @@ impl<E: MatchEngine> Agent<E> {
                             }
                         }
                         let level = self.wme_level_for(&w, firing_level);
-                        let (wid, _) = self.engine.add_wme(w.clone());
-                        self.stats.wme_adds += 1;
+                        let prov = Provenance::Fired { matched: inst.wmes.clone(), prod: inst.prod };
+                        let wid = self.add_noted(w, level, prov);
                         changes.push((wid, 1));
                         // Promote linked deeper objects into this level. (The
                         // new wme itself sits at its object's level, so no
-                        // promotion reaches it before it is noted below.)
-                        let (book, classes, id_attr) =
-                            (&mut self.book, &self.classes, self.fields.id_attr);
+                        // promotion re-levels it.)
+                        let book = &mut self.book;
                         self.engine.with_store(|s| {
-                            for v in w.fields.iter() {
-                                if let Value::Sym(sym) = v {
-                                    if book.is_identifier(*sym) && book.level_of_obj(*sym) > level {
-                                        book.promote(*sym, level, s, classes, id_attr);
+                            for v in s.get(wid).fields.iter() {
+                                if let Value::Sym(sym) = *v {
+                                    if book.is_identifier(sym) && book.level_of_obj(sym) > level {
+                                        book.promote(sym, level, s);
                                     }
                                 }
                             }
                         });
-                        self.book.note_add(
-                            wid,
-                            w,
-                            level,
-                            Provenance::Fired { matched: inst.wmes.clone(), prod: inst.prod },
-                            false,
-                        );
                         if level < firing_level {
                             results.push(wid);
                             result_level = result_level.max(level);
@@ -460,7 +384,7 @@ impl<E: MatchEngine> Agent<E> {
                 let prods = &self.prods;
                 let lookup = |name: psme_ops::Symbol| prods.get(&name).cloned();
                 let built = self.engine.with_store(|s| {
-                    self.chunker.build(req, &self.book, s, &self.classes, &lookup)
+                    self.chunker.build(req, &self.book, s, &self.classes, &self.fields, &lookup)
                 });
                 self.recorder.finish(span);
                 if let Some(chunk) = built {
@@ -494,47 +418,11 @@ impl<E: MatchEngine> Agent<E> {
         Ok(())
     }
 
-    /// Read working memory for one decision phase, in one pass over the
-    /// live wmes: decode every preference once, note what decides each
-    /// removable wme's fate, and index object augmentations by identifier.
-    fn read_wm(&self) -> WmView {
-        let f = &self.fields;
-        let mut wm = WmView::default();
-        self.engine.with_store(|store| {
-            for (id, w) in store.iter_alive() {
-                let keep = if w.class == f.goal_cls {
-                    Keep::Goal
-                } else if w.class == f.pref_cls {
-                    Keep::Pref(decode_preference(id, w, f).map(|p| {
-                        wm.prefs.push(p);
-                        wm.prefs.len() - 1
-                    }))
-                } else if w.class == f.eval_cls {
-                    Keep::Eval(w.field(0).as_sym())
-                } else {
-                    // An object carries its identifier in `^id`; a wme
-                    // without one is task-static and always kept.
-                    let Some(idf) = self.classes.get(w.class).and_then(|d| d.field_of(f.id_attr))
-                    else {
-                        continue;
-                    };
-                    let Some(obj) = w.field(idf).as_sym() else { continue };
-                    wm.objects.entry(obj).or_default().push((id, idf));
-                    Keep::Object(obj)
-                };
-                wm.wmes.push((id, keep));
-            }
-        });
-        wm
-    }
-
     /// The decision phase: apply the decision procedure, perform the wme
     /// surgery and reachability GC. Returns the wme changes to match, or
     /// `None` when stuck.
     fn decision_phase(&mut self) -> Option<Vec<(WmeId, i32)>> {
-        let wm = self.read_wm();
-        let prefs = &wm.prefs;
-        let d = decide(&self.stack, prefs);
+        let d = decide(&self.stack, &self.book.prefs);
         self.stats.decisions += 1;
         match d {
             Decision::Stuck => None,
@@ -566,14 +454,16 @@ impl<E: MatchEngine> Agent<E> {
                     // The slot wme's provenance points at the preferences
                     // that put the winner there, so chunks can trace through
                     // context slots.
-                    let sources: Vec<WmeId> = prefs
+                    let sources: Vec<WmeId> = self
+                        .book
+                        .prefs
                         .iter()
                         .filter(|p| p.goal == g.id && p.role == role && p.object == w)
                         .map(|p| p.wme)
                         .collect();
                     adds.push((wme, g.level, Provenance::Arch { sources }));
                 }
-                Some(self.install_decision_changes(&wm, adds))
+                Some(self.install_decision_changes(adds))
             }
             Decision::NewImpasse { parent_idx, key } => {
                 self.stack.truncate(parent_idx + 1);
@@ -588,8 +478,7 @@ impl<E: MatchEngine> Agent<E> {
                     slots: [None, None, None],
                     impasse: Some(key.clone()),
                 });
-                let f = &self.fields;
-                let reg = &self.classes;
+                let (f, reg, prefs) = (&self.fields, &self.classes, &self.book.prefs);
                 let mut adds: Vec<(Wme, u32, Provenance)> = vec![
                     (
                         crate::arch::goal_aug(reg, f, g2, f.goal_supergoal, Value::Sym(parent_id)),
@@ -627,21 +516,16 @@ impl<E: MatchEngine> Agent<E> {
                         Provenance::Arch { sources },
                     ));
                 }
-                Some(self.install_decision_changes(&wm, adds))
+                Some(self.install_decision_changes(adds))
             }
         }
     }
 
-    /// Garbage-collect (over `wm`, working memory as the decision phase
-    /// read it) and install decision-phase wmes; returns the changes for
-    /// the match that follows.
-    fn install_decision_changes(
-        &mut self,
-        wm: &WmView,
-        adds: Vec<(Wme, u32, Provenance)>,
-    ) -> Vec<(WmeId, i32)> {
+    /// Garbage-collect and install decision-phase wmes; returns the
+    /// changes for the match that follows.
+    fn install_decision_changes(&mut self, adds: Vec<(Wme, u32, Provenance)>) -> Vec<(WmeId, i32)> {
         let mut changes: Vec<(WmeId, i32)> = Vec::new();
-        for id in self.collect_garbage(wm) {
+        for id in self.collect_garbage() {
             let w = self.engine.with_store(|s| s.get(id).clone());
             if self.engine.remove_wme(id) {
                 self.book.note_remove(id, &w);
@@ -653,9 +537,7 @@ impl<E: MatchEngine> Agent<E> {
             if self.book.alive_index.contains_key(&w) {
                 continue;
             }
-            let (id, _) = self.engine.add_wme(w.clone());
-            self.book.note_add(id, w, level, prov, false);
-            self.stats.wme_adds += 1;
+            let id = self.add_noted(w, level, prov);
             changes.push((id, 1));
         }
         changes
@@ -665,16 +547,17 @@ impl<E: MatchEngine> Agent<E> {
     /// current context stack, in ascending id order: what the decision
     /// phase removes once it has changed the stack.
     pub fn gc_removals(&self) -> Vec<WmeId> {
-        self.collect_garbage(&self.read_wm())
+        self.collect_garbage()
     }
 
     /// Reachability GC: "the decision module keeps track of which wmes are
     /// accessible from the context stack, and automatically garbage
-    /// collects inaccessible wmes" (§3). Reachability grows from the roots
-    /// by a worklist over `wm.objects`, so each object's augmentations are
-    /// read once, when the object is first reached.
-    fn collect_garbage(&self, wm: &WmView) -> Vec<WmeId> {
-        let f = &self.fields;
+    /// collects inaccessible wmes" (§3). It reads the ledger: reachability
+    /// grows from the roots by a worklist over the object index, so each
+    /// object's augmentations are read once, when the object is first
+    /// reached, and the sweep walks the ledger's list of removable wmes.
+    fn collect_garbage(&self) -> Vec<WmeId> {
+        let (f, book) = (&self.fields, &self.book);
         let goal = |id: Symbol| self.stack.iter().find(|g| g.id == id);
         // A preference counts while its goal is on the stack and, if it is
         // scoped to a state, that state is the goal's current one.
@@ -707,19 +590,19 @@ impl<E: MatchEngine> Agent<E> {
                 work.push(g.id);
                 work.extend(g.slots.iter().flatten());
             }
-            for &(id, keep) in &wm.wmes {
-                if matches!(keep, Keep::Goal) && goal_wme_keep(store.get(id)) {
+            for &(id, kind) in &book.live {
+                if matches!(kind, Kind::Goal(_)) && goal_wme_keep(store.get(id)) {
                     work.extend(store.get(id).fields.iter().filter_map(|v| v.as_sym()));
                 }
             }
-            let rejected: FxHashSet<(Symbol, Symbol)> = wm
+            let rejected: FxHashSet<(Symbol, Symbol)> = book
                 .prefs
                 .iter()
                 .filter(|&p| p.value == PrefValue::Reject && scope_ok(p))
                 .map(|p| (p.goal, p.object))
                 .collect();
             work.extend(
-                wm.prefs
+                book.prefs
                     .iter()
                     .filter(|&p| {
                         scope_ok(p)
@@ -729,17 +612,22 @@ impl<E: MatchEngine> Agent<E> {
                     .map(|p| p.object),
             );
             // 2. Closure: a reached object's augmentations reach the
-            // identifiers they name.
+            // identifiers they name. Goal wmes are indexed under their goal
+            // but reach only through step 1, so a stale slot value does not
+            // keep its object.
             let mut reachable: FxHashSet<Symbol> = FxHashSet::default();
             while let Some(s) = work.pop() {
                 if !reachable.insert(s) {
                     continue;
                 }
-                for &(id, idf) in wm.objects.get(&s).into_iter().flatten() {
-                    for (i, v) in store.get(id).fields.iter().enumerate() {
+                for &(id, idf) in book.augmentations(s) {
+                    let w = store.get(id);
+                    if w.class == f.goal_cls {
+                        continue;
+                    }
+                    for (i, v) in w.fields.iter().enumerate() {
                         if let Value::Sym(t) = *v {
-                            if i as u16 != idf && self.book.is_identifier(t) && !reachable.contains(&t)
-                            {
+                            if i as u16 != idf && book.is_identifier(t) && !reachable.contains(&t) {
                                 work.push(t);
                             }
                         }
@@ -747,19 +635,18 @@ impl<E: MatchEngine> Agent<E> {
                 }
             }
             // 3. Sweep, in ascending id order.
-            let gone = |id: WmeId, keep: Keep| {
-                !self.book.pinned.contains(&id)
-                    && !match keep {
-                        Keep::Goal => goal_wme_keep(store.get(id)),
-                        Keep::Pref(p) => p.is_some_and(|i| {
-                            let p = &wm.prefs[i];
-                            scope_ok(p) && reachable.contains(&p.object)
-                        }),
-                        Keep::Eval(g) => g.is_some_and(|g| goal(g).is_some()),
-                        Keep::Object(obj) => reachable.contains(&obj),
+            let gone = |id: WmeId, kind: Kind| {
+                !book.pinned.contains(&id)
+                    && !match kind {
+                        Kind::Goal(_) => goal_wme_keep(store.get(id)),
+                        Kind::Pref => {
+                            book.pref(id).is_some_and(|p| scope_ok(p) && reachable.contains(&p.object))
+                        }
+                        Kind::Eval(g) => g.is_some_and(|g| goal(g).is_some()),
+                        Kind::Object(obj) => reachable.contains(&obj),
                     }
             };
-            wm.wmes.iter().filter(|&&(id, keep)| gone(id, keep)).map(|&(id, _)| id).collect()
+            book.live.iter().filter(|&&(id, kind)| gone(id, kind)).map(|&(id, _)| id).collect()
         })
     }
 

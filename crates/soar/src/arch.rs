@@ -77,7 +77,7 @@ impl PrefValue {
 }
 
 /// A decoded preference wme.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Preference {
     /// The wme carrying it.
     pub wme: WmeId,

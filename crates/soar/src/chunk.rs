@@ -7,7 +7,8 @@
 //! generate this result. It then constructs a new production whose LHS is
 //! based on these wmes and whose RHS reconstructs the result."
 
-use crate::wm::{Provenance, WmBook};
+use crate::arch::ArchFields;
+use crate::wm::{object_of, Provenance, WmBook};
 use psme_ops::{
     intern, Action, ClassRegistry, Cond, CondElem, FieldTest, Pred, Production, RhsBind, RhsExpr,
     RhsTerm, Symbol, Value, VarId, VarTable, WmeId,
@@ -146,6 +147,7 @@ impl Chunker {
         book: &WmBook,
         store: &WmeStore,
         reg: &ClassRegistry,
+        f: &ArchFields,
         lookup: &dyn Fn(Symbol) -> Option<std::sync::Arc<Production>>,
     ) -> Option<std::sync::Arc<Production>> {
         // ---- Dependency analysis (backtrace) ----
@@ -195,12 +197,10 @@ impl Chunker {
         // rebuild the whole promoted structure).
         let mut action_wmes: Vec<WmeId> = req.results.to_vec();
         let mut closed: FxHashSet<WmeId> = action_wmes.iter().copied().collect();
-        let id_attr = intern("id");
         let mut i = 0;
         while i < action_wmes.len() {
             let w = store.get(action_wmes[i]).clone();
-            let decl = reg.get(w.class)?;
-            let idf = decl.field_of(id_attr);
+            let idf = object_of(&w, reg, f.id_attr).map(|(_, idf)| idf);
             for (fi, v) in w.fields.iter().enumerate() {
                 if Some(fi as u16) == idf {
                     continue;
@@ -212,14 +212,8 @@ impl Chunker {
                 let native = book.obj_native_level.get(s).copied().unwrap_or(0);
                 if native > req.result_level {
                     // subgoal-born object: include its augmentations
-                    for (wid, ww) in store.iter_alive() {
-                        if closed.contains(&wid) {
-                            continue;
-                        }
-                        let Some(d2) = reg.get(ww.class) else { continue };
-                        let Some(id2) = d2.field_of(id_attr) else { continue };
-                        if ww.field(id2) == Value::Sym(*s) {
-                            closed.insert(wid);
+                    for &(wid, _) in book.augmentations(*s) {
+                        if closed.insert(wid) {
                             action_wmes.push(wid);
                         }
                     }
@@ -399,45 +393,46 @@ fn canonical_form(p: &Production) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::declare_arch_classes;
     use crate::wm::Provenance;
 
-    fn setup() -> (ClassRegistry, WmeStore, WmBook) {
+    fn setup() -> (ClassRegistry, ArchFields, WmeStore, WmBook) {
         let mut reg = ClassRegistry::new();
         reg.declare_str("state", &["id", "object"]);
         reg.declare_str("object", &["id", "kind"]);
-        reg.declare_str("preference", &["object", "role", "value", "goal", "state"]);
-        (reg, WmeStore::new(), WmBook::new())
+        let f = declare_arch_classes(&mut reg);
+        (reg, f, WmeStore::new(), WmBook::new())
     }
 
     fn add(
         store: &mut WmeStore,
         book: &mut WmBook,
-        reg: &ClassRegistry,
+        (reg, f): (&ClassRegistry, &ArchFields),
         s: &str,
         level: u32,
         prov: Provenance,
     ) -> WmeId {
         let w = psme_ops::parse_wme(s, reg).unwrap();
         let (id, _) = store.add(w.clone());
-        book.note_add(id, w, level, prov, false);
+        book.note_add(id, w, level, prov, f, reg);
         id
     }
 
     #[test]
     fn backtrace_collects_supergoal_conditions() {
-        let (reg, mut store, mut book) = setup();
+        let (reg, f, mut store, mut book) = setup();
         for id in ["s1", "o1", "g1"] {
             book.register_identifier(intern(id));
             book.note_new_object(intern(id), 0);
         }
         // Supergoal structure (level 0).
-        let w_state = add(&mut store, &mut book, &reg, "(state ^id s1 ^object o1)", 0, Provenance::Arch { sources: vec![] });
-        let w_obj = add(&mut store, &mut book, &reg, "(object ^id o1 ^kind door)", 0, Provenance::Arch { sources: vec![] });
+        let w_state = add(&mut store, &mut book, (&reg, &f), "(state ^id s1 ^object o1)", 0, Provenance::Arch { sources: vec![] });
+        let w_obj = add(&mut store, &mut book, (&reg, &f), "(object ^id o1 ^kind door)", 0, Provenance::Arch { sources: vec![] });
         // Subgoal intermediate (level 1), derived from both.
         let w_mid = add(
             &mut store,
             &mut book,
-            &reg,
+            (&reg, &f),
             "(object ^id o1 ^kind seen)",
             1,
             Provenance::Fired { matched: vec![w_state, w_obj], prod: intern("mid-maker") },
@@ -447,7 +442,7 @@ mod tests {
         let w_res = add(
             &mut store,
             &mut book,
-            &reg,
+            (&reg, &f),
             "(preference ^object o1 ^role operator ^value best ^goal g1)",
             0,
             Provenance::Fired { matched: vec![w_mid], prod: intern("result-maker") },
@@ -459,6 +454,7 @@ mod tests {
                 &book,
                 &store,
                 &reg,
+                &f,
                 &|_| None,
             )
             .unwrap();
@@ -474,6 +470,7 @@ mod tests {
             &book,
             &store,
             &reg,
+            &f,
             &|_| None,
         );
         assert!(again.is_none());
@@ -482,22 +479,22 @@ mod tests {
 
     #[test]
     fn new_objects_get_genatom_binds() {
-        let (reg, mut store, mut book) = setup();
+        let (reg, f, mut store, mut book) = setup();
         book.register_identifier(intern("s9"));
         book.note_new_object(intern("s9"), 0);
-        let cond_w = add(&mut store, &mut book, &reg, "(state ^id s9)", 0, Provenance::Arch { sources: vec![] });
+        let cond_w = add(&mut store, &mut book, (&reg, &f), "(state ^id s9)", 0, Provenance::Arch { sources: vec![] });
         // The result references a subgoal-born object o-new (level 1).
         book.register_identifier(intern("o-new"));
         book.note_new_object(intern("o-new"), 1);
         let res = add(
             &mut store,
             &mut book,
-            &reg,
+            (&reg, &f),
             "(state ^id s9 ^object o-new)",
             0,
             Provenance::Fired { matched: vec![cond_w], prod: intern("result-maker") },
         );
-        let aug = add(&mut store, &mut book, &reg, "(object ^id o-new ^kind fresh)", 1, Provenance::Arch { sources: vec![] });
+        let aug = add(&mut store, &mut book, (&reg, &f), "(object ^id o-new ^kind fresh)", 1, Provenance::Arch { sources: vec![] });
         let _ = aug;
         let mut ch = Chunker::new();
         let p = ch
@@ -506,6 +503,7 @@ mod tests {
                 &book,
                 &store,
                 &reg,
+                &f,
                 &|_| None,
             )
             .unwrap();

@@ -22,34 +22,22 @@
 //!   Lookups are by name and all uses are structural, so fresh `Arc`s are
 //!   observationally identical.
 //! * `recorder` — telemetry only; spans from before hibernation are gone.
-//! * `alive_index` — a pure function of the live store, rebuilt from the
-//!   replayed engine (provably identical: WM-is-a-set guarantees at most
-//!   one live wme per structural value).
+//! * the ledger's derived half (`alive_index`, the kinds, preferences and
+//!   object index of live wmes) — a pure function of the live store,
+//!   rebuilt by noting the replayed engine's wmes again, in id order
+//!   ([`WmBook::index`]).
 //!
 //! Encoding is byte-deterministic: hash-map/-set sections are sorted
 //! (numerically, or by symbol *name* so bytes do not depend on intern
 //! order), and symbols travel as strings — the [`psme_rete::snapshot`]
 //! codec's rules. Every layout here is declared once, with its type.
 
-use crate::agent::{Agent, AgentStats};
+use crate::agent::Agent;
 use crate::wm::WmBook;
 use psme_core::MatchEngine;
 use psme_ops::{parse_production, production_text, Instantiation};
-use psme_rete::snapshot::{ByteReader, ByteWriter, Decode, Encode, SnapshotError};
+use psme_rete::snapshot::{ByteReader, ByteWriter, SnapshotError};
 use std::sync::Arc;
-
-impl Encode for AgentStats {
-    /// The nine counters, in [`AgentStats::counts`] order.
-    fn encode_to(&self, w: &mut ByteWriter<'_>) {
-        w.put(&self.counts());
-    }
-}
-
-impl Decode for AgentStats {
-    fn decode_from(r: &mut ByteReader<'_>) -> Result<AgentStats, SnapshotError> {
-        Ok(AgentStats::from_counts(r.get()?))
-    }
-}
 
 psme_rete::codec! {
     /// One conflict-set entry, as [`psme_ops::ConflictSet::entries`] yields it.
@@ -119,18 +107,22 @@ pub fn decode_shell<E: MatchEngine>(
     for e in r.get::<Vec<CsEntry>>()? {
         agent.cs.restore_entry(e.inst, e.specificity, e.fired);
     }
-    // The structural live index is a pure function of the replayed store.
-    let alive_index =
-        agent.engine.with_store(|s| s.iter_alive().map(|(id, w)| ((**w).clone(), id)).collect());
     agent.book = WmBook {
         wme_level: r.get()?,
         obj_level: r.get()?,
         obj_native_level: r.get()?,
         provenance: r.get()?,
-        alive_index,
         identifiers: r.get()?,
         pinned: r.get()?,
+        ..WmBook::default()
     };
+    // The derived half is a pure function of the replayed store.
+    let (book, f, reg) = (&mut agent.book, &agent.fields, &agent.classes);
+    agent.engine.with_store(|s| {
+        for (id, w) in s.iter_alive() {
+            book.index(id, (**w).clone(), f, reg);
+        }
+    });
     agent.chunker.counter = r.get()?;
     agent.chunker.seen = r.get()?;
     let mut chunks = Vec::new();

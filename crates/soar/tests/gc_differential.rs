@@ -1,13 +1,17 @@
-//! Reachability GC against the rule it replaced.
+//! Reachability GC and the working-memory ledger against the rules they
+//! replaced.
 //!
-//! The decision phase reads working memory once (preferences decoded once,
-//! object augmentations indexed by identifier) and grows reachability with
-//! a worklist. [`reference_gc`] is the earlier body: a full pass over
+//! The agent's ledger (`WmBook`) classifies each wme once, when it enters
+//! working memory: preferences are decoded then, and object augmentations
+//! are indexed by identifier. [`rescan`] is the earlier per-decision read
+//! of working memory, one pass over the live store; at every decision of
+//! whole runs of the three paper tasks, and after hibernate/resume round
+//! trips, the ledger must equal it. GC grows reachability over the ledger
+//! with a worklist. [`reference_gc`] is the earlier body: a full pass over
 //! working memory per round, repeated until reachability stops growing,
-//! then a sweep that decodes every preference again. At every decision of
-//! whole runs of the three paper tasks, the wmes the agent removed must be
-//! the reference's removals, element for element; three hand-built states
-//! pin cases a run need not reach.
+//! then a sweep that decodes every preference again. At every decision, the
+//! wmes the agent removed must be the reference's removals, element for
+//! element. Hand-built states pin cases a run need not reach.
 
 use psme_core::MatchEngine;
 use psme_ops::{
@@ -15,9 +19,16 @@ use psme_ops::{
     Wme, WmeId,
 };
 use psme_rete::util::{FxHashMap, FxHashSet};
-use psme_rete::{AddOutcome, BuildError, CycleOutcome, NetworkOrg, ReteNetwork, SerialEngine, WmeStore};
+use psme_rete::snapshot::{ByteReader, ByteWriter};
+use psme_rete::{
+    AddOutcome, BuildError, CycleOutcome, JournaledSession, NetworkOrg, ReteNetwork, SerialEngine,
+    Topology, WmeStore,
+};
 use psme_soar::arch::decode_preference;
-use psme_soar::{Agent, PrefValue, Preference, Provenance, Role, SoarTask};
+use psme_soar::wm::{Kind, WmBook};
+use psme_soar::{
+    decode_shell, encode_shell, Agent, GoalCtx, PrefValue, Preference, Provenance, Role, SoarTask,
+};
 use psme_tasks::{
     cypress_sub, eight_puzzle, scrambled, strips, CypressConfig, StripsConfig, DECISION_BUDGET,
 };
@@ -151,6 +162,49 @@ fn reference_gc<E: MatchEngine>(agent: &Agent<E>, live: &[WmeId]) -> (Vec<WmeId>
     })
 }
 
+/// The derived half of the ledger rebuilt by one pass over the live store,
+/// as the decision phase once read working memory every decision: each wme
+/// classified, each preference decoded, and each wme that carries a symbol
+/// in `^id` indexed under it (goal wmes included: result promotion and the
+/// chunker's closure walked the store for those).
+fn rescan<E: MatchEngine>(agent: &Agent<E>) -> WmBook {
+    let f = &agent.fields;
+    let mut book = WmBook::default();
+    agent.engine.with_store(|store| {
+        for (id, w) in store.iter_alive() {
+            book.alive_index.insert((**w).clone(), id);
+            let idf = agent.classes.get(w.class).and_then(|d| d.field_of(f.id_attr));
+            let obj = idf.and_then(|idf| Some((w.field(idf).as_sym()?, idf)));
+            if let Some((o, idf)) = obj {
+                book.objects.entry(o).or_default().push((id, idf));
+            }
+            let kind = if w.class == f.goal_cls {
+                Kind::Goal(obj.map(|o| o.0))
+            } else if w.class == f.pref_cls {
+                book.prefs.extend(decode_preference(id, w, f));
+                Kind::Pref
+            } else if w.class == f.eval_cls {
+                Kind::Eval(w.field(0).as_sym())
+            } else {
+                // A wme without a symbol in `^id` is task-static.
+                let Some((o, _)) = obj else { continue };
+                Kind::Object(o)
+            };
+            book.live.push((id, kind));
+        }
+    });
+    book
+}
+
+/// The agent's ledger equals [`rescan`] of its live store.
+fn assert_ledger_is_rescan<E: MatchEngine>(agent: &Agent<E>, ctx: &str) {
+    let (got, want) = (&agent.book, rescan(agent));
+    assert_eq!(got.live, want.live, "{ctx}: kinds");
+    assert_eq!(got.prefs, want.prefs, "{ctx}: preferences");
+    assert_eq!(got.objects, want.objects, "{ctx}: object index");
+    assert_eq!(got.alive_index, want.alive_index, "{ctx}: structural index");
+}
+
 /// A serial engine that keeps the changes of the last match it ran. After
 /// a step that decided, those are the decision's: GC's removals in the
 /// order GC listed them, then the decision's additions.
@@ -201,6 +255,8 @@ fn check_every_decision(task: &SoarTask, learning: bool) -> usize {
     // A step that returns `None` decided, and its last match was the
     // decision's changes.
     while agent.step(DECISION_BUDGET).is_none() {
+        let ctx = format!("{} (learning {learning}), decision {}", task.name, agent.stats.decisions);
+        assert_ledger_is_rescan(&agent, &ctx);
         let changes = &agent.engine.last;
         let removed: Vec<WmeId> = changes.iter().filter(|c| c.1 < 0).map(|c| c.0).collect();
         let added: FxHashSet<WmeId> = changes.iter().filter(|c| c.1 > 0).map(|c| c.0).collect();
@@ -211,14 +267,44 @@ fn check_every_decision(task: &SoarTask, learning: bool) -> usize {
         live.extend(&removed);
         live.sort_unstable();
         let (want, _) = reference_gc(&agent, &live);
-        assert_eq!(
-            removed, want,
-            "{} (learning {learning}), decision {}",
-            task.name, agent.stats.decisions
-        );
+        assert_eq!(removed, want, "{ctx}");
         removed_total += removed.len();
     }
     removed_total
+}
+
+/// Run `task` as a hibernating session: every `every` decisions, encode the
+/// shell, resume from the journal and continue with the resumed agent. Its
+/// ledger, rebuilt on resume, must equal the hibernated agent's and a
+/// rescan of the replayed store. Returns how many round trips ran.
+fn check_round_trips(task: &SoarTask, learning: bool, every: u64) -> usize {
+    let mut scratch = Agent::new(SerialEngine::new(ReteNetwork::new()), task.classes.clone());
+    task.install_productions(&mut scratch);
+    let topo = Topology::freeze(scratch.engine.into_parts().0);
+    let mut agent = Agent::new(JournaledSession::fresh(topo.clone(), true), task.classes.clone());
+    agent.learning = learning;
+    task.install_adopted(&mut agent);
+    let mut trips = 0;
+    while agent.step(DECISION_BUDGET).is_none() {
+        if !agent.stats.decisions.is_multiple_of(every) {
+            continue;
+        }
+        let mut w = ByteWriter::new();
+        encode_shell(&agent, &mut w);
+        let journal = agent.engine.journal().expect("journaled").clone();
+        let engine = JournaledSession::resume(topo.clone(), journal).expect("journal replays");
+        let mut resumed = Agent::new(engine, task.classes.clone());
+        task.adopt_productions(&mut resumed);
+        decode_shell(&mut resumed, &mut ByteReader::new(&w.into_inner())).expect("shell decodes");
+        let ctx = format!("{} (learning {learning}), resumed at decision {}", task.name, agent.stats.decisions);
+        assert_ledger_is_rescan(&resumed, &ctx);
+        assert_eq!(resumed.book.live, agent.book.live, "{ctx}: kinds");
+        assert_eq!(resumed.book.prefs, agent.book.prefs, "{ctx}: preferences");
+        assert_eq!(resumed.book.objects, agent.book.objects, "{ctx}: object index");
+        agent = resumed;
+        trips += 1;
+    }
+    trips
 }
 
 #[test]
@@ -227,6 +313,16 @@ fn eight_puzzle_gc_is_the_reference_at_every_decision() {
     for learning in [false, true] {
         assert!(check_every_decision(&task, learning) > 0, "learning {learning}: GC removed nothing");
     }
+}
+
+#[test]
+fn the_ledger_survives_hibernate_and_resume() {
+    let eight = eight_puzzle(&scrambled(6, 11));
+    for learning in [false, true] {
+        assert!(check_round_trips(&eight, learning, 150) > 1, "learning {learning}");
+    }
+    assert!(check_round_trips(&strips(&StripsConfig::default()), false, 2) > 1);
+    assert!(check_round_trips(&cypress_sub(&CypressConfig { roots: 2 }), false, 5) > 1);
 }
 
 #[test]
@@ -252,9 +348,15 @@ fn bare_agent() -> Agent<SerialEngine> {
 
 /// Add `text` to working memory at the top level, as a firing would.
 fn add(agent: &mut Agent<SerialEngine>, text: &str) -> WmeId {
+    add_at(agent, text, 0)
+}
+
+/// Add `text` to working memory at goal level `level`.
+fn add_at(agent: &mut Agent<SerialEngine>, text: &str, level: u32) -> WmeId {
     let w = parse_wme(text, &agent.classes).expect("wme parses");
     let (id, _) = agent.engine.add_wme(w.clone());
-    agent.book.note_add(id, w, 0, Provenance::Arch { sources: vec![] }, false);
+    let prov = Provenance::Arch { sources: vec![] };
+    agent.book.note_add(id, w, level, prov, &agent.fields, &agent.classes);
     id
 }
 
@@ -267,6 +369,7 @@ fn identifiers(agent: &mut Agent<SerialEngine>, names: &[&str]) {
 /// The agent's removals, checked against the reference's; with the
 /// reference's pass count.
 fn gc_both_ways(agent: &Agent<SerialEngine>) -> (Vec<WmeId>, usize) {
+    assert_ledger_is_rescan(agent, "hand-built state");
     let live: Vec<WmeId> = agent.engine.with_store(|s| s.iter_alive().map(|(id, _)| id).collect());
     let (want, passes) = reference_gc(agent, &live);
     assert_eq!(agent.gc_removals(), want);
@@ -330,4 +433,46 @@ fn a_preference_scoped_to_a_superseded_state_is_collected() {
         add(&mut agent, "(obj ^id o8 ^link o9)"),
     ];
     assert_eq!(gc_both_ways(&agent).0, gone);
+}
+
+/// A goal wme whose slot value is stale goes, and it must not keep that
+/// value's object: the object index lists goal wmes under their goal, which
+/// GC reaches, but reachability passes only through goal wmes it keeps.
+#[test]
+fn a_stale_goal_slot_value_is_not_reached_through_its_goal() {
+    let mut agent = bare_agent();
+    identifiers(&mut agent, &["s0", "o1"]);
+    let g = sym_name(agent.stack[0].id);
+    let gone = vec![
+        add(&mut agent, &format!("(goal ^id {g} ^state s0)")),
+        add(&mut agent, "(obj ^id s0 ^link o1)"),
+        add(&mut agent, "(obj ^id o1 ^link s0)"),
+    ];
+    assert_eq!(gc_both_ways(&agent).0, gone);
+}
+
+/// A result that links a deeper goal's id promotes that goal: its goal
+/// wmes, found through the object index, move up to the result's level.
+#[test]
+fn a_result_linking_a_subgoal_promotes_the_subgoal_wmes() {
+    let mut agent = bare_agent();
+    identifiers(&mut agent, &["s1"]);
+    let top = agent.stack[0].id;
+    let sub = intern("g-sub");
+    agent.book.note_new_object(sub, 1);
+    agent.stack.push(GoalCtx { id: sub, level: 1, slots: [None, None, None], impasse: None });
+    let goal_wmes = [
+        add_at(&mut agent, &format!("(goal ^id g-sub ^supergoal {})", sym_name(top)), 1),
+        add_at(&mut agent, "(goal ^id g-sub ^impasse tie)", 1),
+    ];
+    let link = "(p link (goal ^id <g> ^supergoal <sg>) --> (make obj ^id s1 ^link <g>))";
+    let link = psme_ops::parse_production(link, &mut agent.classes).expect("production parses");
+    agent.load_production(Arc::new(link)).expect("production loads");
+    agent.step(0);
+    assert_eq!(agent.stats.firings, 1);
+    assert_eq!(agent.book.level_of_obj(sub), 0, "the subgoal is promoted");
+    for id in goal_wmes {
+        assert_eq!(agent.book.level_of(id), 0, "goal wme {id:?} re-levelled");
+    }
+    assert_ledger_is_rescan(&agent, "after the result");
 }
