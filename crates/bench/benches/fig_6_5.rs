@@ -82,6 +82,9 @@ impl<E: MatchEngine> MatchEngine for Timed<E> {
         self.cycles.push((out.tasks, t0.elapsed().as_nanos() as u64));
         out
     }
+    fn retire_removed(&mut self, keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        self.inner.retire_removed(keep)
+    }
     fn add_production(
         &mut self,
         prod: Arc<Production>,

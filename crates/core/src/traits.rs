@@ -24,6 +24,15 @@ pub trait MatchEngine {
     /// Match a batch of pre-registered changes to quiescence.
     fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome;
 
+    /// Free every removed wme `keep` turns down and return their ids
+    /// ([`WmeStore::retire_removed`]). Call only between match cycles, when
+    /// no delete token is in flight. The default retires nothing; it
+    /// exists only until the benchmark's `Timed` wrapper forwards the call
+    /// (ROADMAP), after which the method has no default.
+    fn retire_removed(&mut self, _keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        Vec::new()
+    }
+
     /// Compile a production at run time and update its state (§5.1/§5.2).
     fn add_production(
         &mut self,
@@ -91,6 +100,10 @@ impl<N: ReteBuild> MatchEngine for SerialEngine<N> {
         self.run_cycle(changes, Phase::Match)
     }
 
+    fn retire_removed(&mut self, keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        self.state.store.retire_removed(keep)
+    }
+
     fn add_production(
         &mut self,
         prod: Arc<Production>,
@@ -143,6 +156,12 @@ impl MatchEngine for JournaledSession {
 
     fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome {
         JournaledSession::run_changes(self, changes)
+    }
+
+    // No journal op: replay re-creates the removed wmes, and the first
+    // retirement after resume frees them again.
+    fn retire_removed(&mut self, keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        self.eng.state.store.retire_removed(keep)
     }
 
     fn add_production(
@@ -198,6 +217,12 @@ impl MatchEngine for ParallelEngine {
 
     fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome {
         ParallelEngine::run_changes(self, changes)
+    }
+
+    // The store's write lock: sound only at the cycle barrier, where no
+    // match process reads the store.
+    fn retire_removed(&mut self, keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        self.store_mut(|s| s.retire_removed(keep))
     }
 
     fn add_production(

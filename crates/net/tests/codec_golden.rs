@@ -9,14 +9,16 @@
 //! order, so the three sections run in a fixed order in one thread.
 
 use psme_net::{Frame, SessionSummary, WIRE_VERSION};
-use psme_ops::{intern, parse_program, parse_wme, ClassRegistry};
+use psme_ops::{intern, parse_program, parse_wme, ClassRegistry, WmeId};
 use psme_rete::snapshot::ByteWriter;
 use psme_rete::testgen::{random_system, GenConfig, XorShift};
 use psme_rete::{
     fnv1a64, plan_bilinear, JournaledSession, NetworkOrg, ReteBuild, ReteNetwork, SerialEngine,
     Topology, JOURNAL_VERSION,
 };
-use psme_soar::{declare_arch_classes, encode_shell, Agent, AgentStats, SoarTask, StopReason};
+use psme_soar::{
+    declare_arch_classes, encode_shell, Agent, AgentStats, Provenance, SoarTask, StopReason,
+};
 use std::sync::Arc;
 
 include!("../../soar/tests/fixtures/fruit_task.rs");
@@ -86,6 +88,33 @@ fn shell_bytes(decisions: u64) -> Vec<u8> {
     w.into_inner()
 }
 
+/// A shell over a ledger filled in by hand — levels, provenance,
+/// identifiers and pins, no run — so the shell's layout is pinned apart
+/// from what a run leaves in the ledger.
+fn hand_built_shell_bytes() -> Vec<u8> {
+    let task = fruit_task();
+    let mut agent = Agent::new(SerialEngine::new(ReteNetwork::new()), task.classes.clone());
+    let book = &mut agent.book;
+    for (id, level) in [(0, 0), (1, 1), (2, 2), (3, 0), (7, 1)] {
+        book.wme_level.insert(WmeId(id), level);
+    }
+    book.provenance.insert(WmeId(1), Provenance::Arch { sources: vec![WmeId(0)] });
+    book.provenance.insert(
+        WmeId(2),
+        Provenance::Fired { matched: vec![WmeId(0), WmeId(1)], prod: intern("golden-fire") },
+    );
+    book.provenance.insert(WmeId(3), Provenance::Arch { sources: vec![] });
+    book.provenance.insert(WmeId(7), Provenance::Fired { matched: vec![WmeId(2)], prod: intern("golden-fire") });
+    book.note_new_object(intern("g*0001"), 0);
+    book.note_new_object(intern("x*0002"), 2);
+    book.obj_level.insert(intern("x*0002"), 1);
+    book.register_identifier(intern("golden-b1"));
+    book.pinned.extend([WmeId(0), WmeId(3)]);
+    let mut w = ByteWriter::new();
+    encode_shell(&agent, &mut w);
+    w.into_inner()
+}
+
 /// One frame of every variant, with every optional and list field filled,
 /// then an `OpenSession` without a grant.
 fn frames() -> Vec<Frame> {
@@ -148,10 +177,12 @@ fn formats_are_byte_stable() {
     let got_journal = fnv1a64(&journal_bytes());
     let got_mid = fnv1a64(&shell_bytes(3));
     let got_end = fnv1a64(&shell_bytes(50));
+    let got_hand = fnv1a64(&hand_built_shell_bytes());
     let got_frames: Vec<u64> = frames().iter().map(|f| fnv1a64(&f.encode())).collect();
     assert_eq!(got_journal, 0xf477_1163_d677_341d, "PSNJ journal");
     assert_eq!(got_mid, 0x3da1_c6ce_8f66_1975, "shell mid-run, past the tie");
-    assert_eq!(got_end, 0xfe83_53b6_434e_ef00, "shell after the chunk and the halt");
+    assert_eq!(got_end, 0x6b7f_aaf9_9663_07c1, "shell after the chunk and the halt");
+    assert_eq!(got_hand, 0x89ae_d0eb_e5ab_9ae3, "shell of a hand-built ledger");
     let want_frames: [u64; 13] = [
         0x18f7_b3c9_e973_1bf3,
         0x8fee_8e80_d281_2df9,

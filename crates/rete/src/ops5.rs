@@ -122,6 +122,9 @@ impl Ops5Runtime {
         removes.dedup();
         let out = self.engine.apply_changes(adds, removes);
         self.absorb(out.cs);
+        // The cycle is quiescent and nothing here backtraces: what was
+        // removed is gone.
+        self.engine.state.store.retire_removed(|_| false);
         if halt {
             Err(Ops5Stop::Halted)
         } else {

@@ -725,7 +725,8 @@ impl Journal {
 }
 
 /// Structural digest of a session engine's complete observable match state:
-/// every stored wme (content, tag, liveness), every node's left/right token
+/// every id's liveness and retirement, the content and tag of every wme not
+/// retired, every node's left/right token
 /// memory, the overlay's shape and splices, and the current instantiations.
 /// Two engines with equal digests are bit-for-bit interchangeable for
 /// everything downstream code reads — this is what the snapshot round-trip
@@ -735,9 +736,12 @@ pub fn session_digest(eng: &SerialEngine<SessionNet>) -> u64 {
     let store = &eng.state.store;
     w.put(&[store.total_count(), store.live_count()]);
     for id in (0..store.total_count() as u32).map(WmeId) {
-        w.put(&**store.get(id));
-        w.put(&store.tag(id));
-        w.put(&store.is_alive(id));
+        let retired = store.is_retired(id);
+        w.put(&[store.is_alive(id), retired]);
+        if !retired {
+            w.put(&**store.get(id));
+            w.put(&store.tag(id));
+        }
     }
     let net = &eng.net;
     w.put(&[

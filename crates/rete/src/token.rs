@@ -8,7 +8,7 @@
 
 use psme_ops::{TimeTag, Value, Wme, WmeId};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 /// An immutable partial instantiation: wme ids, one per covered condition.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -17,9 +17,11 @@ pub struct Token {
 }
 
 impl Token {
-    /// The empty token (the left input of first-level joins).
+    /// The empty token (the left input of first-level joins): one shared
+    /// allocation, so every copy is a refcount bump.
     pub fn empty() -> Token {
-        Token { wmes: Arc::from([]) }
+        static EMPTY: LazyLock<Token> = LazyLock::new(|| Token { wmes: Arc::from([]) });
+        EMPTY.clone()
     }
 
     /// A one-slot token wrapping a single wme (alpha-network output).
@@ -77,18 +79,29 @@ impl fmt::Debug for Token {
 /// One stored wme with its time tag and liveness.
 #[derive(Clone, Debug)]
 struct StoredWme {
-    wme: Arc<Wme>,
+    /// The wme and its one-slot token, built once at add time; `None` once
+    /// retired. Tokens are immutable, so the alpha fan-out and every
+    /// subsequent alpha task for this wme share the token by refcount
+    /// instead of allocating fresh `Arc`s.
+    held: Option<(Arc<Wme>, Token)>,
     tag: TimeTag,
     alive: bool,
-    /// The wme's one-slot token, built once at add time. Tokens are
-    /// immutable, so the alpha fan-out and every subsequent alpha task for
-    /// this wme share it by refcount instead of allocating fresh `Arc`s.
-    unit: Token,
 }
 
-/// The working-memory store: assigns [`WmeId`]s and [`TimeTag`]s, keeps the
-/// wme values readable for the matcher (ids are never reused, and removed
-/// wmes stay readable because in-flight delete tokens still reference them).
+/// A read of a wme whose contents were freed: whoever kept its id past its
+/// retirement holds a reference the retention rule did not see.
+#[cold]
+#[inline(never)]
+fn retired(id: WmeId) -> ! {
+    panic!("wme {} was retired: its contents are gone", id.0)
+}
+
+/// The working-memory store: assigns [`WmeId`]s and [`TimeTag`]s and keeps
+/// the wme values readable for the matcher. Ids are never reused. A
+/// removed wme stays readable — in-flight delete tokens still reference
+/// it — until its owner retires it at a quiescent point
+/// ([`Self::retire_removed`]); a retired slot is a tombstone whose reads
+/// panic.
 #[derive(Default, Debug)]
 pub struct WmeStore {
     wmes: Vec<StoredWme>,
@@ -97,6 +110,8 @@ pub struct WmeStore {
     /// order, so adds append): [`Self::iter_alive`] walks these instead of
     /// every slot ever allocated.
     live: Vec<WmeId>,
+    /// Removed wmes not yet retired.
+    removed: Vec<WmeId>,
 }
 
 impl WmeStore {
@@ -110,12 +125,13 @@ impl WmeStore {
         self.next_tag += 1;
         let id = WmeId(self.wmes.len() as u32);
         let tag = TimeTag(self.next_tag);
-        self.wmes.push(StoredWme { wme: Arc::new(wme), tag, alive: true, unit: Token::unit(id) });
+        self.wmes.push(StoredWme { held: Some((Arc::new(wme), Token::unit(id))), tag, alive: true });
         self.live.push(id);
         (id, tag)
     }
 
-    /// Mark a wme dead. Returns its contents if it was alive.
+    /// Mark a wme dead. Returns its contents if it was alive. The id is
+    /// recorded for [`Self::retire_removed`].
     pub fn remove(&mut self, id: WmeId) -> Option<Arc<Wme>> {
         let s = self.wmes.get_mut(id.0 as usize)?;
         if !s.alive {
@@ -124,29 +140,67 @@ impl WmeStore {
         s.alive = false;
         let at = self.live.binary_search(&id).expect("an alive wme is on the live list");
         self.live.remove(at);
-        Some(s.wme.clone())
+        self.removed.push(id);
+        Some(s.held.as_ref().expect("an alive wme is held").0.clone())
     }
 
-    /// The wme for an id (alive or dead).
+    /// Free the contents and unit token of every removed wme `keep` turns
+    /// down, and return their ids; the kept ones stay readable and are
+    /// asked again next time. Only removed wmes are ever asked, so a live
+    /// one cannot be retired. Call only where nothing in flight holds a
+    /// removed id: between match cycles.
+    pub fn retire_removed(&mut self, mut keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        let mut gone = Vec::new();
+        let wmes = &mut self.wmes;
+        self.removed.retain(|&id| {
+            if keep(id) {
+                return true;
+            }
+            wmes[id.0 as usize].held = None;
+            gone.push(id);
+            false
+        });
+        gone
+    }
+
+    /// Removed wmes that are not yet retired, in removal order.
+    pub fn retained(&self) -> &[WmeId] {
+        &self.removed
+    }
+
+    /// The wme and token slot of an id; panics once it is retired.
+    #[inline]
+    fn held(&self, id: WmeId) -> &(Arc<Wme>, Token) {
+        match &self.wmes[id.0 as usize].held {
+            Some(h) => h,
+            None => retired(id),
+        }
+    }
+
+    /// The wme for an id (alive or removed, not retired).
     pub fn get(&self, id: WmeId) -> &Arc<Wme> {
-        &self.wmes[id.0 as usize].wme
+        &self.held(id).0
     }
 
     /// Field value of a wme.
     #[inline]
     pub fn value(&self, id: WmeId, field: u16) -> Value {
-        self.wmes[id.0 as usize].wme.field(field)
+        self.held(id).0.field(field)
     }
 
     /// Time tag of a wme.
     pub fn tag(&self, id: WmeId) -> TimeTag {
-        self.wmes[id.0 as usize].tag
+        let s = &self.wmes[id.0 as usize];
+        if s.held.is_none() {
+            retired(id);
+        }
+        s.tag
     }
 
     /// The wme's shared one-slot token (cloning is a refcount bump).
     #[inline]
     pub fn unit_token(&self, id: WmeId) -> &Token {
-        &self.wmes[id.0 as usize].unit
+        &self.held(id).1
     }
 
     /// Is the wme currently in working memory?
@@ -154,9 +208,14 @@ impl WmeStore {
         self.wmes.get(id.0 as usize).map(|s| s.alive).unwrap_or(false)
     }
 
+    /// Has the wme been retired (its contents freed)?
+    pub fn is_retired(&self, id: WmeId) -> bool {
+        self.wmes.get(id.0 as usize).is_some_and(|s| s.held.is_none())
+    }
+
     /// Iterate over live wmes, in ascending id order.
     pub fn iter_alive(&self) -> impl Iterator<Item = (WmeId, &Arc<Wme>)> {
-        self.live.iter().map(|&id| (id, &self.wmes[id.0 as usize].wme))
+        self.live.iter().map(|&id| (id, self.get(id)))
     }
 
     /// Find the first (lowest-id) live wme structurally equal to `w`, by a
@@ -201,6 +260,7 @@ mod tests {
         assert_ne!(t1, t3);
         assert_eq!(t1.slot(1), WmeId(2));
         assert!(Token::empty().is_empty());
+        assert!(Arc::ptr_eq(&Token::empty().wmes, &Token::empty().wmes), "one shared empty token");
         assert_eq!(Token::unit(WmeId(7)).len(), 1);
     }
 
@@ -218,10 +278,46 @@ mod tests {
         assert_eq!(w.field(0), Value::Int(1));
         assert!(!s.is_alive(id1));
         assert_eq!(s.live_count(), 1);
-        // dead wmes stay readable
+        // removed wmes stay readable until retired
         assert_eq!(s.value(id1, 0), Value::Int(1));
         // double-remove is None
         assert!(s.remove(id1).is_none());
+        assert_eq!(s.retained(), [id1]);
+    }
+
+    #[test]
+    fn retirement_frees_only_removed_wmes_and_reads_of_them_panic() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let r = reg();
+        let mut s = WmeStore::new();
+        let ids: Vec<WmeId> = (0..4).map(|i| s.add(mk(&r, &format!("(a ^x {i})"))).0).collect();
+        s.remove(ids[0]);
+        s.remove(ids[2]);
+        // Only removed ids are asked, so a live one cannot be retired.
+        let mut asked = Vec::new();
+        let gone = s.retire_removed(|id| {
+            asked.push(id);
+            id == ids[2]
+        });
+        assert_eq!(asked, [ids[0], ids[2]]);
+        assert_eq!(gone, [ids[0]]);
+        assert_eq!(s.retained(), [ids[2]]);
+        for &id in &[ids[1], ids[2], ids[3]] {
+            assert_eq!(s.get(id).field(0), s.value(id, 0));
+            assert_eq!(s.unit_token(id).wmes(), [id]);
+        }
+        assert!(s.tag(ids[3]) > s.tag(ids[1]));
+        let dead = ids[0];
+        let panics = |read: &dyn Fn()| catch_unwind(AssertUnwindSafe(read)).is_err();
+        assert!(panics(&|| _ = s.get(dead)), "get of a retired id");
+        assert!(panics(&|| _ = s.value(dead, 0)), "value of a retired id");
+        assert!(panics(&|| _ = s.tag(dead)), "tag of a retired id");
+        assert!(panics(&|| _ = s.unit_token(dead)), "unit_token of a retired id");
+        assert!(!s.is_alive(dead) && s.remove(dead).is_none());
+        assert_eq!(s.iter_alive().map(|(id, _)| id).collect::<Vec<_>>(), [ids[1], ids[3]]);
+        // A second pass asks only what is still retained.
+        assert_eq!(s.retire_removed(|_| false), [ids[2]]);
+        assert!(s.retained().is_empty());
     }
 
     #[test]

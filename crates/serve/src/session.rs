@@ -280,7 +280,7 @@ mod tests {
     fn session_frame_is_byte_stable() {
         assert_eq!(SNAPSHOT_VERSION, 1);
         let (_, _, bytes) = hibernated();
-        assert_eq!(psme_rete::fnv1a64(&bytes), 0xacd6_5d77_de8a_cc73, "PSNS session frame");
+        assert_eq!(psme_rete::fnv1a64(&bytes), 0x9abf_9d12_b7b5_ded1, "PSNS session frame");
     }
 
     proptest! {

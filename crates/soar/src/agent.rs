@@ -674,7 +674,20 @@ impl<E: MatchEngine> Agent<E> {
         self.recorder.finish(span);
         let Some(changes) = changes else { return Some(StopReason::Stuck) };
         self.match_changes(changes);
+        self.retire_unreachable();
         None
+    }
+
+    /// Free the wmes the decision removed, and any removed earlier, that no
+    /// chunk backtrace can reach ([`WmBook::backtrace_reach`]): the store's
+    /// contents and the ledger's records. Runs after the decision's match,
+    /// where no delete token is in flight and no backtrace is running, and
+    /// on resume, where replay has re-created what the hibernated agent had
+    /// retired.
+    pub(crate) fn retire_unreachable(&mut self) {
+        let reach = self.engine.with_store(|s| self.book.backtrace_reach(s));
+        let retired = self.engine.retire_removed(|id| reach.contains(&id));
+        self.book.forget(&retired);
     }
 
     /// Run the elaborate–decide loop for up to `max_decisions` decisions.

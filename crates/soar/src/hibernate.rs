@@ -68,9 +68,9 @@ pub fn encode_shell<E: MatchEngine>(agent: &Agent<E>, w: &mut ByteWriter) {
         .map(|(inst, specificity, fired)| CsEntry { inst: inst.clone(), specificity, fired })
         .collect();
     w.put(&cs);
-    // WM bookkeeping. The level/provenance maps include dead wmes on
-    // purpose (in-flight references — CS retractions, chunk backtraces —
-    // still read them).
+    // WM bookkeeping. The level/provenance maps cover the live wmes and
+    // the removed ones a chunk backtrace can still reach; replay re-creates
+    // the rest, and `decode_shell` retires them again.
     let book = &agent.book;
     w.put(&book.wme_level);
     w.put(&book.obj_level);
@@ -137,6 +137,10 @@ pub fn decode_shell<E: MatchEngine>(
         agent.prods.insert(c.name, c.clone());
     }
     agent.chunker.chunks = chunks;
+    // Replay re-created every removed wme. The reach the shell's records
+    // span is the one the hibernated agent kept, so this retires exactly
+    // what it had retired.
+    agent.retire_unreachable();
     Ok(())
 }
 

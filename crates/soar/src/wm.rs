@@ -87,14 +87,14 @@ impl Kind {
 /// noting the replayed store again ([`WmBook::index`]).
 #[derive(Debug, Default)]
 pub struct WmBook {
-    /// Goal level of each live/expired wme (0 = top goal context).
+    /// Goal level of each live or retained wme (0 = top goal context).
     pub wme_level: FxHashMap<WmeId, u32>,
     /// Current (possibly promoted) level of each object identifier.
     pub obj_level: FxHashMap<Symbol, u32>,
     /// Level at which each object was originally created (promotion does
     /// not rewrite this — the chunker uses it to find subgoal-born objects).
     pub obj_native_level: FxHashMap<Symbol, u32>,
-    /// Provenance per wme.
+    /// Provenance of each live or retained wme.
     pub provenance: FxHashMap<WmeId, Provenance>,
     /// Symbols that denote object identifiers (variablized by chunking).
     pub identifiers: FxHashSet<Symbol>,
@@ -106,6 +106,10 @@ pub struct WmBook {
     /// (Pinned ones are here too: GC never removes them, but a goal wme
     /// among them roots reachability.)
     pub live: Vec<(WmeId, Kind)>,
+    /// Every live task-static wme noted above the top level, ascending id.
+    /// It has no object, so promotion never lowers it; with [`Self::live`]
+    /// it roots [`Self::backtrace_reach`].
+    pub deep_static: Vec<WmeId>,
     /// Every well-formed live preference, ascending wme id: the decision
     /// procedure's input.
     pub prefs: Vec<Preference>,
@@ -152,6 +156,8 @@ impl WmBook {
         let obj = object_of(&wme, reg, f.id_attr);
         if let Some(kind) = Kind::of(&wme, obj.map(|o| o.0), f) {
             self.live.push((id, kind));
+        } else if self.level_of(id) > 0 {
+            self.deep_static.push(id);
         }
         self.prefs.extend(decode_preference(id, &wme, f));
         if let Some((obj, idf)) = obj {
@@ -160,15 +166,19 @@ impl WmBook {
         self.alive_index.insert(wme, id);
     }
 
-    /// Record a removal. Levels and provenance are kept: in-flight
-    /// references (conflict-set retractions, chunk backtraces within the
-    /// same phase) may still need them.
+    /// Record a removal. Level and provenance stay until the wme retires
+    /// ([`Self::forget`]): a later chunk backtrace may still reach it.
     pub fn note_remove(&mut self, id: WmeId, wme: &Wme) {
         if self.alive_index.get(wme) == Some(&id) {
             self.alive_index.remove(wme);
         }
         self.pinned.remove(&id);
-        let Ok(at) = self.live.binary_search_by_key(&id, |e| e.0) else { return };
+        let Ok(at) = self.live.binary_search_by_key(&id, |e| e.0) else {
+            if let Ok(at) = self.deep_static.binary_search(&id) {
+                self.deep_static.remove(at);
+            }
+            return;
+        };
         let (_, kind) = self.live.remove(at);
         if kind == Kind::Pref {
             if let Ok(at) = self.prefs.binary_search_by_key(&id, |p| p.wme) {
@@ -181,6 +191,52 @@ impl WmBook {
             if augs.is_empty() {
                 self.objects.remove(&obj);
             }
+        }
+    }
+
+    /// The removed wmes a chunk backtrace can still reach. A backtrace
+    /// starts at a firing's matched wmes, which are live, and expands a
+    /// wme's provenance only when the wme's level exceeds the result level,
+    /// which is never negative; promotion only lowers levels. So a removed
+    /// wme can be reached again iff it is reachable from a live wme of
+    /// level > 0 through the provenance edges of wmes of level > 0. Every
+    /// live wme of level > 0 is a root, so the walk continues only through
+    /// removed ones. Costs the listed wmes ([`Self::live`],
+    /// [`Self::deep_static`]) and the retained ones, never task-static
+    /// working memory or the run's history; nothing when no removed wme
+    /// awaits retirement.
+    pub fn backtrace_reach(&self, store: &WmeStore) -> FxHashSet<WmeId> {
+        let mut reach = FxHashSet::default();
+        if store.retained().is_empty() {
+            return reach;
+        }
+        let edges = |w: WmeId| -> &[WmeId] {
+            match self.provenance.get(&w) {
+                Some(Provenance::Fired { matched, .. }) => matched,
+                Some(Provenance::Arch { sources }) => sources,
+                None => &[],
+            }
+        };
+        let removed = |w: &&WmeId| !store.is_alive(**w);
+        let mut work: Vec<WmeId> = Vec::new();
+        for id in self.live.iter().map(|e| e.0).chain(self.deep_static.iter().copied()) {
+            if self.level_of(id) > 0 {
+                work.extend(edges(id).iter().filter(removed));
+            }
+        }
+        while let Some(w) = work.pop() {
+            if reach.insert(w) && self.level_of(w) > 0 {
+                work.extend(edges(w).iter().filter(removed));
+            }
+        }
+        reach
+    }
+
+    /// Drop the records of retired wmes: nothing can reach them again.
+    pub fn forget(&mut self, retired: &[WmeId]) {
+        for id in retired {
+            self.wme_level.remove(id);
+            self.provenance.remove(id);
         }
     }
 
@@ -261,6 +317,38 @@ mod tests {
         let (id, _) = store.add(w.clone());
         b.note_add(id, w, 2, Provenance::Arch { sources: vec![] }, f, r);
         id
+    }
+
+    #[test]
+    fn backtrace_reach_follows_wmes_above_the_top_level() {
+        let (r, f) = reg();
+        let mut store = WmeStore::new();
+        let mut b = WmBook::new();
+        let mut note = |text: &str, level: u32, sources: Vec<WmeId>| {
+            let w = psme_ops::parse_wme(text, &r).unwrap();
+            let (id, _) = store.add(w.clone());
+            b.note_add(id, w, level, Provenance::Arch { sources }, &f, &r);
+            id
+        };
+        let [x, y, z, far] = ["(obj ^id o1 ^color red)", "(obj ^color blue)", "(obj ^color red)", "(obj ^id o2)"]
+            .map(|t| note(t, 1, vec![]));
+        let mid = note("(obj ^id o3)", 0, vec![far]);
+        let hop = note("(obj ^id o4)", 1, vec![mid]);
+        let deep_object = note("(obj ^id o5)", 1, vec![x]);
+        let deep_static = note("(obj ^color green)", 2, vec![y, hop]);
+        let top = note("(obj ^id o6)", 0, vec![z]);
+        assert_eq!(b.deep_static, [y, z, deep_static], "task-static, above level 0");
+        assert!(b.backtrace_reach(&store).is_empty(), "nothing removed, nothing walked");
+        for id in [x, y, z, far, mid, hop] {
+            let w = store.remove(id).unwrap();
+            b.note_remove(id, &w);
+        }
+        assert_eq!(b.deep_static, [deep_static]);
+        let reach = b.backtrace_reach(&store);
+        let mut reach: Vec<WmeId> = reach.into_iter().collect();
+        reach.sort();
+        // `z` hangs off a level-0 root, `far` off a level-0 removed wme.
+        assert_eq!(reach, [x, y, mid, hop], "roots {deep_object:?}, {deep_static:?}; not {top:?}");
     }
 
     #[test]

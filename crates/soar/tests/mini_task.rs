@@ -143,6 +143,9 @@ impl MatchEngine for Slow {
     fn run_changes(&mut self, changes: Vec<(WmeId, i32)>) -> CycleOutcome {
         self.slow(|e| MatchEngine::run_changes(e, changes))
     }
+    fn retire_removed(&mut self, keep: impl FnMut(WmeId) -> bool) -> Vec<WmeId> {
+        MatchEngine::retire_removed(&mut self.inner, keep)
+    }
     fn add_production(
         &mut self,
         prod: Arc<Production>,

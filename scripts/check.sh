@@ -91,8 +91,12 @@ required_suites=(
     "reorg differential|crates/serve/tests/reorg_differential.rs"
     "reorg proptests|crates/rete/tests/proptest_reorg.rs"
     # Reachability GC == the earlier repeat-until-no-growth rule at every
-    # decision of the paper tasks, and on hand-built states.
+    # decision of the paper tasks, and on hand-built states; what the agent
+    # retains of removed wmes is what a chunk backtrace can reach.
     "gc differential|crates/soar/tests/gc_differential.rs"
+    # What a running agent keeps on the heap per wme it adds: working
+    # memory, not its history.
+    "wm footprint|crates/soar/tests/wm_footprint.rs"
     # The captured task streams of the three paper tasks, column for column:
     # the gate for changes to the beta hot path that claim to keep the match
     # bit-identical.
